@@ -296,11 +296,11 @@ func (sw *Switch) CompactShard(shard int) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	ln.mu.Lock()
-	changed := sw.foldLaneLocked(ln)
-	ln.mu.Unlock()
-	if changed {
+	defer ln.mu.Unlock()
+	if sw.foldLaneLocked(ln) {
 		sw.publishLocked()
 	}
+	ln.clearLocked()
 }
 
 // FoldShards folds every lane's overlay (published and pending) into the
@@ -314,44 +314,50 @@ func (sw *Switch) FoldShards() {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	changed := false
+	// Every lane stays locked from its fold to its clear, so no FlipShard
+	// can publish a fresh view in between and have the clear discard it.
 	for _, ln := range sw.lanes {
 		ln.mu.Lock()
 		if sw.foldLaneLocked(ln) {
 			changed = true
 		}
-		ln.mu.Unlock()
 	}
 	if changed {
 		sw.publishLocked()
 	}
+	for _, ln := range sw.lanes {
+		ln.clearLocked()
+		ln.mu.Unlock()
+	}
 }
 
 // foldLaneLocked folds one lane's view and pending overlays into the
-// main tables. Callers hold sw.mu and ln.mu and publish afterwards.
+// main tables. Callers hold sw.mu and ln.mu, publish the folded snapshot,
+// and only then clear the lane (clearLocked): a data-plane pass loads the
+// lane view before the snapshot, so an entry must be in the published
+// snapshot before it leaves the view or a pass could find it in neither.
 func (sw *Switch) foldLaneLocked(ln *ctlLane) bool {
 	changed := false
-	apply := func(name string, lt *laneTable) {
-		if len(lt.wb) == 0 && len(lt.del) == 0 {
-			return
+	fold := func(tables map[string]*laneTable) {
+		for name, lt := range tables {
+			t, ok := sw.tables[name]
+			if !ok || len(lt.wb)+len(lt.del) == 0 {
+				continue
+			}
+			changed = true
+			sw.foldIntoMainLocked(t, lt.wb, lt.del)
 		}
-		t, ok := sw.tables[name]
-		if !ok {
-			return
-		}
-		changed = true
-		sw.foldIntoMainLocked(t, lt.wb, lt.del)
 	}
-	if ov := ln.view.Load(); ov != nil {
-		for name, lt := range ov.tables {
-			apply(name, lt)
-		}
-		ln.view.Store(nil)
-	}
-	for name, lt := range ln.pending {
-		apply(name, lt)
-	}
-	ln.pending = nil
+	fold(viewTables(ln.view.Load()))
+	fold(ln.pending)
 	return changed
+}
+
+// clearLocked empties a lane whose content has been folded and published.
+// Callers hold ln.mu.
+func (ln *ctlLane) clearLocked() {
+	ln.view.Store(nil)
+	ln.pending = nil
 }
 
 // laneTableEntries sums the net lane-resident contribution to one

@@ -2,9 +2,12 @@ package switchsim
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gallium/internal/ir"
+	"gallium/internal/packet"
 )
 
 // laneView resolves a key through one shard's published lane overlay —
@@ -212,5 +215,80 @@ func TestStageShardRejections(t *testing.T) {
 	err = sw.StageShard(0, Update{Table: "nonesuch", Key: key, Vals: []uint64{1}})
 	if err == nil || !strings.Contains(err.Error(), "not resident") {
 		t.Errorf("unknown table: err = %v, want residency refusal", err)
+	}
+}
+
+// TestLaneFoldNeverHidesFlippedKey is the lane-fold race stress: one
+// goroutine keeps pre-passing the key most recently flipped into lane 0
+// while the test goroutine stages, flips and compacts fresh keys past
+// the merge threshold. A flipped, never-deleted key lives in the lane
+// view, in the main table, or (briefly) both — a pass must never find it
+// in neither, whichever side of a fold its two atomic loads land on.
+func TestLaneFoldNeverHidesFlippedKey(t *testing.T) {
+	sw := New(compileMB(t, "minilb"))
+	sw.ConfigureShards(1)
+	const keys = 6000
+	// minilb keys conn on (saddr ^ daddr) & 0xFFFF; a zero destination
+	// makes the key the source address's low half.
+	tmpl := packet.BuildTCP(0, 0, 1000, 80, packet.TCPOptions{})
+
+	var latest atomic.Int64 // highest key flipped into lane 0 so far
+	latest.Store(-1)
+	var missed atomic.Int64
+	missed.Store(-1)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var pkt packet.Packet
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := latest.Load()
+			if k < 0 {
+				continue
+			}
+			pkt = *tmpl
+			pkt.IP.SrcIP = packet.IPv4Addr(k)
+			pre, err := sw.ProcessPreShard(&pkt, 0, nil)
+			if err != nil || pre.Action != ir.ActionSent {
+				missed.CompareAndSwap(-1, k)
+				return
+			}
+		}
+	}()
+	for k := 0; k < keys && missed.Load() < 0; k++ {
+		if err := sw.StageShard(0, Update{Table: "conn", Key: ir.MakeMapKey(uint64(k)), Vals: []uint64{7}}); err != nil {
+			t.Fatal(err)
+		}
+		sw.FlipShard(0)
+		latest.Store(int64(k))
+		sw.CompactShard(0)
+	}
+	close(stop)
+	wg.Wait()
+	if k := missed.Load(); k >= 0 {
+		t.Fatalf("pre-pass missed key %d after it was flipped into lane 0 (fold hid it between view and snapshot)", k)
+	}
+}
+
+// TestFIFOOnlyTracksCacheTables pins the eviction order's footprint: a
+// table that never evicts must not remember the insertion order of every
+// key folded into it.
+func TestFIFOOnlyTracksCacheTables(t *testing.T) {
+	sw := New(compileMB(t, "minilb"))
+	for k := 0; k < 10000; k++ {
+		if err := sw.StageShard(0, Update{Table: "conn", Key: ir.MakeMapKey(uint64(k)), Vals: []uint64{1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sw.FoldShards()
+	tbl, _ := sw.Table("conn")
+	if len(tbl.Main) != 10000 || len(tbl.fifo) != 0 {
+		t.Fatalf("non-cached table after folding 10000 keys: %d entries, fifo holds %d (want 10000, 0)", len(tbl.Main), len(tbl.fifo))
 	}
 }

@@ -39,7 +39,7 @@ type Table struct {
 	// server's authoritative map, misses punt the packet to the server,
 	// and inserts beyond capacity evict the oldest entry (FIFO).
 	Cached bool
-	// fifo orders Main's keys by insertion for eviction.
+	// fifo orders a Cached table's Main keys by insertion for eviction.
 	fifo []ir.MapKey
 	// deleted marks write-back entries that are deletions ("a special
 	// value indicates table entry deletion").
@@ -762,13 +762,17 @@ func (sw *Switch) laneAt(shard int) *ctlLane {
 }
 
 func (sw *Switch) processPre(pkt *packet.Packet, onTouch func(table string, key ir.MapKey), shard int) (PreResult, error) {
-	// The data plane is lock-free: one atomic load pins the state snapshot
-	// (and the shard's lane overlay) for the whole pass, so every worker's
-	// pre pass runs concurrently and a control-plane flip mid-pass cannot
-	// tear the view. Counters land in the shard's own padded lane block,
+	// The data plane is lock-free: one atomic load each pins the shard's
+	// lane overlay and the state snapshot for the whole pass, so every
+	// worker's pre pass runs concurrently and a control-plane flip mid-pass
+	// cannot tear the view. The lane view is loaded BEFORE the snapshot: a
+	// fold publishes the folded snapshot before it clears the view, so a
+	// pass that sees the cleared view is guaranteed the snapshot holding
+	// its entries. Counters land in the shard's own padded lane block,
 	// never on a cache line another shard writes.
-	snap := sw.snap.Load()
 	ln := sw.laneAt(shard)
+	view := ln.view.Load()
+	snap := sw.snap.Load()
 	ls := &ln.stats
 	ls.prePackets.Add(1)
 	snap.c.pre.Inc()
@@ -779,7 +783,7 @@ func (sw *Switch) processPre(pkt *packet.Packet, onTouch func(table string, key 
 	if sw.hasCacheTables {
 		work = pkt.Clone()
 	}
-	ctx := sw.getCtx(snap, ln.view.Load(), work, onTouch)
+	ctx := sw.getCtx(snap, view, work, onTouch)
 	defer putCtx(ctx)
 	r, err := ir.ExecFunc(sw.Res.Prog, sw.Res.PreFn, &ctx.env)
 	if err != nil {
@@ -841,15 +845,16 @@ func (sw *Switch) ProcessPostShard(pkt *packet.Packet, shard int, onTouch func(t
 }
 
 func (sw *Switch) processPost(pkt *packet.Packet, onTouch func(table string, key ir.MapKey), shard int) (PreResult, error) {
-	snap := sw.snap.Load()
 	ln := sw.laneAt(shard)
+	view := ln.view.Load() // before the snapshot; see processPre
+	snap := sw.snap.Load()
 	ls := &ln.stats
 	ls.postPackets.Add(1)
 	snap.c.post.Inc()
 	if !pkt.HasGallium {
 		return PreResult{}, fmt.Errorf("switchsim: post pipeline: packet from server lacks gallium_b header")
 	}
-	ctx := sw.getCtx(snap, ln.view.Load(), pkt, onTouch)
+	ctx := sw.getCtx(snap, view, pkt, onTouch)
 	defer putCtx(ctx)
 	for _, f := range sw.xferB {
 		if f.slot <= 0 {
@@ -1096,7 +1101,9 @@ func (sw *Switch) foldIntoMainLocked(t *Table, wb map[ir.MapKey][]uint64, del ma
 		newMain[k] = v
 	}
 	for k, v := range wb {
-		if _, existed := newMain[k]; !existed {
+		// Only §7 cache tables ever trim the FIFO; ordering every other
+		// table's keys would grow without bound.
+		if _, existed := newMain[k]; !existed && t.Cached {
 			t.fifo = append(t.fifo, k)
 		}
 		newMain[k] = v
