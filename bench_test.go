@@ -187,9 +187,9 @@ func BenchmarkHeadline(b *testing.B) {
 }
 
 // BenchmarkEngineThroughput measures the concurrent sharded engine's
-// wall-clock throughput at 1/2/4/8 workers on the NAT and writes the
-// BENCH_pps.json baseline artifact from the results. Each sub-benchmark
-// streams b.N packets (one flow per ~1000 packets) and reports pps.
+// wall-clock throughput at 1/2/4/8 workers on the NAT. Each sub-benchmark
+// streams b.N packets (one flow per ~1000 packets) and reports pps; the
+// persisted fixed-size ladder is galliumbench -exp scale.
 func BenchmarkEngineThroughput(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -217,17 +217,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			b.ReportMetric(float64(rep.Stats.Injected), "packets")
 		})
 	}
-	// The persisted baseline comes from a fixed-size ladder (identical
-	// packet count at every worker count), not the b.N-scaled runs above —
-	// benchtime reruns would make those rungs incomparable.
-	rep, err := eval.EnginePPS(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eval.WritePPS(rep, "BENCH_pps.json"); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("\n%s", eval.FormatPPS(rep))
 }
 
 // --- component microbenchmarks ---

@@ -21,15 +21,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, offloading, fig7, table2, table3, fig8, fig9, headline, loadsweep, ablation, reconfig, pps, flows, scale, all")
+	exp := flag.String("exp", "all", "experiment: table1, offloading, fig7, table2, table3, fig8, fig9, headline, loadsweep, ablation, reconfig, flows, scale, all")
 	quick := flag.Bool("quick", false, "shrink simulated durations and flow counts")
-	ppsOut := flag.String("ppsout", "BENCH_pps.json", "where -exp pps writes the throughput artifact")
-	checkPPS := flag.String("checkpps", "", "validate an existing BENCH_pps.json artifact and exit")
 	flowsOut := flag.String("flowsout", "BENCH_flows.json", "where -exp flows writes the flow-soak artifact")
 	checkFlows := flag.String("checkflows", "", "validate an existing BENCH_flows.json artifact and exit")
 	scaleOut := flag.String("scaleout", "BENCH_scale.json", "where -exp scale writes the scale-out matrix artifact")
 	checkScale := flag.String("checkscale", "", "validate an existing BENCH_scale.json artifact (and gate on speedup where the host allows) and exit")
-	minScale := flag.Float64("minscale", 0, "with -checkpps: fail unless top-ladder pps >= minscale x 1-worker pps (loud skip on <4-CPU artifacts)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	flag.Parse()
@@ -43,25 +40,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("%s: valid\n%s", *checkFlows, eval.FormatFlows(rep))
-		return
-	}
-	if *checkPPS != "" {
-		rep, err := eval.LoadPPS(*checkPPS)
-		if err == nil {
-			err = eval.ValidatePPS(rep)
-		}
-		var skip string
-		if err == nil {
-			skip, err = eval.CheckScaling(rep, *minScale)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "galliumbench:", err)
-			os.Exit(1)
-		}
-		if skip != "" {
-			notice(skip)
-		}
-		fmt.Printf("%s: valid\n%s", *checkPPS, eval.FormatPPS(rep))
 		return
 	}
 	if *checkScale != "" {
@@ -95,7 +73,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if err := run(*exp, *quick, *ppsOut, *flowsOut, *scaleOut); err != nil {
+	if err := run(*exp, *quick, *flowsOut, *scaleOut); err != nil {
 		fmt.Fprintln(os.Stderr, "galliumbench:", err)
 		os.Exit(1)
 	}
@@ -114,7 +92,7 @@ func main() {
 	}
 }
 
-func run(exp string, quick bool, ppsOut, flowsOut, scaleOut string) error {
+func run(exp string, quick bool, flowsOut, scaleOut string) error {
 	want := func(name string) bool { return exp == "all" || exp == name }
 	ran := false
 
@@ -136,19 +114,6 @@ func run(exp string, quick bool, ppsOut, flowsOut, scaleOut string) error {
 		}
 		fmt.Print(eval.FormatScale(rep))
 		fmt.Println("wrote", scaleOut)
-		ran = true
-	}
-
-	if want("pps") {
-		rep, err := eval.EnginePPS(quick)
-		if err != nil {
-			return err
-		}
-		if err := eval.WritePPS(rep, ppsOut); err != nil {
-			return err
-		}
-		fmt.Print(eval.FormatPPS(rep))
-		fmt.Println("wrote", ppsOut)
 		ran = true
 	}
 
@@ -256,7 +221,7 @@ func run(exp string, quick bool, ppsOut, flowsOut, scaleOut string) error {
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q (want %s)", exp,
-			strings.Join([]string{"table1", "offloading", "fig7", "table2", "table3", "fig8", "fig9", "headline", "loadsweep", "ablation", "reconfig", "pps", "flows", "scale", "all"}, ", "))
+			strings.Join([]string{"table1", "offloading", "fig7", "table2", "table3", "fig8", "fig9", "headline", "loadsweep", "ablation", "reconfig", "flows", "scale", "all"}, ", "))
 	}
 	return nil
 }

@@ -368,47 +368,3 @@ func TestOffloadingReport(t *testing.T) {
 		}
 	}
 }
-
-func TestEnginePPSArtifactRoundTrip(t *testing.T) {
-	t.Parallel()
-	rep, err := EnginePPS(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidatePPS(rep); err != nil {
-		t.Fatalf("fresh report invalid: %v", err)
-	}
-	path := t.TempDir() + "/BENCH_pps.json"
-	if err := WritePPS(rep, path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadPPS(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidatePPS(back); err != nil {
-		t.Fatalf("artifact invalid after round trip: %v", err)
-	}
-	if len(back.Points) != 4 || back.Points[2].Workers != 4 {
-		t.Fatalf("ladder corrupted: %+v", back.Points)
-	}
-	if back.Points[0].PPS != rep.Points[0].PPS {
-		t.Error("pps lost in serialization")
-	}
-	if FormatPPS(back) == "" {
-		t.Error("empty rendering")
-	}
-
-	// Validation rejects broken artifacts.
-	bad := *back
-	bad.Points = back.Points[:2]
-	if err := ValidatePPS(&bad); err == nil {
-		t.Error("short ladder accepted")
-	}
-	bad2 := *back
-	bad2.Points = append([]PPSPoint(nil), back.Points...)
-	bad2.Points[1].Packets++
-	if err := ValidatePPS(&bad2); err == nil {
-		t.Error("incomparable packet counts accepted")
-	}
-}

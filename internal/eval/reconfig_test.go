@@ -47,45 +47,6 @@ func TestReconfigEvalQuickZeroLoss(t *testing.T) {
 	}
 }
 
-// TestCheckScaling pins the scaling gate's decision table. A gate that
-// does not apply must say so via a non-empty skip reason — small hosts
-// skip loudly, they never pass silently.
-func TestCheckScaling(t *testing.T) {
-	rep := func(gomaxprocs int, pps ...float64) *PPSReport {
-		r := &PPSReport{BenchEnv: BenchEnv{GoMaxProcs: gomaxprocs, NumCPU: gomaxprocs}}
-		for i, p := range pps {
-			r.Points = append(r.Points, PPSPoint{Workers: 1 << i, PPS: p})
-		}
-		return r
-	}
-	cases := []struct {
-		name     string
-		rep      *PPSReport
-		min      float64
-		wantSkip bool
-		wantErr  string
-	}{
-		{"disabled", rep(8, 1e6, 1e6), 0, true, ""},
-		{"single-point", rep(8, 1e6), 1.5, true, ""},
-		{"small-host-loud-skip", rep(2, 1e6, 1e6), 1.5, true, ""},
-		{"degenerate-baseline", rep(8, 0, 1e6), 1.5, false, "degenerate"},
-		{"regression", rep(8, 1e6, 1.2e6), 1.5, false, "scaling regression"},
-		{"pass", rep(8, 1e6, 2e6), 1.5, false, ""},
-	}
-	for _, c := range cases {
-		skip, err := CheckScaling(c.rep, c.min)
-		switch {
-		case c.wantErr == "" && err != nil:
-			t.Errorf("%s: unexpected error %v", c.name, err)
-		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
-			t.Errorf("%s: error %v, want containing %q", c.name, err, c.wantErr)
-		}
-		if c.wantSkip != (skip != "") {
-			t.Errorf("%s: skip = %q, want skip %v", c.name, skip, c.wantSkip)
-		}
-	}
-}
-
 // TestCheckScaleGate pins the matrix gate: threshold selection by core
 // count, the loud skip below 4 cores, and the regression error.
 func TestCheckScaleGate(t *testing.T) {

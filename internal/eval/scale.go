@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"gallium"
+	"gallium/internal/packet"
 	"gallium/internal/trafficgen"
 )
 
@@ -36,6 +37,41 @@ type ScaleReport struct {
 	Middlebox string `json:"middlebox"`
 	BenchEnv
 	Points []ScalePoint `json:"points"`
+}
+
+// prebuiltWorkload replays packets that were generated ahead of the timed
+// region, so the measured wall clock covers only the engine pipeline, not
+// the traffic generator's packet construction.
+type prebuiltWorkload struct {
+	tuples []packet.FiveTuple
+	tNs    []int64
+	pkts   []*packet.Packet
+}
+
+func (w *prebuiltWorkload) Tuples() []packet.FiveTuple { return w.tuples }
+
+func (w *prebuiltWorkload) Generate(emit func(int64, *packet.Packet) error) error {
+	for i, p := range w.pkts {
+		if err := emit(w.tNs[i], p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// prebuild materializes a generator's packet stream. Each measurement rung
+// needs its own prebuild: the engine mutates the packets it processes.
+func prebuild(src gallium.Workload) (*prebuiltWorkload, error) {
+	w := &prebuiltWorkload{tuples: src.Tuples()}
+	err := src.Generate(func(tNs int64, pkt *packet.Packet) error {
+		w.tNs = append(w.tNs, tNs)
+		w.pkts = append(w.pkts, pkt)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // scaleWorkerCounts is the worker ladder each rung measures.
@@ -133,8 +169,8 @@ func LoadScale(path string) (*ScaleReport, error) {
 // ValidateScale checks the matrix's structural invariants: every rung
 // carries the full worker ladder in order, every cell is non-degenerate,
 // all cells streamed the same packet count, and the environment is
-// recorded. Like ValidatePPS it does not gate on speedup — that is
-// CheckScaleGate's job, because it depends on the host.
+// recorded. It does not gate on speedup — that is CheckScaleGate's job,
+// because it depends on the host.
 func ValidateScale(rep *ScaleReport) error {
 	if err := rep.checkBenchEnv(); err != nil {
 		return err

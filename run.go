@@ -35,11 +35,6 @@ type Packet = packet.Packet
 // to a default.
 type Option func(*runConfig)
 
-// RunOption is Option's original (pre-Session) name.
-//
-// Deprecated: the two names are one type; new code should say Option.
-type RunOption = Option
-
 type runConfig struct {
 	engine.Config
 	scenario bool
@@ -110,23 +105,6 @@ func WithState(fn func(shard int, st *ir.State)) Option {
 		c.seedFns = append(c.seedFns, fn)
 		c.settleFns = append(c.settleFns, fn)
 	}
-}
-
-// WithSetup seeds each shard's state before the engine starts.
-//
-// Deprecated: WithSetup is WithState's seeding half; new code should use
-// WithState.
-func WithSetup(fn func(shard int, st *ir.State)) Option {
-	return func(c *runConfig) { c.seedFns = append(c.seedFns, fn) }
-}
-
-// WithShardStates registers a callback invoked once per shard after the
-// run settles, exposing each shard's final authoritative middlebox state.
-//
-// Deprecated: WithShardStates is WithState's inspection half; new code
-// should use WithState.
-func WithShardStates(fn func(shard int, st *ir.State)) Option {
-	return func(c *runConfig) { c.settleFns = append(c.settleFns, fn) }
 }
 
 // WithMergedState registers a hook invoked once when the session closes,

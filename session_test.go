@@ -490,9 +490,8 @@ func TestRunOptionValidation(t *testing.T) {
 	}
 }
 
-// TestWithStateSeedsAndInspects: the merged hook both seeds before the
-// run and observes each shard's final state after it; the deprecated
-// aliases keep their original single-sided behavior.
+// TestWithStateSeedsAndInspects: the hook both seeds before the run and
+// observes each shard's final state after it.
 func TestWithStateSeedsAndInspects(t *testing.T) {
 	art, err := gallium.CompileBuiltin("firewall", gallium.Options{})
 	if err != nil {
@@ -524,26 +523,6 @@ func TestWithStateSeedsAndInspects(t *testing.T) {
 	}
 	if finalRules == 0 {
 		t.Error("settle phase observed no seeded rules")
-	}
-
-	// Deprecated aliases: WithSetup only seeds, WithShardStates only
-	// inspects.
-	var setupCalls, inspectCalls int
-	_, err = art.Run(context.Background(), gen,
-		gallium.WithWorkers(2),
-		gallium.WithSetup(func(shard int, st *ir.State) {
-			setupCalls++
-			for _, tup := range gen.Tuples() {
-				middleboxes.AllowFlow(st, tup)
-			}
-		}),
-		gallium.WithShardStates(func(shard int, st *ir.State) { inspectCalls++ }),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if setupCalls != 2 || inspectCalls != 2 {
-		t.Errorf("alias calls: setup %d, inspect %d, want 2 and 2", setupCalls, inspectCalls)
 	}
 }
 
