@@ -17,7 +17,7 @@ import (
 )
 
 // allocBudget is the per-packet allocation budget for the steady-state
-// pipeline: ProcessPre + server execution + ProcessPost. Zero is the
+// pipeline: pre-pass + server execution + post-pass. Zero is the
 // design target; the budget leaves room for a middlebox whose steady
 // state legitimately writes per-packet state (one map-value clone).
 const allocBudget = 2
@@ -88,7 +88,7 @@ func TestFastPathAllocs(t *testing.T) {
 			// the switch and later packets reach steady state.
 			run := func(apply bool) error {
 				resetPacket(buf, pristine)
-				pre, err := sw.ProcessPre(buf)
+				pre, err := sw.ProcessPreShard(buf, 0, nil)
 				if err != nil {
 					return err
 				}
@@ -111,7 +111,7 @@ func TestFastPathAllocs(t *testing.T) {
 				if res.Action != ir.ActionNext {
 					return nil
 				}
-				_, err = sw.ProcessPost(buf)
+				_, err = sw.ProcessPostShard(buf, 0, nil)
 				return err
 			}
 

@@ -254,7 +254,7 @@ func BenchmarkSwitchFastPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := *pkt // shallow copy is fine: fast path rewrites headers only
-		if _, err := sw.ProcessPre(&p); err != nil {
+		if _, err := sw.ProcessPreShard(&p, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -276,7 +276,7 @@ func BenchmarkServerSlowPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pkt := packet.BuildTCP(packet.IPv4Addr(i), packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{})
-		if _, err := sw.ProcessPre(pkt); err != nil {
+		if _, err := sw.ProcessPreShard(pkt, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 		if pkt.HasGallium {

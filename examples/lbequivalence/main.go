@@ -17,6 +17,7 @@ import (
 	"gallium"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
+	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/serverrt"
 )
@@ -87,7 +88,7 @@ func main() {
 	}
 }
 
-func tableLen(dep *serverrt.Deployment) int {
+func tableLen(dep *netsim.Deployment) int {
 	t, ok := dep.Switch.Table("conns")
 	if !ok {
 		return -1

@@ -326,31 +326,27 @@ func New(cfg Config) (*Engine, error) {
 			eng:  e,
 			jobs: make(chan job, cfg.QueueDepth),
 			hLat: obs.NewHistogram(nil),
-			// Decorrelate the per-worker jitter streams.
-			jitterState: uint64(i+1) * 0x9E3779B97F4A7C15,
-			life:  make([]atomic.Pointer[flowstate.Tracker], len(e.stages)),
-			touch: make([]func(string, ir.MapKey), len(e.stages)),
+			life: make([]atomic.Pointer[flowstate.Tracker], len(e.stages)),
 		}
-		for _, st := range e.stages {
+		stages := make([]netsim.Stage, len(e.stages))
+		for si, st := range e.stages {
 			if len(e.sws) > 0 {
-				srv := serverrt.New(st.Res)
-				if st.Setup != nil {
-					st.Setup(i, srv.State)
-				}
-				w.srv = append(w.srv, srv)
+				stages[si] = netsim.Stage{Switch: e.sws[si], Server: serverrt.New(st.Res)}
 			} else {
-				sft := serverrt.NewSoftware(st.Prog)
-				if st.Setup != nil {
-					st.Setup(i, sft.State)
-				}
-				w.sft = append(w.sft, sft)
+				stages[si] = netsim.Stage{Software: serverrt.NewSoftware(st.Prog)}
+			}
+			if st.Setup != nil {
+				st.Setup(i, stages[si].State())
 			}
 		}
+		// One simulated core per worker, reading switch lane i; the seed
+		// decorrelates the per-worker jitter streams.
+		w.walk = netsim.NewWalker(cfg.Model, stages, 1, i, uint64(i+1)*0x9E3779B97F4A7C15, w)
 		e.workers = append(e.workers, w)
 	}
 	for si, st := range e.stages {
 		if len(e.sws) > 0 && st.Setup != nil {
-			if err := e.sws[si].SeedFrom(e.workers[0].srv[si].State); err != nil {
+			if err := e.sws[si].SeedFrom(e.workers[0].stageState(si)); err != nil {
 				return nil, err
 			}
 		}
@@ -382,11 +378,12 @@ func (e *Engine) instrument(reg *obs.Registry) {
 	}
 	parts := make([]*obs.Histogram, 0, len(e.workers))
 	for _, w := range e.workers {
-		for _, srv := range w.srv {
-			srv.Instrument(reg)
-		}
-		for _, sft := range w.sft {
-			sft.Instrument(reg)
+		for _, st := range w.walk.Stages {
+			if st.Server != nil {
+				st.Server.Instrument(reg)
+			} else {
+				st.Software.Instrument(reg)
+			}
 		}
 		prefix := fmt.Sprintf("engine.worker.%d.", w.id)
 		w.c = workerCounters{
@@ -581,7 +578,7 @@ func (e *Engine) settle(stats []netsim.Stats) {
 			}
 			w.waitAll(e.runCtx)
 			if stats != nil {
-				stats[i] = w.stats
+				stats[i] = w.walk.Stats
 			}
 			wg.Done()
 		}}
@@ -765,7 +762,7 @@ func (e *Engine) Stop() (*Report, error) {
 	}
 	per := make([]netsim.Stats, len(e.workers))
 	for i, w := range e.workers {
-		per[i] = w.stats
+		per[i] = w.walk.Stats
 	}
 	return e.buildReport(per, time.Since(e.startT)), nil
 }

@@ -24,18 +24,10 @@ type Delivery struct {
 	// Pkt is the packet after processing (rewritten headers).
 	Pkt *packet.Packet
 
-	// Delivered is true when the packet reached the destination host.
-	Delivered bool
-	// MBDropped means the middlebox's logic dropped it (e.g. firewall).
-	MBDropped bool
-	// QueueDropped means the shard's ingress queue overflowed.
-	QueueDropped bool
-	// FastPath means the switch handled it without the server.
-	FastPath bool
-	// DeliverNs is when the packet reached the destination (virtual ns).
-	DeliverNs int64
-	// LatencyNs is end-to-end in virtual time (application to application).
-	LatencyNs int64
+	// Delivery is the fate itself: delivered, dropped by the middlebox or
+	// the shard's ingress queue, fast path or not, and the virtual-time
+	// delivery and latency.
+	netsim.Delivery
 }
 
 // Report summarizes one engine run: virtual-time traffic statistics

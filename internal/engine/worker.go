@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -33,19 +32,17 @@ type workerCounters struct {
 	packets, delivered, fast, slow *obs.Counter
 }
 
-// worker owns one shard of the middlebox server: its own serverrt state
-// per pipeline stage (authoritative for the flows hashed to it) and its
-// own virtual-time core model. Everything here is goroutine-local except
-// the shared switches (internally locked) and the control-plane channel.
+// worker owns one shard of the middlebox server: a walker over its own
+// serverrt state per pipeline stage (authoritative for the flows hashed to
+// it) with one simulated core — worker == core. Everything here is
+// goroutine-local except the shared switches (lock-free data plane) and
+// the control-plane channel. The worker is its walker's Committer: a
+// packet's write-back batch goes to this shard's drainer and is recorded
+// as pending for the packet's flow.
 type worker struct {
 	id   int
 	eng  *Engine
 	jobs chan job
-
-	// Exactly one of srv (offloaded) or sft (software baseline) is
-	// populated, with one entry per pipeline stage.
-	srv []*serverrt.Server
-	sft []*serverrt.Software
 
 	// The fields below are this worker's per-packet hot state, padded on
 	// both sides so adjacent workers' blocks never share a cache line
@@ -54,32 +51,27 @@ type worker struct {
 	// cross-core traffic).
 	_ [64]byte
 
-	// coreFreeNs models this worker's core occupancy in virtual time, as
-	// the testbed's per-core array does: worker == simulated core. Chained
-	// stages share the core, as chained middlebox elements share a DPDK
-	// core in the paper's runtime.
-	coreFreeNs int64
-	// jitterState drives this worker's deterministic endpoint-stack noise.
-	jitterState uint64
+	walk netsim.Walker
+	// flow is the dispatch tuple of the packet in flight (Commit's key).
+	flow packet.FiveTuple
 
 	// batch and pending are reused across batches so the steady state
 	// allocates neither.
 	batch   []job
 	pending []pendingApply
 
-	stats netsim.Stats
-	hLat  *obs.Histogram
-	c     workerCounters
+	hLat *obs.Histogram
+	c    workerCounters
 
 	// Flow-state lifecycle. life holds one tracker per stage (nil when
 	// the stage has no dynamic maps or the lifecycle is disabled); the
 	// element pointers are atomic so report building can snapshot
-	// counters while the worker retunes mid-run. touch holds the
-	// per-stage switch fast-path callbacks and, like lifeOn, lastTNs
-	// and sweepDue, is touched only by this worker's goroutine (or
-	// before Start).
+	// counters while the worker retunes mid-run. lifeOn, lastTNs and
+	// sweepDue are touched only by this worker's goroutine (or before
+	// Start). An armed stage's walker Touch callback stamps switch
+	// fast-path hits onto this worker's own shard state (same goroutine —
+	// flow affinity makes the switch hit's flow owned by this worker).
 	life     []atomic.Pointer[flowstate.Tracker]
-	touch    []func(string, ir.MapKey)
 	lifeOn   bool
 	lastTNs  int64
 	sweepDue int
@@ -112,7 +104,7 @@ func (w *worker) setLifecycle(cfg flowstate.Config) {
 			continue
 		}
 		w.life[si].Store(flowstate.NewTracker(shard, st, dyn))
-		w.touch[si] = st.Touch
+		w.walk.Stages[si].Touch = st.Touch
 		w.lifeOn = true
 	}
 }
@@ -193,13 +185,10 @@ func (w *worker) sweep(ctx context.Context, full bool) {
 
 // stageState returns this shard's authoritative state for one stage.
 func (w *worker) stageState(stage int) *ir.State {
-	switch {
-	case stage >= 0 && stage < len(w.srv):
-		return w.srv[stage].State
-	case stage >= 0 && stage < len(w.sft):
-		return w.sft[stage].State
+	if stage < 0 || stage >= len(w.walk.Stages) {
+		return nil
 	}
-	return nil
+	return w.walk.Stages[stage].State()
 }
 
 // pendingApply is one in-flight write-back batch: the flow it belongs to
@@ -269,7 +258,7 @@ func (w *worker) loop(ctx context.Context) {
 			if err := w.waitFlow(ctx, j.flow); err != nil {
 				continue
 			}
-			if err := w.process(ctx, j); err != nil {
+			if err := w.process(j); err != nil {
 				w.eng.fail(err)
 			}
 		}
@@ -336,19 +325,6 @@ func (w *worker) waitAll(ctx context.Context) {
 	w.pending = w.pending[:0]
 }
 
-// stackNs returns the endpoint stack latency with deterministic jitter
-// (the testbed's xorshift stream, one independent stream per worker).
-func (w *worker) stackNs() float64 {
-	m := w.eng.cfg.Model
-	if m.StackJitterFrac == 0 {
-		return m.EndpointStackNs
-	}
-	x := w.jitterState*2862933555777941757 + 3037000493
-	w.jitterState = x
-	u := float64(x>>11) / float64(1<<53) // [0,1)
-	return m.EndpointStackNs * (1 + m.StackJitterFrac*(u-0.5))
-}
-
 // sendCtl hands a write-back batch to this shard's own control-plane
 // drainer, blocking on the bounded lane (backpressure) unless the run is
 // being canceled. Each worker sends only to its own lane, so another
@@ -379,295 +355,57 @@ func (w *worker) sendCtlPending(ctx context.Context, flow packet.FiveTuple, b ct
 	return nil
 }
 
-// emit fills the job-invariant Delivery fields and invokes the callback.
-func (w *worker) emit(j job, d Delivery) {
-	d.Seq = j.seq
-	d.TNs = j.tNs
-	d.Worker = w.id
-	d.Flow = j.flow
-	d.Pkt = j.pkt
-	if cb := w.eng.cfg.OnDelivery; cb != nil {
-		cb(d)
+// Due implements netsim.Committer. The drainer applies batches as they
+// arrive, so there is nothing to make visible by virtual time.
+func (w *worker) Due(int64) {}
+
+// Commit implements netsim.Committer: hand the batch to this shard's
+// control-plane drainer and record it as pending, so this flow's next
+// packet waits for the apply; the walker accounts the output-commit stall
+// in virtual time. §7 batches are classified against the switch now for
+// the stall estimate (only synchronous updates hold the packet) and again
+// by the drainer at apply time; pure cache fills stay fire-and-forget (a
+// stale fill just re-punts, which is benign).
+func (w *worker) Commit(stage int, updates []switchsim.Update, punt bool, _ int64) (int, error) {
+	ctx := w.eng.runCtx
+	b := ctlBatch{updates: updates, stage: stage, punt: punt}
+	n := len(updates)
+	if punt {
+		fills, syncs := serverrt.ClassifyUpdates(w.eng.sws[stage], updates)
+		if len(syncs) == 0 {
+			return 0, w.sendCtl(ctx, b)
+		}
+		n = len(fills) + len(syncs)
 	}
+	return n, w.sendCtlPending(ctx, w.flow, b)
 }
 
-// deliver carries the packet over the final link into the sink host.
-func (w *worker) deliver(j job, t float64, fast bool) {
-	m := w.eng.cfg.Model
-	t += m.SerializationNs(j.pkt.WireLen()) + m.LinkPropNs + w.stackNs()
-	d := Delivery{Delivered: true, FastPath: fast, DeliverNs: int64(t), LatencyNs: int64(t) - j.tNs}
-	w.stats.Delivered++
-	w.stats.BytesOut += int64(j.pkt.WireLen())
-	if w.stats.FirstDeliverNs == 0 || d.DeliverNs < w.stats.FirstDeliverNs {
-		w.stats.FirstDeliverNs = d.DeliverNs
-	}
-	if d.DeliverNs > w.stats.LastDeliverNs {
-		w.stats.LastDeliverNs = d.DeliverNs
-	}
-	w.hLat.Observe(d.LatencyNs)
-	w.c.delivered.Inc()
-	w.emit(j, d)
-}
-
-// markSlow accounts the packet's first departure from the fast path; the
-// counters are per packet, not per stage, so a chained pipeline counts
-// like a single middlebox would.
-func (w *worker) markSlow(tookSlow *bool) {
-	if *tookSlow {
-		return
-	}
-	*tookSlow = true
-	w.stats.SlowPath++
-	w.c.slow.Inc()
-}
-
-// stageVerdict is one pipeline stage's outcome for a packet.
-type stageVerdict int
-
-const (
-	// stageContinue advances the packet to the next stage (or delivery).
-	stageContinue stageVerdict = iota
-	// stageMBDrop means the stage's middlebox logic dropped the packet.
-	stageMBDrop
-	// stageQueueDrop means the shard's (virtual-time) queue overflowed.
-	stageQueueDrop
-)
-
-// process runs one packet to completion through every pipeline stage: the
-// engine counterpart of Testbed.Inject, with this worker as the packet's
-// (simulated) core. A packet that survives stage i feeds stage i+1 with
-// its rewritten headers; any stage may drop it.
-func (w *worker) process(ctx context.Context, j job) error {
-	e := w.eng
-	m := e.cfg.Model
-	w.stats.Injected++
+// process runs one packet to completion through the walker and reports
+// its fate: the engine counterpart of Testbed.Inject, with this worker as
+// the packet's (simulated) core.
+func (w *worker) process(j job) error {
 	w.c.packets.Inc()
 	if w.lifeOn {
 		w.setClock(j)
 	}
-	size := j.pkt.WireLen()
-	w.stats.BytesIn += int64(size)
-
-	// Source stack + first link.
-	t := float64(j.tNs) + w.stackNs() + m.SerializationNs(size) + m.LinkPropNs
-
-	tookSlow := false
-	for si := range e.stages {
-		var v stageVerdict
-		var err error
-		if len(e.sws) > 0 {
-			v, err = w.runStage(ctx, si, j, &t, &tookSlow)
-		} else {
-			v, err = w.runSoftwareStage(si, j, &t, &tookSlow)
-		}
-		if err != nil {
-			return err
-		}
-		switch v {
-		case stageMBDrop:
-			w.stats.MBDrops++
-			if !tookSlow {
-				w.stats.FastPath++
-				w.c.fast.Inc()
-			}
-			w.emit(j, Delivery{MBDropped: true, FastPath: !tookSlow})
-			return nil
-		case stageQueueDrop:
-			w.stats.QueueDrops++
-			w.emit(j, Delivery{QueueDropped: true})
-			return nil
-		}
+	w.flow = j.flow
+	slowBefore := w.walk.Stats.SlowPath
+	d, err := w.walk.Walk(j.tNs, j.pkt, nil)
+	if err != nil {
+		return err
 	}
-	if !tookSlow {
-		w.stats.FastPath++
+	if w.walk.Stats.SlowPath != slowBefore {
+		w.c.slow.Inc()
+	}
+	if d.FastPath {
 		w.c.fast.Inc()
 	}
-	w.deliver(j, t, !tookSlow)
+	if d.Delivered {
+		w.hLat.Observe(d.LatencyNs)
+		w.c.delivered.Inc()
+	}
+	if cb := w.eng.cfg.OnDelivery; cb != nil {
+		cb(Delivery{Seq: j.seq, TNs: j.tNs, Worker: w.id, Flow: j.flow, Pkt: j.pkt, Delivery: d})
+	}
 	return nil
-}
-
-// runStage carries the packet through one offloaded stage: the switch
-// pre-pass, then — when the compiled pipeline can't finish it — the
-// slow-path trip to this worker's server shard and the post-pass back
-// through the switch. On stageContinue, *t is the virtual time at which
-// the packet leaves the stage and j.pkt carries its rewritten headers.
-func (w *worker) runStage(ctx context.Context, si int, j job, t *float64, tookSlow *bool) (stageVerdict, error) {
-	e := w.eng
-	m := e.cfg.Model
-	sw := e.sws[si]
-	res := e.stages[si].Res
-
-	// Switch pre-processing pass (shared stage, read lock inside). When
-	// the lifecycle is armed, fast-path table hits stamp this worker's
-	// own shard state via the touch callback (same goroutine — flow
-	// affinity makes the switch hit's flow owned by this worker).
-	var onTouch func(string, ir.MapKey)
-	if w.lifeOn {
-		onTouch = w.touch[si]
-	}
-	pre, err := sw.ProcessPreShard(j.pkt, w.id, onTouch)
-	if err != nil {
-		return 0, err
-	}
-	*t += m.SwitchPipelineNs
-	if pre.Punt {
-		return w.runPunt(ctx, si, j, t, tookSlow)
-	}
-	switch pre.Action {
-	case ir.ActionDropped:
-		return stageMBDrop, nil
-	case ir.ActionSent:
-		return stageContinue, nil
-	}
-
-	// Slow path: switch → this worker's server shard.
-	w.markSlow(tookSlow)
-	*t += m.SerializationNs(j.pkt.WireLen()) + m.LinkPropNs
-	arrive := int64(*t)
-	start := arrive
-	if w.coreFreeNs > start {
-		start = w.coreFreeNs
-	}
-	if float64(start-arrive) > m.MaxQueueDelayNs {
-		return stageQueueDrop, nil
-	}
-	rx, err := packet.DecodePacket(j.pkt.Serialize(), res.FormatA)
-	if err != nil {
-		return 0, fmt.Errorf("engine: server rx: %w", err)
-	}
-	srvRes, err := w.srv[si].Process(rx)
-	if err != nil {
-		return 0, err
-	}
-	busyUntil := start + int64(m.ServerServiceNs(srvRes.Steps))
-	w.coreFreeNs = busyUntil
-	done := busyUntil + int64(m.ServerDatapathNs)
-	w.stats.ServerCycles += m.ServerCycles(srvRes.Steps)
-
-	release := done
-	if len(srvRes.Updates) > 0 {
-		// Hand the batch to the control-plane drainer, account the
-		// output-commit stall in virtual time (§4.3.3), and record it as
-		// pending so this flow's next packet waits for the apply.
-		if err := w.sendCtlPending(ctx, j.flow, ctlBatch{updates: srvRes.Updates, stage: si}); err != nil {
-			return 0, err
-		}
-		release = done + int64(m.CtlBatchNs(len(srvRes.Updates)))
-	}
-
-	switch srvRes.Action {
-	case ir.ActionDropped:
-		return stageMBDrop, nil
-	case ir.ActionSent:
-		// Server-owned terminator: back through the switch as plain
-		// forwarding.
-		*t = float64(release) + m.SerializationNs(rx.WireLen()) + m.LinkPropNs + m.SwitchPipelineNs
-		*j.pkt = *rx
-		return stageContinue, nil
-	}
-
-	// Back to the switch for post-processing.
-	tBack := float64(release) + m.SerializationNs(rx.WireLen()) + m.LinkPropNs
-	back, err := packet.DecodePacket(rx.Serialize(), res.FormatB)
-	if err != nil {
-		return 0, fmt.Errorf("engine: switch rx from server: %w", err)
-	}
-	post, err := sw.ProcessPostShard(back, w.id, onTouch)
-	if err != nil {
-		return 0, err
-	}
-	tBack += m.SwitchPipelineNs
-	*j.pkt = *back
-	if post.Action == ir.ActionDropped {
-		return stageMBDrop, nil
-	}
-	*t = tBack
-	return stageContinue, nil
-}
-
-// runPunt handles a §7 cache-mode punt: the unmodified packet goes to
-// this worker's shard, which runs the stage's full middlebox against its
-// authoritative state. Cache fills do not stall the packet; synchronous
-// updates do (output commit).
-func (w *worker) runPunt(ctx context.Context, si int, j job, t *float64, tookSlow *bool) (stageVerdict, error) {
-	e := w.eng
-	m := e.cfg.Model
-	w.markSlow(tookSlow)
-	*t += m.SerializationNs(j.pkt.WireLen()) + m.LinkPropNs
-	arrive := int64(*t)
-	start := arrive
-	if w.coreFreeNs > start {
-		start = w.coreFreeNs
-	}
-	if float64(start-arrive) > m.MaxQueueDelayNs {
-		return stageQueueDrop, nil
-	}
-	rx, err := packet.DecodePacket(j.pkt.Serialize(), nil)
-	if err != nil {
-		return 0, fmt.Errorf("engine: server rx (punt): %w", err)
-	}
-	res, err := w.srv[si].ProcessFull(rx)
-	if err != nil {
-		return 0, err
-	}
-	busyUntil := start + int64(m.ServerServiceNs(res.Steps))
-	w.coreFreeNs = busyUntil
-	done := busyUntil + int64(m.ServerDatapathNs)
-	w.stats.ServerCycles += m.ServerCycles(res.Steps)
-
-	release := done
-	if len(res.Updates) > 0 {
-		// Classify against the switch now for the stall estimate (only
-		// synchronous updates hold the packet; read-through fills do not);
-		// the drainer re-classifies at apply time. Fills stay fire-and-
-		// forget (§7: a stale fill just re-punts, which is benign);
-		// synchronous updates get the committed send like the normal path.
-		fills, syncs := serverrt.ClassifyUpdates(e.sws[si], res.Updates)
-		b := ctlBatch{updates: res.Updates, stage: si, punt: true}
-		if len(syncs) > 0 {
-			if err := w.sendCtlPending(ctx, j.flow, b); err != nil {
-				return 0, err
-			}
-			release = done + int64(m.CtlBatchNs(len(fills)+len(syncs)))
-		} else if err := w.sendCtl(ctx, b); err != nil {
-			return 0, err
-		}
-	}
-	if res.Action == ir.ActionDropped {
-		return stageMBDrop, nil
-	}
-	// Back out through the switch as plain forwarding.
-	*t = float64(release) + m.SerializationNs(rx.WireLen()) + m.LinkPropNs + m.SwitchPipelineNs
-	*j.pkt = *rx
-	return stageContinue, nil
-}
-
-// runSoftwareStage runs one stage of the software baseline on this
-// worker's shard (the FastClick comparison), with the switch as a plain
-// forwarder.
-func (w *worker) runSoftwareStage(si int, j job, t *float64, tookSlow *bool) (stageVerdict, error) {
-	m := w.eng.cfg.Model
-	*t += m.SwitchPipelineNs + m.SerializationNs(j.pkt.WireLen()) + m.LinkPropNs
-	arrive := int64(*t)
-	start := arrive
-	if w.coreFreeNs > start {
-		start = w.coreFreeNs
-	}
-	if float64(start-arrive) > m.MaxQueueDelayNs {
-		return stageQueueDrop, nil
-	}
-	w.markSlow(tookSlow)
-	res, err := w.sft[si].Process(j.pkt)
-	if err != nil {
-		return 0, err
-	}
-	busyUntil := start + int64(m.ServerServiceNs(res.Steps))
-	w.coreFreeNs = busyUntil
-	done := busyUntil + int64(m.ServerDatapathNs)
-	w.stats.ServerCycles += m.ServerCycles(res.Steps)
-	if res.Action == ir.ActionDropped {
-		return stageMBDrop, nil
-	}
-	*t = float64(done) + m.SerializationNs(j.pkt.WireLen()) + m.LinkPropNs + m.SwitchPipelineNs
-	return stageContinue, nil
 }

@@ -163,7 +163,7 @@ func TestMultiCoreScaling(t *testing.T) {
 	run := func(cores int) int {
 		tb := buildTestbed(t, "firewall", Software, cores)
 		// Allow all generated flows.
-		setup := tb.sft.State
+		setup := tb.ServerState()
 		interval := 1e9 / 14e6 // well above 4-core capacity
 		n := 20000
 		for i := 0; i < n; i++ {

@@ -101,41 +101,24 @@ func (s Stats) ThroughputBps() float64 {
 	return float64(s.BytesOut) * 8 / (float64(s.LastDeliverNs-s.FirstDeliverNs) / 1e9)
 }
 
-// pendingFlip is a control-plane visibility flip scheduled for the future.
-type pendingFlip struct {
-	atNs int64
-}
-
 // Testbed is the packet-level simulator: a time-ordered, single-pass model
 // of the Figure 1 topology. Packets must be injected in non-decreasing
-// timestamp order; queueing at the server is modeled with per-core
-// next-free times and the control plane with deferred visibility flips.
+// timestamp order; the shared Walker carries each one through the trip,
+// and the testbed is its Committer: write-backs are staged at once and
+// become visible at a scheduled virtual time.
 type Testbed struct {
-	cfg Config
+	cfg  Config
+	walk Walker
 
-	sw  *switchsim.Switch
-	srv *serverrt.Server
-	sft *serverrt.Software
-
-	coreFreeNs []int64
-	flips      []pendingFlip
+	// flips are the virtual times of scheduled visibility flips.
+	flips      []int64
 	lastInject int64
-	// jitterState drives deterministic endpoint-stack latency noise.
-	jitterState uint64
-
-	stats Stats
 
 	reg   *obs.Registry
 	c     testbedCounters
 	hLat  *obs.Histogram // end-to-end latency, all delivered packets
 	hFast *obs.Histogram // fast-path (switch-only) subset
 	hSlow *obs.Histogram // slow-path (server-visited) subset
-	hWait *obs.Histogram // server ingress queue wait
-	// hStall is the output-commit stall: time a packet is held past server
-	// completion waiting for its write-back batch to flip (§4.3.3).
-	hStall   *obs.Histogram
-	corePkts []*obs.Counter
-	coreBusy []*obs.Counter
 	// tracer is resolved once at build time, like every other handle, so
 	// the per-packet path never touches the registry mutex. Enable tracing
 	// on the registry before constructing the testbed.
@@ -144,9 +127,9 @@ type Testbed struct {
 
 // testbedCounters are the end-to-end counters.
 type testbedCounters struct {
-	injected, delivered     *obs.Counter
-	mbDrops, queueDrops     *obs.Counter
-	ctlRejected, ctlStalled *obs.Counter
+	injected, delivered *obs.Counter
+	mbDrops, queueDrops *obs.Counter
+	ctlRejected         *obs.Counter
 }
 
 // instrument wires the registry through every component and resolves the
@@ -156,37 +139,27 @@ func (tb *Testbed) instrument(reg *obs.Registry) {
 		return
 	}
 	tb.reg = reg
-	if tb.sw != nil {
-		tb.sw.Instrument(reg)
+	st := &tb.walk.Stages[0]
+	if st.Switch != nil {
+		st.Switch.Instrument(reg)
+		st.Server.Instrument(reg)
+	} else {
+		st.Software.Instrument(reg)
 	}
-	if tb.srv != nil {
-		tb.srv.Instrument(reg)
-	}
-	if tb.sft != nil {
-		tb.sft.Instrument(reg)
-	}
+	tb.walk.Instrument(reg)
 	tb.c = testbedCounters{
 		injected:    reg.Counter("e2e.injected"),
 		delivered:   reg.Counter("e2e.delivered"),
 		mbDrops:     reg.Counter("e2e.mb_drops"),
 		queueDrops:  reg.Counter("e2e.queue_drops"),
 		ctlRejected: reg.Counter("e2e.ctl_rejected"),
-		ctlStalled:  reg.Counter("switch.ctl.stalled_packets"),
 	}
 	tb.hFast = reg.Histogram("e2e.latency_ns.fast", nil)
 	tb.hSlow = reg.Histogram("e2e.latency_ns.slow", nil)
 	// Every delivered packet is either fast or slow, so the all-packets
 	// histogram is a read-time merge — one observation per delivery.
 	tb.hLat = reg.MergedHistogram("e2e.latency_ns", tb.hFast, tb.hSlow)
-	tb.hWait = reg.Histogram("server.queue.wait_ns", nil)
-	tb.hStall = reg.Histogram("switch.ctl.stall_ns", nil)
 	tb.tracer = reg.Tracer()
-	tb.corePkts = make([]*obs.Counter, len(tb.coreFreeNs))
-	tb.coreBusy = make([]*obs.Counter, len(tb.coreFreeNs))
-	for i := range tb.coreFreeNs {
-		tb.corePkts[i] = reg.Counter(fmt.Sprintf("core.%d.packets", i))
-		tb.coreBusy[i] = reg.Counter(fmt.Sprintf("core.%d.busy_ns", i))
-	}
 }
 
 // traceStart opens a hop trace for the packet if the registry has tracing
@@ -204,29 +177,6 @@ func (tb *Testbed) traceStart(tNs int64, pkt *packet.Packet) *obs.Trace {
 	return tr
 }
 
-// serveCore accounts one slow-path packet's service on its core.
-func (tb *Testbed) serveCore(core int, waitNs, serviceNs int64) {
-	if tb.reg == nil {
-		return
-	}
-	tb.corePkts[core].Inc()
-	tb.coreBusy[core].Add(uint64(serviceNs))
-	tb.hWait.Observe(waitNs)
-}
-
-// stackNs returns the endpoint stack latency with deterministic jitter
-// (an xorshift stream scaled into ±StackJitterFrac/2).
-func (tb *Testbed) stackNs() float64 {
-	m := tb.cfg.Model
-	if m.StackJitterFrac == 0 {
-		return m.EndpointStackNs
-	}
-	x := tb.jitterState*2862933555777941757 + 3037000493
-	tb.jitterState = x
-	u := float64(x>>11) / float64(1<<53) // [0,1)
-	return m.EndpointStackNs * (1 + m.StackJitterFrac*(u-0.5))
-}
-
 // NewTestbed builds and configures a testbed.
 func NewTestbed(cfg Config) (*Testbed, error) {
 	if cfg.Cores <= 0 {
@@ -235,17 +185,17 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = Offloaded
 	}
-	tb := &Testbed{cfg: cfg, coreFreeNs: make([]int64, cfg.Cores)}
+	tb := &Testbed{cfg: cfg}
+	var st Stage
 	switch cfg.Mode {
 	case Offloaded:
 		if cfg.Res == nil {
 			return nil, fmt.Errorf("netsim: offloaded mode needs a partition result")
 		}
-		tb.sw = switchsim.New(cfg.Res)
-		tb.srv = serverrt.New(cfg.Res)
+		st = Stage{Switch: switchsim.New(cfg.Res), Server: serverrt.New(cfg.Res)}
 		if cfg.Setup != nil {
-			cfg.Setup(tb.srv.State)
-			if err := tb.sw.SeedFrom(tb.srv.State); err != nil {
+			cfg.Setup(st.Server.State)
+			if err := st.Switch.SeedFrom(st.Server.State); err != nil {
 				return nil, err
 			}
 		}
@@ -253,65 +203,124 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 		if cfg.Prog == nil {
 			return nil, fmt.Errorf("netsim: software mode needs a program")
 		}
-		tb.sft = serverrt.NewSoftware(cfg.Prog)
+		st = Stage{Software: serverrt.NewSoftware(cfg.Prog)}
 		if cfg.Setup != nil {
-			cfg.Setup(tb.sft.State)
+			cfg.Setup(st.Software.State)
 		}
 	default:
 		return nil, fmt.Errorf("netsim: unknown mode %v", cfg.Mode)
 	}
+	tb.walk = NewWalker(cfg.Model, []Stage{st}, cfg.Cores, 0, 0, tb)
 	tb.instrument(cfg.Obs)
 	return tb, nil
 }
 
-// Reconfigure applies one control-plane change to the sequential testbed
-// between injections: mutate runs against the authoritative server state
-// (returning any extra switch updates, e.g. connection purges), then the
-// given updates plus mutate's are staged and flipped as one batch. It is
-// the oracle counterpart of the engine's Reconfigure — differential tests
-// apply the same change at the same packet index on both sides. Any
-// write-back still awaiting its scheduled flip shares the batch (a
-// sequential reconfiguration quiesces the deployment).
-func (tb *Testbed) Reconfigure(mutate func(st *ir.State) []switchsim.Update, updates []switchsim.Update) error {
-	all := append([]switchsim.Update(nil), updates...)
-	if mutate != nil {
-		all = append(all, mutate(tb.ServerState())...)
-	}
-	if tb.sw == nil {
-		return nil
-	}
-	for _, u := range all {
-		if err := tb.sw.StageWriteback(u); err != nil {
+// stageBatch stages updates through the switch's global write-back
+// overlay, invisible until the next flip. A full table is a soft failure:
+// that entry simply never reaches the switch.
+func stageBatch(sw *switchsim.Switch, updates []switchsim.Update) (staged, rejected int, err error) {
+	for _, u := range updates {
+		if err := sw.StageWriteback(u); err != nil {
 			if errors.Is(err, switchsim.ErrTableFull) {
-				tb.stats.CtlRejected++
-				tb.c.ctlRejected.Inc()
+				rejected++
 				continue
 			}
-			return err
+			return staged, rejected, err
 		}
+		staged++
 	}
-	tb.sw.FlipVisibility()
-	tb.sw.MergeWriteback()
-	tb.sw.MarkReconfig()
-	tb.stats.CtlBatches++
+	return staged, rejected, nil
+}
+
+// reconfigure applies one control-plane change to a sequential switch and
+// server pair between packets: mutate runs against the authoritative
+// state (returning any extra switch updates, e.g. connection purges), then
+// the given updates plus mutate's are staged and made visible as one
+// atomic flip — the same §4.3.3 batch the write-back path uses, so a
+// packet processed before the call sees only the old configuration and a
+// packet processed after sees only the new one. sw is nil for the software
+// baseline, which has nothing to flip.
+func reconfigure(sw *switchsim.Switch, st *ir.State, mutate func(st *ir.State) []switchsim.Update, updates []switchsim.Update) (rejected int, err error) {
+	all := append([]switchsim.Update(nil), updates...)
+	if mutate != nil {
+		all = append(all, mutate(st)...)
+	}
+	if sw == nil {
+		return 0, nil
+	}
+	if _, rejected, err = stageBatch(sw, all); err != nil {
+		return rejected, err
+	}
+	sw.FlipVisibility()
+	sw.MergeWriteback()
+	sw.MarkReconfig()
+	return rejected, nil
+}
+
+// Reconfigure applies one control-plane change between injections (see
+// reconfigure). It is the oracle counterpart of the engine's Reconfigure —
+// differential tests apply the same change at the same packet index on
+// both sides. Any write-back still awaiting its scheduled flip shares the
+// batch (a sequential reconfiguration quiesces the deployment).
+func (tb *Testbed) Reconfigure(mutate func(st *ir.State) []switchsim.Update, updates []switchsim.Update) error {
+	sw := tb.walk.Stages[0].Switch
+	rejected, err := reconfigure(sw, tb.ServerState(), mutate, updates)
+	tb.reject(rejected)
+	if err != nil || sw == nil {
+		return err
+	}
+	tb.walk.Stats.CtlBatches++
 	tb.flips = tb.flips[:0]
 	return nil
 }
 
-// applyFlips makes all control-plane batches whose flip time has passed
-// visible to the data plane.
-func (tb *Testbed) applyFlips(nowNs int64) {
+// reject accounts control-plane updates refused by a full switch table.
+func (tb *Testbed) reject(n int) {
+	tb.walk.Stats.CtlRejected += n
+	tb.c.ctlRejected.Add(uint64(n))
+}
+
+// Due implements Committer: every scheduled flip whose time has passed
+// becomes visible to the data plane.
+func (tb *Testbed) Due(nowNs int64) {
+	if len(tb.flips) == 0 {
+		return
+	}
+	sw := tb.walk.Stages[0].Switch
 	kept := tb.flips[:0]
-	for _, f := range tb.flips {
-		if f.atNs <= nowNs {
-			tb.sw.FlipVisibility()
-			tb.sw.MergeWriteback()
-			tb.stats.CtlBatches++
+	for _, atNs := range tb.flips {
+		if atNs <= nowNs {
+			sw.FlipVisibility()
+			sw.MergeWriteback()
+			tb.walk.Stats.CtlBatches++
 		} else {
-			kept = append(kept, f)
+			kept = append(kept, atNs)
 		}
 	}
 	tb.flips = kept
+}
+
+// Commit implements Committer: stage now (invisible), flip one control
+// batch latency after the server finished. §7 cache fills ride the same
+// flip but only synchronous updates hold the packet.
+func (tb *Testbed) Commit(_ int, updates []switchsim.Update, punt bool, doneNs int64) (int, error) {
+	sw := tb.walk.Stages[0].Switch
+	stall := true
+	if punt {
+		fills, syncs := serverrt.ClassifyUpdates(sw, updates)
+		updates, stall = append(fills, syncs...), len(syncs) > 0
+	}
+	staged, rejected, err := stageBatch(sw, updates)
+	tb.reject(rejected)
+	if err != nil || staged == 0 {
+		return 0, err
+	}
+	tb.walk.Stats.CtlOps += staged
+	tb.flips = append(tb.flips, doneNs+int64(tb.walk.Model.CtlBatchNs(staged)))
+	if !stall {
+		return 0, nil
+	}
+	return staged, nil
 }
 
 // Inject runs one packet through the testbed, starting from the source
@@ -321,330 +330,43 @@ func (tb *Testbed) Inject(tNs int64, pkt *packet.Packet) (Delivery, error) {
 		return Delivery{}, fmt.Errorf("netsim: out-of-order injection (%d < %d)", tNs, tb.lastInject)
 	}
 	tb.lastInject = tNs
-	tb.stats.Injected++
 	tb.c.injected.Inc()
-	size := pkt.WireLen()
-	tb.stats.BytesIn += int64(size)
-	m := tb.cfg.Model
-	tr := tb.traceStart(tNs, pkt)
-
-	// Source stack + first link.
-	t := float64(tNs) + tb.stackNs() + m.SerializationNs(size) + m.LinkPropNs
-
-	if tb.cfg.Mode == Software {
-		return tb.injectSoftware(tNs, int64(t), pkt, tr)
+	d, err := tb.walk.Walk(tNs, pkt, tb.traceStart(tNs, pkt))
+	if err != nil || tb.reg == nil {
+		return d, err
 	}
-
-	// Switch pre-processing pass.
-	tb.applyFlips(int64(t))
-	preHop := tr.Hop("switch-pre", int64(t))
-	tb.sw.TraceHop(preHop)
-	pre, err := tb.sw.ProcessPre(pkt)
-	tb.sw.TraceHop(nil)
-	if err != nil {
-		return Delivery{}, err
-	}
-	preHop.SetSteps(pre.Steps)
-	t += m.SwitchPipelineNs
-	if pre.Punt {
-		preHop.SetAction("punt")
-		return tb.injectPunt(tNs, t, pkt, tr)
-	}
-	preHop.SetAction(pre.Action.String())
-	switch pre.Action {
-	case ir.ActionDropped:
-		tb.stats.MBDrops++
-		tb.stats.FastPath++
+	switch {
+	case d.MBDropped:
 		tb.c.mbDrops.Inc()
-		tr.Hop("drop", int64(t)).SetNote("middlebox drop on switch")
-		return Delivery{MBDropped: true, FastPath: true}, nil
-	case ir.ActionSent:
-		tb.stats.FastPath++
-		return tb.deliver(tNs, t, pkt, true, tr)
-	}
-
-	// Slow path: switch → server link, server queue, service.
-	tb.stats.SlowPath++
-	t += m.SerializationNs(pkt.WireLen()) + m.LinkPropNs
-	core := RSSShard(pkt, len(tb.coreFreeNs))
-	arrive := int64(t)
-	start := arrive
-	if tb.coreFreeNs[core] > start {
-		start = tb.coreFreeNs[core]
-	}
-	if float64(start-arrive) > m.MaxQueueDelayNs {
-		tb.stats.QueueDrops++
+	case d.QueueDropped:
 		tb.c.queueDrops.Inc()
-		tr.Hop("drop", start).SetNote("server queue overflow")
-		return Delivery{QueueDropped: true}, nil
-	}
-
-	rx, err := packet.DecodePacket(pkt.Serialize(), tb.cfg.Res.FormatA)
-	if err != nil {
-		return Delivery{}, fmt.Errorf("netsim: server rx: %w", err)
-	}
-	srvHop := tr.Hop("server", start)
-	srvRes, err := tb.srv.Process(rx)
-	if err != nil {
-		return Delivery{}, err
-	}
-	srvHop.SetSteps(srvRes.Steps)
-	srvHop.SetAction(srvRes.Action.String())
-	if srvHop != nil && start > arrive {
-		srvHop.SetNote(fmt.Sprintf("queued %.2fµs on core %d", float64(start-arrive)/1000, core))
-	}
-	// The core is busy only for the CPU service time; the fixed datapath
-	// latency (NIC, PCIe, DPDK polling) is pipelined on top.
-	busyUntil := start + int64(m.ServerServiceNs(srvRes.Steps))
-	tb.coreFreeNs[core] = busyUntil
-	done := busyUntil + int64(m.ServerDatapathNs)
-	tb.stats.ServerCycles += m.ServerCycles(srvRes.Steps)
-	tb.serveCore(core, start-arrive, busyUntil-start)
-
-	release := done
-	if len(srvRes.Updates) > 0 {
-		// Stage now (invisible), flip later; output commit holds the
-		// packet until the flip (§4.3.3). A full table is a soft failure:
-		// that entry simply never reaches the switch.
-		staged := 0
-		for _, u := range srvRes.Updates {
-			if err := tb.sw.StageWriteback(u); err != nil {
-				if errors.Is(err, switchsim.ErrTableFull) {
-					tb.stats.CtlRejected++
-					tb.c.ctlRejected.Inc()
-					continue
-				}
-				return Delivery{}, err
-			}
-			staged++
-		}
-		if staged > 0 {
-			tb.stats.CtlOps += staged
-			flipAt := done + int64(m.CtlBatchNs(staged))
-			tb.flips = append(tb.flips, pendingFlip{atNs: flipAt})
-			release = flipAt
-		}
-	}
-	if release > done {
-		// Output commit held the packet until its write-back batch flipped.
-		tb.c.ctlStalled.Inc()
-		tb.hStall.Observe(release - done)
-		if srvHop != nil {
-			srvHop.SetNote(fmt.Sprintf("output commit stalled %.2fµs", float64(release-done)/1000))
-		}
-	}
-
-	switch srvRes.Action {
-	case ir.ActionDropped:
-		tb.stats.MBDrops++
-		tb.c.mbDrops.Inc()
-		tr.Hop("drop", done).SetNote("middlebox drop on server")
-		return Delivery{MBDropped: true}, nil
-	case ir.ActionSent:
-		// Server-owned terminator: back through the switch as plain
-		// forwarding.
-		tRel := float64(release) + m.SerializationNs(rx.WireLen()) + m.LinkPropNs + m.SwitchPipelineNs
-		*pkt = *rx
-		return tb.deliver(tNs, tRel, pkt, false, tr)
-	}
-
-	// Back to the switch for post-processing.
-	tBack := float64(release) + m.SerializationNs(rx.WireLen()) + m.LinkPropNs
-	tb.applyFlips(int64(tBack))
-	back, err := packet.DecodePacket(rx.Serialize(), tb.cfg.Res.FormatB)
-	if err != nil {
-		return Delivery{}, fmt.Errorf("netsim: switch rx from server: %w", err)
-	}
-	postHop := tr.Hop("switch-post", int64(tBack))
-	tb.sw.TraceHop(postHop)
-	post, err := tb.sw.ProcessPost(back)
-	tb.sw.TraceHop(nil)
-	if err != nil {
-		return Delivery{}, err
-	}
-	postHop.SetSteps(post.Steps)
-	postHop.SetAction(post.Action.String())
-	tBack += m.SwitchPipelineNs
-	*pkt = *back
-	if post.Action == ir.ActionDropped {
-		tb.stats.MBDrops++
-		tb.c.mbDrops.Inc()
-		tr.Hop("drop", int64(tBack)).SetNote("middlebox drop on switch post-pass")
-		return Delivery{MBDropped: true}, nil
-	}
-	return tb.deliver(tNs, tBack, pkt, false, tr)
-}
-
-// injectPunt handles a §7 cache-mode punt: the unmodified packet goes to
-// the server, which runs the full middlebox. Cache fills do not stall the
-// packet; synchronous updates do (output commit).
-func (tb *Testbed) injectPunt(tNs int64, t float64, pkt *packet.Packet, tr *obs.Trace) (Delivery, error) {
-	m := tb.cfg.Model
-	tb.stats.SlowPath++
-	t += m.SerializationNs(pkt.WireLen()) + m.LinkPropNs
-	core := RSSShard(pkt, len(tb.coreFreeNs))
-	arrive := int64(t)
-	start := arrive
-	if tb.coreFreeNs[core] > start {
-		start = tb.coreFreeNs[core]
-	}
-	if float64(start-arrive) > m.MaxQueueDelayNs {
-		tb.stats.QueueDrops++
-		tb.c.queueDrops.Inc()
-		tr.Hop("drop", start).SetNote("server queue overflow")
-		return Delivery{QueueDropped: true}, nil
-	}
-	rx, err := packet.DecodePacket(pkt.Serialize(), nil)
-	if err != nil {
-		return Delivery{}, fmt.Errorf("netsim: server rx (punt): %w", err)
-	}
-	srvHop := tr.Hop("server-full", start)
-	res, err := tb.srv.ProcessFull(rx)
-	if err != nil {
-		return Delivery{}, err
-	}
-	srvHop.SetSteps(res.Steps)
-	srvHop.SetAction(res.Action.String())
-	busyUntil := start + int64(m.ServerServiceNs(res.Steps))
-	tb.coreFreeNs[core] = busyUntil
-	done := busyUntil + int64(m.ServerDatapathNs)
-	tb.stats.ServerCycles += m.ServerCycles(res.Steps)
-	tb.serveCore(core, start-arrive, busyUntil-start)
-
-	release := done
-	fills, syncs := serverrt.ClassifyUpdates(tb.sw, res.Updates)
-	if len(fills)+len(syncs) > 0 {
-		staged := 0
-		for _, u := range append(fills, syncs...) {
-			if err := tb.sw.StageWriteback(u); err != nil {
-				if errors.Is(err, switchsim.ErrTableFull) {
-					tb.stats.CtlRejected++
-					tb.c.ctlRejected.Inc()
-					continue
-				}
-				return Delivery{}, err
-			}
-			staged++
-		}
-		if staged > 0 {
-			tb.stats.CtlOps += staged
-			flipAt := done + int64(m.CtlBatchNs(staged))
-			tb.flips = append(tb.flips, pendingFlip{atNs: flipAt})
-			if len(syncs) > 0 {
-				// Output commit: only authoritative-visible changes stall.
-				release = flipAt
-			}
-		}
-	}
-	if release > done {
-		tb.c.ctlStalled.Inc()
-		tb.hStall.Observe(release - done)
-		if srvHop != nil {
-			srvHop.SetNote(fmt.Sprintf("output commit stalled %.2fµs", float64(release-done)/1000))
-		}
-	}
-	if res.Action == ir.ActionDropped {
-		tb.stats.MBDrops++
-		tb.c.mbDrops.Inc()
-		tr.Hop("drop", done).SetNote("middlebox drop on server")
-		return Delivery{MBDropped: true}, nil
-	}
-	// Back out through the switch as plain forwarding.
-	tOut := float64(release) + m.SerializationNs(rx.WireLen()) + m.LinkPropNs + m.SwitchPipelineNs
-	*pkt = *rx
-	return tb.deliver(tNs, tOut, pkt, false, tr)
-}
-
-func (tb *Testbed) injectSoftware(tNs int64, arriveSwitch int64, pkt *packet.Packet, tr *obs.Trace) (Delivery, error) {
-	m := tb.cfg.Model
-	// Plain forwarding through the switch to the server.
-	t := float64(arriveSwitch) + m.SwitchPipelineNs + m.SerializationNs(pkt.WireLen()) + m.LinkPropNs
-	core := RSSShard(pkt, len(tb.coreFreeNs))
-	arrive := int64(t)
-	start := arrive
-	if tb.coreFreeNs[core] > start {
-		start = tb.coreFreeNs[core]
-	}
-	if float64(start-arrive) > m.MaxQueueDelayNs {
-		tb.stats.QueueDrops++
-		tb.c.queueDrops.Inc()
-		tr.Hop("drop", start).SetNote("server queue overflow")
-		return Delivery{QueueDropped: true}, nil
-	}
-	srvHop := tr.Hop("server", start)
-	res, err := tb.sft.Process(pkt)
-	if err != nil {
-		return Delivery{}, err
-	}
-	srvHop.SetSteps(res.Steps)
-	srvHop.SetAction(res.Action.String())
-	busyUntil := start + int64(m.ServerServiceNs(res.Steps))
-	tb.coreFreeNs[core] = busyUntil
-	done := busyUntil + int64(m.ServerDatapathNs)
-	tb.stats.ServerCycles += m.ServerCycles(res.Steps)
-	tb.stats.SlowPath++
-	tb.serveCore(core, start-arrive, busyUntil-start)
-	if res.Action == ir.ActionDropped {
-		tb.stats.MBDrops++
-		tb.c.mbDrops.Inc()
-		tr.Hop("drop", done).SetNote("middlebox drop on server")
-		return Delivery{MBDropped: true}, nil
-	}
-	tOut := float64(done) + m.SerializationNs(pkt.WireLen()) + m.LinkPropNs + m.SwitchPipelineNs
-	return tb.deliver(tNs, tOut, pkt, false, tr)
-}
-
-// deliver carries the packet over the final link into the sink host.
-func (tb *Testbed) deliver(tInject int64, t float64, pkt *packet.Packet, fast bool, tr *obs.Trace) (Delivery, error) {
-	m := tb.cfg.Model
-	t += m.SerializationNs(pkt.WireLen()) + m.LinkPropNs + tb.stackNs()
-	d := Delivery{Delivered: true, FastPath: fast, DeliverNs: int64(t), LatencyNs: int64(t) - tInject}
-	tb.stats.Delivered++
-	tb.stats.BytesOut += int64(pkt.WireLen())
-	if tb.stats.FirstDeliverNs == 0 || d.DeliverNs < tb.stats.FirstDeliverNs {
-		tb.stats.FirstDeliverNs = d.DeliverNs
-	}
-	if d.DeliverNs > tb.stats.LastDeliverNs {
-		tb.stats.LastDeliverNs = d.DeliverNs
-	}
-	if tb.reg != nil {
-		tb.c.delivered.Inc()
+	case d.FastPath:
 		// hLat is the read-time merge of the two, so one observation
 		// covers both views.
-		if fast {
-			tb.hFast.Observe(d.LatencyNs)
-		} else {
-			tb.hSlow.Observe(d.LatencyNs)
-		}
-	}
-	if tr != nil { // guard: the Sprintf must not run on the untraced path
-		tr.Hop("deliver", d.DeliverNs).SetNote(fmt.Sprintf("latency %.2fµs", float64(d.LatencyNs)/1000))
+		tb.c.delivered.Inc()
+		tb.hFast.Observe(d.LatencyNs)
+	default:
+		tb.c.delivered.Inc()
+		tb.hSlow.Observe(d.LatencyNs)
 	}
 	return d, nil
 }
 
 // Stats returns the run counters so far.
-func (tb *Testbed) Stats() Stats { return tb.stats }
+func (tb *Testbed) Stats() Stats { return tb.walk.Stats }
 
 // ServerState exposes the authoritative middlebox state: the server's in
 // offloaded mode, the software runner's otherwise. Callers must not
 // mutate it while injections are in flight.
-func (tb *Testbed) ServerState() *ir.State {
-	if tb.srv != nil {
-		return tb.srv.State
-	}
-	if tb.sft != nil {
-		return tb.sft.State
-	}
-	return nil
-}
+func (tb *Testbed) ServerState() *ir.State { return tb.walk.Stages[0].State() }
 
 // SwitchStats exposes the switch counters (offloaded mode only).
 func (tb *Testbed) SwitchStats() (switchsim.Stats, bool) {
-	if tb.sw == nil {
+	sw := tb.walk.Stages[0].Switch
+	if sw == nil {
 		return switchsim.Stats{}, false
 	}
-	return tb.sw.Stats(), true
+	return sw.Stats(), true
 }
 
 // rssHash steers a packet to a server core, keeping both directions of a

@@ -1,4 +1,4 @@
-package serverrt
+package serverrt_test
 
 import (
 	"math/rand"
@@ -7,13 +7,15 @@ import (
 	"gallium/internal/ir"
 	"gallium/internal/lang"
 	"gallium/internal/middleboxes"
+	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/partition"
+	"gallium/internal/serverrt"
 )
 
 // deployCached builds a deployment where the named tables run as §7
 // switch caches of the given capacity.
-func deployCached(t *testing.T, name string, caches map[string]int) (*ir.Program, *Deployment) {
+func deployCached(t *testing.T, name string, caches map[string]int) (*ir.Program, *netsim.Deployment) {
 	t.Helper()
 	spec, err := middleboxes.Lookup(name)
 	if err != nil {
@@ -29,7 +31,7 @@ func deployCached(t *testing.T, name string, caches map[string]int) (*ir.Program
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog, NewDeployment(res)
+	return prog, netsim.NewDeployment(res)
 }
 
 // TestCacheModeEquivalence drives far more connections than the cache
@@ -47,7 +49,7 @@ func TestCacheModeEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog, d := deployCached(t, tc.name, tc.caches)
-			ref := NewSoftware(prog)
+			ref := serverrt.NewSoftware(prog)
 			setup := func(st *ir.State) { middleboxes.ConfigureState(tc.name, st) }
 			setup(ref.State)
 			if err := d.Configure(setup); err != nil {
@@ -121,7 +123,7 @@ func TestCachePuntLeavesPacketUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkt := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 7, 80, packet.TCPOptions{})
-	pre, err := d.Switch.ProcessPre(pkt)
+	pre, err := d.Switch.ProcessPreShard(pkt, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +208,7 @@ func TestCacheInvalidationOnRemove(t *testing.T) {
 		t.Errorf("cache still holds %d entries after FIN", tbl.Len())
 	}
 	// Next packet of the tuple punts (authoritative miss → new entry).
-	pre, err := d.Switch.ProcessPre(mk(packet.TCPFlagACK))
+	pre, err := d.Switch.ProcessPreShard(mk(packet.TCPFlagACK), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -340,3 +340,32 @@ func (s *Software) Process(pkt *packet.Packet) (Result, error) {
 	s.steps.Add(uint64(r.Steps))
 	return Result{Action: r.Action, Steps: r.Steps}, nil
 }
+
+// ClassifyUpdates splits the server's replicated-state updates into cache
+// fills (inserts of keys the switch cannot currently serve — safe to apply
+// without stalling the packet, since a racing lookup just punts to the
+// authoritative server) and synchronous updates (everything else: deletes,
+// overwrites of visible entries, register writes, non-cached tables),
+// which output commit must wait for. Classification reads switch state
+// through VisibleEntry (under the data-plane lock), so the engine's
+// control-plane drainer can call it while workers keep processing packets.
+func ClassifyUpdates(sw *switchsim.Switch, updates []switchsim.Update) (fills, syncs []switchsim.Update) {
+	for _, u := range updates {
+		if u.Table != "" && !u.Delete {
+			if visible, cached := sw.VisibleEntry(u.Table, u.Key); cached {
+				if !visible {
+					fills = append(fills, u)
+					continue
+				}
+				if u.ReadFill {
+					continue // already cached: nothing to do
+				}
+			}
+		}
+		if u.ReadFill {
+			continue // read fills never synchronize
+		}
+		syncs = append(syncs, u)
+	}
+	return fills, syncs
+}

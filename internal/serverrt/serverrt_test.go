@@ -1,4 +1,4 @@
-package serverrt
+package serverrt_test
 
 import (
 	"math/rand"
@@ -7,12 +7,14 @@ import (
 	"gallium/internal/ir"
 	"gallium/internal/lang"
 	"gallium/internal/middleboxes"
+	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/partition"
+	"gallium/internal/serverrt"
 	"gallium/internal/switchsim"
 )
 
-func deploy(t *testing.T, name string) (*ir.Program, *Deployment) {
+func deploy(t *testing.T, name string) (*ir.Program, *netsim.Deployment) {
 	t.Helper()
 	spec, err := middleboxes.Lookup(name)
 	if err != nil {
@@ -26,7 +28,7 @@ func deploy(t *testing.T, name string) (*ir.Program, *Deployment) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog, NewDeployment(res)
+	return prog, netsim.NewDeployment(res)
 }
 
 // TestDeploymentEquivalenceAllMiddleboxes is the strongest equivalence
@@ -40,7 +42,7 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			prog, d := deploy(t, name)
-			ref := NewSoftware(prog)
+			ref := serverrt.NewSoftware(prog)
 
 			setup := func(st *ir.State) {
 				middleboxes.ConfigureState(name, st)
@@ -198,12 +200,12 @@ func TestRunToCompletionCausality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDeployment(res)
+	d := netsim.NewDeployment(res)
 
 	// p: first outbound packet of a connection (slow path, allocates a
 	// port, updates fwd+rev+counter).
 	p := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(99, 0, 0, 1), 1234, 80, packet.TCPOptions{Flags: packet.TCPFlagSYN})
-	pre, err := d.Switch.ProcessPre(p)
+	pre, err := d.Switch.ProcessPreShard(p, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +238,7 @@ func TestRunToCompletionCausality(t *testing.T) {
 		}
 	}
 	q := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(99, 0, 0, 1), 1234, 80, packet.TCPOptions{})
-	qPre, err := d.Switch.ProcessPre(q)
+	qPre, err := d.Switch.ProcessPreShard(q, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +250,7 @@ func TestRunToCompletionCausality(t *testing.T) {
 	// packet observes ALL updates: fast path with the same translation.
 	d.Switch.FlipVisibility()
 	q2 := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(99, 0, 0, 1), 1234, 80, packet.TCPOptions{})
-	q2Pre, err := d.Switch.ProcessPre(q2)
+	q2Pre, err := d.Switch.ProcessPreShard(q2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +264,7 @@ func TestRunToCompletionCausality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Switch.ProcessPost(back); err != nil {
+	if _, err := d.Switch.ProcessPostShard(back, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if q2.TCP.SrcPort != back.TCP.SrcPort {
@@ -274,7 +276,7 @@ func TestRunToCompletionCausality(t *testing.T) {
 // the full deployment (LPM tables load onto the switch at configure time).
 func TestIPGatewayDeploymentEquivalence(t *testing.T) {
 	prog, d := deploy(t, "ipgateway")
-	ref := NewSoftware(prog)
+	ref := serverrt.NewSoftware(prog)
 	setup := func(st *ir.State) { middleboxes.ConfigureState("ipgateway", st) }
 	setup(ref.State)
 	if err := d.Configure(setup); err != nil {
@@ -337,7 +339,7 @@ middlebox srvlpm {
 	if len(res.OffloadedGlobals) != 0 {
 		t.Fatalf("unannotated lpm offloaded: %v", res.OffloadedGlobals)
 	}
-	d := NewDeployment(res)
+	d := netsim.NewDeployment(res)
 	if err := d.Configure(func(st *ir.State) {
 		st.AddRoute("routes", uint64(packet.MakeIPv4Addr(10, 0, 0, 0)), 8, 42)
 	}); err != nil {

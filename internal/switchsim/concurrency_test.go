@@ -37,7 +37,7 @@ func TestConcurrentDataPlaneAndControlPlane(t *testing.T) {
 				src := packet.MakeIPv4Addr(10, 0, byte(id), byte(i%250))
 				pkt := packet.BuildTCP(src, packet.MakeIPv4Addr(20, 0, 0, 1),
 					uint16(1000+i), 80, packet.TCPOptions{})
-				if _, err := sw.ProcessPre(pkt); err != nil {
+				if _, err := sw.ProcessPreShard(pkt, 0, nil); err != nil {
 					errs <- err
 					return
 				}

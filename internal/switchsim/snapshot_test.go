@@ -53,7 +53,7 @@ func TestSnapshotFlipIsAtomic(t *testing.T) {
 				}
 				pkt := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(5, 6, 7, 8),
 					uint16(id+1000), 80, packet.TCPOptions{})
-				pre, err := sw.ProcessPre(pkt)
+				pre, err := sw.ProcessPreShard(pkt, 0, nil)
 				if err != nil {
 					errs <- err.Error()
 					return

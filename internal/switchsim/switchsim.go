@@ -140,15 +140,15 @@ type Update struct {
 // Stats counts data-plane and control-plane activity. It is a
 // point-in-time snapshot; the live counters are atomics inside Switch.
 type Stats struct {
-	PrePackets   int
-	PostPackets  int
-	FastPath     int
-	ToServer     int
-	Punts        int
-	Evictions    int
-	Drops        int
-	CtlOps       int
-	CtlFlips     int
+	PrePackets  int
+	PostPackets int
+	FastPath    int
+	ToServer    int
+	Punts       int
+	Evictions   int
+	Drops       int
+	CtlOps      int
+	CtlFlips    int
 	// Expired counts staged deletions marked as lifecycle expirations
 	// (flow-table timeouts and capacity evictions).
 	Expired int
@@ -175,7 +175,7 @@ type liveStats struct {
 // Switch simulates one programmable switch loaded with a compiled
 // middlebox.
 //
-// Concurrency: the data plane (ProcessPre/ProcessPost) is lock-free — it
+// Concurrency: the data plane (ProcessPreShard/ProcessPostShard) is lock-free — it
 // reads an immutable state snapshot through one atomic pointer load, like
 // RCU, so any number of worker pipelines proceed in parallel without
 // convoying on a lock, as on real switch hardware where the match-action
@@ -354,18 +354,18 @@ func (sw *Switch) Instrument(reg *obs.Registry) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	sw.c = switchCounters{
-		pre:       reg.Counter("switch.pre.packets"),
-		post:      reg.Counter("switch.post.packets"),
-		fast:      reg.Counter("switch.fastpath"),
-		toServer:  reg.Counter("switch.to_server"),
-		punts:     reg.Counter("switch.punts"),
-		drops:     reg.Counter("switch.drops"),
-		evict:     reg.Counter("switch.evictions"),
-		ctlOps:        reg.Counter("switch.ctl.ops"),
-		ctlFlips:      reg.Counter("switch.ctl.flips"),
-		ctlStaged:     reg.Counter("switch.ctl.staged"),
-		ctlReconfigs:  reg.Counter("switch.ctl.reconfigs"),
-		expired:       reg.Counter("switch.expired"),
+		pre:          reg.Counter("switch.pre.packets"),
+		post:         reg.Counter("switch.post.packets"),
+		fast:         reg.Counter("switch.fastpath"),
+		toServer:     reg.Counter("switch.to_server"),
+		punts:        reg.Counter("switch.punts"),
+		drops:        reg.Counter("switch.drops"),
+		evict:        reg.Counter("switch.evictions"),
+		ctlOps:       reg.Counter("switch.ctl.ops"),
+		ctlFlips:     reg.Counter("switch.ctl.flips"),
+		ctlStaged:    reg.Counter("switch.ctl.staged"),
+		ctlReconfigs: reg.Counter("switch.ctl.reconfigs"),
+		expired:      reg.Counter("switch.expired"),
 	}
 	sw.hPre = reg.Histogram("switch.pre.steps", obs.StepBuckets)
 	sw.hPost = reg.Histogram("switch.post.steps", obs.StepBuckets)
@@ -729,39 +729,16 @@ type PreResult struct {
 	Steps int
 }
 
-// ProcessPre runs the pre-processing partition over the packet. If the
-// packet must continue to the server (ActionNext), the synthesized
-// gallium_a header is attached and populated.
-func (sw *Switch) ProcessPre(pkt *packet.Packet) (PreResult, error) {
-	return sw.ProcessPreTouch(pkt, nil)
-}
-
-// ProcessPreTouch is ProcessPre with a per-call touch callback: onTouch
-// fires for every table hit during the pass, letting the flow-state
-// lifecycle stamp fast-path liveness. A nil onTouch is free.
-func (sw *Switch) ProcessPreTouch(pkt *packet.Packet, onTouch func(table string, key ir.MapKey)) (PreResult, error) {
-	return sw.processPre(pkt, onTouch, 0)
-}
-
-// ProcessPreShard is ProcessPreTouch with the calling worker's shard
-// index: the pass consults the shard's lane overlay before the global
-// snapshot (so the shard sees its own flipped write-backs immediately)
-// and accounts into the lane's padded counter block instead of shared
-// atomics.
+// ProcessPreShard runs the pre-processing partition over the packet. If
+// the packet must continue to the server (ActionNext), the synthesized
+// gallium_a header is attached and populated. shard is the calling
+// worker's lane: the pass consults that lane's overlay before the global
+// snapshot (so the shard sees its own flipped write-backs immediately) and
+// accounts into the lane's padded counter block instead of shared atomics;
+// sequential callers pass 0. onTouch, when non-nil, fires for every table
+// hit during the pass, letting the flow-state lifecycle stamp fast-path
+// liveness; a nil onTouch is free.
 func (sw *Switch) ProcessPreShard(pkt *packet.Packet, shard int, onTouch func(table string, key ir.MapKey)) (PreResult, error) {
-	return sw.processPre(pkt, onTouch, shard)
-}
-
-// laneAt returns the shard's lane, falling back to lane 0 for
-// out-of-range indices (single-lane switches serve every caller).
-func (sw *Switch) laneAt(shard int) *ctlLane {
-	if shard < 0 || shard >= len(sw.lanes) {
-		return sw.lanes[0]
-	}
-	return sw.lanes[shard]
-}
-
-func (sw *Switch) processPre(pkt *packet.Packet, onTouch func(table string, key ir.MapKey), shard int) (PreResult, error) {
 	// The data plane is lock-free: one atomic load each pins the shard's
 	// lane overlay and the state snapshot for the whole pass, so every
 	// worker's pre pass runs concurrently and a control-plane flip mid-pass
@@ -826,27 +803,21 @@ func (sw *Switch) processPre(pkt *packet.Packet, onTouch func(table string, key 
 	return PreResult{Action: r.Action, Steps: r.Steps}, nil
 }
 
-// ProcessPost runs the post-processing partition over a packet returning
-// from the server (it must carry the gallium_b header, which is stripped).
-func (sw *Switch) ProcessPost(pkt *packet.Packet) (PreResult, error) {
-	return sw.ProcessPostTouch(pkt, nil)
+// laneAt returns the shard's lane, falling back to lane 0 for
+// out-of-range indices (single-lane switches serve every caller).
+func (sw *Switch) laneAt(shard int) *ctlLane {
+	if shard < 0 || shard >= len(sw.lanes) {
+		return sw.lanes[0]
+	}
+	return sw.lanes[shard]
 }
 
-// ProcessPostTouch is ProcessPost with a per-call touch callback; see
-// ProcessPreTouch.
-func (sw *Switch) ProcessPostTouch(pkt *packet.Packet, onTouch func(table string, key ir.MapKey)) (PreResult, error) {
-	return sw.processPost(pkt, onTouch, 0)
-}
-
-// ProcessPostShard is ProcessPostTouch with the calling worker's shard
-// index; see ProcessPreShard.
+// ProcessPostShard runs the post-processing partition over a packet
+// returning from the server (it must carry the gallium_b header, which is
+// stripped). shard and onTouch are as for ProcessPreShard.
 func (sw *Switch) ProcessPostShard(pkt *packet.Packet, shard int, onTouch func(table string, key ir.MapKey)) (PreResult, error) {
-	return sw.processPost(pkt, onTouch, shard)
-}
-
-func (sw *Switch) processPost(pkt *packet.Packet, onTouch func(table string, key ir.MapKey), shard int) (PreResult, error) {
 	ln := sw.laneAt(shard)
-	view := ln.view.Load() // before the snapshot; see processPre
+	view := ln.view.Load() // before the snapshot; see ProcessPreShard
 	snap := sw.snap.Load()
 	ls := &ln.stats
 	ls.postPackets.Add(1)

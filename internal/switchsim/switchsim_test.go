@@ -229,7 +229,7 @@ func TestProcessPreFastAndSlowPaths(t *testing.T) {
 
 	// Unknown connection: slow path, gallium_a attached with transfers.
 	pkt := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{})
-	r, err := sw.ProcessPre(pkt)
+	r, err := sw.ProcessPreShard(pkt, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestProcessPreFastAndSlowPaths(t *testing.T) {
 	}
 	sw.FlipVisibility()
 	pkt2 := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{})
-	r2, err := sw.ProcessPre(pkt2)
+	r2, err := sw.ProcessPreShard(pkt2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestProcessPostRequiresHeader(t *testing.T) {
 	res := compileMB(t, "minilb")
 	sw := New(res)
 	pkt := packet.BuildTCP(1, 2, 3, 4, packet.TCPOptions{})
-	if _, err := sw.ProcessPost(pkt); err == nil {
+	if _, err := sw.ProcessPostShard(pkt, 0, nil); err == nil {
 		t.Fatal("post pass must reject packets without gallium_b")
 	}
 }
@@ -312,7 +312,7 @@ func TestFullPrePostPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkt := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{})
-	pre, err := sw.ProcessPre(pkt)
+	pre, err := sw.ProcessPreShard(pkt, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestFullPrePostPass(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	post, err := sw.ProcessPost(pkt)
+	post, err := sw.ProcessPostShard(pkt, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestSwitchRegisterAndLpmDataPlane(t *testing.T) {
 	}
 	sw.FlipVisibility()
 	pkt := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(99, 9, 9, 9), 1234, 80, packet.TCPOptions{Flags: packet.TCPFlagSYN})
-	pre, err := sw.ProcessPre(pkt)
+	pre, err := sw.ProcessPreShard(pkt, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestSwitchRegisterAndLpmDataPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw := packet.BuildTCP(1, packet.MakeIPv4Addr(10, 7, 7, 7), 1, 2, packet.TCPOptions{})
-	preGw, err := swGw.ProcessPre(gw)
+	preGw, err := swGw.ProcessPreShard(gw, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ middlebox vexer {
 	}
 	pkt := packet.BuildTCP(1, 2, 3, 4, packet.TCPOptions{})
 	pkt.IP.TTL = 2
-	pre, err := sw.ProcessPre(pkt)
+	pre, err := sw.ProcessPreShard(pkt, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ middlebox vexer {
 	if err := sw.LoadVector("table", []uint64{10}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.ProcessPre(pkt2); err == nil {
+	if _, err := sw.ProcessPreShard(pkt2, 0, nil); err == nil {
 		t.Error("want error for out-of-range vector index")
 	}
 }

@@ -52,7 +52,7 @@ func TestPostPassDuringStaleReadWindow(t *testing.T) {
 
 	// Packet 1 misses and is sent to the server.
 	p1 := buildFlow(4)
-	pre, err := sw.ProcessPre(p1)
+	pre, err := sw.ProcessPreShard(p1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestPostPassDuringStaleReadWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2 := buildFlow(4)
-	pre2, err := sw.ProcessPre(p2)
+	pre2, err := sw.ProcessPreShard(p2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPostPassDuringStaleReadWindow(t *testing.T) {
 	// the update is still staged; it must succeed and use the
 	// server-supplied backend, not the staged table.
 	emulateServer(t, sw, p1, backend)
-	post, err := sw.ProcessPost(p1)
+	post, err := sw.ProcessPostShard(p1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestPostPassDuringStaleReadWindow(t *testing.T) {
 		t.Fatal("visibility bit not set after flip")
 	}
 	p3 := buildFlow(4)
-	pre3, err := sw.ProcessPre(p3)
+	pre3, err := sw.ProcessPreShard(p3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestPostPassDuringStaleReadWindow(t *testing.T) {
 		t.Fatalf("overlay not cleared after merge: UseWB=%v |WB|=%d", tbl.UseWB, len(tbl.WB))
 	}
 	p4 := buildFlow(4)
-	pre4, err := sw.ProcessPre(p4)
+	pre4, err := sw.ProcessPreShard(p4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestPostPassStagedDeletionWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1 := buildFlow(4)
-	pre1, err := sw.ProcessPre(p1)
+	pre1, err := sw.ProcessPreShard(p1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestPostPassStagedDeletionWindow(t *testing.T) {
 	// post pass still completes.
 	sw.FlipVisibility()
 	p2 := buildFlow(4)
-	pre2, err := sw.ProcessPre(p2)
+	pre2, err := sw.ProcessPreShard(p2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestPostPassStagedDeletionWindow(t *testing.T) {
 		t.Fatalf("flipped deletion not observed: %v", pre2.Action)
 	}
 	emulateServer(t, sw, p2, backend)
-	post, err := sw.ProcessPost(p2)
+	post, err := sw.ProcessPostShard(p2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

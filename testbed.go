@@ -8,7 +8,6 @@ import (
 	"gallium/internal/netsim"
 	"gallium/internal/obs"
 	"gallium/internal/packet"
-	"gallium/internal/serverrt"
 )
 
 // Mode selects the deployment under test.
@@ -114,8 +113,8 @@ func (a *Artifacts) ScenarioSetup(flows []packet.FiveTuple) func(st *ir.State) {
 
 // NewDeployment builds the bare switch+server pair (no timing model) for
 // packet-at-a-time experiments, seeding state with setup when non-nil.
-func (a *Artifacts) NewDeployment(setup func(st *ir.State)) (*serverrt.Deployment, error) {
-	d := serverrt.NewDeployment(a.Res)
+func (a *Artifacts) NewDeployment(setup func(st *ir.State)) (*netsim.Deployment, error) {
+	d := netsim.NewDeployment(a.Res)
 	if setup != nil {
 		if err := d.Configure(setup); err != nil {
 			return nil, err
