@@ -446,9 +446,9 @@ func TestChainGolden(t *testing.T) {
 	compareGolden(t, "testdata/golden/chain_firewall_mazunat_l4lb.txt", strings.Join(lines, "\n")+"\n")
 }
 
-// TestRunOptionValidation: non-positive queue bounds are errors, not
+// TestOptionValidation: non-positive queue bounds are errors, not
 // silent defaults.
-func TestRunOptionValidation(t *testing.T) {
+func TestOptionValidation(t *testing.T) {
 	art, err := gallium.CompileBuiltin("firewall", gallium.Options{})
 	if err != nil {
 		t.Fatal(err)

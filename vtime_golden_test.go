@@ -197,6 +197,21 @@ func (tr *vtTrace) setup(art *gallium.Artifacts) func(*ir.State) {
 	}
 }
 
+// seedOnce adapts a one-worker setup function to WithState, which visits
+// the shard twice: it seeds on the first visit and hands the settled state
+// to *final on the second.
+func seedOnce(setup func(*ir.State), final **ir.State) gallium.Option {
+	seeded := false
+	return gallium.WithState(func(_ int, st *ir.State) {
+		if !seeded {
+			seeded = true
+			setup(st)
+			return
+		}
+		*final = st.Clone()
+	})
+}
+
 // vtModel is the default cost model (jitter on) with a short server
 // ingress queue, so a few hundred packets reach the queue-drop path.
 func vtModel() netsim.CostModel {
@@ -276,16 +291,10 @@ func TestVirtualTimeGolden(t *testing.T) {
 		fmt.Fprintf(&b, "%s testbed/offloaded/1c %s\n", spec.Name, vtTestbed(t, art, tr, gallium.Offloaded, 1))
 		fmt.Fprintf(&b, "%s testbed/offloaded/4c %s\n", spec.Name, vtTestbed(t, art, tr, gallium.Offloaded, 4))
 		fmt.Fprintf(&b, "%s testbed/software/2c %s\n", spec.Name, vtTestbed(t, art, tr, gallium.Software, 2))
-		seeded := false
-		setup := tr.setup(art)
-		seed := gallium.WithState(func(_ int, st *ir.State) {
-			if !seeded { // WithState also visits at settle
-				seeded = true
-				setup(st)
-			}
-		})
+		var final *ir.State
 		fmt.Fprintf(&b, "%s engine/1w/batch1 %s\n", spec.Name, vtEngine(t, tr,
-			func(opts ...gallium.Option) (*gallium.Report, error) { return art.Run(ctx, tr, opts...) }, seed))
+			func(opts ...gallium.Option) (*gallium.Report, error) { return art.Run(ctx, tr, opts...) },
+			seedOnce(tr.setup(art), &final)))
 	}
 
 	cached, err := gallium.Compile(middleboxes.LoadBalancerSource, gallium.Options{CacheEntries: map[string]int{"conns": 8}})
