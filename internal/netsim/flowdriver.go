@@ -36,7 +36,7 @@ func (fd *FlowDriver) Run(startNs int64, tup packet.FiveTuple, size int64) (Flow
 	if fd.InitWindow <= 0 {
 		fd.InitWindow = 10
 	}
-	m := fd.TB.cfg.Model
+	m := fd.TB.walk.Model
 	reverseNs := int64(2*m.EndpointStackNs + 2*m.LinkPropNs + m.SwitchPipelineNs +
 		m.SerializationNs(64))
 

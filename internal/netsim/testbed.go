@@ -107,7 +107,6 @@ func (s Stats) ThroughputBps() float64 {
 // and the testbed is its Committer: write-backs are staged at once and
 // become visible at a scheduled virtual time.
 type Testbed struct {
-	cfg  Config
 	walk Walker
 
 	// flips are the virtual times of scheduled visibility flips.
@@ -116,9 +115,8 @@ type Testbed struct {
 
 	reg   *obs.Registry
 	c     testbedCounters
-	hLat  *obs.Histogram // end-to-end latency, all delivered packets
-	hFast *obs.Histogram // fast-path (switch-only) subset
-	hSlow *obs.Histogram // slow-path (server-visited) subset
+	hFast *obs.Histogram // end-to-end latency, fast-path (switch-only) packets
+	hSlow *obs.Histogram // end-to-end latency, slow-path (server-visited) packets
 	// tracer is resolved once at build time, like every other handle, so
 	// the per-packet path never touches the registry mutex. Enable tracing
 	// on the registry before constructing the testbed.
@@ -158,7 +156,7 @@ func (tb *Testbed) instrument(reg *obs.Registry) {
 	tb.hSlow = reg.Histogram("e2e.latency_ns.slow", nil)
 	// Every delivered packet is either fast or slow, so the all-packets
 	// histogram is a read-time merge — one observation per delivery.
-	tb.hLat = reg.MergedHistogram("e2e.latency_ns", tb.hFast, tb.hSlow)
+	reg.MergedHistogram("e2e.latency_ns", tb.hFast, tb.hSlow)
 	tb.tracer = reg.Tracer()
 }
 
@@ -185,7 +183,7 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = Offloaded
 	}
-	tb := &Testbed{cfg: cfg}
+	tb := &Testbed{}
 	var st Stage
 	switch cfg.Mode {
 	case Offloaded:
@@ -341,8 +339,8 @@ func (tb *Testbed) Inject(tNs int64, pkt *packet.Packet) (Delivery, error) {
 	case d.QueueDropped:
 		tb.c.queueDrops.Inc()
 	case d.FastPath:
-		// hLat is the read-time merge of the two, so one observation
-		// covers both views.
+		// e2e.latency_ns is the read-time merge of the two, so one
+		// observation covers both views.
 		tb.c.delivered.Inc()
 		tb.hFast.Observe(d.LatencyNs)
 	default:
