@@ -244,7 +244,8 @@ func (w *Walker) Stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 	software := st.Switch == nil
 	punt := false
 	if software {
-		// The FastClick baseline: plain forwarding through the switch.
+		// The FastClick baseline: plain forwarding through the switch, which
+		// the packet reaches on a whole nanosecond.
 		*t = float64(int64(*t)) + m.SwitchPipelineNs + m.SerializationNs(pkt.WireLen()) + m.LinkPropNs
 	} else {
 		pre, err := w.pass(st, false, pkt, int64(*t), tr)
@@ -281,7 +282,7 @@ func (w *Walker) Stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 		trip.Verdict = QueueDrop
 		return trip, nil
 	}
-	trip.TookSlow = true
+	trip.TookSlow = true // the baseline counts only packets its server took
 
 	// The frame crosses the switch-server link carrying gallium_a (nothing
 	// on a punt); serialize and reparse to exercise the real wire format.

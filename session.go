@@ -286,7 +286,8 @@ func (s *Session) Drain() error {
 // Close stops the session — joins the workers and the control-plane
 // drainer — and returns the final report. Any WithState hooks observe
 // each shard's final state here, and WithMergedState hooks then receive
-// the certificate-policy merge of those states. Idempotent: later calls return the first result.
+// the certificate-policy merge of those states. Idempotent: later calls
+// return the first result.
 func (s *Session) Close() (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
