@@ -101,12 +101,11 @@ func TestFastPathAllocs(t *testing.T) {
 				}
 				if apply && len(res.Updates) > 0 {
 					for _, u := range res.Updates {
-						if err := sw.StageWriteback(u); err != nil {
+						if err := sw.StageShard(0, u); err != nil {
 							return err
 						}
 					}
-					sw.FlipVisibility()
-					sw.MergeWriteback()
+					sw.FlipShard(0)
 				}
 				if res.Action != ir.ActionNext {
 					return nil

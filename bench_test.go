@@ -114,11 +114,10 @@ func BenchmarkTable3StateSync(b *testing.B) {
 		// Wrap the key space so the table never exceeds its annotation.
 		k := uint64(i % 50000)
 		u := switchsim.Update{Table: "nat_fwd", Key: ir.MakeMapKey(k, k), Vals: []uint64{uint64(i)}}
-		if err := sw.StageWriteback(u); err != nil {
+		if err := sw.StageShard(0, u); err != nil {
 			b.Fatal(err)
 		}
-		sw.FlipVisibility()
-		sw.MergeWriteback()
+		sw.FlipShard(0)
 	}
 	b.StopTimer()
 	rows := eval.Table3()
@@ -245,11 +244,10 @@ func BenchmarkSwitchFastPath(b *testing.B) {
 	src := packet.MakeIPv4Addr(1, 2, 3, 4)
 	dst := packet.MakeIPv4Addr(9, 9, 9, 9)
 	key := ir.MakeMapKey(uint64(src^dst) & 0xFFFF)
-	if err := sw.StageWriteback(switchsim.Update{Table: "conn", Key: key, Vals: []uint64{middleboxes.Backends[0]}}); err != nil {
+	if err := sw.StageShard(0, switchsim.Update{Table: "conn", Key: key, Vals: []uint64{middleboxes.Backends[0]}}); err != nil {
 		b.Fatal(err)
 	}
-	sw.FlipVisibility()
-	sw.MergeWriteback()
+	sw.FlipShard(0)
 	pkt := packet.BuildTCP(src, dst, 1000, 80, packet.TCPOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -257,6 +255,41 @@ func BenchmarkSwitchFastPath(b *testing.B) {
 		if _, err := sw.ProcessPreShard(&p, 0, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWriteback measures one control-plane write-back — stage and
+// flip an insert of a fresh key, then stage and flip its deletion — into
+// a table already holding n entries. It pins the write-back as O(1): the
+// two sizes must cost the same.
+func BenchmarkWriteback(b *testing.B) {
+	art, err := gallium.CompileBuiltin("minilb", gallium.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{1024, 32768} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			sw := switchsim.New(art.Res)
+			for k := 0; k < n; k++ {
+				if err := sw.StageShard(0, switchsim.Update{Table: "conn", Key: ir.MakeMapKey(uint64(k)), Vals: []uint64{1}}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			sw.FlipShard(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				key := ir.MakeMapKey(uint64(n + i))
+				if err := sw.StageShard(0, switchsim.Update{Table: "conn", Key: key, Vals: []uint64{2}}); err != nil {
+					b.Fatal(err)
+				}
+				sw.FlipShard(0)
+				if err := sw.StageShard(0, switchsim.Update{Table: "conn", Key: key, Delete: true}); err != nil {
+					b.Fatal(err)
+				}
+				sw.FlipShard(0)
+			}
+		})
 	}
 }
 

@@ -3,9 +3,9 @@
 // An RSS-style flow-hash dispatcher fans packets out to N workers, each
 // owning one shard of the middlebox server (its own authoritative state,
 // like a DPDK core with per-core tables); the switch pipeline runs as a
-// shared stage whose data plane takes only a read lock; and the §4.3.3
-// write-back slow path is a real bounded channel drained by a dedicated
-// control-plane goroutine that stages, flips, and merges batches.
+// shared stage whose data plane takes no lock; and the §4.3.3 write-back
+// slow path is a real bounded channel per shard, each drained by a
+// dedicated control-plane goroutine that stages and flips batches.
 //
 // Ordering guarantees: packets of one flow always hash to the same worker
 // and each worker runs one packet to completion before starting the next,
@@ -234,7 +234,7 @@ type Engine struct {
 	startT  time.Time
 
 	// rcBatches/rcOps/rcRejected account control work Reconfigure applies
-	// directly (its one-flip protocol bypasses the lanes; see Reconfigure).
+	// directly (its one flip bypasses the drainers; see Reconfigure).
 	rcBatches  atomic.Int64
 	rcOps      atomic.Int64
 	rcRejected atomic.Int64
@@ -667,13 +667,9 @@ func (e *Engine) Reconfigure(r Reconfig) error {
 	// flush marker: worker i is the only sender on lane i and is paused,
 	// so a marker enqueued now is behind every batch staged before the
 	// pause, and its apply proves the lane is empty and its drainer idle.
-	// Then fold the target switch's per-shard lane overlays into the main
-	// tables (a stale lane entry would otherwise shadow this
-	// reconfiguration's staged deletions) and apply the whole
-	// reconfiguration directly: stage everything, flip ONCE, merge. The
-	// intermediate fold publication is unobservable — no worker processes
-	// packets until release — so the single FlipVisibility snapshot store
-	// remains the §4.3.3 atomicity for the data plane.
+	// Then apply the whole reconfiguration directly, as shard 0's batch:
+	// stage everything, flip ONCE — the single view store that is the
+	// §4.3.3 atomicity for the data plane.
 	if len(e.sws) > 0 {
 		markers := make([]chan struct{}, 0, len(e.ctls))
 		for _, cs := range e.ctls {
@@ -695,10 +691,9 @@ func (e *Engine) Reconfigure(r Reconfig) error {
 			}
 		}
 		sw := e.sws[r.Stage]
-		sw.FoldShards()
 		staged := 0
 		for _, u := range shardUpdates {
-			if err := sw.StageWriteback(u); err != nil {
+			if err := sw.StageShard(0, u); err != nil {
 				if errors.Is(err, switchsim.ErrTableFull) {
 					e.rcRejected.Add(1)
 					continue
@@ -709,8 +704,7 @@ func (e *Engine) Reconfigure(r Reconfig) error {
 			}
 			staged++
 		}
-		sw.FlipVisibility()
-		sw.CompactWriteback()
+		sw.FlipShard(0)
 		sw.MarkReconfig()
 		e.rcBatches.Add(1)
 		e.rcOps.Add(int64(staged))
@@ -751,11 +745,6 @@ func (e *Engine) Stop() (*Report, error) {
 		close(cs.ch)
 	}
 	e.ctlWG.Wait()
-	// Fold every lane overlay into the main tables so post-run table
-	// contents and VisibleEntry are exact (no lane-resident remainder).
-	for _, sw := range e.sws {
-		sw.FoldShards()
-	}
 	e.cancel()
 	if err := e.err(); err != nil {
 		return nil, err
@@ -813,12 +802,11 @@ func (e *Engine) Run(ctx context.Context, wl Workload) (*Report, error) {
 
 // drainCtl is one shard's control-plane drainer: it applies each of its
 // worker's slow-path batches through the §4.3.3 protocol — stage every
-// update, one visibility flip, merge — until the lane closes. Plain table
-// inserts and deletes (the steady-state slow path) ride the shard's own
-// switch lane, so concurrent drainers never serialize on the global
-// control-plane mutex; registers, vectors, and whole-table replacements
-// keep the global path. Full tables are soft failures (the entry stays
-// server-only and its flow keeps taking the slow path).
+// update on the shard's own pending batch, then one visibility flip —
+// until the lane closes. Staging takes only the shard's own lock; the flip
+// holds the switch's control-plane mutex for O(batch) work. Full tables
+// are soft failures (the entry stays server-only and its flow keeps taking
+// the slow path).
 func (e *Engine) drainCtl(shard int) {
 	cs := e.ctls[shard]
 	defer e.ctlWG.Done()
@@ -829,54 +817,26 @@ func (e *Engine) drainCtl(shard int) {
 			fills, syncs := serverrt.ClassifyUpdates(sw, b.updates)
 			toStage = append(fills, syncs...)
 		}
-		stagedLane, stagedGlobal := 0, 0
-		failed := false
+		staged := 0
 		for _, u := range toStage {
-			var err error
-			if switchsim.LaneEligible(u) {
-				if err = sw.StageShard(shard, u); err == nil {
-					stagedLane++
-				}
-			} else {
-				if err = sw.StageWriteback(u); err == nil {
-					stagedGlobal++
-				}
+			err := sw.StageShard(shard, u)
+			if errors.Is(err, switchsim.ErrTableFull) {
+				cs.rejected.Add(1)
+				continue
 			}
 			if err != nil {
-				if errors.Is(err, switchsim.ErrTableFull) {
-					cs.rejected.Add(1)
-					continue
-				}
 				if b.applied != nil {
 					close(b.applied)
 				}
 				e.fail(err)
-				failed = true
-				break
+				return
 			}
+			staged++
 		}
-		if failed {
-			return
-		}
-		// Global state flips before the lane: in a mixed batch (only §7
-		// punts mix the two) the lane's entries must not become visible
-		// ahead of the global entries flipped with them.
-		if stagedGlobal > 0 {
-			sw.FlipVisibility()
-			sw.CompactWriteback()
-		}
-		if stagedLane > 0 {
+		if staged > 0 {
 			sw.FlipShard(shard)
-			// Amortized: small overlays stay in place (this shard's lookups
-			// read them first anyway); the fold happens once they outgrow
-			// the main table's sqrt threshold. A per-batch fold would copy
-			// the whole main table copy-on-write per slow-path insert —
-			// quadratic under a flow flood.
-			sw.CompactShard(shard)
-		}
-		if stagedLane+stagedGlobal > 0 {
 			cs.batches.Add(1)
-			cs.ops.Add(int64(stagedLane + stagedGlobal))
+			cs.ops.Add(int64(staged))
 		}
 		if b.applied != nil {
 			close(b.applied)

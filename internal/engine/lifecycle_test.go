@@ -149,13 +149,12 @@ func TestExpiryCannotResurrectStaleWindow(t *testing.T) {
 
 	stage := func(u switchsim.Update) {
 		t.Helper()
-		if err := sw.StageWriteback(u); err != nil {
+		if err := sw.StageShard(0, u); err != nil {
 			t.Fatal(err)
 		}
 	}
 	flip := func() {
-		sw.FlipVisibility()
-		sw.MergeWriteback()
+		sw.FlipShard(0)
 	}
 
 	// Establish the entry through an ordinary write-back window.

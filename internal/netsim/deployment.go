@@ -63,7 +63,7 @@ type Trace struct {
 // Due implements Committer: every batch flipped when it was committed.
 func (d *Deployment) Due(int64) {}
 
-// Commit implements Committer: stage, flip and merge at once. §7 cache
+// Commit implements Committer: stage and flip at once. §7 cache
 // fills apply without stalling the packet; updates the switch might
 // already serve are synchronized under output commit before release.
 func (d *Deployment) Commit(_ int, updates []switchsim.Update, punt bool, _ int64) (int, error) {
@@ -77,8 +77,7 @@ func (d *Deployment) Commit(_ int, updates []switchsim.Update, punt bool, _ int6
 	if err != nil || staged == 0 {
 		return 0, err
 	}
-	d.Switch.FlipVisibility()
-	d.Switch.MergeWriteback()
+	d.Switch.FlipShard(0)
 	if punt {
 		return len(syncs), nil
 	}

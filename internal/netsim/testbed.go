@@ -213,12 +213,12 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	return tb, nil
 }
 
-// stageBatch stages updates through the switch's global write-back
-// overlay, invisible until the next flip. A full table is a soft failure:
+// stageBatch stages updates on the switch (as shard 0's batch), invisible
+// until the next flip. A full table is a soft failure:
 // that entry simply never reaches the switch.
 func stageBatch(sw *switchsim.Switch, updates []switchsim.Update) (staged, rejected int, err error) {
 	for _, u := range updates {
-		if err := sw.StageWriteback(u); err != nil {
+		if err := sw.StageShard(0, u); err != nil {
 			if errors.Is(err, switchsim.ErrTableFull) {
 				rejected++
 				continue
@@ -249,8 +249,7 @@ func reconfigure(sw *switchsim.Switch, st *ir.State, mutate func(st *ir.State) [
 	if _, rejected, err = stageBatch(sw, all); err != nil {
 		return rejected, err
 	}
-	sw.FlipVisibility()
-	sw.MergeWriteback()
+	sw.FlipShard(0)
 	sw.MarkReconfig()
 	return rejected, nil
 }
@@ -288,8 +287,7 @@ func (tb *Testbed) Due(nowNs int64) {
 	kept := tb.flips[:0]
 	for _, atNs := range tb.flips {
 		if atNs <= nowNs {
-			sw.FlipVisibility()
-			sw.MergeWriteback()
+			sw.FlipShard(0)
 			tb.walk.Stats.CtlBatches++
 		} else {
 			kept = append(kept, atNs)

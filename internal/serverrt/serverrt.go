@@ -347,7 +347,7 @@ func (s *Software) Process(pkt *packet.Packet) (Result, error) {
 // authoritative server) and synchronous updates (everything else: deletes,
 // overwrites of visible entries, register writes, non-cached tables),
 // which output commit must wait for. Classification reads switch state
-// through VisibleEntry (under the data-plane lock), so the engine's
+// through VisibleEntry (lock-free, like a packet's lookup), so the engine's
 // control-plane drainer can call it while workers keep processing packets.
 func ClassifyUpdates(sw *switchsim.Switch, updates []switchsim.Update) (fills, syncs []switchsim.Update) {
 	for _, u := range updates {

@@ -233,7 +233,7 @@ func TestRunToCompletionCausality(t *testing.T) {
 	// Stage but do NOT flip: a concurrent packet q of the same connection
 	// must observe NONE of the updates (it re-takes the slow path).
 	for _, u := range srvRes.Updates {
-		if err := d.Switch.StageWriteback(u); err != nil {
+		if err := d.Switch.StageShard(0, u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,7 +248,7 @@ func TestRunToCompletionCausality(t *testing.T) {
 
 	// Flip: p would now be released (output commit). A causally-later
 	// packet observes ALL updates: fast path with the same translation.
-	d.Switch.FlipVisibility()
+	d.Switch.FlipShard(0)
 	q2 := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(99, 0, 0, 1), 1234, 80, packet.TCPOptions{})
 	q2Pre, err := d.Switch.ProcessPreShard(q2, 0, nil)
 	if err != nil {

@@ -10,10 +10,9 @@ import (
 
 // TestConcurrentDataPlaneAndControlPlane hammers the switch from several
 // data-plane goroutines (one per simulated worker) while a control-plane
-// goroutine continuously stages, flips, and merges write-back batches.
-// Run under -race this is the proof that the read/write lock split keeps
-// the §4.3.3 protocol safe once the engine runs pipeline passes in
-// parallel.
+// goroutine continuously stages and flips write-back batches. Run under
+// -race this is the proof that the lock-free read path keeps the §4.3.3
+// protocol safe once the engine runs pipeline passes in parallel.
 func TestConcurrentDataPlaneAndControlPlane(t *testing.T) {
 	res := compileMB(t, "minilb")
 	sw := New(res)
@@ -50,12 +49,11 @@ func TestConcurrentDataPlaneAndControlPlane(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < ctlBatches; i++ {
 			u := Update{Table: "conn", Key: ir.MakeMapKey(uint64(i)), Vals: []uint64{uint64(i % 4)}}
-			if err := sw.StageWriteback(u); err != nil {
+			if err := sw.StageShard(0, u); err != nil {
 				errs <- err
 				return
 			}
-			sw.FlipVisibility()
-			sw.MergeWriteback()
+			sw.FlipShard(0)
 			// Interleave classification-style reads with the batches.
 			sw.VisibleEntry("conn", ir.MakeMapKey(uint64(i)))
 			sw.Stats()
@@ -78,7 +76,7 @@ func TestConcurrentDataPlaneAndControlPlane(t *testing.T) {
 	if got := s.TableEntries["conn"]; got != ctlBatches {
 		t.Errorf("conn entries = %d, want %d", got, ctlBatches)
 	}
-	// Every staged key must be visible after its merge.
+	// Every staged key must be visible after its flip.
 	for i := 0; i < ctlBatches; i++ {
 		if visible, _ := sw.VisibleEntry("conn", ir.MakeMapKey(uint64(i))); !visible {
 			t.Fatalf("entry %d lost", i)
@@ -101,8 +99,7 @@ func TestSeedFromReplicatesEveryKind(t *testing.T) {
 	if visible, _ := sw.VisibleEntry("conn", ir.MakeMapKey(5)); !visible {
 		t.Error("seeded map entry not visible")
 	}
-	tbl, _ := sw.Table("conn")
-	if tbl.UseWB {
-		t.Error("seeding left the write-back overlay active")
+	if tbl, _ := sw.Table("conn"); tbl.Len() != 1 {
+		t.Errorf("seeded table holds %d entries, want 1", tbl.Len())
 	}
 }

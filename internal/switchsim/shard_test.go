@@ -10,12 +10,17 @@ import (
 	"gallium/internal/packet"
 )
 
-// laneView resolves a key through one shard's published lane overlay —
-// the lookup the data plane performs (ProcessPreShard) before falling
-// back to the global snapshot.
-func laneView(sw *Switch, shard int, table string, key ir.MapKey) (hit, deleted bool) {
-	_, hit, deleted = sw.laneAt(shard).view.Load().lookup(table, key)
-	return hit, deleted
+// servedOn reports whether a pre pass on shard takes minilb's fast path
+// for conn key k (minilb keys conn on (saddr ^ daddr) & 0xFFFF; a zero
+// destination makes the key the source address's low half).
+func servedOn(t *testing.T, sw *Switch, shard int, k uint64) bool {
+	t.Helper()
+	pkt := packet.BuildTCP(packet.IPv4Addr(k), 0, 1000, 80, packet.TCPOptions{})
+	pre, err := sw.ProcessPreShard(pkt, shard, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pre.Action == ir.ActionSent
 }
 
 func TestLaneEligible(t *testing.T) {
@@ -38,9 +43,8 @@ func TestLaneEligible(t *testing.T) {
 }
 
 // TestLaneStageFlipFold walks one update through the per-shard §4.3.3
-// protocol: staged entries are invisible everywhere; FlipShard publishes
-// them to the staging shard's lane only; FoldShards lands them in the
-// main tables, visible to every shard.
+// protocol: a staged entry is invisible everywhere; the staging shard's
+// FlipShard publishes it to every shard at once.
 func TestLaneStageFlipFold(t *testing.T) {
 	sw := New(compileMB(t, "minilb"))
 	sw.ConfigureShards(4)
@@ -53,183 +57,172 @@ func TestLaneStageFlipFold(t *testing.T) {
 	if err := sw.StageShard(1, Update{Table: "conn", Key: key, Vals: []uint64{7}}); err != nil {
 		t.Fatal(err)
 	}
-	if hit, _ := laneView(sw, 1, "conn", key); hit {
-		t.Fatal("staged lane entry visible before FlipShard")
-	}
 	if _, visible := tbl.Lookup(key); visible {
-		t.Fatal("staged lane entry leaked into the global view")
+		t.Fatal("staged entry visible before FlipShard")
+	}
+	for shard := 0; shard < 4; shard++ {
+		if servedOn(t, sw, shard, 42) {
+			t.Fatalf("shard %d serves a staged entry before FlipShard", shard)
+		}
 	}
 
 	sw.FlipShard(1)
-	if hit, _ := laneView(sw, 1, "conn", key); !hit {
-		t.Fatal("flipped lane entry not visible to its own shard")
-	}
-	for _, other := range []int{0, 2, 3} {
-		if hit, _ := laneView(sw, other, "conn", key); hit {
-			t.Fatalf("shard %d sees shard 1's lane entry before a fold", other)
-		}
-	}
-	if _, visible := tbl.Lookup(key); visible {
-		t.Fatal("lane entry visible in main tables before a fold")
-	}
-
-	sw.FoldShards()
 	if v, visible := tbl.Lookup(key); !visible || v[0] != 7 {
-		t.Fatalf("entry not in main tables after FoldShards: %v %v", v, visible)
+		t.Fatalf("entry not visible after FlipShard: %v %v", v, visible)
 	}
-	if hit, _ := laneView(sw, 1, "conn", key); hit {
-		t.Fatal("lane overlay not cleared by FoldShards")
+	for shard := 0; shard < 4; shard++ {
+		if !servedOn(t, sw, shard, 42) {
+			t.Fatalf("shard %d misses shard 1's entry after its flip", shard)
+		}
 	}
 }
 
-// TestLaneDeleteShadows pins deletion semantics: a flipped lane deletion
-// shadows a main-table entry for the deleting shard while every other
-// shard still sees it, until a fold makes the removal global.
+// TestLaneDeleteShadows pins deletion semantics: a deletion staged by one
+// shard hides nothing until that shard flips, then hides the entry —
+// installed by another shard — from every shard.
 func TestLaneDeleteShadows(t *testing.T) {
 	sw := New(compileMB(t, "minilb"))
 	sw.ConfigureShards(2)
-	tbl, _ := sw.Table("conn")
 	key := ir.MakeMapKey(9)
-	tbl.Main[key] = []uint64{1}
+	if err := sw.StageShard(1, Update{Table: "conn", Key: key, Vals: []uint64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	sw.FlipShard(1)
 
 	if err := sw.StageShard(0, Update{Table: "conn", Key: key, Delete: true}); err != nil {
 		t.Fatal(err)
 	}
+	if !servedOn(t, sw, 0, 9) || !servedOn(t, sw, 1, 9) {
+		t.Fatal("staged deletion hid the entry before its flip")
+	}
 	sw.FlipShard(0)
-	if _, deleted := laneView(sw, 0, "conn", key); !deleted {
-		t.Fatal("flipped lane deletion does not shadow the main entry")
+	if servedOn(t, sw, 0, 9) || servedOn(t, sw, 1, 9) {
+		t.Fatal("flipped deletion still served")
 	}
-	if _, deleted := laneView(sw, 1, "conn", key); deleted {
-		t.Fatal("shard 1 sees shard 0's deletion before a fold")
-	}
-	if _, visible := tbl.Lookup(key); !visible {
-		t.Fatal("main entry vanished before the fold")
-	}
-	sw.FoldShards()
-	if _, ok := tbl.Main[key]; ok {
-		t.Fatal("entry still in main table after FoldShards")
+	if tbl, _ := sw.Table("conn"); tbl.Len() != 0 {
+		t.Fatalf("Len = %d after the deletion flipped, want 0", tbl.Len())
 	}
 }
 
-// TestLaneLastWriterWins pins overlay compaction within a lane: an
-// insert staged after a delete of the same key (across separate flips)
-// must win, and vice versa.
+// TestLaneLastWriterWins pins staging order: across flips and within one
+// batch, the last write to a key is the one that stands.
 func TestLaneLastWriterWins(t *testing.T) {
 	sw := New(compileMB(t, "minilb"))
-	sw.ConfigureShards(1)
-	key := ir.MakeMapKey(5)
-
-	if err := sw.StageShard(0, Update{Table: "conn", Key: key, Vals: []uint64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	sw.FlipShard(0)
-	if err := sw.StageShard(0, Update{Table: "conn", Key: key, Delete: true}); err != nil {
-		t.Fatal(err)
-	}
-	sw.FlipShard(0)
-	if hit, deleted := laneView(sw, 0, "conn", key); hit || !deleted {
-		t.Fatalf("delete-after-insert: hit=%v deleted=%v, want shadowing delete", hit, deleted)
-	}
-
-	if err := sw.StageShard(0, Update{Table: "conn", Key: key, Vals: []uint64{2}}); err != nil {
-		t.Fatal(err)
-	}
-	sw.FlipShard(0)
-	if hit, deleted := laneView(sw, 0, "conn", key); !hit || deleted {
-		t.Fatalf("insert-after-delete: hit=%v deleted=%v, want live entry", hit, deleted)
-	}
-	sw.FoldShards()
 	tbl, _ := sw.Table("conn")
+	key := ir.MakeMapKey(5)
+	ins := func(v uint64) Update { return Update{Table: "conn", Key: key, Vals: []uint64{v}} }
+	del := Update{Table: "conn", Key: key, Delete: true}
+
+	install(t, sw, ins(1))
+	install(t, sw, del)
+	if _, visible := tbl.Lookup(key); visible {
+		t.Fatal("delete-after-insert: entry still visible")
+	}
+	install(t, sw, ins(2))
 	if v, visible := tbl.Lookup(key); !visible || v[0] != 2 {
-		t.Fatalf("final fold lost the last write: %v %v", v, visible)
+		t.Fatalf("insert-after-delete: %v %v, want live entry 2", v, visible)
+	}
+
+	install(t, sw, del, ins(3), ins(4))
+	if v, visible := tbl.Lookup(key); !visible || v[0] != 4 {
+		t.Fatalf("delete, insert, insert in one batch: %v %v, want 4", v, visible)
+	}
+	install(t, sw, ins(5), del)
+	if _, visible := tbl.Lookup(key); visible {
+		t.Fatal("insert, delete in one batch: entry visible")
+	}
+	if tbl.Len() != 0 {
+		t.Fatalf("Len = %d, want 0", tbl.Len())
 	}
 }
 
-// TestFoldShardsIncludesPending pins FoldShards' quiescent-point
-// contract: it consolidates staged-but-unflipped entries too, so a
-// reconfiguration never races a half-committed lane batch.
-func TestFoldShardsIncludesPending(t *testing.T) {
+// TestPendingBatchWaitsForItsOwnFlip pins that a flip publishes exactly
+// its own shard's batch: another shard's flip (and the retired fold entry
+// points) leave a pending batch pending.
+func TestPendingBatchWaitsForItsOwnFlip(t *testing.T) {
 	sw := New(compileMB(t, "minilb"))
 	sw.ConfigureShards(2)
 	key := ir.MakeMapKey(77)
 	if err := sw.StageShard(1, Update{Table: "conn", Key: key, Vals: []uint64{3}}); err != nil {
 		t.Fatal(err)
 	}
-	// No FlipShard: the entry is pending, not published.
+	install(t, sw, Update{Table: "conn", Key: ir.MakeMapKey(78), Vals: []uint64{4}})
+	sw.CompactShard(1)
 	sw.FoldShards()
 	tbl, _ := sw.Table("conn")
+	if _, visible := tbl.Lookup(key); visible {
+		t.Fatal("shard 1's pending entry published by something other than FlipShard(1)")
+	}
+	sw.FlipShard(1)
 	if v, visible := tbl.Lookup(key); !visible || v[0] != 3 {
-		t.Fatalf("pending lane entry not folded: %v %v", v, visible)
+		t.Fatalf("pending entry not visible after its own flip: %v %v", v, visible)
 	}
 }
 
-// TestCompactShardAmortized pins the lane's sqrt-amortized self-fold:
-// below the merge threshold CompactShard must be a no-op (lanes stay
-// independent of the global mutex), at the threshold it folds the lane
-// into the main tables.
-func TestCompactShardAmortized(t *testing.T) {
-	sw := New(compileMB(t, "minilb"))
-	sw.ConfigureShards(2)
-	tbl, _ := sw.Table("conn")
-	th := mergeThreshold(len(tbl.Main))
-
-	for i := 0; i < th-1; i++ {
-		if err := sw.StageShard(0, Update{Table: "conn", Key: ir.MakeMapKey(uint64(i)), Vals: []uint64{uint64(i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sw.FlipShard(0)
-	sw.CompactShard(0)
-	if len(tbl.Main) != 0 {
-		t.Fatalf("CompactShard folded %d entries below the %d-entry threshold", len(tbl.Main), th)
-	}
-
-	if err := sw.StageShard(0, Update{Table: "conn", Key: ir.MakeMapKey(uint64(th - 1)), Vals: []uint64{9}}); err != nil {
-		t.Fatal(err)
-	}
-	sw.FlipShard(0)
-	sw.CompactShard(0)
-	if len(tbl.Main) != th {
-		t.Fatalf("CompactShard at threshold left %d entries in main, want %d", len(tbl.Main), th)
-	}
-	if hit, _ := laneView(sw, 0, "conn", ir.MakeMapKey(0)); hit {
-		t.Fatal("lane overlay not cleared after compaction")
-	}
-}
-
-// TestStageShardRejections pins the error surface: non-lane-eligible
-// updates, out-of-range shards, and non-resident tables are refused.
+// TestStageShardRejections pins the error surface: a shard index out of
+// range, a target that is not resident, and a replacement too large for
+// its target are refused, leave nothing pending, and an out-of-range flip
+// is the matching no-op.
 func TestStageShardRejections(t *testing.T) {
 	sw := New(compileMB(t, "minilb"))
 	sw.ConfigureShards(2)
 	key := ir.MakeMapKey(1)
-
-	err := sw.StageShard(0, Update{Table: "conn", Replace: true})
-	if err == nil || !strings.Contains(err.Error(), "not lane-eligible") {
-		t.Errorf("replace via lane: err = %v, want lane-eligibility refusal", err)
+	big := make(map[ir.MapKey][]uint64)
+	for i := 0; i <= 65536; i++ {
+		big[ir.MakeMapKey(uint64(i))] = []uint64{1}
 	}
-	err = sw.StageShard(2, Update{Table: "conn", Key: key, Vals: []uint64{1}})
-	if err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("shard 2 of 2: err = %v, want range refusal", err)
+	cases := []struct {
+		name  string
+		shard int
+		u     Update
+		want  string
+	}{
+		{"shard below range", -1, Update{Table: "conn", Key: key, Vals: []uint64{1}}, "out of range"},
+		{"shard 2 of 2", 2, Update{Table: "conn", Key: key, Vals: []uint64{1}}, "out of range"},
+		{"register on a bad shard", 2, Update{Register: "nonesuch"}, "out of range"},
+		{"unknown table", 0, Update{Table: "nonesuch", Key: key, Vals: []uint64{1}}, "not resident"},
+		{"unknown table replaced", 0, Update{Table: "nonesuch", Replace: true}, "not resident"},
+		{"unknown register", 1, Update{Register: "nonesuch", RegVal: 1}, "not resident"},
+		{"unknown vector", 0, Update{Vec: "nonesuch", VecVals: []uint64{1}}, "not offloaded"},
+		{"oversized vector", 0, Update{Vec: "backends", VecVals: make([]uint64, 17)}, "exceed annotation"},
+		{"oversized replacement", 1, Update{Table: "conn", Replace: true, Entries: big}, "table full"},
 	}
-	err = sw.StageShard(0, Update{Table: "nonesuch", Key: key, Vals: []uint64{1}})
-	if err == nil || !strings.Contains(err.Error(), "not resident") {
-		t.Errorf("unknown table: err = %v, want residency refusal", err)
+	for _, c := range cases {
+		err := sw.StageShard(c.shard, c.u)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
+		sw.FlipShard(c.shard)
+	}
+	if st := sw.Stats(); st.CtlFlips != 0 || st.Epoch != 1 {
+		t.Errorf("refused stages left something to flip: %d flips, epoch %d", st.CtlFlips, st.Epoch)
+	}
+	// Every kind the old protocol split between lanes and the global path
+	// is accepted on any shard.
+	for _, u := range []Update{
+		{Table: "conn", Key: key, Vals: []uint64{1}},
+		{Table: "conn", Replace: true, Entries: map[ir.MapKey][]uint64{key: {2}}},
+		{Vec: "backends", VecVals: []uint64{1, 2}},
+	} {
+		if err := sw.StageShard(1, u); err != nil {
+			t.Errorf("StageShard(1, %+v): %v", u, err)
+		}
+	}
+	sw.FlipShard(1)
+	if st := sw.Stats(); st.CtlFlips != 1 {
+		t.Errorf("CtlFlips = %d after one real flip, want 1", st.CtlFlips)
 	}
 }
 
-// TestLaneFoldNeverHidesFlippedKey is the lane-fold race stress: one
-// goroutine keeps pre-passing the key most recently flipped into lane 0
-// while the test goroutine stages, flips and compacts fresh keys past
-// the merge threshold. A flipped, never-deleted key lives in the lane
-// view, in the main table, or (briefly) both — a pass must never find it
-// in neither, whichever side of a fold its two atomic loads land on.
+// TestLaneFoldNeverHidesFlippedKey is the flip-versus-lookup race stress:
+// one goroutine keeps pre-passing the key most recently flipped on shard 0
+// while the test goroutine stages and flips fresh keys, growing the table
+// through a dozen array rebuilds. A flipped, never-deleted key must never
+// miss, whichever side of a flip or a rebuild the pass's loads land on.
 func TestLaneFoldNeverHidesFlippedKey(t *testing.T) {
 	sw := New(compileMB(t, "minilb"))
 	sw.ConfigureShards(1)
 	const keys = 6000
-	// minilb keys conn on (saddr ^ daddr) & 0xFFFF; a zero destination
-	// makes the key the source address's low half.
 	tmpl := packet.BuildTCP(0, 0, 1000, 80, packet.TCPOptions{})
 
 	var latest atomic.Int64 // highest key flipped into lane 0 so far
@@ -272,13 +265,13 @@ func TestLaneFoldNeverHidesFlippedKey(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	if k := missed.Load(); k >= 0 {
-		t.Fatalf("pre-pass missed key %d after it was flipped into lane 0 (fold hid it between view and snapshot)", k)
+		t.Fatalf("pre-pass missed key %d after it was flipped on shard 0", k)
 	}
 }
 
 // TestFIFOOnlyTracksCacheTables pins the eviction order's footprint: a
 // table that never evicts must not remember the insertion order of every
-// key folded into it.
+// key written to it.
 func TestFIFOOnlyTracksCacheTables(t *testing.T) {
 	sw := New(compileMB(t, "minilb"))
 	for k := 0; k < 10000; k++ {
@@ -286,9 +279,9 @@ func TestFIFOOnlyTracksCacheTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sw.FoldShards()
+	sw.FlipShard(0)
 	tbl, _ := sw.Table("conn")
-	if len(tbl.Main) != 10000 || len(tbl.fifo) != 0 {
-		t.Fatalf("non-cached table after folding 10000 keys: %d entries, fifo holds %d (want 10000, 0)", len(tbl.Main), len(tbl.fifo))
+	if tbl.Len() != 10000 || len(tbl.fifo) != 0 {
+		t.Fatalf("non-cached table after 10000 inserts: %d entries, fifo holds %d (want 10000, 0)", tbl.Len(), len(tbl.fifo))
 	}
 }

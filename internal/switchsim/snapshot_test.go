@@ -12,7 +12,7 @@ import (
 // partition and stamps them into the packet. The test's control plane
 // always writes both registers with the same value in one staged batch, so
 // any packet observing seq != ack has seen a half-published batch — the
-// tearing the single-snapshot-publication design must rule out.
+// tearing the single view publication must rule out.
 const pairBoxSource = `
 middlebox pairbox {
     global u32 ga;
@@ -29,7 +29,7 @@ middlebox pairbox {
 // readers while the control plane repeatedly stages a two-register batch
 // and flips. §4.3.3 requires the flip to be one atomic operation: a packet
 // sees the entire batch or none of it, never half. Run under -race this
-// also proves the snapshot handoff itself is race-clean.
+// also proves the view handoff itself is race-clean.
 func TestSnapshotFlipIsAtomic(t *testing.T) {
 	res := compileSrc(t, pairBoxSource)
 	sw := New(res)
@@ -71,18 +71,13 @@ func TestSnapshotFlipIsAtomic(t *testing.T) {
 	}
 
 	for gen := uint64(1); gen <= rounds; gen++ {
-		if err := sw.StageWriteback(Update{Register: "ga", RegVal: gen}); err != nil {
+		if err := sw.StageShard(0, Update{Register: "ga", RegVal: gen}); err != nil {
 			t.Fatal(err)
 		}
-		if err := sw.StageWriteback(Update{Register: "gb", RegVal: gen}); err != nil {
+		if err := sw.StageShard(0, Update{Register: "gb", RegVal: gen}); err != nil {
 			t.Fatal(err)
 		}
-		sw.FlipVisibility()
-		if gen%2 == 0 {
-			// Merge on half the rounds so readers also cross the
-			// flip→merge republication boundary.
-			sw.MergeWriteback()
-		}
+		sw.FlipShard(0)
 	}
 	close(stop)
 	wg.Wait()

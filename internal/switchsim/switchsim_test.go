@@ -28,6 +28,18 @@ func compileMB(t *testing.T, name string) *partition.Result {
 	return res
 }
 
+// install stages ups on shard 0 and flips them — the whole control-plane
+// protocol, as every sequential driver runs it.
+func install(t *testing.T, sw *Switch, ups ...Update) {
+	t.Helper()
+	for _, u := range ups {
+		if err := sw.StageShard(0, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sw.FlipShard(0)
+}
+
 func TestWriteBackVisibilityProtocol(t *testing.T) {
 	res := compileMB(t, "minilb")
 	sw := New(res)
@@ -38,30 +50,24 @@ func TestWriteBackVisibilityProtocol(t *testing.T) {
 	key := ir.MakeMapKey(42)
 
 	// Step 1: staged entries are invisible.
-	if err := sw.StageWriteback(Update{Table: "conn", Key: key, Vals: []uint64{7}}); err != nil {
+	if err := sw.StageShard(0, Update{Table: "conn", Key: key, Vals: []uint64{7}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, visible := tbl.Lookup(key); visible {
 		t.Fatal("staged entry visible before flip")
 	}
+	if tbl.Len() != 0 {
+		t.Fatalf("staged entry counted before flip: Len = %d", tbl.Len())
+	}
 
 	// Step 2: the flip makes it visible atomically.
-	sw.FlipVisibility()
+	sw.FlipShard(0)
 	v, visible := tbl.Lookup(key)
 	if !visible || v[0] != 7 {
 		t.Fatalf("entry not visible after flip: %v %v", v, visible)
 	}
-
-	// Step 3: merging preserves visibility and clears the overlay.
-	sw.MergeWriteback()
-	if v, visible := tbl.Lookup(key); !visible || v[0] != 7 {
-		t.Fatal("entry lost after merge")
-	}
-	if tbl.UseWB {
-		t.Error("UseWB still set after merge")
-	}
-	if len(tbl.WB) != 0 {
-		t.Error("write-back table not cleared after merge")
+	if tbl.Len() != 1 {
+		t.Fatalf("Len = %d after flip, want 1", tbl.Len())
 	}
 }
 
@@ -70,21 +76,20 @@ func TestWriteBackDeletion(t *testing.T) {
 	sw := New(res)
 	tbl, _ := sw.Table("conn")
 	key := ir.MakeMapKey(9)
-	tbl.Main[key] = []uint64{1}
+	install(t, sw, Update{Table: "conn", Key: key, Vals: []uint64{1}})
 
-	if err := sw.StageWriteback(Update{Table: "conn", Key: key, Delete: true}); err != nil {
+	if err := sw.StageShard(0, Update{Table: "conn", Key: key, Delete: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, visible := tbl.Lookup(key); !visible {
 		t.Fatal("deletion visible before flip")
 	}
-	sw.FlipVisibility()
+	sw.FlipShard(0)
 	if _, visible := tbl.Lookup(key); visible {
 		t.Fatal("entry still visible after flipped deletion")
 	}
-	sw.MergeWriteback()
-	if _, ok := tbl.Main[key]; ok {
-		t.Fatal("entry still in main table after merge")
+	if tbl.Len() != 0 {
+		t.Fatalf("Len = %d after flipped deletion, want 0", tbl.Len())
 	}
 }
 
@@ -96,10 +101,10 @@ func TestAtomicBatchAcrossTables(t *testing.T) {
 	sw := New(res)
 	fwdKey := ir.MakeMapKey(1, 1000)
 	revKey := ir.MakeMapKey(7)
-	if err := sw.StageWriteback(Update{Table: "nat_fwd", Key: fwdKey, Vals: []uint64{7}}); err != nil {
+	if err := sw.StageShard(0, Update{Table: "nat_fwd", Key: fwdKey, Vals: []uint64{7}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.StageWriteback(Update{Table: "nat_rev", Key: revKey, Vals: []uint64{1, 1000}}); err != nil {
+	if err := sw.StageShard(0, Update{Table: "nat_rev", Key: revKey, Vals: []uint64{1, 1000}}); err != nil {
 		t.Fatal(err)
 	}
 	fwd, _ := sw.Table("nat_fwd")
@@ -109,7 +114,7 @@ func TestAtomicBatchAcrossTables(t *testing.T) {
 	if v1 || v2 {
 		t.Fatal("partial visibility before flip")
 	}
-	sw.FlipVisibility()
+	sw.FlipShard(0)
 	_, v1 = fwd.Lookup(fwdKey)
 	_, v2 = rev.Lookup(revKey)
 	if !v1 || !v2 {
@@ -119,7 +124,7 @@ func TestAtomicBatchAcrossTables(t *testing.T) {
 
 // regBoxSource has a control-plane-configured register: the global is
 // read-only in the data plane (a written global may not offload at all —
-// partition rule 7), so it lands on the switch and only StageWriteback
+// partition rule 7), so it lands on the switch and only a staged update
 // can change it.
 const regBoxSource = `
 middlebox regbox {
@@ -157,13 +162,13 @@ func compileSrc(t *testing.T, src string) *partition.Result {
 func TestRegisterStagedUntilFlip(t *testing.T) {
 	res := compileSrc(t, regBoxSource)
 	sw := New(res)
-	if err := sw.StageWriteback(Update{Register: "blocked", RegVal: 5}); err != nil {
+	if err := sw.StageShard(0, Update{Register: "blocked", RegVal: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := sw.Register("blocked"); v != 0 {
 		t.Fatal("register updated before flip")
 	}
-	sw.FlipVisibility()
+	sw.FlipShard(0)
 	if v, _ := sw.Register("blocked"); v != 5 {
 		t.Fatalf("register = %d after flip, want 5", v)
 	}
@@ -189,18 +194,17 @@ middlebox tinytbl {
 	}
 	sw := New(res)
 	for i := 0; i < 2; i++ {
-		if err := sw.StageWriteback(Update{Table: "t", Key: ir.MakeMapKey(uint64(i)), Vals: []uint64{1}}); err != nil {
+		if err := sw.StageShard(0, Update{Table: "t", Key: ir.MakeMapKey(uint64(i)), Vals: []uint64{1}}); err != nil {
 			t.Fatal(err)
 		}
-		sw.FlipVisibility()
-		sw.MergeWriteback()
+		sw.FlipShard(0)
 	}
-	err = sw.StageWriteback(Update{Table: "t", Key: ir.MakeMapKey(99), Vals: []uint64{1}})
+	err = sw.StageShard(0, Update{Table: "t", Key: ir.MakeMapKey(99), Vals: []uint64{1}})
 	if err == nil || !strings.Contains(err.Error(), "full") {
 		t.Fatalf("err = %v, want capacity error", err)
 	}
 	// Overwriting an existing key is still allowed.
-	if err := sw.StageWriteback(Update{Table: "t", Key: ir.MakeMapKey(0), Vals: []uint64{2}}); err != nil {
+	if err := sw.StageShard(0, Update{Table: "t", Key: ir.MakeMapKey(0), Vals: []uint64{2}}); err != nil {
 		t.Fatalf("overwrite rejected: %v", err)
 	}
 }
@@ -208,7 +212,7 @@ middlebox tinytbl {
 func TestDataPlaneIsReadOnly(t *testing.T) {
 	res := compileMB(t, "minilb")
 	sw := New(res)
-	a := &access{snap: sw.snap.Load()}
+	a := &access{v: sw.view.Load()}
 	if err := a.MapInsert("conn", ir.MakeMapKey(1), []uint64{1}); err == nil {
 		t.Error("data-plane insert must be rejected")
 	}
@@ -261,10 +265,10 @@ func TestProcessPreFastAndSlowPaths(t *testing.T) {
 	// Install the mapping; the same connection now takes the fast path.
 	key := ir.MakeMapKey(want & 0xFFFF)
 	backend := middleboxes.Backends[0]
-	if err := sw.StageWriteback(Update{Table: "conn", Key: key, Vals: []uint64{backend}}); err != nil {
+	if err := sw.StageShard(0, Update{Table: "conn", Key: key, Vals: []uint64{backend}}); err != nil {
 		t.Fatal(err)
 	}
-	sw.FlipVisibility()
+	sw.FlipShard(0)
 	pkt2 := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{})
 	r2, err := sw.ProcessPreShard(pkt2, 0, nil)
 	if err != nil {
@@ -361,10 +365,10 @@ func TestSwitchRegisterAndLpmDataPlane(t *testing.T) {
 	// insert to consume.
 	res := compileSrc(t, regBoxSource)
 	sw := New(res)
-	if err := sw.StageWriteback(Update{Register: "blocked", RegVal: 77}); err != nil {
+	if err := sw.StageShard(0, Update{Register: "blocked", RegVal: 77}); err != nil {
 		t.Fatal(err)
 	}
-	sw.FlipVisibility()
+	sw.FlipShard(0)
 	pkt := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(99, 9, 9, 9), 1234, 80, packet.TCPOptions{Flags: packet.TCPFlagSYN})
 	pre, err := sw.ProcessPreShard(pkt, 0, nil)
 	if err != nil {

@@ -1,0 +1,233 @@
+package switchsim
+
+import (
+	"sync/atomic"
+
+	"gallium/internal/ir"
+)
+
+// Table is one replicated match-action table: a single-writer,
+// lock-free-reader open-addressed array of atomic pointers to immutable
+// entry nodes, updated in place by the control plane's flip. The exported
+// methods are a read-only handle, safe to call while traffic runs.
+type Table struct {
+	sw       *Switch
+	capacity int
+	cached   bool
+
+	// slots is the probe array (power-of-two length, linear probing,
+	// always at least one empty slot). Growth swaps a rebuilt array in
+	// through this one pointer; the superseded array is never written
+	// again, so a reader still probing it sees a complete older table.
+	slots atomic.Pointer[[]atomic.Pointer[node]]
+	// live is the exact entry count as of the last applied write.
+	live atomic.Int64
+	// staged counts inserts staged on any shard and not yet flipped; the
+	// capacity check adds it to live.
+	staged atomic.Int64
+	// used counts occupied slots, tombstones included (flip side only).
+	used int
+	// fifo orders a §7 cache table's keys by insertion for eviction.
+	fifo []ir.MapKey
+	// obs holds this table's counters once the switch is instrumented.
+	obs atomic.Pointer[tableObs]
+}
+
+// node is one version of one entry, immutable once write has stamped and
+// stored it. epoch is the flip that wrote it: a pass pinned to an older
+// view must not see it. A dead node is a
+// deletion ("a special value indicates table entry deletion", §4.3.3); it
+// keeps the key's slot so a re-insert lands where lookups already probe.
+type node struct {
+	key   ir.MapKey
+	vals  []uint64
+	epoch uint64
+	dead  bool
+}
+
+// undoRec is what one flip replaced for one key: old is the node the key
+// resolved to before the flip (nil or dead when it was absent). Records
+// hang off the view the flip supersedes, so they are garbage as soon as
+// the last pass pinned to that view returns.
+type undoRec struct {
+	t    *Table
+	key  ir.MapKey
+	old  *node
+	next *undoRec
+}
+
+func newTable(sw *Switch, capacity int, cached bool) *Table {
+	t := &Table{sw: sw, capacity: capacity, cached: cached}
+	s := make([]atomic.Pointer[node], 8)
+	t.slots.Store(&s)
+	return t
+}
+
+// Lookup resolves key as the data plane currently would.
+func (t *Table) Lookup(key ir.MapKey) ([]uint64, bool) {
+	return t.lookup(t.sw.view.Load(), &key)
+}
+
+// Len reports the number of visible entries.
+func (t *Table) Len() int { return int(t.live.Load()) }
+
+// Capacity reports the annotated maximum entry count (the §7 cache size
+// for a cache table).
+func (t *Table) Capacity() int { return t.capacity }
+
+// Cached reports whether the table runs in §7 cache mode: it holds a
+// subset of the server's authoritative map, misses punt the packet to the
+// server, and inserts beyond capacity evict the oldest entry (FIFO).
+func (t *Table) Cached() bool { return t.cached }
+
+// hashKey mixes only the key's live words; the low bits index the array.
+func hashKey(k *ir.MapKey) uint64 {
+	h := uint64(k.N)
+	for i := 0; i < int(k.N); i++ {
+		h = (h ^ k.K[i]) * 0x9E3779B97F4A7C15
+		h ^= h >> 29
+	}
+	return h
+}
+
+// slot returns the index of key's slot in s: the one holding its node, or
+// the first empty one of its probe sequence.
+func slot(s []atomic.Pointer[node], key *ir.MapKey) uint64 {
+	mask := uint64(len(s) - 1)
+	i := hashKey(key) & mask
+	for {
+		if n := s[i].Load(); n == nil || n.key == *key {
+			return i
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// lookup resolves key as of view v — the whole data-plane read path. The
+// slot's node answers when v's epoch has reached it; otherwise (nothing
+// there, or a node some later flip wrote) the key's history does.
+func (t *Table) lookup(v *view, key *ir.MapKey) ([]uint64, bool) {
+	s := *t.slots.Load()
+	n := s[slot(s, key)].Load()
+	if n == nil || n.epoch > v.epoch {
+		n = t.before(v, key)
+	}
+	if n == nil || n.dead {
+		return nil, false
+	}
+	return n.vals, true
+}
+
+// before walks the flips after v, oldest first: the first one that touched
+// key recorded what it replaced, and that is the node as of v. No record
+// means no later flip touched the key, so it was absent.
+func (t *Table) before(v *view, key *ir.MapKey) *node {
+	for w := v; w != nil; w = w.next.Load() {
+		for r := w.undo.Load(); r != nil; r = r.next {
+			if r.t == t && r.key == *key {
+				return r.old
+			}
+		}
+	}
+	return nil
+}
+
+// write installs n — an entry or a deletion — in place as part of the flip
+// that supersedes cur: it stamps n with that flip's epoch and first records
+// on cur what a pass pinned at or before cur must still see. It reports
+// whether a live entry was removed. Callers hold sw.mu.
+func (t *Table) write(cur *view, n *node) (removed bool) {
+	n.epoch = cur.epoch + 1
+	s := *t.slots.Load()
+	if (t.used+1)*4 > len(s)*3 {
+		s = t.rebuild(n.epoch)
+	}
+	i := slot(s, &n.key)
+	old := s[i].Load()
+	wasLive := old != nil && !old.dead
+	if n.dead && !wasLive {
+		return false
+	}
+	// One record per key and flip: a node this flip wrote already has one,
+	// and rebuild keeps such nodes, dead ones included.
+	if old == nil || old.epoch != n.epoch {
+		cur.undo.Store(&undoRec{t: t, key: n.key, old: old, next: cur.undo.Load()})
+	}
+	if old == nil {
+		t.used++
+	}
+	s[i].Store(n)
+	if n.dead || !wasLive { // not an overwrite: the entry count changes
+		if n.dead {
+			t.live.Add(-1)
+		} else {
+			t.live.Add(1)
+			if t.cached {
+				t.fifo = append(t.fifo, n.key)
+			}
+		}
+		if m := t.obs.Load(); m != nil {
+			m.entries.Set(t.live.Load())
+		}
+	}
+	return n.dead
+}
+
+// replace makes entries (already private copies) the table's whole content
+// as part of the flip that supersedes cur: deletions of the keys entries
+// lacks, then writes of the rest.
+func (t *Table) replace(cur *view, entries map[ir.MapKey][]uint64) {
+	s := *t.slots.Load()
+	for i := range s {
+		if n := s[i].Load(); n != nil && !n.dead {
+			if _, keep := entries[n.key]; !keep {
+				t.write(cur, &node{key: n.key, dead: true})
+			}
+		}
+	}
+	for k, vals := range entries {
+		t.write(cur, &node{key: k, vals: vals})
+	}
+}
+
+// evict brings a §7 cache table back within its capacity as part of the
+// flip that supersedes cur, deleting from the FIFO head, and reports how
+// many entries went. A key deleted since it was queued is skipped.
+func (t *Table) evict(cur *view) (evicted int) {
+	for t.cached && t.Len() > t.capacity && len(t.fifo) > 0 {
+		victim := t.fifo[0]
+		t.fifo = t.fifo[1:]
+		if t.write(cur, &node{key: victim, dead: true}) {
+			evicted++
+		}
+	}
+	return evicted
+}
+
+// rebuild swaps in a fresh array holding the live entries at no more than
+// half load, dropping tombstones older than the flip in progress: a pass
+// that needs the entry a dropped tombstone deleted misses here and finds
+// it through the deleting flip's undo record.
+func (t *Table) rebuild(epoch uint64) []atomic.Pointer[node] {
+	old := *t.slots.Load()
+	keep := func(n *node) bool { return n != nil && (!n.dead || n.epoch == epoch) }
+	kept := 0
+	for i := range old {
+		if keep(old[i].Load()) {
+			kept++
+		}
+	}
+	size := 8
+	for size < 2*(kept+1) {
+		size *= 2
+	}
+	s := make([]atomic.Pointer[node], size)
+	for i := range old {
+		if n := old[i].Load(); keep(n) {
+			s[slot(s, &n.key)].Store(n)
+		}
+	}
+	t.used = kept
+	t.slots.Store(&s)
+	return s
+}

@@ -39,8 +39,7 @@ func buildFlow(host byte) *packet.Packet {
 // not yet flipped, other packets of the flow still read the OLD table
 // state (the stale-read window output commit protects against), and the
 // held packet's post pass completes normally. After the flip the entry is
-// served from the write-back overlay; after the merge, from the main
-// table — and the data plane cannot tell the difference.
+// served on the fast path.
 func TestPostPassDuringStaleReadWindow(t *testing.T) {
 	res := compileMB(t, "minilb")
 	sw := New(res)
@@ -66,7 +65,7 @@ func TestPostPassDuringStaleReadWindow(t *testing.T) {
 	// by the server too, which is exactly why output commit holds p1).
 	key := ir.MakeMapKey(uint64(packet.MakeIPv4Addr(1, 2, 3, 4)^packet.MakeIPv4Addr(9, 9, 9, 9)) & 0xFFFF)
 	backend := middleboxes.Backends[2]
-	if err := sw.StageWriteback(Update{Table: "conn", Key: key, Vals: []uint64{backend}}); err != nil {
+	if err := sw.StageShard(0, Update{Table: "conn", Key: key, Vals: []uint64{backend}}); err != nil {
 		t.Fatal(err)
 	}
 	p2 := buildFlow(4)
@@ -90,53 +89,28 @@ func TestPostPassDuringStaleReadWindow(t *testing.T) {
 		t.Fatalf("post: action=%v daddr=%v, want sent/%d", post.Action, p1.IP.DstIP, backend)
 	}
 
-	// Flip: the visibility bit turns the write-back overlay on, and the
-	// next packet takes the fast path served from the overlay.
-	sw.FlipVisibility()
-	tbl, _ := sw.Table("conn")
-	if !tbl.UseWB {
-		t.Fatal("visibility bit not set after flip")
+	// Flip: the next packets of the flow take the fast path.
+	sw.FlipShard(0)
+	for i := 0; i < 2; i++ {
+		p := buildFlow(4)
+		pre, err := sw.ProcessPreShard(p, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pre.Action != ir.ActionSent || uint64(p.IP.DstIP) != backend {
+			t.Fatalf("read after flip: action=%v daddr=%v", pre.Action, p.IP.DstIP)
+		}
 	}
-	p3 := buildFlow(4)
-	pre3, err := sw.ProcessPreShard(p3, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pre3.Action != ir.ActionSent || uint64(p3.IP.DstIP) != backend {
-		t.Fatalf("overlay read: action=%v daddr=%v", pre3.Action, p3.IP.DstIP)
-	}
+
 	snap := reg.Snapshot()
-	if got := snap.Counters["switch.table.conn.wb_hits"]; got != 1 {
-		t.Errorf("wb_hits = %d, want 1 (hit served from the overlay)", got)
-	}
-
-	// Merge: the overlay folds into the main table, the bit clears, and
-	// the same lookup is now a plain hit.
-	sw.MergeWriteback()
-	if tbl.UseWB || len(tbl.WB) != 0 {
-		t.Fatalf("overlay not cleared after merge: UseWB=%v |WB|=%d", tbl.UseWB, len(tbl.WB))
-	}
-	p4 := buildFlow(4)
-	pre4, err := sw.ProcessPreShard(p4, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pre4.Action != ir.ActionSent || uint64(p4.IP.DstIP) != backend {
-		t.Fatalf("post-merge read: action=%v daddr=%v", pre4.Action, p4.IP.DstIP)
-	}
-
-	snap = reg.Snapshot()
 	if got := snap.Counters["switch.table.conn.lookups"]; got != 4 {
 		t.Errorf("lookups = %d, want 4", got)
 	}
 	if got := snap.Counters["switch.table.conn.hits"]; got != 2 {
-		t.Errorf("hits = %d, want 2 (overlay + merged)", got)
+		t.Errorf("hits = %d, want 2 (both reads after the flip)", got)
 	}
 	if got := snap.Counters["switch.table.conn.misses"]; got != 2 {
 		t.Errorf("misses = %d, want 2 (initial + stale window)", got)
-	}
-	if got := snap.Counters["switch.table.conn.wb_hits"]; got != 1 {
-		t.Errorf("wb_hits = %d, want 1 (merged hit is not an overlay hit)", got)
 	}
 	if got := snap.Counters["switch.post.packets"]; got != 1 {
 		t.Errorf("post packets = %d, want 1", got)
@@ -148,8 +122,7 @@ func TestPostPassDuringStaleReadWindow(t *testing.T) {
 
 // TestPostPassStagedDeletionWindow covers the deletion side: a staged
 // deletion is invisible until the flip (stale reads still hit), then the
-// overlay masks the entry, and the merge removes it for good — while post
-// passes keep flowing.
+// entry is gone — while post passes keep flowing.
 func TestPostPassStagedDeletionWindow(t *testing.T) {
 	res := compileMB(t, "minilb")
 	sw := New(res)
@@ -160,15 +133,11 @@ func TestPostPassStagedDeletionWindow(t *testing.T) {
 	backend := middleboxes.Backends[0]
 
 	// Install the entry through the full protocol.
-	if err := sw.StageWriteback(Update{Table: "conn", Key: key, Vals: []uint64{backend}}); err != nil {
-		t.Fatal(err)
-	}
-	sw.FlipVisibility()
-	sw.MergeWriteback()
+	install(t, sw, Update{Table: "conn", Key: key, Vals: []uint64{backend}})
 
 	// Stage a deletion: until the flip, the flow still takes the fast
 	// path (the stale window, in the deleting direction).
-	if err := sw.StageWriteback(Update{Table: "conn", Key: key, Delete: true}); err != nil {
+	if err := sw.StageShard(0, Update{Table: "conn", Key: key, Delete: true}); err != nil {
 		t.Fatal(err)
 	}
 	p1 := buildFlow(4)
@@ -182,7 +151,7 @@ func TestPostPassStagedDeletionWindow(t *testing.T) {
 
 	// After the flip the flow misses and goes back to the server; its
 	// post pass still completes.
-	sw.FlipVisibility()
+	sw.FlipShard(0)
 	p2 := buildFlow(4)
 	pre2, err := sw.ProcessPreShard(p2, 0, nil)
 	if err != nil {
@@ -200,12 +169,11 @@ func TestPostPassStagedDeletionWindow(t *testing.T) {
 		t.Fatalf("post after deletion flip: %v", post.Action)
 	}
 
-	sw.MergeWriteback()
 	tbl, _ := sw.Table("conn")
-	if _, ok := tbl.Main[key]; ok {
-		t.Fatal("deleted entry survived the merge")
+	if _, ok := tbl.Lookup(key); ok {
+		t.Fatal("deleted entry survived the flip")
 	}
 	if tbl.Len() != 0 {
-		t.Fatalf("table len = %d after deletion merge", tbl.Len())
+		t.Fatalf("table len = %d after the deletion flipped", tbl.Len())
 	}
 }
