@@ -6,6 +6,7 @@
 package gallium_test
 
 import (
+	"fmt"
 	"testing"
 
 	"gallium"
@@ -17,10 +18,15 @@ import (
 )
 
 // allocBudget is the per-packet allocation budget for the steady-state
-// pipeline: pre-pass + server execution + post-pass. Zero is the
-// design target; the budget leaves room for a middlebox whose steady
-// state legitimately writes per-packet state (one map-value clone).
-const allocBudget = 2
+// pipeline: pre-pass + server execution + post-pass. All nine middleboxes
+// measure zero, so zero is the gate.
+const allocBudget = 0
+
+// slowPathAllocBudget is the budget for one new mazunat flow through
+// serverrt.Server.Process: the value tuples of its two table inserts
+// (built once, shared between the state and the update) and the update
+// list (sized once from the plan's count of recording statements).
+const slowPathAllocBudget = 3
 
 // resetPacket restores dst to the pristine packet while keeping dst's
 // gallium buffer capacity, so the measured loop replays the same flow
@@ -135,5 +141,48 @@ func TestFastPathAllocs(t *testing.T) {
 				t.Fatalf("steady-state pipeline allocates %.1f objects/packet, budget is %d", allocs, allocBudget)
 			}
 		})
+	}
+}
+
+// TestSlowPathAllocs gates the server's cost for a new flow: every run
+// sends the first packet of a flow the NAT has not seen.
+func TestSlowPathAllocs(t *testing.T) {
+	art, err := gallium.Compile(middleboxes.MazuNATSource, gallium.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := switchsim.New(art.Res)
+	srv := serverrt.New(art.Res)
+	pristine := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(9, 9, 9, 9), 1234, 80, packet.TCPOptions{})
+	buf := &packet.Packet{}
+	var failed error
+	flow := uint32(0)
+	newFlow := func() {
+		if failed != nil {
+			return
+		}
+		resetPacket(buf, pristine)
+		flow++
+		buf.IP.SrcIP = packet.IPv4Addr(10<<24 | flow)
+		pre, err := sw.ProcessPreShard(buf, 0, nil)
+		if err != nil || pre.Action != ir.ActionNext {
+			failed = fmt.Errorf("pre-pass of a new flow: %v %v", pre.Action, err)
+			return
+		}
+		res, err := srv.Process(buf)
+		if err != nil || len(res.Updates) != 2 {
+			failed = fmt.Errorf("new flow recorded %d updates (want its two table inserts): %v", len(res.Updates), err)
+		}
+	}
+	// Pre-size the state's maps so their growth is not charged to a packet.
+	for i := 0; i < 2000; i++ {
+		newFlow()
+	}
+	allocs := testing.AllocsPerRun(200, newFlow)
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if allocs > slowPathAllocBudget {
+		t.Fatalf("a new flow's Server.Process allocates %.1f objects, budget is %d", allocs, slowPathAllocBudget)
 	}
 }

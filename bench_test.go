@@ -258,6 +258,44 @@ func BenchmarkSwitchFastPath(b *testing.B) {
 	}
 }
 
+// BenchmarkPrePass measures the pre-pass the way the repository benchmark's
+// switchsim.pre_ns probe does: mazunat with 32,768 flows resident in both
+// tables, packets rotating over all of them, so every lookup probes a
+// table too large for the cache. BenchmarkSwitchFastPath's single entry
+// never leaves L1 and cannot see table layout at all.
+func BenchmarkPrePass(b *testing.B) {
+	art, err := gallium.Compile(middleboxes.MazuNATSource, gallium.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const flows = 32768
+	sw := switchsim.New(art.Res)
+	pkts := make([]packet.Packet, flows)
+	for i := range pkts {
+		src, sport, ext := packet.IPv4Addr(10<<24|uint32(i)*2654435761>>8), uint16(1024+i%60000), uint64(1024+i)
+		for _, u := range []switchsim.Update{
+			{Table: "nat_fwd", Key: ir.MakeMapKey(uint64(src), uint64(sport)), Vals: []uint64{ext}},
+			{Table: "nat_rev", Key: ir.MakeMapKey(ext), Vals: []uint64{uint64(src), uint64(sport)}},
+		} {
+			if err := sw.StageShard(0, u); err != nil {
+				b.Fatal(err)
+			}
+		}
+		pkts[i] = *packet.BuildTCP(src, packet.MakeIPv4Addr(93, 184, 216, 34), sport, 80, packet.TCPOptions{Flags: packet.TCPFlagACK})
+	}
+	sw.FlipShard(0)
+	var p packet.Packet
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p = pkts[i%flows] // the pass rewrites headers only
+		pre, err := sw.ProcessPreShard(&p, 0, nil)
+		if err != nil || pre.Action != ir.ActionSent {
+			b.Fatalf("flow %d: %v %v", i%flows, pre.Action, err)
+		}
+	}
+}
+
 // BenchmarkWriteback measures one control-plane write-back — stage and
 // flip an insert of a fresh key, then stage and flip its deletion — into
 // a table already holding n entries. It pins the write-back as O(1): the

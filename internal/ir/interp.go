@@ -233,22 +233,12 @@ func (s *State) Equal(o *State) bool {
 	return true
 }
 
-// StateAccess abstracts how instructions reach middlebox state. The plain
-// State implements it directly; the switch simulator substitutes an
-// implementation with write-back-table lookup semantics and read-only
-// enforcement (§4.3.3).
-type StateAccess interface {
-	MapFind(name string, key MapKey) ([]uint64, bool)
-	MapInsert(name string, key MapKey, vals []uint64) error
-	MapRemove(name string, key MapKey) error
-	VecGet(name string, idx uint64) (uint64, error)
-	VecLen(name string) uint64
-	GlobalLoad(name string) uint64
-	GlobalStore(name string, v uint64) error
-	LpmFind(name string, key uint64) ([]uint64, bool)
-}
+// The accessors below are how the reference interpreter (and, by name, the
+// server runtime) reach the state; the switch simulator has its own
+// implementation of PlanState with write-back-table lookup semantics and
+// read-only enforcement (§4.3.3).
 
-// MapFind implements StateAccess.
+// MapFind looks key up in the named map.
 func (s *State) MapFind(name string, key MapKey) ([]uint64, bool) {
 	vals, ok := s.Maps[name][key]
 	if ok && s.LastTouch != nil {
@@ -257,7 +247,7 @@ func (s *State) MapFind(name string, key MapKey) ([]uint64, bool) {
 	return vals, ok
 }
 
-// MapInsert implements StateAccess.
+// MapInsert stores vals under key in the named map.
 func (s *State) MapInsert(name string, key MapKey, vals []uint64) error {
 	s.Maps[name][key] = vals
 	if s.LastTouch != nil {
@@ -266,7 +256,7 @@ func (s *State) MapInsert(name string, key MapKey, vals []uint64) error {
 	return nil
 }
 
-// MapRemove implements StateAccess.
+// MapRemove deletes key from the named map.
 func (s *State) MapRemove(name string, key MapKey) error {
 	delete(s.Maps[name], key)
 	if s.LastTouch != nil {
@@ -299,7 +289,7 @@ func (s *State) stamp(name string, key MapKey) {
 	}
 }
 
-// VecGet implements StateAccess.
+// VecGet reads one element of the named vector.
 func (s *State) VecGet(name string, idx uint64) (uint64, error) {
 	vec := s.Vecs[name]
 	if idx >= uint64(len(vec)) {
@@ -308,23 +298,28 @@ func (s *State) VecGet(name string, idx uint64) (uint64, error) {
 	return vec[idx], nil
 }
 
-// VecLen implements StateAccess.
+// VecLen reports the named vector's length.
 func (s *State) VecLen(name string) uint64 { return uint64(len(s.Vecs[name])) }
 
-// GlobalLoad implements StateAccess.
+// GlobalLoad reads the named scalar.
 func (s *State) GlobalLoad(name string) uint64 { return s.Globals[name] }
 
-// GlobalStore implements StateAccess.
+// GlobalStore writes the named scalar.
 func (s *State) GlobalStore(name string, v uint64) error {
 	s.Globals[name] = v
 	return nil
 }
 
-// LpmFind implements StateAccess: longest matching prefix wins.
+// LpmFind looks key up in the named LPM table: longest matching prefix wins.
 func (s *State) LpmFind(name string, key uint64) ([]uint64, bool) {
+	return LongestPrefix(s.Lpms[name], key)
+}
+
+// LongestPrefix returns the value tuple of the longest entry matching key.
+func LongestPrefix(entries []LpmEntry, key uint64) ([]uint64, bool) {
 	best := -1
 	var vals []uint64
-	for _, e := range s.Lpms[name] {
+	for _, e := range entries {
 		if e.Matches(key) && e.PrefixLen > best {
 			best = e.PrefixLen
 			vals = e.Vals
@@ -340,11 +335,10 @@ func (s *State) AddRoute(name string, key uint64, prefixLen int, vals ...uint64)
 
 // Env is the execution context for one packet through one function.
 type Env struct {
+	// State is what the reference interpreter executes against; Plan.Exec
+	// takes its state as an argument and ignores it.
 	State *State
-	// Access overrides state access when non-nil (the switch simulator's
-	// view); otherwise State is used directly.
-	Access StateAccess
-	Pkt    *packet.Packet
+	Pkt   *packet.Packet
 	// Xfer is the flat transfer-variable scratchpad for partitioned
 	// functions, indexed by the compile-time slot of each XferLoad/
 	// XferStore (Instr.Slot, 1-based); nil for the reference program.
@@ -355,13 +349,19 @@ type Env struct {
 	// the (possibly grown) buffer back, so a pooled Env converges to
 	// zero-allocation execution.
 	Regs []uint64
+	// key is the scratch map key Plan.Exec builds lookups in.
+	key MapKey
 }
 
-func (e *Env) access() StateAccess {
-	if e.Access != nil {
-		return e.Access
+// regFile returns a zeroed register file of n registers, reusing Regs.
+func (e *Env) regFile(n int) []uint64 {
+	if cap(e.Regs) < n {
+		e.Regs = make([]uint64, n)
+		return e.Regs
 	}
-	return e.State
+	regs := e.Regs[:n]
+	clear(regs)
+	return regs
 }
 
 // Result reports what happened to the packet and how much work was done.
@@ -383,14 +383,7 @@ func (p *Program) Exec(env *Env) (Result, error) {
 
 // ExecFunc runs fn (the whole program or one partition) against env.
 func ExecFunc(p *Program, fn *Function, env *Env) (Result, error) {
-	var regs []uint64
-	if cap(env.Regs) >= len(fn.Regs) {
-		regs = env.Regs[:len(fn.Regs)]
-		clear(regs)
-	} else {
-		regs = make([]uint64, len(fn.Regs))
-		env.Regs = regs
-	}
+	regs := env.regFile(len(fn.Regs))
 	blk := fn.Blocks[0]
 	steps := 0
 	for {
@@ -472,7 +465,7 @@ func execInstr(p *Program, fn *Function, in *Instr, regs []uint64, env *Env) err
 		regs[in.Dst[0]] = hashValues(regs, in.Args) & U32.Mask()
 	case MapFind:
 		key := keyOf(regs, in.Args)
-		if vals, ok := env.access().MapFind(in.Obj, key); ok {
+		if vals, ok := env.State.MapFind(in.Obj, key); ok {
 			regs[in.Dst[0]] = 1
 			for i, r := range in.Dst[1:] {
 				regs[r] = mask(r, vals[i])
@@ -491,26 +484,26 @@ func execInstr(p *Program, fn *Function, in *Instr, regs []uint64, env *Env) err
 		for i, r := range in.Args[nk:] {
 			vals[i] = regs[r] & g.ValTypes[i].Mask()
 		}
-		if err := env.access().MapInsert(in.Obj, key, vals); err != nil {
+		if err := env.State.MapInsert(in.Obj, key, vals); err != nil {
 			return fmt.Errorf("ir: stmt %d: %w", in.ID, err)
 		}
 	case MapRemove:
-		if err := env.access().MapRemove(in.Obj, keyOf(regs, in.Args)); err != nil {
+		if err := env.State.MapRemove(in.Obj, keyOf(regs, in.Args)); err != nil {
 			return fmt.Errorf("ir: stmt %d: %w", in.ID, err)
 		}
 	case VecGet:
-		v, err := env.access().VecGet(in.Obj, regs[in.Args[0]])
+		v, err := env.State.VecGet(in.Obj, regs[in.Args[0]])
 		if err != nil {
 			return fmt.Errorf("ir: stmt %d: %w", in.ID, err)
 		}
 		regs[in.Dst[0]] = mask(in.Dst[0], v)
 	case VecLen:
-		regs[in.Dst[0]] = env.access().VecLen(in.Obj)
+		regs[in.Dst[0]] = env.State.VecLen(in.Obj)
 	case GlobalLoad:
-		regs[in.Dst[0]] = mask(in.Dst[0], env.access().GlobalLoad(in.Obj))
+		regs[in.Dst[0]] = mask(in.Dst[0], env.State.GlobalLoad(in.Obj))
 	case GlobalStore:
 		g := p.Global(in.Obj)
-		if err := env.access().GlobalStore(in.Obj, regs[in.Args[0]]&g.ValTypes[0].Mask()); err != nil {
+		if err := env.State.GlobalStore(in.Obj, regs[in.Args[0]]&g.ValTypes[0].Mask()); err != nil {
 			return fmt.Errorf("ir: stmt %d: %w", in.ID, err)
 		}
 	case XferLoad:
@@ -519,7 +512,7 @@ func execInstr(p *Program, fn *Function, in *Instr, regs []uint64, env *Env) err
 		}
 		regs[in.Dst[0]] = mask(in.Dst[0], env.Xfer[in.Slot-1])
 	case LpmFind:
-		if vals, ok := env.access().LpmFind(in.Obj, regs[in.Args[0]]); ok {
+		if vals, ok := env.State.LpmFind(in.Obj, regs[in.Args[0]]); ok {
 			regs[in.Dst[0]] = 1
 			for i, r := range in.Dst[1:] {
 				regs[r] = mask(r, vals[i])
@@ -616,17 +609,20 @@ func keyOf(regs []uint64, args []Reg) MapKey {
 // values. Both the reference interpreter and the switch/server runtimes
 // use it, so hashes agree across the partition boundary.
 func hashValues(regs []uint64, args []Reg) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+	h := uint64(fnvOffset)
 	for _, r := range args {
-		v := regs[r]
-		for i := 0; i < 8; i++ {
-			h ^= v >> (8 * i) & 0xFF
-			h *= prime
-		}
+		h = fnvMix(h, regs[r])
+	}
+	return h
+}
+
+const fnvOffset = 14695981039346656037
+
+// fnvMix folds v's eight bytes, low byte first, into the FNV-1a hash h.
+func fnvMix(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v >> (8 * i) & 0xFF
+		h *= 1099511628211
 	}
 	return h
 }

@@ -325,13 +325,24 @@ func boolBit(b bool) uint64 {
 	return 0
 }
 
-// headerFieldInfo describes a named packet header field usable by compiled
-// middlebox programs.
-type headerFieldInfo struct {
+// Field is a resolved packet header field usable by compiled middlebox
+// programs: the one handle behind both the by-name accessors (GetField,
+// SetField) and the execution plans, which resolve each name once at
+// lowering time (LookupField) and keep the handle.
+type Field struct {
 	bits int
 	get  func(p *Packet) uint64
 	set  func(p *Packet, v uint64)
 }
+
+// Bits reports the field's width in bits.
+func (f *Field) Bits() int { return f.bits }
+
+// Get reads the field from p.
+func (f *Field) Get(p *Packet) uint64 { return f.get(p) }
+
+// Set writes the field on p.
+func (f *Field) Set(p *Packet, v uint64) { f.set(p, v) }
 
 // headerFields is the table of packet header fields addressable from
 // MiniClick programs and compiled P4 pipelines. The names mirror the field
@@ -368,14 +379,14 @@ func udpField(get func(*Packet) uint64, set func(*Packet, uint64)) (func(*Packet
 		}
 }
 
-func guardedTCP(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) headerFieldInfo {
+func guardedTCP(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) *Field {
 	g, s := tcpField(get, set)
-	return headerFieldInfo{bits, g, s}
+	return &Field{bits, g, s}
 }
 
-func guardedUDP(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) headerFieldInfo {
+func guardedUDP(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) *Field {
 	g, s := udpField(get, set)
-	return headerFieldInfo{bits, g, s}
+	return &Field{bits, g, s}
 }
 
 // guardedIP / guardedIP6 gate accessors on the presence of the (inner)
@@ -384,8 +395,8 @@ func guardedUDP(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) h
 // IPv6 frames first-class this matters for the ip.* fields too — a
 // program probing p.ip.ttl on a v6 packet must see the same zero on the
 // switch partition and the server partition.
-func guardedIP(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) headerFieldInfo {
-	return headerFieldInfo{bits,
+func guardedIP(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) *Field {
+	return &Field{bits,
 		func(p *Packet) uint64 {
 			if !p.HasIP {
 				return 0
@@ -399,8 +410,8 @@ func guardedIP(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) he
 		}}
 }
 
-func guardedIP6(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) headerFieldInfo {
-	return headerFieldInfo{bits,
+func guardedIP6(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) *Field {
+	return &Field{bits,
 		func(p *Packet) uint64 {
 			if !p.HasIP6 {
 				return 0
@@ -419,8 +430,8 @@ func guardedIP6(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) h
 // every tun.* access implicitly reads the tunnel mode, because writing
 // p.tun.mode changes whether a tun.src/dst/key access takes effect —
 // deps.RWSets models that aliasing explicitly.
-func guardedTun(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) headerFieldInfo {
-	return headerFieldInfo{bits,
+func guardedTun(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) *Field {
+	return &Field{bits,
 		func(p *Packet) uint64 {
 			if !p.HasOuter {
 				return 0
@@ -434,7 +445,7 @@ func guardedTun(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) h
 		}}
 }
 
-var headerFields = map[string]headerFieldInfo{
+var headerFields = map[string]*Field{
 	"ip.saddr":   guardedIP(32, func(p *Packet) uint64 { return uint64(p.IP.SrcIP) }, func(p *Packet, v uint64) { p.IP.SrcIP = IPv4Addr(v) }),
 	"ip.daddr":   guardedIP(32, func(p *Packet) uint64 { return uint64(p.IP.DstIP) }, func(p *Packet, v uint64) { p.IP.DstIP = IPv4Addr(v) }),
 	"ip.proto":   guardedIP(8, func(p *Packet) uint64 { return uint64(p.IP.Protocol) }, func(p *Packet, v uint64) { p.IP.Protocol = IPProtocol(v) }),
@@ -546,9 +557,9 @@ var headerFields = map[string]headerFieldInfo{
 				p.TCP.MSS = uint16(v)
 			}
 		}),
-	"udp.sport":  guardedUDP(16, func(p *Packet) uint64 { return uint64(p.UDP.SrcPort) }, func(p *Packet, v uint64) { p.UDP.SrcPort = uint16(v) }),
-	"udp.dport":  guardedUDP(16, func(p *Packet) uint64 { return uint64(p.UDP.DstPort) }, func(p *Packet, v uint64) { p.UDP.DstPort = uint16(v) }),
-	"udp.len":    guardedUDP(16, func(p *Packet) uint64 { return uint64(p.UDP.Length) }, func(p *Packet, v uint64) { p.UDP.Length = uint16(v) }),
+	"udp.sport": guardedUDP(16, func(p *Packet) uint64 { return uint64(p.UDP.SrcPort) }, func(p *Packet, v uint64) { p.UDP.SrcPort = uint16(v) }),
+	"udp.dport": guardedUDP(16, func(p *Packet) uint64 { return uint64(p.UDP.DstPort) }, func(p *Packet, v uint64) { p.UDP.DstPort = uint16(v) }),
+	"udp.len":   guardedUDP(16, func(p *Packet) uint64 { return uint64(p.UDP.Length) }, func(p *Packet, v uint64) { p.UDP.Length = uint16(v) }),
 
 	// Unified transport ports: in P4 these are common metadata fields the
 	// parser fills from whichever L4 header is present, letting middlebox
@@ -591,10 +602,16 @@ var headerFields = map[string]headerFieldInfo{
 		}},
 }
 
+// LookupField resolves a header field name to its handle.
+func LookupField(name string) (*Field, bool) {
+	f, ok := headerFields[name]
+	return f, ok
+}
+
 // HeaderFieldBits reports the width in bits of a named header field, and
 // whether the name is known.
 func HeaderFieldBits(name string) (int, bool) {
-	f, ok := headerFields[name]
+	f, ok := LookupField(name)
 	if !ok {
 		return 0, false
 	}
@@ -612,19 +629,19 @@ func HeaderFieldNames() []string {
 
 // GetField reads a named header field from the packet.
 func (p *Packet) GetField(name string) (uint64, error) {
-	f, ok := headerFields[name]
+	f, ok := LookupField(name)
 	if !ok {
 		return 0, fmt.Errorf("packet: unknown header field %q", name)
 	}
-	return f.get(p), nil
+	return f.Get(p), nil
 }
 
 // SetField writes a named header field on the packet.
 func (p *Packet) SetField(name string, v uint64) error {
-	f, ok := headerFields[name]
+	f, ok := LookupField(name)
 	if !ok {
 		return fmt.Errorf("packet: unknown header field %q", name)
 	}
-	f.set(p, v)
+	f.Set(p, v)
 	return nil
 }

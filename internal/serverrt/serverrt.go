@@ -10,6 +10,7 @@ package serverrt
 
 import (
 	"fmt"
+	"slices"
 
 	"gallium/internal/ir"
 	"gallium/internal/obs"
@@ -38,10 +39,17 @@ type Server struct {
 	Res   *partition.Result
 	State *ir.State
 
-	replicated map[string]bool
-	// cached marks tables running in §7 cache mode: authoritative hits
-	// are republished to the switch as read-through fills.
-	cached map[string]bool
+	// srv and full are the server partition and the whole program lowered
+	// to execution plans, once, at New; srvRecords and fullRecords are their
+	// static counts of statements that can record an update, which size a
+	// packet's update list in one allocation.
+	srv, full               *ir.Plan
+	srvRecords, fullRecords int
+
+	// replicated and cached are indexed like Res.Prog.Globals. cached marks
+	// tables running in §7 cache mode: authoritative hits are republished
+	// to the switch as read-through fills.
+	replicated, cached []bool
 
 	// Reusable per-packet scratch (single-goroutine use).
 	rec  recorder
@@ -101,9 +109,11 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		cacheMisses:  reg.Counter("server.cache.misses"),
 		cacheFills:   reg.Counter("server.cache.fills"),
 	}
-	s.fills = make(map[string]*obs.Counter, len(s.cached))
-	for name := range s.cached {
-		s.fills[name] = reg.Counter("server.cache." + name + ".fills")
+	s.fills = map[string]*obs.Counter{}
+	for gi, g := range s.Res.Prog.Globals {
+		if s.cached[gi] {
+			s.fills[g.Name] = reg.Counter("server.cache." + g.Name + ".fills")
+		}
 	}
 }
 
@@ -112,18 +122,43 @@ func New(res *partition.Result) *Server {
 	s := &Server{
 		Res:        res,
 		State:      ir.NewState(res.Prog),
-		replicated: map[string]bool{},
-		cached:     map[string]bool{},
+		srv:        ir.CompilePlan(res.Prog, res.SrvFn),
+		full:       ir.CompilePlan(res.Prog, res.Prog.Fn),
+		replicated: make([]bool, len(res.Prog.Globals)),
+		cached:     make([]bool, len(res.Prog.Globals)),
+	}
+	index := make(map[string]int, len(res.Prog.Globals))
+	for gi, g := range res.Prog.Globals {
+		index[g.Name] = gi
 	}
 	for _, gn := range res.OffloadedGlobals {
-		s.replicated[gn] = true
-		g := res.Prog.Global(gn)
-		if g.Kind == ir.KindMap {
+		gi := index[gn]
+		s.replicated[gi] = true
+		if g := res.Prog.Globals[gi]; g.Kind == ir.KindMap {
 			if cap := res.Cons.CacheFor(gn); cap > 0 && cap < g.MaxEntries {
-				s.cached[gn] = true
+				s.cached[gi] = true
 			}
 		}
 	}
+	// recording counts fn's statements that can record an update: writes to
+	// replicated globals and finds on §7 cache tables.
+	recording := func(fn *ir.Function) (n int) {
+		for _, in := range fn.Stmts() {
+			gi, isGlobal := index[in.Obj]
+			switch in.Kind {
+			case ir.MapInsert, ir.MapRemove, ir.GlobalStore:
+				if isGlobal && s.replicated[gi] {
+					n++
+				}
+			case ir.MapFind:
+				if isGlobal && s.cached[gi] {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	s.srvRecords, s.fullRecords = recording(res.SrvFn), recording(res.Prog.Fn)
 	s.rec.srv = s
 	s.xfer = make([]uint64, res.NumXferSlots)
 	s.xferA = compileXferFields(res.TransferA, res.FormatA)
@@ -131,16 +166,29 @@ func New(res *partition.Result) *Server {
 	return s
 }
 
-// recorder applies state mutations locally and records those that touch
-// replicated state.
+// recorder is the server's ir.PlanState: it applies state mutations to the
+// authoritative State (by name — ir.State is keyed that way) and records
+// those that touch replicated state.
 type recorder struct {
 	srv     *Server
 	updates []switchsim.Update
+	// room is the capacity the first update of a packet allocates.
+	room int
 }
 
-func (r *recorder) MapFind(name string, key ir.MapKey) ([]uint64, bool) {
-	vals, ok := r.srv.State.MapFind(name, key)
-	if r.srv.reg != nil && r.srv.cached[name] {
+func (r *recorder) name(g int) string { return r.srv.Res.Prog.Globals[g].Name }
+
+func (r *recorder) record(u switchsim.Update) {
+	if r.updates == nil {
+		r.updates = make([]switchsim.Update, 0, r.room)
+	}
+	r.updates = append(r.updates, u)
+}
+
+func (r *recorder) MapFind(g int, key *ir.MapKey) ([]uint64, bool) {
+	name, cached := r.name(g), r.srv.cached[g]
+	vals, ok := r.srv.State.MapFind(name, *key)
+	if r.srv.reg != nil && cached {
 		r.srv.c.cacheLookups.Inc()
 		if ok {
 			r.srv.c.cacheHits.Inc()
@@ -148,12 +196,10 @@ func (r *recorder) MapFind(name string, key ir.MapKey) ([]uint64, bool) {
 			r.srv.c.cacheMisses.Inc()
 		}
 	}
-	if ok && r.srv.cached[name] {
+	if ok && cached {
 		// Read-through fill (§7 cache mode): republish the entry so the
 		// switch cache can serve the next packets of this flow.
-		r.updates = append(r.updates, switchsim.Update{
-			Table: name, Key: key, Vals: append([]uint64(nil), vals...), ReadFill: true,
-		})
+		r.record(switchsim.Update{Table: name, Key: *key, Vals: slices.Clone(vals), ReadFill: true})
 		if r.srv.reg != nil {
 			r.srv.c.cacheFills.Inc()
 			r.srv.fills[name].Inc()
@@ -162,37 +208,40 @@ func (r *recorder) MapFind(name string, key ir.MapKey) ([]uint64, bool) {
 	return vals, ok
 }
 
-func (r *recorder) MapInsert(name string, key ir.MapKey, vals []uint64) error {
-	if r.srv.replicated[name] {
-		r.updates = append(r.updates, switchsim.Update{Table: name, Key: key, Vals: append([]uint64(nil), vals...)})
+// MapInsert shares vals between the state and the update: the plan built
+// the slice for this insert and nothing mutates a stored value tuple (the
+// switch copies it when the update is staged).
+func (r *recorder) MapInsert(g int, key *ir.MapKey, vals []uint64) error {
+	if r.srv.replicated[g] {
+		r.record(switchsim.Update{Table: r.name(g), Key: *key, Vals: vals})
 	}
-	return r.srv.State.MapInsert(name, key, vals)
+	return r.srv.State.MapInsert(r.name(g), *key, vals)
 }
 
-func (r *recorder) MapRemove(name string, key ir.MapKey) error {
-	if r.srv.replicated[name] {
-		r.updates = append(r.updates, switchsim.Update{Table: name, Key: key, Delete: true})
+func (r *recorder) MapRemove(g int, key *ir.MapKey) error {
+	if r.srv.replicated[g] {
+		r.record(switchsim.Update{Table: r.name(g), Key: *key, Delete: true})
 	}
-	return r.srv.State.MapRemove(name, key)
+	return r.srv.State.MapRemove(r.name(g), *key)
 }
 
-func (r *recorder) VecGet(name string, idx uint64) (uint64, error) {
-	return r.srv.State.VecGet(name, idx)
+func (r *recorder) VecGet(g int, idx uint64) (uint64, error) {
+	return r.srv.State.VecGet(r.name(g), idx)
 }
 
-func (r *recorder) VecLen(name string) uint64 { return r.srv.State.VecLen(name) }
+func (r *recorder) VecLen(g int) uint64 { return r.srv.State.VecLen(r.name(g)) }
 
-func (r *recorder) GlobalLoad(name string) uint64 { return r.srv.State.GlobalLoad(name) }
+func (r *recorder) GlobalLoad(g int) uint64 { return r.srv.State.GlobalLoad(r.name(g)) }
 
-func (r *recorder) LpmFind(name string, key uint64) ([]uint64, bool) {
-	return r.srv.State.LpmFind(name, key)
+func (r *recorder) LpmFind(g int, key uint64) ([]uint64, bool) {
+	return r.srv.State.LpmFind(r.name(g), key)
 }
 
-func (r *recorder) GlobalStore(name string, v uint64) error {
-	if r.srv.replicated[name] {
-		r.updates = append(r.updates, switchsim.Update{Register: name, RegVal: v})
+func (r *recorder) GlobalStore(g int, v uint64) error {
+	if r.srv.replicated[g] {
+		r.record(switchsim.Update{Register: r.name(g), RegVal: v})
 	}
-	return r.srv.State.GlobalStore(name, v)
+	return r.srv.State.GlobalStore(r.name(g), v)
 }
 
 // SetClock sets the virtual time and traffic class stamped onto
@@ -222,8 +271,7 @@ func (s *Server) Process(pkt *packet.Packet) (Result, error) {
 	}
 	pkt.StripGallium()
 
-	env := s.scratchEnv(pkt, xfer)
-	r, err := ir.ExecFunc(s.Res.Prog, s.Res.SrvFn, env)
+	r, err := s.exec(s.srv, s.srvRecords, pkt, xfer)
 	if err != nil {
 		return Result{}, fmt.Errorf("serverrt: %w", err)
 	}
@@ -252,15 +300,14 @@ func (s *Server) scratchXfer() []uint64 {
 	return s.xfer
 }
 
-// scratchEnv wires the reusable environment for one execution. The env's
-// register file (Env.Regs) is retained across packets and reused by the
-// interpreter.
-func (s *Server) scratchEnv(pkt *packet.Packet, xfer []uint64) *ir.Env {
-	s.env.State = s.State
-	s.env.Access = &s.rec
+// exec runs plan over pkt in the reusable environment, whose register file
+// (Env.Regs) is retained across packets; records is the plan's static count
+// of recording statements.
+func (s *Server) exec(plan *ir.Plan, records int, pkt *packet.Packet, xfer []uint64) (ir.Result, error) {
+	s.rec.room = records
 	s.env.Pkt = pkt
 	s.env.Xfer = xfer
-	return &s.env
+	return plan.Exec(&s.rec, &s.env)
 }
 
 // takeUpdates hands ownership of the recorded updates to the caller (they
@@ -281,8 +328,7 @@ func (s *Server) ProcessFull(pkt *packet.Packet) (Result, error) {
 	if pkt.HasGallium {
 		return Result{}, fmt.Errorf("serverrt: punted packet unexpectedly carries a gallium header")
 	}
-	env := s.scratchEnv(pkt, nil)
-	r, err := ir.ExecFunc(s.Res.Prog, s.Res.Prog.Fn, env)
+	r, err := s.exec(s.full, s.fullRecords, pkt, nil)
 	if err != nil {
 		return Result{}, fmt.Errorf("serverrt: full program: %w", err)
 	}

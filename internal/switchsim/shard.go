@@ -2,7 +2,7 @@ package switchsim
 
 import (
 	"fmt"
-	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -82,7 +82,9 @@ func (sw *Switch) statsFor(shard int) *laneStats {
 // pending batch, invisible until FlipShard. It takes only the shard's own
 // mutex — concurrent shards stage without serializing on each other. An
 // out-of-range shard is an error, so nothing can be pending where
-// FlipShard would not find it.
+// FlipShard would not find it. A key or value tuple whose arity disagrees
+// with the table's declaration is an error here, so the flip and the data
+// plane only ever meet well-formed entries.
 func (sw *Switch) StageShard(shard int, u Update) error {
 	if shard < 0 || shard >= len(sw.lanes) {
 		return fmt.Errorf("switchsim: shard %d out of range (%d shards)", shard, len(sw.lanes))
@@ -94,17 +96,17 @@ func (sw *Switch) StageShard(shard int, u Update) error {
 	ln.stats.ctlOps.Add(1)
 	v.obs.ctlOps.Inc()
 	v.obs.ctlStaged.Inc()
-	t, resident := v.tables[u.Table]
+	t, resident := sw.Table(u.Table)
 	switch {
 	case u.Register != "":
-		if _, ok := v.registers[u.Register]; !ok {
+		if _, ok := sw.global(u.Register, ir.KindScalar); !ok {
 			return fmt.Errorf("switchsim: register %q not resident", u.Register)
 		}
 	case u.Vec != "":
-		if err := sw.checkVector(u.Vec, u.VecVals); err != nil {
+		if _, err := sw.checkVector(u.Vec, u.VecVals); err != nil {
 			return err
 		}
-		u.VecVals = append([]uint64(nil), u.VecVals...)
+		u.VecVals = slices.Clone(u.VecVals)
 	case !resident:
 		return fmt.Errorf("switchsim: table %q not resident", u.Table)
 	case u.Replace:
@@ -113,23 +115,48 @@ func (sw *Switch) StageShard(shard int, u Update) error {
 		}
 		entries := make(map[ir.MapKey][]uint64, len(u.Entries))
 		for k, vals := range u.Entries {
-			entries[k] = append([]uint64(nil), vals...)
+			if err := t.checkEntry(&k, vals); err != nil {
+				return err
+			}
+			entries[k] = slices.Clone(vals)
 		}
 		u.Entries = entries
 	case u.Delete:
+		if err := t.checkKey(&u.Key); err != nil {
+			return err
+		}
 		if u.Expire {
 			ln.stats.expired.Add(1)
 			v.obs.expired.Inc()
 		}
 	default:
+		if err := t.checkEntry(&u.Key, u.Vals); err != nil {
+			return err
+		}
 		if t.capacity > 0 && !t.cached && t.live.Load()+t.staged.Load() >= int64(t.capacity) && !ln.overwrites(v, t, &u) {
 			return fmt.Errorf("%w: %q (%d entries)", ErrTableFull, u.Table, t.capacity)
 		}
 		t.staged.Add(1)
-		u.Vals = append([]uint64(nil), u.Vals...)
+		u.Vals = slices.Clone(u.Vals)
 	}
 	ln.pending = append(ln.pending, u)
 	return nil
+}
+
+// checkKey rejects a key whose width is not the one the table's global
+// declares; checkEntry a value tuple's as well.
+func (t *Table) checkKey(key *ir.MapKey) error {
+	if int(key.N) != t.nk {
+		return fmt.Errorf("switchsim: table %q: key has %d components, declared %d", t.name, key.N, t.nk)
+	}
+	return nil
+}
+
+func (t *Table) checkEntry(key *ir.MapKey, vals []uint64) error {
+	if len(vals) != t.nv {
+		return fmt.Errorf("switchsim: table %q: entry has %d values, declared %d", t.name, len(vals), t.nv)
+	}
+	return t.checkKey(key)
 }
 
 // overwrites reports whether u's key is already visible or already has an
@@ -179,30 +206,37 @@ func (sw *Switch) FlipShard(shard int) {
 	ownRegs, ownVecs := false, false // nv's maps are still cur's until written
 	for i := range ln.pending {
 		u := &ln.pending[i]
-		t := cur.tables[u.Table] // nil for a register or a vector
+		// StageShard checked that the one name u carries is resident.
 		switch {
 		case u.Register != "":
 			if !ownRegs {
-				nv.registers, ownRegs = maps.Clone(cur.registers), true
+				nv.registers, ownRegs = slices.Clone(cur.registers), true
 			}
-			nv.registers[u.Register] = u.RegVal
+			nv.registers[sw.globals[u.Register]] = u.RegVal
 		case u.Vec != "":
 			if !ownVecs {
-				nv.vecs, ownVecs = maps.Clone(cur.vecs), true
+				nv.vecs, ownVecs = slices.Clone(cur.vecs), true
 			}
-			nv.vecs[u.Vec] = u.VecVals
-		case u.Replace:
-			t.replace(cur, u.Entries)
-		case u.Delete:
-			t.write(cur, &node{key: u.Key, dead: true})
+			nv.vecs[sw.globals[u.Vec]] = u.VecVals
 		default:
-			t.staged.Add(-1)
-			t.write(cur, &node{key: u.Key, vals: u.Vals})
+			t := sw.tables[sw.globals[u.Table]]
+			switch {
+			case u.Replace:
+				t.replace(cur, u.Entries)
+			case u.Delete:
+				t.write(cur, t.newNode(u.Key.K[:t.nk], nil, true))
+			default:
+				t.staged.Add(-1)
+				t.write(cur, t.newNode(u.Key.K[:t.nk], u.Vals, false))
+			}
 		}
 	}
 	ln.pending = nil
 	if sw.hasCacheTables {
-		for _, t := range cur.tables {
+		for _, t := range sw.tables {
+			if t == nil {
+				continue
+			}
 			if n := t.evict(cur); n > 0 {
 				sw.evictions.Add(int64(n))
 				cur.obs.evict.Add(uint64(n))

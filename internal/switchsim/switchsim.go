@@ -15,7 +15,7 @@ package switchsim
 import (
 	"errors"
 	"fmt"
-	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -117,6 +117,17 @@ type Switch struct {
 	// view is the published data-plane view.
 	view atomic.Pointer[view]
 
+	// pre and post are the two switch partitions lowered to execution
+	// plans, once, at New.
+	pre, post *ir.Plan
+	// globals maps a global's name to its index in Res.Prog.Globals — the
+	// index the plans and the views address state by — and resident marks
+	// the indices that are offloaded. tables lists the replicated tables by
+	// the same index (nil elsewhere); all three are fixed at New.
+	globals  map[string]int
+	resident []bool
+	tables   []*Table
+
 	// hasCacheTables is set when any table runs in §7 cache mode.
 	hasCacheTables bool
 	// lanes hold what is per shard: the pending batch and the counter
@@ -152,13 +163,13 @@ type xferField struct {
 // garbage the moment the last pass holding it returns.
 type view struct {
 	epoch uint64
-	// tables is fixed at New and shared by every view.
-	tables map[string]*Table
 	// registers, vecs (offloaded vector contents) and lpms (offloaded LPM
-	// tables, §7) are replaced wholesale by the flip that changes them.
-	registers map[string]uint64
-	vecs      map[string][]uint64
-	lpms      map[string][]ir.LpmEntry
+	// tables, §7) are indexed like Program.Globals (zero where the global
+	// is of another kind or not offloaded) and replaced wholesale by the
+	// flip that changes them.
+	registers []uint64
+	vecs      [][]uint64
+	lpms      [][]ir.LpmEntry
 	// obs travels with the view so Instrument (a control-plane write) is
 	// an ordinary publication.
 	obs *switchObs
@@ -171,7 +182,7 @@ type view struct {
 
 // successor starts the view that follows cur, sharing all its content.
 func (cur *view) successor() *view {
-	return &view{epoch: cur.epoch + 1, tables: cur.tables, registers: cur.registers,
+	return &view{epoch: cur.epoch + 1, registers: cur.registers,
 		vecs: cur.vecs, lpms: cur.lpms, obs: cur.obs}
 }
 
@@ -225,8 +236,11 @@ func (sw *Switch) Instrument(reg *obs.Registry) {
 		hPost:        reg.Histogram("switch.post.steps", obs.StepBuckets),
 		epoch:        reg.Gauge("switch.snapshot.epoch"),
 	}
-	for name, t := range nv.tables {
-		prefix := "switch.table." + name + "."
+	for _, t := range sw.tables {
+		if t == nil {
+			continue
+		}
+		prefix := "switch.table." + t.name + "."
 		m := &tableObs{
 			lookups: reg.Counter(prefix + "lookups"),
 			hits:    reg.Counter(prefix + "hits"),
@@ -245,37 +259,40 @@ func (sw *Switch) TraceHop(h *obs.Hop) { sw.hop = h }
 
 // New loads a partitioned middlebox onto a fresh switch.
 func New(res *partition.Result) *Switch {
-	sw := &Switch{Res: res, lanes: []*ctlLane{{}}}
-	v := &view{
-		epoch:     1,
-		tables:    map[string]*Table{},
-		registers: map[string]uint64{},
-		vecs:      map[string][]uint64{},
-		lpms:      map[string][]ir.LpmEntry{},
-		obs:       &switchObs{},
+	n := len(res.Prog.Globals)
+	sw := &Switch{Res: res, lanes: []*ctlLane{{}},
+		pre: ir.CompilePlan(res.Prog, res.PreFn), post: ir.CompilePlan(res.Prog, res.PostFn),
+		globals: make(map[string]int, n), resident: make([]bool, n), tables: make([]*Table, n)}
+	for i, g := range res.Prog.Globals {
+		sw.globals[g.Name] = i
 	}
 	for _, gn := range res.OffloadedGlobals {
-		g := res.Prog.Global(gn)
-		switch g.Kind {
-		case ir.KindMap:
+		gi := sw.globals[gn]
+		sw.resident[gi] = true
+		if g := res.Prog.Globals[gi]; g.Kind == ir.KindMap {
 			if cap := res.Cons.CacheFor(gn); cap > 0 && cap < g.MaxEntries {
-				v.tables[gn] = newTable(sw, cap, true)
+				sw.tables[gi] = newTable(sw, g, cap, true)
 				sw.hasCacheTables = true
 			} else {
-				v.tables[gn] = newTable(sw, g.MaxEntries, false)
+				sw.tables[gi] = newTable(sw, g, g.MaxEntries, false)
 			}
-		case ir.KindVec:
-			v.vecs[gn] = nil
-		case ir.KindScalar:
-			v.registers[gn] = 0
-		case ir.KindLPM:
-			v.lpms[gn] = nil
 		}
 	}
 	sw.xferA = compileXferFields(res.TransferA, res.FormatA)
 	sw.xferB = compileXferFields(res.TransferB, res.FormatB)
-	sw.view.Store(v)
+	sw.view.Store(&view{epoch: 1, registers: make([]uint64, n), vecs: make([][]uint64, n),
+		lpms: make([][]ir.LpmEntry, n), obs: &switchObs{}})
 	return sw
+}
+
+// global resolves the name of an offloaded global of the given kind to
+// its index (control plane only; the data plane is bound by index).
+func (sw *Switch) global(name string, kind ir.GlobalKind) (int, bool) {
+	gi, ok := sw.globals[name]
+	if !ok || !sw.resident[gi] || sw.Res.Prog.Globals[gi].Kind != kind {
+		return 0, false
+	}
+	return gi, true
 }
 
 // compileXferFields resolves each transfer variable to its scratchpad slot
@@ -332,18 +349,27 @@ func (sw *Switch) SeedFrom(st *ir.State) error {
 // LoadLPM installs the entries of an offloaded LPM table (control plane;
 // LPM tables are configuration state).
 func (sw *Switch) LoadLPM(name string, entries []ir.LpmEntry) error {
+	gi, ok := sw.global(name, ir.KindLPM)
+	if !ok {
+		return fmt.Errorf("switchsim: lpm table %q is not offloaded", name)
+	}
+	g := sw.Res.Prog.Globals[gi]
+	if g.MaxEntries > 0 && len(entries) > g.MaxEntries {
+		return fmt.Errorf("switchsim: lpm %q: %d entries exceed annotation %d", name, len(entries), g.MaxEntries)
+	}
+	for _, e := range entries {
+		if e.PrefixLen < 0 || e.PrefixLen > 32 {
+			return fmt.Errorf("switchsim: lpm %q: prefix length %d outside 0..32", name, e.PrefixLen)
+		}
+		if len(e.Vals) != len(g.ValTypes) {
+			return fmt.Errorf("switchsim: lpm %q: entry has %d values, declared %d", name, len(e.Vals), len(g.ValTypes))
+		}
+	}
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	nv := sw.view.Load().successor()
-	if _, ok := nv.lpms[name]; !ok {
-		return fmt.Errorf("switchsim: lpm table %q is not offloaded", name)
-	}
-	g := sw.Res.Prog.Global(name)
-	if g != nil && g.MaxEntries > 0 && len(entries) > g.MaxEntries {
-		return fmt.Errorf("switchsim: lpm %q: %d entries exceed annotation %d", name, len(entries), g.MaxEntries)
-	}
-	nv.lpms = maps.Clone(nv.lpms)
-	nv.lpms[name] = append([]ir.LpmEntry(nil), entries...)
+	nv.lpms = slices.Clone(nv.lpms)
+	nv.lpms[gi] = slices.Clone(entries)
 	sw.publishLocked(nv)
 	return nil
 }
@@ -351,28 +377,30 @@ func (sw *Switch) LoadLPM(name string, entries []ir.LpmEntry) error {
 // LoadVector installs offloaded vector contents (switch-resident
 // configuration such as a backend pool).
 func (sw *Switch) LoadVector(name string, vals []uint64) error {
-	if err := sw.checkVector(name, vals); err != nil {
+	gi, err := sw.checkVector(name, vals)
+	if err != nil {
 		return err
 	}
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	nv := sw.view.Load().successor()
-	nv.vecs = maps.Clone(nv.vecs)
-	nv.vecs[name] = append([]uint64(nil), vals...)
+	nv.vecs = slices.Clone(nv.vecs)
+	nv.vecs[gi] = slices.Clone(vals)
 	sw.publishLocked(nv)
 	return nil
 }
 
-// checkVector validates a replacement for an offloaded vector.
-func (sw *Switch) checkVector(name string, vals []uint64) error {
-	if _, ok := sw.view.Load().vecs[name]; !ok {
-		return fmt.Errorf("switchsim: vector %q is not offloaded", name)
+// checkVector validates a replacement for an offloaded vector and resolves
+// its index.
+func (sw *Switch) checkVector(name string, vals []uint64) (int, error) {
+	gi, ok := sw.global(name, ir.KindVec)
+	if !ok {
+		return 0, fmt.Errorf("switchsim: vector %q is not offloaded", name)
 	}
-	g := sw.Res.Prog.Global(name)
-	if g != nil && g.MaxEntries > 0 && len(vals) > g.MaxEntries {
-		return fmt.Errorf("switchsim: vector %q: %d entries exceed annotation %d", name, len(vals), g.MaxEntries)
+	if g := sw.Res.Prog.Globals[gi]; g.MaxEntries > 0 && len(vals) > g.MaxEntries {
+		return 0, fmt.Errorf("switchsim: vector %q: %d entries exceed annotation %d", name, len(vals), g.MaxEntries)
 	}
-	return nil
+	return gi, nil
 }
 
 // Stats returns a snapshot of activity counters. Data-plane and staging
@@ -384,7 +412,7 @@ func (sw *Switch) Stats() Stats {
 		Evictions:    int(sw.evictions.Load()),
 		Reconfigs:    int(sw.reconfigs.Load()),
 		Epoch:        v.epoch,
-		TableEntries: make(map[string]int, len(v.tables)),
+		TableEntries: map[string]int{},
 	}
 	for _, ln := range sw.lanes {
 		ls := &ln.stats
@@ -399,16 +427,21 @@ func (sw *Switch) Stats() Stats {
 		s.Expired += int(ls.expired.Load())
 		s.StepsTotal += int(ls.stepsTotal.Load())
 	}
-	for n, t := range v.tables {
-		s.TableEntries[n] = t.Len()
+	for _, t := range sw.tables {
+		if t != nil {
+			s.TableEntries[t.name] = t.Len()
+		}
 	}
 	return s
 }
 
 // Table returns a read-only handle on a replicated table.
 func (sw *Switch) Table(name string) (*Table, bool) {
-	t, ok := sw.view.Load().tables[name]
-	return t, ok
+	gi, ok := sw.global(name, ir.KindMap)
+	if !ok {
+		return nil, false
+	}
+	return sw.tables[gi], true
 }
 
 // VisibleEntry reports whether the named table currently serves key on the
@@ -425,8 +458,11 @@ func (sw *Switch) VisibleEntry(table string, key ir.MapKey) (visible, cached boo
 
 // Register reads a switch register (the data plane's published value).
 func (sw *Switch) Register(name string) (uint64, bool) {
-	v, ok := sw.view.Load().registers[name]
-	return v, ok
+	gi, ok := sw.global(name, ir.KindScalar)
+	if !ok {
+		return 0, false
+	}
+	return sw.view.Load().registers[gi], true
 }
 
 // MarkReconfig accounts one applied control-plane reconfiguration batch (a
@@ -443,13 +479,15 @@ func (sw *Switch) MarkReconfig() {
 // reconfiguration has reached in-flight packets.
 func (sw *Switch) Epoch() uint64 { return sw.view.Load().epoch }
 
-// access adapts one pinned view to the interpreter; the data plane may
+// access is a plan's PlanState over one pinned view; the data plane may
 // only read (the partitioner guarantees no offloaded writes, and the
-// simulator enforces it). cacheMiss records lookups that missed a §7 cache
-// table — the packet must then punt to the server, whose state is
-// authoritative. It is used by pointer (embedded in the pooled execCtx) so
-// handing it to the interpreter's Access interface never allocates.
+// simulator enforces it). Globals arrive as indices the plan bound at
+// lowering time, so a lookup resolves nothing by name. cacheMiss records
+// lookups that missed a §7 cache table — the packet must then punt to the
+// server, whose state is authoritative. It is used by pointer (embedded in
+// the pooled execCtx) so handing it to Plan.Exec never allocates.
 type access struct {
+	sw        *Switch
 	v         *view
 	hop       *obs.Hop
 	cacheMiss bool
@@ -460,14 +498,14 @@ type access struct {
 	onTouch func(table string, key ir.MapKey)
 }
 
-func (a *access) MapFind(name string, key ir.MapKey) ([]uint64, bool) {
-	t, ok := a.v.tables[name]
-	if !ok {
+func (a *access) MapFind(g int, key *ir.MapKey) ([]uint64, bool) {
+	t := a.sw.tables[g]
+	if t == nil {
 		return nil, false
 	}
-	vals, hit := t.lookup(a.v, &key)
+	vals, hit := t.lookup(a.v, key)
 	if hit && a.onTouch != nil {
-		a.onTouch(name, key)
+		a.onTouch(t.name, *key)
 	}
 	if m := t.obs.Load(); m != nil {
 		m.lookups.Inc()
@@ -477,57 +515,50 @@ func (a *access) MapFind(name string, key ir.MapKey) ([]uint64, bool) {
 			m.misses.Inc()
 		}
 	}
-	a.hop.Lookup(name, hit)
+	a.hop.Lookup(t.name, hit)
 	if !hit && t.cached {
 		a.cacheMiss = true
 	}
 	return vals, hit
 }
 
-func (a *access) MapInsert(string, ir.MapKey, []uint64) error {
+func (a *access) MapInsert(int, *ir.MapKey, []uint64) error {
 	return fmt.Errorf("switchsim: data plane attempted a table insert; P4 tables are read-only (§2.1)")
 }
 
-func (a *access) MapRemove(string, ir.MapKey) error {
+func (a *access) MapRemove(int, *ir.MapKey) error {
 	return fmt.Errorf("switchsim: data plane attempted a table delete; P4 tables are read-only (§2.1)")
 }
 
-func (a *access) VecGet(name string, idx uint64) (uint64, error) {
-	vec, ok := a.v.vecs[name]
-	if !ok {
+func (a *access) VecGet(g int, idx uint64) (uint64, error) {
+	name := a.sw.Res.Prog.Globals[g].Name
+	if !a.sw.resident[g] {
 		return 0, fmt.Errorf("switchsim: vector %q not resident", name)
 	}
+	vec := a.v.vecs[g]
 	if idx >= uint64(len(vec)) {
 		return 0, fmt.Errorf("switchsim: vector %q index %d out of range", name, idx)
 	}
 	return vec[idx], nil
 }
 
-func (a *access) VecLen(name string) uint64 { return uint64(len(a.v.vecs[name])) }
+func (a *access) VecLen(g int) uint64 { return uint64(len(a.v.vecs[g])) }
 
-func (a *access) GlobalLoad(name string) uint64 { return a.v.registers[name] }
+func (a *access) GlobalLoad(g int) uint64 { return a.v.registers[g] }
 
-func (a *access) GlobalStore(name string, v uint64) error {
+func (a *access) GlobalStore(int, uint64) error {
 	return fmt.Errorf("switchsim: data plane attempted a register write to replicated state; updates come from the server (§4.3.3)")
 }
 
-func (a *access) LpmFind(name string, key uint64) ([]uint64, bool) {
-	best := -1
-	var vals []uint64
-	for _, e := range a.v.lpms[name] {
-		if e.Matches(key) && e.PrefixLen > best {
-			best = e.PrefixLen
-			vals = e.Vals
-		}
-	}
-	return vals, best >= 0
+func (a *access) LpmFind(g int, key uint64) ([]uint64, bool) {
+	return ir.LongestPrefix(a.v.lpms[g], key)
 }
 
 // execCtx bundles everything one pipeline pass needs — the view
-// adapter, the interpreter environment, and the transfer scratchpad — into
+// adapter, the execution environment, and the transfer scratchpad — into
 // a single pooled object so a steady-state pass performs zero heap
 // allocations. The env's register file (Env.Regs) is retained across uses
-// and reused by the interpreter.
+// and reused by the plan.
 type execCtx struct {
 	acc  access
 	env  ir.Env
@@ -540,7 +571,7 @@ var execPool = sync.Pool{New: func() any { return new(execCtx) }}
 // given packet, with a zeroed scratchpad of the compiled slot count.
 func (sw *Switch) getCtx(v *view, pkt *packet.Packet, onTouch func(string, ir.MapKey)) *execCtx {
 	ctx := execPool.Get().(*execCtx)
-	ctx.acc = access{v: v, hop: sw.hop, onTouch: onTouch}
+	ctx.acc = access{sw: sw, v: v, hop: sw.hop, onTouch: onTouch}
 	n := sw.Res.NumXferSlots
 	if cap(ctx.xfer) >= n {
 		ctx.xfer = ctx.xfer[:n]
@@ -548,8 +579,6 @@ func (sw *Switch) getCtx(v *view, pkt *packet.Packet, onTouch func(string, ir.Ma
 	} else {
 		ctx.xfer = make([]uint64, n)
 	}
-	ctx.env.Access = &ctx.acc
-	ctx.env.State = nil
 	ctx.env.Pkt = pkt
 	ctx.env.Xfer = ctx.xfer
 	return ctx
@@ -558,7 +587,6 @@ func (sw *Switch) getCtx(v *view, pkt *packet.Packet, onTouch func(string, ir.Ma
 // putCtx drops references that must not outlive the pass (view, packet) and returns the context to the pool.
 func putCtx(ctx *execCtx) {
 	ctx.acc = access{}
-	ctx.env.Access = nil
 	ctx.env.Pkt = nil
 	ctx.env.Xfer = nil
 	execPool.Put(ctx)
@@ -601,7 +629,7 @@ func (sw *Switch) ProcessPreShard(pkt *packet.Packet, shard int, onTouch func(ta
 	}
 	ctx := sw.getCtx(v, work, onTouch)
 	defer putCtx(ctx)
-	r, err := ir.ExecFunc(sw.Res.Prog, sw.Res.PreFn, &ctx.env)
+	r, err := sw.pre.Exec(&ctx.acc, &ctx.env)
 	if err != nil {
 		return PreResult{}, fmt.Errorf("switchsim: pre pipeline: %w", err)
 	}
@@ -666,7 +694,7 @@ func (sw *Switch) ProcessPostShard(pkt *packet.Packet, shard int, onTouch func(t
 		ctx.xfer[f.slot-1] = val
 	}
 	pkt.StripGallium()
-	r, err := ir.ExecFunc(sw.Res.Prog, sw.Res.PostFn, &ctx.env)
+	r, err := sw.post.Exec(&ctx.acc, &ctx.env)
 	if err != nil {
 		return PreResult{}, fmt.Errorf("switchsim: post pipeline: %w", err)
 	}

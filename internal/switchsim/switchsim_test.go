@@ -212,15 +212,30 @@ middlebox tinytbl {
 func TestDataPlaneIsReadOnly(t *testing.T) {
 	res := compileMB(t, "minilb")
 	sw := New(res)
-	a := &access{v: sw.view.Load()}
-	if err := a.MapInsert("conn", ir.MakeMapKey(1), []uint64{1}); err == nil {
+	a := &access{sw: sw, v: sw.view.Load()}
+	key := ir.MakeMapKey(1)
+	if err := a.MapInsert(sw.globals["conn"], &key, []uint64{1}); err == nil {
 		t.Error("data-plane insert must be rejected")
 	}
-	if err := a.MapRemove("conn", ir.MakeMapKey(1)); err == nil {
+	if err := a.MapRemove(sw.globals["conn"], &key); err == nil {
 		t.Error("data-plane remove must be rejected")
 	}
-	if err := a.GlobalStore("x", 1); err == nil {
+	if err := a.GlobalStore(0, 1); err == nil {
 		t.Error("data-plane register write must be rejected")
+	}
+
+	// The same through a pass: a pre partition that contains a write (the
+	// whole program standing in for it) fails, naming the statement.
+	bad := *res
+	bad.PreFn = res.Prog.Fn
+	sw = New(&bad)
+	if err := sw.LoadVector("backends", middleboxes.Backends); err != nil {
+		t.Fatal(err)
+	}
+	pkt := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{})
+	_, err := sw.ProcessPreShard(pkt, 0, nil)
+	if err == nil || !strings.Contains(err.Error(), "ir: stmt ") || !strings.Contains(err.Error(), "read-only") {
+		t.Errorf("pre pass with a table insert: err = %v, want a read-only error naming its statement", err)
 	}
 }
 

@@ -2,18 +2,24 @@ package switchsim
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"gallium/internal/ir"
 )
 
 // Table is one replicated match-action table: a single-writer,
 // lock-free-reader open-addressed array of atomic pointers to immutable
-// entry nodes, updated in place by the control plane's flip. The exported
-// methods are a read-only handle, safe to call while traffic runs.
+// entry nodes, updated in place by the control plane's flip. Its key and
+// value arity are fixed at New from the global's declaration, which is
+// what lets an entry be one packed allocation. The exported methods are a
+// read-only handle, safe to call while traffic runs.
 type Table struct {
 	sw       *Switch
+	name     string
 	capacity int
 	cached   bool
+	// nk and nv are the key and value arity in words.
+	nk, nv int
 
 	// slots is the probe array (power-of-two length, linear probing,
 	// always at least one empty slot). Growth swaps a rebuilt array in
@@ -27,37 +33,60 @@ type Table struct {
 	staged atomic.Int64
 	// used counts occupied slots, tombstones included (flip side only).
 	used int
-	// fifo orders a §7 cache table's keys by insertion for eviction.
-	fifo []ir.MapKey
+	// fifo orders a §7 cache table's entries by insertion for eviction.
+	fifo []*node
 	// obs holds this table's counters once the switch is instrumented.
 	obs atomic.Pointer[tableObs]
 }
 
 // node is one version of one entry, immutable once write has stamped and
-// stored it. epoch is the flip that wrote it: a pass pinned to an older
-// view must not see it. A dead node is a
-// deletion ("a special value indicates table entry deletion", §4.3.3); it
-// keeps the key's slot so a re-insert lands where lookups already probe.
-type node struct {
-	key   ir.MapKey
-	vals  []uint64
-	epoch uint64
-	dead  bool
+// stored it: a single allocation of 1+nk+nv words — the stamp, the key's
+// nk words, the nv value words — of which the struct names only the first.
+// A probe therefore touches the slot and then one or two adjacent cache
+// lines, and the value tuple it returns is a sub-slice of the same words.
+//
+// The stamp is epoch<<1 | dead. epoch is the flip that wrote the node: a
+// pass pinned to an older view must not see it. A dead node is a deletion
+// ("a special value indicates table entry deletion", §4.3.3); it keeps the
+// key's slot so a re-insert lands where lookups already probe.
+type node struct{ stamp uint64 }
+
+func (n *node) epoch() uint64 { return n.stamp >> 1 }
+func (n *node) dead() bool    { return n.stamp&1 != 0 }
+
+// newNode packs an entry, or with dead set a deletion, for a later write.
+// key and vals have the table's arity (StageShard checked).
+func (t *Table) newNode(key, vals []uint64, dead bool) *node {
+	w := make([]uint64, 1+t.nk+t.nv)
+	if dead {
+		w[0] = 1
+	}
+	copy(w[1:], key)
+	copy(w[1+t.nk:], vals)
+	return (*node)(unsafe.Pointer(&w[0]))
 }
 
-// undoRec is what one flip replaced for one key: old is the node the key
-// resolved to before the flip (nil or dead when it was absent). Records
-// hang off the view the flip supersedes, so they are garbage as soon as
-// the last pass pinned to that view returns.
+// words returns n's whole allocation; newNode is the only producer of
+// nodes, so the length is the table's.
+func (t *Table) words(n *node) []uint64 { return unsafe.Slice(&n.stamp, 1+t.nk+t.nv) }
+
+// key returns n's key words.
+func (t *Table) key(n *node) []uint64 { return t.words(n)[1 : 1+t.nk] }
+
+// undoRec is what one flip replaced for one key: n is the node the flip
+// wrote (it carries the key) and old the node the key resolved to before
+// (nil or dead when it was absent). Records hang off the view the flip
+// supersedes, so they are garbage as soon as the last pass pinned to that
+// view returns.
 type undoRec struct {
-	t    *Table
-	key  ir.MapKey
-	old  *node
-	next *undoRec
+	t      *Table
+	n, old *node
+	next   *undoRec
 }
 
-func newTable(sw *Switch, capacity int, cached bool) *Table {
-	t := &Table{sw: sw, capacity: capacity, cached: cached}
+func newTable(sw *Switch, g *ir.Global, capacity int, cached bool) *Table {
+	t := &Table{sw: sw, name: g.Name, capacity: capacity, cached: cached,
+		nk: len(g.KeyTypes), nv: len(g.ValTypes)}
 	s := make([]atomic.Pointer[node], 8)
 	t.slots.Store(&s)
 	return t
@@ -80,51 +109,67 @@ func (t *Table) Capacity() int { return t.capacity }
 // server, and inserts beyond capacity evict the oldest entry (FIFO).
 func (t *Table) Cached() bool { return t.cached }
 
-// hashKey mixes only the key's live words; the low bits index the array.
-func hashKey(k *ir.MapKey) uint64 {
-	h := uint64(k.N)
-	for i := 0; i < int(k.N); i++ {
-		h = (h ^ k.K[i]) * 0x9E3779B97F4A7C15
+// hashKey mixes the key words; the low bits index the array.
+func hashKey(k []uint64) uint64 {
+	h := uint64(len(k))
+	for _, w := range k {
+		h = (h ^ w) * 0x9E3779B97F4A7C15
 		h ^= h >> 29
 	}
 	return h
 }
 
 // slot returns the index of key's slot in s: the one holding its node, or
-// the first empty one of its probe sequence.
-func slot(s []atomic.Pointer[node], key *ir.MapKey) uint64 {
+// the first empty one of its probe sequence. key has the table's arity.
+func (t *Table) slot(s []atomic.Pointer[node], key []uint64) uint64 {
 	mask := uint64(len(s) - 1)
 	i := hashKey(key) & mask
 	for {
-		if n := s[i].Load(); n == nil || n.key == *key {
+		n := s[i].Load()
+		if n == nil || sameKey(t.key(n), key) {
 			return i
 		}
 		i = (i + 1) & mask
 	}
 }
 
+// sameKey compares two keys of the table's arity word by word.
+func sameKey(a, b []uint64) bool {
+	for i, w := range a {
+		if w != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // lookup resolves key as of view v — the whole data-plane read path. The
 // slot's node answers when v's epoch has reached it; otherwise (nothing
-// there, or a node some later flip wrote) the key's history does.
+// there, or a node some later flip wrote) the key's history does. A key of
+// another arity than the table's matches nothing.
 func (t *Table) lookup(v *view, key *ir.MapKey) ([]uint64, bool) {
-	s := *t.slots.Load()
-	n := s[slot(s, key)].Load()
-	if n == nil || n.epoch > v.epoch {
-		n = t.before(v, key)
-	}
-	if n == nil || n.dead {
+	if int(key.N) != t.nk {
 		return nil, false
 	}
-	return n.vals, true
+	kw := key.K[:t.nk]
+	s := *t.slots.Load()
+	n := s[t.slot(s, kw)].Load()
+	if n == nil || n.epoch() > v.epoch {
+		n = t.before(v, kw)
+	}
+	if n == nil || n.dead() {
+		return nil, false
+	}
+	return t.words(n)[1+t.nk:], true
 }
 
 // before walks the flips after v, oldest first: the first one that touched
 // key recorded what it replaced, and that is the node as of v. No record
 // means no later flip touched the key, so it was absent.
-func (t *Table) before(v *view, key *ir.MapKey) *node {
+func (t *Table) before(v *view, key []uint64) *node {
 	for w := v; w != nil; w = w.next.Load() {
 		for r := w.undo.Load(); r != nil; r = r.next {
-			if r.t == t && r.key == *key {
+			if r.t == t && sameKey(t.key(r.n), key) {
 				return r.old
 			}
 		}
@@ -137,56 +182,60 @@ func (t *Table) before(v *view, key *ir.MapKey) *node {
 // on cur what a pass pinned at or before cur must still see. It reports
 // whether a live entry was removed. Callers hold sw.mu.
 func (t *Table) write(cur *view, n *node) (removed bool) {
-	n.epoch = cur.epoch + 1
+	epoch := cur.epoch + 1
+	n.stamp |= epoch << 1
 	s := *t.slots.Load()
 	if (t.used+1)*4 > len(s)*3 {
-		s = t.rebuild(n.epoch)
+		s = t.rebuild(epoch)
 	}
-	i := slot(s, &n.key)
+	i := t.slot(s, t.key(n))
 	old := s[i].Load()
-	wasLive := old != nil && !old.dead
-	if n.dead && !wasLive {
+	wasLive := old != nil && !old.dead()
+	if n.dead() && !wasLive {
 		return false
 	}
 	// One record per key and flip: a node this flip wrote already has one,
 	// and rebuild keeps such nodes, dead ones included.
-	if old == nil || old.epoch != n.epoch {
-		cur.undo.Store(&undoRec{t: t, key: n.key, old: old, next: cur.undo.Load()})
+	if old == nil || old.epoch() != epoch {
+		cur.undo.Store(&undoRec{t: t, n: n, old: old, next: cur.undo.Load()})
 	}
 	if old == nil {
 		t.used++
 	}
 	s[i].Store(n)
-	if n.dead || !wasLive { // not an overwrite: the entry count changes
-		if n.dead {
+	if n.dead() || !wasLive { // not an overwrite: the entry count changes
+		if n.dead() {
 			t.live.Add(-1)
 		} else {
 			t.live.Add(1)
 			if t.cached {
-				t.fifo = append(t.fifo, n.key)
+				t.fifo = append(t.fifo, n)
 			}
 		}
 		if m := t.obs.Load(); m != nil {
 			m.entries.Set(t.live.Load())
 		}
 	}
-	return n.dead
+	return n.dead()
 }
 
-// replace makes entries (already private copies) the table's whole content
-// as part of the flip that supersedes cur: deletions of the keys entries
-// lacks, then writes of the rest.
+// replace makes entries the table's whole content as part of the flip that
+// supersedes cur: deletions of the keys entries lacks, then writes of the
+// rest.
 func (t *Table) replace(cur *view, entries map[ir.MapKey][]uint64) {
 	s := *t.slots.Load()
+	var k ir.MapKey
+	k.N = uint8(t.nk)
 	for i := range s {
-		if n := s[i].Load(); n != nil && !n.dead {
-			if _, keep := entries[n.key]; !keep {
-				t.write(cur, &node{key: n.key, dead: true})
+		if n := s[i].Load(); n != nil && !n.dead() {
+			copy(k.K[:], t.key(n))
+			if _, keep := entries[k]; !keep {
+				t.write(cur, t.newNode(t.key(n), nil, true))
 			}
 		}
 	}
 	for k, vals := range entries {
-		t.write(cur, &node{key: k, vals: vals})
+		t.write(cur, t.newNode(k.K[:t.nk], vals, false))
 	}
 }
 
@@ -197,7 +246,7 @@ func (t *Table) evict(cur *view) (evicted int) {
 	for t.cached && t.Len() > t.capacity && len(t.fifo) > 0 {
 		victim := t.fifo[0]
 		t.fifo = t.fifo[1:]
-		if t.write(cur, &node{key: victim, dead: true}) {
+		if t.write(cur, t.newNode(t.key(victim), nil, true)) {
 			evicted++
 		}
 	}
@@ -210,7 +259,7 @@ func (t *Table) evict(cur *view) (evicted int) {
 // it through the deleting flip's undo record.
 func (t *Table) rebuild(epoch uint64) []atomic.Pointer[node] {
 	old := *t.slots.Load()
-	keep := func(n *node) bool { return n != nil && (!n.dead || n.epoch == epoch) }
+	keep := func(n *node) bool { return n != nil && (!n.dead() || n.epoch() == epoch) }
 	kept := 0
 	for i := range old {
 		if keep(old[i].Load()) {
@@ -224,7 +273,7 @@ func (t *Table) rebuild(epoch uint64) []atomic.Pointer[node] {
 	s := make([]atomic.Pointer[node], size)
 	for i := range old {
 		if n := old[i].Load(); keep(n) {
-			s[slot(s, &n.key)].Store(n)
+			s[t.slot(s, t.key(n))].Store(n)
 		}
 	}
 	t.used = kept
