@@ -61,11 +61,11 @@ type Request struct {
 // FlowTableConfig is the flow-state lifecycle config on the wire.
 // Timeouts are nanoseconds; zero fields select the runtime defaults.
 type FlowTableConfig struct {
-	Capacity         int    `json:"capacity"`
-	TCPSynNs         int64  `json:"tcp_syn_ns,omitempty"`
-	TCPEstablishedNs int64  `json:"tcp_established_ns,omitempty"`
-	TCPFinNs         int64  `json:"tcp_fin_ns,omitempty"`
-	UDPNs            int64  `json:"udp_ns,omitempty"`
+	Capacity         int   `json:"capacity"`
+	TCPSynNs         int64 `json:"tcp_syn_ns,omitempty"`
+	TCPEstablishedNs int64 `json:"tcp_established_ns,omitempty"`
+	TCPFinNs         int64 `json:"tcp_fin_ns,omitempty"`
+	UDPNs            int64 `json:"udp_ns,omitempty"`
 	// EvictPolicy is "lru" (default) or "none".
 	EvictPolicy string `json:"evict_policy,omitempty"`
 }

@@ -157,7 +157,7 @@ func runEngine(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace, workers int
 	opts := []gallium.Option{
 		gallium.WithWorkers(workers),
 		gallium.WithBatch(1),
-		gallium.WithQueueDepth(len(tr.Packets)+8),
+		gallium.WithQueueDepth(len(tr.Packets) + 8),
 		gallium.WithCostModel(fuzzModel()),
 		// WithState visits each shard twice: before the engine starts
 		// (seed it) and at settle (snapshot the final authoritative

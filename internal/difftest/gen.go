@@ -86,13 +86,13 @@ type ProgramSpec struct {
 	// incremental, control-plane-mediated expiry. Timeouts are generated
 	// as multiples of PacketSpacingNs so whether an entry is stale at
 	// packet i is exact integer arithmetic, never a rounding accident.
-	Expiry    *flowstate.Config
-	Maps      []MapDecl
-	Vecs      []VecDecl
-	Lpms      []LpmDecl
-	Globals   []GlobalDecl
-	Consts    []ConstDecl
-	Body      *Block
+	Expiry  *flowstate.Config
+	Maps    []MapDecl
+	Vecs    []VecDecl
+	Lpms    []LpmDecl
+	Globals []GlobalDecl
+	Consts  []ConstDecl
+	Body    *Block
 
 	// traceMode is the scenario the trace generator should steer toward
 	// ("" for the plain v4 workload): "v6" mixes IPv6 packets in, "encap"
@@ -108,7 +108,9 @@ type ProgramSpec struct {
 // ---------------------------------------------------------------------------
 
 // Stmt is one statement in the generated tree.
-type Stmt interface{ render(b *strings.Builder, ind string) }
+type Stmt interface {
+	render(b *strings.Builder, ind string)
+}
 
 // Block is a statement sequence.
 type Block struct{ Stmts []Stmt }

@@ -114,7 +114,7 @@ func encapOverlay(spec *ProgramSpec, r *rng) {
 		},
 		func() Stmt {
 			// 168430090 = 10.10.10.10, one of encapify's outer endpoints.
-		return &IfStmt{Cond: "(p.tun.dst == 168430090)", Then: &Block{Stmts: []Stmt{
+			return &IfStmt{Cond: "(p.tun.dst == 168430090)", Then: &Block{Stmts: []Stmt{
 				&RawStmt{Text: fmt.Sprintf("p.ip.tos = %d;", r.intn(8))},
 			}}}
 		},

@@ -25,12 +25,12 @@ var dslTypes = map[string]ir.Type{
 
 // Predefined constants available in every middlebox.
 var predefined = map[string]uint64{
-	"TCP_FIN":   uint64(packet.TCPFlagFIN),
-	"TCP_SYN":   uint64(packet.TCPFlagSYN),
-	"TCP_RST":   uint64(packet.TCPFlagRST),
-	"TCP_PSH":   uint64(packet.TCPFlagPSH),
-	"TCP_ACK":   uint64(packet.TCPFlagACK),
-	"TCP_URG":   uint64(packet.TCPFlagURG),
+	"TCP_FIN":    uint64(packet.TCPFlagFIN),
+	"TCP_SYN":    uint64(packet.TCPFlagSYN),
+	"TCP_RST":    uint64(packet.TCPFlagRST),
+	"TCP_PSH":    uint64(packet.TCPFlagPSH),
+	"TCP_ACK":    uint64(packet.TCPFlagACK),
+	"TCP_URG":    uint64(packet.TCPFlagURG),
 	"PROTO_TCP":  uint64(packet.IPProtocolTCP),
 	"PROTO_UDP":  uint64(packet.IPProtocolUDP),
 	"PROTO_GRE":  uint64(packet.IPProtocolGRE),

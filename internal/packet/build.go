@@ -4,10 +4,10 @@ package packet
 
 // TCPOptions configures BuildTCP.
 type TCPOptions struct {
-	Flags   uint8
-	Seq     uint32
-	Ack     uint32
-	Window  uint16
+	Flags  uint8
+	Seq    uint32
+	Ack    uint32
+	Window uint16
 	// MSS, when nonzero, adds an MSS option to the segment.
 	MSS     uint16
 	Payload []byte

@@ -121,10 +121,10 @@ type Frontend struct {
 	done chan struct{}
 	txWG sync.WaitGroup
 
-	rxDatagrams, rxBatches   atomic.Int64
-	txDatagrams, txBatches   atomic.Int64
-	decodeErrors             atomic.Int64
-	dropped, untracked       atomic.Int64
+	rxDatagrams, rxBatches atomic.Int64
+	txDatagrams, txBatches atomic.Int64
+	decodeErrors           atomic.Int64
+	dropped, untracked     atomic.Int64
 }
 
 // Listen binds the front end's socket. Serve starts the loops.
