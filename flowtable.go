@@ -9,8 +9,8 @@ import (
 
 // FlowTable bounds a session's dynamic flow state: the maps the data
 // path inserts into (connection trackers, NAT bindings, LB connection
-// tables) gain per-entry last-touch stamping, protocol-aware session
-// timeouts, and capacity enforcement.
+// tables) gain a last-touch record per entry, protocol-aware session
+// timeouts, and capacity enforcement with exact LRU eviction.
 //
 //	gallium.Open(art, gallium.WithFlowTable(gallium.FlowTable{
 //		Capacity:    1 << 20,
@@ -20,10 +20,15 @@ import (
 //
 // Capacity is the engine-wide concurrent-entry limit, split evenly
 // across worker shards. Zero timeout fields select the defaults (TCP
-// SYN 5s / established 5m / FIN 10s, UDP 30s). Expiry runs
-// incrementally between worker batches and exactly at settle barriers;
-// switch-resident entries are deleted through the §4.3.3 write-back
-// flip, so an expiry can never resurrect stale state.
+// SYN 5s / established 5m / FIN 10s, UDP 30s). A worker sweeps — expires
+// what is due, then evicts the least recently touched entries over its
+// share of Capacity — at the batch boundary every SweepEvery packets
+// (default 1024; a negative value is rejected) and at settle barriers,
+// so between sweeps occupancy can overshoot by what those packets
+// insert. SweepLimit (default 4096) caps how many entries one such sweep
+// removes; settle-barrier sweeps are uncapped. Switch-resident entries
+// are deleted through the §4.3.3 write-back flip, so an expiry can never
+// resurrect stale state.
 type FlowTable = flowstate.Config
 
 // TCPTimeouts holds FlowTable's per-phase TCP session timeouts

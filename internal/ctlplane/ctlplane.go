@@ -133,7 +133,7 @@ func (o FirewallRuleSwap) compile(t Target, workers int) (engine.Reconfig, error
 				for k, v := range split[name] {
 					fresh[k] = append([]uint64(nil), v...)
 				}
-				st.Maps[name] = fresh
+				st.ReplaceMap(name, fresh)
 			}
 			return nil
 		},
@@ -230,7 +230,7 @@ func (o LBPoolChange) compile(t Target, workers int) (engine.Reconfig, error) {
 			var dels []switchsim.Update
 			for k, v := range st.Maps[connTable] {
 				if len(v) > 0 && !keep[v[0]] {
-					delete(st.Maps[connTable], k)
+					st.MapRemove(connTable, k)
 					if connOffloaded {
 						dels = append(dels, switchsim.Update{Table: connTable, Key: k, Delete: true})
 					}
@@ -363,7 +363,7 @@ func (o TableReplace) compile(t Target, workers int) (engine.Reconfig, error) {
 			for k, v := range entries {
 				fresh[k] = append([]uint64(nil), v...)
 			}
-			st.Maps[table] = fresh
+			st.ReplaceMap(table, fresh)
 			return nil
 		},
 	}, nil

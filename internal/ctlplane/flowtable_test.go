@@ -7,6 +7,7 @@ import (
 
 	"gallium/internal/ctlplane"
 	"gallium/internal/flowstate"
+	"gallium/internal/ir"
 )
 
 // TestFlowTableToOp covers the wire lowering of the flow-table op:
@@ -156,5 +157,55 @@ func TestFlowTableServerRoundTrip(t *testing.T) {
 	if st == nil || st.FlowCapacity != 1024 || st.FlowOccupancy != 700 ||
 		st.FlowPeak != 900 || st.FlowExpired != 55 || st.FlowEvicted != 7 {
 		t.Fatalf("flow gauges lost on the wire: %+v", st)
+	}
+}
+
+// TestLBPoolPurgeKeepsLifecycleInStep: a non-draining pool change purges
+// connections through the state's accessors, so the flow tracker's records
+// go with them — occupancy matches the table straight away, and no later
+// sweep reports a purged key as expired.
+func TestLBPoolPurgeKeepsLifecycleInStep(t *testing.T) {
+	lb := targetFor(t, "l4lb")
+	st := freshState(t, lb)
+	tr := flowstate.NewTracker(flowstate.Config{Capacity: 1000}, st, flowstate.DynamicMaps(lb.Prog))
+
+	const n = 20
+	purged := map[ir.MapKey]bool{}
+	st.Class = uint8(flowstate.ClassTCPEst)
+	for i := 0; i < n; i++ {
+		key := ir.MakeMapKey(uint64(i), 2, 3, 4, 6)
+		backend := uint64(7)
+		if i%2 == 1 {
+			backend, purged[key] = 42, true
+		}
+		st.NowNs = int64(i)
+		if err := st.MapInsert("conns", key, []uint64{backend}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r, err := ctlplane.Compile(ctlplane.LBPoolChange{Backends: []ctlplane.Backend{{Addr: 7, Weight: 1}}},
+		[]ctlplane.Target{lb}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dels := r.Mutate(0, st); len(dels) != len(purged) {
+		t.Fatalf("purge shipped %d switch deletions, want %d", len(dels), len(purged))
+	}
+	if rm := tr.Sweep(n, true); len(rm) != 0 {
+		t.Fatalf("sweep right after the purge removed %+v", rm)
+	}
+	if got := tr.Stats().Occupancy; got != uint64(len(st.Maps["conns"])) || got != n-uint64(len(purged)) {
+		t.Fatalf("occupancy %d, table holds %d, want %d", got, len(st.Maps["conns"]), n-len(purged))
+	}
+	// Past the established timeout everything left expires — and only that.
+	rm := tr.Sweep(int64(time.Hour), true)
+	if len(rm) != n-len(purged) {
+		t.Fatalf("expiry removed %d entries, want the %d survivors", len(rm), n-len(purged))
+	}
+	for _, x := range rm {
+		if purged[x.Key] {
+			t.Fatalf("sweep reported purged key %v", x.Key)
+		}
 	}
 }

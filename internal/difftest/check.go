@@ -208,17 +208,16 @@ func runEngine(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace, workers int
 // the engine expires entries incrementally — swept at batch boundaries
 // and propagated to switch partitions through the §4.3.3 control-plane
 // flip — while the oracle here is a sequential interpreter whose
-// tracker is swept exhaustively after every packet. Batch=1 with
-// SweepEvery=1 and one worker makes the two sweep schedules identical:
-// both observe packet i at virtual time i*PacketSpacingNs and expire
-// afterwards, so every find either hits in both legs or misses in both.
-// Generated capacities are never reached, keeping sampled LRU eviction
-// (the one deliberately nondeterministic lifecycle mechanism) out of
-// the comparison.
+// tracker is swept after every packet. Batch=1 with SweepEvery=1 and one
+// worker makes the two sweep schedules identical: both observe packet i
+// at virtual time i*PacketSpacingNs and expire and evict afterwards, so
+// every find either hits in both legs or misses in both. That covers
+// capacity eviction as well as timeouts: the victims depend only on each
+// entry's (last touch, table, key), which the two legs agree on however
+// differently they order one packet's touches.
 func runExpiry(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace) *Divergence {
 	cfg := spec.Expiry.Normalized()
 	cfg.SweepEvery = 1
-	cfg.SweepLimit = 1 << 30
 
 	soft := serverrt.NewSoftware(art.Prog)
 	spec.Setup(soft.State)

@@ -52,17 +52,21 @@ func TestExpiryDirectiveRoundTrip(t *testing.T) {
 }
 
 // TestGenProgramArmsExpiry: the generator attaches valid lifecycle
-// configs to a healthy fraction of seeds, so the fuzz loop actually
-// exercises the expiry leg rather than skipping it everywhere.
+// configs to a healthy fraction of seeds, and a capacity of a few entries
+// to a healthy fraction of those, so the fuzz loop actually exercises the
+// expiry leg — timeouts and evictions — rather than skipping it everywhere.
 func TestGenProgramArmsExpiry(t *testing.T) {
 	t.Parallel()
-	armed := 0
+	armed, small := 0, 0
 	for seed := uint64(0); seed < 200; seed++ {
 		e := difftest.GenProgram(seed).Expiry
 		if e == nil {
 			continue
 		}
 		armed++
+		if e.Capacity <= 7 {
+			small++
+		}
 		if err := e.Validate(); err != nil {
 			t.Fatalf("seed %d: generated expiry config invalid: %v", seed, err)
 		}
@@ -76,23 +80,22 @@ func TestGenProgramArmsExpiry(t *testing.T) {
 	if armed < 20 || armed > 100 {
 		t.Fatalf("expiry armed on %d/200 seeds, want roughly a quarter", armed)
 	}
+	if small < armed/4 || small > 3*armed/4 {
+		t.Fatalf("%d of the %d armed seeds have a capacity of a few entries, want roughly half", small, armed)
+	}
 }
 
-// TestExpiryCorpusCaseBites runs the shipped stale-window corpus program
-// through the engine twice — lifecycle off, then on — and checks the
-// returning flow's packet is the discriminator: without expiry its map
-// entry survives the idle gap (hit, tos=7); with the armed flow table
-// the entry is gone from server AND switch when the flow returns (miss,
-// tos=1). The corpus replay test then holds the oracle and the engine to
-// the same answer; this test pins that the answer is the interesting one.
-func TestExpiryCorpusCaseBites(t *testing.T) {
-	t.Parallel()
+// corpusTOS runs a shipped expiry corpus pair through the engine — one
+// worker, batch 1, lifecycle armed from the pair's directive when arm is
+// set — and returns each delivered packet's TOS byte.
+func corpusTOS(t *testing.T, name string, arm bool) []uint8 {
+	t.Helper()
 	dir := filepath.Join("testdata", "regressions")
-	src, err := os.ReadFile(filepath.Join(dir, "expiry-stale-window.mc"))
+	src, err := os.ReadFile(filepath.Join(dir, name+".mc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	trText, err := os.ReadFile(filepath.Join(dir, "expiry-stale-window.trace"))
+	trText, err := os.ReadFile(filepath.Join(dir, name+".trace"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,32 +114,55 @@ func TestExpiryCorpusCaseBites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	last := len(tr.Packets) - 1
-	run := func(opts ...gallium.Option) uint8 {
-		tos := make([]uint8, len(tr.Packets))
-		opts = append(opts,
-			gallium.WithWorkers(1), gallium.WithBatch(1),
-			gallium.WithQueueDepth(len(tr.Packets)+8),
-			gallium.WithDeliveries(func(d gallium.Delivery) {
-				if d.Delivered && d.Seq >= 0 && d.Seq < int64(len(tos)) {
-					tos[d.Seq] = d.Pkt.IP.TOS
-				}
-			}),
-		)
-		if _, err := art.Run(context.Background(), tr, opts...); err != nil {
-			t.Fatal(err)
-		}
-		return tos[last]
+	tos := make([]uint8, len(tr.Packets))
+	opts := []gallium.Option{
+		gallium.WithWorkers(1), gallium.WithBatch(1),
+		gallium.WithQueueDepth(len(tr.Packets) + 8),
+		gallium.WithDeliveries(func(d gallium.Delivery) {
+			if d.Delivered && d.Seq >= 0 && d.Seq < int64(len(tos)) {
+				tos[d.Seq] = d.Pkt.IP.TOS
+			}
+		}),
 	}
-
-	if got := run(); got != 7 {
-		t.Fatalf("without lifecycle the returning packet should hit (tos=7), got tos=%d", got)
+	if arm {
+		cfg := spec.Expiry.Normalized()
+		cfg.SweepEvery = 1
+		opts = append(opts, gallium.WithFlowTable(cfg))
 	}
-	cfg := spec.Expiry.Normalized()
-	cfg.SweepEvery = 1
-	cfg.SweepLimit = 1 << 30
-	if got := run(gallium.WithFlowTable(cfg)); got != 1 {
-		t.Fatalf("with lifecycle armed the returning packet should miss (tos=1), got tos=%d", got)
+	if _, err := art.Run(context.Background(), tr, opts...); err != nil {
+		t.Fatal(err)
+	}
+	return tos
+}
+
+// TestExpiryCorpusCaseBites runs the shipped stale-window corpus program
+// through the engine twice — lifecycle off, then on — and checks the
+// returning flow's packet is the discriminator: without expiry its map
+// entry survives the idle gap (hit, tos=7); with the armed flow table
+// the entry is gone from server AND switch when the flow returns (miss,
+// tos=1). The corpus replay test then holds the oracle and the engine to
+// the same answer; this test pins that the answer is the interesting one.
+func TestExpiryCorpusCaseBites(t *testing.T) {
+	t.Parallel()
+	if tos := corpusTOS(t, "expiry-stale-window", false); tos[len(tos)-1] != 7 {
+		t.Fatalf("without lifecycle the returning packet should hit (tos=7), got tos=%d", tos[len(tos)-1])
+	}
+	if tos := corpusTOS(t, "expiry-stale-window", true); tos[len(tos)-1] != 1 {
+		t.Fatalf("with lifecycle armed the returning packet should miss (tos=1), got tos=%d", tos[len(tos)-1])
+	}
+}
+
+// TestEvictionCorpusCaseBites does the same for the capacity-eviction
+// pair, whose timeouts never fire: unarmed, the last two packets (flows A
+// and B returning) both hit; armed with its two-entry table, the sweep
+// after flow C's insert evicted B, the least recently touched, so A hits
+// and B misses.
+func TestEvictionCorpusCaseBites(t *testing.T) {
+	t.Parallel()
+	if tos := corpusTOS(t, "expiry-capacity-eviction", false); tos[4] != 7 || tos[5] != 7 {
+		t.Fatalf("without lifecycle both returning packets should hit (7, 7), got (%d, %d)", tos[4], tos[5])
+	}
+	if tos := corpusTOS(t, "expiry-capacity-eviction", true); tos[4] != 7 || tos[5] != 1 {
+		t.Fatalf("with a two-entry table A should hit and the evicted B miss (7, 1), got (%d, %d)", tos[4], tos[5])
 	}
 }

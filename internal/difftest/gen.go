@@ -694,10 +694,9 @@ func GenProgram(seed uint64) *ProgramSpec {
 
 	// A quarter of the seeds run with the flow-state lifecycle armed.
 	// These draws come after everything else so adding them did not
-	// reshuffle the programs existing seeds generate. Capacity is far
-	// above any trace's flow count: the expiry leg exercises timeouts,
-	// not sampled LRU eviction (the one lifecycle mechanism that is
-	// deliberately not packet-deterministic).
+	// reshuffle the programs existing seeds generate. This capacity is
+	// far above any trace's flow count, so these seeds exercise timeouts;
+	// the last draw below shrinks it on half of them.
 	if r.pct(25) {
 		s := time.Duration(PacketSpacingNs)
 		spec.Expiry = &flowstate.Config{
@@ -720,5 +719,12 @@ func GenProgram(seed uint64) *ProgramSpec {
 	// onto one "shard-safe" key while dispatch separates them, and the
 	// flow lifecycle is specified over the v4 tuple for the same reason.
 	applyScenario(spec, r)
+
+	// Half of the seeds still armed get a capacity of a few entries, so
+	// LRU eviction — as packet-deterministic as a timeout — decides
+	// packets' fates too. Drawn last of all, for the same reason.
+	if spec.Expiry != nil && r.pct(50) {
+		spec.Expiry.Capacity = r.rangen(2, 7)
+	}
 	return spec
 }

@@ -569,10 +569,9 @@ func (e *Engine) settle(stats []netsim.Stats) {
 		wg.Add(1)
 		i := i
 		j := job{ctrl: func(w *worker) {
-			// A settle barrier is a quiescent point: run a FULL expiry
-			// sweep (exact timeouts + deterministic LRU) before waiting
-			// out the in-flight applies, so its deletions land inside
-			// this barrier too.
+			// A settle barrier is a quiescent point: run a FULL sweep
+			// (no removal cap) before waiting out the in-flight applies,
+			// so its deletions land inside this barrier too.
 			if w.lifeOn {
 				w.sweep(e.runCtx, true)
 			}

@@ -44,7 +44,6 @@ func aggressiveFlowTable(capacity int) *flowstate.Config {
 		TCPTimeouts: flowstate.TCPTimeouts{Syn: ms, Established: ms, Fin: ms},
 		UDPTimeout:  ms,
 		SweepEvery:  1,
-		SweepLimit:  1 << 20,
 	}
 }
 
@@ -205,7 +204,6 @@ func TestFlowCapacityEviction(t *testing.T) {
 		TCPTimeouts: flowstate.TCPTimeouts{Syn: time.Hour, Established: time.Hour, Fin: time.Hour},
 		UDPTimeout:  time.Hour,
 		SweepEvery:  1,
-		SweepLimit:  1 << 20,
 	}
 	eng, err := New(Config{
 		Workers:   1,
@@ -419,5 +417,94 @@ func TestFlowLifecycleEightWorkersRace(t *testing.T) {
 	}
 	if rep.Flow == nil || rep.Flow.Capacity != 128 {
 		t.Fatalf("flow report after retune: %+v", rep.Flow)
+	}
+}
+
+// TestDefaultSweepKeepsLiveFlows: under the DEFAULT sweep cadence and
+// budget, a NAT whose flow table (8,192 entries) comfortably holds the
+// 3,000 flows in flight (two entries each) evicts only finished flows:
+// every packet of a flow leaves with the port its SYN was given, and
+// exactly one packet per flow — the SYN — takes the slow path.
+func TestDefaultSweepKeepsLiveFlows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("240k-packet churn; runs in full mode and CI (-race)")
+	}
+	_, res := compileMB(t, "mazunat")
+	const inFlight, generations, perFlow = 3000, 20, 4
+	dst := packet.MakeIPv4Addr(93, 184, 216, 34)
+	// Each generation of 3,000 flows sends its SYNs, then three rounds of
+	// ACKs, then is never heard from again.
+	wl := scripted{gen: func(emit func(int64, *packet.Packet) error) error {
+		tNs := int64(0)
+		for g := 0; g < generations; g++ {
+			for round := 0; round < perFlow; round++ {
+				flags := uint8(packet.TCPFlagACK)
+				if round == 0 {
+					flags = packet.TCPFlagSYN
+				}
+				for s := 0; s < inFlight; s++ {
+					i := g*inFlight + s // one internal host per flow
+					src := packet.MakeIPv4Addr(10, byte(i>>16), byte(i>>8), byte(i))
+					pkt := packet.BuildTCP(src, dst, 40000, 80, packet.TCPOptions{Flags: flags, Seq: uint32(round)})
+					if err := emit(tNs, pkt); err != nil {
+						return err
+					}
+					tNs += 1000
+				}
+			}
+		}
+		return nil
+	}}
+
+	day := 24 * time.Hour
+	ports := make(map[packet.FiveTuple]uint16, inFlight*generations)
+	moved, delivered := 0, 0
+	eng, err := New(Config{
+		Workers: 1,
+		Res:     res,
+		FlowTable: &flowstate.Config{
+			Capacity:    8192,
+			TCPTimeouts: flowstate.TCPTimeouts{Syn: day, Established: day, Fin: day},
+			UDPTimeout:  day,
+		},
+		// One worker: every callback runs on its goroutine, joined by Stop.
+		OnDelivery: func(d Delivery) {
+			if !d.Delivered {
+				return
+			}
+			delivered++
+			port, seen := ports[d.Flow]
+			if !seen {
+				ports[d.Flow] = d.Pkt.TCP.SrcPort
+			} else if port != d.Pkt.TCP.SrcPort {
+				moved++
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Feed(wl); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flows, packets = inFlight * generations, inFlight * generations * perFlow
+	if delivered != packets {
+		t.Fatalf("delivered %d of %d packets", delivered, packets)
+	}
+	if moved != 0 {
+		t.Errorf("%d of %d packets left with a different NAT port than their flow's SYN: live flows were evicted", moved, packets)
+	}
+	if rep.Stats.SlowPath != flows {
+		t.Errorf("%d slow-path packets for %d flows, want one per flow", rep.Stats.SlowPath, flows)
+	}
+	if rep.Flow == nil || rep.Flow.Occupancy > 8192 || rep.Flow.Evicted == 0 {
+		t.Errorf("flow report: %+v, want evictions and occupancy within 8192", rep.Flow)
 	}
 }

@@ -68,8 +68,8 @@ type worker struct {
 	// element pointers are atomic so report building can snapshot
 	// counters while the worker retunes mid-run. lifeOn, lastTNs and
 	// sweepDue are touched only by this worker's goroutine (or before
-	// Start). An armed stage's walker Touch callback stamps switch
-	// fast-path hits onto this worker's own shard state (same goroutine —
+	// Start). An armed stage's walker Touch callback reports switch
+	// fast-path hits to this worker's own shard state (same goroutine —
 	// flow affinity makes the switch hit's flow owned by this worker).
 	life     []atomic.Pointer[flowstate.Tracker]
 	lifeOn   bool
@@ -109,7 +109,7 @@ func (w *worker) setLifecycle(cfg flowstate.Config) {
 	}
 }
 
-// setClock stamps the packet's virtual time and traffic class onto every
+// setClock sets the packet's virtual time and traffic class on every
 // lifecycle-armed stage state before the packet executes, so map touches
 // (server-side finds/inserts and switch fast-path hits) record liveness.
 // The class is taken from the packet as it arrived, before any stage
@@ -129,13 +129,15 @@ func (w *worker) setClock(j job) {
 	}
 }
 
-// maybeSweep runs an incremental expiry sweep once enough packets have
-// passed since the last one. It runs at the batch boundary, BEFORE the
-// batch's waitAll barrier, so the deletions it ships are applied and
-// visible before any packet of the next batch runs.
+// maybeSweep runs an incremental sweep once SweepEvery packets have passed
+// since the last one. It runs at the batch boundary, BEFORE the batch's
+// waitAll barrier, so the deletions it ships are applied and visible
+// before any packet of the next batch runs — and not at the insert that
+// fills the table, which would put a delete's control-plane round trip
+// inside that packet's latency.
 func (w *worker) maybeSweep(ctx context.Context, npkts int) {
 	cfg := w.eng.flowCfg.Load()
-	if cfg == nil || cfg.SweepEvery < 0 {
+	if cfg == nil {
 		return
 	}
 	w.sweepDue += npkts

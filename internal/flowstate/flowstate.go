@@ -1,23 +1,24 @@
 // Package flowstate implements the bounded flow-state lifecycle for
-// Gallium middleboxes: per-entry last-touch stamping on ir.State maps,
-// protocol-aware session timeouts (TCP SYN / established / FIN-or-RST
-// vs UDP, in the style of yanet2's SessionsTimeouts), and capacity
-// enforcement with LRU-style eviction.
+// Gallium middleboxes: a last-touch record per entry of an ir.State's
+// dynamic maps, protocol-aware session timeouts (TCP SYN / established /
+// FIN-or-RST vs UDP, in the style of yanet2's SessionsTimeouts), and
+// capacity enforcement with exact LRU eviction.
 //
-// The package is deliberately runtime-agnostic: a Tracker arms the
-// lifecycle metadata of one ir.State and sweeps it when asked. The
-// engine decides *when* to sweep (incrementally between batches, fully
-// at settle barriers) and *how* removals of switch-resident entries
-// propagate — they ride the §4.3.3 staged-write-back/visibility-flip
-// path like any other control-plane update, so an expiry can never
-// resurrect a stale window: a later re-insert of the same key is
-// enqueued behind the delete on the FIFO control channel and wins via
+// The package is deliberately runtime-agnostic: a Tracker hooks one
+// ir.State, keeps the records and sweeps them when asked. The engine
+// decides *when* to sweep (at the batch boundary every SweepEvery
+// packets, and at settle barriers) and *how* removals of switch-resident
+// entries propagate — they ride the §4.3.3 staged-write-back/
+// visibility-flip path like any other control-plane update, so an expiry
+// can never resurrect a stale window: a later re-insert of the same key
+// is enqueued behind the delete on the FIFO control channel and wins via
 // the last-writer-wins merge discipline.
 package flowstate
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -26,7 +27,7 @@ import (
 )
 
 // Class is the traffic class used to select a session timeout for a
-// flow-table entry. It is stamped onto entries as they are touched.
+// flow-table entry: that of the last packet to touch it.
 type Class uint8
 
 const (
@@ -156,24 +157,27 @@ type Config struct {
 	// EvictPolicy selects capacity enforcement (default EvictLRU).
 	EvictPolicy EvictPolicy
 	// SweepEvery is the number of packets a worker processes between
-	// incremental expiry sweeps. Zero selects DefaultSweepEvery; a
-	// negative value disables incremental sweeps entirely so expiry
-	// runs only at settle barriers (used by difftest for determinism).
+	// incremental sweeps, which run at its next batch boundary. Zero
+	// selects DefaultSweepEvery.
 	SweepEvery int
-	// SweepLimit caps how many entries one incremental sweep examines
-	// (Redis-style sampling keeps sweeps O(1) per packet). Zero
-	// selects DefaultSweepLimit.
+	// SweepLimit caps how many entries one incremental sweep removes,
+	// bounding the write-back batch it ships; what is left over is the
+	// next sweep's. Settle-barrier sweeps are uncapped. Zero selects
+	// DefaultSweepLimit.
 	SweepLimit int
 }
 
 // Validate rejects configurations that cannot be meant: non-positive
 // capacity, negative timeouts, inverted TCP phase timeouts (a SYN or
 // FIN timeout longer than the established timeout would keep half-open
-// or closing flows around longer than live ones), and unknown eviction
-// policies.
+// or closing flows around longer than live ones), unknown eviction
+// policies, and a negative SweepEvery.
 func (c Config) Validate() error {
 	if c.Capacity <= 0 {
 		return fmt.Errorf("flow table capacity must be a positive entry count, got %d", c.Capacity)
+	}
+	if c.SweepEvery < 0 {
+		return fmt.Errorf("SweepEvery must be non-negative, got %d", c.SweepEvery)
 	}
 	if c.TCPTimeouts.Syn < 0 || c.TCPTimeouts.Established < 0 || c.TCPTimeouts.Fin < 0 {
 		return fmt.Errorf("TCP timeouts must be non-negative, got syn=%v established=%v fin=%v",
@@ -198,7 +202,6 @@ func (c Config) Validate() error {
 }
 
 // Normalized returns a copy with defaults filled in for zero fields.
-// Negative SweepEvery (barrier-only sweeping) is preserved.
 func (c Config) Normalized() Config {
 	if c.TCPTimeouts.Syn == 0 {
 		c.TCPTimeouts.Syn = DefaultSynTimeout
@@ -212,7 +215,7 @@ func (c Config) Normalized() Config {
 	if c.UDPTimeout == 0 {
 		c.UDPTimeout = DefaultUDPTimeout
 	}
-	if c.SweepEvery == 0 {
+	if c.SweepEvery <= 0 {
 		c.SweepEvery = DefaultSweepEvery
 	}
 	if c.SweepLimit <= 0 {
@@ -233,8 +236,8 @@ func (c Config) Shard(workers int) Config {
 }
 
 // timeoutNs returns the idle timeout for a class on a normalized config.
-func (c *Config) timeoutNs(class uint8) int64 {
-	switch Class(class) {
+func (c *Config) timeoutNs(class Class) int64 {
+	switch class {
 	case ClassTCPSyn:
 		return int64(c.TCPTimeouts.Syn)
 	case ClassTCPEst:
@@ -263,14 +266,44 @@ type Stats struct {
 	Evicted   uint64
 }
 
-// Tracker arms the lifecycle metadata of one ir.State (one worker's
-// per-stage shard) and sweeps it. Sweep must be called from the
-// goroutine that owns the state; the counters are atomics so Stats is
-// safe to read from anywhere.
+// record is one tracked entry: a node of its class's recency list.
+type record struct {
+	key        ir.MapKey
+	touch      int64
+	prev, next int32 // slab indices, none at the ends; next also links the free list
+	table      int32 // index into Tracker.tables, which is in name order
+	class      Class
+}
+
+const none = int32(-1)
+
+// trackedTable is one lifecycle-managed map and the index of its records.
+type trackedTable struct {
+	name string
+	recs map[ir.MapKey]int32
+}
+
+// Tracker holds the lifecycle metadata of one ir.State (one worker's
+// per-stage shard): one record per entry of the tracked tables, linked
+// into one list per traffic class in (touch, table name, key) order.
+// Every entry of a class shares a timeout, so the entries due to expire
+// are a prefix of their class's list, and the least-recently-touched
+// entry overall is the least of the class heads: expiry and LRU eviction
+// both pop list heads, at a cost proportional to what they remove.
+//
+// The tracker is the state's ir.Lifecycle hook. Touch, Forget and Sweep
+// must be called from the goroutine that owns the state; the counters
+// are atomics so Stats is safe to read from anywhere.
 type Tracker struct {
-	cfg    atomic.Pointer[Config] // normalized, per-shard
-	st     *ir.State
-	tables []string
+	cfg atomic.Pointer[Config] // normalized, per-shard
+	st  *ir.State
+
+	tables     []trackedTable // sorted by name
+	byName     map[string]int32
+	recs       []record // slab; freed slots are chained from free
+	free       int32
+	live       int
+	head, tail [numClasses]int32
 
 	expired   atomic.Uint64
 	evicted   atomic.Uint64
@@ -278,38 +311,33 @@ type Tracker struct {
 	peak      atomic.Uint64
 }
 
-// NewTracker arms st's lifecycle metadata for the named tables (the
-// pipeline's dynamic maps) under cfg, which is normalized and should
-// already be per-shard (see Config.Shard).
+// NewTracker tracks the named tables of st (the pipeline's dynamic
+// maps) under cfg, which is normalized and should already be per-shard
+// (see Config.Shard), and installs itself as st's lifecycle hook.
 func NewTracker(cfg Config, st *ir.State, tables []string) *Tracker {
-	t := &Tracker{st: st, tables: append([]string(nil), tables...)}
+	t := &Tracker{st: st, byName: make(map[string]int32, len(tables)), free: none}
 	n := cfg.Normalized()
 	t.cfg.Store(&n)
-	if st.LastTouch == nil {
-		st.LastTouch = make(map[string]map[ir.MapKey]int64)
-		st.TouchClass = make(map[string]map[ir.MapKey]uint8)
+	names := append([]string(nil), tables...)
+	slices.Sort(names)
+	for i, name := range names {
+		t.tables = append(t.tables, trackedTable{name: name, recs: make(map[ir.MapKey]int32)})
+		t.byName[name] = int32(i)
 	}
-	for _, name := range t.tables {
-		if st.LastTouch[name] == nil {
-			st.LastTouch[name] = make(map[ir.MapKey]int64)
-			st.TouchClass[name] = make(map[ir.MapKey]uint8)
-		}
+	for c := range t.head {
+		t.head[c], t.tail[c] = none, none
 	}
+	st.Life = t
 	return t
 }
 
 // SetConfig retunes the tracker in place (live flow-table reconfig).
-// cfg should already be per-shard. Counters are preserved.
+// cfg should already be per-shard. Counters are preserved, and so are
+// the lists: their order does not depend on the timeouts.
 func (t *Tracker) SetConfig(cfg Config) {
 	n := cfg.Normalized()
 	t.cfg.Store(&n)
 }
-
-// Config returns the tracker's current (normalized, per-shard) config.
-func (t *Tracker) Config() Config { return *t.cfg.Load() }
-
-// Tables returns the tracked map names.
-func (t *Tracker) Tables() []string { return t.tables }
 
 // Stats snapshots the tracker's counters.
 func (t *Tracker) Stats() Stats {
@@ -322,82 +350,141 @@ func (t *Tracker) Stats() Stats {
 	}
 }
 
-type lruEntry struct {
-	table string
-	key   ir.MapKey
-	touch int64
+// Touch implements ir.Lifecycle: the entry was found or inserted at
+// nowNs by a packet of the given class. Its record moves to its place
+// in that class's list, found by walking back from the tail over the
+// records that sort after it — normally none, or the same packet's few
+// equal-timestamp touches. Because the place depends only on (touch,
+// table, key), the lists come out the same whatever order the pre-pass,
+// the server and the post-pass touch entries in within one packet.
+func (t *Tracker) Touch(table string, key ir.MapKey, nowNs int64, class uint8) {
+	ti, ok := t.byName[table]
+	if !ok {
+		return
+	}
+	ri, ok := t.tables[ti].recs[key]
+	if ok {
+		t.unlink(ri)
+	} else {
+		ri = t.alloc()
+		t.tables[ti].recs[key] = ri
+	}
+	r := &t.recs[ri]
+	r.key, r.table, r.touch, r.class = key, ti, nowNs, Class(class)
+	if r.class >= numClasses {
+		r.class = ClassOther
+	}
+	at := t.tail[r.class]
+	for at != none && t.less(r, &t.recs[at]) {
+		at = t.recs[at].prev
+	}
+	r.prev = at
+	if at == none {
+		r.next, t.head[r.class] = t.head[r.class], ri
+	} else {
+		r.next, t.recs[at].next = t.recs[at].next, ri
+	}
+	if r.next == none {
+		t.tail[r.class] = ri
+	} else {
+		t.recs[r.next].prev = ri
+	}
+}
+
+// Forget implements ir.Lifecycle: the entry left the map.
+func (t *Tracker) Forget(table string, key ir.MapKey) {
+	if ti, ok := t.byName[table]; ok {
+		if ri, ok := t.tables[ti].recs[key]; ok {
+			t.drop(ri)
+		}
+	}
+}
+
+func (t *Tracker) alloc() int32 {
+	t.live++
+	if ri := t.free; ri != none {
+		t.free = t.recs[ri].next
+		return ri
+	}
+	t.recs = append(t.recs, record{})
+	return int32(len(t.recs) - 1)
+}
+
+func (t *Tracker) unlink(ri int32) {
+	r := &t.recs[ri]
+	if r.prev == none {
+		t.head[r.class] = r.next
+	} else {
+		t.recs[r.prev].next = r.next
+	}
+	if r.next == none {
+		t.tail[r.class] = r.prev
+	} else {
+		t.recs[r.next].prev = r.prev
+	}
+}
+
+// drop releases a record; the map entry is the caller's business.
+func (t *Tracker) drop(ri int32) {
+	t.unlink(ri)
+	r := &t.recs[ri]
+	delete(t.tables[r.table].recs, r.key)
+	r.next, t.free = t.free, ri
+	t.live--
+}
+
+// less is the list order: touch time, then table name, then key.
+func (t *Tracker) less(a, b *record) bool {
+	if a.touch != b.touch {
+		return a.touch < b.touch
+	}
+	if a.table != b.table {
+		return a.table < b.table
+	}
+	return compareKeys(a.key, b.key) < 0
 }
 
 // Sweep expires idle entries and enforces capacity as of virtual time
 // nowNs, returning the removals so the caller can propagate deletions
-// of switch-resident entries through the control plane.
-//
-// A full sweep examines every entry, expires exactly the stale ones,
-// and — under EvictLRU — evicts the globally least-recently-touched
-// entries down to capacity, deterministically (timestamp order, key
-// tie-break). An incremental sweep samples at most SweepLimit entries
-// (Go's randomized map iteration is the sampler) and evicts the oldest
-// of the sample, trading exactness for O(1) cost per packet; full
-// sweeps at settle barriers restore exactness.
-//
-// Entries that predate arming (seeded state, mid-run retune) carry no
-// stamp; a sweep adopts them as touched-now rather than expiring state
-// it never saw.
+// of switch-resident entries through the control plane. It pops each
+// class's expired prefix and then, under EvictLRU, the least class head
+// until occupancy is within Capacity. An incremental sweep (full false)
+// stops after SweepLimit removals and leaves the rest to the next one; a
+// full sweep has no cap.
 func (t *Tracker) Sweep(nowNs int64, full bool) []Removal {
 	cfg := t.cfg.Load()
+	t.adopt(nowNs)
+	budget := cfg.SweepLimit
+	if full {
+		budget = t.live
+	}
 	var out []Removal
-	var sample []lruEntry
-	budget := -1
-	if !full {
-		budget = cfg.SweepLimit
-	}
-
-scan:
-	for _, name := range t.tables {
-		m := t.st.Maps[name]
-		lt := t.st.LastTouch[name]
-		tc := t.st.TouchClass[name]
-		if m == nil || lt == nil {
-			continue
-		}
-		for k := range m {
-			if budget == 0 {
-				break scan
-			}
-			if budget > 0 {
-				budget--
-			}
-			touch, ok := lt[k]
-			if !ok {
-				lt[k] = nowNs
-				tc[k] = uint8(ClassOther)
-				continue
-			}
-			if nowNs-touch >= cfg.timeoutNs(tc[k]) {
-				delete(m, k)
-				delete(lt, k)
-				delete(tc, k)
-				out = append(out, Removal{Table: name, Key: k})
-				t.expired.Add(1)
-				continue
-			}
-			if !full && cfg.EvictPolicy == EvictLRU {
-				sample = append(sample, lruEntry{name, k, touch})
-			}
+	for c := range t.head {
+		timeout := cfg.timeoutNs(Class(c))
+		for h := t.head[c]; h != none && len(out) < budget && nowNs-t.recs[h].touch >= timeout; h = t.head[c] {
+			out = append(out, t.remove(h, false))
 		}
 	}
-
+	expired := len(out)
 	if cfg.EvictPolicy == EvictLRU {
-		if over := t.occupancyNow() - cfg.Capacity; over > 0 {
-			if full {
-				out = append(out, t.evictOldest(t.collectAll(), over)...)
-			} else {
-				out = append(out, t.evictOldest(sample, over)...)
+		over := min(t.live-cfg.Capacity, budget-expired)
+		if over > 0 {
+			out = slices.Grow(out, over)
+		}
+		for ; over > 0; over-- {
+			least := none
+			for _, h := range t.head {
+				if h != none && (least == none || t.less(&t.recs[h], &t.recs[least])) {
+					least = h
+				}
 			}
+			out = append(out, t.remove(least, true))
 		}
 	}
 
-	occ := uint64(t.occupancyNow())
+	t.expired.Add(uint64(expired))
+	t.evicted.Add(uint64(len(out) - expired))
+	occ := uint64(t.live)
 	t.occupancy.Store(occ)
 	if occ > t.peak.Load() {
 		t.peak.Store(occ)
@@ -405,66 +492,46 @@ scan:
 	return out
 }
 
-func (t *Tracker) occupancyNow() int {
-	n := 0
-	for _, name := range t.tables {
-		n += len(t.st.Maps[name])
-	}
-	return n
+// remove deletes a record's entry from the state and releases it.
+func (t *Tracker) remove(ri int32, evicted bool) Removal {
+	r := &t.recs[ri]
+	name := t.tables[r.table].name
+	rm := Removal{Table: name, Key: r.key, Evicted: evicted}
+	delete(t.st.Maps[name], r.key)
+	t.drop(ri)
+	return rm
 }
 
-func (t *Tracker) collectAll() []lruEntry {
-	var all []lruEntry
-	for _, name := range t.tables {
-		lt := t.st.LastTouch[name]
-		for k := range t.st.Maps[name] {
-			all = append(all, lruEntry{name, k, lt[k]})
+// adopt gives a record to every entry written behind the tracker's back
+// (state seeded before arming, a replaced map), which a table holding
+// more entries than records gives away: touched now rather than expired
+// unseen, ClassOther, in key order so each lands at the list's tail.
+// Removals have no such net: they go through State.MapRemove/ReplaceMap.
+func (t *Tracker) adopt(nowNs int64) {
+	for ti := range t.tables {
+		tb := &t.tables[ti]
+		m := t.st.Maps[tb.name]
+		if len(m) <= len(tb.recs) {
+			continue
+		}
+		var fresh []ir.MapKey
+		for k := range m {
+			if _, ok := tb.recs[k]; !ok {
+				fresh = append(fresh, k)
+			}
+		}
+		slices.SortFunc(fresh, compareKeys)
+		for _, k := range fresh {
+			t.Touch(tb.name, k, nowNs, uint8(ClassOther))
 		}
 	}
-	return all
 }
 
-// evictOldest removes up to n entries from the candidate set, oldest
-// first with a deterministic (table, key) tie-break, and returns them
-// as evictions.
-func (t *Tracker) evictOldest(cands []lruEntry, n int) []Removal {
-	if n > len(cands) {
-		n = len(cands)
+func compareKeys(a, b ir.MapKey) int {
+	if c := cmp.Compare(a.N, b.N); c != 0 {
+		return c
 	}
-	if n <= 0 {
-		return nil
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.touch != b.touch {
-			return a.touch < b.touch
-		}
-		if a.table != b.table {
-			return a.table < b.table
-		}
-		return lessKey(a.key, b.key)
-	})
-	out := make([]Removal, 0, n)
-	for _, c := range cands[:n] {
-		delete(t.st.Maps[c.table], c.key)
-		delete(t.st.LastTouch[c.table], c.key)
-		delete(t.st.TouchClass[c.table], c.key)
-		out = append(out, Removal{Table: c.table, Key: c.key, Evicted: true})
-		t.evicted.Add(1)
-	}
-	return out
-}
-
-func lessKey(a, b ir.MapKey) bool {
-	if a.N != b.N {
-		return a.N < b.N
-	}
-	for i := range a.K {
-		if a.K[i] != b.K[i] {
-			return a.K[i] < b.K[i]
-		}
-	}
-	return false
+	return slices.Compare(a.K[:], b.K[:])
 }
 
 // DynamicMaps returns the sorted names of the program's dynamic maps:
@@ -485,6 +552,6 @@ func DynamicMaps(p *ir.Program) []string {
 			}
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }

@@ -38,7 +38,7 @@ func TestValidate(t *testing.T) {
 			TCPTimeouts: TCPTimeouts{Fin: time.Hour, Established: time.Minute}}, false},
 		{"unknown policy", Config{Capacity: 1, EvictPolicy: EvictPolicy(7)}, false},
 		{"explicit none policy", Config{Capacity: 1, EvictPolicy: EvictNone}, true},
-		{"barrier-only sweeps", Config{Capacity: 1, SweepEvery: -1}, true},
+		{"barrier-only sweeps", Config{Capacity: 1, SweepEvery: -1}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -66,10 +66,6 @@ func TestNormalizedDefaults(t *testing.T) {
 	}
 	if n != want {
 		t.Fatalf("Normalized = %+v, want %+v", n, want)
-	}
-	// Barrier-only sweeping survives normalization.
-	if got := (Config{Capacity: 1, SweepEvery: -1}).Normalized().SweepEvery; got != -1 {
-		t.Fatalf("negative SweepEvery normalized to %d, want -1", got)
 	}
 }
 
@@ -253,28 +249,162 @@ func TestSweepEvictNone(t *testing.T) {
 	}
 }
 
-// TestIncrementalSweepBudget: an incremental sweep examines at most
-// SweepLimit entries per call but converges over repeated calls.
+// TestIncrementalSweepBudget: an incremental sweep removes at most
+// SweepLimit entries per call, oldest first, and repeated calls converge.
 func TestIncrementalSweepBudget(t *testing.T) {
 	st := newState("conns")
 	tr := NewTracker(Config{Capacity: 1000, UDPTimeout: time.Second, SweepLimit: 10},
 		st, []string{"conns"})
 	st.Class = uint8(ClassUDP)
-	st.NowNs = 0
 	for i := 0; i < 100; i++ {
+		st.NowNs = int64(i)
 		st.MapInsert("conns", ir.MakeMapKey(uint64(i)), []uint64{1})
 	}
 	now := int64(2 * time.Second) // everything is stale
-	if rm := tr.Sweep(now, false); len(rm) > 10 {
-		t.Fatalf("incremental sweep removed %d entries, budget 10", len(rm))
+	for call := 0; call < 10; call++ {
+		rm := tr.Sweep(now, false)
+		if len(rm) != 10 {
+			t.Fatalf("sweep %d removed %d entries, want the budget of 10", call, len(rm))
+		}
+		for i, r := range rm {
+			if want := ir.MakeMapKey(uint64(call*10 + i)); r.Key != want || r.Evicted {
+				t.Fatalf("sweep %d removal %d = %+v, want timeout of key %v", call, i, r, want)
+			}
+		}
 	}
-	total := tr.Stats().Expired
-	for i := 0; i < 100 && total < 100; i++ {
-		tr.Sweep(now, false)
-		total = tr.Stats().Expired
+	if rm := tr.Sweep(now, false); len(rm) != 0 {
+		t.Fatalf("sweep after convergence removed %+v", rm)
 	}
-	if total != 100 {
-		t.Fatalf("incremental sweeps expired %d of 100", total)
+	if s := tr.Stats(); s.Expired != 100 || s.Occupancy != 0 {
+		t.Fatalf("stats = %+v, want 100 expired, empty", s)
+	}
+}
+
+// TestIncrementalSweepEvictsGlobalLRU: with two tracked tables over
+// capacity, one default-budget incremental sweep evicts exactly the
+// least recently touched entries — all of them from the older table,
+// in touch order, none picked because its table happened to come first.
+func TestIncrementalSweepEvictsGlobalLRU(t *testing.T) {
+	st := newState("a_old", "b_new")
+	// "b_new" sorts after "a_old" but is listed first: order is by name.
+	tr := NewTracker(Config{Capacity: 8192, UDPTimeout: time.Hour}, st, []string{"b_new", "a_old"})
+	st.Class = uint8(ClassUDP)
+	const per = 6000
+	for i := 0; i < per; i++ {
+		st.NowNs = int64(i)
+		st.MapInsert("a_old", ir.MakeMapKey(uint64(i)), []uint64{1})
+	}
+	for i := 0; i < per; i++ {
+		st.NowNs = int64(per + i)
+		st.MapInsert("b_new", ir.MakeMapKey(uint64(i)), []uint64{1})
+	}
+	rm := tr.Sweep(2*per, false)
+	if want := 2*per - 8192; len(rm) != want {
+		t.Fatalf("evicted %d entries, want %d", len(rm), want)
+	}
+	for i, r := range rm {
+		if r.Table != "a_old" || r.Key != ir.MakeMapKey(uint64(i)) || !r.Evicted {
+			t.Fatalf("removal %d = %+v, want eviction of a_old key %d", i, r, i)
+		}
+	}
+	if len(st.Maps["b_new"]) != per || len(st.Maps["a_old"]) != 8192-per {
+		t.Fatalf("tables hold %d + %d entries", len(st.Maps["a_old"]), len(st.Maps["b_new"]))
+	}
+	if s := tr.Stats(); s.Occupancy != 8192 || s.Evicted != uint64(len(rm)) {
+		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestTouchOrderIsCanonical: the lists, and so the eviction order, depend
+// only on (touch, table, key) — not on the order entries were touched in
+// within one timestamp, nor on timestamps arriving out of order.
+func TestTouchOrderIsCanonical(t *testing.T) {
+	type touch struct {
+		table string
+		key   uint64
+		at    int64
+	}
+	touches := []touch{
+		{"x", 3, 20}, {"y", 1, 10}, {"x", 1, 10}, {"x", 2, 10}, {"y", 2, 5}, {"x", 4, 10},
+	}
+	want := []touch{{"y", 2, 5}, {"x", 1, 10}, {"x", 2, 10}, {"x", 4, 10}, {"y", 1, 10}, {"x", 3, 20}}
+	for rot := range touches {
+		st := newState("x", "y")
+		tr := NewTracker(Config{Capacity: 1, UDPTimeout: time.Hour}, st, []string{"x", "y"})
+		st.Class = uint8(ClassUDP)
+		for i := range touches {
+			tc := touches[(i+rot)%len(touches)]
+			st.NowNs = tc.at
+			st.MapInsert(tc.table, ir.MakeMapKey(tc.key), []uint64{1})
+		}
+		// Re-touch one entry at its old time from a different position.
+		st.NowNs = 10
+		st.MapFind("x", ir.MakeMapKey(1))
+		rm := tr.Sweep(30, true)
+		if len(rm) != len(want)-1 {
+			t.Fatalf("rotation %d: %d removals, want %d", rot, len(rm), len(want)-1)
+		}
+		for i, r := range rm {
+			if r.Table != want[i].table || r.Key != ir.MakeMapKey(want[i].key) {
+				t.Fatalf("rotation %d: removal %d = %s %v, want %s %d", rot, i, r.Table, r.Key, want[i].table, want[i].key)
+			}
+		}
+	}
+}
+
+// TestReplaceMapForgetsOldKeys: a control-plane table swap through the
+// state drops the old entries' records; the new entries are adopted by
+// the next sweep and age from there.
+func TestReplaceMapForgetsOldKeys(t *testing.T) {
+	st := newState("conns")
+	tr := NewTracker(Config{Capacity: 100, UDPTimeout: 30 * time.Second}, st, []string{"conns"})
+	st.Class = uint8(ClassUDP)
+	st.MapInsert("conns", ir.MakeMapKey(1), []uint64{1})
+	st.MapInsert("conns", ir.MakeMapKey(2), []uint64{2})
+	st.ReplaceMap("conns", map[ir.MapKey][]uint64{ir.MakeMapKey(7): {7}})
+
+	// Keys 1 and 2 would be a minute idle here, had their records survived.
+	if rm := tr.Sweep(int64(time.Minute), true); len(rm) != 0 {
+		t.Fatalf("sweep after replace removed %+v", rm)
+	}
+	if s := tr.Stats(); s.Occupancy != 1 {
+		t.Fatalf("occupancy = %d, want the one new entry", s.Occupancy)
+	}
+	rm := tr.Sweep(int64(time.Minute+31*time.Second), true)
+	if len(rm) != 1 || rm[0].Key != ir.MakeMapKey(7) {
+		t.Fatalf("removals = %+v, want timeout of adopted key 7", rm)
+	}
+}
+
+// TestSweepAllocsIndependentOfOccupancy: a steady-state incremental sweep
+// allocates the removal list it returns and nothing that grows with the
+// resident set.
+func TestSweepAllocsIndependentOfOccupancy(t *testing.T) {
+	const over = 512
+	vals := []uint64{1} // shared, so an insert allocates nothing itself
+	for _, resident := range []int{8192, 65536} {
+		st := newState("conns")
+		tr := NewTracker(Config{Capacity: resident, UDPTimeout: time.Hour}, st, []string{"conns"})
+		st.Class = uint8(ClassUDP)
+		next := uint64(0)
+		fill := func(n int) {
+			for i := 0; i < n; i++ {
+				st.NowNs++
+				st.MapInsert("conns", ir.MakeMapKey(next), vals)
+				next++
+			}
+		}
+		fill(resident)
+		allocs := testing.AllocsPerRun(50, func() {
+			fill(over)
+			if rm := tr.Sweep(st.NowNs, false); len(rm) != over {
+				t.Fatalf("resident %d: sweep removed %d, want %d", resident, len(rm), over)
+			}
+		})
+		// The one []Removal per sweep (the race detector adds one).
+		if allocs > 2 {
+			t.Errorf("resident %d: %.1f allocs per %d inserts + sweep, want <= 2", resident, allocs, over)
+		}
 	}
 }
 
@@ -299,22 +429,5 @@ func TestSetConfigPreservesCounters(t *testing.T) {
 	}
 	if s := tr.Stats(); s.Expired != 1 {
 		t.Fatalf("retune lost counters: %+v", s)
-	}
-}
-
-func TestStateCloneCarriesLifecycle(t *testing.T) {
-	st := newState("conns")
-	NewTracker(Config{Capacity: 10}, st, []string{"conns"})
-	st.Class = uint8(ClassUDP)
-	st.NowNs = 7
-	st.MapInsert("conns", ir.MakeMapKey(1), []uint64{1})
-
-	cl := st.Clone()
-	if cl.LastTouch["conns"][ir.MakeMapKey(1)] != 7 {
-		t.Fatalf("clone lost last-touch stamp")
-	}
-	cl.LastTouch["conns"][ir.MakeMapKey(1)] = 99
-	if st.LastTouch["conns"][ir.MakeMapKey(1)] != 7 {
-		t.Fatalf("clone aliases the original's stamps")
 	}
 }

@@ -85,18 +85,24 @@ type State struct {
 	Globals map[string]uint64
 	Lpms    map[string][]LpmEntry
 
-	// Lifecycle metadata, armed per map by the flow-state tracker
-	// (internal/flowstate). When LastTouch[name] is non-nil, MapFind
-	// hits and MapInserts on that map stamp the entry with NowNs and
-	// Class; MapRemove drops the stamp. Unarmed state pays one nil
-	// check per access and never allocates. The metadata is runtime
-	// scaffolding, not middlebox state: Equal ignores it.
-	LastTouch  map[string]map[MapKey]int64
-	TouchClass map[string]map[MapKey]uint8
+	// Life, when set (by the flow-state tracker, internal/flowstate),
+	// hears of every MapFind hit, MapInsert and Touch with NowNs and
+	// Class, and of every MapRemove. Unarmed state pays one nil check
+	// per access. It is runtime scaffolding, not middlebox state: Clone
+	// leaves it behind and Equal ignores it.
+	Life Lifecycle
 	// NowNs and Class are the current packet's virtual time and
 	// traffic class, set by the runtime before each packet executes.
 	NowNs int64
 	Class uint8
+}
+
+// Lifecycle is what a State tells of its map entries' comings and goings.
+type Lifecycle interface {
+	// Touch: the entry was found or written at nowNs by a packet of class.
+	Touch(table string, key MapKey, nowNs int64, class uint8)
+	// Forget: the entry was removed.
+	Forget(table string, key MapKey)
 }
 
 // NewState initializes empty state for the program's globals.
@@ -149,24 +155,6 @@ func (s *State) Clone() *State {
 			cp[i] = LpmEntry{Key: e.Key, PrefixLen: e.PrefixLen, Vals: append([]uint64(nil), e.Vals...)}
 		}
 		c.Lpms[name] = cp
-	}
-	if s.LastTouch != nil {
-		c.LastTouch = make(map[string]map[MapKey]int64, len(s.LastTouch))
-		for name, lt := range s.LastTouch {
-			cm := make(map[MapKey]int64, len(lt))
-			for k, v := range lt {
-				cm[k] = v
-			}
-			c.LastTouch[name] = cm
-		}
-		c.TouchClass = make(map[string]map[MapKey]uint8, len(s.TouchClass))
-		for name, tc := range s.TouchClass {
-			cm := make(map[MapKey]uint8, len(tc))
-			for k, v := range tc {
-				cm[k] = v
-			}
-			c.TouchClass[name] = cm
-		}
 	}
 	c.NowNs = s.NowNs
 	c.Class = s.Class
@@ -241,8 +229,8 @@ func (s *State) Equal(o *State) bool {
 // MapFind looks key up in the named map.
 func (s *State) MapFind(name string, key MapKey) ([]uint64, bool) {
 	vals, ok := s.Maps[name][key]
-	if ok && s.LastTouch != nil {
-		s.stamp(name, key)
+	if ok && s.Life != nil {
+		s.Life.Touch(name, key, s.NowNs, s.Class)
 	}
 	return vals, ok
 }
@@ -250,8 +238,8 @@ func (s *State) MapFind(name string, key MapKey) ([]uint64, bool) {
 // MapInsert stores vals under key in the named map.
 func (s *State) MapInsert(name string, key MapKey, vals []uint64) error {
 	s.Maps[name][key] = vals
-	if s.LastTouch != nil {
-		s.stamp(name, key)
+	if s.Life != nil {
+		s.Life.Touch(name, key, s.NowNs, s.Class)
 	}
 	return nil
 }
@@ -259,33 +247,32 @@ func (s *State) MapInsert(name string, key MapKey, vals []uint64) error {
 // MapRemove deletes key from the named map.
 func (s *State) MapRemove(name string, key MapKey) error {
 	delete(s.Maps[name], key)
-	if s.LastTouch != nil {
-		if lt := s.LastTouch[name]; lt != nil {
-			delete(lt, key)
-			delete(s.TouchClass[name], key)
-		}
+	if s.Life != nil {
+		s.Life.Forget(name, key)
 	}
 	return nil
 }
 
-// Touch stamps an existing entry with the state's current NowNs/Class.
-// It is a no-op unless the map is lifecycle-armed and the key present;
-// the switch fast path uses it to record liveness for entries it serves
-// without a server round trip.
-func (s *State) Touch(name string, key MapKey) {
-	if s.LastTouch == nil {
-		return
+// ReplaceMap swaps the named map's whole contents (control-plane path).
+func (s *State) ReplaceMap(name string, fresh map[MapKey][]uint64) {
+	if s.Life != nil {
+		for k := range s.Maps[name] {
+			s.Life.Forget(name, k)
+		}
 	}
-	if _, ok := s.Maps[name][key]; !ok {
-		return
-	}
-	s.stamp(name, key)
+	s.Maps[name] = fresh
 }
 
-func (s *State) stamp(name string, key MapKey) {
-	if lt := s.LastTouch[name]; lt != nil {
-		lt[key] = s.NowNs
-		s.TouchClass[name][key] = s.Class
+// Touch reports an existing entry as live at the state's current
+// NowNs/Class. It is a no-op unless a lifecycle is armed and the key
+// present; the switch fast path uses it to record liveness for entries
+// it serves without a server round trip.
+func (s *State) Touch(name string, key MapKey) {
+	if s.Life == nil {
+		return
+	}
+	if _, ok := s.Maps[name][key]; ok {
+		s.Life.Touch(name, key, s.NowNs, s.Class)
 	}
 }
 

@@ -79,54 +79,6 @@ func TestParseIPv4Addr(t *testing.T) {
 	}
 }
 
-// TestEndpointsAndFlows covers the endpoint/flow key types across all
-// address families, including the v6 endpoints added with the substrate.
-func TestEndpointsAndFlows(t *testing.T) {
-	v4 := NewIPv4Endpoint(MakeIPv4Addr(10, 0, 0, 1))
-	v6 := NewIPv6Endpoint(MakeIPv6Addr(0x20010DB8<<32, 9))
-	tp := NewTCPPortEndpoint(443)
-	up := NewUDPPortEndpoint(53)
-
-	if v4.EndpointType() != EndpointIPv4 || v6.EndpointType() != EndpointIPv6 {
-		t.Fatal("wrong endpoint types")
-	}
-	if len(v4.Raw()) != 4 || len(v6.Raw()) != 16 || len(up.Raw()) != 2 {
-		t.Fatal("wrong raw lengths")
-	}
-	if v4.String() != "10.0.0.1" || v6.String() != "2001:db8::9" || tp.String() != "443" || up.String() != "53" {
-		t.Fatalf("endpoint strings: %q %q %q %q", v4, v6, tp, up)
-	}
-	// LessThan is a strict weak order: types first, then bytes.
-	if !v4.LessThan(v6) || v6.LessThan(v4) {
-		t.Error("type ordering broken")
-	}
-	lo, hi := NewTCPPortEndpoint(1), NewTCPPortEndpoint(2)
-	if !lo.LessThan(hi) || hi.LessThan(lo) || lo.LessThan(lo) {
-		t.Error("byte ordering broken")
-	}
-
-	if _, err := NewFlow(v4, tp); err == nil {
-		t.Error("NewFlow accepted mismatched endpoint types")
-	}
-	f, err := NewFlow(v6, NewIPv6Endpoint(MakeIPv6Addr(0x20010DB8<<32, 10)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, dst := f.Endpoints()
-	if src != f.Src() || dst != f.Dst() {
-		t.Error("Endpoints disagrees with Src/Dst")
-	}
-	if f.Reverse().Src() != dst || f.Reverse().Dst() != src {
-		t.Error("Reverse broken")
-	}
-	if f.FastHash() != f.Reverse().FastHash() {
-		t.Error("flow FastHash not symmetric")
-	}
-	if got := f.String(); got != "2001:db8::9->2001:db8::a" {
-		t.Fatalf("flow String = %q", got)
-	}
-}
-
 // TestTupleHashing pins the hashing contracts the engine's RSS dispatch
 // relies on: direction-independence of the symmetric hashes, and (for
 // v6) flow-label exclusion so both directions of a labeled connection

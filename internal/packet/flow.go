@@ -5,141 +5,6 @@ import (
 	"fmt"
 )
 
-// EndpointType identifies the protocol of an Endpoint.
-type EndpointType int
-
-// Endpoint types.
-const (
-	EndpointIPv4 EndpointType = iota + 1
-	EndpointTCPPort
-	EndpointUDPPort
-	EndpointMAC
-	EndpointIPv6
-)
-
-// Endpoint is a hashable, comparable representation of one side of a flow
-// (an address at some layer), usable as a map key.
-type Endpoint struct {
-	typ EndpointType
-	raw [16]byte
-	n   int
-}
-
-// NewIPv4Endpoint builds an endpoint from an IPv4 address.
-func NewIPv4Endpoint(a IPv4Addr) Endpoint {
-	var e Endpoint
-	e.typ = EndpointIPv4
-	binary.BigEndian.PutUint32(e.raw[:4], uint32(a))
-	e.n = 4
-	return e
-}
-
-// NewIPv6Endpoint builds an endpoint from an IPv6 address.
-func NewIPv6Endpoint(a IPv6Addr) Endpoint {
-	var e Endpoint
-	e.typ = EndpointIPv6
-	copy(e.raw[:], a[:])
-	e.n = 16
-	return e
-}
-
-// NewTCPPortEndpoint builds an endpoint from a TCP port.
-func NewTCPPortEndpoint(p uint16) Endpoint {
-	var e Endpoint
-	e.typ = EndpointTCPPort
-	binary.BigEndian.PutUint16(e.raw[:2], p)
-	e.n = 2
-	return e
-}
-
-// NewUDPPortEndpoint builds an endpoint from a UDP port.
-func NewUDPPortEndpoint(p uint16) Endpoint {
-	var e Endpoint
-	e.typ = EndpointUDPPort
-	binary.BigEndian.PutUint16(e.raw[:2], p)
-	e.n = 2
-	return e
-}
-
-// EndpointType returns the endpoint's protocol type.
-func (e Endpoint) EndpointType() EndpointType { return e.typ }
-
-// Raw returns the endpoint's raw bytes.
-func (e Endpoint) Raw() []byte { return e.raw[:e.n] }
-
-// FastHash returns a quick non-cryptographic hash of the endpoint.
-func (e Endpoint) FastHash() uint64 {
-	return fnv1a(e.raw[:e.n], uint64(e.typ))
-}
-
-// LessThan orders endpoints for canonicalization.
-func (e Endpoint) LessThan(o Endpoint) bool {
-	if e.typ != o.typ {
-		return e.typ < o.typ
-	}
-	for i := 0; i < e.n && i < o.n; i++ {
-		if e.raw[i] != o.raw[i] {
-			return e.raw[i] < o.raw[i]
-		}
-	}
-	return e.n < o.n
-}
-
-// String formats the endpoint.
-func (e Endpoint) String() string {
-	switch e.typ {
-	case EndpointIPv4:
-		return IPv4Addr(binary.BigEndian.Uint32(e.raw[:4])).String()
-	case EndpointIPv6:
-		return IPv6Addr(e.raw).String()
-	case EndpointTCPPort, EndpointUDPPort:
-		return fmt.Sprintf("%d", binary.BigEndian.Uint16(e.raw[:2]))
-	}
-	return fmt.Sprintf("endpoint%v", e.raw[:e.n])
-}
-
-// Flow is a source/destination endpoint pair, usable as a map key.
-type Flow struct {
-	src, dst Endpoint
-}
-
-// NewFlow builds a flow from two endpoints of the same type.
-func NewFlow(src, dst Endpoint) (Flow, error) {
-	if src.typ != dst.typ {
-		return Flow{}, fmt.Errorf("packet: mismatched endpoint types %v and %v", src.typ, dst.typ)
-	}
-	return Flow{src: src, dst: dst}, nil
-}
-
-// Endpoints returns the flow's source and destination.
-func (f Flow) Endpoints() (src, dst Endpoint) { return f.src, f.dst }
-
-// Src returns the source endpoint.
-func (f Flow) Src() Endpoint { return f.src }
-
-// Dst returns the destination endpoint.
-func (f Flow) Dst() Endpoint { return f.dst }
-
-// Reverse returns the flow with its endpoints swapped.
-func (f Flow) Reverse() Flow { return Flow{src: f.dst, dst: f.src} }
-
-// FastHash returns a quick non-cryptographic hash of the flow. The hash is
-// symmetric: f.FastHash() == f.Reverse().FastHash(), so bidirectional
-// traffic of one connection always lands in the same bucket.
-func (f Flow) FastHash() uint64 {
-	a, b := f.src.FastHash(), f.dst.FastHash()
-	if a > b {
-		a, b = b, a
-	}
-	var buf [16]byte
-	binary.BigEndian.PutUint64(buf[:8], a)
-	binary.BigEndian.PutUint64(buf[8:], b)
-	return fnv1a(buf[:], 0)
-}
-
-// String formats the flow as "src->dst".
-func (f Flow) String() string { return f.src.String() + "->" + f.dst.String() }
-
 // FiveTuple identifies a transport connection. It is comparable and is the
 // canonical key used by the middlebox state tables.
 type FiveTuple struct {

@@ -1,8 +1,6 @@
 // Package packet implements packet decoding and serialization for the
 // Gallium simulator, modeled after the gopacket API: packets decode into a
-// stack of layers, each layer knows its own contents and payload, and a
-// zero-allocation DecodingLayerParser decodes known layer stacks into
-// preallocated layer structs.
+// stack of layers, and each layer knows its own contents and payload.
 //
 // The package supports Ethernet, IPv4, TCP, UDP, raw payloads, and the
 // synthesized Gallium header that the compiler inserts between the Ethernet

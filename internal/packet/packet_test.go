@@ -234,54 +234,6 @@ func TestGalliumLayerRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodingLayerParserFullStack(t *testing.T) {
-	pkt := BuildTCP(MakeIPv4Addr(10, 0, 0, 1), MakeIPv4Addr(10, 0, 0, 2), 4000, 80,
-		TCPOptions{Flags: TCPFlagSYN, Payload: []byte("xyz")})
-	raw := pkt.Serialize()
-
-	var eth Ethernet
-	var ip IPv4
-	var tcp TCP
-	var pay Payload
-	parser := NewDecodingLayerParser(LayerTypeEthernet, &eth, &ip, &tcp, &pay)
-	var decoded []LayerType
-	if err := parser.DecodeLayers(raw, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	want := []LayerType{LayerTypeEthernet, LayerTypeIPv4, LayerTypeTCP, LayerTypePayload}
-	if len(decoded) != len(want) {
-		t.Fatalf("decoded %v, want %v", decoded, want)
-	}
-	for i := range want {
-		if decoded[i] != want[i] {
-			t.Fatalf("decoded %v, want %v", decoded, want)
-		}
-	}
-	if ip.SrcIP != MakeIPv4Addr(10, 0, 0, 1) || tcp.DstPort != 80 || string(pay) != "xyz" {
-		t.Errorf("fields wrong: ip=%v tcp=%v pay=%q", ip.SrcIP, tcp.DstPort, pay)
-	}
-}
-
-func TestDecodingLayerParserUnsupported(t *testing.T) {
-	pkt := BuildUDP(MakeIPv4Addr(1, 1, 1, 1), MakeIPv4Addr(2, 2, 2, 2), 1, 2, nil)
-	raw := pkt.Serialize()
-	var eth Ethernet
-	var ip IPv4
-	parser := NewDecodingLayerParser(LayerTypeEthernet, &eth, &ip)
-	var decoded []LayerType
-	err := parser.DecodeLayers(raw, &decoded)
-	if _, ok := err.(UnsupportedLayerType); !ok {
-		t.Fatalf("err = %v, want UnsupportedLayerType", err)
-	}
-	parser.IgnoreUnsupported = true
-	if err := parser.DecodeLayers(raw, &decoded); err != nil {
-		t.Fatalf("with IgnoreUnsupported: %v", err)
-	}
-	if len(decoded) != 2 {
-		t.Errorf("decoded %v", decoded)
-	}
-}
-
 func TestPacketRoundTripTCP(t *testing.T) {
 	p := BuildTCP(MakeIPv4Addr(172, 16, 0, 5), MakeIPv4Addr(8, 8, 8, 8), 5555, 443,
 		TCPOptions{Flags: TCPFlagACK, Seq: 100, Ack: 200, Payload: []byte("data!")})
@@ -363,24 +315,6 @@ func TestWireLen(t *testing.T) {
 	}
 }
 
-func TestFlowSymmetricHash(t *testing.T) {
-	src := NewIPv4Endpoint(MakeIPv4Addr(10, 0, 0, 1))
-	dst := NewIPv4Endpoint(MakeIPv4Addr(10, 0, 0, 2))
-	f, err := NewFlow(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.FastHash() != f.Reverse().FastHash() {
-		t.Error("flow FastHash not symmetric")
-	}
-	if f.Src() != src || f.Dst() != dst {
-		t.Error("endpoints lost")
-	}
-	if _, err := NewFlow(src, NewTCPPortEndpoint(80)); err == nil {
-		t.Error("want error for mismatched endpoint types")
-	}
-}
-
 func TestFiveTupleSymmetricHash(t *testing.T) {
 	a := FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 20, Proto: IPProtocolTCP}
 	if a.SymmetricHash() != a.Reverse().SymmetricHash() {
@@ -391,20 +325,6 @@ func TestFiveTupleSymmetricHash(t *testing.T) {
 	}
 	if a.Reverse().Reverse() != a {
 		t.Error("double reverse changed tuple")
-	}
-}
-
-func TestEndpointOrderingAndString(t *testing.T) {
-	a := NewIPv4Endpoint(MakeIPv4Addr(1, 2, 3, 4))
-	b := NewIPv4Endpoint(MakeIPv4Addr(1, 2, 3, 5))
-	if !a.LessThan(b) || b.LessThan(a) {
-		t.Error("LessThan ordering wrong")
-	}
-	if a.String() != "1.2.3.4" {
-		t.Errorf("String = %q", a.String())
-	}
-	if NewTCPPortEndpoint(80).String() != "80" {
-		t.Error("port endpoint string wrong")
 	}
 }
 
