@@ -19,6 +19,8 @@ package gallium_test
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -260,11 +262,31 @@ func BenchmarkSwitchFastPath(b *testing.B) {
 	}
 }
 
+// natFlows is the traffic BenchmarkPrePass and BenchmarkEngineFeed share:
+// mazunat with n established flows, a table too large for the cache. It
+// returns each flow's steady ACK and the two switch-table entries that
+// keep it on the fast path.
+func natFlows(n int) (acks []packet.Packet, entries []switchsim.Update) {
+	acks = make([]packet.Packet, n)
+	for i := range acks {
+		src, sport, ext := packet.IPv4Addr(10<<24|uint32(i)*2654435761>>8), uint16(1024+i%60000), uint64(1024+i)
+		entries = append(entries,
+			switchsim.Update{Table: "nat_fwd", Key: ir.MakeMapKey(uint64(src), uint64(sport)), Vals: []uint64{ext}},
+			switchsim.Update{Table: "nat_rev", Key: ir.MakeMapKey(ext), Vals: []uint64{uint64(src), uint64(sport)}})
+		acks[i] = *packet.BuildTCP(src, packet.MakeIPv4Addr(93, 184, 216, 34), sport, 80, packet.TCPOptions{Flags: packet.TCPFlagACK})
+	}
+	return acks, entries
+}
+
 // BenchmarkPrePass measures the pre-pass the way the repository benchmark's
 // switchsim.pre_ns probe does: mazunat with 32,768 flows resident in both
 // tables, packets rotating over all of them, so every lookup probes a
 // table too large for the cache. BenchmarkSwitchFastPath's single entry
-// never leaves L1 and cannot see table layout at all.
+// never leaves L1 and cannot see table layout at all. "wrapper" is
+// ProcessPreShard (a pooled Pass checked out, flushed and returned per
+// call), "owned" the Pass an engine worker keeps (flushed once per 32
+// packets, as at a batch boundary): the difference is what the pool and
+// the per-packet atomic counters cost.
 func BenchmarkPrePass(b *testing.B) {
 	art, err := gallium.Compile(middleboxes.MazuNATSource, gallium.Options{})
 	if err != nil {
@@ -272,29 +294,135 @@ func BenchmarkPrePass(b *testing.B) {
 	}
 	const flows = 32768
 	sw := switchsim.New(art.Res)
-	pkts := make([]packet.Packet, flows)
-	for i := range pkts {
-		src, sport, ext := packet.IPv4Addr(10<<24|uint32(i)*2654435761>>8), uint16(1024+i%60000), uint64(1024+i)
-		for _, u := range []switchsim.Update{
-			{Table: "nat_fwd", Key: ir.MakeMapKey(uint64(src), uint64(sport)), Vals: []uint64{ext}},
-			{Table: "nat_rev", Key: ir.MakeMapKey(ext), Vals: []uint64{uint64(src), uint64(sport)}},
-		} {
-			if err := sw.StageShard(0, u); err != nil {
-				b.Fatal(err)
-			}
+	pkts, entries := natFlows(flows)
+	for _, u := range entries {
+		if err := sw.StageShard(0, u); err != nil {
+			b.Fatal(err)
 		}
-		pkts[i] = *packet.BuildTCP(src, packet.MakeIPv4Addr(93, 184, 216, 34), sport, 80, packet.TCPOptions{Flags: packet.TCPFlagACK})
 	}
 	sw.FlipShard(0)
-	var p packet.Packet
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p = pkts[i%flows] // the pass rewrites headers only
-		pre, err := sw.ProcessPreShard(&p, 0, nil)
-		if err != nil || pre.Action != ir.ActionSent {
-			b.Fatalf("flow %d: %v %v", i%flows, pre.Action, err)
+	pass, owned := sw.NewPass(0), 0
+	for _, v := range []struct {
+		name string
+		pre  func(*packet.Packet) (switchsim.PreResult, error)
+	}{
+		{"wrapper", func(p *packet.Packet) (switchsim.PreResult, error) { return sw.ProcessPreShard(p, 0, nil) }},
+		{"owned", func(p *packet.Packet) (switchsim.PreResult, error) {
+			if owned++; owned%32 == 0 {
+				pass.Flush()
+			}
+			return pass.Pre(p, nil)
+		}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			var p packet.Packet
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p = pkts[i%flows] // the pass rewrites headers only
+				pre, err := v.pre(&p)
+				if err != nil || pre.Action != ir.ActionSent {
+					b.Fatalf("flow %d: %v %v", i%flows, pre.Action, err)
+				}
+			}
+		})
+	}
+	pass.Flush()
+	if st := sw.Stats(); st.PrePackets == 0 || st.PrePackets != st.FastPath {
+		b.Fatalf("pre %d != fast %d after the final flush", st.PrePackets, st.FastPath)
+	}
+}
+
+// feedRound is one BenchmarkEngineFeed round: every packet of a prepared
+// buffer, one virtual millisecond apart.
+type feedRound struct {
+	pkts []packet.Packet
+	t0   int64
+}
+
+func (r *feedRound) Tuples() []packet.FiveTuple { return nil }
+
+func (r *feedRound) Generate(emit func(int64, *packet.Packet) error) error {
+	for i := range r.pkts {
+		if err := emit(r.t0+int64(i)*1e6, &r.pkts[i]); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// BenchmarkEngineFeed measures the engine's fast path end to end, as the
+// repository benchmark's `steady` workload does but inside the root
+// module: mazunat, 32,768 seeded flows, rounds of 131,072 fast-path ACKs
+// through Session.Feed with a counting delivery callback. It reports
+// wall ns per packet (dispatch, hand-off, pre-pass, virtual-time
+// accounting, callback) and allocations per packet, which must be 0.
+func BenchmarkEngineFeed(b *testing.B) {
+	art, err := gallium.Compile(middleboxes.MazuNATSource, gallium.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const flows, round = 32768, 131072
+	acks, entries := natFlows(flows)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var fast atomic.Int64
+			seeded := 0 // WithState fires again at Close
+			sess, err := gallium.Open(art, gallium.WithWorkers(workers),
+				gallium.WithDeliveries(func(d gallium.Delivery) {
+					if d.Delivered && d.FastPath {
+						fast.Add(1)
+					}
+				}),
+				gallium.WithState(func(_ int, st *ir.State) {
+					if seeded++; seeded > workers {
+						return
+					}
+					for _, u := range entries {
+						st.Maps[u.Table][u.Key] = u.Vals
+					}
+				}))
+			if err != nil {
+				b.Fatal(err)
+			}
+			wl := &feedRound{pkts: make([]packet.Packet, round)}
+			feed := func() {
+				for i := range wl.pkts {
+					wl.pkts[i] = acks[i%flows]
+				}
+				b.StartTimer()
+				err := sess.Feed(wl)
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				wl.t0 += round * 1e6
+			}
+			b.StopTimer()
+			feed() // warm: grow the bursts, the batch buffers, the register files
+			b.ResetTimer()
+			b.StopTimer()
+			fast.Store(0)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				feed()
+			}
+			runtime.ReadMemStats(&after)
+			if got, want := fast.Load(), int64(b.N)*round; got != want {
+				b.Fatalf("%d of %d packets took the fast path", got, want)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*round), "ns/pkt")
+			// A round's settle barrier allocates (a closure per worker);
+			// a packet must not.
+			perPkt := float64(after.Mallocs-before.Mallocs) / float64(b.N*round)
+			b.ReportMetric(perPkt, "allocs/pkt")
+			if perPkt > 0.001 {
+				b.Errorf("%.4f allocations per packet, want 0", perPkt)
+			}
+			if _, err := sess.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,12 @@
 // slow path is a real bounded channel per shard, each drained by a
 // dedicated control-plane goroutine that stages and flips batches.
 //
+// Hand-off: packets reach a worker the way they reach a DPDK core, in
+// bursts, through the worker's one bounded mailbox (mailbox.go): Feed
+// pushes 32-packet bursts, Dispatch and the control jobs of settle and
+// Reconfigure bursts of one, the worker pulls up to a batch per lock.
+// Cancelling the run closes the mailboxes (see abort).
+//
 // Ordering guarantees: packets of one flow always hash to the same worker
 // and each worker runs one packet to completion before starting the next,
 // so per-flow processing (and delivery-callback) order equals arrival
@@ -42,6 +48,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -88,15 +95,16 @@ type Config struct {
 	Mode netsim.Mode
 	// Workers is the number of server shards; <=0 means 1.
 	Workers int
-	// Batch is how many queued packets a worker pulls per batch (one
-	// blocking receive, then a non-blocking drain). Within a batch,
-	// write-back commits overlap with other flows' packets — a worker only
-	// stalls a packet on its OWN flow's pending commit — and the batch ends
-	// with one barrier on everything still in flight, amortizing the
-	// output-commit wait over the batch. A positive value fixes the batch
-	// size; <=0 (the default) enables the per-worker adaptive controller,
-	// which grows the batch under backlog and shrinks it when the queue
-	// runs dry, bounded by BatchBudgetNs.
+	// Batch is the most queued packets a worker pulls from its mailbox per
+	// batch (one pull, one lock, blocking only while the mailbox is empty).
+	// Within a batch, write-back commits overlap with other flows' packets
+	// — a worker only stalls a packet on its OWN flow's pending commit —
+	// and the batch ends with one barrier on everything still in flight,
+	// amortizing the output-commit wait over the batch. A positive value
+	// fixes the batch size; <=0 (the default) enables the per-worker
+	// adaptive controller, which grows the batch when a full pull left
+	// backlog behind and shrinks it when pulls come back less than half
+	// full, bounded by BatchBudgetNs and by QueueDepth.
 	Batch int
 	// BatchBudgetNs bounds the adaptive batch controller's latency cost: a
 	// worker never grows its batch beyond what it can process within this
@@ -118,7 +126,9 @@ type Config struct {
 	// Obs, when non-nil, receives metrics: per-worker counters plus
 	// read-time "engine.*" aggregates. Nil disables observability.
 	Obs *obs.Registry
-	// QueueDepth bounds each worker's ingress channel; <=0 means 256.
+	// QueueDepth bounds the packets queued in each worker's mailbox: a
+	// dispatcher whose burst does not fit blocks until the worker has
+	// pulled room for it (backpressure, never a drop). <=0 means 256.
 	QueueDepth int
 	// CtlQueue bounds the control-plane slow-path channel; <=0 means 256.
 	CtlQueue int
@@ -219,15 +229,23 @@ type Engine struct {
 	wg     sync.WaitGroup
 	cancel context.CancelFunc
 	runCtx context.Context
+	// aborted is set, and every mailbox closed, once runCtx is cancelled:
+	// the packet path reads this flag instead of locking ctx.Err().
+	aborted atomic.Bool
 
 	// feedMu serializes Feed calls (one dispatcher at a time); reconfMu
 	// serializes Reconfigure. Feed and Reconfigure may run concurrently
 	// with each other.
 	feedMu   sync.Mutex
 	reconfMu sync.Mutex
-	seq      int64
-	lastT    int64
-	fedAny   bool
+	// seq, lastT and fedAny are the dispatcher's per-packet state (under
+	// feedMu), padded off the lines workers read per packet (cfg, runCtx,
+	// aborted).
+	_      [64]byte
+	seq    int64
+	lastT  int64
+	fedAny bool
+	_      [64]byte
 
 	started atomic.Bool
 	stopped atomic.Bool
@@ -324,7 +342,7 @@ func New(cfg Config) (*Engine, error) {
 		w := &worker{
 			id:   i,
 			eng:  e,
-			jobs: make(chan job, cfg.QueueDepth),
+			box:  newMailbox(cfg.QueueDepth),
 			hLat: obs.NewHistogram(nil),
 			life: make([]atomic.Pointer[flowstate.Tracker], len(e.stages)),
 		}
@@ -445,8 +463,28 @@ func (e *Engine) fail(err error) {
 		e.runErr.Store(&err)
 		if e.cancel != nil {
 			e.cancel()
+			e.abort() // now, not when the AfterFunc gets to run
 		}
 	})
+}
+
+// abort releases everything parked on the packet hand-off: producers
+// blocked on a full mailbox return false, workers skip the packets still
+// queued, run the control jobs, and leave.
+func (e *Engine) abort() {
+	e.aborted.Store(true)
+	for _, w := range e.workers {
+		w.box.close()
+	}
+}
+
+// hand pushes jobs onto w's mailbox in order, blocking while it is full
+// (backpressure). It fails only once the run is aborted or stopped.
+func (e *Engine) hand(w *worker, jobs ...job) error {
+	if w.box.push(jobs) {
+		return nil
+	}
+	return cmp.Or(e.runCtx.Err(), errors.New("engine: stopped"))
 }
 
 // err returns the first recorded failure, if any.
@@ -466,6 +504,7 @@ func (e *Engine) Start(ctx context.Context) error {
 	}
 	e.startT = time.Now()
 	e.runCtx, e.cancel = context.WithCancel(ctx)
+	context.AfterFunc(e.runCtx, e.abort)
 	if len(e.sws) > 0 {
 		e.ctls = make([]*ctlShard, len(e.workers))
 		for i := range e.ctls {
@@ -478,7 +517,7 @@ func (e *Engine) Start(ctx context.Context) error {
 		e.wg.Add(1)
 		go func(w *worker) {
 			defer e.wg.Done()
-			w.loop(e.runCtx)
+			w.loop()
 		}(w)
 	}
 	return nil
@@ -498,8 +537,8 @@ func (e *Engine) Feed(wl Workload) error {
 	e.feedMu.Lock()
 	defer e.feedMu.Unlock()
 	genErr := wl.Generate(func(tNs int64, pkt *packet.Packet) error {
-		if err := e.runCtx.Err(); err != nil {
-			return err
+		if e.aborted.Load() {
+			return e.runCtx.Err()
 		}
 		if e.fedAny && tNs < e.lastT {
 			return fmt.Errorf("engine: out-of-order injection (%d < %d)", tNs, e.lastT)
@@ -507,21 +546,35 @@ func (e *Engine) Feed(wl Workload) error {
 		e.fedAny = true
 		e.lastT = tNs
 		flow, _ := pkt.DispatchTuple()
-		j := job{seq: e.seq, tNs: tNs, flow: flow, pkt: pkt}
-		e.seq++
 		w := e.workers[netsim.RSSShard(pkt, len(e.workers))]
-		select {
-		case w.jobs <- j:
+		w.burst = append(w.burst, job{seq: e.seq, tNs: tNs, flow: flow, pkt: pkt})
+		e.seq++
+		if len(w.burst) < feedBurst {
 			return nil
-		case <-e.runCtx.Done():
-			return e.runCtx.Err()
 		}
+		return e.flush(w)
 	})
+	// Publish the tail bursts before the barrier that waits for them.
+	for _, w := range e.workers {
+		e.flush(w)
+	}
 	e.settle(nil)
 	if err := e.err(); err != nil {
 		return err
 	}
 	return genErr
+}
+
+// feedBurst is how many packets Feed accumulates per worker before one
+// push: enough to amortize the mailbox lock and the worker's wake-up to a
+// few ns per packet, small against the default QueueDepth.
+const feedBurst = 32
+
+// flush pushes the burst Feed accumulated for w (callers hold feedMu).
+func (e *Engine) flush(w *worker) error {
+	err := e.hand(w, w.burst...)
+	w.burst = w.burst[:0]
+	return err
 }
 
 // Dispatch injects one packet into the running engine without settling:
@@ -537,9 +590,6 @@ func (e *Engine) Dispatch(tNs int64, pkt *packet.Packet) (int64, error) {
 	}
 	e.feedMu.Lock()
 	defer e.feedMu.Unlock()
-	if err := e.runCtx.Err(); err != nil {
-		return 0, err
-	}
 	if e.fedAny && tNs < e.lastT {
 		tNs = e.lastT
 	}
@@ -547,15 +597,12 @@ func (e *Engine) Dispatch(tNs int64, pkt *packet.Packet) (int64, error) {
 	e.lastT = tNs
 	flow, _ := pkt.DispatchTuple()
 	seq := e.seq
-	j := job{seq: seq, tNs: tNs, flow: flow, pkt: pkt}
 	e.seq++
 	w := e.workers[netsim.RSSShard(pkt, len(e.workers))]
-	select {
-	case w.jobs <- j:
-		return seq, nil
-	case <-e.runCtx.Done():
-		return 0, e.runCtx.Err()
+	if err := e.hand(w, job{seq: seq, tNs: tNs, flow: flow, pkt: pkt}); err != nil {
+		return 0, err
 	}
+	return seq, nil
 }
 
 // settle injects a barrier control job into every worker and blocks until
@@ -568,7 +615,8 @@ func (e *Engine) settle(stats []netsim.Stats) {
 	for i, w := range e.workers {
 		wg.Add(1)
 		i := i
-		j := job{ctrl: func(w *worker) {
+		err := e.hand(w, job{ctrl: func(w *worker) {
+			defer wg.Done()
 			// A settle barrier is a quiescent point: run a FULL sweep
 			// (no removal cap) before waiting out the in-flight applies,
 			// so its deletions land inside this barrier too.
@@ -579,12 +627,9 @@ func (e *Engine) settle(stats []netsim.Stats) {
 			if stats != nil {
 				stats[i] = w.walk.Stats
 			}
-			wg.Done()
-		}}
-		select {
-		case w.jobs <- j:
-		case <-e.runCtx.Done():
-			// Aborting: the worker may never pull the barrier; don't wait.
+		}})
+		if err != nil {
+			// Aborting: the worker will never pull the barrier; don't wait.
 			wg.Done()
 		}
 	}
@@ -623,7 +668,7 @@ func (e *Engine) Reconfigure(r Reconfig) error {
 	paused := 0
 	for i, w := range e.workers {
 		i := i
-		j := job{ctrl: func(w *worker) {
+		err := e.hand(w, job{ctrl: func(w *worker) {
 			if r.Mutate != nil {
 				ups := r.Mutate(i, w.stageState(r.Stage))
 				if len(ups) > 0 {
@@ -642,11 +687,9 @@ func (e *Engine) Reconfigure(r Reconfig) error {
 			case <-release:
 			case <-ctx.Done():
 			}
-		}}
-		select {
-		case w.jobs <- j:
+		}})
+		if err == nil {
 			paused++
-		case <-ctx.Done():
 		}
 	}
 	for n := 0; n < paused; n++ {
@@ -737,7 +780,7 @@ func (e *Engine) Stop() (*Report, error) {
 		return nil, errors.New("engine: Stop may be called at most once per Engine")
 	}
 	for _, w := range e.workers {
-		close(w.jobs)
+		w.box.close()
 	}
 	e.wg.Wait()
 	for _, cs := range e.ctls {
@@ -809,7 +852,16 @@ func (e *Engine) Run(ctx context.Context, wl Workload) (*Report, error) {
 func (e *Engine) drainCtl(shard int) {
 	cs := e.ctls[shard]
 	defer e.ctlWG.Done()
+	stage := 0
+	// A panic fails the run instead of the process; the cancellation
+	// releases every worker waiting on this lane or on an apply.
+	defer func() {
+		if r := recover(); r != nil {
+			e.fail(fmt.Errorf("engine: control drainer %d panicked at stage %d: %v", shard, stage, r))
+		}
+	}()
 	for b := range cs.ch {
+		stage = b.stage
 		sw := e.sws[b.stage]
 		toStage := b.updates
 		if b.punt {

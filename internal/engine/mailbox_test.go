@@ -1,0 +1,214 @@
+package engine
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
+
+// eventually polls cond until it holds; the mailbox has no event to wait on
+// for "a producer is parked", so tests wait for the state that implies it.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+func (m *mailbox) queued() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.n
+}
+
+// seqJobs builds n jobs tagged producer (tNs) and position (seq).
+func seqJobs(producer int64, from, n int) []job {
+	out := make([]job, n)
+	for i := range out {
+		out[i] = job{tNs: producer, seq: int64(from + i)}
+	}
+	return out
+}
+
+// checkLeaks fails the test if goroutines outlive it.
+func checkLeaks(t *testing.T) {
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		eventually(t, "the test's goroutines have exited", func() bool { return runtime.NumGoroutine() <= before })
+	})
+}
+
+// TestMailboxFIFOAcrossProducers: one bulk producer and two single-job
+// producers share a ring much smaller than the traffic; every job arrives
+// exactly once and each producer's jobs arrive in the order it pushed them.
+func TestMailboxFIFOAcrossProducers(t *testing.T) {
+	checkLeaks(t)
+	const perProducer = 3200
+	m := newMailbox(16)
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < perProducer; i += 32 {
+			if !m.push(seqJobs(0, i, 32)) {
+				t.Error("bulk push refused")
+			}
+		}
+	}()
+	for p := int64(1); p <= 2; p++ {
+		go func(p int64) {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				if !m.push(seqJobs(p, i, 1)) {
+					t.Error("single push refused")
+				}
+			}
+		}(p)
+	}
+	go func() { wg.Wait(); m.close() }()
+
+	var next [3]int64
+	var batch []job
+	for {
+		var ok bool
+		batch, _, ok = m.pull(batch[:0], 7)
+		if !ok {
+			break
+		}
+		if len(batch) > 7 {
+			t.Fatalf("pull(max 7) returned %d jobs", len(batch))
+		}
+		for _, j := range batch {
+			if j.seq != next[j.tNs] {
+				t.Fatalf("producer %d: got job %d, want %d", j.tNs, j.seq, next[j.tNs])
+			}
+			next[j.tNs]++
+		}
+	}
+	for p, n := range next {
+		if n != perProducer {
+			t.Errorf("producer %d: %d of %d jobs arrived", p, n, perProducer)
+		}
+	}
+}
+
+// TestMailboxOversizedPush: a push larger than the free space — and than
+// the whole ring — blocks, goes in piecewise as the consumer makes room,
+// and arrives in order behind what was already queued.
+func TestMailboxOversizedPush(t *testing.T) {
+	checkLeaks(t)
+	m := newMailbox(8)
+	m.push(seqJobs(0, 0, 3))
+	pushed := make(chan bool)
+	go func() { pushed <- m.push(seqJobs(0, 3, 20)) }()
+	eventually(t, "the ring is full", func() bool { return m.queued() == 8 })
+	select {
+	case <-pushed:
+		t.Fatal("a 20-job push into 5 free slots returned before the consumer made room")
+	default:
+	}
+	var got []job
+	for len(got) < 23 {
+		before := len(got)
+		var backlog int
+		got, backlog, _ = m.pull(got, 5)
+		if n := len(got) - before; n < 1 || n > 5 {
+			t.Fatalf("pull(max 5) returned %d jobs", n)
+		}
+		if backlog < 0 || backlog > 8 {
+			t.Fatalf("backlog %d outside the ring", backlog)
+		}
+	}
+	if !<-pushed {
+		t.Error("oversized push reported failure")
+	}
+	for i, j := range got {
+		if j.seq != int64(i) {
+			t.Fatalf("position %d holds job %d", i, j.seq)
+		}
+	}
+}
+
+// TestMailboxPullBounds: pull never returns more than max, reports exactly
+// what it left behind, and appends to dst.
+func TestMailboxPullBounds(t *testing.T) {
+	m := newMailbox(16)
+	m.push(seqJobs(1, 0, 6))
+	batch, backlog, ok := m.pull(nil, 4)
+	if len(batch) != 4 || backlog != 2 || !ok {
+		t.Fatalf("pull(4) of 6 = %d jobs, backlog %d, ok %v; want 4, 2, true", len(batch), backlog, ok)
+	}
+	m.push(seqJobs(1, 6, 13)) // wraps: 15 queued from head 4
+	batch, backlog, ok = m.pull(batch, 100)
+	if len(batch) != 19 || backlog != 0 || !ok {
+		t.Fatalf("pull(100) of 15 onto 4 = %d jobs, backlog %d, ok %v; want 19, 0, true", len(batch), backlog, ok)
+	}
+	for i, j := range batch {
+		if j.seq != int64(i) {
+			t.Fatalf("position %d holds job %d", i, j.seq)
+		}
+	}
+	for i, j := range m.ring {
+		if j.tNs != 0 {
+			t.Errorf("ring slot %d still holds a pulled job", i)
+		}
+	}
+}
+
+// TestMailboxCloseDrains: after close the consumer still receives what was
+// accepted, then ok == false; producers are refused.
+func TestMailboxCloseDrains(t *testing.T) {
+	m := newMailbox(8)
+	m.push(seqJobs(0, 0, 5))
+	m.close()
+	if m.push(seqJobs(0, 5, 1)) {
+		t.Error("push accepted after close")
+	}
+	batch, backlog, ok := m.pull(nil, 3)
+	if len(batch) != 3 || backlog != 2 || !ok {
+		t.Fatalf("first pull after close = %d jobs, backlog %d, ok %v; want 3, 2, true", len(batch), backlog, ok)
+	}
+	if batch, _, ok = m.pull(batch[:0], 3); len(batch) != 2 || !ok {
+		t.Fatalf("second pull after close = %d jobs, ok %v; want 2, true", len(batch), ok)
+	}
+	if batch, _, ok = m.pull(batch[:0], 3); len(batch) != 0 || ok {
+		t.Fatalf("pull of a closed, drained mailbox = %d jobs, ok %v; want 0, false", len(batch), ok)
+	}
+}
+
+// TestMailboxCloseReleasesBlocked is the abort path: close releases a
+// producer parked on a full ring and a consumer parked on an empty one.
+func TestMailboxCloseReleasesBlocked(t *testing.T) {
+	checkLeaks(t)
+	full, empty := newMailbox(4), newMailbox(4)
+	pushed := make(chan bool)
+	pulled := make(chan bool)
+	go func() { pushed <- full.push(seqJobs(0, 0, 6)) }()
+	go func() {
+		_, _, ok := empty.pull(nil, 4)
+		pulled <- ok
+	}()
+	eventually(t, "the ring is full", func() bool { return full.queued() == 4 })
+	select {
+	case <-pushed:
+		t.Fatal("push of 6 into a ring of 4 returned with nobody pulling")
+	case <-pulled:
+		t.Fatal("pull of an empty mailbox returned with nobody pushing")
+	default:
+	}
+	full.close()
+	empty.close()
+	if <-pushed {
+		t.Error("the released producer reported success")
+	}
+	if <-pulled {
+		t.Error("the released consumer reported a batch")
+	}
+	// What the ring accepted before the close is still delivered.
+	if batch, _, ok := full.pull(nil, 8); len(batch) != 4 || !ok {
+		t.Errorf("closed ring drained %d jobs, ok %v; want 4, true", len(batch), ok)
+	}
+}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 // worker executes in its own goroutine between packets: reconfiguration
 // mutations, settle barriers, stats snapshots. Control jobs keep the
 // engine's goroutine confinement — shard state is only ever touched from
-// its worker's goroutine — and are ordered with packets by channel FIFO.
+// its worker's goroutine — and are ordered with packets by mailbox FIFO.
 type job struct {
 	seq  int64
 	tNs  int64
@@ -40,9 +41,12 @@ type workerCounters struct {
 // packet's write-back batch goes to this shard's drainer and is recorded
 // as pending for the packet's flow.
 type worker struct {
-	id   int
-	eng  *Engine
-	jobs chan job
+	id  int
+	eng *Engine
+	box *mailbox
+	// burst is the dispatcher's side of the hand-off: packets Feed has
+	// hashed to this worker and not yet pushed (guarded by feedMu).
+	burst []job
 
 	// The fields below are this worker's per-packet hot state, padded on
 	// both sides so adjacent workers' blocks never share a cache line
@@ -56,8 +60,9 @@ type worker struct {
 	flow packet.FiveTuple
 
 	// batch and pending are reused across batches so the steady state
-	// allocates neither.
+	// allocates neither; next indexes the batch's first job not yet run.
 	batch   []job
+	next    int
 	pending []pendingApply
 
 	hLat *obs.Histogram
@@ -114,7 +119,7 @@ func (w *worker) setLifecycle(cfg flowstate.Config) {
 // (server-side finds/inserts and switch fast-path hits) record liveness.
 // The class is taken from the packet as it arrived, before any stage
 // rewrites headers.
-func (w *worker) setClock(j job) {
+func (w *worker) setClock(j *job) {
 	if j.tNs > w.lastTNs {
 		w.lastTNs = j.tNs
 	}
@@ -200,17 +205,17 @@ type pendingApply struct {
 	applied chan struct{}
 }
 
-// loop consumes the worker's job channel in batches: one blocking receive,
-// then a non-blocking drain up to the current batch size — fixed when
-// Config.Batch is positive, otherwise governed by this worker's adaptive
-// controller (see batchController). Jobs still run strictly in arrival
-// order — batching changes when the worker waits for control-plane
-// applies (per flow inside the batch, everything at the batch boundary),
-// not the processing order. After a cancellation or failure it keeps
-// draining — without processing — so the dispatcher can never block on a
-// full channel during shutdown; control jobs still run then, so barriers
-// and reconfigurations can't deadlock an abort.
-func (w *worker) loop(ctx context.Context) {
+// loop consumes the worker's mailbox in batches: one blocking pull of up
+// to the current batch size — fixed when Config.Batch is positive,
+// otherwise governed by this worker's adaptive controller (see
+// batchController). Jobs still run strictly in arrival order — batching
+// changes when the worker waits for control-plane applies (per flow inside
+// the batch, everything at the batch boundary), not the processing order.
+// After a cancellation or failure the mailbox is closed under it: the
+// worker runs what was accepted — control jobs in full, so barriers and
+// reconfigurations can't deadlock an abort; packets skipped — and leaves.
+func (w *worker) loop() {
+	ctx := w.eng.runCtx
 	max := w.eng.cfg.Batch
 	var ad *batchController
 	if max <= 0 {
@@ -219,51 +224,21 @@ func (w *worker) loop(ctx context.Context) {
 	}
 	w.batchNow.Store(int64(max))
 	for {
-		j, ok := <-w.jobs
+		batch, backlog, ok := w.box.pull(w.batch[:0], max)
 		if !ok {
 			break
 		}
-		batch := append(w.batch[:0], j)
-		open := true
-		for open && len(batch) < max {
-			select {
-			case j, ok := <-w.jobs:
-				if !ok {
-					open = false
-					break
-				}
-				batch = append(batch, j)
-			default:
-				open = false
-			}
-		}
-		w.batch = batch
+		w.batch, w.next = batch, 0
 		var t0 time.Time
 		measure := ad != nil && len(batch) > 1
 		if measure {
 			t0 = time.Now()
 		}
 		npkts := 0
-		for _, j := range batch {
-			if j.ctrl != nil {
-				j.ctrl(w)
-				continue
-			}
-			if ctx.Err() != nil {
-				continue
-			}
-			npkts++
-			// A packet must not overtake its own flow's pending write-back:
-			// otherwise a burst's second packet could re-take the slow path
-			// with stale lookups and re-execute a non-idempotent miss branch
-			// (e.g. re-allocating a NAT port).
-			if err := w.waitFlow(ctx, j.flow); err != nil {
-				continue
-			}
-			if err := w.process(j); err != nil {
-				w.eng.fail(err)
-			}
+		for w.next < len(batch) {
+			npkts += w.runBatch()
 		}
+		w.walk.Flush()
 		if w.lifeOn && npkts > 0 {
 			w.maybeSweep(ctx, npkts)
 		}
@@ -273,7 +248,7 @@ func (w *worker) loop(ctx context.Context) {
 			if measure {
 				el = time.Since(t0).Nanoseconds()
 			}
-			if m := ad.observe(len(batch), npkts, len(w.jobs), el); m != max {
+			if m := ad.observe(len(batch), npkts, backlog, el); m != max {
 				max = m
 				w.batchNow.Store(int64(m))
 			}
@@ -285,6 +260,44 @@ func (w *worker) loop(ctx context.Context) {
 		w.sweep(ctx, true)
 	}
 	w.waitAll(ctx)
+}
+
+// runBatch runs the batch from w.next on and returns how many packets it
+// processed. A panic in a job (a delivery callback, a plan op, a Mutate)
+// is contained here: it fails the run, which closes the mailboxes so a
+// dispatcher blocked on a full one returns the error, and loop calls again
+// for the rest of the batch so no barrier behind the panic waits forever.
+func (w *worker) runBatch() (npkts int) {
+	defer func() {
+		if r := recover(); r != nil {
+			w.eng.fail(fmt.Errorf("engine: worker %d panicked at seq %d: %v", w.id, w.batch[w.next-1].seq, r))
+		}
+	}()
+	for w.next < len(w.batch) {
+		j := &w.batch[w.next]
+		w.next++
+		if j.ctrl != nil {
+			// Control jobs synchronise with readers of the switch counters.
+			w.walk.Flush()
+			j.ctrl(w)
+			continue
+		}
+		if w.eng.aborted.Load() {
+			continue
+		}
+		npkts++
+		// A packet must not overtake its own flow's pending write-back:
+		// otherwise a burst's second packet could re-take the slow path
+		// with stale lookups and re-execute a non-idempotent miss branch
+		// (e.g. re-allocating a NAT port).
+		if w.waitFlow(w.eng.runCtx, j.flow) != nil {
+			continue
+		}
+		if err := w.process(j); err != nil {
+			w.eng.fail(err)
+		}
+	}
+	return npkts
 }
 
 // waitFlow blocks until every pending apply of the given flow has landed,
@@ -385,7 +398,7 @@ func (w *worker) Commit(stage int, updates []switchsim.Update, punt bool, _ int6
 // process runs one packet to completion through the walker and reports
 // its fate: the engine counterpart of Testbed.Inject, with this worker as
 // the packet's (simulated) core.
-func (w *worker) process(j job) error {
+func (w *worker) process(j *job) error {
 	w.c.packets.Inc()
 	if w.lifeOn {
 		w.setClock(j)

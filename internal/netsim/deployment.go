@@ -88,6 +88,7 @@ func (d *Deployment) Commit(_ int, updates []switchsim.Update, punt bool, _ int6
 func (d *Deployment) Process(pkt *packet.Packet) (Trace, error) {
 	var t float64
 	trip, err := d.walk.Stage(0, pkt, &t, nil)
+	d.walk.Flush()
 	tr := Trace{Action: ir.ActionSent, FastPath: !trip.TookSlow, SrvSteps: trip.SrvSteps}
 	if trip.Verdict == MBDrop {
 		tr.Action = ir.ActionDropped

@@ -328,6 +328,7 @@ func (tb *Testbed) Inject(tNs int64, pkt *packet.Packet) (Delivery, error) {
 	tb.lastInject = tNs
 	tb.c.injected.Inc()
 	d, err := tb.walk.Walk(tNs, pkt, tb.traceStart(tNs, pkt))
+	tb.walk.Flush()
 	if err != nil || tb.reg == nil {
 		return d, err
 	}

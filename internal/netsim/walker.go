@@ -39,6 +39,8 @@ type Stage struct {
 	// Touch, when non-nil, fires for every switch table hit so the
 	// flow-state lifecycle can stamp fast-path liveness.
 	Touch func(table string, key ir.MapKey)
+	// pass is the walker's own pass context on Switch (set by NewWalker).
+	pass *switchsim.Pass
 }
 
 // State returns the stage's authoritative middlebox state.
@@ -87,8 +89,6 @@ type Walker struct {
 	Stats Stats
 
 	commit Committer
-	// shard is the switch lane the passes read and account into.
-	shard int
 	// coreFreeNs models each server core's occupancy in virtual time.
 	// Chained stages share the core, as chained middlebox elements share a
 	// DPDK core in the paper's runtime.
@@ -107,11 +107,27 @@ type Walker struct {
 }
 
 // NewWalker builds a walker over the pipeline with the given number of
-// server cores. shard selects the switch lane; jitterSeed decorrelates the
+// server cores. shard selects the switch lane the passes account into; jitterSeed decorrelates the
 // endpoint-noise streams of walkers sharing a deployment.
 func NewWalker(model CostModel, stages []Stage, cores, shard int, jitterSeed uint64, c Committer) Walker {
-	return Walker{Model: model, Stages: stages, commit: c, shard: shard,
+	for i := range stages {
+		if sw := stages[i].Switch; sw != nil {
+			stages[i].pass = sw.NewPass(shard)
+		}
+	}
+	return Walker{Model: model, Stages: stages, commit: c,
 		coreFreeNs: make([]int64, cores), jitter: jitterSeed}
+}
+
+// Flush publishes the stages' switch-pass counts into the switches' shard
+// counters (see switchsim.Pass). The walker's driver calls it wherever a
+// reader of Switch.Stats may synchronise with it.
+func (w *Walker) Flush() {
+	for i := range w.Stages {
+		if p := w.Stages[i].pass; p != nil {
+			p.Flush()
+		}
+	}
 }
 
 // Instrument registers the server-side queueing and output-commit metrics.
@@ -216,9 +232,9 @@ func (w *Walker) pass(st *Stage, post bool, pkt *packet.Packet, atNs int64, tr *
 	var r switchsim.PreResult
 	var err error
 	if post {
-		r, err = st.Switch.ProcessPostShard(pkt, w.shard, st.Touch)
+		r, err = st.pass.Post(pkt, st.Touch)
 	} else {
-		r, err = st.Switch.ProcessPreShard(pkt, w.shard, st.Touch)
+		r, err = st.pass.Pre(pkt, st.Touch)
 	}
 	if hop != nil {
 		st.Switch.TraceHop(nil)

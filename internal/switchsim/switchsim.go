@@ -99,7 +99,7 @@ type Stats struct {
 // Switch simulates one programmable switch loaded with a compiled
 // middlebox.
 //
-// Concurrency: the data plane (ProcessPreShard/ProcessPostShard) is
+// Concurrency: the data plane (Pass.Pre/Pass.Post) is
 // lock-free — one atomic load pins a view for the whole pass, and every
 // table lookup is a probe of atomic slots — so any number of worker
 // pipelines proceed in parallel, as on real switch hardware where the
@@ -485,7 +485,7 @@ func (sw *Switch) Epoch() uint64 { return sw.view.Load().epoch }
 // lowering time, so a lookup resolves nothing by name. cacheMiss records
 // lookups that missed a §7 cache table — the packet must then punt to the
 // server, whose state is authoritative. It is used by pointer (embedded in
-// the pooled execCtx) so handing it to Plan.Exec never allocates.
+// the Pass) so handing it to Plan.Exec never allocates.
 type access struct {
 	sw        *Switch
 	v         *view
@@ -554,42 +554,62 @@ func (a *access) LpmFind(g int, key uint64) ([]uint64, bool) {
 	return ir.LongestPrefix(a.v.lpms[g], key)
 }
 
-// execCtx bundles everything one pipeline pass needs — the view
-// adapter, the execution environment, and the transfer scratchpad — into
-// a single pooled object so a steady-state pass performs zero heap
-// allocations. The env's register file (Env.Regs) is retained across uses
-// and reused by the plan.
-type execCtx struct {
-	acc  access
-	env  ir.Env
-	xfer []uint64
+// Pass is one goroutine's handle on the data plane of one shard: it owns
+// everything a pipeline pass needs — the view adapter, the execution
+// environment with its retained register file, the transfer scratchpad —
+// so a steady-state pass allocates nothing, and it counts in plain ints
+// until Flush. Not safe for concurrent use.
+type Pass struct {
+	sw    *Switch
+	shard int
+	acc   access
+	env   ir.Env
+	xfer  []uint64
+
+	prePackets, postPackets, fastPath, toServer, punts, drops, stepsTotal int64
 }
 
-var execPool = sync.Pool{New: func() any { return new(execCtx) }}
+// NewPass returns a pass context accounting to shard (the calling worker's
+// index; an out-of-range one accounts to shard 0).
+func (sw *Switch) NewPass(shard int) *Pass { return &Pass{sw: sw, shard: shard} }
 
-// getCtx checks an execution context out of the pool, wired to v and the
-// given packet, with a zeroed scratchpad of the compiled slot count.
-func (sw *Switch) getCtx(v *view, pkt *packet.Packet, onTouch func(string, ir.MapKey)) *execCtx {
-	ctx := execPool.Get().(*execCtx)
-	ctx.acc = access{sw: sw, v: v, hop: sw.hop, onTouch: onTouch}
-	n := sw.Res.NumXferSlots
-	if cap(ctx.xfer) >= n {
-		ctx.xfer = ctx.xfer[:n]
-		clear(ctx.xfer)
-	} else {
-		ctx.xfer = make([]uint64, n)
+// Flush adds the counts accumulated since the last Flush to the shard's
+// atomic counter block and unpins the last pass's view (which keeps every
+// later view and its undo records reachable) and packet. Whoever owns a
+// Pass flushes it wherever a reader of Stats may synchronise with it, and
+// before it goes idle: the engine worker at every batch boundary and before
+// every control job, the sequential drivers after every packet.
+func (p *Pass) Flush() {
+	p.acc.v, p.env.Pkt = nil, nil
+	ls := p.sw.statsFor(p.shard)
+	flush := func(dst *atomic.Int64, n *int64) {
+		if *n != 0 {
+			dst.Add(*n)
+			*n = 0
+		}
 	}
-	ctx.env.Pkt = pkt
-	ctx.env.Xfer = ctx.xfer
-	return ctx
+	flush(&ls.prePackets, &p.prePackets)
+	flush(&ls.postPackets, &p.postPackets)
+	flush(&ls.fastPath, &p.fastPath)
+	flush(&ls.toServer, &p.toServer)
+	flush(&ls.punts, &p.punts)
+	flush(&ls.drops, &p.drops)
+	flush(&ls.stepsTotal, &p.stepsTotal)
 }
 
-// putCtx drops references that must not outlive the pass (view, packet) and returns the context to the pool.
-func putCtx(ctx *execCtx) {
-	ctx.acc = access{}
-	ctx.env.Pkt = nil
-	ctx.env.Xfer = nil
-	execPool.Put(ctx)
+// begin wires the pass to the view it pins and the packet, with a zeroed
+// scratchpad of the compiled slot count.
+func (p *Pass) begin(v *view, pkt *packet.Packet, onTouch func(string, ir.MapKey)) {
+	p.acc = access{sw: p.sw, v: v, hop: p.sw.hop, onTouch: onTouch}
+	n := p.sw.Res.NumXferSlots
+	if cap(p.xfer) >= n {
+		p.xfer = p.xfer[:n]
+		clear(p.xfer)
+	} else {
+		p.xfer = make([]uint64, n)
+	}
+	p.env.Pkt = pkt
+	p.env.Xfer = p.xfer
 }
 
 // PreResult describes the outcome of the pre-processing pass.
@@ -604,21 +624,45 @@ type PreResult struct {
 	Steps int
 }
 
-// ProcessPreShard runs the pre-processing partition over the packet. If
-// the packet must continue to the server (ActionNext), the synthesized
-// gallium_a header is attached and populated. shard is the calling
-// worker's index: the pass accounts into that shard's padded counter block
-// instead of shared atomics (sequential callers pass 0; an out-of-range
-// index accounts to shard 0). onTouch, when non-nil, fires for every table
-// hit during the pass, letting the flow-state lifecycle stamp fast-path
-// liveness; a nil onTouch is free.
+// ProcessPreShard and ProcessPostShard are Pass.Pre and Pass.Post for
+// callers with no Pass of their own (tests, bench/): one is checked out of
+// the pool, bound to shard, run and flushed.
 func (sw *Switch) ProcessPreShard(pkt *packet.Packet, shard int, onTouch func(table string, key ir.MapKey)) (PreResult, error) {
+	return sw.pooledPass(pkt, shard, onTouch, false)
+}
+
+func (sw *Switch) ProcessPostShard(pkt *packet.Packet, shard int, onTouch func(table string, key ir.MapKey)) (PreResult, error) {
+	return sw.pooledPass(pkt, shard, onTouch, true)
+}
+
+var passPool = sync.Pool{New: func() any { return new(Pass) }}
+
+func (sw *Switch) pooledPass(pkt *packet.Packet, shard int, onTouch func(string, ir.MapKey), post bool) (r PreResult, err error) {
+	p := passPool.Get().(*Pass)
+	p.sw, p.shard = sw, shard
+	if post {
+		r, err = p.Post(pkt, onTouch)
+	} else {
+		r, err = p.Pre(pkt, onTouch)
+	}
+	p.Flush()
+	p.sw, p.acc = nil, access{}
+	passPool.Put(p)
+	return r, err
+}
+
+// Pre runs the pre-processing partition over the packet. If the packet
+// must continue to the server (ActionNext), the synthesized gallium_a
+// header is attached and populated. onTouch, when non-nil, fires for every
+// table hit during the pass, letting the flow-state lifecycle stamp
+// fast-path liveness; a nil onTouch is free.
+func (p *Pass) Pre(pkt *packet.Packet, onTouch func(table string, key ir.MapKey)) (PreResult, error) {
 	// The data plane is lock-free: one atomic load pins the view for the
 	// whole pass, so every worker's pre pass runs concurrently and a
 	// control-plane flip mid-pass cannot tear what it sees.
+	sw := p.sw
 	v := sw.view.Load()
-	ls := sw.statsFor(shard)
-	ls.prePackets.Add(1)
+	p.prePackets++
 	v.obs.pre.Inc()
 	// Cache mode: run the pipeline against a scratch copy first; a cache
 	// miss discards all its effects (P4 actions are predicated on the
@@ -627,62 +671,58 @@ func (sw *Switch) ProcessPreShard(pkt *packet.Packet, shard int, onTouch func(ta
 	if sw.hasCacheTables {
 		work = pkt.Clone()
 	}
-	ctx := sw.getCtx(v, work, onTouch)
-	defer putCtx(ctx)
-	r, err := sw.pre.Exec(&ctx.acc, &ctx.env)
+	p.begin(v, work, onTouch)
+	r, err := sw.pre.Exec(&p.acc, &p.env)
 	if err != nil {
 		return PreResult{}, fmt.Errorf("switchsim: pre pipeline: %w", err)
 	}
-	if ctx.acc.cacheMiss {
-		ls.stepsTotal.Add(int64(r.Steps))
-		ls.toServer.Add(1)
-		ls.punts.Add(1)
+	p.stepsTotal += int64(r.Steps)
+	v.obs.hPre.Observe(int64(r.Steps))
+	if p.acc.cacheMiss {
+		p.toServer++
+		p.punts++
 		v.obs.toServer.Inc()
 		v.obs.punts.Inc()
-		v.obs.hPre.Observe(int64(r.Steps))
 		return PreResult{Action: ir.ActionNext, Punt: true, Steps: r.Steps}, nil
 	}
 	if sw.hasCacheTables {
 		*pkt = *work
 	}
-	ls.stepsTotal.Add(int64(r.Steps))
-	v.obs.hPre.Observe(int64(r.Steps))
 	switch r.Action {
 	case ir.ActionNext:
-		ls.toServer.Add(1)
+		p.toServer++
 		v.obs.toServer.Inc()
 		pkt.AttachGallium(sw.Res.FormatA)
 		for _, f := range sw.xferA {
 			if f.slot <= 0 {
 				return PreResult{}, fmt.Errorf("switchsim: transfer field without compiled slot")
 			}
-			if err := sw.Res.FormatA.SetAt(pkt.GalData, f.spec, ctx.xfer[f.slot-1]); err != nil {
+			if err := sw.Res.FormatA.SetAt(pkt.GalData, f.spec, p.xfer[f.slot-1]); err != nil {
 				return PreResult{}, err
 			}
 		}
 	case ir.ActionDropped:
-		ls.drops.Add(1)
+		p.drops++
 		v.obs.drops.Inc()
 	case ir.ActionSent:
-		ls.fastPath.Add(1)
+		p.fastPath++
 		v.obs.fast.Inc()
 	}
 	return PreResult{Action: r.Action, Steps: r.Steps}, nil
 }
 
-// ProcessPostShard runs the post-processing partition over a packet
-// returning from the server (it must carry the gallium_b header, which is
-// stripped). shard and onTouch are as for ProcessPreShard.
-func (sw *Switch) ProcessPostShard(pkt *packet.Packet, shard int, onTouch func(table string, key ir.MapKey)) (PreResult, error) {
+// Post runs the post-processing partition over a packet returning from the
+// server (it must carry the gallium_b header, which is stripped). onTouch
+// is as for Pre.
+func (p *Pass) Post(pkt *packet.Packet, onTouch func(table string, key ir.MapKey)) (PreResult, error) {
+	sw := p.sw
 	v := sw.view.Load()
-	ls := sw.statsFor(shard)
-	ls.postPackets.Add(1)
+	p.postPackets++
 	v.obs.post.Inc()
 	if !pkt.HasGallium {
 		return PreResult{}, fmt.Errorf("switchsim: post pipeline: packet from server lacks gallium_b header")
 	}
-	ctx := sw.getCtx(v, pkt, onTouch)
-	defer putCtx(ctx)
+	p.begin(v, pkt, onTouch)
 	for _, f := range sw.xferB {
 		if f.slot <= 0 {
 			return PreResult{}, fmt.Errorf("switchsim: transfer field without compiled slot")
@@ -691,17 +731,17 @@ func (sw *Switch) ProcessPostShard(pkt *packet.Packet, shard int, onTouch func(t
 		if err != nil {
 			return PreResult{}, err
 		}
-		ctx.xfer[f.slot-1] = val
+		p.xfer[f.slot-1] = val
 	}
 	pkt.StripGallium()
-	r, err := sw.post.Exec(&ctx.acc, &ctx.env)
+	r, err := sw.post.Exec(&p.acc, &p.env)
 	if err != nil {
 		return PreResult{}, fmt.Errorf("switchsim: post pipeline: %w", err)
 	}
-	ls.stepsTotal.Add(int64(r.Steps))
+	p.stepsTotal += int64(r.Steps)
 	v.obs.hPost.Observe(int64(r.Steps))
 	if r.Action == ir.ActionDropped {
-		ls.drops.Add(1)
+		p.drops++
 		v.obs.drops.Inc()
 	}
 	return PreResult{Action: r.Action, Steps: r.Steps}, nil

@@ -304,11 +304,15 @@ func isTimeout(err error) bool {
 }
 
 // Client is a connected batched UDP sender/receiver: the traffic side of
-// the loopback tests and galliumsim -send.
+// the loopback tests and galliumsim -send. One goroutine may Recv while
+// another Sends; neither method may run concurrently with itself.
 type Client struct {
 	pc  *net.UDPConn
 	io  socketIO
 	cfg Config
+	// rx (Batch buffers of MaxPacket bytes) and tx are Recv's and Send's
+	// batch scratch, built once at Dial.
+	rx, tx []mmsg
 }
 
 // Dial connects a client to a front end.
@@ -324,7 +328,11 @@ func Dial(addr string, cfg Config) (*Client, error) {
 	}
 	_ = pc.SetReadBuffer(4 << 20)
 	_ = pc.SetWriteBuffer(4 << 20)
-	c := &Client{pc: pc, cfg: cfg}
+	c := &Client{pc: pc, cfg: cfg, rx: make([]mmsg, cfg.Batch), tx: make([]mmsg, cfg.Batch)}
+	bufs := make([]byte, cfg.Batch*cfg.MaxPacket)
+	for i := range c.rx {
+		c.rx[i].buf = bufs[i*cfg.MaxPacket : (i+1)*cfg.MaxPacket : (i+1)*cfg.MaxPacket]
+	}
 	c.io, err = newSocketIO(pc, cfg.Generic, true)
 	if err != nil {
 		pc.Close()
@@ -336,41 +344,33 @@ func Dial(addr string, cfg Config) (*Client, error) {
 // Send ships the frames, batched sendmmsg-style.
 func (c *Client) Send(frames [][]byte) error {
 	for len(frames) > 0 {
-		n := len(frames)
-		if n > c.cfg.Batch {
-			n = c.cfg.Batch
-		}
-		ms := make([]mmsg, n)
-		for i := 0; i < n; i++ {
+		ms := c.tx[:min(len(frames), len(c.tx))]
+		for i := range ms {
 			ms[i].buf = frames[i]
 		}
-		if _, err := c.io.WriteBatch(ms); err != nil {
+		_, err := c.io.WriteBatch(ms)
+		clear(ms) // the scratch must not pin the caller's frames
+		if err != nil {
 			return fmt.Errorf("udpio: send: %w", err)
 		}
-		frames = frames[n:]
+		frames = frames[len(ms):]
 	}
 	return nil
 }
 
 // Recv reads up to max datagrams, waiting at most timeout for the first
 // batch (and returning early with what arrived). A timeout with zero
-// datagrams returns an empty slice, not an error.
+// datagrams returns an empty slice, not an error. The returned frames are
+// copies the caller owns.
 func (c *Client) Recv(max int, timeout time.Duration) ([][]byte, error) {
 	deadline := time.Now().Add(timeout)
-	var out [][]byte
-	ms := make([]mmsg, c.cfg.Batch)
-	for i := range ms {
-		ms[i].buf = make([]byte, c.cfg.MaxPacket)
-	}
+	ms := c.rx
+	out := make([][]byte, 0, min(max, len(ms)))
 	for len(out) < max && time.Now().Before(deadline) {
 		for i := range ms {
 			ms[i].buf = ms[i].buf[:cap(ms[i].buf)]
 		}
-		want := max - len(out)
-		if want > len(ms) {
-			want = len(ms)
-		}
-		n, err := c.io.ReadBatch(ms[:want], deadline)
+		n, err := c.io.ReadBatch(ms[:min(max-len(out), len(ms))], deadline)
 		if err != nil {
 			if isTimeout(err) {
 				break
@@ -380,8 +380,6 @@ func (c *Client) Recv(max int, timeout time.Duration) ([][]byte, error) {
 		for i := 0; i < n; i++ {
 			out = append(out, append([]byte(nil), ms[i].buf...))
 		}
-		// Fresh buffers: the appended copies above own the data, but the
-		// next ReadBatch reuses ms.
 	}
 	return out, nil
 }
