@@ -21,8 +21,18 @@ type Delivery struct {
 	// Flow is the packet's ingress five-tuple, captured before the
 	// middlebox rewrote any headers.
 	Flow packet.FiveTuple
-	// Pkt is the packet after processing (rewritten headers).
+	// Pkt is the packet after processing (rewritten headers). The engine
+	// does not touch it once the callback has returned, so from then on
+	// whoever dispatched it may reuse it.
 	Pkt *packet.Packet
+	// More is the xmit_more hint: the next job of the batch this worker is
+	// running is a packet, so another callback follows on this goroutine
+	// before it can block (a mailbox pull, a control job, a commit barrier,
+	// a sweep), and a callback that batches its output may hold it. It is
+	// false before every control job — a settle, Drain, Stats or Reconfigure
+	// barrier still means "everything queued before me has left" — and at
+	// the end of each pulled batch. Only an abort breaks the promise.
+	More bool
 
 	// Delivery is the fate itself: delivered, dropped by the middlebox or
 	// the shard's ingress queue, fast path or not, and the virtual-time

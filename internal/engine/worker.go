@@ -420,7 +420,8 @@ func (w *worker) process(j *job) error {
 		w.c.delivered.Inc()
 	}
 	if cb := w.eng.cfg.OnDelivery; cb != nil {
-		cb(Delivery{Seq: j.seq, TNs: j.tNs, Worker: w.id, Flow: j.flow, Pkt: j.pkt, Delivery: d})
+		more := w.next < len(w.batch) && w.batch[w.next].ctrl == nil
+		cb(Delivery{Seq: j.seq, TNs: j.tNs, Worker: w.id, Flow: j.flow, Pkt: j.pkt, More: more, Delivery: d})
 	}
 	return nil
 }

@@ -371,6 +371,7 @@ func (w *Walker) Stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 		// plain forwarding.
 		*t = float64(release) + m.SerializationNs(rx.WireLen()) + m.LinkPropNs + m.SwitchPipelineNs
 		if rx != pkt {
+			rx.Ingress = pkt.Ingress // the ingress tag rides outside the wire format
 			*pkt = *rx
 		}
 		return trip, nil
@@ -387,6 +388,7 @@ func (w *Walker) Stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 		return trip, err
 	}
 	tBack += m.SwitchPipelineNs
+	back.Ingress = pkt.Ingress
 	*pkt = *back
 	if post.Action == ir.ActionDropped {
 		tr.Hop("drop", int64(tBack)).SetNote("middlebox drop on switch post-pass")

@@ -10,62 +10,81 @@ import (
 type Packet struct {
 	Eth Ethernet
 
+	// The presence flags sit together: declared beside their headers each
+	// would cost eight bytes of padding in front of an 8-aligned field.
+	//
 	// HasGallium marks frames carrying the synthesized Gallium header on
-	// the switch-server link.
+	// the switch-server link (GalData).
 	HasGallium bool
-	GalData    []byte
-
 	// HasOuter marks an encapsulated packet; Outer is the outer IPv4
 	// delivery header (the simulator always tunnels over IPv4). With
 	// HasGRE the encapsulation is GRE, otherwise plain IP-in-IP
 	// (protocol 4 for inner IPv4, 41 for inner IPv6).
 	HasOuter bool
-	Outer    IPv4
 	HasGRE   bool
-	GRE      GRE
-
 	// HasIP/HasIP6 select the (innermost) network header. At most one is
 	// set: IP always names the innermost IPv4 header, so field accessors
 	// and five-tuples keep referring to the payload flow when a program
 	// wraps the packet in a tunnel.
 	HasIP  bool
-	IP     IPv4
 	HasIP6 bool
-	IP6    IPv6
-
 	HasTCP bool
-	TCP    TCP
 	HasUDP bool
-	UDP    UDP
+
+	GalData []byte
+	Outer   IPv4
+	GRE     GRE
+	IP      IPv4
+	IP6     IPv6
+	TCP     TCP
+	UDP     UDP
 
 	Payload []byte
+
+	// Ingress is an opaque tag the ingress front end stamps and reads back
+	// at delivery — the software twin of P4's standard_metadata.ingress_port.
+	// It is never serialized; Clone copies it and the walker carries it
+	// across the slow path's wire hops. Zero means unstamped.
+	Ingress uint64
 }
 
-// DecodePacket parses wire bytes into a Packet. galFormat describes the
-// Gallium header layout and may be nil when no such header can appear.
+// DecodePacket parses wire bytes into a fresh Packet. galFormat describes
+// the Gallium header layout and may be nil when no such header can appear.
 func DecodePacket(data []byte, galFormat *HeaderFormat) (*Packet, error) {
-	p := &Packet{}
-	if err := p.Eth.DecodeFromBytes(data); err != nil {
+	p := new(Packet)
+	if err := p.Decode(data, galFormat); err != nil {
 		return nil, err
+	}
+	return p, nil
+}
+
+// Decode resets p and parses wire bytes into it, reusing the capacity of
+// its Payload and GalData buffers so a recycled packet decodes without
+// allocating. After an error p holds a partial decode and must not be used
+// as a packet.
+func (p *Packet) Decode(data []byte, galFormat *HeaderFormat) error {
+	*p = Packet{GalData: p.GalData[:0], Payload: p.Payload[:0]}
+	if err := p.Eth.DecodeFromBytes(data); err != nil {
+		return err
 	}
 	rest := p.Eth.LayerPayload()
 	next := p.Eth.NextLayerType()
 	if next == LayerTypeGallium {
 		if galFormat == nil {
-			return nil, &DecodeError{Layer: LayerTypeGallium, Msg: "gallium header present but no format given"}
+			return &DecodeError{Layer: LayerTypeGallium, Msg: "gallium header present but no format given"}
 		}
 		g := NewGallium(galFormat)
 		if err := g.DecodeFromBytes(rest); err != nil {
-			return nil, err
+			return err
 		}
 		p.HasGallium = true
-		p.GalData = append([]byte(nil), g.Data...)
+		p.GalData = append(p.GalData, g.Data...)
 		rest = g.LayerPayload()
 		next = g.NextLayerType()
 	}
 	if next == LayerTypeIPv4 {
 		if err := p.IP.DecodeFromBytes(rest); err != nil {
-			return nil, err
+			return err
 		}
 		p.HasIP = true
 		rest = p.IP.LayerPayload()
@@ -76,7 +95,7 @@ func DecodePacket(data []byte, galFormat *HeaderFormat) (*Packet, error) {
 		switch next {
 		case LayerTypeGRE:
 			if err := p.GRE.DecodeFromBytes(rest); err != nil {
-				return nil, err
+				return err
 			}
 			p.Outer, p.IP = p.IP, IPv4{}
 			p.HasOuter, p.HasGRE, p.HasIP = true, true, false
@@ -84,7 +103,7 @@ func DecodePacket(data []byte, galFormat *HeaderFormat) (*Packet, error) {
 			next = p.GRE.NextLayerType()
 			if next == LayerTypeIPv4 {
 				if err := p.IP.DecodeFromBytes(rest); err != nil {
-					return nil, err
+					return err
 				}
 				p.HasIP = true
 				rest = p.IP.LayerPayload()
@@ -94,7 +113,7 @@ func DecodePacket(data []byte, galFormat *HeaderFormat) (*Packet, error) {
 			p.Outer, p.IP = p.IP, IPv4{}
 			p.HasOuter, p.HasIP = true, false
 			if err := p.IP.DecodeFromBytes(rest); err != nil {
-				return nil, err
+				return err
 			}
 			p.HasIP = true
 			rest = p.IP.LayerPayload()
@@ -106,7 +125,7 @@ func DecodePacket(data []byte, galFormat *HeaderFormat) (*Packet, error) {
 	}
 	if next == LayerTypeIPv6 {
 		if err := p.IP6.DecodeFromBytes(rest); err != nil {
-			return nil, err
+			return err
 		}
 		p.HasIP6 = true
 		rest = p.IP6.LayerPayload()
@@ -115,19 +134,19 @@ func DecodePacket(data []byte, galFormat *HeaderFormat) (*Packet, error) {
 	switch next {
 	case LayerTypeTCP:
 		if err := p.TCP.DecodeFromBytes(rest); err != nil {
-			return nil, err
+			return err
 		}
 		p.HasTCP = true
 		rest = p.TCP.LayerPayload()
 	case LayerTypeUDP:
 		if err := p.UDP.DecodeFromBytes(rest); err != nil {
-			return nil, err
+			return err
 		}
 		p.HasUDP = true
 		rest = p.UDP.LayerPayload()
 	}
-	p.Payload = append([]byte(nil), rest...)
-	return p, nil
+	p.Payload = append(p.Payload, rest...)
+	return nil
 }
 
 // innerNext clips an inner IPv4 header's successor to the transport
@@ -145,7 +164,14 @@ func innerNext(t LayerType) LayerType {
 // presence flags, so a packet mutated through the field accessors always
 // re-serializes into a consistent header chain.
 func (p *Packet) Serialize() []byte {
-	b := NewSerializeBuffer()
+	return append([]byte(nil), p.SerializeTo(NewSerializeBuffer())...)
+}
+
+// SerializeTo is Serialize into a caller-owned buffer: it clears b,
+// assembles the packet in it and returns the wire bytes, which alias b
+// until b's next use. A long-lived b makes serialization allocation-free.
+func (p *Packet) SerializeTo(b *SerializeBuffer) []byte {
+	b.Clear()
 	b.PushPayload(p.Payload)
 	var ph *PseudoHeader
 	switch {
@@ -192,7 +218,7 @@ func (p *Packet) Serialize() []byte {
 		p.Eth.EtherType = netType
 	}
 	_ = p.Eth.SerializeTo(b)
-	return append([]byte(nil), b.Bytes()...)
+	return b.Bytes()
 }
 
 // Clone returns a deep copy of the packet.

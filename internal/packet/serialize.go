@@ -8,23 +8,26 @@ type SerializeBuffer struct {
 	start int
 }
 
-// NewSerializeBuffer returns an empty buffer with room for typical
-// header stacks.
+// headroom is the front space an empty buffer keeps for header prepends:
+// room for typical header stacks.
+const headroom = 128
+
+// NewSerializeBuffer returns an empty buffer.
 func NewSerializeBuffer() *SerializeBuffer {
-	const headroom = 128
 	return &SerializeBuffer{buf: make([]byte, headroom), start: headroom}
 }
 
 // Bytes returns the assembled packet so far.
 func (b *SerializeBuffer) Bytes() []byte { return b.buf[b.start:] }
 
-// Clear resets the buffer for reuse, preserving capacity.
+// Clear resets the buffer for reuse, preserving capacity: it truncates to
+// the bare headroom, so a buffer cycled through frames of one size stops
+// growing after the first. The zero SerializeBuffer is ready after Clear.
 func (b *SerializeBuffer) Clear() {
-	b.start = len(b.buf)
-	if b.start == 0 {
-		b.buf = make([]byte, 128)
-		b.start = 128
+	if cap(b.buf) < headroom {
+		b.buf = make([]byte, headroom)
 	}
+	b.buf, b.start = b.buf[:headroom], headroom
 }
 
 // PrependBytes reserves n bytes at the front of the buffer and returns the
@@ -52,5 +55,5 @@ func (b *SerializeBuffer) AppendBytes(n int) []byte {
 
 // PushPayload appends payload data to the buffer.
 func (b *SerializeBuffer) PushPayload(p []byte) {
-	copy(b.AppendBytes(len(p)), p)
+	b.buf = append(b.buf, p...)
 }

@@ -16,19 +16,16 @@ func (q queuedIO) ReadBatch(ms []mmsg, _ time.Time) (int, error) {
 	return len(ms), nil
 }
 
-func (q queuedIO) WriteBatch(ms []mmsg) (int, error) { return len(ms), nil }
+func (q queuedIO) WriteBatch(ms []mmsg, _ *ioScratch) (int, error) { return len(ms), nil }
 
 // TestClientScratchAllocs pins what Recv and Send allocate per call: Recv
-// one copy per returned frame (the caller owns them) plus the slice that
-// holds them, Send nothing. The receive buffers — Batch x MaxPacket bytes,
-// 64 KiB at the defaults — and the batch headers belong to the Client. The
-// real transports add their own per-batch scratch on top (transport_*.go).
+// one backing array per read batch (the caller owns the frames cut from it)
+// plus the slice that holds them, Send nothing. The receive buffers —
+// Batch x MaxPacket bytes, 64 KiB at the defaults —, the batch headers and
+// the transport's send scratch belong to the Client.
 func TestClientScratchAllocs(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	c := &Client{cfg: cfg, io: queuedIO{frame: make([]byte, 64)}, rx: make([]mmsg, cfg.Batch), tx: make([]mmsg, cfg.Batch)}
-	for i := range c.rx {
-		c.rx[i].buf = make([]byte, cfg.MaxPacket)
-	}
+	c := &Client{cfg: cfg, io: queuedIO{frame: make([]byte, 64)}, rx: newBatch(cfg.Batch, cfg.MaxPacket), tx: make([]mmsg, cfg.Batch)}
 	const n = 48 // a batch and a half
 	recv := testing.AllocsPerRun(20, func() {
 		out, err := c.Recv(n, time.Second)
@@ -36,9 +33,14 @@ func TestClientScratchAllocs(t *testing.T) {
 			t.Fatalf("Recv returned %d of %d frames, err %v", len(out), n, err)
 		}
 	})
-	// The result slice starts at one batch and grows once to reach 48.
-	if recv > n+2 {
-		t.Errorf("Recv of %d datagrams allocated %.0f times, want at most %d", n, recv, n+2)
+	// Two read batches, and the result slice starts at one batch and grows
+	// once to reach 48.
+	if recv > 5 {
+		t.Errorf("Recv of %d datagrams allocated %.0f times, want at most 5", n, recv)
+	}
+	out, _ := c.Recv(2, time.Second)
+	if len(out) != 2 || cap(out[0]) != 64 || &append(out[0], 0)[0] == &out[1][0] {
+		t.Error("frames of one batch are not capped to their own bytes: an append to one would write into the next")
 	}
 	frames := make([][]byte, n)
 	for i := range frames {

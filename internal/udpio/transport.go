@@ -50,7 +50,7 @@ func (g *genericIO) read(buf []byte) (int, netip.AddrPort, error) {
 	return g.pc.ReadFromUDPAddrPort(buf)
 }
 
-func (g *genericIO) WriteBatch(ms []mmsg) (int, error) {
+func (g *genericIO) WriteBatch(ms []mmsg, _ *ioScratch) (int, error) {
 	for i := range ms {
 		var err error
 		if g.connected {

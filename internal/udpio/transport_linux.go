@@ -31,6 +31,7 @@ type mmsgIO struct {
 	pc        *net.UDPConn
 	rc        syscall.RawConn
 	connected bool
+	rx        ioScratch // one reader per socket, so the transport owns it
 }
 
 // mmsghdr mirrors struct mmsghdr on linux/amd64: a msghdr plus the
@@ -48,99 +49,101 @@ const (
 	sysSendmmsg = 307
 )
 
+// ioScratch is what one batched syscall needs besides the datagrams: the
+// header, iovec and sockaddr arrays, and the RawConn callback bound once
+// (a closure per batch would allocate, with everything it captures). It
+// grows to the largest batch seen and is then reused, so a steady-state
+// batch allocates nothing. Not safe for concurrent use: the receive side's
+// belongs to the transport, a sender brings its own.
+type ioScratch struct {
+	hdrs  []mmsghdr
+	iovs  []syscall.Iovec
+	names []syscall.RawSockaddrInet4
+	call  func(fd uintptr) bool
+
+	// One syscall's arguments and results: hdrs[lo:hi] go to sysno, n
+	// messages were moved or errno is set.
+	sysno  uintptr
+	lo, hi int
+	n      int
+	errno  syscall.Errno
+}
+
+// point aims the first len(ms) headers at the datagrams' buffers (and,
+// unconnected, at the sockaddr slots) and the next syscall at all of them.
+func (s *ioScratch) point(ms []mmsg, sysno uintptr, named bool) {
+	if len(s.hdrs) < len(ms) {
+		s.hdrs = make([]mmsghdr, len(ms))
+		s.iovs = make([]syscall.Iovec, len(ms))
+		s.names = make([]syscall.RawSockaddrInet4, len(ms))
+		s.call = s.do
+	}
+	s.sysno, s.lo, s.hi = sysno, 0, len(ms)
+	for i := range ms {
+		s.iovs[i].Base = unsafe.SliceData(ms[i].buf) // an empty datagram has no [0]
+		s.iovs[i].SetLen(len(ms[i].buf))
+		s.hdrs[i].hdr.Iov = &s.iovs[i]
+		s.hdrs[i].hdr.Iovlen = 1
+		if named {
+			s.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&s.names[i]))
+			s.hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(s.names[i]))
+		}
+	}
+}
+
+// do is the RawConn callback: false parks the goroutine on the
+// netpoller until the socket is ready (or the deadline passes).
+func (s *ioScratch) do(fd uintptr) bool {
+	r1, _, errno := syscall.Syscall6(s.sysno, fd,
+		uintptr(unsafe.Pointer(&s.hdrs[s.lo])), uintptr(s.hi-s.lo),
+		syscall.MSG_DONTWAIT, 0, 0)
+	if errno == syscall.EAGAIN {
+		return false
+	}
+	s.n, s.errno = int(r1), errno
+	return true
+}
+
 func (m *mmsgIO) ReadBatch(ms []mmsg, deadline time.Time) (int, error) {
 	if err := m.pc.SetReadDeadline(deadline); err != nil {
 		return 0, err
 	}
-	hdrs := make([]mmsghdr, len(ms))
-	iovs := make([]syscall.Iovec, len(ms))
-	names := make([]syscall.RawSockaddrInet4, len(ms))
-	for i := range ms {
-		iovs[i].Base = &ms[i].buf[0]
-		iovs[i].SetLen(len(ms[i].buf))
-		hdrs[i].hdr.Iov = &iovs[i]
-		hdrs[i].hdr.Iovlen = 1
-		if !m.connected {
-			hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&names[i]))
-			hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(names[i]))
-		}
-	}
-	var n int
-	var sysErr error
-	err := m.rc.Read(func(fd uintptr) bool {
-		r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&hdrs[0])), uintptr(len(hdrs)),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if errno == syscall.EAGAIN {
-			return false // park on the netpoller until readable (or deadline)
-		}
-		if errno != 0 {
-			sysErr = errno
-		} else {
-			n = int(r1)
-		}
-		return true
-	})
-	if err != nil {
+	s := &m.rx
+	s.point(ms, sysRecvmmsg, !m.connected)
+	if err := m.rc.Read(s.call); err != nil {
 		return 0, err
 	}
-	if sysErr != nil {
-		return 0, sysErr
+	if s.errno != 0 {
+		return 0, s.errno
 	}
-	for i := 0; i < n; i++ {
-		ms[i].buf = ms[i].buf[:hdrs[i].len]
+	for i := 0; i < s.n; i++ {
+		ms[i].buf = ms[i].buf[:s.hdrs[i].len]
 		if !m.connected {
-			ms[i].addr = sockaddrToAddrPort(&names[i])
+			ms[i].addr = sockaddrToAddrPort(&s.names[i])
 		}
 	}
-	return n, nil
+	return s.n, nil
 }
 
-func (m *mmsgIO) WriteBatch(ms []mmsg) (int, error) {
-	hdrs := make([]mmsghdr, len(ms))
-	iovs := make([]syscall.Iovec, len(ms))
-	names := make([]syscall.RawSockaddrInet4, len(ms))
-	for i := range ms {
-		iovs[i].Base = &ms[i].buf[0]
-		iovs[i].SetLen(len(ms[i].buf))
-		hdrs[i].hdr.Iov = &iovs[i]
-		hdrs[i].hdr.Iovlen = 1
-		if !m.connected {
-			names[i] = addrPortToSockaddr(ms[i].addr)
-			hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&names[i]))
-			hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(names[i]))
+func (m *mmsgIO) WriteBatch(ms []mmsg, s *ioScratch) (int, error) {
+	s.point(ms, sysSendmmsg, !m.connected)
+	if !m.connected {
+		for i := range ms {
+			s.names[i] = addrPortToSockaddr(ms[i].addr)
 		}
 	}
-	sent := 0
-	for sent < len(ms) {
-		var n int
-		var sysErr error
-		err := m.rc.Write(func(fd uintptr) bool {
-			r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&hdrs[sent])), uintptr(len(hdrs)-sent),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if errno == syscall.EAGAIN {
-				return false
-			}
-			if errno != 0 {
-				sysErr = errno
-			} else {
-				n = int(r1)
-			}
-			return true
-		})
-		if err != nil {
-			return sent, err
+	for ; s.lo < s.hi; s.lo += s.n {
+		if err := m.rc.Write(s.call); err != nil {
+			return s.lo, err
 		}
-		if sysErr != nil {
-			return sent, sysErr
+		if s.errno != 0 {
+			return s.lo, s.errno
 		}
-		if n == 0 {
+		if s.n == 0 {
 			break
 		}
-		sent += n
 	}
-	return sent, nil
+	return s.lo, nil
 }
 
 // sockaddrToAddrPort converts a kernel-filled IPv4 sockaddr; the port sits

@@ -9,3 +9,7 @@ import "net"
 func newSocketIO(pc *net.UDPConn, generic, connected bool) (socketIO, error) {
 	return &genericIO{pc: pc, connected: connected}, nil
 }
+
+// ioScratch is the batched-syscall scratch of the mmsg transport; the
+// portable transport needs none.
+type ioScratch struct{}

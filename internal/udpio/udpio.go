@@ -6,18 +6,28 @@
 // syscall cost is amortized exactly like the engine amortizes its
 // output-commit barrier.
 //
-// The data path: Serve reads a batch of datagrams, decodes each into a
-// packet, stamps its arrival time, and hands it to the Dispatcher
-// (Session.Dispatch — the engine's streaming ingress, no settle barrier
-// per datagram). The engine's delivery callback (Deliver, registered via
-// WithDeliveries) serializes each surviving packet — headers rewritten by
-// the middlebox — and echoes it to the source address of the flow's
-// ingress datagrams, batched on a dedicated TX goroutine. Packets the
-// middlebox dropped are counted, not echoed.
+// The data path runs to completion on the engine's workers, as a DPDK core
+// does rx burst, process, tx burst: Serve reads a batch of datagrams,
+// decodes each in place into a recycled packet, stamps the sender's address
+// on it (Packet.Ingress) and hands it to the Dispatcher (Session.Dispatch —
+// the engine's streaming ingress, no settle barrier per datagram). The
+// engine's delivery callback (Deliver, registered via WithDeliveries)
+// serializes each surviving packet — headers rewritten by the middlebox —
+// into the calling worker's TX lane and sends the lane's batch itself, back
+// to the address on the packet, when the lane is full or the worker is about
+// to run out of packets (Delivery.More). There is no TX goroutine and no
+// per-flow or per-peer table. Packets the middlebox dropped are counted,
+// not echoed.
+//
+// Packet ownership: a packet Serve hands to Dispatch belongs to the engine
+// until its Deliver call returns, then to the front end again, which
+// decodes a later datagram into it. Nothing may dereference a packet
+// pointer it kept past that point.
 package udpio
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -76,8 +86,9 @@ type Stats struct {
 	DecodeErrors int64
 	// Dropped counts packets the middlebox dropped (no echo).
 	Dropped int64
-	// Untracked counts deliveries with no recorded source address
-	// (engine traffic not injected through this front end).
+	// Untracked counts deliveries that could not be echoed: packets
+	// without this front end's ingress tag (engine traffic not injected
+	// through it) and echoes shed because the socket was already closed.
 	Untracked int64
 }
 
@@ -92,12 +103,22 @@ type mmsg struct {
 // implement. ReadBatch blocks until at least one datagram is available
 // (or deadline passes; zero means block indefinitely), fills as many of
 // ms as the socket can supply without blocking again, and returns the
-// count. WriteBatch sends every message and returns the count sent.
+// count. WriteBatch sends every message and returns the count sent; it
+// may be called concurrently, each caller passing a scratch of its own.
 // ReadBatch owns the socket's read deadline — callers pass theirs in
 // rather than setting it on the conn.
 type socketIO interface {
 	ReadBatch(ms []mmsg, deadline time.Time) (int, error)
-	WriteBatch(ms []mmsg) (int, error)
+	WriteBatch(ms []mmsg, scratch *ioScratch) (int, error)
+}
+
+// newBatch returns n datagram slots over one n x size arena.
+func newBatch(n, size int) []mmsg {
+	ms, arena := make([]mmsg, n), make([]byte, n*size)
+	for i := range ms {
+		ms[i].buf = arena[i*size : (i+1)*size : (i+1)*size]
+	}
+	return ms
 }
 
 // Frontend is one bound UDP socket feeding one engine session.
@@ -107,19 +128,14 @@ type Frontend struct {
 	io    socketIO
 	start time.Time
 
-	// flows maps a packet's ingress five-tuple to the source address of
-	// its datagrams, recorded before dispatch so the delivery callback —
-	// which may fire from a worker goroutine before Dispatch even
-	// returns — always finds it. Last writer wins per flow.
-	mu    sync.Mutex
-	flows map[packet.FiveTuple]netip.AddrPort
-
-	// tx carries serialized echoes to the TX batching goroutine; done
-	// (closed when Serve winds down) releases anything blocked on it. tx
-	// itself is never closed — Deliver may race with shutdown.
-	tx   chan mmsg
-	done chan struct{}
-	txWG sync.WaitGroup
+	// lanes is the copy-on-write table of TX lanes, indexed by the engine
+	// worker that owns each: Deliver finds its lane with one atomic load,
+	// and the first delivery from a new worker grows the table under mu.
+	lanes atomic.Pointer[[]*lane]
+	// free is the bounded list of packets to decode into; lanes return
+	// theirs at flush, Serve draws a batch's worth per read.
+	mu   sync.Mutex
+	free []*packet.Packet
 
 	rxDatagrams, rxBatches atomic.Int64
 	txDatagrams, txBatches atomic.Int64
@@ -127,7 +143,39 @@ type Frontend struct {
 	dropped, untracked     atomic.Int64
 }
 
-// Listen binds the front end's socket. Serve starts the loops.
+// lane is one engine worker's transmit side, touched only from that
+// worker's goroutine: the echoes serialized since the last flush, sitting
+// in ms[:n] (slot i's bytes in the i-th MaxPacket piece of arena), and
+// everything sending them needs.
+type lane struct {
+	ms      []mmsg
+	n       int
+	arena   []byte
+	sb      packet.SerializeBuffer
+	scratch ioScratch
+	// done are the packets this lane has finished with since the last
+	// flush, on their way back to the free list.
+	done []*packet.Packet
+}
+
+// ingressValid marks a Packet.Ingress tag as this package's: below it sit
+// the sender's IPv4 address (bits 16-47) and UDP port (bits 0-15). The
+// socket is udp4, so the whole return address fits the tag, and a packet
+// that did not come through Serve reads as "not ours".
+const ingressValid = 1 << 63
+
+func ingressTag(from netip.AddrPort) uint64 {
+	a := from.Addr().Unmap().As4()
+	return ingressValid | uint64(binary.BigEndian.Uint32(a[:]))<<16 | uint64(from.Port())
+}
+
+func ingressAddr(tag uint64) netip.AddrPort {
+	var a [4]byte
+	binary.BigEndian.PutUint32(a[:], uint32(tag>>16))
+	return netip.AddrPortFrom(netip.AddrFrom4(a), uint16(tag))
+}
+
+// Listen binds the front end's socket. Serve starts the RX loop.
 func Listen(cfg Config) (*Frontend, error) {
 	cfg = cfg.withDefaults()
 	addr, err := net.ResolveUDPAddr("udp4", cfg.Addr)
@@ -142,14 +190,9 @@ func Listen(cfg Config) (*Frontend, error) {
 	// a batch (the kernel clamps these to its configured maximums).
 	_ = pc.SetReadBuffer(4 << 20)
 	_ = pc.SetWriteBuffer(4 << 20)
-	f := &Frontend{
-		cfg:   cfg,
-		pc:    pc,
-		start: time.Now(),
-		flows: make(map[packet.FiveTuple]netip.AddrPort),
-		tx:    make(chan mmsg, 4*cfg.Batch),
-		done:  make(chan struct{}),
-	}
+	// The free list holds a few batches: enough for what a closed loop keeps
+	// in flight; beyond it packets go to the collector and come back new.
+	f := &Frontend{cfg: cfg, pc: pc, start: time.Now(), free: make([]*packet.Packet, 0, 8*cfg.Batch)}
 	f.io, err = newSocketIO(pc, cfg.Generic, false)
 	if err != nil {
 		pc.Close()
@@ -164,51 +207,101 @@ func (f *Frontend) Addr() netip.AddrPort {
 }
 
 // Deliver is the engine delivery callback: register it with
-// WithDeliveries when opening the session Serve dispatches into. Safe
-// for concurrent use (workers call it in parallel).
+// WithDeliveries when opening the session Serve dispatches into. It runs
+// on the worker that processed the packet and finishes the packet's trip
+// there: the echo is serialized into that worker's lane, and the lane is
+// sent — one WriteBatch from this goroutine — once it is full or d.More
+// says no further delivery is certain to follow, so nothing the engine
+// queued before a barrier is still sitting here after it. A socket that
+// cannot take the batch blocks the worker (backpressure, never a drop).
+// After it returns the packet is the front end's again. Safe for
+// concurrent use: workers call it in parallel, each on its own lane.
 func (f *Frontend) Deliver(d engine.Delivery) {
-	if !d.Delivered {
+	l := f.lane(d.Worker)
+	switch tag := d.Pkt.Ingress; {
+	case tag&ingressValid == 0:
+		f.untracked.Add(1) // not from Serve: no address, and not ours to recycle
+	case !d.Delivered:
 		f.dropped.Add(1)
-		return
+		l.done = append(l.done, d.Pkt)
+	default:
+		// The slot is capped to its MaxPacket piece of the arena, so an echo
+		// the middlebox grew past that (tunlb adds a header) gets a buffer
+		// of its own from append instead of being truncated.
+		lo := l.n * f.cfg.MaxPacket
+		slot := l.arena[lo : lo : lo+f.cfg.MaxPacket]
+		l.ms[l.n] = mmsg{buf: append(slot, d.Pkt.SerializeTo(&l.sb)...), addr: ingressAddr(tag)}
+		l.n++
+		l.done = append(l.done, d.Pkt)
 	}
-	f.mu.Lock()
-	addr, ok := f.flows[d.Flow]
-	f.mu.Unlock()
-	if !ok {
-		f.untracked.Add(1)
-		return
-	}
-	// A full TX backlog backpressures the worker — the same discipline as
-	// the engine's other bounded queues — rather than dropping echoes. A
-	// front end that is winding down sheds instead of blocking forever.
-	select {
-	case f.tx <- mmsg{buf: d.Pkt.Serialize(), addr: addr}:
-	case <-f.done:
-		f.untracked.Add(1)
+	if l.n == len(l.ms) || !d.More {
+		f.flush(l)
 	}
 }
 
-// Serve runs the RX loop (and the TX batching goroutine) until ctx is
-// canceled or the socket is closed. Each datagram is decoded as one
-// Ethernet frame and dispatched with a monotone arrival timestamp.
-func (f *Frontend) Serve(ctx context.Context, d Dispatcher) error {
-	f.txWG.Add(1)
-	go f.txLoop()
-	defer func() {
-		close(f.done)
-		f.txWG.Wait()
-	}()
+// lane returns worker w's lane, creating it (and any below it) on first
+// use.
+func (f *Frontend) lane(w int) *lane {
+	if t := f.lanes.Load(); t != nil && w < len(*t) {
+		return (*t)[w]
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var t []*lane
+	if old := f.lanes.Load(); old != nil {
+		t = append(t, *old...)
+	}
+	for len(t) <= w {
+		t = append(t, &lane{ms: make([]mmsg, f.cfg.Batch), arena: make([]byte, f.cfg.Batch*f.cfg.MaxPacket)})
+	}
+	f.lanes.Store(&t)
+	return t[w]
+}
 
-	// Unblock the blocking read when ctx is canceled by closing the
-	// socket — cleaner than deadline juggling, and Serve is terminal for
-	// the front end anyway.
+// flush returns the lane's finished packets to the free list — first, so
+// that whoever receives an echo and answers it finds the packet already
+// back — and sends its echoes. Echoes the socket refuses — Serve has
+// returned and closed it — are shed into Untracked.
+func (f *Frontend) flush(l *lane) {
+	if len(l.done) > 0 {
+		f.mu.Lock()
+		f.free = append(f.free, l.done[:min(len(l.done), cap(f.free)-len(f.free))]...)
+		f.mu.Unlock()
+		clear(l.done)
+		l.done = l.done[:0]
+	}
+	if l.n > 0 {
+		sent, _ := f.io.WriteBatch(l.ms[:l.n], &l.scratch)
+		if sent > 0 {
+			f.txBatches.Add(1)
+			f.txDatagrams.Add(int64(sent))
+		}
+		f.untracked.Add(int64(l.n - sent))
+		l.n = 0
+	}
+}
+
+// Serve runs the RX loop until ctx is canceled or the socket is closed.
+// Each datagram is decoded as one Ethernet frame and dispatched with a
+// monotone arrival timestamp. Serve is terminal for the front end: it
+// closes the socket on the way out, which also releases a worker blocked
+// sending into it. A panic below it (decode, dispatch) is returned as an
+// error, not raised.
+func (f *Frontend) Serve(ctx context.Context, d Dispatcher) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("udpio: rx panicked: %v", r)
+		}
+		f.pc.Close()
+	}()
+	// Canceling ctx unblocks the blocking read by closing the socket —
+	// cleaner than deadline juggling.
 	stop := context.AfterFunc(ctx, func() { f.pc.Close() })
 	defer stop()
 
-	ms := make([]mmsg, f.cfg.Batch)
-	for i := range ms {
-		ms[i].buf = make([]byte, f.cfg.MaxPacket)
-	}
+	ms := newBatch(f.cfg.Batch, f.cfg.MaxPacket)
+	// pkts are the packets drawn from the free list and not yet dispatched.
+	pkts := make([]*packet.Packet, 0, f.cfg.Batch)
 	for {
 		for i := range ms {
 			ms[i].buf = ms[i].buf[:cap(ms[i].buf)]
@@ -226,17 +319,15 @@ func (f *Frontend) Serve(ctx context.Context, d Dispatcher) error {
 		f.rxBatches.Add(1)
 		f.rxDatagrams.Add(int64(n))
 		tNs := time.Since(f.start).Nanoseconds()
+		pkts = f.draw(pkts, n)
 		for i := 0; i < n; i++ {
-			pkt, err := packet.DecodePacket(ms[i].buf, nil)
-			if err != nil {
+			pkt := pkts[len(pkts)-1]
+			if err := pkt.Decode(ms[i].buf, nil); err != nil {
 				f.decodeErrors.Add(1)
-				continue
+				continue // the packet stays drawn, for the next datagram
 			}
-			if flow, ok := pkt.Tuple(); ok {
-				f.mu.Lock()
-				f.flows[flow] = ms[i].addr
-				f.mu.Unlock()
-			}
+			pkts = pkts[:len(pkts)-1]
+			pkt.Ingress = ingressTag(ms[i].addr)
 			if _, err := d.Dispatch(tNs, pkt); err != nil {
 				return fmt.Errorf("udpio: dispatch: %w", err)
 			}
@@ -244,39 +335,21 @@ func (f *Frontend) Serve(ctx context.Context, d Dispatcher) error {
 	}
 }
 
-// txLoop batches echoes: one blocking receive, then a non-blocking drain
-// up to the batch size — the write-side mirror of the engine's worker
-// pull loop.
-func (f *Frontend) txLoop() {
-	defer f.txWG.Done()
-	batch := make([]mmsg, 0, f.cfg.Batch)
-	for {
-		var m mmsg
-		select {
-		case m = <-f.tx:
-		case <-f.done:
-			// Winding down: flush whatever is already queued, then exit.
-			select {
-			case m = <-f.tx:
-			default:
-				return
-			}
-		}
-		batch = append(batch[:0], m)
-	drain:
-		for len(batch) < cap(batch) {
-			select {
-			case m := <-f.tx:
-				batch = append(batch, m)
-			default:
-				break drain
-			}
-		}
-		if n, err := f.io.WriteBatch(batch); err == nil {
-			f.txBatches.Add(1)
-			f.txDatagrams.Add(int64(n))
-		}
+// draw tops pkts up to n packets: from the free list under one lock, new
+// ones for the rest.
+func (f *Frontend) draw(pkts []*packet.Packet, n int) []*packet.Packet {
+	f.mu.Lock()
+	if k := min(n-len(pkts), len(f.free)); k > 0 {
+		keep := len(f.free) - k
+		pkts = append(pkts, f.free[keep:]...)
+		clear(f.free[keep:])
+		f.free = f.free[:keep]
 	}
+	f.mu.Unlock()
+	for len(pkts) < n {
+		pkts = append(pkts, new(packet.Packet))
+	}
+	return pkts
 }
 
 // Stats snapshots the counters.
@@ -310,9 +383,10 @@ type Client struct {
 	pc  *net.UDPConn
 	io  socketIO
 	cfg Config
-	// rx (Batch buffers of MaxPacket bytes) and tx are Recv's and Send's
-	// batch scratch, built once at Dial.
-	rx, tx []mmsg
+	// rx (Batch buffers of MaxPacket bytes), tx and scratch are Recv's and
+	// Send's batch scratch, built once at Dial.
+	rx, tx  []mmsg
+	scratch ioScratch
 }
 
 // Dial connects a client to a front end.
@@ -328,11 +402,7 @@ func Dial(addr string, cfg Config) (*Client, error) {
 	}
 	_ = pc.SetReadBuffer(4 << 20)
 	_ = pc.SetWriteBuffer(4 << 20)
-	c := &Client{pc: pc, cfg: cfg, rx: make([]mmsg, cfg.Batch), tx: make([]mmsg, cfg.Batch)}
-	bufs := make([]byte, cfg.Batch*cfg.MaxPacket)
-	for i := range c.rx {
-		c.rx[i].buf = bufs[i*cfg.MaxPacket : (i+1)*cfg.MaxPacket : (i+1)*cfg.MaxPacket]
-	}
+	c := &Client{pc: pc, cfg: cfg, rx: newBatch(cfg.Batch, cfg.MaxPacket), tx: make([]mmsg, cfg.Batch)}
 	c.io, err = newSocketIO(pc, cfg.Generic, true)
 	if err != nil {
 		pc.Close()
@@ -348,7 +418,7 @@ func (c *Client) Send(frames [][]byte) error {
 		for i := range ms {
 			ms[i].buf = frames[i]
 		}
-		_, err := c.io.WriteBatch(ms)
+		_, err := c.io.WriteBatch(ms, &c.scratch)
 		clear(ms) // the scratch must not pin the caller's frames
 		if err != nil {
 			return fmt.Errorf("udpio: send: %w", err)
@@ -361,7 +431,8 @@ func (c *Client) Send(frames [][]byte) error {
 // Recv reads up to max datagrams, waiting at most timeout for the first
 // batch (and returning early with what arrived). A timeout with zero
 // datagrams returns an empty slice, not an error. The returned frames are
-// copies the caller owns.
+// copies the caller owns; the frames of one read batch share one backing
+// array, each capped to its own bytes.
 func (c *Client) Recv(max int, timeout time.Duration) ([][]byte, error) {
 	deadline := time.Now().Add(timeout)
 	ms := c.rx
@@ -377,8 +448,15 @@ func (c *Client) Recv(max int, timeout time.Duration) ([][]byte, error) {
 			}
 			return out, fmt.Errorf("udpio: recv: %w", err)
 		}
+		size := 0
 		for i := 0; i < n; i++ {
-			out = append(out, append([]byte(nil), ms[i].buf...))
+			size += len(ms[i].buf)
+		}
+		back := make([]byte, 0, size)
+		for i := 0; i < n; i++ {
+			lo := len(back)
+			back = append(back, ms[i].buf...)
+			out = append(out, back[lo:len(back):len(back)])
 		}
 	}
 	return out, nil
