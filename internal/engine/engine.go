@@ -233,15 +233,15 @@ type Engine struct {
 	// the packet path reads this flag instead of locking ctx.Err().
 	aborted atomic.Bool
 
-	// feedMu serializes Feed calls (one dispatcher at a time); reconfMu
-	// serializes Reconfigure. Feed and Reconfigure may run concurrently
+	// reconfMu serializes Reconfigure; feedMu serializes Feed calls (one
+	// dispatcher at a time). Feed and Reconfigure may run concurrently
 	// with each other.
-	feedMu   sync.Mutex
 	reconfMu sync.Mutex
-	// seq, lastT and fedAny are the dispatcher's per-packet state (under
-	// feedMu), padded off the lines workers read per packet (cfg, runCtx,
-	// aborted).
+	// feedMu and the dispatcher's per-packet state under it (seq, lastT,
+	// fedAny) are written on every Dispatch: padded off the lines workers
+	// read per packet (cfg, runCtx, aborted).
 	_      [64]byte
+	feedMu sync.Mutex
 	seq    int64
 	lastT  int64
 	fedAny bool

@@ -3,6 +3,7 @@ package engine
 import (
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // False-sharing audit benchmarks. The engine pads every per-worker
@@ -64,4 +65,39 @@ func BenchmarkFalseSharingPadded(b *testing.B) {
 	runSlots(b,
 		func(id int) { slots[id].n.Add(1) },
 		func() int64 { return slots[0].n.Load() })
+}
+
+// TestDispatcherStateOffWorkerLines pins the Engine layout that keeps the
+// dispatcher's writes off the workers' reads: every Dispatch locks feedMu
+// and bumps seq, lastT and fedAny, while a worker reads aborted (and runCtx
+// beside it) once per packet. A field that starts at least 64 bytes past
+// the end of another can share no cache line with it.
+func TestDispatcherStateOffWorkerLines(t *testing.T) {
+	type field struct {
+		name      string
+		off, size uintptr
+	}
+	var e Engine
+	read := []field{
+		{"runCtx", unsafe.Offsetof(e.runCtx), unsafe.Sizeof(e.runCtx)},
+		{"aborted", unsafe.Offsetof(e.aborted), unsafe.Sizeof(e.aborted)},
+	}
+	written := []field{
+		{"feedMu", unsafe.Offsetof(e.feedMu), unsafe.Sizeof(e.feedMu)},
+		{"seq", unsafe.Offsetof(e.seq), unsafe.Sizeof(e.seq)},
+		{"lastT", unsafe.Offsetof(e.lastT), unsafe.Sizeof(e.lastT)},
+		{"fedAny", unsafe.Offsetof(e.fedAny), unsafe.Sizeof(e.fedAny)},
+	}
+	for _, r := range read {
+		for _, w := range written {
+			lo, hi := r, w
+			if w.off < r.off {
+				lo, hi = w, r
+			}
+			if gap := int(hi.off) - int(lo.off+lo.size); gap < 64 {
+				t.Errorf("Engine.%s (offset %d) and Engine.%s (offset %d) are %d bytes apart: they can share a cache line",
+					w.name, w.off, r.name, r.off, gap)
+			}
+		}
+	}
 }

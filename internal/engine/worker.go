@@ -278,8 +278,10 @@ func (w *worker) runBatch() (npkts int) {
 		j := &w.batch[w.next]
 		w.next++
 		if j.ctrl != nil {
-			// Control jobs synchronise with readers of the switch counters.
+			// Control jobs synchronise with readers of the switch counters,
+			// and a barrier releases Feed: drop the finished jobs' packets first.
 			w.walk.Flush()
+			clear(w.batch[:w.next-1])
 			j.ctrl(w)
 			continue
 		}

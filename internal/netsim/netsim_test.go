@@ -2,7 +2,10 @@ package netsim
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
+	"weak"
 
 	"gallium/internal/ir"
 	"gallium/internal/lang"
@@ -521,4 +524,44 @@ func TestRSSShardSymmetricAndBounded(t *testing.T) {
 	if got := RSSShard(fwd, 0); got != 0 {
 		t.Errorf("RSSShard(_, 0) = %d, want 0", got)
 	}
+}
+
+// TestSlowPathPacketPinsNoFrame: a packet that took the slow path leaves
+// Inject as the packet decoded from its last hop's frame (the walker's
+// *pkt = *back). It may hold its own Payload and GalData and nothing else:
+// any other byte slice reachable from it would be that frame, kept alive
+// for as long as the caller keeps the packet.
+func TestSlowPathPacketPinsNoFrame(t *testing.T) {
+	tb := buildTestbed(t, "minilb", Offloaded, 1)
+	pkt := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80,
+		packet.TCPOptions{Flags: packet.TCPFlagSYN, Payload: make([]byte, 64)})
+	d, err := tb.Inject(0, pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Delivered || d.FastPath {
+		t.Fatalf("delivery %+v, want a slow-path delivery", d)
+	}
+	var frames []weak.Pointer[byte]
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Slice:
+			if path != ".Payload" && path != ".GalData" && v.Cap() > 0 {
+				frames = append(frames, weak.Make((*byte)(v.UnsafePointer())))
+			}
+		}
+	}
+	walk(reflect.ValueOf(pkt).Elem(), "")
+	runtime.GC()
+	for _, f := range frames {
+		if f.Value() != nil {
+			t.Fatal("the packet keeps a frame of the slow path's hops alive")
+		}
+	}
+	runtime.KeepAlive(pkt)
 }

@@ -33,56 +33,24 @@ func (m MAC) String() string {
 type Ethernet struct {
 	SrcMAC, DstMAC MAC
 	EtherType      EtherType
-
-	contents []byte
-	payload  []byte
 }
 
-// LayerType implements Layer.
-func (e *Ethernet) LayerType() LayerType { return LayerTypeEthernet }
-
-// LayerContents implements Layer.
-func (e *Ethernet) LayerContents() []byte { return e.contents }
-
-// LayerPayload implements Layer.
-func (e *Ethernet) LayerPayload() []byte { return e.payload }
-
-// CanDecode implements DecodingLayer.
-func (e *Ethernet) CanDecode() LayerType { return LayerTypeEthernet }
-
-// DecodeFromBytes implements DecodingLayer.
-func (e *Ethernet) DecodeFromBytes(data []byte) error {
+// decode reads the header from data and returns the bytes after it.
+func (e *Ethernet) decode(data []byte) ([]byte, error) {
 	if len(data) < EthernetHeaderLen {
-		return errTooShort(LayerTypeEthernet, EthernetHeaderLen, len(data))
+		return nil, errTooShort(LayerTypeEthernet, EthernetHeaderLen, len(data))
 	}
 	copy(e.DstMAC[:], data[0:6])
 	copy(e.SrcMAC[:], data[6:12])
 	e.EtherType = EtherType(binary.BigEndian.Uint16(data[12:14]))
-	e.contents = data[:EthernetHeaderLen]
-	e.payload = data[EthernetHeaderLen:]
-	return nil
+	return data[EthernetHeaderLen:], nil
 }
 
-// NextLayerType implements DecodingLayer.
-func (e *Ethernet) NextLayerType() LayerType {
-	switch e.EtherType {
-	case EtherTypeIPv4:
-		return LayerTypeIPv4
-	case EtherTypeIPv6:
-		return LayerTypeIPv6
-	case EtherTypeGallium:
-		return LayerTypeGallium
-	}
-	return LayerTypePayload
-}
-
-// SerializeTo appends the wire form of the header to b, treating the
-// current contents of b as this layer's payload (prepend-style, as in
-// gopacket). It returns the new slice.
-func (e *Ethernet) SerializeTo(b *SerializeBuffer) error {
+// serializeTo prepends the wire form of the header to b, whose current
+// contents are this header's payload.
+func (e *Ethernet) serializeTo(b *SerializeBuffer) {
 	hdr := b.PrependBytes(EthernetHeaderLen)
 	copy(hdr[0:6], e.DstMAC[:])
 	copy(hdr[6:12], e.SrcMAC[:])
 	binary.BigEndian.PutUint16(hdr[12:14], uint16(e.EtherType))
-	return nil
 }

@@ -360,45 +360,90 @@ func TestHeaderFormatSpecs(t *testing.T) {
 	}
 }
 
-// TestLayerAccessors walks a decoded packet's layers and checks the
-// Layer interface contract (type tags and non-empty contents) for every
-// layer the substrate can produce, plus the error and string plumbing.
+// TestLayerAccessors decodes every header the substrate can produce and
+// checks its fields, then cuts the same frame short inside each header and
+// checks that the DecodeError names that header.
 func TestLayerAccessors(t *testing.T) {
-	inner := BuildTCP6(MakeIPv6Addr(0x20010DB8<<32, 1), MakeIPv6Addr(0x20010DB8<<32, 2),
-		443, 80, TCPOptions{Flags: TCPFlagSYN, MSS: 1460, Payload: []byte("data")})
-	inner.EncapGRE(MakeIPv4Addr(172, 16, 0, 1), MakeIPv4Addr(172, 16, 0, 2), 7)
-	p, err := DecodePacket(inner.Serialize(), nil)
+	hf, err := NewHeaderFormat([]HeaderField{{Name: "x", Bits: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Eth.LayerType() != LayerTypeEthernet || len(p.Eth.LayerContents()) == 0 {
-		t.Error("Ethernet layer accessors broken")
+	src6, dst6 := MakeIPv6Addr(0x20010DB8<<32, 1), MakeIPv6Addr(0x20010DB8<<32, 2)
+	inner := BuildTCP6(src6, dst6, 443, 80, TCPOptions{Flags: TCPFlagSYN, MSS: 1460, Payload: []byte("data")})
+	inner.IP6.FlowLabel, inner.IP6.TrafficClass = 0xBEEF, 0x20
+	inner.EncapGRE(MakeIPv4Addr(172, 16, 0, 1), MakeIPv4Addr(172, 16, 0, 2), 7)
+	inner.AttachGallium(hf)
+	raw := inner.Serialize()
+	p, err := DecodePacket(raw, hf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.GRE.LayerType() != LayerTypeGRE || len(p.GRE.LayerContents()) == 0 || p.GRE.CanDecode() != LayerTypeGRE {
-		t.Error("GRE layer accessors broken")
+	if !p.HasGallium || len(p.GalData) != hf.DataLen() || p.Eth.EtherType != EtherTypeGallium {
+		t.Errorf("Gallium header: %v %x, EtherType %#04x", p.HasGallium, p.GalData, p.Eth.EtherType)
 	}
-	if p.IP6.LayerType() != LayerTypeIPv6 || len(p.IP6.LayerContents()) == 0 || p.IP6.CanDecode() != LayerTypeIPv6 {
-		t.Error("IPv6 layer accessors broken")
+	if !p.HasOuter || p.Outer.SrcIP != MakeIPv4Addr(172, 16, 0, 1) || p.Outer.Protocol != IPProtocolGRE || p.Outer.TTL != 64 {
+		t.Errorf("outer IPv4 header: %+v", p.Outer)
 	}
-	if p.TCP.LayerType() != LayerTypeTCP || len(p.TCP.LayerContents()) == 0 {
-		t.Error("TCP layer accessors broken")
+	if !p.HasGRE || !p.GRE.HasKey || p.GRE.Key != 7 || p.GRE.Protocol != EtherTypeIPv6 || p.GRE.HeaderLen() != GREHeaderBaseLen+GREKeyLen {
+		t.Errorf("GRE header: %+v", p.GRE)
+	}
+	if p.HasIP || !p.HasIP6 || p.IP6.SrcIP != src6 || p.IP6.DstIP != dst6 || p.IP6.FlowLabel != 0xBEEF ||
+		p.IP6.TrafficClass != 0x20 || p.IP6.HopLimit != 64 || p.IP6.NextHeader != IPProtocolTCP ||
+		int(p.IP6.PayloadLen) != TCPHeaderLen+TCPOptionMSSLen+4 {
+		t.Errorf("IPv6 header: %+v", p.IP6)
+	}
+	if !p.HasTCP || p.TCP.SrcPort != 443 || !p.TCP.HasMSS || p.TCP.MSS != 1460 || string(p.Payload) != "data" {
+		t.Errorf("TCP header: %+v, payload %q", p.TCP, p.Payload)
+	}
+
+	// A frame cut inside a header fails in that header. The headers follow
+	// one another: Ethernet, Gallium, outer IPv4, GRE and its key, IPv6,
+	// TCP.
+	at := 0
+	for _, h := range []struct {
+		n     int
+		layer LayerType
+	}{
+		{EthernetHeaderLen, LayerTypeEthernet},
+		{hf.WireLen(), LayerTypeGallium},
+		{IPv4HeaderLen, LayerTypeIPv4},
+		{GREHeaderBaseLen, LayerTypeGRE},
+		{GREKeyLen, LayerTypeGRE},
+		{IPv6HeaderLen, LayerTypeIPv6},
+		{TCPHeaderLen, LayerTypeTCP},
+	} {
+		at += h.n
+		if l := decodeFails(t, raw[:at-1], hf); l != h.layer {
+			t.Errorf("frame cut at %d failed in %v, want %v", at-1, l, h.layer)
+		}
+	}
+
+	// GRE extensions the switch parser does not model are rejected.
+	gre := EthernetHeaderLen + hf.WireLen() + IPv4HeaderLen
+	for name, mutate := range map[string]func(b []byte){
+		"version 1":     func(b []byte) { b[gre+1] = 1 },
+		"checksum flag": func(b []byte) { b[gre] |= 0x80 },
+		"sequence flag": func(b []byte) { b[gre] |= 0x10 },
+	} {
+		b := append([]byte(nil), raw...)
+		mutate(b)
+		if l := decodeFails(t, b, hf); l != LayerTypeGRE {
+			t.Errorf("%s: failed in %v, want GRE", name, l)
+		}
 	}
 
 	u, err := DecodePacket(BuildUDP(MakeIPv4Addr(1, 2, 3, 4), MakeIPv4Addr(5, 6, 7, 8), 9, 10, []byte("x")).Serialize(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.UDP.LayerType() != LayerTypeUDP || u.UDP.CanDecode() != LayerTypeUDP || u.UDP.NextLayerType() != LayerTypePayload {
-		t.Error("UDP layer accessors broken")
-	}
-	if u.IP.LayerType() != LayerTypeIPv4 || len(u.IP.LayerContents()) == 0 {
-		t.Error("IPv4 layer accessors broken")
+	if !u.HasIP || u.IP.SrcIP != MakeIPv4Addr(1, 2, 3, 4) || !u.HasUDP || u.UDP.DstPort != 10 || string(u.Payload) != "x" {
+		t.Errorf("IPv4/UDP headers: %+v %+v", u.IP, u.UDP)
 	}
 	if got := u.Eth.SrcMAC.String(); !strings.Contains(got, ":") {
 		t.Errorf("MAC String = %q", got)
 	}
 
-	for lt := LayerTypeZero; lt <= LayerTypeGRE; lt++ {
+	for lt := LayerTypeEthernet; lt <= LayerTypeGRE; lt++ {
 		if s := lt.String(); s == "" || strings.HasPrefix(s, "LayerType(") {
 			t.Errorf("LayerType(%d) has no name: %q", int(lt), s)
 		}

@@ -169,67 +169,31 @@ func setBits(data []byte, off, bits int, v uint64) error {
 	return nil
 }
 
-// Gallium is the synthesized header layer carrying temporary state between
-// the switch partitions and the server.
+// Gallium is the synthesized header carrying temporary state between the
+// switch partitions and the server.
 type Gallium struct {
 	// NextEtherType is the EtherType of the encapsulated frame (what the
 	// Ethernet header's EtherType becomes when this header is stripped).
 	NextEtherType EtherType
 	// Data is the bit-packed field area; interpret with a HeaderFormat.
 	Data []byte
-
-	contents []byte
-	payload  []byte
-	// dataLen tells the decoder how many data bytes to consume; it is set
-	// from the compiled format before decoding.
-	dataLen int
 }
 
-// NewGallium returns a decoder/serializer for headers of the given format.
-func NewGallium(f *HeaderFormat) *Gallium {
-	return &Gallium{dataLen: f.DataLen()}
-}
-
-// LayerType implements Layer.
-func (g *Gallium) LayerType() LayerType { return LayerTypeGallium }
-
-// LayerContents implements Layer.
-func (g *Gallium) LayerContents() []byte { return g.contents }
-
-// LayerPayload implements Layer.
-func (g *Gallium) LayerPayload() []byte { return g.payload }
-
-// CanDecode implements DecodingLayer.
-func (g *Gallium) CanDecode() LayerType { return LayerTypeGallium }
-
-// DecodeFromBytes implements DecodingLayer.
-func (g *Gallium) DecodeFromBytes(data []byte) error {
-	need := GalliumHeaderBaseLen + g.dataLen
+// decode reads a header with dataLen data bytes from data, appending them
+// to g.Data, and returns the bytes after the header.
+func (g *Gallium) decode(data []byte, dataLen int) ([]byte, error) {
+	need := GalliumHeaderBaseLen + dataLen
 	if len(data) < need {
-		return errTooShort(LayerTypeGallium, need, len(data))
+		return nil, errTooShort(LayerTypeGallium, need, len(data))
 	}
 	g.NextEtherType = EtherType(binary.BigEndian.Uint16(data[0:2]))
-	g.Data = data[GalliumHeaderBaseLen:need]
-	g.contents = data[:need]
-	g.payload = data[need:]
-	return nil
+	g.Data = append(g.Data, data[GalliumHeaderBaseLen:need]...)
+	return data[need:], nil
 }
 
-// NextLayerType implements DecodingLayer.
-func (g *Gallium) NextLayerType() LayerType {
-	switch g.NextEtherType {
-	case EtherTypeIPv4:
-		return LayerTypeIPv4
-	case EtherTypeIPv6:
-		return LayerTypeIPv6
-	}
-	return LayerTypePayload
-}
-
-// SerializeTo prepends the wire form of the header to b.
-func (g *Gallium) SerializeTo(b *SerializeBuffer) error {
+// serializeTo prepends the wire form of the header to b.
+func (g *Gallium) serializeTo(b *SerializeBuffer) {
 	hdr := b.PrependBytes(GalliumHeaderBaseLen + len(g.Data))
 	binary.BigEndian.PutUint16(hdr[0:2], uint16(g.NextEtherType))
 	copy(hdr[GalliumHeaderBaseLen:], g.Data)
-	return nil
 }

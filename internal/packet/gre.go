@@ -27,22 +27,7 @@ type GRE struct {
 	Key    uint32
 	// Protocol is the EtherType of the encapsulated payload.
 	Protocol EtherType
-
-	contents []byte
-	payload  []byte
 }
-
-// LayerType implements Layer.
-func (g *GRE) LayerType() LayerType { return LayerTypeGRE }
-
-// LayerContents implements Layer.
-func (g *GRE) LayerContents() []byte { return g.contents }
-
-// LayerPayload implements Layer.
-func (g *GRE) LayerPayload() []byte { return g.payload }
-
-// CanDecode implements DecodingLayer.
-func (g *GRE) CanDecode() LayerType { return LayerTypeGRE }
 
 // HeaderLen returns the wire size of the header.
 func (g *GRE) HeaderLen() int {
@@ -52,48 +37,32 @@ func (g *GRE) HeaderLen() int {
 	return GREHeaderBaseLen
 }
 
-// DecodeFromBytes implements DecodingLayer.
-func (g *GRE) DecodeFromBytes(data []byte) error {
+// decode reads the header from data and returns the encapsulated bytes.
+func (g *GRE) decode(data []byte) ([]byte, error) {
 	if len(data) < GREHeaderBaseLen {
-		return errTooShort(LayerTypeGRE, GREHeaderBaseLen, len(data))
+		return nil, errTooShort(LayerTypeGRE, GREHeaderBaseLen, len(data))
 	}
 	flags := data[0]
 	if ver := data[1] & 0x07; ver != 0 {
-		return &DecodeError{Layer: LayerTypeGRE, Msg: fmt.Sprintf("unsupported version %d", ver)}
+		return nil, &DecodeError{Layer: LayerTypeGRE, Msg: fmt.Sprintf("unsupported version %d", ver)}
 	}
 	if flags&(greFlagChecksum|greFlagRouting|greFlagSeq) != 0 {
-		return &DecodeError{Layer: LayerTypeGRE, Msg: fmt.Sprintf("unsupported flags %#02x", flags)}
+		return nil, &DecodeError{Layer: LayerTypeGRE, Msg: fmt.Sprintf("unsupported flags %#02x", flags)}
 	}
 	g.HasKey = flags&greFlagKey != 0
 	g.Protocol = EtherType(uint16(data[2])<<8 | uint16(data[3]))
-	n := GREHeaderBaseLen
+	g.Key = 0
 	if g.HasKey {
 		if len(data) < GREHeaderBaseLen+GREKeyLen {
-			return errTooShort(LayerTypeGRE, GREHeaderBaseLen+GREKeyLen, len(data))
+			return nil, errTooShort(LayerTypeGRE, GREHeaderBaseLen+GREKeyLen, len(data))
 		}
 		g.Key = uint32(data[4])<<24 | uint32(data[5])<<16 | uint32(data[6])<<8 | uint32(data[7])
-		n += GREKeyLen
-	} else {
-		g.Key = 0
 	}
-	g.contents = data[:n]
-	g.payload = data[n:]
-	return nil
+	return data[g.HeaderLen():], nil
 }
 
-// NextLayerType implements DecodingLayer.
-func (g *GRE) NextLayerType() LayerType {
-	switch g.Protocol {
-	case EtherTypeIPv4:
-		return LayerTypeIPv4
-	case EtherTypeIPv6:
-		return LayerTypeIPv6
-	}
-	return LayerTypePayload
-}
-
-// SerializeTo prepends the wire form of the header to b.
-func (g *GRE) SerializeTo(b *SerializeBuffer) error {
+// serializeTo prepends the wire form of the header to b.
+func (g *GRE) serializeTo(b *SerializeBuffer) {
 	hdr := b.PrependBytes(g.HeaderLen())
 	hdr[0] = 0
 	if g.HasKey {
@@ -108,5 +77,4 @@ func (g *GRE) SerializeTo(b *SerializeBuffer) error {
 		hdr[6] = byte(g.Key >> 8)
 		hdr[7] = byte(g.Key)
 	}
-	return nil
 }

@@ -66,34 +66,21 @@ type IPv4 struct {
 	Checksum uint16
 	SrcIP    IPv4Addr
 	DstIP    IPv4Addr
-
-	contents []byte
-	payload  []byte
 }
 
-// LayerType implements Layer.
-func (ip *IPv4) LayerType() LayerType { return LayerTypeIPv4 }
-
-// LayerContents implements Layer.
-func (ip *IPv4) LayerContents() []byte { return ip.contents }
-
-// LayerPayload implements Layer.
-func (ip *IPv4) LayerPayload() []byte { return ip.payload }
-
-// CanDecode implements DecodingLayer.
-func (ip *IPv4) CanDecode() LayerType { return LayerTypeIPv4 }
-
-// DecodeFromBytes implements DecodingLayer.
-func (ip *IPv4) DecodeFromBytes(data []byte) error {
+// decode reads the header from data and returns the IP payload: the bytes
+// after the header up to the total length, or to the end of data when the
+// length field is out of range.
+func (ip *IPv4) decode(data []byte) ([]byte, error) {
 	if len(data) < IPv4HeaderLen {
-		return errTooShort(LayerTypeIPv4, IPv4HeaderLen, len(data))
+		return nil, errTooShort(LayerTypeIPv4, IPv4HeaderLen, len(data))
 	}
 	if v := data[0] >> 4; v != 4 {
-		return &DecodeError{Layer: LayerTypeIPv4, Msg: fmt.Sprintf("bad version %d", v)}
+		return nil, &DecodeError{Layer: LayerTypeIPv4, Msg: fmt.Sprintf("bad version %d", v)}
 	}
 	ihl := int(data[0]&0x0F) * 4
 	if ihl != IPv4HeaderLen {
-		return &DecodeError{Layer: LayerTypeIPv4, Msg: fmt.Sprintf("unsupported IHL %d", ihl)}
+		return nil, &DecodeError{Layer: LayerTypeIPv4, Msg: fmt.Sprintf("unsupported IHL %d", ihl)}
 	}
 	ip.TOS = data[1]
 	ip.Length = binary.BigEndian.Uint16(data[2:4])
@@ -106,41 +93,20 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	ip.Checksum = binary.BigEndian.Uint16(data[10:12])
 	ip.SrcIP = IPv4Addr(binary.BigEndian.Uint32(data[12:16]))
 	ip.DstIP = IPv4Addr(binary.BigEndian.Uint32(data[16:20]))
-	ip.contents = data[:IPv4HeaderLen]
 	end := int(ip.Length)
 	if end < IPv4HeaderLen || end > len(data) {
 		end = len(data)
 	}
-	ip.payload = data[IPv4HeaderLen:end]
-	return nil
+	return data[IPv4HeaderLen:end], nil
 }
 
-// NextLayerType implements DecodingLayer.
-func (ip *IPv4) NextLayerType() LayerType {
-	switch ip.Protocol {
-	case IPProtocolTCP:
-		return LayerTypeTCP
-	case IPProtocolUDP:
-		return LayerTypeUDP
-	case IPProtocolGRE:
-		return LayerTypeGRE
-	case IPProtocolIPIP:
-		return LayerTypeIPv4
-	case IPProtocolIPv6:
-		return LayerTypeIPv6
-	}
-	return LayerTypePayload
-}
-
-// SerializeTo prepends the wire form of the header to b. If fixLengths is
-// set the total-length field is computed from the current payload size, and
-// the header checksum is always recomputed.
-func (ip *IPv4) SerializeTo(b *SerializeBuffer, fixLengths bool) error {
+// serializeTo prepends the wire form of the header to b. The total-length
+// field is computed from the current payload size and the header checksum
+// recomputed.
+func (ip *IPv4) serializeTo(b *SerializeBuffer) {
 	payloadLen := len(b.Bytes())
 	hdr := b.PrependBytes(IPv4HeaderLen)
-	if fixLengths {
-		ip.Length = uint16(IPv4HeaderLen + payloadLen)
-	}
+	ip.Length = uint16(IPv4HeaderLen + payloadLen)
 	hdr[0] = 4<<4 | 5
 	hdr[1] = ip.TOS
 	binary.BigEndian.PutUint16(hdr[2:4], ip.Length)
@@ -153,7 +119,6 @@ func (ip *IPv4) SerializeTo(b *SerializeBuffer, fixLengths bool) error {
 	binary.BigEndian.PutUint32(hdr[16:20], uint32(ip.DstIP))
 	ip.Checksum = ipChecksum(hdr)
 	binary.BigEndian.PutUint16(hdr[10:12], ip.Checksum)
-	return nil
 }
 
 // ipChecksum computes the standard Internet checksum over data.
@@ -169,12 +134,4 @@ func ipChecksum(data []byte) uint16 {
 		sum = sum&0xFFFF + sum>>16
 	}
 	return ^uint16(sum)
-}
-
-// VerifyChecksum reports whether the decoded header's checksum is valid.
-func (ip *IPv4) VerifyChecksum() bool {
-	if len(ip.contents) < IPv4HeaderLen {
-		return false
-	}
-	return ipChecksum(ip.contents) == 0
 }

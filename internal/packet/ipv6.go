@@ -135,30 +135,17 @@ type IPv6 struct {
 	NextHeader   IPProtocol
 	HopLimit     uint8
 	SrcIP, DstIP IPv6Addr
-
-	contents []byte
-	payload  []byte
 }
 
-// LayerType implements Layer.
-func (ip *IPv6) LayerType() LayerType { return LayerTypeIPv6 }
-
-// LayerContents implements Layer.
-func (ip *IPv6) LayerContents() []byte { return ip.contents }
-
-// LayerPayload implements Layer.
-func (ip *IPv6) LayerPayload() []byte { return ip.payload }
-
-// CanDecode implements DecodingLayer.
-func (ip *IPv6) CanDecode() LayerType { return LayerTypeIPv6 }
-
-// DecodeFromBytes implements DecodingLayer.
-func (ip *IPv6) DecodeFromBytes(data []byte) error {
+// decode reads the fixed header from data and returns the IP payload: the
+// bytes after the header up to the payload length, or to the end of data
+// when the length field runs past it.
+func (ip *IPv6) decode(data []byte) ([]byte, error) {
 	if len(data) < IPv6HeaderLen {
-		return errTooShort(LayerTypeIPv6, IPv6HeaderLen, len(data))
+		return nil, errTooShort(LayerTypeIPv6, IPv6HeaderLen, len(data))
 	}
 	if v := data[0] >> 4; v != 6 {
-		return &DecodeError{Layer: LayerTypeIPv6, Msg: fmt.Sprintf("bad version %d", v)}
+		return nil, &DecodeError{Layer: LayerTypeIPv6, Msg: fmt.Sprintf("bad version %d", v)}
 	}
 	vtf := binary.BigEndian.Uint32(data[0:4])
 	ip.TrafficClass = uint8(vtf >> 20)
@@ -168,39 +155,23 @@ func (ip *IPv6) DecodeFromBytes(data []byte) error {
 	ip.HopLimit = data[7]
 	copy(ip.SrcIP[:], data[8:24])
 	copy(ip.DstIP[:], data[24:40])
-	ip.contents = data[:IPv6HeaderLen]
 	end := IPv6HeaderLen + int(ip.PayloadLen)
 	if end > len(data) {
 		end = len(data)
 	}
-	ip.payload = data[IPv6HeaderLen:end]
-	return nil
+	return data[IPv6HeaderLen:end], nil
 }
 
-// NextLayerType implements DecodingLayer.
-func (ip *IPv6) NextLayerType() LayerType {
-	switch ip.NextHeader {
-	case IPProtocolTCP:
-		return LayerTypeTCP
-	case IPProtocolUDP:
-		return LayerTypeUDP
-	}
-	return LayerTypePayload
-}
-
-// SerializeTo prepends the wire form of the header to b. If fixLengths is
-// set the payload-length field is computed from the current buffer size.
-func (ip *IPv6) SerializeTo(b *SerializeBuffer, fixLengths bool) error {
+// serializeTo prepends the wire form of the header to b, computing the
+// payload-length field from the current buffer size.
+func (ip *IPv6) serializeTo(b *SerializeBuffer) {
 	payloadLen := len(b.Bytes())
 	hdr := b.PrependBytes(IPv6HeaderLen)
-	if fixLengths {
-		ip.PayloadLen = uint16(payloadLen)
-	}
+	ip.PayloadLen = uint16(payloadLen)
 	binary.BigEndian.PutUint32(hdr[0:4], 6<<28|uint32(ip.TrafficClass)<<20|ip.FlowLabel&0xFFFFF)
 	binary.BigEndian.PutUint16(hdr[4:6], ip.PayloadLen)
 	hdr[6] = uint8(ip.NextHeader)
 	hdr[7] = ip.HopLimit
 	copy(hdr[8:24], ip.SrcIP[:])
 	copy(hdr[24:40], ip.DstIP[:])
-	return nil
 }

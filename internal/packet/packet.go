@@ -7,6 +7,12 @@ import (
 // Packet is the mutable, decoded representation of a frame used throughout
 // the simulator: the switch pipeline and the server runtime both read and
 // rewrite header fields on it, and Serialize produces wire bytes again.
+//
+// A Packet is a plain value: the header structs, their presence flags, the
+// ingress tag and two buffers it owns, GalData and Payload. It never
+// references the bytes it was decoded from, so a frame buffer may be
+// reused as soon as Decode returns, and a copy (*p = *q) pins nothing but
+// q's two buffers.
 type Packet struct {
 	Eth Ethernet
 
@@ -60,102 +66,83 @@ func DecodePacket(data []byte, galFormat *HeaderFormat) (*Packet, error) {
 
 // Decode resets p and parses wire bytes into it, reusing the capacity of
 // its Payload and GalData buffers so a recycled packet decodes without
-// allocating. After an error p holds a partial decode and must not be used
-// as a packet.
+// allocating. Each header decoder returns the bytes after its header and
+// the next one continues from there; the payload and the Gallium data are
+// copied, so the caller may reuse data as soon as Decode returns. After an
+// error p holds a partial decode and must not be used as a packet.
 func (p *Packet) Decode(data []byte, galFormat *HeaderFormat) error {
 	*p = Packet{GalData: p.GalData[:0], Payload: p.Payload[:0]}
-	if err := p.Eth.DecodeFromBytes(data); err != nil {
+	rest, err := p.Eth.decode(data)
+	if err != nil {
 		return err
 	}
-	rest := p.Eth.LayerPayload()
-	next := p.Eth.NextLayerType()
-	if next == LayerTypeGallium {
+	next := p.Eth.EtherType
+	if next == EtherTypeGallium {
 		if galFormat == nil {
 			return &DecodeError{Layer: LayerTypeGallium, Msg: "gallium header present but no format given"}
 		}
-		g := NewGallium(galFormat)
-		if err := g.DecodeFromBytes(rest); err != nil {
+		g := Gallium{Data: p.GalData}
+		if rest, err = g.decode(rest, galFormat.DataLen()); err != nil {
 			return err
 		}
-		p.HasGallium = true
-		p.GalData = append(p.GalData, g.Data...)
-		rest = g.LayerPayload()
-		next = g.NextLayerType()
+		p.HasGallium, p.GalData, next = true, g.Data, g.NextEtherType
 	}
-	if next == LayerTypeIPv4 {
-		if err := p.IP.DecodeFromBytes(rest); err != nil {
+	// proto is the transport protocol of the innermost network header;
+	// anything but TCP or UDP leaves the rest as opaque payload.
+	var proto IPProtocol
+	if next == EtherTypeIPv4 {
+		if rest, err = p.IP.decode(rest); err != nil {
 			return err
 		}
-		p.HasIP = true
-		rest = p.IP.LayerPayload()
-		next = p.IP.NextLayerType()
+		p.HasIP, proto = true, p.IP.Protocol
 		// One level of encapsulation: an outer IPv4 header carrying GRE
 		// or IP-in-IP moves to Outer and the inner network header takes
 		// its place. Deeper nesting decodes as opaque payload.
-		switch next {
-		case LayerTypeGRE:
-			if err := p.GRE.DecodeFromBytes(rest); err != nil {
+		encap := true
+		switch proto {
+		case IPProtocolGRE:
+			if rest, err = p.GRE.decode(rest); err != nil {
 				return err
 			}
+			p.HasGRE, next = true, p.GRE.Protocol
+		case IPProtocolIPIP:
+			next = EtherTypeIPv4
+		case IPProtocolIPv6:
+			next = EtherTypeIPv6
+		default:
+			encap = false
+		}
+		if encap {
 			p.Outer, p.IP = p.IP, IPv4{}
-			p.HasOuter, p.HasGRE, p.HasIP = true, true, false
-			rest = p.GRE.LayerPayload()
-			next = p.GRE.NextLayerType()
-			if next == LayerTypeIPv4 {
-				if err := p.IP.DecodeFromBytes(rest); err != nil {
+			p.HasOuter, p.HasIP, proto = true, false, 0
+			if next == EtherTypeIPv4 {
+				if rest, err = p.IP.decode(rest); err != nil {
 					return err
 				}
-				p.HasIP = true
-				rest = p.IP.LayerPayload()
-				next = innerNext(p.IP.NextLayerType())
+				p.HasIP, proto = true, p.IP.Protocol
 			}
-		case LayerTypeIPv4: // IP-in-IP
-			p.Outer, p.IP = p.IP, IPv4{}
-			p.HasOuter, p.HasIP = true, false
-			if err := p.IP.DecodeFromBytes(rest); err != nil {
-				return err
-			}
-			p.HasIP = true
-			rest = p.IP.LayerPayload()
-			next = innerNext(p.IP.NextLayerType())
-		case LayerTypeIPv6: // IP-in-IP, inner IPv6
-			p.Outer, p.IP = p.IP, IPv4{}
-			p.HasOuter, p.HasIP = true, false
 		}
 	}
-	if next == LayerTypeIPv6 {
-		if err := p.IP6.DecodeFromBytes(rest); err != nil {
+	if next == EtherTypeIPv6 {
+		if rest, err = p.IP6.decode(rest); err != nil {
 			return err
 		}
-		p.HasIP6 = true
-		rest = p.IP6.LayerPayload()
-		next = p.IP6.NextLayerType()
+		p.HasIP6, proto = true, p.IP6.NextHeader
 	}
-	switch next {
-	case LayerTypeTCP:
-		if err := p.TCP.DecodeFromBytes(rest); err != nil {
+	switch proto {
+	case IPProtocolTCP:
+		if rest, err = p.TCP.decode(rest); err != nil {
 			return err
 		}
 		p.HasTCP = true
-		rest = p.TCP.LayerPayload()
-	case LayerTypeUDP:
-		if err := p.UDP.DecodeFromBytes(rest); err != nil {
+	case IPProtocolUDP:
+		if rest, err = p.UDP.decode(rest); err != nil {
 			return err
 		}
 		p.HasUDP = true
-		rest = p.UDP.LayerPayload()
 	}
 	p.Payload = append(p.Payload, rest...)
 	return nil
-}
-
-// innerNext clips an inner IPv4 header's successor to the transport
-// layers: nested tunnels are not followed, their contents stay payload.
-func innerNext(t LayerType) LayerType {
-	if t == LayerTypeTCP || t == LayerTypeUDP {
-		return t
-	}
-	return LayerTypePayload
 }
 
 // Serialize assembles the packet back into wire bytes. Protocol and
@@ -173,26 +160,26 @@ func (p *Packet) Serialize() []byte {
 func (p *Packet) SerializeTo(b *SerializeBuffer) []byte {
 	b.Clear()
 	b.PushPayload(p.Payload)
-	var ph *PseudoHeader
+	var ph *pseudoHeader
 	switch {
 	case p.HasIP:
-		ph = &PseudoHeader{SrcIP: p.IP.SrcIP, DstIP: p.IP.DstIP}
+		ph = &pseudoHeader{SrcIP: p.IP.SrcIP, DstIP: p.IP.DstIP}
 	case p.HasIP6:
-		ph = &PseudoHeader{V6: true, SrcIP6: p.IP6.SrcIP, DstIP6: p.IP6.DstIP}
+		ph = &pseudoHeader{V6: true, SrcIP6: p.IP6.SrcIP, DstIP6: p.IP6.DstIP}
 	}
 	switch {
 	case p.HasTCP:
-		_ = p.TCP.SerializeTo(b, ph)
+		p.TCP.serializeTo(b, ph)
 	case p.HasUDP:
-		_ = p.UDP.SerializeTo(b, ph)
+		p.UDP.serializeTo(b, ph)
 	}
 	var netType EtherType // ethertype of the outermost network header, 0 if none
 	switch {
 	case p.HasIP:
-		_ = p.IP.SerializeTo(b, true)
+		p.IP.serializeTo(b)
 		netType = EtherTypeIPv4
 	case p.HasIP6:
-		_ = p.IP6.SerializeTo(b, true)
+		p.IP6.serializeTo(b)
 		netType = EtherTypeIPv6
 	}
 	if p.HasOuter {
@@ -200,24 +187,24 @@ func (p *Packet) SerializeTo(b *SerializeBuffer) []byte {
 			if netType != 0 {
 				p.GRE.Protocol = netType
 			}
-			_ = p.GRE.SerializeTo(b)
+			p.GRE.serializeTo(b)
 			p.Outer.Protocol = IPProtocolGRE
 		} else if p.HasIP6 {
 			p.Outer.Protocol = IPProtocolIPv6
 		} else if p.HasIP {
 			p.Outer.Protocol = IPProtocolIPIP
 		}
-		_ = p.Outer.SerializeTo(b, true)
+		p.Outer.serializeTo(b)
 		netType = EtherTypeIPv4
 	}
 	if p.HasGallium {
-		g := &Gallium{NextEtherType: netType, Data: p.GalData}
-		_ = g.SerializeTo(b)
+		g := Gallium{NextEtherType: netType, Data: p.GalData}
+		g.serializeTo(b)
 		p.Eth.EtherType = EtherTypeGallium
 	} else if netType != 0 {
 		p.Eth.EtherType = netType
 	}
-	_ = p.Eth.SerializeTo(b)
+	p.Eth.serializeTo(b)
 	return b.Bytes()
 }
 

@@ -2,106 +2,152 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
+	"weak"
 )
 
+// decodeFails decodes data and returns the layer its DecodeError names,
+// failing the test if data decodes or the error is of another type.
+func decodeFails(t *testing.T, data []byte, f *HeaderFormat) LayerType {
+	t.Helper()
+	_, err := DecodePacket(data, f)
+	var de *DecodeError
+	if !errors.As(err, &de) {
+		t.Fatalf("decoding % x: got error %v, want a *DecodeError", data, err)
+	}
+	return de.Layer
+}
+
 func TestEthernetRoundTrip(t *testing.T) {
-	e := &Ethernet{
-		SrcMAC:    MAC{0x02, 0, 0, 0, 0, 1},
-		DstMAC:    MAC{0x02, 0, 0, 0, 0, 2},
-		EtherType: EtherTypeIPv4,
+	p := BuildUDP(MakeIPv4Addr(10, 0, 0, 1), MakeIPv4Addr(10, 0, 0, 2), 1, 2, []byte("hello"))
+	p.Eth.SrcMAC = MAC{0x02, 0, 0, 0, 0, 1}
+	p.Eth.DstMAC = MAC{0x02, 0, 0, 0, 0, 2}
+	raw := p.Serialize()
+	if want := []byte{2, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 1, 0x08, 0x00}; !bytes.Equal(raw[:EthernetHeaderLen], want) {
+		t.Errorf("Ethernet header = % x, want % x", raw[:EthernetHeaderLen], want)
 	}
-	b := NewSerializeBuffer()
-	b.PushPayload([]byte("hello"))
-	if err := e.SerializeTo(b); err != nil {
+	d, err := DecodePacket(raw, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var d Ethernet
-	if err := d.DecodeFromBytes(b.Bytes()); err != nil {
+	if d.Eth != p.Eth {
+		t.Errorf("roundtrip mismatch: got %+v want %+v", d.Eth, p.Eth)
+	}
+	if string(d.Payload) != "hello" {
+		t.Errorf("payload = %q", d.Payload)
+	}
+	// An EtherType the decoder does not know leaves the rest as payload.
+	raw[12], raw[13] = 0x88, 0xCC
+	d, err = DecodePacket(raw, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.SrcMAC != e.SrcMAC || d.DstMAC != e.DstMAC || d.EtherType != e.EtherType {
-		t.Errorf("roundtrip mismatch: got %+v want %+v", d, e)
-	}
-	if string(d.LayerPayload()) != "hello" {
-		t.Errorf("payload = %q", d.LayerPayload())
+	if d.HasIP || d.HasUDP || !bytes.Equal(d.Payload, raw[EthernetHeaderLen:]) {
+		t.Errorf("unknown EtherType: decoded %+v", d)
 	}
 }
 
 func TestEthernetTooShort(t *testing.T) {
-	var d Ethernet
-	if err := d.DecodeFromBytes(make([]byte, 10)); err == nil {
-		t.Fatal("want error for short frame")
+	if l := decodeFails(t, make([]byte, 10), nil); l != LayerTypeEthernet {
+		t.Fatalf("short frame failed in %v, want Ethernet", l)
 	}
 }
 
 func TestIPv4RoundTripAndChecksum(t *testing.T) {
-	ip := &IPv4{TOS: 3, ID: 42, TTL: 61, Protocol: IPProtocolTCP,
-		SrcIP: MakeIPv4Addr(10, 0, 0, 1), DstIP: MakeIPv4Addr(192, 168, 1, 9)}
-	b := NewSerializeBuffer()
-	b.PushPayload(bytes.Repeat([]byte{0xAB}, 30))
-	if err := ip.SerializeTo(b, true); err != nil {
+	p := BuildTCP(MakeIPv4Addr(10, 0, 0, 1), MakeIPv4Addr(192, 168, 1, 9), 1, 2,
+		TCPOptions{Payload: bytes.Repeat([]byte{0xAB}, 30)})
+	p.IP.TOS, p.IP.ID, p.IP.TTL = 3, 42, 61
+	raw := p.Serialize()
+	d, err := DecodePacket(raw, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var d IPv4
-	if err := d.DecodeFromBytes(b.Bytes()); err != nil {
-		t.Fatal(err)
+	if d.IP.SrcIP != p.IP.SrcIP || d.IP.DstIP != p.IP.DstIP || d.IP.TTL != 61 || d.IP.TOS != 3 ||
+		d.IP.ID != 42 || d.IP.Protocol != IPProtocolTCP {
+		t.Errorf("roundtrip mismatch: %+v", d.IP)
 	}
-	if d.SrcIP != ip.SrcIP || d.DstIP != ip.DstIP || d.TTL != 61 || d.Protocol != IPProtocolTCP {
-		t.Errorf("roundtrip mismatch: %+v", d)
+	if want := uint16(IPv4HeaderLen + TCPHeaderLen + 30); d.IP.Length != want {
+		t.Errorf("length = %d, want %d", d.IP.Length, want)
 	}
-	if d.Length != uint16(IPv4HeaderLen+30) {
-		t.Errorf("length = %d, want %d", d.Length, IPv4HeaderLen+30)
+	// The checksum Serialize wrote is the one recomputed over the header
+	// with its checksum field zeroed, so the whole header sums to zero.
+	hdr := raw[EthernetHeaderLen : EthernetHeaderLen+IPv4HeaderLen]
+	if got := ipChecksum(zeroCheck(hdr, 10)); got != d.IP.Checksum {
+		t.Errorf("checksum: recomputed %04x, header has %04x", got, d.IP.Checksum)
 	}
-	if !d.VerifyChecksum() {
+	if ipChecksum(hdr) != 0 {
 		t.Error("checksum did not verify")
 	}
 	// Corrupt a byte; checksum must fail.
-	raw := append([]byte(nil), b.Bytes()...)
-	raw[8] ^= 0xFF
-	var d2 IPv4
-	if err := d2.DecodeFromBytes(raw); err != nil {
-		t.Fatal(err)
-	}
-	if d2.VerifyChecksum() {
+	hdr[8] ^= 0xFF
+	if ipChecksum(hdr) == 0 {
 		t.Error("checksum verified after corruption")
 	}
 }
 
 func TestIPv4BadVersion(t *testing.T) {
-	raw := make([]byte, IPv4HeaderLen)
-	raw[0] = 6 << 4
-	var d IPv4
-	if err := d.DecodeFromBytes(raw); err == nil {
-		t.Fatal("want error for bad version")
+	raw := BuildUDP(1, 2, 3, 4, nil).Serialize()
+	for name, mutate := range map[string]func(b []byte){
+		"bad version":     func(b []byte) { b[EthernetHeaderLen] = 6<<4 | 5 },
+		"options (IHL 6)": func(b []byte) { b[EthernetHeaderLen] = 4<<4 | 6 },
+		"short header":    nil,
+	} {
+		b := append([]byte(nil), raw...)
+		if mutate == nil {
+			b = b[:EthernetHeaderLen+IPv4HeaderLen-1]
+		} else {
+			mutate(b)
+		}
+		if l := decodeFails(t, b, nil); l != LayerTypeIPv4 {
+			t.Errorf("%s: failed in %v, want IPv4", name, l)
+		}
 	}
 }
 
 func TestTCPRoundTrip(t *testing.T) {
-	tc := &TCP{SrcPort: 1234, DstPort: 80, Seq: 7, Ack: 9, Flags: TCPFlagSYN | TCPFlagACK, Window: 512}
-	ph := &PseudoHeader{SrcIP: MakeIPv4Addr(1, 2, 3, 4), DstIP: MakeIPv4Addr(5, 6, 7, 8)}
-	b := NewSerializeBuffer()
-	b.PushPayload([]byte("GET /"))
-	if err := tc.SerializeTo(b, ph); err != nil {
+	src, dst := MakeIPv4Addr(1, 2, 3, 4), MakeIPv4Addr(5, 6, 7, 8)
+	p := BuildTCP(src, dst, 1234, 80, TCPOptions{Flags: TCPFlagSYN | TCPFlagACK, Seq: 7, Ack: 9, Window: 512, MSS: 1460, Payload: []byte("GET /")})
+	raw := p.Serialize()
+	d, err := DecodePacket(raw, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var d TCP
-	if err := d.DecodeFromBytes(b.Bytes()); err != nil {
-		t.Fatal(err)
+	tc := &d.TCP
+	if tc.SrcPort != 1234 || tc.DstPort != 80 || tc.Seq != 7 || tc.Ack != 9 || tc.Window != 512 ||
+		!tc.HasMSS || tc.MSS != 1460 || !tc.SYN() || !tc.ACK() || tc.FIN() || tc.RST() {
+		t.Errorf("roundtrip mismatch: %+v", *tc)
 	}
-	if d.SrcPort != 1234 || d.DstPort != 80 || d.Seq != 7 || d.Ack != 9 || !d.SYN() || !d.ACK() || d.FIN() || d.RST() {
-		t.Errorf("roundtrip mismatch: %+v", d)
-	}
-	if string(d.LayerPayload()) != "GET /" {
-		t.Errorf("payload = %q", d.LayerPayload())
+	if string(d.Payload) != "GET /" {
+		t.Errorf("payload = %q", d.Payload)
 	}
 	// Checksum must validate: recompute over segment with same pseudo header.
-	if got := transportChecksum(zeroCheck(b.Bytes(), 16), ph, IPProtocolTCP); got != d.Checksum {
-		t.Errorf("checksum mismatch: computed %04x, header has %04x", got, d.Checksum)
+	seg := raw[EthernetHeaderLen+IPv4HeaderLen:]
+	ph := &pseudoHeader{SrcIP: src, DstIP: dst}
+	if got := transportChecksum(zeroCheck(seg, 16), ph, IPProtocolTCP); got != tc.Checksum {
+		t.Errorf("checksum mismatch: computed %04x, header has %04x", got, tc.Checksum)
+	}
+	// Malformed headers are rejected in TCP: a data offset below 20 or past
+	// the segment, an option running off the options area, an MSS option
+	// of the wrong length, and a segment shorter than the fixed header.
+	const off = EthernetHeaderLen + IPv4HeaderLen
+	for name, mutate := range map[string]func(b []byte) []byte{
+		"data offset 16":   func(b []byte) []byte { b[off+12] = 4 << 4; return b },
+		"data offset 60":   func(b []byte) []byte { b[off+12] = 15 << 4; return b },
+		"option overruns":  func(b []byte) []byte { b[off+21] = 9; return b },
+		"truncated option": func(b []byte) []byte { b[off+20], b[off+21], b[off+22] = 1, 1, 1; b[off+23] = 3; return b },
+		"MSS length 3":     func(b []byte) []byte { b[off+21] = 3; return b },
+		"short header":     func(b []byte) []byte { return b[:off+TCPHeaderLen-1] },
+	} {
+		if l := decodeFails(t, mutate(append([]byte(nil), raw...)), nil); l != LayerTypeTCP {
+			t.Errorf("%s: failed in %v, want TCP", name, l)
+		}
 	}
 }
 
@@ -113,19 +159,30 @@ func zeroCheck(seg []byte, off int) []byte {
 }
 
 func TestUDPRoundTrip(t *testing.T) {
-	u := &UDP{SrcPort: 53, DstPort: 5353}
-	ph := &PseudoHeader{SrcIP: MakeIPv4Addr(1, 2, 3, 4), DstIP: MakeIPv4Addr(5, 6, 7, 8)}
-	b := NewSerializeBuffer()
-	b.PushPayload([]byte{1, 2, 3})
-	if err := u.SerializeTo(b, ph); err != nil {
-		t.Fatal(err)
-	}
-	var d UDP
-	if err := d.DecodeFromBytes(b.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if d.SrcPort != 53 || d.DstPort != 5353 || d.Length != UDPHeaderLen+3 {
-		t.Errorf("roundtrip mismatch: %+v", d)
+	for _, p := range []*Packet{
+		BuildUDP(MakeIPv4Addr(1, 2, 3, 4), MakeIPv4Addr(5, 6, 7, 8), 53, 5353, []byte{1, 2, 3}),
+		BuildUDP6(MakeIPv6Addr(1, 2), MakeIPv6Addr(3, 4), 53, 5353, []byte{1, 2, 3}),
+	} {
+		raw := p.Serialize()
+		d, err := DecodePacket(raw, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.HasUDP || d.UDP.SrcPort != 53 || d.UDP.DstPort != 5353 || d.UDP.Length != UDPHeaderLen+3 ||
+			!bytes.Equal(d.Payload, []byte{1, 2, 3}) {
+			t.Errorf("roundtrip mismatch: %+v payload % x", d.UDP, d.Payload)
+		}
+		seg := raw[len(raw)-UDPHeaderLen-3:]
+		ph := &pseudoHeader{SrcIP: p.IP.SrcIP, DstIP: p.IP.DstIP}
+		if p.HasIP6 {
+			ph = &pseudoHeader{V6: true, SrcIP6: p.IP6.SrcIP, DstIP6: p.IP6.DstIP}
+		}
+		if got := transportChecksum(zeroCheck(seg, 6), ph, IPProtocolUDP); got != d.UDP.Checksum {
+			t.Errorf("checksum mismatch: computed %04x, header has %04x", got, d.UDP.Checksum)
+		}
+		if l := decodeFails(t, raw[:len(raw)-3-1], nil); l != LayerTypeUDP {
+			t.Errorf("short UDP header failed in %v, want UDP", l)
+		}
 	}
 }
 
@@ -213,26 +270,30 @@ func TestHeaderFormatPropertyRoundTrip(t *testing.T) {
 
 func TestGalliumLayerRoundTrip(t *testing.T) {
 	f, _ := NewHeaderFormat([]HeaderField{{"cond", 1}, {"hash32", 32}})
-	data := make([]byte, f.DataLen())
-	_ = f.Set(data, "hash32", 99)
-	g := &Gallium{NextEtherType: EtherTypeIPv4, Data: data}
-	b := NewSerializeBuffer()
-	b.PushPayload([]byte("ippart"))
-	if err := g.SerializeTo(b); err != nil {
+	p := BuildUDP(MakeIPv4Addr(10, 1, 0, 1), MakeIPv4Addr(10, 1, 0, 2), 1, 2, []byte("ippart"))
+	p.AttachGallium(f)
+	_ = f.Set(p.GalData, "hash32", 99)
+	raw := p.Serialize()
+	// Ethernet says Gallium; the Gallium header's first two bytes carry the
+	// EtherType of what follows it.
+	if et := binary.BigEndian.Uint16(raw[12:14]); et != uint16(EtherTypeGallium) {
+		t.Errorf("Ethernet EtherType = %#04x", et)
+	}
+	if et := binary.BigEndian.Uint16(raw[14:16]); et != uint16(EtherTypeIPv4) {
+		t.Errorf("NextEtherType = %#04x", et)
+	}
+	d, err := DecodePacket(raw, f)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewGallium(f)
-	if err := d.DecodeFromBytes(b.Bytes()); err != nil {
-		t.Fatal(err)
+	if got, _ := f.Get(d.GalData, "hash32"); !d.HasGallium || got != 99 {
+		t.Errorf("hash32 = %d (HasGallium %v)", got, d.HasGallium)
 	}
-	if d.NextEtherType != EtherTypeIPv4 {
-		t.Errorf("NextEtherType = %#x", d.NextEtherType)
+	if !d.HasIP || !d.HasUDP || string(d.Payload) != "ippart" {
+		t.Errorf("inner packet mismatch: %+v", d)
 	}
-	if got, _ := f.Get(d.Data, "hash32"); got != 99 {
-		t.Errorf("hash32 = %d", got)
-	}
-	if d.NextLayerType() != LayerTypeIPv4 {
-		t.Errorf("NextLayerType = %v", d.NextLayerType())
+	if l := decodeFails(t, raw[:EthernetHeaderLen+f.WireLen()-1], f); l != LayerTypeGallium {
+		t.Errorf("short Gallium header failed in %v, want Gallium", l)
 	}
 }
 
@@ -338,7 +399,8 @@ func TestPacketSerializePropertyRandomTCP(t *testing.T) {
 		p := BuildTCP(IPv4Addr(rng.Uint32()), IPv4Addr(rng.Uint32()),
 			uint16(rng.Intn(65536)), uint16(rng.Intn(65536)),
 			TCPOptions{Flags: uint8(rng.Intn(64)), Seq: rng.Uint32(), Ack: rng.Uint32(), Payload: payload})
-		q, err := DecodePacket(p.Serialize(), nil)
+		raw := p.Serialize()
+		q, err := DecodePacket(raw, nil)
 		if err != nil {
 			t.Fatalf("iter %d: %v", i, err)
 		}
@@ -348,7 +410,7 @@ func TestPacketSerializePropertyRandomTCP(t *testing.T) {
 			!bytes.Equal(q.Payload, p.Payload) {
 			t.Fatalf("iter %d: roundtrip mismatch", i)
 		}
-		if !q.IP.VerifyChecksum() {
+		if ipChecksum(raw[EthernetHeaderLen:EthernetHeaderLen+IPv4HeaderLen]) != 0 {
 			t.Fatalf("iter %d: bad IP checksum", i)
 		}
 	}
@@ -516,11 +578,62 @@ func TestDecodeReusesPacket(t *testing.T) {
 	}
 }
 
-// TestPacketSize keeps Packet in the 576-byte size class: the seven
-// presence flags share one word instead of each padding out to eight bytes
-// (600 bytes, the 640-byte class, before they were grouped).
+// TestPacketSize keeps Packet to its header fields: 216 bytes of headers,
+// flags, tag and two owned buffers. Per-header slices into the decoded
+// frame used to make it 560.
 func TestPacketSize(t *testing.T) {
-	if n := unsafe.Sizeof(Packet{}); n > 576 {
-		t.Errorf("Packet is %d bytes, want at most 576", n)
+	if n := unsafe.Sizeof(Packet{}); n > 224 {
+		t.Errorf("Packet is %d bytes, want at most 224", n)
+	}
+}
+
+// TestDecodeKeepsNoReferenceToInput: a decoded packet owns what it holds,
+// so the frame it came from is garbage once the caller drops it — whether
+// the packet was fresh, recycled, or copied out of another (the walker's
+// *pkt = *back). A reference would pin a transport's receive slot, or let
+// its next read rewrite the packet.
+func TestDecodeKeepsNoReferenceToInput(t *testing.T) {
+	hf, err := NewHeaderFormat([]HeaderField{{Name: "a", Bits: 32}, {Name: "b", Bits: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := BuildTCP6(MakeIPv6Addr(1, 2), MakeIPv6Addr(3, 4), 1234, 80, TCPOptions{Flags: TCPFlagSYN, MSS: 1460, Payload: make([]byte, 64)})
+	src.EncapGRE(MakeIPv4Addr(10, 0, 0, 1), MakeIPv4Addr(10, 0, 1, 1), 7)
+	src.AttachGallium(hf)
+	frame := src.Serialize()
+	var used Packet
+	for _, c := range []struct {
+		name   string
+		decode func(data []byte) (*Packet, error)
+	}{
+		{"DecodePacket", func(data []byte) (*Packet, error) { return DecodePacket(data, hf) }},
+		{"Decode into a used packet", func(data []byte) (*Packet, error) { return &used, used.Decode(data, hf) }},
+		{"copy of a decoded packet", func(data []byte) (*Packet, error) {
+			q, err := DecodePacket(data, hf)
+			if err != nil {
+				return nil, err
+			}
+			p := new(Packet)
+			*p = *q
+			return p, nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, buf := func() (*Packet, weak.Pointer[byte]) {
+				data := append(make([]byte, 0, len(frame)), frame...)
+				p, err := c.decode(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p, weak.Make(&data[0])
+			}()
+			runtime.GC()
+			if buf.Value() != nil {
+				t.Fatal("the decoded packet keeps the buffer it was decoded from alive")
+			}
+			if !bytes.Equal(p.Serialize(), frame) {
+				t.Fatal("the packet lost bytes once its input was collected")
+			}
+		})
 	}
 }

@@ -1,8 +1,8 @@
 package packet
 
-// SerializeBuffer builds packets back to front, as in gopacket: each layer
-// prepends its header bytes, treating the current buffer contents as its
-// payload. The buffer keeps headroom at the front so prepends rarely copy.
+// SerializeBuffer builds packets back to front: each header prepends its
+// bytes, treating the current buffer contents as its payload. The buffer
+// keeps headroom at the front so prepends rarely copy.
 type SerializeBuffer struct {
 	buf   []byte
 	start int
@@ -44,13 +44,6 @@ func (b *SerializeBuffer) PrependBytes(n int) []byte {
 	b.start += grow
 	b.start -= n
 	return b.buf[b.start : b.start+n]
-}
-
-// AppendBytes reserves n bytes at the end of the buffer (payload area) and
-// returns the slice to fill in.
-func (b *SerializeBuffer) AppendBytes(n int) []byte {
-	b.buf = append(b.buf, make([]byte, n)...)
-	return b.buf[len(b.buf)-n:]
 }
 
 // PushPayload appends payload data to the buffer.

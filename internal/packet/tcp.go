@@ -38,25 +38,7 @@ type TCP struct {
 	// HasMSS marks the MSS option as present; MSS is its value.
 	HasMSS bool
 	MSS    uint16
-
-	contents []byte
-	payload  []byte
 }
-
-// LayerType implements Layer.
-func (t *TCP) LayerType() LayerType { return LayerTypeTCP }
-
-// LayerContents implements Layer.
-func (t *TCP) LayerContents() []byte { return t.contents }
-
-// LayerPayload implements Layer.
-func (t *TCP) LayerPayload() []byte { return t.payload }
-
-// CanDecode implements DecodingLayer.
-func (t *TCP) CanDecode() LayerType { return LayerTypeTCP }
-
-// NextLayerType implements DecodingLayer.
-func (t *TCP) NextLayerType() LayerType { return LayerTypePayload }
 
 // SYN reports whether the SYN flag is set.
 func (t *TCP) SYN() bool { return t.Flags&TCPFlagSYN != 0 }
@@ -70,10 +52,11 @@ func (t *TCP) FIN() bool { return t.Flags&TCPFlagFIN != 0 }
 // RST reports whether the RST flag is set.
 func (t *TCP) RST() bool { return t.Flags&TCPFlagRST != 0 }
 
-// DecodeFromBytes implements DecodingLayer.
-func (t *TCP) DecodeFromBytes(data []byte) error {
+// decode reads the header from data, options included, and returns the
+// segment's payload.
+func (t *TCP) decode(data []byte) ([]byte, error) {
 	if len(data) < TCPHeaderLen {
-		return errTooShort(LayerTypeTCP, TCPHeaderLen, len(data))
+		return nil, errTooShort(LayerTypeTCP, TCPHeaderLen, len(data))
 	}
 	t.SrcPort = binary.BigEndian.Uint16(data[0:2])
 	t.DstPort = binary.BigEndian.Uint16(data[2:4])
@@ -81,7 +64,7 @@ func (t *TCP) DecodeFromBytes(data []byte) error {
 	t.Ack = binary.BigEndian.Uint32(data[8:12])
 	off := int(data[12]>>4) * 4
 	if off < TCPHeaderLen || off > len(data) {
-		return &DecodeError{Layer: LayerTypeTCP, Msg: fmt.Sprintf("bad data offset %d", off)}
+		return nil, &DecodeError{Layer: LayerTypeTCP, Msg: fmt.Sprintf("bad data offset %d", off)}
 	}
 	// All eight bits of the flags byte are kept (CWR/ECE included), so
 	// decode followed by serialize reproduces the wire bytes exactly.
@@ -99,15 +82,15 @@ func (t *TCP) DecodeFromBytes(data []byte) error {
 			i++
 		default:
 			if i+1 >= len(opts) {
-				return &DecodeError{Layer: LayerTypeTCP, Msg: "truncated option"}
+				return nil, &DecodeError{Layer: LayerTypeTCP, Msg: "truncated option"}
 			}
 			olen := int(opts[i+1])
 			if olen < 2 || i+olen > len(opts) {
-				return &DecodeError{Layer: LayerTypeTCP, Msg: fmt.Sprintf("bad option length %d", olen)}
+				return nil, &DecodeError{Layer: LayerTypeTCP, Msg: fmt.Sprintf("bad option length %d", olen)}
 			}
 			if kind == 2 {
 				if olen != TCPOptionMSSLen {
-					return &DecodeError{Layer: LayerTypeTCP, Msg: fmt.Sprintf("bad MSS option length %d", olen)}
+					return nil, &DecodeError{Layer: LayerTypeTCP, Msg: fmt.Sprintf("bad MSS option length %d", olen)}
 				}
 				t.HasMSS = true
 				t.MSS = binary.BigEndian.Uint16(opts[i+2 : i+4])
@@ -115,9 +98,7 @@ func (t *TCP) DecodeFromBytes(data []byte) error {
 			i += olen
 		}
 	}
-	t.contents = data[:off]
-	t.payload = data[off:]
-	return nil
+	return data[off:], nil
 }
 
 // HeaderLen returns the wire size of the header as SerializeTo emits it.
@@ -128,9 +109,9 @@ func (t *TCP) HeaderLen() int {
 	return TCPHeaderLen
 }
 
-// SerializeTo prepends the wire form of the header to b. If csum is not
-// nil, the checksum is computed with the given pseudo-header context.
-func (t *TCP) SerializeTo(b *SerializeBuffer, csum *PseudoHeader) error {
+// serializeTo prepends the wire form of the header to b; the checksum is
+// computed when ph is not nil.
+func (t *TCP) serializeTo(b *SerializeBuffer, ph *pseudoHeader) {
 	hlen := t.HeaderLen()
 	segLen := hlen + len(b.Bytes())
 	hdr := b.PrependBytes(hlen)
@@ -147,17 +128,16 @@ func (t *TCP) SerializeTo(b *SerializeBuffer, csum *PseudoHeader) error {
 		hdr[20], hdr[21] = 2, TCPOptionMSSLen
 		binary.BigEndian.PutUint16(hdr[22:24], t.MSS)
 	}
-	if csum != nil {
-		t.Checksum = transportChecksum(b.Bytes()[:segLen], csum, IPProtocolTCP)
+	if ph != nil {
+		t.Checksum = transportChecksum(b.Bytes()[:segLen], ph, IPProtocolTCP)
 		binary.BigEndian.PutUint16(hdr[16:18], t.Checksum)
 	}
-	return nil
 }
 
-// PseudoHeader carries the network-layer fields that participate in
+// pseudoHeader carries the network-layer fields that participate in
 // transport-layer checksums. V6 selects the IPv6 pseudo-header form with
 // the SrcIP6/DstIP6 addresses; otherwise the IPv4 form is used.
-type PseudoHeader struct {
+type pseudoHeader struct {
 	SrcIP, DstIP IPv4Addr
 
 	V6             bool
@@ -166,7 +146,7 @@ type PseudoHeader struct {
 
 // transportChecksum computes the TCP/UDP checksum of segment with the given
 // pseudo-header.
-func transportChecksum(segment []byte, ph *PseudoHeader, proto IPProtocol) uint16 {
+func transportChecksum(segment []byte, ph *pseudoHeader, proto IPProtocol) uint16 {
 	var sum uint32
 	add := func(data []byte) {
 		for i := 0; i+1 < len(data); i += 2 {

@@ -12,48 +12,29 @@ type UDP struct {
 	SrcPort, DstPort uint16
 	Length           uint16
 	Checksum         uint16
-
-	contents []byte
-	payload  []byte
 }
 
-// LayerType implements Layer.
-func (u *UDP) LayerType() LayerType { return LayerTypeUDP }
-
-// LayerContents implements Layer.
-func (u *UDP) LayerContents() []byte { return u.contents }
-
-// LayerPayload implements Layer.
-func (u *UDP) LayerPayload() []byte { return u.payload }
-
-// CanDecode implements DecodingLayer.
-func (u *UDP) CanDecode() LayerType { return LayerTypeUDP }
-
-// NextLayerType implements DecodingLayer.
-func (u *UDP) NextLayerType() LayerType { return LayerTypePayload }
-
-// DecodeFromBytes implements DecodingLayer.
-func (u *UDP) DecodeFromBytes(data []byte) error {
+// decode reads the header from data and returns the datagram's payload: the
+// bytes after the header up to the length field, or to the end of data when
+// the length is out of range.
+func (u *UDP) decode(data []byte) ([]byte, error) {
 	if len(data) < UDPHeaderLen {
-		return errTooShort(LayerTypeUDP, UDPHeaderLen, len(data))
+		return nil, errTooShort(LayerTypeUDP, UDPHeaderLen, len(data))
 	}
 	u.SrcPort = binary.BigEndian.Uint16(data[0:2])
 	u.DstPort = binary.BigEndian.Uint16(data[2:4])
 	u.Length = binary.BigEndian.Uint16(data[4:6])
 	u.Checksum = binary.BigEndian.Uint16(data[6:8])
-	u.contents = data[:UDPHeaderLen]
 	end := int(u.Length)
 	if end < UDPHeaderLen || end > len(data) {
 		end = len(data)
 	}
-	u.payload = data[UDPHeaderLen:end]
-	return nil
+	return data[UDPHeaderLen:end], nil
 }
 
-// SerializeTo prepends the wire form of the header to b. If csum is not
-// nil, the checksum is computed with the given pseudo-header context; the
-// length field is always recomputed.
-func (u *UDP) SerializeTo(b *SerializeBuffer, csum *PseudoHeader) error {
+// serializeTo prepends the wire form of the header to b. The length field
+// is always recomputed; the checksum is computed when ph is not nil.
+func (u *UDP) serializeTo(b *SerializeBuffer, ph *pseudoHeader) {
 	segLen := UDPHeaderLen + len(b.Bytes())
 	hdr := b.PrependBytes(UDPHeaderLen)
 	u.Length = uint16(segLen)
@@ -61,9 +42,8 @@ func (u *UDP) SerializeTo(b *SerializeBuffer, csum *PseudoHeader) error {
 	binary.BigEndian.PutUint16(hdr[2:4], u.DstPort)
 	binary.BigEndian.PutUint16(hdr[4:6], u.Length)
 	hdr[6], hdr[7] = 0, 0
-	if csum != nil {
-		u.Checksum = transportChecksum(b.Bytes()[:segLen], csum, IPProtocolUDP)
+	if ph != nil {
+		u.Checksum = transportChecksum(b.Bytes()[:segLen], ph, IPProtocolUDP)
 		binary.BigEndian.PutUint16(hdr[6:8], u.Checksum)
 	}
-	return nil
 }
