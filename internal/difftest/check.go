@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -47,7 +48,7 @@ type Divergence struct {
 	// Leg is where the difference surfaced: "compile", "oracle",
 	// "affinity" (the static certificate contradicted the generator's
 	// shard-safety declaration or a recorded verdict), "inject", "run1",
-	// "run8", "adaptive" (8 workers with the batch controller enabled),
+	// "run8", "batched" (8 workers pulling everything queued),
 	// or "expiry".
 	Leg    string
 	Detail string
@@ -431,30 +432,30 @@ func DiffArtifacts(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace) *Diverg
 	// legitimately different from sequential execution, so per-packet and
 	// state equality are not required.
 
-	// Leg 4: adaptive batching. The legs above pin Batch=1 for
-	// determinism; production runs the per-worker batch controller. This
-	// leg re-runs the 8-worker deployment with the controller enabled
-	// (WithBatch(0), the default) and holds it to the invariants batching
-	// must preserve regardless of batch size: every packet gets exactly
-	// one reported fate, no queue drops, and for certified-exact programs
-	// the per-shard states still disjoint-union merge to the sequential
-	// final state — every staged write-back has flipped by settle, so
-	// delayed visibility may reroute packets between fast and slow path
-	// mid-run but cannot change where the authoritative state lands.
+	// Leg 4: batching. The legs above pin Batch=1 for determinism;
+	// production pulls everything a worker's mailbox holds. This leg
+	// re-runs the 8-worker deployment with the default (WithBatch(0)) and
+	// holds it to the invariants batching must preserve regardless of
+	// batch size: every packet gets exactly one reported fate, no queue
+	// drops, and for certified-exact programs the per-shard states still
+	// disjoint-union merge to the sequential final state — every staged
+	// write-back has flipped by settle, so delayed visibility may reroute
+	// packets between fast and slow path mid-run but cannot change where
+	// the authoritative state lands.
 	_, states, rep, err := runEngine(art, spec, tr, 8, gallium.WithBatch(0))
 	if err != nil {
-		return &Divergence{Leg: "adaptive", Detail: err.Error()}
+		return &Divergence{Leg: "batched", Detail: err.Error()}
 	}
-	if !rep.AdaptiveBatch {
-		return &Divergence{Leg: "adaptive", Detail: "batch controller did not engage under WithBatch(0)"}
+	if slices.Max(rep.BatchSizes) <= 1 {
+		return &Divergence{Leg: "batched", Detail: fmt.Sprintf("no worker pulled more than one job at a time under WithBatch(0): mean pulls %v", rep.BatchSizes)}
 	}
 	if exactEight {
 		merged, _, conflict := art.MergeShardStates(states)
 		if conflict != "" {
-			return &Divergence{Leg: "adaptive", Detail: conflict}
+			return &Divergence{Leg: "batched", Detail: conflict}
 		}
 		if diff := stateDiff(ostate, merged); diff != "" {
-			return &Divergence{Leg: "adaptive", Detail: "merged final state: " + diff}
+			return &Divergence{Leg: "batched", Detail: "merged final state: " + diff}
 		}
 	}
 

@@ -10,7 +10,8 @@
 // Hand-off: packets reach a worker the way they reach a DPDK core, in
 // bursts, through the worker's one bounded mailbox (mailbox.go): Feed
 // pushes 32-packet bursts, Dispatch and the control jobs of settle and
-// Reconfigure bursts of one, the worker pulls up to a batch per lock.
+// Reconfigure bursts of one, the worker pulls everything queued (up to
+// Config.Batch) per lock.
 // Cancelling the run closes the mailboxes (see abort).
 //
 // Ordering guarantees: packets of one flow always hash to the same worker
@@ -44,7 +45,7 @@
 // Pipelines: Config.Stages chains several compiled middleboxes through one
 // engine pass — a packet traverses stage 0's switch/server pair, then
 // stage 1's, sharing the worker's (simulated) core and the single
-// control-plane drainer. Single-middlebox configs are a one-stage chain.
+// control-plane drainer. A single middlebox is a one-stage chain.
 package engine
 
 import (
@@ -95,32 +96,18 @@ type Config struct {
 	Mode netsim.Mode
 	// Workers is the number of server shards; <=0 means 1.
 	Workers int
-	// Batch is the most queued packets a worker pulls from its mailbox per
-	// batch (one pull, one lock, blocking only while the mailbox is empty).
-	// Within a batch, write-back commits overlap with other flows' packets
-	// — a worker only stalls a packet on its OWN flow's pending commit —
-	// and the batch ends with one barrier on everything still in flight,
-	// amortizing the output-commit wait over the batch. A positive value
-	// fixes the batch size; <=0 (the default) enables the per-worker
-	// adaptive controller, which grows the batch when a full pull left
-	// backlog behind and shrinks it when pulls come back less than half
-	// full, bounded by BatchBudgetNs and by QueueDepth.
+	// Batch is the most queued jobs a worker pulls from its mailbox per
+	// batch: one pull, one lock, taking everything queued up to Batch and
+	// blocking only while the mailbox is empty. Within a batch, write-back
+	// commits overlap with other flows' packets — a worker only stalls a
+	// packet on its OWN flow's pending commit — and the batch ends with one
+	// barrier on everything still in flight, amortizing the output-commit
+	// wait over the batch. <=0 means QueueDepth: a pull takes everything
+	// queued.
 	Batch int
-	// BatchBudgetNs bounds the adaptive batch controller's latency cost: a
-	// worker never grows its batch beyond what it can process within this
-	// budget (estimated from an EWMA of observed per-packet wall time).
-	// <=0 means 200µs. Ignored when Batch is fixed.
-	BatchBudgetNs int64
-	// Stages is the middlebox pipeline, traversed in order. Empty Stages
-	// with Res or Prog set builds the single-stage pipeline (the common
-	// case); setting both is an error.
+	// Stages is the middlebox pipeline, traversed in order; it needs at
+	// least one stage.
 	Stages []StageConfig
-	// Res is the single-stage shorthand for Stages (Offloaded mode).
-	Res *partition.Result
-	// Prog is the single-stage shorthand for Stages (Software mode).
-	Prog *ir.Program
-	// Setup is the single-stage shorthand for StageConfig.Setup.
-	Setup func(shard int, st *ir.State)
 	// Model is the virtual-time cost model; the zero value means defaults.
 	Model netsim.CostModel
 	// Obs, when non-nil, receives metrics: per-worker counters plus
@@ -263,18 +250,6 @@ type Engine struct {
 	runErr   atomic.Pointer[error]
 }
 
-// normalizeStages folds the single-stage shorthand fields into Stages.
-func normalizeStages(cfg *Config) error {
-	if len(cfg.Stages) > 0 {
-		if cfg.Res != nil || cfg.Prog != nil || cfg.Setup != nil {
-			return fmt.Errorf("engine: Stages and the single-stage Res/Prog/Setup fields are mutually exclusive")
-		}
-		return nil
-	}
-	cfg.Stages = []StageConfig{{Res: cfg.Res, Prog: cfg.Prog, Setup: cfg.Setup}}
-	return nil
-}
-
 // New builds an engine: one server shard per worker per stage, all seeded
 // through each stage's Setup, and (in offloaded mode) one shared switch
 // per stage seeded from shard 0's configured state via the ordinary
@@ -289,11 +264,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
 	}
-	if cfg.Batch < 0 {
-		cfg.Batch = 0 // adaptive
-	}
-	if cfg.BatchBudgetNs <= 0 {
-		cfg.BatchBudgetNs = 200_000
+	if cfg.Batch <= 0 {
+		cfg.Batch = cfg.QueueDepth
 	}
 	if cfg.CtlQueue <= 0 {
 		cfg.CtlQueue = 256
@@ -301,8 +273,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Model == (netsim.CostModel{}) {
 		cfg.Model = netsim.DefaultModel()
 	}
-	if err := normalizeStages(&cfg); err != nil {
-		return nil, err
+	if len(cfg.Stages) == 0 {
+		return nil, errors.New("engine: no pipeline stages")
 	}
 	e := &Engine{cfg: cfg, stages: cfg.Stages}
 	switch cfg.Mode {

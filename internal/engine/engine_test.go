@@ -31,6 +31,14 @@ func compileMB(t *testing.T, name string) (*ir.Program, *partition.Result) {
 	return prog, res
 }
 
+// oneStage is the single-middlebox pipeline most tests run.
+func oneStage(res *partition.Result, setup func(shard int, st *ir.State)) []StageConfig {
+	return []StageConfig{{Res: res, Setup: setup}}
+}
+
+// setupLB seeds a shard with the l4lb scenario.
+func setupLB(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) }
+
 // scripted is a minimal Workload for tests.
 type scripted struct {
 	tuples []packet.FiveTuple
@@ -100,8 +108,7 @@ func TestPerFlowOrderingEightWorkers(t *testing.T) {
 	workersSeen := map[int]bool{}
 	eng, err := New(Config{
 		Workers: 8,
-		Res:     res,
-		Setup:   func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) },
+		Stages:  oneStage(res, setupLB),
 		OnDelivery: func(d Delivery) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -159,8 +166,7 @@ func runLB(t *testing.T, workers int, wl Workload) (map[packet.FiveTuple][]flowF
 	fates := map[packet.FiveTuple][]flowFate{}
 	eng, err := New(Config{
 		Workers: workers,
-		Res:     res,
-		Setup:   func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) },
+		Stages:  oneStage(res, setupLB),
 		OnDelivery: func(d Delivery) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -216,8 +222,7 @@ func TestRunContextCancellation(t *testing.T) {
 	var mu sync.Mutex
 	eng, err := New(Config{
 		Workers: 4,
-		Res:     res,
-		Setup:   func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) },
+		Stages:  oneStage(res, setupLB),
 		OnDelivery: func(d Delivery) {
 			mu.Lock()
 			n++
@@ -254,8 +259,7 @@ func TestEngineSoftwareMode(t *testing.T) {
 	eng, err := New(Config{
 		Mode:    2, // netsim.Software without importing it here
 		Workers: 4,
-		Prog:    prog,
-		Setup:   func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) },
+		Stages:  []StageConfig{{Prog: prog, Setup: setupLB}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -305,12 +309,11 @@ func TestCtlChannelDrainsEveryBatch(t *testing.T) {
 	_, res := compileMB(t, "mazunat")
 	const nFlows = 200
 	eng, err := New(Config{
-		Workers:  4,
-		Res:      res,
-		CtlQueue: 1,
-		Setup: func(shard int, st *ir.State) {
+		Workers: 4,
+		Stages: oneStage(res, func(shard int, st *ir.State) {
 			middleboxes.ConfigureShard("mazunat", shard, 4, st)
-		},
+		}),
+		CtlQueue: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -352,10 +355,9 @@ func TestMazunatShardedPortAllocation(t *testing.T) {
 	allocs := map[packet.FiveTuple]alloc{}
 	eng, err := New(Config{
 		Workers: workers,
-		Res:     res,
-		Setup: func(shard int, st *ir.State) {
+		Stages: oneStage(res, func(shard int, st *ir.State) {
 			middleboxes.ConfigureShard("mazunat", shard, workers, st)
-		},
+		}),
 		OnDelivery: func(d Delivery) {
 			if !d.Delivered {
 				return
@@ -393,7 +395,7 @@ func TestMazunatShardedPortAllocation(t *testing.T) {
 // state carries the first run's traffic history.
 func TestRunIsOneShot(t *testing.T) {
 	_, res := compileMB(t, "l4lb")
-	eng, err := New(Config{Res: res, Setup: func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) }})
+	eng, err := New(Config{Stages: oneStage(res, setupLB)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +410,7 @@ func TestRunIsOneShot(t *testing.T) {
 // TestOutOfOrderInjectionRejected mirrors the testbed's contract.
 func TestOutOfOrderInjectionRejected(t *testing.T) {
 	_, res := compileMB(t, "l4lb")
-	eng, err := New(Config{Res: res, Setup: func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) }})
+	eng, err := New(Config{Stages: oneStage(res, setupLB)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"weak"
 
 	"gallium/internal/ir"
-	"gallium/internal/middleboxes"
 	"gallium/internal/packet"
 	"gallium/internal/switchsim"
 )
@@ -36,8 +35,7 @@ func TestFeedBurstBoundaries(t *testing.T) {
 			last := map[packet.FiveTuple]int64{}
 			eng, err := New(Config{
 				Workers: workers,
-				Res:     res,
-				Setup:   func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) },
+				Stages:  oneStage(res, setupLB),
 				OnDelivery: func(d Delivery) {
 					mu.Lock()
 					defer mu.Unlock()
@@ -128,6 +126,45 @@ func TestFeedBurstBoundaries(t *testing.T) {
 	}
 }
 
+// TestPullTakesWhatIsQueued pins the one batching rule: a worker's pull
+// takes everything its mailbox holds, up to Config.Batch when that is
+// positive and up to QueueDepth otherwise. The report's batch size is the
+// measured mean of those pulls.
+func TestPullTakesWhatIsQueued(t *testing.T) {
+	_, res := compileMB(t, "l4lb")
+	for _, tc := range []struct{ batch, want int }{{0, 40}, {8, 8}} {
+		t.Run(fmt.Sprintf("batch=%d", tc.batch), func(t *testing.T) {
+			eng, err := New(Config{Batch: tc.batch, QueueDepth: 64, Stages: oneStage(res, setupLB)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := -1
+			jobs := make([]job, 40)
+			for i := range jobs {
+				jobs[i].ctrl = func(w *worker) {
+					if first < 0 {
+						first = len(w.batch)
+					}
+				}
+			}
+			eng.workers[0].box.push(jobs)
+			if err := eng.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := eng.Stop()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first != tc.want {
+				t.Errorf("first pull took %d of 40 queued jobs, want %d", first, tc.want)
+			}
+			if rep.BatchSizes[0] <= 1 {
+				t.Errorf("report's mean pull %v, want > 1", rep.BatchSizes[0])
+			}
+		})
+	}
+}
+
 // TestEngineReleasesPackets: once Feed has returned, the engine holds no
 // pointer to a packet it was fed — not in the batch a worker ran last, not
 // in the dispatcher's burst array — so the caller's buffers are garbage as
@@ -138,8 +175,7 @@ func TestEngineReleasesPackets(t *testing.T) {
 	flows := lbFlows(16)
 	eng, err := New(Config{
 		Workers:    2,
-		Res:        res,
-		Setup:      func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) },
+		Stages:     oneStage(res, setupLB),
 		OnDelivery: func(Delivery) {},
 	})
 	if err != nil {
@@ -190,8 +226,7 @@ func TestWorkerPanicFailsFeed(t *testing.T) {
 			eng, err := New(Config{
 				Workers:    workers,
 				QueueDepth: 8,
-				Res:        res,
-				Setup:      func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) },
+				Stages:     oneStage(res, setupLB),
 				OnDelivery: func(Delivery) {
 					if calls.Add(1) == 1000 {
 						panic("boom")

@@ -7,7 +7,6 @@ import (
 
 	"gallium/internal/flowstate"
 	"gallium/internal/ir"
-	"gallium/internal/middleboxes"
 	"gallium/internal/packet"
 	"gallium/internal/switchsim"
 )
@@ -72,8 +71,7 @@ func TestFlowExpiryEndToEnd(t *testing.T) {
 
 	eng, err := New(Config{
 		Workers:   1,
-		Res:       res,
-		Setup:     func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) },
+		Stages:    oneStage(res, setupLB),
 		FlowTable: aggressiveFlowTable(1000),
 	})
 	if err != nil {
@@ -207,8 +205,7 @@ func TestFlowCapacityEviction(t *testing.T) {
 	}
 	eng, err := New(Config{
 		Workers:   1,
-		Res:       res,
-		Setup:     func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) },
+		Stages:    oneStage(res, setupLB),
 		FlowTable: cfg,
 	})
 	if err != nil {
@@ -248,8 +245,7 @@ func TestEvictNonePolicy(t *testing.T) {
 	cfg.UDPTimeout = time.Hour
 	eng, err := New(Config{
 		Workers:   1,
-		Res:       res,
-		Setup:     func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) },
+		Stages:    oneStage(res, setupLB),
 		FlowTable: cfg,
 	})
 	if err != nil {
@@ -278,8 +274,7 @@ func TestReconfigureFlowTableFirstArm(t *testing.T) {
 	flows := lbFlows(6)
 	eng, err := New(Config{
 		Workers: 1,
-		Res:     res,
-		Setup:   func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) },
+		Stages:  oneStage(res, setupLB),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,8 +326,7 @@ func TestReconfigureFlowTableInvalid(t *testing.T) {
 	_, res := compileMB(t, "l4lb")
 	eng, err := New(Config{
 		Workers:   1,
-		Res:       res,
-		Setup:     func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) },
+		Stages:    oneStage(res, setupLB),
 		FlowTable: aggressiveFlowTable(100),
 	})
 	if err != nil {
@@ -357,7 +351,7 @@ func TestInvalidFlowTableConfig(t *testing.T) {
 	_, res := compileMB(t, "l4lb")
 	_, err := New(Config{
 		Workers:   1,
-		Res:       res,
+		Stages:    oneStage(res, nil),
 		FlowTable: &flowstate.Config{Capacity: 0},
 	})
 	if err == nil {
@@ -377,8 +371,7 @@ func TestFlowLifecycleEightWorkersRace(t *testing.T) {
 	flows := lbFlows(64)
 	eng, err := New(Config{
 		Workers:   8,
-		Res:       res,
-		Setup:     func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) },
+		Stages:    oneStage(res, setupLB),
 		FlowTable: aggressiveFlowTable(64),
 	})
 	if err != nil {
@@ -461,7 +454,7 @@ func TestDefaultSweepKeepsLiveFlows(t *testing.T) {
 	moved, delivered := 0, 0
 	eng, err := New(Config{
 		Workers: 1,
-		Res:     res,
+		Stages:  oneStage(res, nil),
 		FlowTable: &flowstate.Config{
 			Capacity:    8192,
 			TCPTimeouts: flowstate.TCPTimeouts{Syn: day, Established: day, Fin: day},

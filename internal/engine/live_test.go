@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"gallium/internal/ir"
-	"gallium/internal/middleboxes"
 	"gallium/internal/packet"
 	"gallium/internal/switchsim"
 )
@@ -19,8 +18,7 @@ func TestLiveLifecycle(t *testing.T) {
 	_, res := compileMB(t, "l4lb")
 	eng, err := New(Config{
 		Workers: 2,
-		Res:     res,
-		Setup:   func(_ int, st *ir.State) { middleboxes.ConfigureState("l4lb", st) },
+		Stages:  oneStage(res, setupLB),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -48,11 +48,10 @@ func (m *mailbox) push(jobs []job) bool {
 	return true
 }
 
-// pull blocks while the ring is empty, then appends up to max jobs to dst
-// and returns them with the backlog left behind (the batch controller's
-// input). ok is false once the mailbox is closed and drained: a close never
-// loses a job that push accepted.
-func (m *mailbox) pull(dst []job, max int) (batch []job, backlog int, ok bool) {
+// pull blocks while the ring is empty, then appends everything queued, up
+// to max jobs, to dst and returns it. ok is false once the mailbox is
+// closed and drained: a close never loses a job that push accepted.
+func (m *mailbox) pull(dst []job, max int) (batch []job, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for m.n == 0 && !m.done {
@@ -69,7 +68,7 @@ func (m *mailbox) pull(dst []job, max int) (batch []job, backlog int, ok bool) {
 	clear(b)
 	m.head = (m.head + k) % len(m.ring)
 	m.n -= k
-	return dst, m.n, k > 0
+	return dst, k > 0
 }
 
 // close ends the mailbox, for Stop and for the abort of a cancelled or

@@ -74,7 +74,7 @@ func TestMailboxFIFOAcrossProducers(t *testing.T) {
 	var batch []job
 	for {
 		var ok bool
-		batch, _, ok = m.pull(batch[:0], 7)
+		batch, ok = m.pull(batch[:0], 7)
 		if !ok {
 			break
 		}
@@ -113,13 +113,9 @@ func TestMailboxOversizedPush(t *testing.T) {
 	var got []job
 	for len(got) < 23 {
 		before := len(got)
-		var backlog int
-		got, backlog, _ = m.pull(got, 5)
+		got, _ = m.pull(got, 5)
 		if n := len(got) - before; n < 1 || n > 5 {
 			t.Fatalf("pull(max 5) returned %d jobs", n)
-		}
-		if backlog < 0 || backlog > 8 {
-			t.Fatalf("backlog %d outside the ring", backlog)
 		}
 	}
 	if !<-pushed {
@@ -132,19 +128,19 @@ func TestMailboxOversizedPush(t *testing.T) {
 	}
 }
 
-// TestMailboxPullBounds: pull never returns more than max, reports exactly
-// what it left behind, and appends to dst.
+// TestMailboxPullBounds: pull never returns more than max, leaves the rest
+// queued, and appends to dst.
 func TestMailboxPullBounds(t *testing.T) {
 	m := newMailbox(16)
 	m.push(seqJobs(1, 0, 6))
-	batch, backlog, ok := m.pull(nil, 4)
-	if len(batch) != 4 || backlog != 2 || !ok {
-		t.Fatalf("pull(4) of 6 = %d jobs, backlog %d, ok %v; want 4, 2, true", len(batch), backlog, ok)
+	batch, ok := m.pull(nil, 4)
+	if len(batch) != 4 || m.queued() != 2 || !ok {
+		t.Fatalf("pull(4) of 6 = %d jobs, %d left, ok %v; want 4, 2, true", len(batch), m.queued(), ok)
 	}
 	m.push(seqJobs(1, 6, 13)) // wraps: 15 queued from head 4
-	batch, backlog, ok = m.pull(batch, 100)
-	if len(batch) != 19 || backlog != 0 || !ok {
-		t.Fatalf("pull(100) of 15 onto 4 = %d jobs, backlog %d, ok %v; want 19, 0, true", len(batch), backlog, ok)
+	batch, ok = m.pull(batch, 100)
+	if len(batch) != 19 || m.queued() != 0 || !ok {
+		t.Fatalf("pull(100) of 15 onto 4 = %d jobs, %d left, ok %v; want 19, 0, true", len(batch), m.queued(), ok)
 	}
 	for i, j := range batch {
 		if j.seq != int64(i) {
@@ -167,14 +163,14 @@ func TestMailboxCloseDrains(t *testing.T) {
 	if m.push(seqJobs(0, 5, 1)) {
 		t.Error("push accepted after close")
 	}
-	batch, backlog, ok := m.pull(nil, 3)
-	if len(batch) != 3 || backlog != 2 || !ok {
-		t.Fatalf("first pull after close = %d jobs, backlog %d, ok %v; want 3, 2, true", len(batch), backlog, ok)
+	batch, ok := m.pull(nil, 3)
+	if len(batch) != 3 || !ok {
+		t.Fatalf("first pull after close = %d jobs, ok %v; want 3, true", len(batch), ok)
 	}
-	if batch, _, ok = m.pull(batch[:0], 3); len(batch) != 2 || !ok {
+	if batch, ok = m.pull(batch[:0], 3); len(batch) != 2 || !ok {
 		t.Fatalf("second pull after close = %d jobs, ok %v; want 2, true", len(batch), ok)
 	}
-	if batch, _, ok = m.pull(batch[:0], 3); len(batch) != 0 || ok {
+	if batch, ok = m.pull(batch[:0], 3); len(batch) != 0 || ok {
 		t.Fatalf("pull of a closed, drained mailbox = %d jobs, ok %v; want 0, false", len(batch), ok)
 	}
 }
@@ -188,7 +184,7 @@ func TestMailboxCloseReleasesBlocked(t *testing.T) {
 	pulled := make(chan bool)
 	go func() { pushed <- full.push(seqJobs(0, 0, 6)) }()
 	go func() {
-		_, _, ok := empty.pull(nil, 4)
+		_, ok := empty.pull(nil, 4)
 		pulled <- ok
 	}()
 	eventually(t, "the ring is full", func() bool { return full.queued() == 4 })
@@ -208,7 +204,7 @@ func TestMailboxCloseReleasesBlocked(t *testing.T) {
 		t.Error("the released consumer reported a batch")
 	}
 	// What the ring accepted before the close is still delivered.
-	if batch, _, ok := full.pull(nil, 8); len(batch) != 4 || !ok {
+	if batch, ok := full.pull(nil, 8); len(batch) != 4 || !ok {
 		t.Errorf("closed ring drained %d jobs, ok %v; want 4, true", len(batch), ok)
 	}
 }

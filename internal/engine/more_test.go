@@ -77,7 +77,7 @@ func (l *moreLog) quiescent(t *testing.T, after string, sent int) {
 // TestDeliveryMore pins Delivery.More: a callback that sets it is followed
 // by another callback on the same worker with no control job in between;
 // the last callback before every control job, and before the worker parks
-// on an empty mailbox, clears it. Fixed and adaptive batches, 1/2/8
+// on an empty mailbox, clears it. Capped and default batches, 1/2/8
 // workers, packets through Feed and Dispatch, a firewall that drops every
 // other flow, a Reconfigure running beside the traffic, and a closed loop
 // that sends k packets and then only waits for their k outputs.
@@ -92,13 +92,12 @@ func TestDeliveryMore(t *testing.T) {
 				eng, err := New(Config{
 					Workers: workers,
 					Batch:   batch,
-					Res:     res,
-					Setup: func(_ int, st *ir.State) {
+					Stages: oneStage(res, func(_ int, st *ir.State) {
 						middleboxes.ConfigureState("firewall", st)
 						for i := 0; i < len(flows); i += 2 {
 							middleboxes.AllowFlow(st, flows[i])
 						}
-					},
+					}),
 					OnDelivery: log.deliver,
 				})
 				if err != nil {

@@ -69,11 +69,9 @@ type Report struct {
 	// Reconfigs counts control-plane reconfigurations applied during the
 	// run.
 	Reconfigs int
-	// AdaptiveBatch reports whether the per-worker batch controller ran
-	// (Config.Batch <= 0); BatchSizes holds each worker's batch size at
-	// report time — the controller's latest decision, or the fixed size.
-	AdaptiveBatch bool
-	BatchSizes    []int
+	// BatchSizes holds each worker's mean jobs per mailbox pull so far
+	// (0 for a worker that has not pulled yet).
+	BatchSizes []float64
 	// Flow summarizes the flow-state lifecycle (nil when no FlowTable
 	// was configured).
 	Flow *FlowReport
@@ -120,9 +118,12 @@ func (e *Engine) buildReport(per []netsim.Stats, wall time.Duration) *Report {
 			agg.LastDeliverNs = s.LastDeliverNs
 		}
 		parts = append(parts, w.hLat)
-		r.BatchSizes = append(r.BatchSizes, int(w.batchNow.Load()))
+		mean := 0.0
+		if n := w.pulls.Load(); n > 0 {
+			mean = float64(w.pulled.Load()) / float64(n)
+		}
+		r.BatchSizes = append(r.BatchSizes, mean)
 	}
-	r.AdaptiveBatch = e.cfg.Batch <= 0
 	agg.CtlBatches = int(e.rcBatches.Load())
 	agg.CtlOps = int(e.rcOps.Load())
 	agg.CtlRejected = int(e.rcRejected.Load())

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"gallium/internal/flowstate"
 	"gallium/internal/ir"
@@ -81,9 +80,9 @@ type worker struct {
 	lastTNs  int64
 	sweepDue int
 
-	// batchNow is the worker's current batch size (fixed, or the adaptive
-	// controller's latest decision), exported race-free to reports.
-	batchNow atomic.Int64
+	// pulls and pulled count this worker's mailbox pulls and the jobs they
+	// took, exported race-free to reports as the mean batch size.
+	pulls, pulled atomic.Int64
 
 	_ [64]byte
 }
@@ -205,36 +204,26 @@ type pendingApply struct {
 	applied chan struct{}
 }
 
-// loop consumes the worker's mailbox in batches: one blocking pull of up
-// to the current batch size — fixed when Config.Batch is positive,
-// otherwise governed by this worker's adaptive controller (see
-// batchController). Jobs still run strictly in arrival order — batching
-// changes when the worker waits for control-plane applies (per flow inside
-// the batch, everything at the batch boundary), not the processing order.
+// loop consumes the worker's mailbox in batches, the way a DPDK
+// run-to-completion core takes whatever burst is waiting: each blocking
+// pull takes everything queued, up to Config.Batch. Jobs still run
+// strictly in arrival order — batching changes when the worker waits for
+// control-plane applies (per flow inside the batch, everything at the
+// batch boundary), not the processing order, so any batch size is legal.
 // After a cancellation or failure the mailbox is closed under it: the
 // worker runs what was accepted — control jobs in full, so barriers and
 // reconfigurations can't deadlock an abort; packets skipped — and leaves.
 func (w *worker) loop() {
 	ctx := w.eng.runCtx
-	max := w.eng.cfg.Batch
-	var ad *batchController
-	if max <= 0 {
-		ad = newBatchController(w.eng.cfg)
-		max = ad.size
-	}
-	w.batchNow.Store(int64(max))
 	for {
 		clear(w.batch) // a finished batch must not pin its packets while the worker waits
-		batch, backlog, ok := w.box.pull(w.batch[:0], max)
+		batch, ok := w.box.pull(w.batch[:0], w.eng.cfg.Batch)
 		if !ok {
 			break
 		}
+		w.pulls.Add(1)
+		w.pulled.Add(int64(len(batch)))
 		w.batch, w.next = batch, 0
-		var t0 time.Time
-		measure := ad != nil && len(batch) > 1
-		if measure {
-			t0 = time.Now()
-		}
 		npkts := 0
 		for w.next < len(batch) {
 			npkts += w.runBatch()
@@ -244,16 +233,6 @@ func (w *worker) loop() {
 			w.maybeSweep(ctx, npkts)
 		}
 		w.waitAll(ctx)
-		if ad != nil {
-			var el int64
-			if measure {
-				el = time.Since(t0).Nanoseconds()
-			}
-			if m := ad.observe(len(batch), npkts, backlog, el); m != max {
-				max = m
-				w.batchNow.Store(int64(m))
-			}
-		}
 	}
 	// Final full sweep before the engine joins: the control channel is
 	// still open (Stop closes it only after every worker exits).

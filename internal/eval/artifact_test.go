@@ -125,8 +125,8 @@ func goodScaleReport() *ScaleReport {
 			rep.Points = append(rep.Points, ScalePoint{
 				Workers: workers, GoMaxProcs: procs,
 				Packets: 200_000, WallNs: int64(200_000 / pps * 1e9),
-				PPS: pps, AdaptiveBatch: true,
-				BatchSizes: make([]int, workers),
+				PPS:        pps,
+				BatchSizes: make([]float64, workers),
 			})
 		}
 	}

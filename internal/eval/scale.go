@@ -20,11 +20,8 @@ type ScalePoint struct {
 	WallNs     int64 `json:"wall_ns"`
 	// PPS is wall-clock packets per second.
 	PPS float64 `json:"pps"`
-	// AdaptiveBatch records that the per-worker batch controller ran;
-	// BatchSizes holds each worker's final batch size — the controller's
-	// converged operating point for this cell.
-	AdaptiveBatch bool  `json:"adaptive_batch"`
-	BatchSizes    []int `json:"batch_sizes"`
+	// BatchSizes holds each worker's mean jobs per mailbox pull.
+	BatchSizes []float64 `json:"batch_sizes"`
 }
 
 // ScaleReport is the multi-core scale-out artifact (BENCH_scale.json): the
@@ -95,8 +92,8 @@ func scaleProcLadder(numCPU int) []int {
 	return out
 }
 
-// EngineScale measures the scale-out matrix on the NAT with adaptive
-// batching (the default engine configuration). Each cell streams an
+// EngineScale measures the scale-out matrix on the NAT with the default
+// engine configuration. Each cell streams an
 // identical pre-built workload through a fresh deployment.
 func EngineScale(quick bool) (*ScaleReport, error) {
 	const name = "mazunat"
@@ -139,13 +136,12 @@ func EngineScale(quick bool) (*ScaleReport, error) {
 				return nil, err
 			}
 			rep.Points = append(rep.Points, ScalePoint{
-				Workers:       workers,
-				GoMaxProcs:    procs,
-				Packets:       int64(r.Stats.Injected),
-				WallNs:        r.WallNs,
-				PPS:           r.PPS,
-				AdaptiveBatch: r.AdaptiveBatch,
-				BatchSizes:    r.BatchSizes,
+				Workers:    workers,
+				GoMaxProcs: procs,
+				Packets:    int64(r.Stats.Injected),
+				WallNs:     r.WallNs,
+				PPS:        r.PPS,
+				BatchSizes: r.BatchSizes,
 			})
 		}
 	}
@@ -249,7 +245,7 @@ func CheckScaleGate(rep *ScaleReport) (skip string, err error) {
 // FormatScale renders the matrix for the terminal, one block per rung.
 func FormatScale(rep *ScaleReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Multi-core scale-out matrix (%s, %d CPUs, adaptive batching)\n",
+	fmt.Fprintf(&b, "Multi-core scale-out matrix (%s, %d CPUs)\n",
 		rep.Middlebox, rep.NumCPU)
 	for i, p := range rep.Points {
 		if i%len(scaleWorkerCounts) == 0 {
@@ -258,7 +254,7 @@ func FormatScale(rep *ScaleReport) string {
 				"workers", "packets", "wall_ms", "Mpps", "speedup", "batch")
 		}
 		base := rep.Points[i-i%len(scaleWorkerCounts)].PPS
-		fmt.Fprintf(&b, "  %-8d %12d %12.2f %10.3f %9.2fx  %v\n",
+		fmt.Fprintf(&b, "  %-8d %12d %12.2f %10.3f %9.2fx  %.1f\n",
 			p.Workers, p.Packets, float64(p.WallNs)/1e6, p.PPS/1e6, p.PPS/base, p.BatchSizes)
 	}
 	return b.String()

@@ -3,7 +3,6 @@ package gallium
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"gallium/internal/engine"
 	"gallium/internal/ir"
@@ -130,28 +129,19 @@ func WithDeliveries(fn func(Delivery)) Option {
 	return func(c *runConfig) { c.OnDelivery = fn }
 }
 
-// WithBatch fixes how many queued packets a worker pulls per batch.
-// Without this option each worker sizes its batches adaptively: growing
-// under backlog, shrinking when its queue runs dry, bounded by the
-// WithBatchBudget latency budget. Larger batches amortize the §4.3.3
-// output-commit wait across more packets; per-flow processing order is
-// preserved at any batch size. n <= 0 selects the adaptive default
-// explicitly.
+// WithBatch caps how many queued packets a worker pulls per batch. Each
+// pull takes everything waiting in the worker's queue, up to n; without
+// this option (or with n == 0) the cap is the queue depth. Larger batches
+// amortize the §4.3.3 output-commit wait across more packets; per-flow
+// processing order is preserved at any batch size. n must not be
+// negative.
 func WithBatch(n int) Option {
-	return func(c *runConfig) { c.Batch = n }
-}
-
-// WithBatchBudget bounds the adaptive batch controller's latency cost
-// (default 200µs): a worker never grows its batch beyond what it can
-// process within d, estimated from observed per-packet wall time. It has
-// no effect under a fixed WithBatch size. d must be positive.
-func WithBatchBudget(d time.Duration) Option {
 	return func(c *runConfig) {
-		if d <= 0 {
-			c.fail(fmt.Errorf("gallium: WithBatchBudget(%v): budget must be positive", d))
+		if n < 0 {
+			c.fail(fmt.Errorf("gallium: WithBatch(%d): batch must be a non-negative packet count", n))
 			return
 		}
-		c.BatchBudgetNs = int64(d)
+		c.Batch = n
 	}
 }
 

@@ -1,6 +1,7 @@
 package gallium_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -183,8 +184,8 @@ func TestScaleOutReconfigureUnderTraffic(t *testing.T) {
 	if reconfigs == 0 || rep.Reconfigs != reconfigs {
 		t.Fatalf("applied %d reconfigurations, report says %d", reconfigs, rep.Reconfigs)
 	}
-	if !rep.AdaptiveBatch {
-		t.Error("default session did not run the adaptive batch controller")
+	if slices.Max(rep.BatchSizes) <= 1 {
+		t.Errorf("no worker pulled more than one job at a time: mean pulls %v", rep.BatchSizes)
 	}
 	if rep.Stats.CtlBatches == 0 {
 		t.Error("slow-path traffic drained no control batches")

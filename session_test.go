@@ -446,8 +446,8 @@ func TestChainGolden(t *testing.T) {
 	compareGolden(t, "testdata/golden/chain_firewall_mazunat_l4lb.txt", strings.Join(lines, "\n")+"\n")
 }
 
-// TestOptionValidation: non-positive queue bounds are errors, not
-// silent defaults.
+// TestOptionValidation: non-positive queue bounds and negative batch caps
+// are errors, not silent defaults.
 func TestOptionValidation(t *testing.T) {
 	art, err := gallium.CompileBuiltin("firewall", gallium.Options{})
 	if err != nil {
@@ -462,6 +462,7 @@ func TestOptionValidation(t *testing.T) {
 		{"queue-depth-negative", gallium.WithQueueDepth(-4), "WithQueueDepth(-4)"},
 		{"ctl-queue-zero", gallium.WithCtlQueue(0), "WithCtlQueue(0)"},
 		{"ctl-queue-negative", gallium.WithCtlQueue(-1), "WithCtlQueue(-1)"},
+		{"batch-negative", gallium.WithBatch(-1), "WithBatch(-1)"},
 		{"flow-table-capacity", gallium.WithFlowTable(gallium.FlowTable{}), "WithFlowTable"},
 		{"flow-table-negative-timeout",
 			gallium.WithFlowTable(gallium.FlowTable{Capacity: 64, UDPTimeout: -time.Second}),
