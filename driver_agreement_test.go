@@ -12,7 +12,7 @@ import (
 
 // TestDriverAgreement holds the three runtimes to one behaviour. The
 // bare Deployment, the sequential Testbed and the engine at one worker
-// and batch 1 are the same walker behind three committers, so with
+// are the same walker behind three committers, so with
 // arrivals spaced past the control plane's flip latency (10 ms, as
 // difftest's inject leg) every packet must meet the same fate with the
 // same output bytes, and the servers must end in the same state — for
@@ -79,7 +79,7 @@ func TestDriverAgreement(t *testing.T) {
 			var final *ir.State
 			got = make([]string, len(tr.pkts))
 			_, err = art.Run(context.Background(), tr,
-				seedOnce(tr.setup(art), &final), gallium.WithWorkers(1), gallium.WithBatch(1),
+				seedOnce(tr.setup(art), &final), gallium.WithWorkers(1),
 				gallium.WithDeliveries(func(d gallium.Delivery) { got[d.Seq] = fate(d.Delivered, d.Pkt) }))
 			if err != nil {
 				t.Fatal(err)

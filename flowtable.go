@@ -22,8 +22,8 @@ import (
 // across worker shards. Zero timeout fields select the defaults (TCP
 // SYN 5s / established 5m / FIN 10s, UDP 30s). A worker sweeps — expires
 // what is due, then evicts the least recently touched entries over its
-// share of Capacity — at the batch boundary every SweepEvery packets
-// (default 1024; a negative value is rejected) and at settle barriers,
+// share of Capacity — after every SweepEvery-th packet (default 1024; a
+// negative value is rejected) and at settle barriers,
 // so between sweeps occupancy can overshoot by what those packets
 // insert. SweepLimit (default 4096) caps how many entries one such sweep
 // removes; settle-barrier sweeps are uncapped. Switch-resident entries

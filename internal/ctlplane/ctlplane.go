@@ -9,9 +9,9 @@
 // galliumsim -serve.
 //
 // The layering mirrors yanet2's controlplane/coordinator/CLI split: the
-// engine owns the apply mechanism (its control-plane drainer), this
-// package owns operation semantics and validation, and the CLI is a thin
-// JSON client.
+// engine owns the apply mechanism (Reconfigure's pause and one flip),
+// this package owns operation semantics and validation, and the CLI is a
+// thin JSON client.
 package ctlplane
 
 import (

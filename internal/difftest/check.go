@@ -48,8 +48,7 @@ type Divergence struct {
 	// Leg is where the difference surfaced: "compile", "oracle",
 	// "affinity" (the static certificate contradicted the generator's
 	// shard-safety declaration or a recorded verdict), "inject", "run1",
-	// "run8", "batched" (8 workers pulling everything queued),
-	// or "expiry".
+	// "run8", or "expiry".
 	Leg    string
 	Detail string
 }
@@ -141,13 +140,12 @@ func runInject(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace) ([]PacketOu
 	return outs, tb.ServerState(), nil
 }
 
-// runEngine executes the same trace through the concurrent engine.
-// Batch=1 makes each worker fully synchronous with its own write-backs:
-// a worker never starts its next packet before the previous one's
-// control-plane flip is visible, which closes the §4.3.3 stale window
-// within a shard. With one worker that makes the engine sequentially
-// equivalent to the oracle; with eight, equivalence additionally needs
-// the program to be shard-safe.
+// runEngine executes the same trace through the concurrent engine in its
+// shipped configuration: each worker pulls everything queued and flips a
+// packet's write-back before it starts the next job, which closes the
+// §4.3.3 stale window within a shard. With one worker that makes the
+// engine sequentially equivalent to the oracle; with eight, equivalence
+// additionally needs the program to be shard-safe.
 func runEngine(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace, workers int, extra ...gallium.Option) ([]PacketOutcome, []*ir.State, *gallium.Report, error) {
 	outs := make([]PacketOutcome, len(tr.Packets))
 	seen := make([]bool, len(tr.Packets))
@@ -157,7 +155,6 @@ func runEngine(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace, workers int
 	seeded := make(map[int]bool)
 	opts := []gallium.Option{
 		gallium.WithWorkers(workers),
-		gallium.WithBatch(1),
 		gallium.WithQueueDepth(len(tr.Packets) + 8),
 		gallium.WithCostModel(fuzzModel()),
 		// WithState visits each shard twice: before the engine starts
@@ -206,11 +203,11 @@ func runEngine(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace, workers int
 }
 
 // runExpiry is the flow-state lifecycle leg. With a flow table armed,
-// the engine expires entries incrementally — swept at batch boundaries
-// and propagated to switch partitions through the §4.3.3 control-plane
-// flip — while the oracle here is a sequential interpreter whose
-// tracker is swept after every packet. Batch=1 with SweepEvery=1 and one
-// worker makes the two sweep schedules identical: both observe packet i
+// the engine expires entries incrementally — swept every SweepEvery
+// packets and propagated to switch partitions through the §4.3.3
+// control-plane flip — while the oracle here is a sequential interpreter
+// whose tracker is swept after every packet. SweepEvery=1 and one worker
+// make the two sweep schedules identical: both observe packet i
 // at virtual time i*PacketSpacingNs and expire and evict afterwards, so
 // every find either hits in both legs or misses in both. That covers
 // capacity eviction as well as timeouts: the victims depend only on each
@@ -402,10 +399,15 @@ func DiffArtifacts(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace) *Diverg
 		return &Divergence{Leg: "run1", Detail: "final state: " + diff}
 	}
 
-	// Leg 3: concurrent engine, eight workers.
-	outs, states, _, err = runEngine(art, spec, tr, 8)
+	// Leg 3: concurrent engine, eight workers, each pulling everything its
+	// mailbox holds. Some worker must actually take more than one job per
+	// pull, or the leg would not exercise batching.
+	outs, states, rep, err := runEngine(art, spec, tr, 8)
 	if err != nil {
 		return &Divergence{Leg: "run8", Detail: err.Error()}
+	}
+	if slices.Max(rep.BatchSizes) <= 1 {
+		return &Divergence{Leg: "run8", Detail: fmt.Sprintf("no worker pulled more than one job at a time: mean pulls %v", rep.BatchSizes)}
 	}
 	if exactEight {
 		// The exact leg runs whenever the certificate proves flow
@@ -432,34 +434,7 @@ func DiffArtifacts(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace) *Diverg
 	// legitimately different from sequential execution, so per-packet and
 	// state equality are not required.
 
-	// Leg 4: batching. The legs above pin Batch=1 for determinism;
-	// production pulls everything a worker's mailbox holds. This leg
-	// re-runs the 8-worker deployment with the default (WithBatch(0)) and
-	// holds it to the invariants batching must preserve regardless of
-	// batch size: every packet gets exactly one reported fate, no queue
-	// drops, and for certified-exact programs the per-shard states still
-	// disjoint-union merge to the sequential final state — every staged
-	// write-back has flipped by settle, so delayed visibility may reroute
-	// packets between fast and slow path mid-run but cannot change where
-	// the authoritative state lands.
-	_, states, rep, err := runEngine(art, spec, tr, 8, gallium.WithBatch(0))
-	if err != nil {
-		return &Divergence{Leg: "batched", Detail: err.Error()}
-	}
-	if slices.Max(rep.BatchSizes) <= 1 {
-		return &Divergence{Leg: "batched", Detail: fmt.Sprintf("no worker pulled more than one job at a time under WithBatch(0): mean pulls %v", rep.BatchSizes)}
-	}
-	if exactEight {
-		merged, _, conflict := art.MergeShardStates(states)
-		if conflict != "" {
-			return &Divergence{Leg: "batched", Detail: conflict}
-		}
-		if diff := stateDiff(ostate, merged); diff != "" {
-			return &Divergence{Leg: "batched", Detail: "merged final state: " + diff}
-		}
-	}
-
-	// Leg 5: flow-state lifecycle, when the case arms one. Expiry must
+	// Leg 4: flow-state lifecycle, when the case arms one. Expiry must
 	// not be able to resurrect a stale window or diverge from the
 	// sequential definition of "this entry is gone now".
 	if spec.Expiry != nil {

@@ -14,8 +14,9 @@
 // documented in TESTING.md. The harness removes the two benign sources of
 // nondeterminism by construction: trace packets are spaced far enough
 // apart in virtual time that every control-plane flip lands before the
-// next injection (Inject leg), and the engine legs run with Batch=1 so a
-// worker never starts a packet before its previous write-back is visible.
+// next injection (Inject leg), and an engine worker flips each packet's
+// write-back before it starts the next job, so it never runs a packet
+// before its previous write-back is visible.
 // Under those conditions the oracle comparison is exact for the Inject
 // and 1-worker legs on every program. The 8-worker leg is exact only for
 // programs whose cross-packet state is partitioned by flow ("shard-safe",

@@ -86,8 +86,8 @@ func TestGenProgramArmsExpiry(t *testing.T) {
 }
 
 // corpusTOS runs a shipped expiry corpus pair through the engine — one
-// worker, batch 1, lifecycle armed from the pair's directive when arm is
-// set — and returns each delivered packet's TOS byte.
+// worker, lifecycle armed from the pair's directive when arm is set — and
+// returns each delivered packet's TOS byte.
 func corpusTOS(t *testing.T, name string, arm bool) []uint8 {
 	t.Helper()
 	dir := filepath.Join("testdata", "regressions")
@@ -116,7 +116,7 @@ func corpusTOS(t *testing.T, name string, arm bool) []uint8 {
 	}
 	tos := make([]uint8, len(tr.Packets))
 	opts := []gallium.Option{
-		gallium.WithWorkers(1), gallium.WithBatch(1),
+		gallium.WithWorkers(1),
 		gallium.WithQueueDepth(len(tr.Packets) + 8),
 		gallium.WithDeliveries(func(d gallium.Delivery) {
 			if d.Delivered && d.Seq >= 0 && d.Seq < int64(len(tos)) {

@@ -3,15 +3,13 @@
 // An RSS-style flow-hash dispatcher fans packets out to N workers, each
 // owning one shard of the middlebox server (its own authoritative state,
 // like a DPDK core with per-core tables); the switch pipeline runs as a
-// shared stage whose data plane takes no lock; and the §4.3.3 write-back
-// slow path is a real bounded channel per shard, each drained by a
-// dedicated control-plane goroutine that stages and flips batches.
+// shared stage whose data plane takes no lock; and each worker commits its
+// own §4.3.3 write-backs on its own control lane of the switch.
 //
 // Hand-off: packets reach a worker the way they reach a DPDK core, in
 // bursts, through the worker's one bounded mailbox (mailbox.go): Feed
 // pushes 32-packet bursts, Dispatch and the control jobs of settle and
-// Reconfigure bursts of one, the worker pulls everything queued (up to
-// Config.Batch) per lock.
+// Reconfigure bursts of one, the worker pulls everything queued per lock.
 // Cancelling the run closes the mailboxes (see abort).
 //
 // Ordering guarantees: packets of one flow always hash to the same worker
@@ -21,31 +19,26 @@
 // real goroutine concurrency rather than modeled. Cross-flow order is
 // unspecified.
 //
-// The control-plane channel is asynchronous across workers but committed
-// per flow: after emitting a write-back batch, a worker records it as
-// pending and only stalls a later packet of the SAME flow on the drainer's
-// apply (§4.3.3 output commit, narrowed from the worker to the flow).
-// Workers pull packets in batches and close each batch with a barrier on
-// every still-pending apply, so the commit wait is amortized across the
-// batch instead of paid before every next packet. Because a flow's packets
-// all land on one worker, a flow can never observe the switch missing its
-// own earlier write-back — the remaining stale window is cross-flow only,
-// where flow sharding makes it benign: a flow that misses simply takes the
-// slow path, and its own shard's authoritative state gives the right
-// answer. §7 cache fills stay fully fire-and-forget (a stale fill just
-// re-punts).
+// Output commit (§4.3.3): the worker that made a write-back stages it on
+// its own switch lane and flips it before the packet is delivered, so the
+// switch serves the update before the packet leaves and before the worker
+// takes its next job — each packet sees a serial order at any pull size.
+// Other workers' packets may race the flip; flow sharding makes that
+// benign: a flow that misses simply takes the slow path, and its own
+// shard's authoritative state gives the right answer. §7 read-through
+// fills ride the same flip without holding the packet.
 //
-// Lifecycle: an Engine is long-lived. Start spawns the workers and the
-// control-plane drainer; Feed streams one workload through them (callable
-// repeatedly, injection times non-decreasing across feeds); Reconfigure
-// applies a control-plane change as one atomic visibility flip while
-// traffic keeps flowing; Stop joins everything and reports. Run is the
-// one-shot convenience composing the three.
+// Lifecycle: an Engine is long-lived. Start spawns the workers; Feed
+// streams one workload through them (callable repeatedly, injection times
+// non-decreasing across feeds); Reconfigure applies a control-plane change
+// as one atomic visibility flip while traffic keeps flowing; Stop joins
+// everything and reports. Run is the one-shot convenience composing the
+// three.
 //
 // Pipelines: Config.Stages chains several compiled middleboxes through one
 // engine pass — a packet traverses stage 0's switch/server pair, then
-// stage 1's, sharing the worker's (simulated) core and the single
-// control-plane drainer. A single middlebox is a one-stage chain.
+// stage 1's, sharing the worker's (simulated) core and its control lane on
+// every stage's switch. A single middlebox is a one-stage chain.
 package engine
 
 import (
@@ -96,15 +89,6 @@ type Config struct {
 	Mode netsim.Mode
 	// Workers is the number of server shards; <=0 means 1.
 	Workers int
-	// Batch is the most queued jobs a worker pulls from its mailbox per
-	// batch: one pull, one lock, taking everything queued up to Batch and
-	// blocking only while the mailbox is empty. Within a batch, write-back
-	// commits overlap with other flows' packets — a worker only stalls a
-	// packet on its OWN flow's pending commit — and the batch ends with one
-	// barrier on everything still in flight, amortizing the output-commit
-	// wait over the batch. <=0 means QueueDepth: a pull takes everything
-	// queued.
-	Batch int
 	// Stages is the middlebox pipeline, traversed in order; it needs at
 	// least one stage.
 	Stages []StageConfig
@@ -113,12 +97,11 @@ type Config struct {
 	// Obs, when non-nil, receives metrics: per-worker counters plus
 	// read-time "engine.*" aggregates. Nil disables observability.
 	Obs *obs.Registry
-	// QueueDepth bounds the packets queued in each worker's mailbox: a
-	// dispatcher whose burst does not fit blocks until the worker has
-	// pulled room for it (backpressure, never a drop). <=0 means 256.
+	// QueueDepth bounds the packets queued in each worker's mailbox, and
+	// so the most one pull can take: a dispatcher whose burst does not fit
+	// blocks until the worker has pulled room for it (backpressure, never a
+	// drop). <=0 means 256.
 	QueueDepth int
-	// CtlQueue bounds the control-plane slow-path channel; <=0 means 256.
-	CtlQueue int
 	// OnDelivery, when non-nil, observes every packet fate. It is invoked
 	// from worker goroutines concurrently (per-flow order preserved); the
 	// callback must be safe for concurrent use.
@@ -129,39 +112,6 @@ type Config struct {
 	// and split evenly across shards. Nil disables the lifecycle; state
 	// then grows without bound, as before.
 	FlowTable *flowstate.Config
-}
-
-// ctlBatch is one batch of replicated-state updates traveling a
-// slow-path lane to its shard's control-plane drainer.
-type ctlBatch struct {
-	updates []switchsim.Update
-	// stage routes the batch to its pipeline stage's switch.
-	stage int
-	// punt marks §7 cache-mode batches, which the drainer classifies into
-	// fills and synchronous updates before staging.
-	punt bool
-	// applied, when non-nil, is closed once the drainer has applied the
-	// batch: the sending worker blocks on it before its next packet
-	// (§4.3.3 output commit, extended per worker — see Run's doc). A batch
-	// with no updates and a non-nil applied is a flush marker: Reconfigure
-	// uses one per lane to prove the lane's FIFO has drained.
-	applied chan struct{}
-}
-
-// ctlShard is one worker shard's control-plane lane: its own bounded
-// channel and its own drainer goroutine, so worker N's slow-path
-// write-backs never queue behind worker M's. The counter block is padded
-// to cache-line boundaries — each drainer writes only its own shard's
-// counters.
-type ctlShard struct {
-	_  [64]byte
-	ch chan ctlBatch
-	// batches/ops/rejected account this drainer's applied work; the
-	// report sums them across shards (plus Reconfigure's direct applies).
-	batches  atomic.Int64
-	ops      atomic.Int64
-	rejected atomic.Int64
-	_        [64]byte
 }
 
 // Reconfig is one compiled control-plane change, applied by Engine.
@@ -208,11 +158,6 @@ type Engine struct {
 	// it atomically for live retuning.
 	flowCfg atomic.Pointer[flowstate.Config]
 
-	// ctls holds one control-plane lane per worker shard (offloaded mode);
-	// worker i sends only to ctls[i], whose drainer stages into switch
-	// lane i.
-	ctls   []*ctlShard
-	ctlWG  sync.WaitGroup
 	wg     sync.WaitGroup
 	cancel context.CancelFunc
 	runCtx context.Context
@@ -238,12 +183,8 @@ type Engine struct {
 	stopped atomic.Bool
 	startT  time.Time
 
-	// rcBatches/rcOps/rcRejected account control work Reconfigure applies
-	// directly (its one flip bypasses the drainers; see Reconfigure).
-	rcBatches  atomic.Int64
-	rcOps      atomic.Int64
-	rcRejected atomic.Int64
-	reconfigs  atomic.Int64
+	// reconfigs counts the reconfigurations applied.
+	reconfigs atomic.Int64
 
 	ran      atomic.Bool
 	failOnce sync.Once
@@ -263,12 +204,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = cfg.QueueDepth
-	}
-	if cfg.CtlQueue <= 0 {
-		cfg.CtlQueue = 256
 	}
 	if cfg.Model == (netsim.CostModel{}) {
 		cfg.Model = netsim.DefaultModel()
@@ -467,9 +402,8 @@ func (e *Engine) err() error {
 	return nil
 }
 
-// Start spawns the worker goroutines and (in offloaded mode) one
-// control-plane drainer per worker shard. It may be called once per
-// Engine; cancel ctx to abort everything in flight.
+// Start spawns the worker goroutines, one per shard and nothing else. It
+// may be called once per Engine; cancel ctx to abort everything in flight.
 func (e *Engine) Start(ctx context.Context) error {
 	if !e.started.CompareAndSwap(false, true) {
 		return errors.New("engine: Start may be called at most once per Engine")
@@ -477,14 +411,6 @@ func (e *Engine) Start(ctx context.Context) error {
 	e.startT = time.Now()
 	e.runCtx, e.cancel = context.WithCancel(ctx)
 	context.AfterFunc(e.runCtx, e.abort)
-	if len(e.sws) > 0 {
-		e.ctls = make([]*ctlShard, len(e.workers))
-		for i := range e.ctls {
-			e.ctls[i] = &ctlShard{ch: make(chan ctlBatch, e.cfg.CtlQueue)}
-			e.ctlWG.Add(1)
-			go e.drainCtl(i)
-		}
-	}
 	for _, w := range e.workers {
 		e.wg.Add(1)
 		go func(w *worker) {
@@ -496,10 +422,9 @@ func (e *Engine) Start(ctx context.Context) error {
 }
 
 // Feed streams one workload through the running engine and blocks until
-// every packet of it (and every control batch those packets emitted) has
-// settled. Injection times must be non-decreasing across successive Feeds
-// — the engine models one continuous deployment, so virtual time cannot
-// restart. Feed may not run concurrently with itself or Stop; it MAY run
+// every packet of it has settled. Injection times must be non-decreasing
+// across successive Feeds — the engine models one continuous deployment,
+// so virtual time cannot restart. Feed may not run concurrently with itself or Stop; it MAY run
 // concurrently with Reconfigure (that is the point of the live control
 // plane).
 func (e *Engine) Feed(wl Workload) error {
@@ -579,10 +504,10 @@ func (e *Engine) Dispatch(tNs int64, pkt *packet.Packet) (int64, error) {
 }
 
 // settle injects a barrier control job into every worker and blocks until
-// each has finished all previously queued packets and retired their
-// pending write-back applies. When stats is non-nil it additionally
-// receives a copy of each worker's counters, taken inside the worker
-// goroutine (race-free even while traffic flows).
+// each has finished all previously queued packets (whose write-backs are
+// then visible). When stats is non-nil it additionally receives a copy of
+// each worker's counters, taken inside the worker goroutine (race-free
+// even while traffic flows).
 func (e *Engine) settle(stats []netsim.Stats) {
 	var wg sync.WaitGroup
 	for i, w := range e.workers {
@@ -590,13 +515,11 @@ func (e *Engine) settle(stats []netsim.Stats) {
 		i := i
 		err := e.hand(w, job{ctrl: func(w *worker) {
 			defer wg.Done()
-			// A settle barrier is a quiescent point: run a FULL sweep
-			// (no removal cap) before waiting out the in-flight applies,
-			// so its deletions land inside this barrier too.
+			// A settle barrier is a quiescent point: run a FULL sweep (no
+			// removal cap), so its deletions land inside this barrier too.
 			if w.lifeOn {
-				w.sweep(e.runCtx, true)
+				w.sweep(true)
 			}
-			w.waitAll(e.runCtx)
 			if stats != nil {
 				stats[i] = w.walk.Stats
 			}
@@ -636,9 +559,11 @@ func (e *Engine) Reconfigure(r Reconfig) error {
 
 	var mu sync.Mutex
 	shardUpdates := append([]switchsim.Update(nil), r.Updates...)
+	// Every return closes release, so a paused worker waits on nothing
+	// else.
 	release := make(chan struct{})
+	defer close(release)
 	ready := make(chan struct{}, len(e.workers))
-	paused := 0
 	for i, w := range e.workers {
 		i := i
 		err := e.hand(w, job{ctrl: func(w *worker) {
@@ -656,79 +581,39 @@ func (e *Engine) Reconfigure(r Reconfig) error {
 				w.setLifecycle(r.FlowTable.Normalized())
 			}
 			ready <- struct{}{}
-			select {
-			case <-release:
-			case <-ctx.Done():
-			}
+			<-release
 		}})
-		if err == nil {
-			paused++
+		if err != nil {
+			return err
 		}
 	}
-	for n := 0; n < paused; n++ {
+	for range e.workers {
 		select {
 		case <-ready:
 		case <-ctx.Done():
-			close(release)
 			return ctx.Err()
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		close(release)
 		return err
 	}
 
-	// All workers are quiescent. Drain every shard's control lane with a
-	// flush marker: worker i is the only sender on lane i and is paused,
-	// so a marker enqueued now is behind every batch staged before the
-	// pause, and its apply proves the lane is empty and its drainer idle.
-	// Then apply the whole reconfiguration directly, as shard 0's batch:
-	// stage everything, flip ONCE — the single view store that is the
-	// §4.3.3 atomicity for the data plane.
+	// Every worker is paused at a packet boundary, and a worker flips its
+	// write-backs before its next job, so nothing is in flight. Apply the
+	// whole reconfiguration as worker 0's batch: stage everything on its
+	// lane, flip ONCE — the single view store that is the §4.3.3 atomicity
+	// for the data plane.
 	if len(e.sws) > 0 {
-		markers := make([]chan struct{}, 0, len(e.ctls))
-		for _, cs := range e.ctls {
-			m := make(chan struct{})
-			select {
-			case cs.ch <- ctlBatch{stage: r.Stage, applied: m}:
-				markers = append(markers, m)
-			case <-ctx.Done():
-				close(release)
-				return ctx.Err()
-			}
+		if _, _, err := e.workers[0].apply(r.Stage, shardUpdates, false); err != nil {
+			e.fail(err)
+			return err
 		}
-		for _, m := range markers {
-			select {
-			case <-m:
-			case <-ctx.Done():
-				close(release)
-				return ctx.Err()
-			}
-		}
-		sw := e.sws[r.Stage]
-		staged := 0
-		for _, u := range shardUpdates {
-			if err := sw.StageShard(0, u); err != nil {
-				if errors.Is(err, switchsim.ErrTableFull) {
-					e.rcRejected.Add(1)
-					continue
-				}
-				close(release)
-				e.fail(err)
-				return err
-			}
-			staged++
-		}
-		sw.FlipShard(0)
-		sw.MarkReconfig()
-		e.rcBatches.Add(1)
-		e.rcOps.Add(int64(staged))
+		e.sws[r.Stage].MarkReconfig()
 	}
 	if r.FlowTable != nil {
 		n := r.FlowTable.Normalized()
 		e.flowCfg.Store(&n)
 	}
-	close(release)
 	e.reconfigs.Add(1)
 	if err := e.err(); err != nil {
 		return err
@@ -742,9 +627,8 @@ func (e *Engine) FlowConfig() *flowstate.Config {
 	return e.flowCfg.Load()
 }
 
-// Stop closes the ingress, joins every worker and the control-plane
-// drainer, and reports. No Feed or Reconfigure may be in flight or issued
-// afterwards.
+// Stop closes the ingress, joins every worker, and reports. No Feed or
+// Reconfigure may be in flight or issued afterwards.
 func (e *Engine) Stop() (*Report, error) {
 	if !e.started.Load() {
 		return nil, errors.New("engine: Stop requires Start")
@@ -756,10 +640,6 @@ func (e *Engine) Stop() (*Report, error) {
 		w.box.close()
 	}
 	e.wg.Wait()
-	for _, cs := range e.ctls {
-		close(cs.ch)
-	}
-	e.ctlWG.Wait()
 	e.cancel()
 	if err := e.err(); err != nil {
 		return nil, err
@@ -789,11 +669,11 @@ func (e *Engine) LiveReport() (*Report, error) {
 }
 
 // Run streams the workload through the engine: a dispatcher goroutine (the
-// caller) hashes each packet to its flow's worker, workers process to
-// completion in parallel, and the control-plane drainer applies write-back
-// batches. Run blocks until the workload is exhausted and every in-flight
-// packet and control batch has settled, then reports. Cancel ctx to abort:
-// queued packets are drained unprocessed and ctx.Err() is returned.
+// caller) hashes each packet to its flow's worker, and workers process to
+// completion in parallel, each flipping its own write-backs. Run blocks
+// until the workload is exhausted and every in-flight packet has settled,
+// then reports. Cancel ctx to abort: queued packets are drained
+// unprocessed and ctx.Err() is returned.
 func (e *Engine) Run(ctx context.Context, wl Workload) (*Report, error) {
 	if !e.ran.CompareAndSwap(false, true) {
 		return nil, errors.New("engine: Run may be called at most once per Engine")
@@ -815,66 +695,8 @@ func (e *Engine) Run(ctx context.Context, wl Workload) (*Report, error) {
 	return rep, nil
 }
 
-// drainCtl is one shard's control-plane drainer: it applies each of its
-// worker's slow-path batches through the §4.3.3 protocol — stage every
-// update on the shard's own pending batch, then one visibility flip —
-// until the lane closes. Staging takes only the shard's own lock; the flip
-// holds the switch's control-plane mutex for O(batch) work. Full tables
-// are soft failures (the entry stays server-only and its flow keeps taking
-// the slow path).
-func (e *Engine) drainCtl(shard int) {
-	cs := e.ctls[shard]
-	defer e.ctlWG.Done()
-	stage := 0
-	// A panic fails the run instead of the process; the cancellation
-	// releases every worker waiting on this lane or on an apply.
-	defer func() {
-		if r := recover(); r != nil {
-			e.fail(fmt.Errorf("engine: control drainer %d panicked at stage %d: %v", shard, stage, r))
-		}
-	}()
-	for b := range cs.ch {
-		stage = b.stage
-		sw := e.sws[b.stage]
-		toStage := b.updates
-		if b.punt {
-			fills, syncs := serverrt.ClassifyUpdates(sw, b.updates)
-			toStage = append(fills, syncs...)
-		}
-		staged := 0
-		for _, u := range toStage {
-			err := sw.StageShard(shard, u)
-			if errors.Is(err, switchsim.ErrTableFull) {
-				cs.rejected.Add(1)
-				continue
-			}
-			if err != nil {
-				if b.applied != nil {
-					close(b.applied)
-				}
-				e.fail(err)
-				return
-			}
-			staged++
-		}
-		if staged > 0 {
-			sw.FlipShard(shard)
-			cs.batches.Add(1)
-			cs.ops.Add(int64(staged))
-		}
-		if b.applied != nil {
-			close(b.applied)
-		}
-	}
-}
-
-// SwitchStats exposes the first stage's switch counters (offloaded mode
-// only); for chained pipelines use SwitchStatsAt.
-func (e *Engine) SwitchStats() (switchsim.Stats, bool) {
-	return e.SwitchStatsAt(0)
-}
-
-// SwitchStatsAt exposes one pipeline stage's switch counters.
+// SwitchStatsAt exposes one pipeline stage's switch counters (offloaded
+// mode only).
 func (e *Engine) SwitchStatsAt(stage int) (switchsim.Stats, bool) {
 	if stage < 0 || stage >= len(e.sws) {
 		return switchsim.Stats{}, false
@@ -901,14 +723,9 @@ func (e *Engine) StageName(stage int) string {
 	return e.stages[stage].Name
 }
 
-// ShardStates returns each worker shard's authoritative middlebox state
-// for the FIRST pipeline stage, indexed by shard. Only meaningful after
-// the engine stopped (workers own their states exclusively while running).
-func (e *Engine) ShardStates() []*ir.State {
-	return e.ShardStatesAt(0)
-}
-
-// ShardStatesAt returns each shard's state for one pipeline stage.
+// ShardStatesAt returns each worker shard's authoritative middlebox state
+// for one pipeline stage, indexed by shard. Only meaningful after the
+// engine stopped (workers own their states exclusively while running).
 func (e *Engine) ShardStatesAt(stage int) []*ir.State {
 	states := make([]*ir.State, len(e.workers))
 	for i, w := range e.workers {

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gallium/internal/ir"
@@ -295,16 +297,14 @@ func natFlows(n int) []packet.FiveTuple {
 	return out
 }
 
-// TestCtlChannelDrainsEveryBatch: with a tiny control queue and a NAT
-// insert per flow, backpressure must not lose batches — by the time Run
-// returns, the drainer has applied every staged entry to the switch.
-// Multiple packets per flow additionally pin the per-worker output
-// commit: a flow's later packets must see its own write-back applied, so
-// each flow allocates exactly one external port (no slow-path churn, no
-// nat_rev bloat).
-func TestCtlChannelDrainsEveryBatch(t *testing.T) {
+// TestEveryWriteBackApplied: with a NAT insert per flow, by the time Run
+// returns every staged entry is on the switch. Multiple packets per flow
+// additionally pin the per-worker output commit: a flow's later packets
+// must see its own write-back applied, so each flow allocates exactly one
+// external port (no slow-path churn, no nat_rev bloat).
+func TestEveryWriteBackApplied(t *testing.T) {
 	if testing.Short() {
-		t.Skip("backpressure property over 200 flows; runs in full mode and CI (-race)")
+		t.Skip("write-back property over 200 flows; runs in full mode and CI (-race)")
 	}
 	_, res := compileMB(t, "mazunat")
 	const nFlows = 200
@@ -313,7 +313,6 @@ func TestCtlChannelDrainsEveryBatch(t *testing.T) {
 		Stages: oneStage(res, func(shard int, st *ir.State) {
 			middleboxes.ConfigureShard("mazunat", shard, 4, st)
 		}),
-		CtlQueue: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -328,15 +327,68 @@ func TestCtlChannelDrainsEveryBatch(t *testing.T) {
 	if rep.Stats.CtlBatches == 0 || rep.Stats.CtlOps < 2*nFlows {
 		t.Fatalf("control plane did not run: batches=%d ops=%d", rep.Stats.CtlBatches, rep.Stats.CtlOps)
 	}
-	sw, ok := eng.SwitchStats()
+	sw, ok := eng.SwitchStatsAt(0)
 	if !ok {
 		t.Fatal("no switch stats")
 	}
 	if got := sw.TableEntries["nat_fwd"]; got != nFlows {
-		t.Fatalf("nat_fwd holds %d entries after drain, want %d", got, nFlows)
+		t.Fatalf("nat_fwd holds %d entries after the run, want %d", got, nFlows)
 	}
 	if got := sw.TableEntries["nat_rev"]; got != nFlows {
 		t.Fatalf("nat_rev holds %d entries, want %d — a flow re-allocated a port despite output commit", got, nFlows)
+	}
+}
+
+// TestWriteBackVisibleAtDelivery pins §4.3.3 output commit on the worker:
+// a packet leaves only once the switch serves the write-back it made. The
+// first packet of each new NAT flow takes the slow path and inserts the
+// flow's nat_fwd mapping; inside that packet's delivery callback the key
+// must already be visible on the switch, at one worker and at four.
+func TestWriteBackVisibleAtDelivery(t *testing.T) {
+	_, res := compileMB(t, "mazunat")
+	flows := natFlows(200)
+	fwdKey := func(tup packet.FiveTuple) ir.MapKey {
+		return ir.MakeMapKey(uint64(tup.SrcIP), uint64(tup.SrcPort))
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var eng *Engine
+			var slow, hidden atomic.Int64
+			eng, err := New(Config{
+				Workers: workers,
+				Stages: oneStage(res, func(shard int, st *ir.State) {
+					middleboxes.ConfigureShard("mazunat", shard, workers, st)
+				}),
+				OnDelivery: func(d Delivery) {
+					if !d.Delivered || d.FastPath {
+						return
+					}
+					slow.Add(1)
+					if visible, _ := eng.sws[0].VisibleEntry("nat_fwd", fwdKey(d.Flow)); !visible {
+						hidden.Add(1)
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Run(context.Background(), roundRobin(flows, 3, -1)); err != nil {
+				t.Fatal(err)
+			}
+			if slow.Load() != int64(len(flows)) {
+				t.Fatalf("%d slow-path deliveries for %d new flows, want one each", slow.Load(), len(flows))
+			}
+			if n := hidden.Load(); n != 0 {
+				t.Errorf("%d of %d slow-path packets were delivered before the switch served their nat_fwd write-back", n, len(flows))
+			}
+			// The key encoding is the program's: after the run the switch
+			// serves every flow's mapping under it.
+			for _, tup := range flows {
+				if visible, _ := eng.sws[0].VisibleEntry("nat_fwd", fwdKey(tup)); !visible {
+					t.Fatalf("flow %v: nat_fwd key not served after the run", tup)
+				}
+			}
+		})
 	}
 }
 

@@ -87,7 +87,7 @@ func TestFeedBurstBoundaries(t *testing.T) {
 				var paused atomic.Int32
 				err = eng.Reconfigure(Reconfig{Mutate: func(int, *ir.State) []switchsim.Update {
 					if int(paused.Add(1)) == workers {
-						if sw, _ := eng.SwitchStats(); sw.PrePackets != sent {
+						if sw, _ := eng.SwitchStatsAt(0); sw.PrePackets != sent {
 							t.Errorf("inside the pause after the feed of %d: switch pre-passes %d, sent %d", n, sw.PrePackets, sent)
 						}
 					}
@@ -103,7 +103,7 @@ func TestFeedBurstBoundaries(t *testing.T) {
 				if rep.Stats.Injected != sent {
 					t.Errorf("after the feed of %d: report injected %d, sent %d", n, rep.Stats.Injected, sent)
 				}
-				if sw, _ := eng.SwitchStats(); sw.PrePackets != sent {
+				if sw, _ := eng.SwitchStatsAt(0); sw.PrePackets != sent {
 					t.Errorf("after the feed of %d: switch pre-passes %d, sent %d", n, sw.PrePackets, sent)
 				}
 			}
@@ -127,14 +127,16 @@ func TestFeedBurstBoundaries(t *testing.T) {
 }
 
 // TestPullTakesWhatIsQueued pins the one batching rule: a worker's pull
-// takes everything its mailbox holds, up to Config.Batch when that is
-// positive and up to QueueDepth otherwise. The report's batch size is the
-// measured mean of those pulls.
+// takes everything its mailbox holds, which the mailbox's depth bounds.
+// Forty jobs are queued before the worker starts: the default depth holds
+// them all, a depth of 8 only the first 8. The report's batch size is the
+// measured mean of the pulls.
 func TestPullTakesWhatIsQueued(t *testing.T) {
 	_, res := compileMB(t, "l4lb")
+	// batch is the queue depth (0: the default).
 	for _, tc := range []struct{ batch, want int }{{0, 40}, {8, 8}} {
 		t.Run(fmt.Sprintf("batch=%d", tc.batch), func(t *testing.T) {
-			eng, err := New(Config{Batch: tc.batch, QueueDepth: 64, Stages: oneStage(res, setupLB)})
+			eng, err := New(Config{QueueDepth: tc.batch, Stages: oneStage(res, setupLB)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,9 +149,17 @@ func TestPullTakesWhatIsQueued(t *testing.T) {
 					}
 				}
 			}
-			eng.workers[0].box.push(jobs)
+			// A push beyond the depth fills the ring and parks until the
+			// worker pulls, so the first pull finds the ring full.
+			pushed := make(chan bool)
+			go func() { pushed <- eng.workers[0].box.push(jobs) }()
+			box := eng.workers[0].box
+			eventually(t, "the ring holds the first jobs", func() bool { return box.queued() == min(len(jobs), len(box.ring)) })
 			if err := eng.Start(context.Background()); err != nil {
 				t.Fatal(err)
+			}
+			if !<-pushed {
+				t.Fatal("push refused")
 			}
 			rep, err := eng.Stop()
 			if err != nil {

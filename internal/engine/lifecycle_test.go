@@ -50,7 +50,7 @@ func aggressiveFlowTable(capacity int) *flowstate.Config {
 func serverConns(e *Engine) (int, []ir.MapKey) {
 	n := 0
 	var keys []ir.MapKey
-	for _, st := range e.ShardStates() {
+	for _, st := range e.ShardStatesAt(0) {
 		for k := range st.Maps["conns"] {
 			keys = append(keys, k)
 		}
@@ -137,8 +137,8 @@ func TestFlowExpiryEndToEnd(t *testing.T) {
 //   - a fresh re-establish staged AFTER the expiry delete supersedes
 //     it: expiry cannot clobber the newer entry.
 //
-// The engine guarantees the orderings by construction — expiry deletes
-// and slow-path write-backs share one FIFO control channel.
+// The engine guarantees the orderings by construction — a worker applies
+// its expiry deletes and slow-path write-backs on its own lane, in order.
 func TestExpiryCannotResurrectStaleWindow(t *testing.T) {
 	_, res := compileMB(t, "l4lb")
 	sw := switchsim.New(res)

@@ -88,7 +88,7 @@ func TestLiveLifecycle(t *testing.T) {
 	if eng.Uptime() <= 0 {
 		t.Error("uptime zero while running")
 	}
-	if _, ok := eng.SwitchStats(); !ok {
+	if _, ok := eng.SwitchStatsAt(0); !ok {
 		t.Error("offloaded engine reports no switch stats")
 	}
 	if _, ok := eng.SwitchStatsAt(99); ok {
@@ -115,9 +115,9 @@ func TestLiveLifecycle(t *testing.T) {
 	}
 
 	// After Stop: shard states are observable, live entry points refuse.
-	states := eng.ShardStates()
+	states := eng.ShardStatesAt(0)
 	if len(states) != 2 || states[0] == nil || states[1] == nil {
-		t.Fatalf("ShardStates = %v, want 2 non-nil", states)
+		t.Fatalf("ShardStatesAt(0) = %v, want 2 non-nil", states)
 	}
 	if _, err := eng.LiveReport(); err == nil {
 		t.Error("LiveReport after Stop did not fail")

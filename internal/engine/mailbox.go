@@ -48,17 +48,17 @@ func (m *mailbox) push(jobs []job) bool {
 	return true
 }
 
-// pull blocks while the ring is empty, then appends everything queued, up
-// to max jobs, to dst and returns it. ok is false once the mailbox is
-// closed and drained: a close never loses a job that push accepted.
-func (m *mailbox) pull(dst []job, max int) (batch []job, ok bool) {
+// pull blocks while the ring is empty, then appends everything queued to
+// dst and returns it, leaving the ring empty. ok is false once the mailbox
+// is closed and drained: a close never loses a job that push accepted.
+func (m *mailbox) pull(dst []job) (batch []job, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for m.n == 0 && !m.done {
 		m.notEmpty.Wait()
 	}
-	k := min(m.n, max)
-	if m.n == len(m.ring) && k > 0 {
+	k := m.n
+	if k == len(m.ring) {
 		m.notFull.Broadcast()
 	}
 	a := m.ring[m.head:min(m.head+k, len(m.ring))]

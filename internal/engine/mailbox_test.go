@@ -74,12 +74,12 @@ func TestMailboxFIFOAcrossProducers(t *testing.T) {
 	var batch []job
 	for {
 		var ok bool
-		batch, ok = m.pull(batch[:0], 7)
+		batch, ok = m.pull(batch[:0])
 		if !ok {
 			break
 		}
-		if len(batch) > 7 {
-			t.Fatalf("pull(max 7) returned %d jobs", len(batch))
+		if len(batch) > len(m.ring) {
+			t.Fatalf("pull returned %d jobs from a ring of %d", len(batch), len(m.ring))
 		}
 		for _, j := range batch {
 			if j.seq != next[j.tNs] {
@@ -113,9 +113,9 @@ func TestMailboxOversizedPush(t *testing.T) {
 	var got []job
 	for len(got) < 23 {
 		before := len(got)
-		got, _ = m.pull(got, 5)
-		if n := len(got) - before; n < 1 || n > 5 {
-			t.Fatalf("pull(max 5) returned %d jobs", n)
+		got, _ = m.pull(got)
+		if n := len(got) - before; n < 1 || n > 8 {
+			t.Fatalf("pull from a ring of 8 returned %d jobs", n)
 		}
 	}
 	if !<-pushed {
@@ -128,19 +128,19 @@ func TestMailboxOversizedPush(t *testing.T) {
 	}
 }
 
-// TestMailboxPullBounds: pull never returns more than max, leaves the rest
-// queued, and appends to dst.
+// TestMailboxPullBounds: pull takes everything queued, across the ring's
+// wrap, leaves the ring empty, and appends to dst.
 func TestMailboxPullBounds(t *testing.T) {
 	m := newMailbox(16)
 	m.push(seqJobs(1, 0, 6))
-	batch, ok := m.pull(nil, 4)
-	if len(batch) != 4 || m.queued() != 2 || !ok {
-		t.Fatalf("pull(4) of 6 = %d jobs, %d left, ok %v; want 4, 2, true", len(batch), m.queued(), ok)
+	batch, ok := m.pull(nil)
+	if len(batch) != 6 || m.queued() != 0 || !ok {
+		t.Fatalf("pull of 6 = %d jobs, %d left, ok %v; want 6, 0, true", len(batch), m.queued(), ok)
 	}
-	m.push(seqJobs(1, 6, 13)) // wraps: 15 queued from head 4
-	batch, ok = m.pull(batch, 100)
+	m.push(seqJobs(1, 6, 13)) // wraps: 13 queued from head 6
+	batch, ok = m.pull(batch)
 	if len(batch) != 19 || m.queued() != 0 || !ok {
-		t.Fatalf("pull(100) of 15 onto 4 = %d jobs, %d left, ok %v; want 19, 0, true", len(batch), m.queued(), ok)
+		t.Fatalf("pull of 13 onto 6 = %d jobs, %d left, ok %v; want 19, 0, true", len(batch), m.queued(), ok)
 	}
 	for i, j := range batch {
 		if j.seq != int64(i) {
@@ -163,14 +163,11 @@ func TestMailboxCloseDrains(t *testing.T) {
 	if m.push(seqJobs(0, 5, 1)) {
 		t.Error("push accepted after close")
 	}
-	batch, ok := m.pull(nil, 3)
-	if len(batch) != 3 || !ok {
-		t.Fatalf("first pull after close = %d jobs, ok %v; want 3, true", len(batch), ok)
+	batch, ok := m.pull(nil)
+	if len(batch) != 5 || !ok {
+		t.Fatalf("first pull after close = %d jobs, ok %v; want 5, true", len(batch), ok)
 	}
-	if batch, ok = m.pull(batch[:0], 3); len(batch) != 2 || !ok {
-		t.Fatalf("second pull after close = %d jobs, ok %v; want 2, true", len(batch), ok)
-	}
-	if batch, ok = m.pull(batch[:0], 3); len(batch) != 0 || ok {
+	if batch, ok = m.pull(batch[:0]); len(batch) != 0 || ok {
 		t.Fatalf("pull of a closed, drained mailbox = %d jobs, ok %v; want 0, false", len(batch), ok)
 	}
 }
@@ -184,7 +181,7 @@ func TestMailboxCloseReleasesBlocked(t *testing.T) {
 	pulled := make(chan bool)
 	go func() { pushed <- full.push(seqJobs(0, 0, 6)) }()
 	go func() {
-		_, ok := empty.pull(nil, 4)
+		_, ok := empty.pull(nil)
 		pulled <- ok
 	}()
 	eventually(t, "the ring is full", func() bool { return full.queued() == 4 })
@@ -204,7 +201,7 @@ func TestMailboxCloseReleasesBlocked(t *testing.T) {
 		t.Error("the released consumer reported a batch")
 	}
 	// What the ring accepted before the close is still delivered.
-	if batch, ok := full.pull(nil, 8); len(batch) != 4 || !ok {
+	if batch, ok := full.pull(nil); len(batch) != 4 || !ok {
 		t.Errorf("closed ring drained %d jobs, ok %v; want 4, true", len(batch), ok)
 	}
 }

@@ -77,21 +77,22 @@ func (l *moreLog) quiescent(t *testing.T, after string, sent int) {
 // TestDeliveryMore pins Delivery.More: a callback that sets it is followed
 // by another callback on the same worker with no control job in between;
 // the last callback before every control job, and before the worker parks
-// on an empty mailbox, clears it. Capped and default batches, 1/2/8
+// on an empty mailbox, clears it. Small and default batches, 1/2/8
 // workers, packets through Feed and Dispatch, a firewall that drops every
 // other flow, a Reconfigure running beside the traffic, and a closed loop
 // that sends k packets and then only waits for their k outputs.
 func TestDeliveryMore(t *testing.T) {
 	_, res := compileMB(t, "firewall")
 	flows := lbFlows(48)
+	// batch bounds every pull through the mailbox's depth (0: the default).
 	for _, batch := range []int{1, 4, 32, 0} {
 		for _, workers := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("batch=%d/workers=%d", batch, workers), func(t *testing.T) {
 				checkLeaks(t)
 				log := newMoreLog(workers)
 				eng, err := New(Config{
-					Workers: workers,
-					Batch:   batch,
+					Workers:    workers,
+					QueueDepth: batch,
 					Stages: oneStage(res, func(_ int, st *ir.State) {
 						middleboxes.ConfigureState("firewall", st)
 						for i := 0; i < len(flows); i += 2 {

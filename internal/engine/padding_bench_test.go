@@ -7,9 +7,9 @@ import (
 )
 
 // False-sharing audit benchmarks. The engine pads every per-worker
-// mutable block — worker hot state, ctl lane counters, switchsim lane
-// stats — with 64-byte guards so adjacent shards never share a cache
-// line. These benchmarks measure the exact effect being bought: eight
+// mutable block — worker hot state, switchsim lane stats — with 64-byte
+// guards so adjacent shards never share a cache line. These benchmarks
+// measure the exact effect being bought: eight
 // counter slots bumped by concurrent goroutines, in the packed layout
 // (adjacent slots share lines, one Int64 apart) versus the engine's
 // padded layout (one slot per line).
@@ -31,7 +31,7 @@ type packedSlot struct {
 	n atomic.Int64
 }
 
-// paddedSlot is the engine's layout (worker, ctl, laneStats): guards on
+// paddedSlot is the engine's layout (worker, laneStats): guards on
 // both sides give each slot a line of its own.
 type paddedSlot struct {
 	_ [64]byte

@@ -27,11 +27,11 @@ type Delivery struct {
 	Pkt *packet.Packet
 	// More is the xmit_more hint: the next job of the batch this worker is
 	// running is a packet, so another callback follows on this goroutine
-	// before it can block (a mailbox pull, a control job, a commit barrier,
-	// a sweep), and a callback that batches its output may hold it. It is
-	// false before every control job — a settle, Drain, Stats or Reconfigure
-	// barrier still means "everything queued before me has left" — and at
-	// the end of each pulled batch. Only an abort breaks the promise.
+	// before it can block (a mailbox pull, a control job), and a callback
+	// that batches its output may hold it. It is false before every control
+	// job — a settle, Drain, Stats or Reconfigure barrier still means
+	// "everything queued before me has left" — and at the end of each
+	// pulled batch. Only an abort breaks the promise.
 	More bool
 
 	// Delivery is the fate itself: delivered, dropped by the middlebox or
@@ -111,6 +111,9 @@ func (e *Engine) buildReport(per []netsim.Stats, wall time.Duration) *Report {
 		agg.BytesIn += s.BytesIn
 		agg.BytesOut += s.BytesOut
 		agg.ServerCycles += s.ServerCycles
+		agg.CtlBatches += s.CtlBatches
+		agg.CtlOps += s.CtlOps
+		agg.CtlRejected += s.CtlRejected
 		if s.FirstDeliverNs != 0 && (agg.FirstDeliverNs == 0 || s.FirstDeliverNs < agg.FirstDeliverNs) {
 			agg.FirstDeliverNs = s.FirstDeliverNs
 		}
@@ -123,14 +126,6 @@ func (e *Engine) buildReport(per []netsim.Stats, wall time.Duration) *Report {
 			mean = float64(w.pulled.Load()) / float64(n)
 		}
 		r.BatchSizes = append(r.BatchSizes, mean)
-	}
-	agg.CtlBatches = int(e.rcBatches.Load())
-	agg.CtlOps = int(e.rcOps.Load())
-	agg.CtlRejected = int(e.rcRejected.Load())
-	for _, cs := range e.ctls {
-		agg.CtlBatches += int(cs.batches.Load())
-		agg.CtlOps += int(cs.ops.Load())
-		agg.CtlRejected += int(cs.rejected.Load())
 	}
 	r.Reconfigs = int(e.reconfigs.Load())
 	r.Latency = obs.MergeHistograms(parts...).Snapshot()

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -10,7 +9,6 @@ import (
 	"gallium/internal/netsim"
 	"gallium/internal/obs"
 	"gallium/internal/packet"
-	"gallium/internal/serverrt"
 	"gallium/internal/switchsim"
 )
 
@@ -35,10 +33,10 @@ type workerCounters struct {
 // worker owns one shard of the middlebox server: a walker over its own
 // serverrt state per pipeline stage (authoritative for the flows hashed to
 // it) with one simulated core — worker == core. Everything here is
-// goroutine-local except the shared switches (lock-free data plane) and
-// the control-plane channel. The worker is its walker's Committer: a
-// packet's write-back batch goes to this shard's drainer and is recorded
-// as pending for the packet's flow.
+// goroutine-local except the shared switches (lock-free data plane, one
+// control lane per worker). The worker is its walker's Committer: a
+// packet's write-back batch is staged on this worker's own switch lane and
+// flipped before the packet is delivered (§4.3.3 output commit).
 type worker struct {
 	id  int
 	eng *Engine
@@ -55,14 +53,11 @@ type worker struct {
 	_ [64]byte
 
 	walk netsim.Walker
-	// flow is the dispatch tuple of the packet in flight (Commit's key).
-	flow packet.FiveTuple
 
-	// batch and pending are reused across batches so the steady state
-	// allocates neither; next indexes the batch's first job not yet run.
-	batch   []job
-	next    int
-	pending []pendingApply
+	// batch is reused across pulls so the steady state does not allocate;
+	// next indexes the batch's first job not yet run.
+	batch []job
+	next  int
 
 	hLat *obs.Histogram
 	c    workerCounters
@@ -134,33 +129,30 @@ func (w *worker) setClock(j *job) {
 }
 
 // maybeSweep runs an incremental sweep once SweepEvery packets have passed
-// since the last one. It runs at the batch boundary, BEFORE the batch's
-// waitAll barrier, so the deletions it ships are applied and visible
-// before any packet of the next batch runs — and not at the insert that
-// fills the table, which would put a delete's control-plane round trip
-// inside that packet's latency.
-func (w *worker) maybeSweep(ctx context.Context, npkts int) {
+// since the last one. The worker checks it after each packet has been
+// delivered, so the cadence does not depend on how much a pull took, the
+// deletions are visible before the next packet runs, and none of them sits
+// inside the latency of the packet whose insert filled the table.
+func (w *worker) maybeSweep() {
 	cfg := w.eng.flowCfg.Load()
 	if cfg == nil {
 		return
 	}
-	w.sweepDue += npkts
+	w.sweepDue++
 	if w.sweepDue < cfg.SweepEvery {
 		return
 	}
 	w.sweepDue = 0
-	w.sweep(ctx, false)
+	w.sweep(false)
 }
 
 // sweep expires (and, over capacity, evicts) this worker's tracked flow
 // entries as of its latest packet time. Removals of switch-resident
-// entries ship through the ordinary control channel as expiry-marked
-// deletions, so they ride the §4.3.3 stage/flip/merge discipline: a
-// later re-insert of the same key is enqueued behind the deletion on the
-// FIFO channel (or supersedes it within the same staged window, last
-// writer wins), so an expiry can never resurrect a stale entry over a
-// fresher one.
-func (w *worker) sweep(ctx context.Context, full bool) {
+// entries are applied like a write-back, as expiry-marked deletions on
+// this worker's own lane: the lane applies batches in order, so a later
+// re-insert of the same key lands after the deletion, and an expiry can
+// never resurrect a stale entry over a fresher one.
+func (w *worker) sweep(full bool) {
 	for si := range w.life {
 		tr := w.life[si].Load()
 		if tr == nil {
@@ -181,9 +173,8 @@ func (w *worker) sweep(ctx context.Context, full bool) {
 		if len(ups) == 0 {
 			continue
 		}
-		// The zero flow tuple never matches a real packet's, so only the
-		// batch-boundary barrier (not per-flow waits) blocks on this.
-		if err := w.sendCtlPending(ctx, packet.FiveTuple{}, ctlBatch{updates: ups, stage: si}); err != nil {
+		if _, _, err := w.apply(si, ups, false); err != nil {
+			w.eng.fail(err)
 			return
 		}
 	}
@@ -197,57 +188,41 @@ func (w *worker) stageState(stage int) *ir.State {
 	return w.walk.Stages[stage].State()
 }
 
-// pendingApply is one in-flight write-back batch: the flow it belongs to
-// and the drainer's apply signal.
-type pendingApply struct {
-	flow    packet.FiveTuple
-	applied chan struct{}
-}
-
 // loop consumes the worker's mailbox in batches, the way a DPDK
 // run-to-completion core takes whatever burst is waiting: each blocking
-// pull takes everything queued, up to Config.Batch. Jobs still run
-// strictly in arrival order — batching changes when the worker waits for
-// control-plane applies (per flow inside the batch, everything at the
-// batch boundary), not the processing order, so any batch size is legal.
+// pull takes everything queued. Jobs run strictly in arrival order, and
+// each packet's write-back is visible before the next job starts, so every
+// packet sees a serial order whatever a pull took.
 // After a cancellation or failure the mailbox is closed under it: the
 // worker runs what was accepted — control jobs in full, so barriers and
 // reconfigurations can't deadlock an abort; packets skipped — and leaves.
 func (w *worker) loop() {
-	ctx := w.eng.runCtx
 	for {
 		clear(w.batch) // a finished batch must not pin its packets while the worker waits
-		batch, ok := w.box.pull(w.batch[:0], w.eng.cfg.Batch)
+		batch, ok := w.box.pull(w.batch[:0])
 		if !ok {
 			break
 		}
 		w.pulls.Add(1)
 		w.pulled.Add(int64(len(batch)))
 		w.batch, w.next = batch, 0
-		npkts := 0
 		for w.next < len(batch) {
-			npkts += w.runBatch()
+			w.runBatch()
 		}
 		w.walk.Flush()
-		if w.lifeOn && npkts > 0 {
-			w.maybeSweep(ctx, npkts)
-		}
-		w.waitAll(ctx)
 	}
-	// Final full sweep before the engine joins: the control channel is
-	// still open (Stop closes it only after every worker exits).
+	// Final full sweep before the engine joins.
 	if w.lifeOn {
-		w.sweep(ctx, true)
+		w.sweep(true)
 	}
-	w.waitAll(ctx)
 }
 
-// runBatch runs the batch from w.next on and returns how many packets it
-// processed. A panic in a job (a delivery callback, a plan op, a Mutate)
-// is contained here: it fails the run, which closes the mailboxes so a
-// dispatcher blocked on a full one returns the error, and loop calls again
-// for the rest of the batch so no barrier behind the panic waits forever.
-func (w *worker) runBatch() (npkts int) {
+// runBatch runs the batch from w.next on. A panic in a job (a delivery
+// callback, a plan op, a control-plane apply, a Mutate) is contained here:
+// it fails the run, which closes the mailboxes so a dispatcher blocked on
+// a full one returns the error, and loop calls again for the rest of the
+// batch so no barrier behind the panic waits forever.
+func (w *worker) runBatch() {
 	defer func() {
 		if r := recover(); r != nil {
 			w.eng.fail(fmt.Errorf("engine: worker %d panicked at seq %d: %v", w.id, w.batch[w.next-1].seq, r))
@@ -267,114 +242,47 @@ func (w *worker) runBatch() (npkts int) {
 		if w.eng.aborted.Load() {
 			continue
 		}
-		npkts++
-		// A packet must not overtake its own flow's pending write-back:
-		// otherwise a burst's second packet could re-take the slow path
-		// with stale lookups and re-execute a non-idempotent miss branch
-		// (e.g. re-allocating a NAT port).
-		if w.waitFlow(w.eng.runCtx, j.flow) != nil {
-			continue
-		}
 		if err := w.process(j); err != nil {
 			w.eng.fail(err)
 		}
-	}
-	return npkts
-}
-
-// waitFlow blocks until every pending apply of the given flow has landed,
-// and opportunistically retires any other applies that already completed.
-func (w *worker) waitFlow(ctx context.Context, flow packet.FiveTuple) error {
-	if len(w.pending) == 0 {
-		return nil
-	}
-	var err error
-	kept := w.pending[:0]
-	for _, p := range w.pending {
-		select {
-		case <-p.applied:
-			continue
-		default:
-		}
-		if p.flow == flow && err == nil {
-			select {
-			case <-p.applied:
-				continue
-			case <-ctx.Done():
-				err = ctx.Err()
-			}
-		}
-		kept = append(kept, p)
-	}
-	w.pending = kept
-	return err
-}
-
-// waitAll is the batch-boundary barrier: the worker does not pull the next
-// batch until every in-flight write-back of this one has been applied.
-func (w *worker) waitAll(ctx context.Context) {
-	for _, p := range w.pending {
-		select {
-		case <-p.applied:
-		case <-ctx.Done():
+		if w.lifeOn {
+			w.maybeSweep()
 		}
 	}
-	w.pending = w.pending[:0]
 }
 
-// sendCtl hands a write-back batch to this shard's own control-plane
-// drainer, blocking on the bounded lane (backpressure) unless the run is
-// being canceled. Each worker sends only to its own lane, so another
-// shard's slow-path burst can neither delay nor reorder this shard's
-// commits.
-func (w *worker) sendCtl(ctx context.Context, b ctlBatch) error {
-	select {
-	case w.eng.ctls[w.id].ch <- b:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+// apply stages a batch on this worker's own lane of the stage's switch and
+// flips it visible before returning (netsim.ApplyBatch), accounting it in
+// the walker's stats as the Testbed does. It runs on the worker's
+// goroutine, except for Reconfigure's batch, applied while every worker is
+// parked in the pause.
+func (w *worker) apply(stage int, updates []switchsim.Update, punt bool) (staged, syncs int, err error) {
+	staged, rejected, syncs, err := netsim.ApplyBatch(w.eng.sws[stage], w.id, updates, punt)
+	s := &w.walk.Stats
+	if staged > 0 {
+		s.CtlBatches++
 	}
+	s.CtlOps += staged
+	s.CtlRejected += rejected
+	return staged, syncs, err
 }
 
-// sendCtlPending hands a batch to the drainer and records it as pending
-// for the packet's flow. This is §4.3.3 output commit narrowed to the
-// flow: because a flow's packets all land on one worker, waitFlow before
-// the flow's next packet (and waitAll at the batch boundary) guarantees a
-// flow never observes the switch missing its own earlier write-back —
-// while packets of OTHER flows keep flowing instead of stalling behind
-// this commit.
-func (w *worker) sendCtlPending(ctx context.Context, flow packet.FiveTuple, b ctlBatch) error {
-	b.applied = make(chan struct{})
-	if err := w.sendCtl(ctx, b); err != nil {
-		return err
-	}
-	w.pending = append(w.pending, pendingApply{flow: flow, applied: b.applied})
-	return nil
-}
-
-// Due implements netsim.Committer. The drainer applies batches as they
-// arrive, so there is nothing to make visible by virtual time.
+// Due implements netsim.Committer: every batch flipped when it was
+// committed, so there is nothing to make visible by virtual time.
 func (w *worker) Due(int64) {}
 
-// Commit implements netsim.Committer: hand the batch to this shard's
-// control-plane drainer and record it as pending, so this flow's next
-// packet waits for the apply; the walker accounts the output-commit stall
-// in virtual time. §7 batches are classified against the switch now for
-// the stall estimate (only synchronous updates hold the packet) and again
-// by the drainer at apply time; pure cache fills stay fire-and-forget (a
-// stale fill just re-punts, which is benign).
+// Commit implements netsim.Committer the way the Deployment does: the
+// batch is flipped on this worker's lane before Commit returns, so the
+// packet is delivered, and the worker takes its next job, only once the
+// switch serves its write-back (§4.3.3 output commit). The walker accounts
+// the stall in virtual time; §7 read-through fills ride the flip without
+// holding the packet.
 func (w *worker) Commit(stage int, updates []switchsim.Update, punt bool, _ int64) (int, error) {
-	ctx := w.eng.runCtx
-	b := ctlBatch{updates: updates, stage: stage, punt: punt}
-	n := len(updates)
-	if punt {
-		fills, syncs := serverrt.ClassifyUpdates(w.eng.sws[stage], updates)
-		if len(syncs) == 0 {
-			return 0, w.sendCtl(ctx, b)
-		}
-		n = len(fills) + len(syncs)
+	staged, syncs, err := w.apply(stage, updates, punt)
+	if err != nil || staged == 0 || syncs == 0 {
+		return 0, err
 	}
-	return n, w.sendCtlPending(ctx, w.flow, b)
+	return staged, nil
 }
 
 // process runs one packet to completion through the walker and reports
@@ -385,7 +293,6 @@ func (w *worker) process(j *job) error {
 	if w.lifeOn {
 		w.setClock(j)
 	}
-	w.flow = j.flow
 	slowBefore := w.walk.Stats.SlowPath
 	d, err := w.walk.Walk(j.tNs, j.pkt, nil)
 	if err != nil {

@@ -6,13 +6,12 @@
 //
 // The package is deliberately runtime-agnostic: a Tracker hooks one
 // ir.State, keeps the records and sweeps them when asked. The engine
-// decides *when* to sweep (at the batch boundary every SweepEvery
-// packets, and at settle barriers) and *how* removals of switch-resident
-// entries propagate — they ride the §4.3.3 staged-write-back/
-// visibility-flip path like any other control-plane update, so an expiry
-// can never resurrect a stale window: a later re-insert of the same key
-// is enqueued behind the delete on the FIFO control channel and wins via
-// the last-writer-wins merge discipline.
+// decides *when* to sweep (after every SweepEvery-th packet, and at settle
+// barriers) and *how* removals of switch-resident entries propagate —
+// they ride the §4.3.3 staged-write-back/visibility-flip path like any
+// other control-plane update, so an expiry can never resurrect a stale
+// window: a later re-insert of the same key is staged after the delete on
+// the worker's own lane and wins via the last-writer-wins discipline.
 package flowstate
 
 import (
@@ -157,8 +156,8 @@ type Config struct {
 	// EvictPolicy selects capacity enforcement (default EvictLRU).
 	EvictPolicy EvictPolicy
 	// SweepEvery is the number of packets a worker processes between
-	// incremental sweeps, which run at its next batch boundary. Zero
-	// selects DefaultSweepEvery.
+	// incremental sweeps, each run right after the packet that is due.
+	// Zero selects DefaultSweepEvery.
 	SweepEvery int
 	// SweepLimit caps how many entries one incremental sweep removes,
 	// bounding the write-back batch it ships; what is left over is the

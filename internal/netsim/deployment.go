@@ -18,9 +18,9 @@ var instantModel = CostModel{CoreHz: 1, LineRateBps: math.Inf(1)}
 // Deployment wires a simulated switch and middlebox server into the
 // paper's Figure 1 topology and moves packets through pre → server → post
 // with real on-the-wire Gallium headers and no timing model. It is its
-// walker's Committer with zero propagation delay: stage, flip, merge
-// before the packet is released — the output-commit semantics the Testbed
-// and the engine layer control-plane latency on.
+// walker's Committer with zero propagation delay: stage and flip before
+// the packet is released — the output-commit semantics the engine's
+// workers share and the Testbed layers control-plane latency on.
 type Deployment struct {
 	Switch *switchsim.Switch
 	Server *serverrt.Server
@@ -63,23 +63,16 @@ type Trace struct {
 // Due implements Committer: every batch flipped when it was committed.
 func (d *Deployment) Due(int64) {}
 
-// Commit implements Committer: stage and flip at once. §7 cache
-// fills apply without stalling the packet; updates the switch might
+// Commit implements Committer: stage and flip at once (ApplyBatch). §7
+// cache fills apply without stalling the packet; updates the switch might
 // already serve are synchronized under output commit before release.
 func (d *Deployment) Commit(_ int, updates []switchsim.Update, punt bool, _ int64) (int, error) {
-	syncs := updates
-	if punt {
-		var fills []switchsim.Update
-		fills, syncs = serverrt.ClassifyUpdates(d.Switch, updates)
-		updates = append(fills, syncs...)
-	}
-	staged, _, err := stageBatch(d.Switch, updates)
+	staged, _, syncs, err := ApplyBatch(d.Switch, 0, updates, punt)
 	if err != nil || staged == 0 {
 		return 0, err
 	}
-	d.Switch.FlipShard(0)
 	if punt {
-		return len(syncs), nil
+		return syncs, nil
 	}
 	return staged, nil
 }

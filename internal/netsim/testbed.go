@@ -213,21 +213,44 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	return tb, nil
 }
 
-// stageBatch stages updates on the switch (as shard 0's batch), invisible
-// until the next flip. A full table is a soft failure:
-// that entry simply never reaches the switch.
-func stageBatch(sw *switchsim.Switch, updates []switchsim.Update) (staged, rejected int, err error) {
+// stageBatch stages updates on shard's lane of the switch, invisible until
+// the lane's next flip. punt marks a §7 cache-mode batch, classified first
+// into read-through fills and synchronous updates; syncs counts the
+// updates output commit must hold the packet for (every update of any
+// other batch). A full table is a soft failure: that entry simply never
+// reaches the switch.
+func stageBatch(sw *switchsim.Switch, shard int, updates []switchsim.Update, punt bool) (staged, rejected, syncs int, err error) {
+	syncs = len(updates)
+	if punt {
+		fills, s := serverrt.ClassifyUpdates(sw, updates)
+		updates, syncs = append(fills, s...), len(s)
+	}
 	for _, u := range updates {
-		if err := sw.StageShard(0, u); err != nil {
+		if err := sw.StageShard(shard, u); err != nil {
 			if errors.Is(err, switchsim.ErrTableFull) {
 				rejected++
 				continue
 			}
-			return staged, rejected, err
+			return staged, rejected, syncs, err
 		}
 		staged++
 	}
-	return staged, rejected, nil
+	return staged, rejected, syncs, nil
+}
+
+// ApplyBatch is output commit with no propagation delay: it stages a
+// write-back batch on shard's lane of the switch (see stageBatch) and flips
+// it visible before returning, so whoever holds the packet that recorded
+// it can release the packet, and run the next one, with the switch already
+// serving the batch. The Deployment, each engine worker and the engine's
+// Reconfigure apply their batches through it; the Testbed stages the same
+// way but flips at a scheduled virtual time. On an error nothing flips.
+func ApplyBatch(sw *switchsim.Switch, shard int, updates []switchsim.Update, punt bool) (staged, rejected, syncs int, err error) {
+	staged, rejected, syncs, err = stageBatch(sw, shard, updates, punt)
+	if err == nil {
+		sw.FlipShard(shard)
+	}
+	return staged, rejected, syncs, err
 }
 
 // reconfigure applies one control-plane change to a sequential switch and
@@ -246,10 +269,9 @@ func reconfigure(sw *switchsim.Switch, st *ir.State, mutate func(st *ir.State) [
 	if sw == nil {
 		return 0, nil
 	}
-	if _, rejected, err = stageBatch(sw, all); err != nil {
+	if _, rejected, _, err = ApplyBatch(sw, 0, all, false); err != nil {
 		return rejected, err
 	}
-	sw.FlipShard(0)
 	sw.MarkReconfig()
 	return rejected, nil
 }
@@ -300,20 +322,14 @@ func (tb *Testbed) Due(nowNs int64) {
 // batch latency after the server finished. §7 cache fills ride the same
 // flip but only synchronous updates hold the packet.
 func (tb *Testbed) Commit(_ int, updates []switchsim.Update, punt bool, doneNs int64) (int, error) {
-	sw := tb.walk.Stages[0].Switch
-	stall := true
-	if punt {
-		fills, syncs := serverrt.ClassifyUpdates(sw, updates)
-		updates, stall = append(fills, syncs...), len(syncs) > 0
-	}
-	staged, rejected, err := stageBatch(sw, updates)
+	staged, rejected, syncs, err := stageBatch(tb.walk.Stages[0].Switch, 0, updates, punt)
 	tb.reject(rejected)
 	if err != nil || staged == 0 {
 		return 0, err
 	}
 	tb.walk.Stats.CtlOps += staged
 	tb.flips = append(tb.flips, doneNs+int64(tb.walk.Model.CtlBatchNs(staged)))
-	if !stall {
+	if syncs == 0 {
 		return 0, nil
 	}
 	return staged, nil

@@ -13,9 +13,9 @@ import (
 // Committer is the one thing the runtimes that drive a Walker differ in:
 // who carries a slow-path packet's replicated-state updates to the switch,
 // and when they become visible (§4.3.3). The sequential Testbed stages at
-// once and flips at a scheduled virtual time, the engine worker hands the
-// batch to its control-plane drainer, the bare Deployment flips
-// immediately.
+// once and flips at a scheduled virtual time; the bare Deployment and each
+// engine worker flip immediately (ApplyBatch), a worker on its own switch
+// lane.
 type Committer interface {
 	// Due makes every control batch due by virtual time tNs visible to the
 	// data plane. The walker calls it before each switch pass; it is the

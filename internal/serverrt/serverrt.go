@@ -311,8 +311,8 @@ func (s *Server) exec(plan *ir.Plan, records int, pkt *packet.Packet, xfer []uin
 }
 
 // takeUpdates hands ownership of the recorded updates to the caller (they
-// may outlive this packet: the engine ships them to an asynchronous
-// control-plane drainer, so the slice cannot be reused). The common
+// may outlive this packet: the Testbed stages them for a flip scheduled
+// later in virtual time, so the slice cannot be reused). The common
 // steady-state case records nothing and returns nil without allocating.
 func (s *Server) takeUpdates() []switchsim.Update {
 	u := s.rec.updates
@@ -393,8 +393,8 @@ func (s *Software) Process(pkt *packet.Packet) (Result, error) {
 // authoritative server) and synchronous updates (everything else: deletes,
 // overwrites of visible entries, register writes, non-cached tables),
 // which output commit must wait for. Classification reads switch state
-// through VisibleEntry (lock-free, like a packet's lookup), so the engine's
-// control-plane drainer can call it while workers keep processing packets.
+// through VisibleEntry (lock-free, like a packet's lookup), so an engine
+// worker can call it while the other workers keep processing packets.
 func ClassifyUpdates(sw *switchsim.Switch, updates []switchsim.Update) (fills, syncs []switchsim.Update) {
 	for _, u := range updates {
 		if u.Table != "" && !u.Delete {

@@ -21,9 +21,9 @@ func TestConcurrentDataPlaneAndControlPlane(t *testing.T) {
 	}
 
 	const (
-		workers    = 8
-		perWorker  = 300
-		ctlBatches = 100
+		workers   = 8
+		perWorker = 300
+		flips     = 100
 	)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers+1)
@@ -47,7 +47,7 @@ func TestConcurrentDataPlaneAndControlPlane(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < ctlBatches; i++ {
+		for i := 0; i < flips; i++ {
 			u := Update{Table: "conn", Key: ir.MakeMapKey(uint64(i)), Vals: []uint64{uint64(i % 4)}}
 			if err := sw.StageShard(0, u); err != nil {
 				errs <- err
@@ -70,14 +70,14 @@ func TestConcurrentDataPlaneAndControlPlane(t *testing.T) {
 	if s.PrePackets != workers*perWorker {
 		t.Errorf("PrePackets = %d, want %d", s.PrePackets, workers*perWorker)
 	}
-	if s.CtlFlips != ctlBatches {
-		t.Errorf("CtlFlips = %d, want %d", s.CtlFlips, ctlBatches)
+	if s.CtlFlips != flips {
+		t.Errorf("CtlFlips = %d, want %d", s.CtlFlips, flips)
 	}
-	if got := s.TableEntries["conn"]; got != ctlBatches {
-		t.Errorf("conn entries = %d, want %d", got, ctlBatches)
+	if got := s.TableEntries["conn"]; got != flips {
+		t.Errorf("conn entries = %d, want %d", got, flips)
 	}
 	// Every staged key must be visible after its flip.
-	for i := 0; i < ctlBatches; i++ {
+	for i := 0; i < flips; i++ {
 		if visible, _ := sw.VisibleEntry("conn", ir.MakeMapKey(uint64(i))); !visible {
 			t.Fatalf("entry %d lost", i)
 		}

@@ -11,11 +11,12 @@ import (
 
 // The control plane (§4.3.3): stage, then flip.
 //
-// The engine runs one control-plane drainer per worker shard, and each
-// shard owns a pending batch: StageShard validates an update and appends
-// it, touching nothing a packet can see; FlipShard applies the shard's
-// batch to the tables in place and publishes the successor view, which is
-// the one atomic operation that makes the batch visible — to every shard.
+// Each engine worker owns one shard of the control plane, and each shard
+// owns a pending batch: StageShard validates an update and appends it,
+// touching nothing a packet can see; FlipShard applies the shard's batch
+// to the tables in place and publishes the successor view, which is the
+// one atomic operation that makes the batch visible — to every shard. A
+// worker stages and flips its own write-backs on its own goroutine.
 // Sequential drivers (Testbed, Deployment, SeedFrom) and the engine's
 // quiescent Reconfigure are shard 0 of the same protocol.
 //
@@ -24,7 +25,7 @@ import (
 // shard stay under its capacity, but the check and the count are two
 // steps, so shards staging at the same instant can overshoot by at most
 // (shards-1) entries. ErrTableFull is a soft failure everywhere, so the
-// slack trades a lock every drainer would serialize on for a bounded
+// slack trades a lock every worker would serialize on for a bounded
 // overshoot.
 
 // ctlLane is what is genuinely per shard: the pending batch and the
@@ -54,8 +55,8 @@ type laneStats struct {
 
 // ConfigureShards sizes the switch for n shards (n <= 1 keeps the single
 // default one). It must be called before any concurrent traffic — the
-// engine calls it at construction; lanes cannot be resized while drainers
-// run.
+// engine calls it at construction; lanes cannot be resized while workers
+// stage on them.
 func (sw *Switch) ConfigureShards(n int) {
 	if n < 1 {
 		n = 1
@@ -248,8 +249,8 @@ func (sw *Switch) FlipShard(shard int) {
 
 // The six names below are the two write-back protocols this package used
 // to have. They remain only because bench/ — a separate module this tree
-// may not edit — replays the drainer's old sequence by name; nothing else
-// in the tree calls them, and they go with the next benchmark PR.
+// may not edit — replays the old write-back sequence by name; nothing
+// else in the tree calls them, and they go with the next benchmark PR.
 
 // LaneEligible reports whether an update is a plain table insert or
 // delete, which the old protocol staged on a shard and everything else

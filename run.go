@@ -129,25 +129,10 @@ func WithDeliveries(fn func(Delivery)) Option {
 	return func(c *runConfig) { c.OnDelivery = fn }
 }
 
-// WithBatch caps how many queued packets a worker pulls per batch. Each
-// pull takes everything waiting in the worker's queue, up to n; without
-// this option (or with n == 0) the cap is the queue depth. Larger batches
-// amortize the §4.3.3 output-commit wait across more packets; per-flow
-// processing order is preserved at any batch size. n must not be
-// negative.
-func WithBatch(n int) Option {
-	return func(c *runConfig) {
-		if n < 0 {
-			c.fail(fmt.Errorf("gallium: WithBatch(%d): batch must be a non-negative packet count", n))
-			return
-		}
-		c.Batch = n
-	}
-}
-
 // WithQueueDepth bounds each worker's ingress queue to n packets
 // (default 256). The unit is packets per worker: a full queue exerts
-// backpressure on the dispatcher rather than dropping. n must be
+// backpressure on the dispatcher rather than dropping, and a worker's
+// pull takes everything queued, so n also bounds its batch. n must be
 // positive; a non-positive n is an error, not a silent default.
 func WithQueueDepth(n int) Option {
 	return func(c *runConfig) {
@@ -159,27 +144,12 @@ func WithQueueDepth(n int) Option {
 	}
 }
 
-// WithCtlQueue bounds the control-plane slow-path channel to n write-back
-// batches (default 256). The unit is batches (one batch per slow-path
-// packet that recorded updates, plus one per reconfiguration): a full
-// channel backpressures the workers that feed it. n must be positive; a
-// non-positive n is an error, not a silent default.
-func WithCtlQueue(n int) Option {
-	return func(c *runConfig) {
-		if n <= 0 {
-			c.fail(fmt.Errorf("gallium: WithCtlQueue(%d): depth must be a positive batch count", n))
-			return
-		}
-		c.CtlQueue = n
-	}
-}
-
 // Run streams a workload through the concurrent sharded packet engine
 // built from these artifacts: an RSS-style dispatcher fans packets out to
 // per-flow worker shards, the switch pipeline runs as a shared stage, and
-// the §4.3.3 write-back slow path drains through a bounded control-plane
-// channel. Run blocks until the workload is exhausted and every in-flight
-// packet and state update has settled; cancel ctx to abort early.
+// each worker makes its §4.3.3 write-backs visible on the switch before
+// it delivers the packet. Run blocks until the workload is exhausted and
+// every in-flight packet has settled; cancel ctx to abort early.
 //
 // Run is the one-shot convenience over the Session lifecycle: it opens a
 // session, feeds the workload, and closes. Long-lived traffic with hot

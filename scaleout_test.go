@@ -40,12 +40,12 @@ func (c reorderedWL) Generate(emit func(int64, *packet.Packet) error) error {
 }
 
 // TestScaleOutReconfigureUnderTraffic is the per-shard control-plane
-// property test: 8 workers — so 8 independent control-lane drainers —
-// stream load-balancer traffic while the control plane concurrently
-// applies LB pool changes and flow-table retunes. The invariants the
-// sharded drainers must preserve: zero packet loss, exact per-flow
-// delivery order, and every reconfiguration applied as one visibility
-// flip. Run under -race in CI.
+// property test: 8 workers — each flipping its write-backs on its own
+// control lane — stream load-balancer traffic while the control plane
+// concurrently applies LB pool changes and flow-table retunes. The
+// invariants the sharded lanes must preserve: zero packet loss, exact
+// per-flow delivery order, and every reconfiguration applied as one
+// visibility flip. Run under -race in CI.
 func TestScaleOutReconfigureUnderTraffic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sustained concurrent session; runs in full mode and CI (-race)")

@@ -36,9 +36,9 @@ type TableReplace = ctlplane.TableReplace
 
 // Pipeline is a chain of compiled middleboxes sharing one engine pass:
 // every packet traverses the stages in order (firewall → NAT → LB),
-// each stage with its own switch tables and per-shard server state, all
-// drained by a single control plane. Build one with Chain, run it with
-// Open or Run.
+// each stage with its own switch tables and per-shard server state, every
+// worker committing its write-backs to each stage's switch. Build one with
+// Chain, run it with Open or Run.
 type Pipeline struct {
 	stages []*Artifacts
 }
@@ -283,8 +283,8 @@ func (s *Session) Drain() error {
 	return err
 }
 
-// Close stops the session — joins the workers and the control-plane
-// drainer — and returns the final report. Any WithState hooks observe
+// Close stops the session — joins the workers — and returns the final
+// report. Any WithState hooks observe
 // each shard's final state here, and WithMergedState hooks then receive
 // the certificate-policy merge of those states. Idempotent: later calls
 // return the first result.
@@ -304,7 +304,7 @@ func (s *Session) Close() (*Report, error) {
 		return nil, err
 	}
 	if len(s.settleFns) > 0 || len(s.mergedFns) > 0 {
-		states := s.eng.ShardStates()
+		states := s.eng.ShardStatesAt(0)
 		for shard, st := range states {
 			for _, fn := range s.settleFns {
 				fn(shard, st)

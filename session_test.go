@@ -238,7 +238,6 @@ func TestReconfigDifferentialOracle(t *testing.T) {
 	got := make([]bool, len(tr.Packets))
 	s, err := gallium.Open(art,
 		gallium.WithWorkers(1),
-		gallium.WithBatch(1),
 		gallium.WithState(func(shard int, st *ir.State) { seed(st) }),
 		gallium.WithDeliveries(func(d gallium.Delivery) {
 			mu.Lock()
@@ -446,7 +445,7 @@ func TestChainGolden(t *testing.T) {
 	compareGolden(t, "testdata/golden/chain_firewall_mazunat_l4lb.txt", strings.Join(lines, "\n")+"\n")
 }
 
-// TestOptionValidation: non-positive queue bounds and negative batch caps
+// TestOptionValidation: non-positive queue bounds and malformed flow tables
 // are errors, not silent defaults.
 func TestOptionValidation(t *testing.T) {
 	art, err := gallium.CompileBuiltin("firewall", gallium.Options{})
@@ -460,9 +459,6 @@ func TestOptionValidation(t *testing.T) {
 	}{
 		{"queue-depth-zero", gallium.WithQueueDepth(0), "WithQueueDepth(0)"},
 		{"queue-depth-negative", gallium.WithQueueDepth(-4), "WithQueueDepth(-4)"},
-		{"ctl-queue-zero", gallium.WithCtlQueue(0), "WithCtlQueue(0)"},
-		{"ctl-queue-negative", gallium.WithCtlQueue(-1), "WithCtlQueue(-1)"},
-		{"batch-negative", gallium.WithBatch(-1), "WithBatch(-1)"},
 		{"flow-table-capacity", gallium.WithFlowTable(gallium.FlowTable{}), "WithFlowTable"},
 		{"flow-table-negative-timeout",
 			gallium.WithFlowTable(gallium.FlowTable{Capacity: 64, UDPTimeout: -time.Second}),

@@ -255,13 +255,15 @@ func vtTestbed(t *testing.T, art *gallium.Artifacts, tr *vtTrace, mode gallium.M
 	return d.sum(tb.Stats())
 }
 
-// vtEngine runs the trace through the engine at one worker, batch 1 —
-// the configuration whose virtual time is deterministic.
+// vtEngine runs the trace through the engine at one worker — the
+// configuration whose virtual time is deterministic. The worker flips each
+// write-back before its next packet, so the golden's "batch1" label holds
+// at any pull size.
 func vtEngine(t *testing.T, tr *vtTrace, run func(opts ...gallium.Option) (*gallium.Report, error), seed gallium.Option) string {
 	t.Helper()
 	var d vtDigest
 	rep, err := run(seed,
-		gallium.WithWorkers(1), gallium.WithBatch(1), gallium.WithCostModel(vtModel()),
+		gallium.WithWorkers(1), gallium.WithCostModel(vtModel()),
 		gallium.WithDeliveries(func(del gallium.Delivery) {
 			d.add(del.Seq, del.Delivered, del.MBDropped, del.QueueDropped, del.FastPath, del.DeliverNs)
 		}))
