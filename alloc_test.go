@@ -12,6 +12,7 @@ import (
 	"gallium"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
+	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/serverrt"
 	"gallium/internal/switchsim"
@@ -27,6 +28,14 @@ const allocBudget = 0
 // (built once, shared between the state and the update) and the update
 // list (sized once from the plan's count of recording statements).
 const slowPathAllocBudget = 3
+
+// deploymentNewFlowBudget is the budget for one new mazunat flow through
+// the whole slow path of netsim.Deployment.Process: pre-pass, the hop to
+// the server, the server, output commit (stage + flip), the hop back,
+// post-pass. It is the server's slowPathAllocBudget plus the two table
+// nodes its inserts stage, the successor view and the flip's undo slab;
+// the hops decode in place and the pending batch is reused.
+const deploymentNewFlowBudget = slowPathAllocBudget + 4
 
 // resetPacket restores dst to the pristine packet while keeping dst's
 // gallium buffer capacity, so the measured loop replays the same flow
@@ -184,5 +193,48 @@ func TestSlowPathAllocs(t *testing.T) {
 	}
 	if allocs > slowPathAllocBudget {
 		t.Fatalf("a new flow's Server.Process allocates %.1f objects, budget is %d", allocs, slowPathAllocBudget)
+	}
+}
+
+// TestDeploymentNewFlowAllocs gates a new flow's whole slow path, end to
+// end through the Deployment: every run sends the first packet of a flow
+// the NAT has not seen, which must come back from the switch post-pass.
+func TestDeploymentNewFlowAllocs(t *testing.T) {
+	art, err := gallium.Compile(middleboxes.MazuNATSource, gallium.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := netsim.NewDeployment(art.Res)
+	if err := d.Configure(func(st *ir.State) { middleboxes.ConfigureState("mazunat", st) }); err != nil {
+		t.Fatal(err)
+	}
+	pristine := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(9, 9, 9, 9), 1234, 80,
+		packet.TCPOptions{Flags: packet.TCPFlagSYN})
+	buf := &packet.Packet{}
+	var failed error
+	flow := uint32(0)
+	newFlow := func() {
+		if failed != nil {
+			return
+		}
+		resetPacket(buf, pristine)
+		flow++
+		buf.IP.SrcIP = packet.IPv4Addr(10<<24 | flow)
+		tr, err := d.Process(buf)
+		if err != nil || tr.FastPath || tr.Action != ir.ActionSent || tr.SyncOps == 0 {
+			failed = fmt.Errorf("new flow: %+v, %v (want a slow-path delivery held for its write-back)", tr, err)
+		}
+	}
+	// Pre-size the state's maps and the switch tables so their growth is
+	// not charged to a packet.
+	for i := 0; i < 2000; i++ {
+		newFlow()
+	}
+	allocs := testing.AllocsPerRun(200, newFlow)
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if allocs > deploymentNewFlowBudget {
+		t.Fatalf("a new flow's slow path allocates %.1f objects, budget is %d", allocs, deploymentNewFlowBudget)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"weak"
 
 	"gallium/internal/ir"
+	"gallium/internal/middleboxes"
 	"gallium/internal/packet"
 	"gallium/internal/switchsim"
 )
@@ -177,48 +178,71 @@ func TestPullTakesWhatIsQueued(t *testing.T) {
 
 // TestEngineReleasesPackets: once Feed has returned, the engine holds no
 // pointer to a packet it was fed — not in the batch a worker ran last, not
-// in the dispatcher's burst array — so the caller's buffers are garbage as
-// soon as the caller drops them. The packets share one backing array, so
-// one pointer kept anywhere keeps the whole array.
+// in the dispatcher's burst array, not in a server's reused execution
+// environment — so the caller's buffers are garbage as soon as the caller
+// drops them. The packets share one backing array, so one pointer kept
+// anywhere keeps the whole array. The slow path runs the server on the
+// fed packet itself (the walker's hops decode in place), as does the
+// software baseline on every packet.
 func TestEngineReleasesPackets(t *testing.T) {
-	_, res := compileMB(t, "l4lb")
-	flows := lbFlows(16)
-	eng, err := New(Config{
-		Workers:    2,
-		Stages:     oneStage(res, setupLB),
-		OnDelivery: func(Delivery) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Stop()
-	// 100 packets: full bursts and a tail on both workers.
-	feed := func() weak.Pointer[packet.Packet] {
-		pkts := make([]packet.Packet, 100)
-		for i := range pkts {
-			tup := flows[i%len(flows)]
-			pkts[i] = *packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{Flags: packet.TCPFlagACK})
-		}
-		err := eng.Feed(scripted{gen: func(emit func(int64, *packet.Packet) error) error {
-			for i := range pkts {
-				if err := emit(int64(i)*1000, &pkts[i]); err != nil {
-					return err
-				}
+	prog, lb := compileMB(t, "l4lb")
+	_, nat := compileMB(t, "mazunat")
+	setupNAT := func(shard int, st *ir.State) { middleboxes.ConfigureShard("mazunat", shard, 2, st) }
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		flows   []packet.FiveTuple
+		flags   uint8
+		allSlow bool // every packet must take the slow path
+	}{
+		{"offloaded fast path", Config{Stages: oneStage(lb, setupLB)}, lbFlows(16), packet.TCPFlagACK, false},
+		{"offloaded slow path", Config{Stages: oneStage(nat, setupNAT)}, natFlows(100), packet.TCPFlagSYN, true},
+		{"software", Config{Mode: 2, Stages: []StageConfig{{Prog: prog, Setup: setupLB}}}, lbFlows(16), packet.TCPFlagACK, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Workers, cfg.OnDelivery = 2, func(Delivery) {}
+			eng, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return weak.Make(&pkts[0])
-	}
-	arr := feed()
-	runtime.GC()
-	if arr.Value() != nil {
-		t.Fatal("the fed packets are still reachable after Feed returned and the caller dropped them")
+			if err := eng.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Stop()
+			// 100 packets: full bursts and a tail on both workers.
+			feed := func() weak.Pointer[packet.Packet] {
+				pkts := make([]packet.Packet, 100)
+				for i := range pkts {
+					tup := tc.flows[i%len(tc.flows)]
+					pkts[i] = *packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{Flags: tc.flags})
+				}
+				err := eng.Feed(scripted{gen: func(emit func(int64, *packet.Packet) error) error {
+					for i := range pkts {
+						if err := emit(int64(i)*1000, &pkts[i]); err != nil {
+							return err
+						}
+					}
+					return nil
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return weak.Make(&pkts[0])
+			}
+			arr := feed()
+			runtime.GC()
+			if arr.Value() != nil {
+				t.Fatal("the fed packets are still reachable after Feed returned and the caller dropped them")
+			}
+			rep, err := eng.LiveReport()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.allSlow && rep.Stats.SlowPath != rep.Stats.Injected {
+				t.Errorf("%d of %d packets took the slow path, want all", rep.Stats.SlowPath, rep.Stats.Injected)
+			}
+		})
 	}
 }
 

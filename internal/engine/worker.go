@@ -148,10 +148,11 @@ func (w *worker) maybeSweep() {
 
 // sweep expires (and, over capacity, evicts) this worker's tracked flow
 // entries as of its latest packet time. Removals of switch-resident
-// entries are applied like a write-back, as expiry-marked deletions on
-// this worker's own lane: the lane applies batches in order, so a later
-// re-insert of the same key lands after the deletion, and an expiry can
-// never resurrect a stale entry over a fresher one.
+// entries are applied like a write-back, as expiry-marked deletions staged
+// on this worker's own lane and flipped as one batch: the lane applies
+// batches in order, so a later re-insert of the same key lands after the
+// deletion, and an expiry can never resurrect a stale entry over a
+// fresher one.
 func (w *worker) sweep(full bool) {
 	for si := range w.life {
 		tr := w.life[si].Load()
@@ -162,20 +163,21 @@ func (w *worker) sweep(full bool) {
 		if len(removals) == 0 || si >= len(w.eng.sws) {
 			continue
 		}
-		off := w.eng.lifeOff[si]
-		var ups []switchsim.Update
+		sw, off, staged := w.eng.sws[si], w.eng.lifeOff[si], 0
 		for _, r := range removals {
 			if !off[r.Table] {
 				continue
 			}
-			ups = append(ups, switchsim.Update{Table: r.Table, Key: r.Key, Delete: true, Expire: true})
+			if err := sw.StageShard(w.id, switchsim.Update{Table: r.Table, Key: r.Key, Delete: true, Expire: true}); err != nil {
+				w.eng.fail(err)
+				return
+			}
+			staged++
 		}
-		if len(ups) == 0 {
-			continue
-		}
-		if _, _, err := w.apply(si, ups, false); err != nil {
-			w.eng.fail(err)
-			return
+		if staged > 0 {
+			sw.FlipShard(w.id)
+			w.walk.Stats.CtlBatches++
+			w.walk.Stats.CtlOps += staged
 		}
 	}
 }

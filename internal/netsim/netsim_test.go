@@ -527,8 +527,8 @@ func TestRSSShardSymmetricAndBounded(t *testing.T) {
 }
 
 // TestSlowPathPacketPinsNoFrame: a packet that took the slow path leaves
-// Inject as the packet decoded from its last hop's frame (the walker's
-// *pkt = *back). It may hold its own Payload and GalData and nothing else:
+// Inject decoded in place from its last hop's frame, which the walker
+// reuses. It may hold its own Payload and GalData and nothing else:
 // any other byte slice reachable from it would be that frame, kept alive
 // for as long as the caller keeps the packet.
 func TestSlowPathPacketPinsNoFrame(t *testing.T) {

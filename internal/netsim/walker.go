@@ -95,6 +95,8 @@ type Walker struct {
 	coreFreeNs []int64
 	// jitter drives the deterministic endpoint-stack latency noise.
 	jitter uint64
+	// frame holds the wire bytes of the slow path's switch-server hops.
+	frame packet.SerializeBuffer
 
 	// Observability handles (nil-safe; see Instrument).
 	hWait *obs.Histogram // server ingress queue wait
@@ -301,8 +303,8 @@ func (w *Walker) Stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 	trip.TookSlow = true // the baseline counts only packets its server took
 
 	// The frame crosses the switch-server link carrying gallium_a (nothing
-	// on a punt); serialize and reparse to exercise the real wire format.
-	rx, site := pkt, "server"
+	// on a punt), so the server sees the packet the wire format carries.
+	site := "server"
 	var res serverrt.Result
 	var err error
 	switch {
@@ -310,12 +312,12 @@ func (w *Walker) Stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 		res, err = st.Software.Process(pkt)
 	case punt:
 		site = "server-full"
-		if rx, err = packet.DecodePacket(pkt.Serialize(), nil); err == nil {
-			res, err = st.Server.ProcessFull(rx)
+		if err = w.hop(pkt, nil); err == nil {
+			res, err = st.Server.ProcessFull(pkt)
 		}
 	default:
-		if rx, err = packet.DecodePacket(pkt.Serialize(), st.Server.Res.FormatA); err == nil {
-			res, err = st.Server.Process(rx)
+		if err = w.hop(pkt, st.Server.Res.FormatA); err == nil {
+			res, err = st.Server.Process(pkt)
 		}
 	}
 	if err != nil {
@@ -369,27 +371,20 @@ func (w *Walker) Stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 	if software || punt || res.Action == ir.ActionSent {
 		// The server owned the terminator: back out through the switch as
 		// plain forwarding.
-		*t = float64(release) + m.SerializationNs(rx.WireLen()) + m.LinkPropNs + m.SwitchPipelineNs
-		if rx != pkt {
-			rx.Ingress = pkt.Ingress // the ingress tag rides outside the wire format
-			*pkt = *rx
-		}
+		*t = float64(release) + m.SerializationNs(pkt.WireLen()) + m.LinkPropNs + m.SwitchPipelineNs
 		return trip, nil
 	}
 
 	// Back to the switch, carrying gallium_b, for post-processing.
-	tBack := float64(release) + m.SerializationNs(rx.WireLen()) + m.LinkPropNs
-	back, err := packet.DecodePacket(rx.Serialize(), st.Server.Res.FormatB)
-	if err != nil {
+	tBack := float64(release) + m.SerializationNs(pkt.WireLen()) + m.LinkPropNs
+	if err := w.hop(pkt, st.Server.Res.FormatB); err != nil {
 		return trip, fmt.Errorf("netsim: stage %d switch rx from server: %w", si, err)
 	}
-	post, err := w.pass(st, true, back, int64(tBack), tr)
+	post, err := w.pass(st, true, pkt, int64(tBack), tr)
 	if err != nil {
 		return trip, err
 	}
 	tBack += m.SwitchPipelineNs
-	back.Ingress = pkt.Ingress
-	*pkt = *back
 	if post.Action == ir.ActionDropped {
 		tr.Hop("drop", int64(tBack)).SetNote("middlebox drop on switch post-pass")
 		trip.Verdict = MBDrop
@@ -397,4 +392,15 @@ func (w *Walker) Stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 	}
 	*t = tBack
 	return trip, nil
+}
+
+// hop carries pkt over the switch-server link: it serializes the packet
+// into the walker's frame buffer and decodes the frame back into pkt, with
+// f the Gallium header layout the link carries (nil for none). The ingress
+// tag rides outside the wire format, so it survives the hop.
+func (w *Walker) hop(pkt *packet.Packet, f *packet.HeaderFormat) error {
+	ingress := pkt.Ingress
+	err := pkt.Decode(pkt.SerializeTo(&w.frame), f)
+	pkt.Ingress = ingress
+	return err
 }

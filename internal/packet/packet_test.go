@@ -589,9 +589,9 @@ func TestPacketSize(t *testing.T) {
 
 // TestDecodeKeepsNoReferenceToInput: a decoded packet owns what it holds,
 // so the frame it came from is garbage once the caller drops it — whether
-// the packet was fresh, recycled, or copied out of another (the walker's
-// *pkt = *back). A reference would pin a transport's receive slot, or let
-// its next read rewrite the packet.
+// the packet was fresh, recycled, or copied out of another. A reference
+// would pin a transport's receive slot or the walker's hop frame, or let
+// their next use rewrite the packet.
 func TestDecodeKeepsNoReferenceToInput(t *testing.T) {
 	hf, err := NewHeaderFormat([]HeaderField{{Name: "a", Bits: 32}, {Name: "b", Bits: 16}})
 	if err != nil {

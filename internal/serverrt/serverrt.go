@@ -302,12 +302,15 @@ func (s *Server) scratchXfer() []uint64 {
 
 // exec runs plan over pkt in the reusable environment, whose register file
 // (Env.Regs) is retained across packets; records is the plan's static count
-// of recording statements.
+// of recording statements. The environment lets go of pkt on return: it is
+// the caller's packet, which the server must not keep reachable.
 func (s *Server) exec(plan *ir.Plan, records int, pkt *packet.Packet, xfer []uint64) (ir.Result, error) {
 	s.rec.room = records
 	s.env.Pkt = pkt
 	s.env.Xfer = xfer
-	return plan.Exec(&s.rec, &s.env)
+	r, err := plan.Exec(&s.rec, &s.env)
+	s.env.Pkt = nil
+	return r, err
 }
 
 // takeUpdates hands ownership of the recorded updates to the caller (they
@@ -374,11 +377,13 @@ func (s *Software) SetClock(nowNs int64, class uint8) {
 	s.State.Class = class
 }
 
-// Process runs the whole input program over one packet.
+// Process runs the whole input program over one packet, which the reused
+// environment does not keep reachable once Process returns.
 func (s *Software) Process(pkt *packet.Packet) (Result, error) {
 	s.env.State = s.State
 	s.env.Pkt = pkt
 	r, err := s.Prog.Exec(&s.env)
+	s.env.Pkt = nil
 	if err != nil {
 		return Result{}, err
 	}

@@ -34,14 +34,28 @@ import (
 type ctlLane struct {
 	_  [64]byte
 	mu sync.Mutex
-	// pending holds the staged, invisible updates in staging order; Vals,
-	// VecVals and Entries are private copies.
-	pending []Update
+	// pending holds the staged, invisible updates in staging order. The
+	// array is reused from flip to flip unless a flip leaves it longer
+	// than pendingKeep.
+	pending []pendingOp
 	// stats are this lane's activity counters; Stats() sums them across
 	// lanes so the per-packet hot path never contends on shared atomics.
 	stats laneStats
 	_     [64]byte
 }
+
+// pendingOp is one staged update. A plain insert or delete is already the
+// node the flip writes into t; a register, vector or replace update is a
+// private copy in u.
+type pendingOp struct {
+	t *Table
+	n *node
+	u *Update
+}
+
+// pendingKeep bounds the pending array a lane keeps across flips, so a seed
+// or reconfiguration batch is not retained for the lane's lifetime.
+const pendingKeep = 1024
 
 // laneStats are one shard's data-plane and staging counters, padded so
 // adjacent lanes' counter blocks never false-share.
@@ -80,8 +94,10 @@ func (sw *Switch) statsFor(shard int) *laneStats {
 }
 
 // StageShard validates one update of any kind and appends it to shard's
-// pending batch, invisible until FlipShard. It takes only the shard's own
-// mutex — concurrent shards stage without serializing on each other. An
+// pending batch, invisible until FlipShard; a plain insert or delete is
+// packed into its table node here, so the caller's value tuple may change
+// once StageShard returns. It takes only the shard's own mutex —
+// concurrent shards stage without serializing on each other. An
 // out-of-range shard is an error, so nothing can be pending where
 // FlipShard would not find it. A key or value tuple whose arity disagrees
 // with the table's declaration is an error here, so the flip and the data
@@ -130,17 +146,23 @@ func (sw *Switch) StageShard(shard int, u Update) error {
 			ln.stats.expired.Add(1)
 			v.obs.expired.Inc()
 		}
+		ln.pending = append(ln.pending, pendingOp{t: t, n: t.newNode(u.Key.K[:t.nk], nil, true)})
+		return nil
 	default:
 		if err := t.checkEntry(&u.Key, u.Vals); err != nil {
 			return err
 		}
-		if t.capacity > 0 && !t.cached && t.live.Load()+t.staged.Load() >= int64(t.capacity) && !ln.overwrites(v, t, &u) {
+		if t.capacity > 0 && !t.cached && t.live.Load()+t.staged.Load() >= int64(t.capacity) && !ln.overwrites(v, t, &u.Key) {
 			return fmt.Errorf("%w: %q (%d entries)", ErrTableFull, u.Table, t.capacity)
 		}
 		t.staged.Add(1)
-		u.Vals = slices.Clone(u.Vals)
+		ln.pending = append(ln.pending, pendingOp{t: t, n: t.newNode(u.Key.K[:t.nk], u.Vals, false)})
+		return nil
 	}
-	ln.pending = append(ln.pending, u)
+	// A register, vector or replace update keeps a private copy, declared
+	// here so only these kinds move an Update to the heap.
+	c := u
+	ln.pending = append(ln.pending, pendingOp{u: &c})
 	return nil
 }
 
@@ -160,16 +182,16 @@ func (t *Table) checkEntry(key *ir.MapKey, vals []uint64) error {
 	return t.checkKey(key)
 }
 
-// overwrites reports whether u's key is already visible or already has an
-// insert pending on this lane, so admitting u cannot grow the table — and
-// refusing it would leave the switch serving a stale value. Callers hold
-// ln.mu.
-func (ln *ctlLane) overwrites(v *view, t *Table, u *Update) bool {
-	if _, ok := t.lookup(v, &u.Key); ok {
+// overwrites reports whether key is already visible in t or already has an
+// insert pending on this lane, so admitting an insert of it cannot grow the
+// table — and refusing it would leave the switch serving a stale value.
+// key has t's arity. Callers hold ln.mu.
+func (ln *ctlLane) overwrites(v *view, t *Table, key *ir.MapKey) bool {
+	if _, ok := t.lookup(v, key); ok {
 		return true
 	}
-	for i := range ln.pending {
-		if p := &ln.pending[i]; p.Table == u.Table && p.Key == u.Key && !p.Delete && !p.Replace {
+	for _, op := range ln.pending {
+		if op.t == t && !op.n.dead() && sameKey(t.key(op.n), key.K[:t.nk]) {
 			return true
 		}
 	}
@@ -180,8 +202,9 @@ func (ln *ctlLane) overwrites(v *view, t *Table, u *Update) bool {
 // §4.3.3 visibility flip. Under the control-plane mutex it applies the
 // batch to the tables in place, in staging order (last writer wins), each
 // write stamped with the next epoch and preceded by an undo record on the
-// current view; then §7 cache tables evict down to capacity, as deletions
-// of the same batch; then the successor view is published. A pass that
+// current view (from one slab sized to the batch); then §7 cache tables
+// evict down to capacity, as deletions of the same batch; then the
+// successor view is published. A pass that
 // pinned the current view sees none of the batch, however far the flip has
 // got; a pass that pins the successor sees all of it. The cost is O(batch).
 // A shard with nothing pending — any out-of-range index included, since
@@ -204,11 +227,16 @@ func (sw *Switch) FlipShard(shard int) {
 	ln.stats.ctlOps.Add(1)
 	cur.obs.ctlFlips.Inc()
 	cur.obs.ctlOps.Inc()
+	undo := make(undoSlab, len(ln.pending))
 	ownRegs, ownVecs := false, false // nv's maps are still cur's until written
-	for i := range ln.pending {
-		u := &ln.pending[i]
-		// StageShard checked that the one name u carries is resident.
-		switch {
+	for _, op := range ln.pending {
+		// StageShard checked that the one name a copied u carries is resident.
+		switch u := op.u; {
+		case op.n != nil:
+			if !op.n.dead() {
+				op.t.staged.Add(-1)
+			}
+			op.t.write(cur, op.n, &undo)
 		case u.Register != "":
 			if !ownRegs {
 				nv.registers, ownRegs = slices.Clone(cur.registers), true
@@ -220,25 +248,21 @@ func (sw *Switch) FlipShard(shard int) {
 			}
 			nv.vecs[sw.globals[u.Vec]] = u.VecVals
 		default:
-			t := sw.tables[sw.globals[u.Table]]
-			switch {
-			case u.Replace:
-				t.replace(cur, u.Entries)
-			case u.Delete:
-				t.write(cur, t.newNode(u.Key.K[:t.nk], nil, true))
-			default:
-				t.staged.Add(-1)
-				t.write(cur, t.newNode(u.Key.K[:t.nk], u.Vals, false))
-			}
+			sw.tables[sw.globals[u.Table]].replace(cur, u.Entries, &undo)
 		}
 	}
-	ln.pending = nil
+	if len(ln.pending) > pendingKeep {
+		ln.pending = nil
+	} else {
+		clear(ln.pending) // the reused array must pin no flipped node
+		ln.pending = ln.pending[:0]
+	}
 	if sw.hasCacheTables {
 		for _, t := range sw.tables {
 			if t == nil {
 				continue
 			}
-			if n := t.evict(cur); n > 0 {
+			if n := t.evict(cur, &undo); n > 0 {
 				sw.evictions.Add(int64(n))
 				cur.obs.evict.Add(uint64(n))
 			}

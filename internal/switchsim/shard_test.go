@@ -1,6 +1,8 @@
 package switchsim
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -212,6 +214,83 @@ func TestStageShardRejections(t *testing.T) {
 	if st := sw.Stats(); st.CtlFlips != 1 {
 		t.Errorf("CtlFlips = %d after one real flip, want 1", st.CtlFlips)
 	}
+}
+
+// TestPendingBatchReuse pins the lane's reused pending array: a flip
+// leaves it empty and clear, so no later flip replays an entry of an
+// earlier batch — a staging error mid-batch included — and a flip larger
+// than pendingKeep lets it go. The packed form of a pending insert still
+// counts as the key's insert when a full table checks for an overwrite.
+func TestPendingBatchReuse(t *testing.T) {
+	t.Run("no replay", func(t *testing.T) {
+		sw := New(compileMB(t, "minilb"))
+		tbl, _ := sw.Table("conn")
+		ln := sw.lanes[0]
+		k1, k2 := ir.MakeMapKey(1), ir.MakeMapKey(2)
+		install(t, sw, Update{Table: "conn", Key: k1, Vals: []uint64{1}})
+		array := &ln.pending[:1][0]
+		if err := sw.StageShard(0, Update{Table: "conn", Key: k1, Delete: true}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.StageShard(0, Update{Table: "conn", Key: k2, Vals: []uint64{1, 2}}); err == nil {
+			t.Fatal("a value tuple of the wrong arity was staged")
+		}
+		sw.FlipShard(0)
+		install(t, sw, Update{Table: "conn", Key: k2, Vals: []uint64{2}})
+		if &ln.pending[:1][0] != array {
+			t.Error("the pending array was not reused across flips")
+		}
+		if slices.ContainsFunc(ln.pending[:cap(ln.pending)], func(op pendingOp) bool { return op != pendingOp{} }) {
+			t.Error("a flipped batch left its entries in the reused pending array")
+		}
+		if _, visible := tbl.Lookup(k1); visible {
+			t.Error("a later flip replayed the first batch's insert over the second batch's delete")
+		}
+		if v, visible := tbl.Lookup(k2); !visible || v[0] != 2 || tbl.Len() != 1 {
+			t.Errorf("k2 = %v %v with %d entries, want 2 and one entry", v, visible, tbl.Len())
+		}
+	})
+	t.Run("large flip releases the array", func(t *testing.T) {
+		sw := New(compileMB(t, "minilb"))
+		for _, n := range []int{pendingKeep, pendingKeep + 1} {
+			for k := 0; k < n; k++ {
+				if err := sw.StageShard(0, Update{Table: "conn", Key: ir.MakeMapKey(uint64(k)), Vals: []uint64{1}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sw.FlipShard(0)
+			if kept := sw.lanes[0].pending != nil; kept != (n <= pendingKeep) {
+				t.Errorf("a flip of %d kept its pending array: %v, want %v", n, kept, n <= pendingKeep)
+			}
+		}
+	})
+	t.Run("full table admits a pending key's insert", func(t *testing.T) {
+		sw := New(compileSrc(t, `
+middlebox tinytbl {
+    map<u16 -> u32> t(max = 2);
+    proc process(pkt p) {
+        let r = t.find(p.tcp.dport);
+        if (r.ok) { send(p); } else { drop(p); }
+    }
+}
+`))
+		for k := uint64(0); k < 2; k++ {
+			if err := sw.StageShard(0, Update{Table: "t", Key: ir.MakeMapKey(k), Vals: []uint64{1}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.StageShard(0, Update{Table: "t", Key: ir.MakeMapKey(1), Vals: []uint64{2}}); err != nil {
+			t.Fatalf("an insert of a key already pending was refused: %v", err)
+		}
+		if err := sw.StageShard(0, Update{Table: "t", Key: ir.MakeMapKey(2), Vals: []uint64{1}}); !errors.Is(err, ErrTableFull) {
+			t.Fatalf("a third key was staged into a table of two: %v", err)
+		}
+		sw.FlipShard(0)
+		tbl, _ := sw.Table("t")
+		if v, visible := tbl.Lookup(ir.MakeMapKey(1)); !visible || v[0] != 2 || tbl.Len() != 2 {
+			t.Errorf("key 1 = %v %v with %d entries, want 2 and two entries", v, visible, tbl.Len())
+		}
+	})
 }
 
 // TestLaneFoldNeverHidesFlippedKey is the flip-versus-lookup race stress:

@@ -84,6 +84,20 @@ type undoRec struct {
 	next   *undoRec
 }
 
+// undoSlab hands one flip its undo records from a single allocation sized
+// to the batch. The writes a batch cannot count ahead — a Replace's
+// deletions, §7 evictions — allocate theirs once it runs out.
+type undoSlab []undoRec
+
+func (s *undoSlab) take() *undoRec {
+	if len(*s) == 0 {
+		return new(undoRec)
+	}
+	r := &(*s)[0]
+	*s = (*s)[1:]
+	return r
+}
+
 func newTable(sw *Switch, g *ir.Global, capacity int, cached bool) *Table {
 	t := &Table{sw: sw, name: g.Name, capacity: capacity, cached: cached,
 		nk: len(g.KeyTypes), nv: len(g.ValTypes)}
@@ -179,9 +193,10 @@ func (t *Table) before(v *view, key []uint64) *node {
 
 // write installs n — an entry or a deletion — in place as part of the flip
 // that supersedes cur: it stamps n with that flip's epoch and first records
-// on cur what a pass pinned at or before cur must still see. It reports
-// whether a live entry was removed. Callers hold sw.mu.
-func (t *Table) write(cur *view, n *node) (removed bool) {
+// on cur, in a record from undo, what a pass pinned at or before cur must
+// still see. It reports whether a live entry was removed. Callers hold
+// sw.mu.
+func (t *Table) write(cur *view, n *node, undo *undoSlab) (removed bool) {
 	epoch := cur.epoch + 1
 	n.stamp |= epoch << 1
 	s := *t.slots.Load()
@@ -197,7 +212,9 @@ func (t *Table) write(cur *view, n *node) (removed bool) {
 	// One record per key and flip: a node this flip wrote already has one,
 	// and rebuild keeps such nodes, dead ones included.
 	if old == nil || old.epoch() != epoch {
-		cur.undo.Store(&undoRec{t: t, n: n, old: old, next: cur.undo.Load()})
+		r := undo.take()
+		*r = undoRec{t: t, n: n, old: old, next: cur.undo.Load()}
+		cur.undo.Store(r)
 	}
 	if old == nil {
 		t.used++
@@ -222,7 +239,7 @@ func (t *Table) write(cur *view, n *node) (removed bool) {
 // replace makes entries the table's whole content as part of the flip that
 // supersedes cur: deletions of the keys entries lacks, then writes of the
 // rest.
-func (t *Table) replace(cur *view, entries map[ir.MapKey][]uint64) {
+func (t *Table) replace(cur *view, entries map[ir.MapKey][]uint64, undo *undoSlab) {
 	s := *t.slots.Load()
 	var k ir.MapKey
 	k.N = uint8(t.nk)
@@ -230,23 +247,23 @@ func (t *Table) replace(cur *view, entries map[ir.MapKey][]uint64) {
 		if n := s[i].Load(); n != nil && !n.dead() {
 			copy(k.K[:], t.key(n))
 			if _, keep := entries[k]; !keep {
-				t.write(cur, t.newNode(t.key(n), nil, true))
+				t.write(cur, t.newNode(t.key(n), nil, true), undo)
 			}
 		}
 	}
 	for k, vals := range entries {
-		t.write(cur, t.newNode(k.K[:t.nk], vals, false))
+		t.write(cur, t.newNode(k.K[:t.nk], vals, false), undo)
 	}
 }
 
 // evict brings a §7 cache table back within its capacity as part of the
 // flip that supersedes cur, deleting from the FIFO head, and reports how
 // many entries went. A key deleted since it was queued is skipped.
-func (t *Table) evict(cur *view) (evicted int) {
+func (t *Table) evict(cur *view, undo *undoSlab) (evicted int) {
 	for t.cached && t.Len() > t.capacity && len(t.fifo) > 0 {
 		victim := t.fifo[0]
 		t.fifo = t.fifo[1:]
-		if t.write(cur, t.newNode(t.key(victim), nil, true)) {
+		if t.write(cur, t.newNode(t.key(victim), nil, true), undo) {
 			evicted++
 		}
 	}

@@ -266,13 +266,15 @@ func TestCacheNeverExceedsCapacityAtAnyFlip(t *testing.T) {
 }
 
 // TestWritebackAllocationIsConstant pins O(1): with 32,768 entries
-// resident, one stage + flip allocates under 1 KiB — the entry, its undo
-// record, the view — however large the table is.
+// resident, one insert's stage + flip allocates under 1 KiB in at most
+// three objects — the entry's node, the successor view, the flip's undo
+// slab — however large the table is.
 func TestWritebackAllocationIsConstant(t *testing.T) {
 	sw := New(compileMB(t, "minilb"))
 	const resident, updates = 32768, 1000
+	vals := []uint64{1}
 	for k := 0; k < resident; k++ {
-		if err := sw.StageShard(0, Update{Table: "conn", Key: ir.MakeMapKey(uint64(k)), Vals: []uint64{1}}); err != nil {
+		if err := sw.StageShard(0, Update{Table: "conn", Key: ir.MakeMapKey(uint64(k)), Vals: vals}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,7 +282,7 @@ func TestWritebackAllocationIsConstant(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for k := resident; k < resident+updates; k++ {
-		if err := sw.StageShard(0, Update{Table: "conn", Key: ir.MakeMapKey(uint64(k)), Vals: []uint64{1}}); err != nil {
+		if err := sw.StageShard(0, Update{Table: "conn", Key: ir.MakeMapKey(uint64(k)), Vals: vals}); err != nil {
 			t.Fatal(err)
 		}
 		sw.FlipShard(0)
@@ -288,6 +290,9 @@ func TestWritebackAllocationIsConstant(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / updates; per >= 1024 {
 		t.Fatalf("one stage + flip at %d resident entries allocates %d bytes, want under 1 KiB", resident, per)
+	}
+	if per := (after.Mallocs - before.Mallocs) / updates; per > 3 {
+		t.Fatalf("one stage + flip at %d resident entries makes %d allocations, want at most 3 (node, view, undo slab)", resident, per)
 	}
 	if tbl, _ := sw.Table("conn"); tbl.Len() != resident+updates {
 		t.Fatalf("table holds %d entries, want %d", tbl.Len(), resident+updates)

@@ -219,7 +219,7 @@ func TestFrontendStateIsBounded(t *testing.T) {
 
 // TestRecycledPacketsAreQuiescent is the ownership rule under the race
 // detector: two workers, 50,000 datagrams over 2,000 flows whose first
-// packets take the slow path (serialize, decode, *pkt = *rx), every packet
+// packets take the slow path (each hop decoded back in place), every packet
 // decoded into one the front end got back from an earlier Deliver. A
 // packet reused while the engine still reads it is a data race, and its
 // echo differs from the oracle's: the same frames, in the same order,
