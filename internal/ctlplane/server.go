@@ -22,6 +22,10 @@ type Runtime interface {
 	StageNames() []string
 }
 
+// MaxLine bounds one protocol line, request or response, in bytes,
+// newline included.
+const MaxLine = 16 << 20
+
 // Server answers the JSON control protocol on a unix socket for one
 // running Runtime. Start it with Serve; Close unblocks Serve and removes
 // the socket file.
@@ -75,10 +79,11 @@ func (s *Server) acceptLoop(ln net.Listener) {
 
 // serveConn answers newline-delimited JSON requests until the peer hangs
 // up. A malformed line gets an error response rather than killing the
-// connection.
+// connection; a line longer than MaxLine gets one too, and then the
+// connection closes, since the rest of that line cannot be framed.
 func (s *Server) serveConn(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), MaxLine)
 	enc := json.NewEncoder(conn)
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -95,6 +100,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := enc.Encode(resp); err != nil {
 			return
 		}
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		_ = enc.Encode(Response{Error: fmt.Sprintf("bad request: line exceeds %d bytes", MaxLine)})
 	}
 }
 
@@ -150,7 +158,7 @@ func Dial(path string) (*Client, error) {
 		return nil, fmt.Errorf("ctlplane: %w", err)
 	}
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), MaxLine)
 	return &Client{conn: conn, sc: sc, enc: json.NewEncoder(conn)}, nil
 }
 

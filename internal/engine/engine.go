@@ -94,8 +94,9 @@ type Config struct {
 	Stages []StageConfig
 	// Model is the virtual-time cost model; the zero value means defaults.
 	Model netsim.CostModel
-	// Obs, when non-nil, receives metrics: per-worker counters plus
-	// read-time "engine.*" aggregates. Nil disables observability.
+	// Obs, when non-nil, receives metrics: per-worker and "engine.*"
+	// counts read from the workers' stats at snapshot time. Nil disables
+	// observability.
 	Obs *obs.Registry
 	// QueueDepth bounds the packets queued in each worker's mailbox, and
 	// so the most one pull can take: a dispatcher whose burst does not fit
@@ -290,10 +291,11 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// instrument wires per-worker metrics and registers the read-time
-// aggregates: "engine.*" counters are CounterFuncs summing the per-worker
-// atomics, and "engine.latency_ns" is a merged histogram over the
-// per-worker latency parts — the hot path never touches shared metrics.
+// instrument registers the engine's metrics, all read at snapshot time:
+// "engine.worker.<i>.*" reads worker i's walker Stats as of its latest
+// barrier, "engine.*" the sum of those (one func per worker under each
+// name), and "engine.latency_ns" merges the per-worker latency histograms
+// — the packet path touches no metric of its own.
 func (e *Engine) instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -310,58 +312,47 @@ func (e *Engine) instrument(reg *obs.Registry) {
 				st.Software.Instrument(reg)
 			}
 		}
-		prefix := fmt.Sprintf("engine.worker.%d.", w.id)
-		w.c = workerCounters{
-			packets:   reg.Counter(prefix + "packets"),
-			delivered: reg.Counter(prefix + "delivered"),
-			fast:      reg.Counter(prefix + "fastpath"),
-			slow:      reg.Counter(prefix + "slowpath"),
+		stat := func(name string, pick func(netsim.Stats) int) {
+			fn := func() uint64 { return uint64(pick(w.published())) }
+			reg.CounterFunc(fmt.Sprintf("engine.worker.%d.%s", w.id, name), fn)
+			reg.CounterFunc("engine."+name, fn)
 		}
+		stat("packets", func(s netsim.Stats) int { return s.Injected })
+		stat("delivered", func(s netsim.Stats) int { return s.Delivered })
+		stat("fastpath", func(s netsim.Stats) int { return s.FastPath })
+		stat("slowpath", func(s netsim.Stats) int { return s.SlowPath })
 		parts = append(parts, w.hLat)
 	}
-	sum := func(pick func(workerCounters) *obs.Counter) func() uint64 {
-		return func() uint64 {
-			var n uint64
-			for _, w := range e.workers {
-				n += pick(w.c).Value()
-			}
-			return n
-		}
-	}
-	reg.CounterFunc("engine.packets", sum(func(c workerCounters) *obs.Counter { return c.packets }))
-	reg.CounterFunc("engine.delivered", sum(func(c workerCounters) *obs.Counter { return c.delivered }))
-	reg.CounterFunc("engine.fastpath", sum(func(c workerCounters) *obs.Counter { return c.fast }))
-	reg.CounterFunc("engine.slowpath", sum(func(c workerCounters) *obs.Counter { return c.slow }))
 	reg.CounterFunc("engine.reconfigs", func() uint64 { return uint64(e.reconfigs.Load()) })
 	reg.MergedHistogram("engine.latency_ns", parts...)
 	if e.flowCfg.Load() != nil {
-		flowSum := func(pick func(flowstate.Stats) uint64) func() uint64 {
-			return func() uint64 {
-				var n uint64
-				for _, fs := range e.flowTrackerStats() {
-					n += pick(fs)
-				}
-				return n
-			}
-		}
-		reg.CounterFunc("engine.flow.occupancy", flowSum(func(s flowstate.Stats) uint64 { return s.Occupancy }))
-		reg.CounterFunc("engine.flow.expired", flowSum(func(s flowstate.Stats) uint64 { return s.Expired }))
-		reg.CounterFunc("engine.flow.evicted", flowSum(func(s flowstate.Stats) uint64 { return s.Evicted }))
+		reg.CounterFunc("engine.flow.occupancy", func() uint64 { return e.flowStats().Occupancy })
+		reg.CounterFunc("engine.flow.expired", func() uint64 { return e.flowStats().Expired })
+		reg.CounterFunc("engine.flow.evicted", func() uint64 { return e.flowStats().Evicted })
 	}
 }
 
-// flowTrackerStats snapshots every armed tracker's counters (atomics, so
-// safe to read while workers run).
-func (e *Engine) flowTrackerStats() []flowstate.Stats {
-	var out []flowstate.Stats
+// flowStats sums every armed tracker's counters (atomics, so safe to read
+// while workers run), with the engine-wide capacity; nil when the
+// lifecycle is disabled.
+func (e *Engine) flowStats() *flowstate.Stats {
+	cfg := e.flowCfg.Load()
+	if cfg == nil {
+		return nil
+	}
+	sum := &flowstate.Stats{Capacity: cfg.Capacity}
 	for _, w := range e.workers {
 		for si := range w.life {
 			if tr := w.life[si].Load(); tr != nil {
-				out = append(out, tr.Stats())
+				fs := tr.Stats()
+				sum.Occupancy += fs.Occupancy
+				sum.Peak += fs.Peak
+				sum.Expired += fs.Expired
+				sum.Evicted += fs.Evicted
 			}
 		}
 	}
-	return out
+	return sum
 }
 
 // fail records the first error and aborts the run.
@@ -455,7 +446,7 @@ func (e *Engine) Feed(wl Workload) error {
 	for _, w := range e.workers {
 		e.flush(w)
 	}
-	e.settle(nil)
+	e.settle()
 	if err := e.err(); err != nil {
 		return err
 	}
@@ -505,14 +496,12 @@ func (e *Engine) Dispatch(tNs int64, pkt *packet.Packet) (int64, error) {
 
 // settle injects a barrier control job into every worker and blocks until
 // each has finished all previously queued packets (whose write-backs are
-// then visible). When stats is non-nil it additionally receives a copy of
-// each worker's counters, taken inside the worker goroutine (race-free
-// even while traffic flows).
-func (e *Engine) settle(stats []netsim.Stats) {
+// then visible) and published its counters, copied inside the worker
+// goroutine (race-free even while traffic flows).
+func (e *Engine) settle() {
 	var wg sync.WaitGroup
-	for i, w := range e.workers {
+	for _, w := range e.workers {
 		wg.Add(1)
-		i := i
 		err := e.hand(w, job{ctrl: func(w *worker) {
 			defer wg.Done()
 			// A settle barrier is a quiescent point: run a FULL sweep (no
@@ -520,9 +509,7 @@ func (e *Engine) settle(stats []netsim.Stats) {
 			if w.lifeOn {
 				w.sweep(true)
 			}
-			if stats != nil {
-				stats[i] = w.walk.Stats
-			}
+			w.publish()
 		}})
 		if err != nil {
 			// Aborting: the worker will never pull the barrier; don't wait.
@@ -644,28 +631,24 @@ func (e *Engine) Stop() (*Report, error) {
 	if err := e.err(); err != nil {
 		return nil, err
 	}
-	per := make([]netsim.Stats, len(e.workers))
-	for i, w := range e.workers {
-		per[i] = w.walk.Stats
-	}
-	return e.buildReport(per, time.Since(e.startT)), nil
+	return e.buildReport(time.Since(e.startT)), nil
 }
 
 // LiveReport settles every worker at a barrier and reports the traffic
 // processed so far without stopping the engine: per-worker counters are
 // copied inside each worker's goroutine, so the snapshot is race-free even
 // while another goroutine keeps feeding. It reflects all packets dispatched
-// before the call; packets fed concurrently may or may not be included.
+// before the call; packets fed concurrently, and settled by a concurrent
+// Feed's barrier, may or may not be included.
 func (e *Engine) LiveReport() (*Report, error) {
 	if !e.started.Load() || e.stopped.Load() {
 		return nil, errors.New("engine: LiveReport requires a started, unstopped engine")
 	}
-	per := make([]netsim.Stats, len(e.workers))
-	e.settle(per)
+	e.settle()
 	if err := e.err(); err != nil {
 		return nil, err
 	}
-	return e.buildReport(per, time.Since(e.startT)), nil
+	return e.buildReport(time.Since(e.startT)), nil
 }
 
 // Run streams the workload through the engine: a dispatcher goroutine (the

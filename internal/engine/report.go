@@ -3,6 +3,7 @@ package engine
 import (
 	"time"
 
+	"gallium/internal/flowstate"
 	"gallium/internal/netsim"
 	"gallium/internal/obs"
 	"gallium/internal/packet"
@@ -60,11 +61,8 @@ type Report struct {
 	// Latency is the end-to-end virtual-time latency distribution over
 	// all delivered packets.
 	Latency obs.HistSnapshot
-	// Switch holds the first pipeline stage's switch counters (nil in
-	// Software mode).
-	Switch *switchsim.Stats
 	// SwitchStages holds every pipeline stage's switch counters in stage
-	// order (nil in Software mode); SwitchStages[0] equals *Switch.
+	// order (nil in Software mode).
 	SwitchStages []switchsim.Stats
 	// Reconfigs counts control-plane reconfigurations applied during the
 	// run.
@@ -72,35 +70,21 @@ type Report struct {
 	// BatchSizes holds each worker's mean jobs per mailbox pull so far
 	// (0 for a worker that has not pulled yet).
 	BatchSizes []float64
-	// Flow summarizes the flow-state lifecycle (nil when no FlowTable
-	// was configured).
-	Flow *FlowReport
+	// Flow sums the flow-state lifecycle counters over every worker's
+	// per-stage tracker, with the configured engine-wide Capacity (nil when
+	// no FlowTable was configured).
+	Flow *flowstate.Stats
 }
 
-// FlowReport aggregates the flow-state lifecycle counters across every
-// worker's per-stage tracker.
-type FlowReport struct {
-	// Capacity is the configured engine-wide entry limit.
-	Capacity int
-	// Occupancy is the live entry count across all dynamic maps at the
-	// last sweep; Peak is its high-water mark.
-	Occupancy uint64
-	Peak      uint64
-	// Expired counts entries removed by session timeout; Evicted counts
-	// entries removed by capacity (LRU) eviction.
-	Expired uint64
-	Evicted uint64
-}
-
-// buildReport aggregates worker- and engine-level state from a consistent
-// per-worker stats snapshot (taken either after the run settled or inside
-// each worker's goroutine at a live barrier).
-func (e *Engine) buildReport(per []netsim.Stats, wall time.Duration) *Report {
+// buildReport aggregates worker- and engine-level state from the
+// per-worker stats each worker published at its latest barrier (the
+// settle just taken, or its exit once the run is over).
+func (e *Engine) buildReport(wall time.Duration) *Report {
 	r := &Report{Workers: len(e.workers), WallNs: int64(wall)}
 	parts := make([]*obs.Histogram, 0, len(e.workers))
 	agg := &r.Stats
-	for i, w := range e.workers {
-		s := per[i]
+	for _, w := range e.workers {
+		s := w.published()
 		r.PerWorker = append(r.PerWorker, s)
 		agg.Injected += s.Injected
 		agg.Delivered += s.Delivered
@@ -135,18 +119,6 @@ func (e *Engine) buildReport(per []netsim.Stats, wall time.Duration) *Report {
 	for _, sw := range e.sws {
 		r.SwitchStages = append(r.SwitchStages, sw.Stats())
 	}
-	if len(r.SwitchStages) > 0 {
-		r.Switch = &r.SwitchStages[0]
-	}
-	if cfg := e.flowCfg.Load(); cfg != nil {
-		fr := &FlowReport{Capacity: cfg.Capacity}
-		for _, fs := range e.flowTrackerStats() {
-			fr.Occupancy += fs.Occupancy
-			fr.Peak += fs.Peak
-			fr.Expired += fs.Expired
-			fr.Evicted += fs.Evicted
-		}
-		r.Flow = fr
-	}
+	r.Flow = e.flowStats()
 	return r
 }

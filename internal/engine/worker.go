@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"gallium/internal/flowstate"
@@ -25,11 +26,6 @@ type job struct {
 	ctrl func(w *worker)
 }
 
-// workerCounters are the per-worker observability handles (nil-safe).
-type workerCounters struct {
-	packets, delivered, fast, slow *obs.Counter
-}
-
 // worker owns one shard of the middlebox server: a walker over its own
 // serverrt state per pipeline stage (authoritative for the flows hashed to
 // it) with one simulated core — worker == core. Everything here is
@@ -44,6 +40,11 @@ type worker struct {
 	// burst is the dispatcher's side of the hand-off: packets Feed has
 	// hashed to this worker and not yet pushed (guarded by feedMu).
 	burst []job
+
+	// seen is the walker's Stats as of this worker's latest barrier — a
+	// settle, or its exit — which reports and metrics read.
+	seenMu sync.Mutex
+	seen   netsim.Stats
 
 	// The fields below are this worker's per-packet hot state, padded on
 	// both sides so adjacent workers' blocks never share a cache line
@@ -60,7 +61,6 @@ type worker struct {
 	next  int
 
 	hLat *obs.Histogram
-	c    workerCounters
 
 	// Flow-state lifecycle. life holds one tracker per stage (nil when
 	// the stage has no dynamic maps or the lifecycle is disabled); the
@@ -217,6 +217,23 @@ func (w *worker) loop() {
 	if w.lifeOn {
 		w.sweep(true)
 	}
+	w.publish()
+}
+
+// publish copies the walker's Stats to seen; it runs on the worker's
+// goroutine at a barrier.
+func (w *worker) publish() {
+	w.seenMu.Lock()
+	w.seen = w.walk.Stats
+	w.seenMu.Unlock()
+}
+
+// published returns the Stats of the worker's latest barrier; any
+// goroutine may call it.
+func (w *worker) published() netsim.Stats {
+	w.seenMu.Lock()
+	defer w.seenMu.Unlock()
+	return w.seen
 }
 
 // runBatch runs the batch from w.next on. A panic in a job (a delivery
@@ -291,24 +308,15 @@ func (w *worker) Commit(stage int, updates []switchsim.Update, punt bool, _ int6
 // its fate: the engine counterpart of Testbed.Inject, with this worker as
 // the packet's (simulated) core.
 func (w *worker) process(j *job) error {
-	w.c.packets.Inc()
 	if w.lifeOn {
 		w.setClock(j)
 	}
-	slowBefore := w.walk.Stats.SlowPath
 	d, err := w.walk.Walk(j.tNs, j.pkt, nil)
 	if err != nil {
 		return err
 	}
-	if w.walk.Stats.SlowPath != slowBefore {
-		w.c.slow.Inc()
-	}
-	if d.FastPath {
-		w.c.fast.Inc()
-	}
 	if d.Delivered {
 		w.hLat.Observe(d.LatencyNs)
-		w.c.delivered.Inc()
 	}
 	if cb := w.eng.cfg.OnDelivery; cb != nil {
 		more := w.next < len(w.batch) && w.batch[w.next].ctrl == nil

@@ -113,8 +113,6 @@ type Testbed struct {
 	flips      []int64
 	lastInject int64
 
-	reg   *obs.Registry
-	c     testbedCounters
 	hFast *obs.Histogram // end-to-end latency, fast-path (switch-only) packets
 	hSlow *obs.Histogram // end-to-end latency, slow-path (server-visited) packets
 	// tracer is resolved once at build time, like every other handle, so
@@ -123,20 +121,13 @@ type Testbed struct {
 	tracer *obs.TraceRecorder
 }
 
-// testbedCounters are the end-to-end counters.
-type testbedCounters struct {
-	injected, delivered *obs.Counter
-	mbDrops, queueDrops *obs.Counter
-	ctlRejected         *obs.Counter
-}
-
-// instrument wires the registry through every component and resolves the
-// testbed's own handles.
+// instrument wires the registry through every component, registers the
+// end-to-end counters as reads of the walker's Stats, and resolves the
+// latency histograms.
 func (tb *Testbed) instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	tb.reg = reg
 	st := &tb.walk.Stages[0]
 	if st.Switch != nil {
 		st.Switch.Instrument(reg)
@@ -145,13 +136,14 @@ func (tb *Testbed) instrument(reg *obs.Registry) {
 		st.Software.Instrument(reg)
 	}
 	tb.walk.Instrument(reg)
-	tb.c = testbedCounters{
-		injected:    reg.Counter("e2e.injected"),
-		delivered:   reg.Counter("e2e.delivered"),
-		mbDrops:     reg.Counter("e2e.mb_drops"),
-		queueDrops:  reg.Counter("e2e.queue_drops"),
-		ctlRejected: reg.Counter("e2e.ctl_rejected"),
+	stat := func(name string, pick func(Stats) int) {
+		reg.CounterFunc(name, func() uint64 { return uint64(pick(tb.walk.Stats)) })
 	}
+	stat("e2e.injected", func(s Stats) int { return s.Injected })
+	stat("e2e.delivered", func(s Stats) int { return s.Delivered })
+	stat("e2e.mb_drops", func(s Stats) int { return s.MBDrops })
+	stat("e2e.queue_drops", func(s Stats) int { return s.QueueDrops })
+	stat("e2e.ctl_rejected", func(s Stats) int { return s.CtlRejected })
 	tb.hFast = reg.Histogram("e2e.latency_ns.fast", nil)
 	tb.hSlow = reg.Histogram("e2e.latency_ns.slow", nil)
 	// Every delivered packet is either fast or slow, so the all-packets
@@ -284,19 +276,13 @@ func reconfigure(sw *switchsim.Switch, st *ir.State, mutate func(st *ir.State) [
 func (tb *Testbed) Reconfigure(mutate func(st *ir.State) []switchsim.Update, updates []switchsim.Update) error {
 	sw := tb.walk.Stages[0].Switch
 	rejected, err := reconfigure(sw, tb.ServerState(), mutate, updates)
-	tb.reject(rejected)
+	tb.walk.Stats.CtlRejected += rejected
 	if err != nil || sw == nil {
 		return err
 	}
 	tb.walk.Stats.CtlBatches++
 	tb.flips = tb.flips[:0]
 	return nil
-}
-
-// reject accounts control-plane updates refused by a full switch table.
-func (tb *Testbed) reject(n int) {
-	tb.walk.Stats.CtlRejected += n
-	tb.c.ctlRejected.Add(uint64(n))
 }
 
 // Due implements Committer: every scheduled flip whose time has passed
@@ -323,7 +309,7 @@ func (tb *Testbed) Due(nowNs int64) {
 // flip but only synchronous updates hold the packet.
 func (tb *Testbed) Commit(_ int, updates []switchsim.Update, punt bool, doneNs int64) (int, error) {
 	staged, rejected, syncs, err := stageBatch(tb.walk.Stages[0].Switch, 0, updates, punt)
-	tb.reject(rejected)
+	tb.walk.Stats.CtlRejected += rejected
 	if err != nil || staged == 0 {
 		return 0, err
 	}
@@ -342,24 +328,16 @@ func (tb *Testbed) Inject(tNs int64, pkt *packet.Packet) (Delivery, error) {
 		return Delivery{}, fmt.Errorf("netsim: out-of-order injection (%d < %d)", tNs, tb.lastInject)
 	}
 	tb.lastInject = tNs
-	tb.c.injected.Inc()
 	d, err := tb.walk.Walk(tNs, pkt, tb.traceStart(tNs, pkt))
 	tb.walk.Flush()
-	if err != nil || tb.reg == nil {
+	if err != nil || !d.Delivered {
 		return d, err
 	}
-	switch {
-	case d.MBDropped:
-		tb.c.mbDrops.Inc()
-	case d.QueueDropped:
-		tb.c.queueDrops.Inc()
-	case d.FastPath:
-		// e2e.latency_ns is the read-time merge of the two, so one
-		// observation covers both views.
-		tb.c.delivered.Inc()
+	// e2e.latency_ns is the read-time merge of the two, so one observation
+	// covers both views.
+	if d.FastPath {
 		tb.hFast.Observe(d.LatencyNs)
-	default:
-		tb.c.delivered.Inc()
+	} else {
 		tb.hSlow.Observe(d.LatencyNs)
 	}
 	return d, nil

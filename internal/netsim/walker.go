@@ -101,11 +101,11 @@ type Walker struct {
 	// Observability handles (nil-safe; see Instrument).
 	hWait *obs.Histogram // server ingress queue wait
 	// hStall is the output-commit stall: time a packet is held past server
-	// completion waiting for its write-back batch to flip (§4.3.3).
-	hStall     *obs.Histogram
-	ctlStalled *obs.Counter
-	corePkts   []*obs.Counter
-	coreBusy   []*obs.Counter
+	// completion waiting for its write-back batch to flip (§4.3.3). Its
+	// count is the number of packets held.
+	hStall   *obs.Histogram
+	corePkts []*obs.Counter
+	coreBusy []*obs.Counter
 }
 
 // NewWalker builds a walker over the pipeline with the given number of
@@ -136,7 +136,6 @@ func (w *Walker) Flush() {
 func (w *Walker) Instrument(reg *obs.Registry) {
 	w.hWait = reg.Histogram("server.queue.wait_ns", nil)
 	w.hStall = reg.Histogram("switch.ctl.stall_ns", nil)
-	w.ctlStalled = reg.Counter("switch.ctl.stalled_packets")
 	w.corePkts = make([]*obs.Counter, len(w.coreFreeNs))
 	w.coreBusy = make([]*obs.Counter, len(w.coreFreeNs))
 	for i := range w.coreFreeNs {
@@ -348,7 +347,6 @@ func (w *Walker) Stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 		release = done + int64(m.CtlBatchNs(n))
 	}
 	if release > done {
-		w.ctlStalled.Inc()
 		w.hStall.Observe(release - done)
 	}
 	if tr != nil {

@@ -1,5 +1,6 @@
 // Package obs is the observability layer shared by the Gallium runtime
-// stack: atomic counters and gauges, fixed-bucket latency histograms with
+// stack: atomic counters, counters and gauges read at snapshot time from
+// the counts components keep anyway, fixed-bucket latency histograms with
 // quantile estimation, and an optional per-packet trace recorder that
 // captures the pre-switch → server → post-switch hop sequence with
 // per-hop timings and table hit/miss outcomes.
@@ -42,55 +43,26 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous atomic value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add shifts the value by d.
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Registry is a string-keyed collection of metrics plus the optional trace
 // recorder. A nil *Registry is valid and hands out nil (no-op) handles.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	// funcs are derived counters computed at snapshot time (read-time
-	// merges over per-worker counters).
-	funcs  map[string]func() uint64
-	tracer *TraceRecorder
+	// funcs and gaugeFuncs are read at snapshot time: each reads a count
+	// its component already keeps, and the funcs under one name add up.
+	funcs      map[string][]func() uint64
+	gaugeFuncs map[string][]func() int64
+	tracer     *TraceRecorder
 }
 
 // NewRegistry returns an empty registry with tracing disabled.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-		funcs:    map[string]func() uint64{},
+		counters:   map[string]*Counter{},
+		hists:      map[string]*Histogram{},
+		funcs:      map[string][]func() uint64{},
+		gaugeFuncs: map[string][]func() int64{},
 	}
 }
 
@@ -107,21 +79,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns (registering on first use) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns (registering on first use) the named histogram with
@@ -160,19 +117,29 @@ func (r *Registry) MergedHistogram(name string, parts ...*Histogram) *Histogram 
 	return h
 }
 
-// CounterFunc registers a derived counter whose value is computed by fn at
-// snapshot time — the counter analogue of MergedHistogram. Sharded
-// components register one per aggregate name, summing their per-worker
-// counters, so the hot path stays one uncontended atomic increment while
-// snapshots still show the fleet-wide total. Later registrations under the
-// same name replace earlier ones.
+// CounterFunc registers a counter whose value fn reads at snapshot time —
+// the counter analogue of MergedHistogram. A component registers funcs
+// over the counts it keeps anyway, so metrics add nothing to its hot path.
+// Funcs registered under one name add up: each of a chain's switches
+// registers its own, and the snapshot shows their sum.
 func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	if r == nil || fn == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.funcs[name] = fn
+	r.funcs[name] = append(r.funcs[name], fn)
+}
+
+// GaugeFunc is CounterFunc for gauges: fn is read at snapshot time, and
+// the funcs under one name add up.
+func (r *Registry) GaugeFunc(name string, fn func() int64) {
+	if r == nil || fn == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gaugeFuncs[name] = append(r.gaugeFuncs[name], fn)
 }
 
 // EnableTracing arranges for the first n packets to be traced hop by hop.
@@ -218,13 +185,17 @@ func (r *Registry) Snapshot() *Snapshot {
 	for n, c := range r.counters {
 		s.Counters[n] = c.Value()
 	}
-	for n, fn := range r.funcs {
-		s.Counters[n] = fn()
+	for n, fns := range r.funcs {
+		for _, fn := range fns {
+			s.Counters[n] += fn()
+		}
 	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]int64, len(r.gauges))
-		for n, g := range r.gauges {
-			s.Gauges[n] = g.Value()
+	if len(r.gaugeFuncs) > 0 {
+		s.Gauges = make(map[string]int64, len(r.gaugeFuncs))
+		for n, fns := range r.gaugeFuncs {
+			for _, fn := range fns {
+				s.Gauges[n] += fn()
+			}
 		}
 	}
 	for n, h := range r.hists {

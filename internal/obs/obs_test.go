@@ -16,12 +16,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if c.Value() != 0 {
 		t.Error("nil counter accumulated")
 	}
-	g := r.Gauge("y")
-	g.Set(3)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Error("nil gauge accumulated")
-	}
+	r.GaugeFunc("y", func() int64 { return 3 })
 	h := r.Histogram("z", nil)
 	h.Observe(100)
 	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
@@ -36,8 +31,8 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	hop.Lookup("t", true)
 	hop.SetAction("sent")
 	s := r.Snapshot()
-	if len(s.Counters) != 0 {
-		t.Error("nil registry snapshot has counters")
+	if len(s.Counters) != 0 || len(s.Gauges) != 0 {
+		t.Error("nil registry snapshot has counters or gauges")
 	}
 }
 
@@ -52,10 +47,10 @@ func TestCounterAndGauge(t *testing.T) {
 	if r.Counter("pkts") != c {
 		t.Error("same name returned a different counter")
 	}
-	g := r.Gauge("depth")
-	g.Set(4)
-	g.Add(-1)
-	if got := g.Value(); got != 3 {
+	depth := int64(4)
+	r.GaugeFunc("depth", func() int64 { return depth })
+	depth--
+	if got := r.Snapshot().Gauges["depth"]; got != 3 {
 		t.Errorf("gauge = %d, want 3", got)
 	}
 }
@@ -181,7 +176,7 @@ func TestTraceRecorderCapacity(t *testing.T) {
 func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("switch.table.conn.hits").Add(3)
-	r.Gauge("switch.table.conn.entries").Set(2)
+	r.GaugeFunc("switch.table.conn.entries", func() int64 { return 2 })
 	r.Histogram("e2e.latency_ns", nil).Observe(15_000)
 	r.EnableTracing(1)
 	tr := r.Tracer().Start("tcp 1.2.3.4:1000 > 9.9.9.9:80")
@@ -268,12 +263,39 @@ func TestCounterFuncMergesAtSnapshotTime(t *testing.T) {
 	if got := reg.Snapshot().Counters["engine.packets"]; got != 8 {
 		t.Errorf("derived counter after update = %d, want 8 (must be read-time)", got)
 	}
+	// Funcs under one name add up, as a chain's switches register theirs.
+	reg.CounterFunc("switch.fastpath", func() uint64 { return 5 })
+	reg.CounterFunc("switch.fastpath", func() uint64 { return 6 })
+	if got := reg.Snapshot().Counters["switch.fastpath"]; got != 11 {
+		t.Errorf("two funcs under one name = %d, want 11", got)
+	}
+	// A GaugeFunc shows up under gauges, summed the same way.
+	epoch := int64(3)
+	reg.GaugeFunc("switch.snapshot.epoch", func() int64 { return epoch })
+	reg.GaugeFunc("switch.snapshot.epoch", func() int64 { return 4 })
+	snap := reg.Snapshot()
+	if got := snap.Gauges["switch.snapshot.epoch"]; got != 7 {
+		t.Errorf("gauge funcs = %d, want 7", got)
+	}
+	if _, ok := snap.Counters["switch.snapshot.epoch"]; ok {
+		t.Error("gauge func listed under counters")
+	}
+	epoch = 10
+	if got := reg.Snapshot().Gauges["switch.snapshot.epoch"]; got != 14 {
+		t.Errorf("gauge func after update = %d, want 14 (must be read-time)", got)
+	}
 	// Nil-safety: no-ops, no panics.
 	var nilReg *Registry
 	nilReg.CounterFunc("x", func() uint64 { return 1 })
+	nilReg.GaugeFunc("x", func() int64 { return 1 })
 	reg.CounterFunc("y", nil)
-	if _, ok := reg.Snapshot().Counters["y"]; ok {
+	reg.GaugeFunc("z", nil)
+	snap = reg.Snapshot()
+	if _, ok := snap.Counters["y"]; ok {
 		t.Error("nil func registered")
+	}
+	if _, ok := snap.Gauges["z"]; ok {
+		t.Error("nil gauge func registered")
 	}
 }
 

@@ -62,8 +62,7 @@ const pendingKeep = 1024
 type laneStats struct {
 	_                                                  [64]byte
 	prePackets, postPackets, fastPath, toServer, punts atomic.Int64
-	drops, stepsTotal                                  atomic.Int64
-	ctlOps, ctlFlips, expired                          atomic.Int64
+	drops, ctlOps, ctlFlips, expired                   atomic.Int64
 	_                                                  [64]byte
 }
 
@@ -111,8 +110,6 @@ func (sw *Switch) StageShard(shard int, u Update) error {
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
 	ln.stats.ctlOps.Add(1)
-	v.obs.ctlOps.Inc()
-	v.obs.ctlStaged.Inc()
 	t, resident := sw.Table(u.Table)
 	switch {
 	case u.Register != "":
@@ -144,7 +141,6 @@ func (sw *Switch) StageShard(shard int, u Update) error {
 		}
 		if u.Expire {
 			ln.stats.expired.Add(1)
-			v.obs.expired.Inc()
 		}
 		ln.pending = append(ln.pending, pendingOp{t: t, n: t.newNode(u.Key.K[:t.nk], nil, true)})
 		return nil
@@ -225,8 +221,6 @@ func (sw *Switch) FlipShard(shard int) {
 	nv := cur.successor()
 	ln.stats.ctlFlips.Add(1)
 	ln.stats.ctlOps.Add(1)
-	cur.obs.ctlFlips.Inc()
-	cur.obs.ctlOps.Inc()
 	undo := make(undoSlab, len(ln.pending))
 	ownRegs, ownVecs := false, false // nv's maps are still cur's until written
 	for _, op := range ln.pending {
@@ -264,7 +258,6 @@ func (sw *Switch) FlipShard(shard int) {
 			}
 			if n := t.evict(cur, &undo); n > 0 {
 				sw.evictions.Add(int64(n))
-				cur.obs.evict.Add(uint64(n))
 			}
 		}
 	}

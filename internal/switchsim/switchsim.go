@@ -87,8 +87,7 @@ type Stats struct {
 	Expired int
 	// Reconfigs counts control-plane reconfiguration batches (rule swaps,
 	// pool changes) applied through the write-back path.
-	Reconfigs  int
-	StepsTotal int
+	Reconfigs int
 	// Epoch is the published view's epoch: it advances every time the
 	// control plane publishes, so two equal epochs bracket a quiescent
 	// data plane.
@@ -146,6 +145,8 @@ type Switch struct {
 	// hop is the active per-packet trace hop, set by the (sequential)
 	// testbed only.
 	hop *obs.Hop
+	// regs are the registries Instrument has registered with (under mu).
+	regs []*obs.Registry
 }
 
 // xferField pairs a transfer variable's scratchpad slot with its
@@ -191,64 +192,72 @@ func (cur *view) successor() *view {
 func (sw *Switch) publishLocked(nv *view) {
 	sw.view.Load().next.Store(nv)
 	sw.view.Store(nv)
-	nv.obs.epoch.Set(int64(nv.epoch))
 }
 
-// tableObs bundles one replicated table's data-plane counters.
+// tableObs is one replicated table's hit and miss count, the one thing
+// about a lookup the switch does not count for Stats.
 type tableObs struct {
-	lookups, hits, misses *obs.Counter
-	entries               *obs.Gauge
+	hits, misses obs.Counter
 }
 
-// switchObs are the switch-wide metric handles (all nil, and therefore
-// free, until Instrument).
+// switchObs are the per-pass step histograms (nil, and therefore free,
+// until Instrument).
 type switchObs struct {
-	pre, post, fast, toServer, punts, drops, evict *obs.Counter
-	ctlOps, ctlFlips, ctlStaged, ctlReconfigs      *obs.Counter
-	expired                                        *obs.Counter
-	hPre, hPost                                    *obs.Histogram // executed statements per pass (stage occupancy)
-	epoch                                          *obs.Gauge
+	hPre, hPost *obs.Histogram // executed statements per pass (stage occupancy)
 }
 
-// Instrument registers the switch's metrics with reg and starts recording
-// into them. Passing nil is a no-op; instrumentation cannot be removed.
+// Instrument registers the switch's metrics with reg. Every count Stats
+// reports, the epoch and each table's size are read from the switch when
+// reg takes a snapshot — the data-plane counts as of each pass's last
+// Flush; beyond that the switch records only the per-pass step histograms
+// and each table's hits and misses. Passing nil, or a registry the switch
+// already reports to, is a no-op; instrumentation cannot be removed.
 func (sw *Switch) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	nv := sw.view.Load().successor()
-	nv.obs = &switchObs{
-		pre:          reg.Counter("switch.pre.packets"),
-		post:         reg.Counter("switch.post.packets"),
-		fast:         reg.Counter("switch.fastpath"),
-		toServer:     reg.Counter("switch.to_server"),
-		punts:        reg.Counter("switch.punts"),
-		drops:        reg.Counter("switch.drops"),
-		evict:        reg.Counter("switch.evictions"),
-		ctlOps:       reg.Counter("switch.ctl.ops"),
-		ctlFlips:     reg.Counter("switch.ctl.flips"),
-		ctlStaged:    reg.Counter("switch.ctl.staged"),
-		ctlReconfigs: reg.Counter("switch.ctl.reconfigs"),
-		expired:      reg.Counter("switch.expired"),
-		hPre:         reg.Histogram("switch.pre.steps", obs.StepBuckets),
-		hPost:        reg.Histogram("switch.post.steps", obs.StepBuckets),
-		epoch:        reg.Gauge("switch.snapshot.epoch"),
+	if slices.Contains(sw.regs, reg) {
+		return
 	}
+	sw.regs = append(sw.regs, reg)
+	stat := func(name string, pick func(Stats) int) {
+		reg.CounterFunc(name, func() uint64 { return uint64(pick(sw.counts())) })
+	}
+	stat("switch.pre.packets", func(s Stats) int { return s.PrePackets })
+	stat("switch.post.packets", func(s Stats) int { return s.PostPackets })
+	stat("switch.fastpath", func(s Stats) int { return s.FastPath })
+	stat("switch.to_server", func(s Stats) int { return s.ToServer })
+	stat("switch.punts", func(s Stats) int { return s.Punts })
+	stat("switch.drops", func(s Stats) int { return s.Drops })
+	stat("switch.evictions", func(s Stats) int { return s.Evictions })
+	stat("switch.expired", func(s Stats) int { return s.Expired })
+	stat("switch.ctl.ops", func(s Stats) int { return s.CtlOps })
+	stat("switch.ctl.flips", func(s Stats) int { return s.CtlFlips })
+	// Every control-plane op is a stage or a flip.
+	stat("switch.ctl.staged", func(s Stats) int { return s.CtlOps - s.CtlFlips })
+	stat("switch.ctl.reconfigs", func(s Stats) int { return s.Reconfigs })
+	reg.GaugeFunc("switch.snapshot.epoch", func() int64 { return int64(sw.Epoch()) })
 	for _, t := range sw.tables {
 		if t == nil {
 			continue
 		}
-		prefix := "switch.table." + t.name + "."
-		m := &tableObs{
-			lookups: reg.Counter(prefix + "lookups"),
-			hits:    reg.Counter(prefix + "hits"),
-			misses:  reg.Counter(prefix + "misses"),
-			entries: reg.Gauge(prefix + "entries"),
+		m := t.obs.Load()
+		if m == nil {
+			m = new(tableObs)
+			t.obs.Store(m)
 		}
-		m.entries.Set(int64(t.Len()))
-		t.obs.Store(m)
+		prefix := "switch.table." + t.name + "."
+		reg.CounterFunc(prefix+"hits", m.hits.Value)
+		reg.CounterFunc(prefix+"misses", m.misses.Value)
+		reg.CounterFunc(prefix+"lookups", func() uint64 { return m.hits.Value() + m.misses.Value() })
+		reg.GaugeFunc(prefix+"entries", func() int64 { return int64(t.Len()) })
+	}
+	nv := sw.view.Load().successor()
+	nv.obs = &switchObs{
+		hPre:  reg.Histogram("switch.pre.steps", obs.StepBuckets),
+		hPost: reg.Histogram("switch.post.steps", obs.StepBuckets),
 	}
 	sw.publishLocked(nv)
 }
@@ -407,12 +416,23 @@ func (sw *Switch) checkVector(name string, vals []uint64) (int, error) {
 // counters accumulate in per-shard lane blocks (see shard.go); this sums
 // them.
 func (sw *Switch) Stats() Stats {
-	v := sw.view.Load()
+	s := sw.counts()
+	s.TableEntries = map[string]int{}
+	for _, t := range sw.tables {
+		if t != nil {
+			s.TableEntries[t.name] = t.Len()
+		}
+	}
+	return s
+}
+
+// counts is Stats without the table sizes, so a metric read allocates
+// nothing.
+func (sw *Switch) counts() Stats {
 	s := Stats{
-		Evictions:    int(sw.evictions.Load()),
-		Reconfigs:    int(sw.reconfigs.Load()),
-		Epoch:        v.epoch,
-		TableEntries: map[string]int{},
+		Evictions: int(sw.evictions.Load()),
+		Reconfigs: int(sw.reconfigs.Load()),
+		Epoch:     sw.Epoch(),
 	}
 	for _, ln := range sw.lanes {
 		ls := &ln.stats
@@ -425,12 +445,6 @@ func (sw *Switch) Stats() Stats {
 		s.CtlOps += int(ls.ctlOps.Load())
 		s.CtlFlips += int(ls.ctlFlips.Load())
 		s.Expired += int(ls.expired.Load())
-		s.StepsTotal += int(ls.stepsTotal.Load())
-	}
-	for _, t := range sw.tables {
-		if t != nil {
-			s.TableEntries[t.name] = t.Len()
-		}
 	}
 	return s
 }
@@ -471,7 +485,6 @@ func (sw *Switch) Register(name string) (uint64, bool) {
 // single flip the batch shares.
 func (sw *Switch) MarkReconfig() {
 	sw.reconfigs.Add(1)
-	sw.view.Load().obs.ctlReconfigs.Inc()
 }
 
 // Epoch reports the published view's epoch: it advances on every
@@ -508,7 +521,6 @@ func (a *access) MapFind(g int, key *ir.MapKey) ([]uint64, bool) {
 		a.onTouch(t.name, *key)
 	}
 	if m := t.obs.Load(); m != nil {
-		m.lookups.Inc()
 		if hit {
 			m.hits.Inc()
 		} else {
@@ -566,7 +578,7 @@ type Pass struct {
 	env   ir.Env
 	xfer  []uint64
 
-	prePackets, postPackets, fastPath, toServer, punts, drops, stepsTotal int64
+	prePackets, postPackets, fastPath, toServer, punts, drops int64
 }
 
 // NewPass returns a pass context accounting to shard (the calling worker's
@@ -594,7 +606,6 @@ func (p *Pass) Flush() {
 	flush(&ls.toServer, &p.toServer)
 	flush(&ls.punts, &p.punts)
 	flush(&ls.drops, &p.drops)
-	flush(&ls.stepsTotal, &p.stepsTotal)
 }
 
 // begin wires the pass to the view it pins and the packet, with a zeroed
@@ -663,7 +674,6 @@ func (p *Pass) Pre(pkt *packet.Packet, onTouch func(table string, key ir.MapKey)
 	sw := p.sw
 	v := sw.view.Load()
 	p.prePackets++
-	v.obs.pre.Inc()
 	// Cache mode: run the pipeline against a scratch copy first; a cache
 	// miss discards all its effects (P4 actions are predicated on the
 	// punt flag) and the untouched packet goes to the server.
@@ -676,13 +686,10 @@ func (p *Pass) Pre(pkt *packet.Packet, onTouch func(table string, key ir.MapKey)
 	if err != nil {
 		return PreResult{}, fmt.Errorf("switchsim: pre pipeline: %w", err)
 	}
-	p.stepsTotal += int64(r.Steps)
 	v.obs.hPre.Observe(int64(r.Steps))
 	if p.acc.cacheMiss {
 		p.toServer++
 		p.punts++
-		v.obs.toServer.Inc()
-		v.obs.punts.Inc()
 		return PreResult{Action: ir.ActionNext, Punt: true, Steps: r.Steps}, nil
 	}
 	if sw.hasCacheTables {
@@ -691,7 +698,6 @@ func (p *Pass) Pre(pkt *packet.Packet, onTouch func(table string, key ir.MapKey)
 	switch r.Action {
 	case ir.ActionNext:
 		p.toServer++
-		v.obs.toServer.Inc()
 		pkt.AttachGallium(sw.Res.FormatA)
 		for _, f := range sw.xferA {
 			if f.slot <= 0 {
@@ -703,10 +709,8 @@ func (p *Pass) Pre(pkt *packet.Packet, onTouch func(table string, key ir.MapKey)
 		}
 	case ir.ActionDropped:
 		p.drops++
-		v.obs.drops.Inc()
 	case ir.ActionSent:
 		p.fastPath++
-		v.obs.fast.Inc()
 	}
 	return PreResult{Action: r.Action, Steps: r.Steps}, nil
 }
@@ -718,7 +722,6 @@ func (p *Pass) Post(pkt *packet.Packet, onTouch func(table string, key ir.MapKey
 	sw := p.sw
 	v := sw.view.Load()
 	p.postPackets++
-	v.obs.post.Inc()
 	if !pkt.HasGallium {
 		return PreResult{}, fmt.Errorf("switchsim: post pipeline: packet from server lacks gallium_b header")
 	}
@@ -738,11 +741,9 @@ func (p *Pass) Post(pkt *packet.Packet, onTouch func(table string, key ir.MapKey
 	if err != nil {
 		return PreResult{}, fmt.Errorf("switchsim: post pipeline: %w", err)
 	}
-	p.stepsTotal += int64(r.Steps)
 	v.obs.hPost.Observe(int64(r.Steps))
 	if r.Action == ir.ActionDropped {
 		p.drops++
-		v.obs.drops.Inc()
 	}
 	return PreResult{Action: r.Action, Steps: r.Steps}, nil
 }

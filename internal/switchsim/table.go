@@ -35,7 +35,8 @@ type Table struct {
 	used int
 	// fifo orders a §7 cache table's entries by insertion for eviction.
 	fifo []*node
-	// obs holds this table's counters once the switch is instrumented.
+	// obs holds this table's hit and miss counts once the switch is
+	// instrumented.
 	obs atomic.Pointer[tableObs]
 }
 
@@ -228,9 +229,6 @@ func (t *Table) write(cur *view, n *node, undo *undoSlab) (removed bool) {
 			if t.cached {
 				t.fifo = append(t.fifo, n)
 			}
-		}
-		if m := t.obs.Load(); m != nil {
-			m.entries.Set(t.live.Load())
 		}
 	}
 	return n.dead()

@@ -1,0 +1,257 @@
+package gallium_test
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	gallium "gallium"
+	"gallium/internal/netsim"
+	"gallium/internal/obs"
+	"gallium/internal/packet"
+	"gallium/internal/switchsim"
+	"gallium/internal/trafficgen"
+)
+
+// TestRegistryMatchesReport: the registry reads the counters the switch,
+// walker and engine keep, so once a run has settled every metric equals
+// the Report or Stats field it reads — for a metered chain on the engine,
+// for the sequential testbed, and for a switch instrumented twice.
+func TestRegistryMatchesReport(t *testing.T) {
+	t.Run("chain", func(t *testing.T) {
+		var arts []*gallium.Artifacts
+		for _, name := range []string{"firewall", "mazunat", "l4lb"} {
+			art, err := gallium.CompileBuiltin(name, gallium.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			arts = append(arts, art)
+		}
+		chain, err := gallium.Chain(arts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := iperfWorkload(6)
+		reg := obs.NewRegistry()
+		s, err := chain.Open(
+			gallium.WithWorkers(2),
+			gallium.WithScenario(),
+			gallium.WithFlows(gen.Tuples()),
+			gallium.WithMetrics(reg),
+			// Small enough to evict, so the expiry counts move too.
+			gallium.WithFlowTable(gallium.FlowTable{Capacity: 8}),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Feed(gen); err != nil {
+			t.Fatal(err)
+		}
+		mid, err := s.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mid.Stats.Injected == 0 {
+			t.Fatal("first feed injected nothing")
+		}
+		checkEngineMetrics(t, reg.Snapshot(), mid)
+		if err := s.Reconfigure(gallium.FirewallRuleSwap{Rules: gen.Tuples()}); err != nil {
+			t.Fatal(err)
+		}
+		// Snapshots read what the workers publish while they run.
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					reg.Snapshot()
+				}
+			}
+		}()
+		err = s.Feed(trafficgen.Shifted{WL: gen, OffsetNs: gen.DurationNs})
+		close(done)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		checkEngineMetrics(t, snap, rep)
+		checkSwitchMetrics(t, snap, rep.SwitchStages)
+		if rep.Flow == nil || rep.Flow.Evicted == 0 {
+			t.Errorf("flow table never evicted: %+v", rep.Flow)
+		}
+		for name, want := range map[string]uint64{
+			"engine.reconfigs":      uint64(rep.Reconfigs),
+			"engine.flow.occupancy": rep.Flow.Occupancy,
+			"engine.flow.expired":   rep.Flow.Expired,
+			"engine.flow.evicted":   rep.Flow.Evicted,
+		} {
+			if got := snap.Counters[name]; got != want {
+				t.Errorf("%s = %d, report says %d", name, got, want)
+			}
+		}
+		if got := snap.Histograms["engine.latency_ns"].Count; got != rep.Latency.Count {
+			t.Errorf("engine.latency_ns count = %d, report says %d", got, rep.Latency.Count)
+		}
+	})
+
+	t.Run("testbed", func(t *testing.T) {
+		art, err := gallium.CompileBuiltin("mazunat", gallium.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := iperfWorkload(6)
+		reg := obs.NewRegistry()
+		tb, err := art.NewTestbed(gallium.TestbedConfig{Scenario: true, Flows: gen.Tuples(), Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gen.Generate(func(tNs int64, p *packet.Packet) error {
+			_, err := tb.Inject(tNs, p)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		st := tb.Stats()
+		if st.Injected == 0 {
+			t.Fatal("nothing injected")
+		}
+		for name, want := range map[string]int{
+			"e2e.injected":     st.Injected,
+			"e2e.delivered":    st.Delivered,
+			"e2e.mb_drops":     st.MBDrops,
+			"e2e.queue_drops":  st.QueueDrops,
+			"e2e.ctl_rejected": st.CtlRejected,
+		} {
+			if got := snap.Counters[name]; got != uint64(want) {
+				t.Errorf("%s = %d, Stats says %d", name, got, want)
+			}
+		}
+		sw, _ := tb.SwitchStats()
+		checkSwitchMetrics(t, snap, []switchsim.Stats{sw})
+	})
+
+	t.Run("instrument-twice", func(t *testing.T) {
+		art, err := gallium.CompileBuiltin("mazunat", gallium.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dep, err := art.NewDeployment(art.ScenarioSetup(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		dep.Switch.Instrument(reg)
+		dep.Switch.Instrument(reg)
+		for _, tup := range iperfWorkload(4).Tuples() {
+			for i := 0; i < 3; i++ {
+				p := packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{})
+				if _, err := dep.Process(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		snap := reg.Snapshot()
+		st := dep.Switch.Stats()
+		if st.FastPath == 0 {
+			t.Fatal("no packet took the fast path")
+		}
+		checkSwitchMetrics(t, snap, []switchsim.Stats{st})
+		var lookups uint64
+		for name, v := range snap.Counters {
+			if strings.HasSuffix(name, ".lookups") {
+				lookups += v
+			}
+		}
+		// mazunat's pre-pass looks up one table per packet.
+		if want := uint64(st.PrePackets); lookups != want {
+			t.Errorf("lookups = %d, want %d: one per pre-pass", lookups, want)
+		}
+	})
+}
+
+// checkEngineMetrics checks engine.* against the report's aggregate and
+// engine.worker.<i>.* against its per-worker stats.
+func checkEngineMetrics(t *testing.T, snap *obs.Snapshot, rep *gallium.Report) {
+	t.Helper()
+	check := func(prefix string, s netsim.Stats) {
+		for name, want := range map[string]int{
+			"packets":   s.Injected,
+			"delivered": s.Delivered,
+			"fastpath":  s.FastPath,
+			"slowpath":  s.SlowPath,
+		} {
+			if got := snap.Counters[prefix+name]; got != uint64(want) {
+				t.Errorf("%s%s = %d, report says %d", prefix, name, got, want)
+			}
+		}
+	}
+	check("engine.", rep.Stats)
+	for i, s := range rep.PerWorker {
+		check(fmt.Sprintf("engine.worker.%d.", i), s)
+	}
+}
+
+// checkSwitchMetrics checks every switch.* metric in snap: a count equals
+// its Stats field summed over the switches, switch.ctl.staged equals
+// CtlOps - CtlFlips, a table's entries its size, and its lookups its hits
+// plus misses. A switch.* counter the check does not know is an error.
+func checkSwitchMetrics(t *testing.T, snap *obs.Snapshot, stages []switchsim.Stats) {
+	t.Helper()
+	want := map[string]int{}
+	wantGauges := map[string]int64{}
+	for _, s := range stages {
+		want["switch.pre.packets"] += s.PrePackets
+		want["switch.post.packets"] += s.PostPackets
+		want["switch.fastpath"] += s.FastPath
+		want["switch.to_server"] += s.ToServer
+		want["switch.punts"] += s.Punts
+		want["switch.drops"] += s.Drops
+		want["switch.evictions"] += s.Evictions
+		want["switch.expired"] += s.Expired
+		want["switch.ctl.ops"] += s.CtlOps
+		want["switch.ctl.flips"] += s.CtlFlips
+		want["switch.ctl.staged"] += s.CtlOps - s.CtlFlips
+		want["switch.ctl.reconfigs"] += s.Reconfigs
+		wantGauges["switch.snapshot.epoch"] += int64(s.Epoch)
+		for name, n := range s.TableEntries {
+			wantGauges["switch.table."+name+".entries"] += int64(n)
+		}
+	}
+	for name, w := range want {
+		if got, ok := snap.Counters[name]; !ok || got != uint64(w) {
+			t.Errorf("%s = %d (present %v), Stats says %d", name, got, ok, w)
+		}
+	}
+	for name, w := range wantGauges {
+		if got, ok := snap.Gauges[name]; !ok || got != w {
+			t.Errorf("gauge %s = %d (present %v), Stats says %d", name, got, ok, w)
+		}
+	}
+	for name, v := range snap.Counters {
+		if !strings.HasPrefix(name, "switch.") {
+			continue
+		}
+		if table, ok := strings.CutSuffix(name, ".lookups"); ok {
+			if hm := snap.Counters[table+".hits"] + snap.Counters[table+".misses"]; v != hm {
+				t.Errorf("%s = %d, hits + misses = %d", name, v, hm)
+			}
+			continue
+		}
+		_, known := want[name]
+		if !known && !strings.HasSuffix(name, ".hits") && !strings.HasSuffix(name, ".misses") {
+			t.Errorf("switch counter %s is not checked against Stats", name)
+		}
+	}
+}

@@ -67,8 +67,9 @@ func WithMode(m Mode) Option {
 	return func(c *runConfig) { c.Mode = m }
 }
 
-// WithMetrics attaches an observability registry: per-worker counters,
-// read-time "engine.*" aggregates, and switch/server component metrics.
+// WithMetrics attaches an observability registry: the engine's per-worker
+// and "engine.*" counts, read from each worker's stats as of its latest
+// barrier, and the switch and server metrics.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(c *runConfig) { c.Obs = reg }
 }
@@ -177,9 +178,10 @@ func (a *Artifacts) Run(ctx context.Context, wl Workload, opts ...Option) (*Repo
 	return rep, nil
 }
 
-// shardScenarioSetup is ScenarioSetup's shard-aware counterpart: identical
-// configuration on every shard, except allocators the middlebox must
-// partition across concurrent shards (mazunat's external-port space).
+// shardScenarioSetup seeds the scenario ScenarioSetup describes on each of
+// workers shards: identical configuration on every shard, except
+// allocators the middlebox must partition across concurrent shards
+// (mazunat's external-port space).
 func (a *Artifacts) shardScenarioSetup(flows []packet.FiveTuple, workers int) func(int, *ir.State) {
 	if workers <= 0 {
 		workers = 1

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gallium/internal/ir"
-	"gallium/internal/middleboxes"
 	"gallium/internal/netsim"
 	"gallium/internal/obs"
 	"gallium/internal/packet"
@@ -95,20 +94,11 @@ func (a *Artifacts) NewTestbed(cfg TestbedConfig) (*netsim.Testbed, error) {
 
 // ScenarioSetup returns the state-seeding function for the middlebox's
 // standard benchmark scenario: configured state for its name, firewall
-// whitelist entries for the given flows, and the proxy port redirect.
+// whitelist entries for the given flows, and the proxy port redirect. It
+// is the one shard of a one-worker deployment.
 func (a *Artifacts) ScenarioSetup(flows []packet.FiveTuple) func(st *ir.State) {
-	name := a.Name
-	return func(st *ir.State) {
-		middleboxes.ConfigureState(name, st)
-		switch name {
-		case "firewall":
-			for _, tup := range flows {
-				middleboxes.AllowFlow(st, tup)
-			}
-		case "proxy":
-			middleboxes.RedirectPort(st, 5001)
-		}
-	}
+	setup := a.shardScenarioSetup(flows, 1)
+	return func(st *ir.State) { setup(0, st) }
 }
 
 // NewDeployment builds the bare switch+server pair (no timing model) for
