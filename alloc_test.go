@@ -29,13 +29,13 @@ const allocBudget = 0
 // list (sized once from the plan's count of recording statements).
 const slowPathAllocBudget = 3
 
-// deploymentNewFlowBudget is the budget for one new mazunat flow through
-// the whole slow path of netsim.Deployment.Process: pre-pass, the hop to
+// newFlowBudget is the budget for one new mazunat flow through the whole
+// slow path of a Testbed under netsim.InstantModel: pre-pass, the hop to
 // the server, the server, output commit (stage + flip), the hop back,
 // post-pass. It is the server's slowPathAllocBudget plus the two table
 // nodes its inserts stage, the successor view and the flip's undo slab;
 // the hops decode in place and the pending batch is reused.
-const deploymentNewFlowBudget = slowPathAllocBudget + 4
+const newFlowBudget = slowPathAllocBudget + 4
 
 // resetPacket restores dst to the pristine packet while keeping dst's
 // gallium buffer capacity, so the measured loop replays the same flow
@@ -96,6 +96,10 @@ func TestFastPathAllocs(t *testing.T) {
 					packet.TCPOptions{Payload: []byte("hello middlebox")})
 			}
 			buf := &packet.Packet{}
+			// An owned pass, as a walker holds one: the pooled
+			// ProcessPreShard wrapper may build a fresh Pass under -race,
+			// which drops sync.Pool Puts at random.
+			pass := sw.NewPass(0)
 
 			// run pushes one packet of the flow through the partitioned
 			// pipeline. During warmup (apply=true) recorded write-backs go
@@ -103,7 +107,8 @@ func TestFastPathAllocs(t *testing.T) {
 			// the switch and later packets reach steady state.
 			run := func(apply bool) error {
 				resetPacket(buf, pristine)
-				pre, err := sw.ProcessPreShard(buf, 0, nil)
+				defer pass.Flush()
+				pre, err := pass.Pre(buf, nil)
 				if err != nil {
 					return err
 				}
@@ -125,7 +130,7 @@ func TestFastPathAllocs(t *testing.T) {
 				if res.Action != ir.ActionNext {
 					return nil
 				}
-				_, err = sw.ProcessPostShard(buf, 0, nil)
+				_, err = pass.Post(buf, nil)
 				return err
 			}
 
@@ -196,16 +201,19 @@ func TestSlowPathAllocs(t *testing.T) {
 	}
 }
 
-// TestDeploymentNewFlowAllocs gates a new flow's whole slow path, end to
-// end through the Deployment: every run sends the first packet of a flow
-// the NAT has not seen, which must come back from the switch post-pass.
-func TestDeploymentNewFlowAllocs(t *testing.T) {
+// TestTestbedNewFlowAllocs gates a new flow's whole slow path, end to end
+// through a Testbed under the zero-cost model: every run sends the first
+// packet of a flow the NAT has not seen, which must come back from the
+// switch post-pass with its two table inserts staged and flipped.
+func TestTestbedNewFlowAllocs(t *testing.T) {
 	art, err := gallium.Compile(middleboxes.MazuNATSource, gallium.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := netsim.NewDeployment(art.Res)
-	if err := d.Configure(func(st *ir.State) { middleboxes.ConfigureState("mazunat", st) }); err != nil {
+	instant := netsim.InstantModel()
+	tb, err := art.NewTestbed(gallium.TestbedConfig{Model: &instant,
+		Setup: func(st *ir.State) { middleboxes.ConfigureState("mazunat", st) }})
+	if err != nil {
 		t.Fatal(err)
 	}
 	pristine := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(9, 9, 9, 9), 1234, 80,
@@ -220,9 +228,9 @@ func TestDeploymentNewFlowAllocs(t *testing.T) {
 		resetPacket(buf, pristine)
 		flow++
 		buf.IP.SrcIP = packet.IPv4Addr(10<<24 | flow)
-		tr, err := d.Process(buf)
-		if err != nil || tr.FastPath || tr.Action != ir.ActionSent || tr.SyncOps == 0 {
-			failed = fmt.Errorf("new flow: %+v, %v (want a slow-path delivery held for its write-back)", tr, err)
+		d, err := tb.Inject(0, buf)
+		if err != nil || d.FastPath || !d.Delivered {
+			failed = fmt.Errorf("new flow: %+v, %v (want a slow-path delivery)", d, err)
 		}
 	}
 	// Pre-size the state's maps and the switch tables so their growth is
@@ -234,7 +242,10 @@ func TestDeploymentNewFlowAllocs(t *testing.T) {
 	if failed != nil {
 		t.Fatal(failed)
 	}
-	if allocs > deploymentNewFlowBudget {
-		t.Fatalf("a new flow's slow path allocates %.1f objects, budget is %d", allocs, deploymentNewFlowBudget)
+	if st := tb.Stats(); st.CtlOps != 2*int(flow) || st.CtlBatches != int(flow) {
+		t.Fatalf("%d new flows staged %d updates in %d flips, want two inserts and one flip each", flow, st.CtlOps, st.CtlBatches)
+	}
+	if allocs > newFlowBudget {
+		t.Fatalf("a new flow's slow path allocates %.1f objects, budget is %d", allocs, newFlowBudget)
 	}
 }

@@ -450,8 +450,8 @@ func runTestbed(art *gallium.Artifacts, gen trafficgen.IperfConfig, name, modeSt
 	if mode == gallium.Offloaded {
 		fmt.Printf("  fast path: %d (%.2f%%)  slow path: %d\n",
 			st.FastPath, 100*float64(st.FastPath)/float64(st.Injected), st.SlowPath)
-		if sws, ok := tb.SwitchStats(); ok {
-			fmt.Printf("  switch tables: %v\n", sws.TableEntries)
+		if sw := tb.Switch(); sw != nil {
+			fmt.Printf("  switch tables: %v\n", sw.Stats().TableEntries)
 		}
 	}
 	return writeMetrics(reg, metricsPath, traceN)

@@ -8,15 +8,17 @@ import (
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
 	"gallium/internal/packet"
+	"gallium/internal/serverrt"
 )
 
-// TestDriverAgreement holds the three runtimes to one behaviour. The
-// bare Deployment, the sequential Testbed and the engine at one worker
-// are the same walker behind three committers, so with
-// arrivals spaced past the control plane's flip latency (10 ms, as
-// difftest's inject leg) every packet must meet the same fate with the
-// same output bytes, and the servers must end in the same state — for
-// every bundled middlebox, on the golden test's per-middlebox traffic.
+// TestDriverAgreement holds the two runtimes to the unpartitioned program.
+// The sequential Testbed and the engine at one worker are the same walker
+// behind two committers. With arrivals spaced past the control plane's
+// flip latency (10 ms, as difftest's inject leg), every packet must meet
+// the fate, with the same output bytes, that the unpartitioned IR gives it
+// (serverrt.Software on identically seeded state), and both servers must
+// end in the oracle's state — for every bundled middlebox, on the golden
+// test's per-middlebox traffic.
 func TestDriverAgreement(t *testing.T) {
 	for _, spec := range middleboxes.Extended() {
 		t.Run(spec.Name, func(t *testing.T) {
@@ -35,30 +37,27 @@ func TestDriverAgreement(t *testing.T) {
 				q.StripGallium()
 				return string(q.Serialize())
 			}
-			agree := func(driver string, got, want []string, state, wantState *ir.State) {
-				t.Helper()
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("packet %d: %s and the deployment disagree:\n%q\n%q", i, driver, got[i], want[i])
-					}
-				}
-				if !state.Equal(wantState) {
-					t.Fatalf("%s and the deployment end in different server states", driver)
-				}
-			}
-
-			dep, err := art.NewDeployment(tr.setup(art))
-			if err != nil {
-				t.Fatal(err)
-			}
+			oracle := serverrt.NewSoftware(art.Prog)
+			tr.setup(art)(oracle.State)
 			want := make([]string, len(tr.pkts))
 			for i := range tr.pkts {
 				p := tr.build(i)
-				trip, err := dep.Process(p)
+				res, err := oracle.Process(p)
 				if err != nil {
-					t.Fatalf("deployment packet %d: %v", i, err)
+					t.Fatalf("oracle packet %d: %v", i, err)
 				}
-				want[i] = fate(trip.Action == ir.ActionSent, p)
+				want[i] = fate(res.Action == ir.ActionSent, p)
+			}
+			agree := func(driver string, got []string, state *ir.State) {
+				t.Helper()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("packet %d: %s and the unpartitioned program disagree:\n%q\n%q", i, driver, got[i], want[i])
+					}
+				}
+				if !state.Equal(oracle.State) {
+					t.Fatalf("%s ends in a server state the unpartitioned program does not", driver)
+				}
 			}
 
 			tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: tr.setup(art)})
@@ -74,7 +73,7 @@ func TestDriverAgreement(t *testing.T) {
 				}
 				got[i] = fate(d.Delivered, p)
 			}
-			agree("testbed", got, want, tb.ServerState(), dep.Server.State)
+			agree("testbed", got, tb.ServerState())
 
 			var final *ir.State
 			got = make([]string, len(tr.pkts))
@@ -84,7 +83,7 @@ func TestDriverAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			agree("engine", got, want, final, dep.Server.State)
+			agree("engine", got, final)
 		})
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"gallium"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
+	"gallium/internal/netsim"
 	"gallium/internal/packet"
 )
 
@@ -42,7 +43,9 @@ func main() {
 			log.Fatal(err)
 		}
 		res := art.Res
-		d, err := art.NewDeployment(func(st *ir.State) { middleboxes.ConfigureState("minilb", st) })
+		instant := netsim.InstantModel()
+		tb, err := art.NewTestbed(gallium.TestbedConfig{Model: &instant,
+			Setup: func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,15 +61,16 @@ func main() {
 				src = packet.MakeIPv4Addr(10, 0, byte(1+rng.Intn(200)), byte(1+rng.Intn(250)))
 			}
 			p := packet.BuildTCP(src, packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{})
-			tr, err := d.Process(p)
+			d, err := tb.Inject(0, p)
 			if err != nil {
 				log.Fatal(err)
 			}
-			if tr.FastPath {
+			if d.FastPath {
 				fast++
 			}
 		}
-		st := d.Switch.Stats()
+		tb.Due(0) // the last packet's write-back still awaits its flip
+		st := tb.Switch().Stats()
 		fmt.Printf("%10s %13dB %10.1f%% %8d %11d\n",
 			label, res.Report.SwitchMemoryBytes, 100*float64(fast)/total, st.Punts, st.Evictions)
 	}

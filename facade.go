@@ -1,8 +1,7 @@
 // Package gallium is the single entry point to the Gallium toolchain: it
 // compiles a MiniClick middlebox, partitions it across a programmable
 // switch and a middlebox server (the paper's §4 pipeline), generates the
-// deployable P4 and server programs, and builds simulated testbeds and
-// deployments from the result.
+// deployable P4 and server programs, and runs the result.
 //
 // The facade replaces hand-wiring lang.Compile → partition.Partition →
 // p4.Generate/servergen.Generate in every caller:
@@ -12,7 +11,8 @@
 //
 // Compiled artifacts run three ways, from lowest-level to highest:
 // NewTestbed for the sequential virtual-time simulator (Inject,
-// Reconfigure — the differential-test oracle), Run for a one-shot batch
+// Reconfigure — the differential-test oracle; under netsim.InstantModel
+// it moves packets with no timing at all), Run for a one-shot batch
 // through the concurrent engine, and Open for a long-lived Session with
 // live reconfiguration (Feed, Reconfigure, Stats, Serve). Chain composes
 // several compiled middleboxes into one pipeline served by a single

@@ -9,6 +9,7 @@ import (
 	"gallium"
 	"gallium/internal/analysis"
 	"gallium/internal/middleboxes"
+	"gallium/internal/netsim"
 	"gallium/internal/obs"
 	"gallium/internal/packet"
 )
@@ -215,23 +216,29 @@ func TestTestbedMetricsEndToEnd(t *testing.T) {
 	}
 }
 
-func TestNewDeploymentSeedsState(t *testing.T) {
+// TestScenarioSetupSeedsState: a timing-free testbed seeded with the
+// scenario serves a new connection's first SYN on the server, and its
+// write-back lets the next packet of the connection stay on the switch.
+func TestScenarioSetupSeedsState(t *testing.T) {
 	art, err := gallium.CompileBuiltin("l4lb", gallium.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := art.NewDeployment(art.ScenarioSetup(nil))
+	instant := netsim.InstantModel()
+	tb, err := art.NewTestbed(gallium.TestbedConfig{Model: &instant, Scenario: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := packet.BuildTCP(packet.MakeIPv4Addr(172, 16, 0, 1), packet.MakeIPv4Addr(10, 0, 2, 2), 5000, 80,
-		packet.TCPOptions{Flags: packet.TCPFlagSYN})
-	tr, err := dep.Process(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.FastPath {
-		t.Error("first SYN should take the slow path")
+	for i, flags := range []uint8{packet.TCPFlagSYN, packet.TCPFlagACK} {
+		p := packet.BuildTCP(packet.MakeIPv4Addr(172, 16, 0, 1), packet.MakeIPv4Addr(10, 0, 2, 2), 5000, 80,
+			packet.TCPOptions{Flags: flags})
+		d, err := tb.Inject(0, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.Delivered || d.FastPath != (i == 1) {
+			t.Errorf("packet %d: %+v, want delivered, fast path only once the SYN's write-back is visible", i, d)
+		}
 	}
 }
 

@@ -28,12 +28,11 @@
 // shard's authoritative state gives the right answer. §7 read-through
 // fills ride the same flip without holding the packet.
 //
-// Lifecycle: an Engine is long-lived. Start spawns the workers; Feed
-// streams one workload through them (callable repeatedly, injection times
-// non-decreasing across feeds); Reconfigure applies a control-plane change
-// as one atomic visibility flip while traffic keeps flowing; Stop joins
-// everything and reports. Run is the one-shot convenience composing the
-// three.
+// Lifecycle: an Engine runs from New to Stop. New builds, seeds and
+// starts the workers; Feed streams one workload through them (callable
+// repeatedly, injection times non-decreasing across feeds); Reconfigure
+// applies a control-plane change as one atomic visibility flip while
+// traffic keeps flowing; Stop joins everything and reports.
 //
 // Pipelines: Config.Stages chains several compiled middleboxes through one
 // engine pass — a packet traverses stage 0's switch/server pair, then
@@ -139,9 +138,9 @@ type Reconfig struct {
 	FlowTable *flowstate.Config
 }
 
-// Engine runs workloads through the concurrent sharded pipeline. Build
-// one with New; drive it either with the one-shot Run or with the
-// long-lived Start / Feed / Reconfigure / Stop lifecycle.
+// Engine runs workloads through the concurrent sharded pipeline, from New
+// (which starts its workers) to Stop: Feed, Dispatch, Reconfigure and
+// LiveReport in between.
 type Engine struct {
 	cfg     Config
 	stages  []StageConfig
@@ -180,23 +179,23 @@ type Engine struct {
 	fedAny bool
 	_      [64]byte
 
-	started atomic.Bool
 	stopped atomic.Bool
 	startT  time.Time
 
 	// reconfigs counts the reconfigurations applied.
 	reconfigs atomic.Int64
 
-	ran      atomic.Bool
 	failOnce sync.Once
 	runErr   atomic.Pointer[error]
 }
 
-// New builds an engine: one server shard per worker per stage, all seeded
-// through each stage's Setup, and (in offloaded mode) one shared switch
-// per stage seeded from shard 0's configured state via the ordinary
-// control plane.
-func New(cfg Config) (*Engine, error) {
+// New builds an engine and starts it: one server shard per worker per
+// stage, all seeded through each stage's Setup, (in offloaded mode) one
+// shared switch per stage seeded from shard 0's configured state via the
+// ordinary control plane, and one goroutine per worker and nothing else.
+// A New that fails has started nothing. Cancel ctx to abort everything in
+// flight; Stop ends the engine either way.
+func New(ctx context.Context, cfg Config) (*Engine, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
@@ -288,6 +287,16 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	e.instrument(cfg.Obs)
+	e.startT = time.Now()
+	e.runCtx, e.cancel = context.WithCancel(ctx)
+	context.AfterFunc(e.runCtx, e.abort)
+	for _, w := range e.workers {
+		e.wg.Add(1)
+		go func(w *worker) {
+			defer e.wg.Done()
+			w.loop()
+		}(w)
+	}
 	return e, nil
 }
 
@@ -359,10 +368,8 @@ func (e *Engine) flowStats() *flowstate.Stats {
 func (e *Engine) fail(err error) {
 	e.failOnce.Do(func() {
 		e.runErr.Store(&err)
-		if e.cancel != nil {
-			e.cancel()
-			e.abort() // now, not when the AfterFunc gets to run
-		}
+		e.cancel()
+		e.abort() // now, not when the AfterFunc gets to run
 	})
 }
 
@@ -393,25 +400,6 @@ func (e *Engine) err() error {
 	return nil
 }
 
-// Start spawns the worker goroutines, one per shard and nothing else. It
-// may be called once per Engine; cancel ctx to abort everything in flight.
-func (e *Engine) Start(ctx context.Context) error {
-	if !e.started.CompareAndSwap(false, true) {
-		return errors.New("engine: Start may be called at most once per Engine")
-	}
-	e.startT = time.Now()
-	e.runCtx, e.cancel = context.WithCancel(ctx)
-	context.AfterFunc(e.runCtx, e.abort)
-	for _, w := range e.workers {
-		e.wg.Add(1)
-		go func(w *worker) {
-			defer e.wg.Done()
-			w.loop()
-		}(w)
-	}
-	return nil
-}
-
 // Feed streams one workload through the running engine and blocks until
 // every packet of it has settled. Injection times must be non-decreasing
 // across successive Feeds — the engine models one continuous deployment,
@@ -419,8 +407,8 @@ func (e *Engine) Start(ctx context.Context) error {
 // concurrently with Reconfigure (that is the point of the live control
 // plane).
 func (e *Engine) Feed(wl Workload) error {
-	if !e.started.Load() || e.stopped.Load() {
-		return errors.New("engine: Feed requires a started, unstopped engine")
+	if e.stopped.Load() {
+		return errors.New("engine: Feed after Stop")
 	}
 	e.feedMu.Lock()
 	defer e.feedMu.Unlock()
@@ -474,8 +462,8 @@ func (e *Engine) flush(w *worker) error {
 // cannot restart). Dispatch serializes with Feed on the dispatcher lock
 // and may run concurrently with Reconfigure.
 func (e *Engine) Dispatch(tNs int64, pkt *packet.Packet) (int64, error) {
-	if !e.started.Load() || e.stopped.Load() {
-		return 0, errors.New("engine: Dispatch requires a started, unstopped engine")
+	if e.stopped.Load() {
+		return 0, errors.New("engine: Dispatch after Stop")
 	}
 	e.feedMu.Lock()
 	defer e.feedMu.Unlock()
@@ -529,8 +517,8 @@ func (e *Engine) settle() {
 // packet processed before the flip sees the old configuration everywhere,
 // a packet after sees the new — never a mix.
 func (e *Engine) Reconfigure(r Reconfig) error {
-	if !e.started.Load() || e.stopped.Load() {
-		return errors.New("engine: Reconfigure requires a started, unstopped engine")
+	if e.stopped.Load() {
+		return errors.New("engine: Reconfigure after Stop")
 	}
 	if r.Stage < 0 || r.Stage >= len(e.stages) {
 		return fmt.Errorf("engine: reconfigure stage %d out of range (pipeline has %d stages)", r.Stage, len(e.stages))
@@ -608,18 +596,9 @@ func (e *Engine) Reconfigure(r Reconfig) error {
 	return ctx.Err()
 }
 
-// FlowConfig returns the engine-wide flow-table config (normalized), or
-// nil when the lifecycle is disabled.
-func (e *Engine) FlowConfig() *flowstate.Config {
-	return e.flowCfg.Load()
-}
-
 // Stop closes the ingress, joins every worker, and reports. No Feed or
 // Reconfigure may be in flight or issued afterwards.
 func (e *Engine) Stop() (*Report, error) {
-	if !e.started.Load() {
-		return nil, errors.New("engine: Stop requires Start")
-	}
 	if !e.stopped.CompareAndSwap(false, true) {
 		return nil, errors.New("engine: Stop may be called at most once per Engine")
 	}
@@ -641,8 +620,8 @@ func (e *Engine) Stop() (*Report, error) {
 // before the call; packets fed concurrently, and settled by a concurrent
 // Feed's barrier, may or may not be included.
 func (e *Engine) LiveReport() (*Report, error) {
-	if !e.started.Load() || e.stopped.Load() {
-		return nil, errors.New("engine: LiveReport requires a started, unstopped engine")
+	if e.stopped.Load() {
+		return nil, errors.New("engine: LiveReport after Stop")
 	}
 	e.settle()
 	if err := e.err(); err != nil {
@@ -651,52 +630,11 @@ func (e *Engine) LiveReport() (*Report, error) {
 	return e.buildReport(time.Since(e.startT)), nil
 }
 
-// Run streams the workload through the engine: a dispatcher goroutine (the
-// caller) hashes each packet to its flow's worker, and workers process to
-// completion in parallel, each flipping its own write-backs. Run blocks
-// until the workload is exhausted and every in-flight packet has settled,
-// then reports. Cancel ctx to abort: queued packets are drained
-// unprocessed and ctx.Err() is returned.
-func (e *Engine) Run(ctx context.Context, wl Workload) (*Report, error) {
-	if !e.ran.CompareAndSwap(false, true) {
-		return nil, errors.New("engine: Run may be called at most once per Engine")
-	}
-	if err := e.Start(ctx); err != nil {
-		return nil, err
-	}
-	feedErr := e.Feed(wl)
-	rep, stopErr := e.Stop()
-	if feedErr != nil {
-		return nil, feedErr
-	}
-	if stopErr != nil {
-		return nil, stopErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// SwitchStatsAt exposes one pipeline stage's switch counters (offloaded
-// mode only).
-func (e *Engine) SwitchStatsAt(stage int) (switchsim.Stats, bool) {
-	if stage < 0 || stage >= len(e.sws) {
-		return switchsim.Stats{}, false
-	}
-	return e.sws[stage].Stats(), true
-}
-
 // Stages reports the pipeline's stage count.
 func (e *Engine) Stages() int { return len(e.stages) }
 
-// Uptime reports wall-clock time since Start.
-func (e *Engine) Uptime() time.Duration {
-	if !e.started.Load() {
-		return 0
-	}
-	return time.Since(e.startT)
-}
+// Uptime reports wall-clock time since New.
+func (e *Engine) Uptime() time.Duration { return time.Since(e.startT) }
 
 // StageName reports a stage's label ("" when unnamed).
 func (e *Engine) StageName(stage int) string {

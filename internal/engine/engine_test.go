@@ -108,7 +108,7 @@ func TestPerFlowOrderingEightWorkers(t *testing.T) {
 	var mu sync.Mutex
 	seqs := map[packet.FiveTuple][]uint32{}
 	workersSeen := map[int]bool{}
-	eng, err := New(Config{
+	eng, err := New(context.Background(), Config{
 		Workers: 8,
 		Stages:  oneStage(res, setupLB),
 		OnDelivery: func(d Delivery) {
@@ -123,7 +123,10 @@ func TestPerFlowOrderingEightWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.Run(context.Background(), roundRobin(lbFlows(nFlows), perFlow, -1))
+	if err := eng.Feed(roundRobin(lbFlows(nFlows), perFlow, -1)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Stop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +169,7 @@ func runLB(t *testing.T, workers int, wl Workload) (map[packet.FiveTuple][]flowF
 	_, res := compileMB(t, "l4lb")
 	var mu sync.Mutex
 	fates := map[packet.FiveTuple][]flowFate{}
-	eng, err := New(Config{
+	eng, err := New(context.Background(), Config{
 		Workers: workers,
 		Stages:  oneStage(res, setupLB),
 		OnDelivery: func(d Delivery) {
@@ -181,7 +184,10 @@ func runLB(t *testing.T, workers int, wl Workload) (map[packet.FiveTuple][]flowF
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.Run(context.Background(), wl)
+	if err := eng.Feed(wl); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Stop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +221,15 @@ func TestShardEquivalenceOneVsEightWorkers(t *testing.T) {
 	}
 }
 
-// TestRunContextCancellation: canceling the context mid-stream aborts the
-// run promptly, drains without deadlock, and reports the cancellation.
+// TestRunContextCancellation: canceling the engine's context mid-stream
+// aborts the run promptly, drains without deadlock, and reports the
+// cancellation.
 func TestRunContextCancellation(t *testing.T) {
 	_, res := compileMB(t, "l4lb")
 	ctx, cancel := context.WithCancel(context.Background())
 	var n int64
 	var mu sync.Mutex
-	eng, err := New(Config{
+	eng, err := New(ctx, Config{
 		Workers: 4,
 		Stages:  oneStage(res, setupLB),
 		OnDelivery: func(d Delivery) {
@@ -249,16 +256,18 @@ func TestRunContextCancellation(t *testing.T) {
 			}
 		}
 	}}
-	_, err = eng.Run(ctx, wl)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run returned %v, want context.Canceled", err)
+	if err := eng.Feed(wl); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Feed returned %v, want context.Canceled", err)
+	}
+	if _, err := eng.Stop(); err != nil {
+		t.Fatalf("Stop after a cancellation: %v", err)
 	}
 }
 
 // TestEngineSoftwareMode runs the unpartitioned baseline across shards.
 func TestEngineSoftwareMode(t *testing.T) {
 	prog, _ := compileMB(t, "l4lb")
-	eng, err := New(Config{
+	eng, err := New(context.Background(), Config{
 		Mode:    2, // netsim.Software without importing it here
 		Workers: 4,
 		Stages:  []StageConfig{{Prog: prog, Setup: setupLB}},
@@ -266,7 +275,10 @@ func TestEngineSoftwareMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.Run(context.Background(), roundRobin(lbFlows(8), 20, -1))
+	if err := eng.Feed(roundRobin(lbFlows(8), 20, -1)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Stop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +320,7 @@ func TestEveryWriteBackApplied(t *testing.T) {
 	}
 	_, res := compileMB(t, "mazunat")
 	const nFlows = 200
-	eng, err := New(Config{
+	eng, err := New(context.Background(), Config{
 		Workers: 4,
 		Stages: oneStage(res, func(shard int, st *ir.State) {
 			middleboxes.ConfigureShard("mazunat", shard, 4, st)
@@ -317,7 +329,10 @@ func TestEveryWriteBackApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.Run(context.Background(), roundRobin(natFlows(nFlows), 5, -1))
+	if err := eng.Feed(roundRobin(natFlows(nFlows), 5, -1)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Stop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,10 +342,7 @@ func TestEveryWriteBackApplied(t *testing.T) {
 	if rep.Stats.CtlBatches == 0 || rep.Stats.CtlOps < 2*nFlows {
 		t.Fatalf("control plane did not run: batches=%d ops=%d", rep.Stats.CtlBatches, rep.Stats.CtlOps)
 	}
-	sw, ok := eng.SwitchStatsAt(0)
-	if !ok {
-		t.Fatal("no switch stats")
-	}
+	sw := rep.SwitchStages[0]
 	if got := sw.TableEntries["nat_fwd"]; got != nFlows {
 		t.Fatalf("nat_fwd holds %d entries after the run, want %d", got, nFlows)
 	}
@@ -354,7 +366,7 @@ func TestWriteBackVisibleAtDelivery(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			var eng *Engine
 			var slow, hidden atomic.Int64
-			eng, err := New(Config{
+			eng, err := New(context.Background(), Config{
 				Workers: workers,
 				Stages: oneStage(res, func(shard int, st *ir.State) {
 					middleboxes.ConfigureShard("mazunat", shard, workers, st)
@@ -372,7 +384,10 @@ func TestWriteBackVisibleAtDelivery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.Run(context.Background(), roundRobin(flows, 3, -1)); err != nil {
+			if err := eng.Feed(roundRobin(flows, 3, -1)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Stop(); err != nil {
 				t.Fatal(err)
 			}
 			if slow.Load() != int64(len(flows)) {
@@ -405,7 +420,7 @@ func TestMazunatShardedPortAllocation(t *testing.T) {
 		worker int
 	}
 	allocs := map[packet.FiveTuple]alloc{}
-	eng, err := New(Config{
+	eng, err := New(context.Background(), Config{
 		Workers: workers,
 		Stages: oneStage(res, func(shard int, st *ir.State) {
 			middleboxes.ConfigureShard("mazunat", shard, workers, st)
@@ -424,7 +439,10 @@ func TestMazunatShardedPortAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(context.Background(), roundRobin(natFlows(nFlows), 3, -1)); err != nil {
+	if err := eng.Feed(roundRobin(natFlows(nFlows), 3, -1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Stop(); err != nil {
 		t.Fatal(err)
 	}
 	if len(allocs) != nFlows {
@@ -443,26 +461,32 @@ func TestMazunatShardedPortAllocation(t *testing.T) {
 	}
 }
 
-// TestRunIsOneShot: a second Run on the same engine must be rejected —
-// state carries the first run's traffic history.
-func TestRunIsOneShot(t *testing.T) {
+// TestStopIsOneShot: an engine runs once, from New to Stop — a second Stop,
+// and traffic after the first, must be rejected.
+func TestStopIsOneShot(t *testing.T) {
 	_, res := compileMB(t, "l4lb")
-	eng, err := New(Config{Stages: oneStage(res, setupLB)})
+	eng, err := New(context.Background(), Config{Stages: oneStage(res, setupLB)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(context.Background(), roundRobin(lbFlows(2), 2, -1)); err != nil {
+	if err := eng.Feed(roundRobin(lbFlows(2), 2, -1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(context.Background(), roundRobin(lbFlows(2), 2, -1)); err == nil {
-		t.Fatal("second Run accepted")
+	if _, err := eng.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Stop(); err == nil {
+		t.Fatal("second Stop accepted")
+	}
+	if err := eng.Feed(roundRobin(lbFlows(2), 2, -1)); err == nil {
+		t.Fatal("Feed after Stop accepted")
 	}
 }
 
 // TestOutOfOrderInjectionRejected mirrors the testbed's contract.
 func TestOutOfOrderInjectionRejected(t *testing.T) {
 	_, res := compileMB(t, "l4lb")
-	eng, err := New(Config{Stages: oneStage(res, setupLB)})
+	eng, err := New(context.Background(), Config{Stages: oneStage(res, setupLB)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,9 +499,12 @@ func TestOutOfOrderInjectionRejected(t *testing.T) {
 		p2 := packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{})
 		return emit(500, p2)
 	}}
-	if _, err := eng.Run(context.Background(), wl); err == nil {
+	if err := eng.Feed(wl); err == nil {
 		t.Fatal("out-of-order injection accepted")
 	} else if want := "out-of-order"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not mention %q", err, want)
+	}
+	if _, err := eng.Stop(); err != nil {
+		t.Fatal(err)
 	}
 }

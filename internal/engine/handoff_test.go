@@ -34,7 +34,7 @@ func TestFeedBurstBoundaries(t *testing.T) {
 			var mu sync.Mutex
 			seen := map[int64]int{}
 			last := map[packet.FiveTuple]int64{}
-			eng, err := New(Config{
+			eng, err := New(context.Background(), Config{
 				Workers: workers,
 				Stages:  oneStage(res, setupLB),
 				OnDelivery: func(d Delivery) {
@@ -48,9 +48,6 @@ func TestFeedBurstBoundaries(t *testing.T) {
 				},
 			})
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Start(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			reconfigured := make(chan error, 1)
@@ -88,8 +85,8 @@ func TestFeedBurstBoundaries(t *testing.T) {
 				var paused atomic.Int32
 				err = eng.Reconfigure(Reconfig{Mutate: func(int, *ir.State) []switchsim.Update {
 					if int(paused.Add(1)) == workers {
-						if sw, _ := eng.SwitchStatsAt(0); sw.PrePackets != sent {
-							t.Errorf("inside the pause after the feed of %d: switch pre-passes %d, sent %d", n, sw.PrePackets, sent)
+						if got := eng.sws[0].Stats().PrePackets; got != sent {
+							t.Errorf("inside the pause after the feed of %d: switch pre-passes %d, sent %d", n, got, sent)
 						}
 					}
 					return nil
@@ -104,8 +101,8 @@ func TestFeedBurstBoundaries(t *testing.T) {
 				if rep.Stats.Injected != sent {
 					t.Errorf("after the feed of %d: report injected %d, sent %d", n, rep.Stats.Injected, sent)
 				}
-				if sw, _ := eng.SwitchStatsAt(0); sw.PrePackets != sent {
-					t.Errorf("after the feed of %d: switch pre-passes %d, sent %d", n, sw.PrePackets, sent)
+				if got := rep.SwitchStages[0].PrePackets; got != sent {
+					t.Errorf("after the feed of %d: switch pre-passes %d, sent %d", n, got, sent)
 				}
 			}
 			if err := <-reconfigured; err != nil {
@@ -129,18 +126,24 @@ func TestFeedBurstBoundaries(t *testing.T) {
 
 // TestPullTakesWhatIsQueued pins the one batching rule: a worker's pull
 // takes everything its mailbox holds, which the mailbox's depth bounds.
-// Forty jobs are queued before the worker starts: the default depth holds
-// them all, a depth of 8 only the first 8. The report's batch size is the
+// Forty jobs are queued while the worker is parked in a control job: the
+// default depth holds them all, a depth of 8 only the first 8. The report's batch size is the
 // measured mean of the pulls.
 func TestPullTakesWhatIsQueued(t *testing.T) {
 	_, res := compileMB(t, "l4lb")
 	// batch is the queue depth (0: the default).
 	for _, tc := range []struct{ batch, want int }{{0, 40}, {8, 8}} {
 		t.Run(fmt.Sprintf("batch=%d", tc.batch), func(t *testing.T) {
-			eng, err := New(Config{QueueDepth: tc.batch, Stages: oneStage(res, setupLB)})
+			eng, err := New(context.Background(), Config{QueueDepth: tc.batch, Stages: oneStage(res, setupLB)})
 			if err != nil {
 				t.Fatal(err)
 			}
+			box := eng.workers[0].box
+			parked, release := make(chan struct{}), make(chan struct{})
+			if !box.push([]job{{ctrl: func(*worker) { close(parked); <-release }}}) {
+				t.Fatal("push refused")
+			}
+			<-parked
 			first := -1
 			jobs := make([]job, 40)
 			for i := range jobs {
@@ -151,14 +154,12 @@ func TestPullTakesWhatIsQueued(t *testing.T) {
 				}
 			}
 			// A push beyond the depth fills the ring and parks until the
-			// worker pulls, so the first pull finds the ring full.
+			// worker pulls, so the first pull after the release finds the
+			// ring full.
 			pushed := make(chan bool)
-			go func() { pushed <- eng.workers[0].box.push(jobs) }()
-			box := eng.workers[0].box
+			go func() { pushed <- box.push(jobs) }()
 			eventually(t, "the ring holds the first jobs", func() bool { return box.queued() == min(len(jobs), len(box.ring)) })
-			if err := eng.Start(context.Background()); err != nil {
-				t.Fatal(err)
-			}
+			close(release)
 			if !<-pushed {
 				t.Fatal("push refused")
 			}
@@ -202,11 +203,8 @@ func TestEngineReleasesPackets(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Workers, cfg.OnDelivery = 2, func(Delivery) {}
-			eng, err := New(cfg)
+			eng, err := New(context.Background(), cfg)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Start(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			defer eng.Stop()
@@ -257,7 +255,7 @@ func TestWorkerPanicFailsFeed(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			checkLeaks(t)
 			var calls atomic.Int64
-			eng, err := New(Config{
+			eng, err := New(context.Background(), Config{
 				Workers:    workers,
 				QueueDepth: 8,
 				Stages:     oneStage(res, setupLB),
@@ -268,9 +266,6 @@ func TestWorkerPanicFailsFeed(t *testing.T) {
 				},
 			})
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Start(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			fed := make(chan error, 1)

@@ -69,15 +69,12 @@ func TestFlowExpiryEndToEnd(t *testing.T) {
 	flows := lbFlows(8)
 	idle, live := flows[:4], flows[4:]
 
-	eng, err := New(Config{
+	eng, err := New(context.Background(), Config{
 		Workers:   1,
 		Stages:    oneStage(res, setupLB),
 		FlowTable: aggressiveFlowTable(1000),
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Phase 1: everybody talks around t=0. Phase 2: only the live half
@@ -203,7 +200,7 @@ func TestFlowCapacityEviction(t *testing.T) {
 		UDPTimeout:  time.Hour,
 		SweepEvery:  1,
 	}
-	eng, err := New(Config{
+	eng, err := New(context.Background(), Config{
 		Workers:   1,
 		Stages:    oneStage(res, setupLB),
 		FlowTable: cfg,
@@ -211,7 +208,10 @@ func TestFlowCapacityEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.Run(context.Background(), burst(lbFlows(32), 1, 0, 1000))
+	if err := eng.Feed(burst(lbFlows(32), 1, 0, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Stop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestEvictNonePolicy(t *testing.T) {
 	cfg.EvictPolicy = flowstate.EvictNone
 	cfg.TCPTimeouts = flowstate.TCPTimeouts{Syn: time.Hour, Established: time.Hour, Fin: time.Hour}
 	cfg.UDPTimeout = time.Hour
-	eng, err := New(Config{
+	eng, err := New(context.Background(), Config{
 		Workers:   1,
 		Stages:    oneStage(res, setupLB),
 		FlowTable: cfg,
@@ -251,7 +251,10 @@ func TestEvictNonePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.Run(context.Background(), burst(lbFlows(16), 1, 0, 1000))
+	if err := eng.Feed(burst(lbFlows(16), 1, 0, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Stop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,21 +275,15 @@ func TestEvictNonePolicy(t *testing.T) {
 func TestReconfigureFlowTableFirstArm(t *testing.T) {
 	_, res := compileMB(t, "l4lb")
 	flows := lbFlows(6)
-	eng, err := New(Config{
+	eng, err := New(context.Background(), Config{
 		Workers: 1,
 		Stages:  oneStage(res, setupLB),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	if err := eng.Feed(burst(flows, 2, 0, 1000)); err != nil {
 		t.Fatal(err)
-	}
-	if eng.FlowConfig() != nil {
-		t.Fatal("unarmed engine reports a flow config")
 	}
 	if rep, err := eng.LiveReport(); err != nil || rep.Flow != nil {
 		t.Fatalf("unarmed engine reports a flow section: %+v, %v", rep.Flow, err)
@@ -295,8 +292,8 @@ func TestReconfigureFlowTableFirstArm(t *testing.T) {
 	if err := eng.Reconfigure(Reconfig{FlowTable: aggressiveFlowTable(500)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.FlowConfig(); got == nil || got.Capacity != 500 {
-		t.Fatalf("FlowConfig after arm = %+v", got)
+	if rep, err := eng.LiveReport(); err != nil || rep.Flow == nil || rep.Flow.Capacity != 500 {
+		t.Fatalf("flow section after arm: %+v, %v", rep.Flow, err)
 	}
 	// Distinct later flows keep virtual time moving. The first feed's
 	// settle sweep adopts the pre-arming entries as touched-now (t=10ms);
@@ -324,7 +321,7 @@ func TestReconfigureFlowTableFirstArm(t *testing.T) {
 // without disturbing the run.
 func TestReconfigureFlowTableInvalid(t *testing.T) {
 	_, res := compileMB(t, "l4lb")
-	eng, err := New(Config{
+	eng, err := New(context.Background(), Config{
 		Workers:   1,
 		Stages:    oneStage(res, setupLB),
 		FlowTable: aggressiveFlowTable(100),
@@ -332,24 +329,23 @@ func TestReconfigureFlowTableInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	if err := eng.Reconfigure(Reconfig{FlowTable: &flowstate.Config{Capacity: -5}}); err == nil {
 		t.Fatal("negative-capacity retune accepted")
 	}
-	if got := eng.FlowConfig(); got == nil || got.Capacity != 100 {
-		t.Fatalf("failed retune disturbed the config: %+v", got)
+	if rep, err := eng.LiveReport(); err != nil || rep.Flow == nil || rep.Flow.Capacity != 100 {
+		t.Fatalf("failed retune disturbed the config: %+v, %v", rep.Flow, err)
 	}
 	if _, err := eng.Stop(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestInvalidFlowTableConfig: New rejects a bad lifecycle config.
+// TestInvalidFlowTableConfig: New rejects a bad lifecycle config, and a
+// New that fails has started no goroutine.
 func TestInvalidFlowTableConfig(t *testing.T) {
+	checkLeaks(t)
 	_, res := compileMB(t, "l4lb")
-	_, err := New(Config{
+	_, err := New(context.Background(), Config{
 		Workers:   1,
 		Stages:    oneStage(res, nil),
 		FlowTable: &flowstate.Config{Capacity: 0},
@@ -369,15 +365,12 @@ func TestFlowLifecycleEightWorkersRace(t *testing.T) {
 	}
 	_, res := compileMB(t, "l4lb")
 	flows := lbFlows(64)
-	eng, err := New(Config{
+	eng, err := New(context.Background(), Config{
 		Workers:   8,
 		Stages:    oneStage(res, setupLB),
 		FlowTable: aggressiveFlowTable(64),
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -452,7 +445,7 @@ func TestDefaultSweepKeepsLiveFlows(t *testing.T) {
 	day := 24 * time.Hour
 	ports := make(map[packet.FiveTuple]uint16, inFlight*generations)
 	moved, delivered := 0, 0
-	eng, err := New(Config{
+	eng, err := New(context.Background(), Config{
 		Workers: 1,
 		Stages:  oneStage(res, nil),
 		FlowTable: &flowstate.Config{
@@ -475,9 +468,6 @@ func TestDefaultSweepKeepsLiveFlows(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Feed(wl); err != nil {

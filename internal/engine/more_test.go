@@ -90,7 +90,7 @@ func TestDeliveryMore(t *testing.T) {
 			t.Run(fmt.Sprintf("batch=%d/workers=%d", batch, workers), func(t *testing.T) {
 				checkLeaks(t)
 				log := newMoreLog(workers)
-				eng, err := New(Config{
+				eng, err := New(context.Background(), Config{
 					Workers:    workers,
 					QueueDepth: batch,
 					Stages: oneStage(res, func(_ int, st *ir.State) {
@@ -102,9 +102,6 @@ func TestDeliveryMore(t *testing.T) {
 					OnDelivery: log.deliver,
 				})
 				if err != nil {
-					t.Fatal(err)
-				}
-				if err := eng.Start(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 				reconfigured := make(chan error, 1)

@@ -52,7 +52,7 @@ type Report struct {
 	PerWorker []netsim.Stats
 	// Workers is the shard count the engine ran with.
 	Workers int
-	// WallNs is the wall-clock duration of Run.
+	// WallNs is the wall-clock time from New to this report.
 	WallNs int64
 	// PPS is wall-clock packets per second (Injected / WallNs) — the
 	// engine's real concurrency throughput, unlike the virtual-time

@@ -66,10 +66,11 @@ type worker struct {
 	// the stage has no dynamic maps or the lifecycle is disabled); the
 	// element pointers are atomic so report building can snapshot
 	// counters while the worker retunes mid-run. lifeOn, lastTNs and
-	// sweepDue are touched only by this worker's goroutine (or before
-	// Start). An armed stage's walker Touch callback reports switch
-	// fast-path hits to this worker's own shard state (same goroutine —
-	// flow affinity makes the switch hit's flow owned by this worker).
+	// sweepDue are touched only by this worker's goroutine (or by New,
+	// before it starts). An armed stage's walker Touch callback reports
+	// switch fast-path hits to this worker's own shard state (same
+	// goroutine — flow affinity makes the switch hit's flow owned by this
+	// worker).
 	life     []atomic.Pointer[flowstate.Tracker]
 	lifeOn   bool
 	lastTNs  int64
@@ -83,9 +84,9 @@ type worker struct {
 }
 
 // setLifecycle arms (or retunes) this worker's flow-state trackers for
-// the given ENGINE-WIDE config. It runs either before Start or inside
-// this worker's own goroutine as a control job, preserving the engine's
-// state confinement.
+// the given ENGINE-WIDE config. It runs either inside New, before the
+// workers start, or in this worker's own goroutine as a control job,
+// preserving the engine's state confinement.
 func (w *worker) setLifecycle(cfg flowstate.Config) {
 	shard := cfg.Shard(len(w.eng.workers))
 	for si := range w.eng.stages {
@@ -270,13 +271,20 @@ func (w *worker) runBatch() {
 	}
 }
 
-// apply stages a batch on this worker's own lane of the stage's switch and
-// flips it visible before returning (netsim.ApplyBatch), accounting it in
-// the walker's stats as the Testbed does. It runs on the worker's
-// goroutine, except for Reconfigure's batch, applied while every worker is
-// parked in the pause.
+// apply is output commit with no propagation delay: it stages a batch on
+// this worker's own lane of the stage's switch (netsim.StageBatch) and
+// flips it visible before returning, so the worker releases the packet
+// that recorded it, and runs its next job, with the switch already serving
+// the batch. It accounts the batch in the walker's stats as the Testbed
+// does. It runs on the worker's goroutine, except for Reconfigure's batch,
+// applied while every worker is parked in the pause. On an error nothing
+// flips.
 func (w *worker) apply(stage int, updates []switchsim.Update, punt bool) (staged, syncs int, err error) {
-	staged, rejected, syncs, err := netsim.ApplyBatch(w.eng.sws[stage], w.id, updates, punt)
+	sw := w.eng.sws[stage]
+	staged, rejected, syncs, err := netsim.StageBatch(sw, w.id, updates, punt)
+	if err == nil {
+		sw.FlipShard(w.id)
+	}
 	s := &w.walk.Stats
 	if staged > 0 {
 		s.CtlBatches++
@@ -290,12 +298,11 @@ func (w *worker) apply(stage int, updates []switchsim.Update, punt bool) (staged
 // committed, so there is nothing to make visible by virtual time.
 func (w *worker) Due(int64) {}
 
-// Commit implements netsim.Committer the way the Deployment does: the
-// batch is flipped on this worker's lane before Commit returns, so the
-// packet is delivered, and the worker takes its next job, only once the
-// switch serves its write-back (§4.3.3 output commit). The walker accounts
-// the stall in virtual time; §7 read-through fills ride the flip without
-// holding the packet.
+// Commit implements netsim.Committer: the batch is flipped on this
+// worker's lane before Commit returns, so the packet is delivered, and the
+// worker takes its next job, only once the switch serves its write-back
+// (§4.3.3 output commit). The walker accounts the stall in virtual time;
+// §7 read-through fills ride the flip without holding the packet.
 func (w *worker) Commit(stage int, updates []switchsim.Update, punt bool, _ int64) (int, error) {
 	staged, syncs, err := w.apply(stage, updates, punt)
 	if err != nil || staged == 0 || syncs == 0 {

@@ -8,6 +8,7 @@ import (
 	"gallium"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
+	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/partition"
 )
@@ -165,7 +166,9 @@ func AblationCacheSize() ([]CacheRow, error) {
 			return nil, err
 		}
 		res := art.Res
-		d, err := art.NewDeployment(func(st *ir.State) { middleboxes.ConfigureState("minilb", st) })
+		instant := netsim.InstantModel()
+		tb, err := art.NewTestbed(gallium.TestbedConfig{Model: &instant,
+			Setup: func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }})
 		if err != nil {
 			return nil, err
 		}
@@ -179,15 +182,16 @@ func AblationCacheSize() ([]CacheRow, error) {
 				src = packet.MakeIPv4Addr(10, 0, byte(1+rng.Intn(200)), byte(1+rng.Intn(250))) // cold tail
 			}
 			p := packet.BuildTCP(src, packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{})
-			tr, err := d.Process(p)
+			d, err := tb.Inject(0, p)
 			if err != nil {
 				return nil, err
 			}
-			if tr.FastPath {
+			if d.FastPath {
 				fast++
 			}
 		}
-		st := d.Switch.Stats()
+		tb.Due(0) // the last packet's write-back still awaits its flip
+		st := tb.Switch().Stats()
 		mem := res.Report.SwitchMemoryBytes
 		rows = append(rows, CacheRow{
 			Entries:     entries,

@@ -10,6 +10,8 @@
 // follow from the mechanisms, not from tuning.
 package netsim
 
+import "math"
+
 // CostModel collects the calibrated constants.
 type CostModel struct {
 	// CoreHz is the middlebox server clock (Intel Xeon E5-2680: 2.5 GHz).
@@ -69,6 +71,14 @@ func DefaultModel() CostModel {
 		MTUBytes:         1500,
 		StackJitterFrac:  0.04,
 	}
+}
+
+// InstantModel returns a model whose every cost is zero (an infinite line
+// rate, a 1 Hz core executing zero cycles): a testbed under it carries
+// packets through the whole trip, output commit included, with no timing
+// at all, so every packet may be injected at time 0.
+func InstantModel() CostModel {
+	return CostModel{CoreHz: 1, LineRateBps: math.Inf(1)}
 }
 
 // ServerCycles converts an executed-statement count into server cycles.

@@ -431,10 +431,8 @@ middlebox tiny {
 	if st.CtlRejected == 0 {
 		t.Error("no control-plane rejections despite a 4-entry table and 40 connections")
 	}
-	if sws, ok := tb.SwitchStats(); ok {
-		if sws.TableEntries["conns"] > 4 {
-			t.Errorf("switch table exceeded capacity: %d", sws.TableEntries["conns"])
-		}
+	if n := tb.Switch().Stats().TableEntries["conns"]; n > 4 {
+		t.Errorf("switch table exceeded capacity: %d", n)
 	}
 	// The four resident connections should be fast by round 2+.
 	if st.FastPath == 0 {
@@ -501,7 +499,7 @@ func TestModeZeroDefaultsToOffloaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tb.SwitchStats(); !ok {
+	if tb.Switch() == nil {
 		t.Fatal("zero Mode did not build the offloaded deployment")
 	}
 	if _, err := NewTestbed(Config{Model: DefaultModel(), Mode: Mode(7), Res: res, Prog: prog}); err == nil {

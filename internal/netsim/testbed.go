@@ -205,13 +205,15 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	return tb, nil
 }
 
-// stageBatch stages updates on shard's lane of the switch, invisible until
-// the lane's next flip. punt marks a §7 cache-mode batch, classified first
-// into read-through fills and synchronous updates; syncs counts the
-// updates output commit must hold the packet for (every update of any
-// other batch). A full table is a soft failure: that entry simply never
-// reaches the switch.
-func stageBatch(sw *switchsim.Switch, shard int, updates []switchsim.Update, punt bool) (staged, rejected, syncs int, err error) {
+// StageBatch stages updates on shard's lane of the switch, invisible until
+// the lane's next flip — the staging half of every committer: the Testbed
+// flips at a scheduled virtual time, an engine worker before it delivers
+// the packet. punt marks a §7 cache-mode batch, classified first into
+// read-through fills and synchronous updates; syncs counts the updates
+// output commit must hold the packet for (every update of any other
+// batch). A full table is a soft failure: that entry simply never reaches
+// the switch.
+func StageBatch(sw *switchsim.Switch, shard int, updates []switchsim.Update, punt bool) (staged, rejected, syncs int, err error) {
 	syncs = len(updates)
 	if punt {
 		fills, s := serverrt.ClassifyUpdates(sw, updates)
@@ -230,56 +232,33 @@ func stageBatch(sw *switchsim.Switch, shard int, updates []switchsim.Update, pun
 	return staged, rejected, syncs, nil
 }
 
-// ApplyBatch is output commit with no propagation delay: it stages a
-// write-back batch on shard's lane of the switch (see stageBatch) and flips
-// it visible before returning, so whoever holds the packet that recorded
-// it can release the packet, and run the next one, with the switch already
-// serving the batch. The Deployment, each engine worker and the engine's
-// Reconfigure apply their batches through it; the Testbed stages the same
-// way but flips at a scheduled virtual time. On an error nothing flips.
-func ApplyBatch(sw *switchsim.Switch, shard int, updates []switchsim.Update, punt bool) (staged, rejected, syncs int, err error) {
-	staged, rejected, syncs, err = stageBatch(sw, shard, updates, punt)
-	if err == nil {
-		sw.FlipShard(shard)
-	}
-	return staged, rejected, syncs, err
-}
-
-// reconfigure applies one control-plane change to a sequential switch and
-// server pair between packets: mutate runs against the authoritative
-// state (returning any extra switch updates, e.g. connection purges), then
-// the given updates plus mutate's are staged and made visible as one
-// atomic flip — the same §4.3.3 batch the write-back path uses, so a
-// packet processed before the call sees only the old configuration and a
-// packet processed after sees only the new one. sw is nil for the software
-// baseline, which has nothing to flip.
-func reconfigure(sw *switchsim.Switch, st *ir.State, mutate func(st *ir.State) []switchsim.Update, updates []switchsim.Update) (rejected int, err error) {
+// Reconfigure applies one control-plane change between injections: mutate
+// runs against the authoritative state (returning any extra switch
+// updates, e.g. connection purges), then the given updates plus mutate's
+// are staged and made visible as one atomic flip — the same §4.3.3 batch
+// the write-back path uses, so a packet injected before the call sees only
+// the old configuration and a packet injected after sees only the new one.
+// It is the oracle counterpart of the engine's Reconfigure — differential
+// tests apply the same change at the same packet index on both sides. Any
+// write-back still awaiting its scheduled flip shares the flip (a
+// sequential reconfiguration quiesces the deployment). The software
+// baseline has nothing to flip. On an error nothing flips.
+func (tb *Testbed) Reconfigure(mutate func(st *ir.State) []switchsim.Update, updates []switchsim.Update) error {
 	all := append([]switchsim.Update(nil), updates...)
 	if mutate != nil {
-		all = append(all, mutate(st)...)
+		all = append(all, mutate(tb.ServerState())...)
 	}
+	sw := tb.Switch()
 	if sw == nil {
-		return 0, nil
+		return nil
 	}
-	if _, rejected, _, err = ApplyBatch(sw, 0, all, false); err != nil {
-		return rejected, err
-	}
-	sw.MarkReconfig()
-	return rejected, nil
-}
-
-// Reconfigure applies one control-plane change between injections (see
-// reconfigure). It is the oracle counterpart of the engine's Reconfigure —
-// differential tests apply the same change at the same packet index on
-// both sides. Any write-back still awaiting its scheduled flip shares the
-// batch (a sequential reconfiguration quiesces the deployment).
-func (tb *Testbed) Reconfigure(mutate func(st *ir.State) []switchsim.Update, updates []switchsim.Update) error {
-	sw := tb.walk.Stages[0].Switch
-	rejected, err := reconfigure(sw, tb.ServerState(), mutate, updates)
+	_, rejected, _, err := StageBatch(sw, 0, all, false)
 	tb.walk.Stats.CtlRejected += rejected
-	if err != nil || sw == nil {
+	if err != nil {
 		return err
 	}
+	sw.FlipShard(0)
+	sw.MarkReconfig()
 	tb.walk.Stats.CtlBatches++
 	tb.flips = tb.flips[:0]
 	return nil
@@ -291,7 +270,7 @@ func (tb *Testbed) Due(nowNs int64) {
 	if len(tb.flips) == 0 {
 		return
 	}
-	sw := tb.walk.Stages[0].Switch
+	sw := tb.Switch()
 	kept := tb.flips[:0]
 	for _, atNs := range tb.flips {
 		if atNs <= nowNs {
@@ -308,7 +287,7 @@ func (tb *Testbed) Due(nowNs int64) {
 // batch latency after the server finished. §7 cache fills ride the same
 // flip but only synchronous updates hold the packet.
 func (tb *Testbed) Commit(_ int, updates []switchsim.Update, punt bool, doneNs int64) (int, error) {
-	staged, rejected, syncs, err := stageBatch(tb.walk.Stages[0].Switch, 0, updates, punt)
+	staged, rejected, syncs, err := StageBatch(tb.Switch(), 0, updates, punt)
 	tb.walk.Stats.CtlRejected += rejected
 	if err != nil || staged == 0 {
 		return 0, err
@@ -351,14 +330,9 @@ func (tb *Testbed) Stats() Stats { return tb.walk.Stats }
 // mutate it while injections are in flight.
 func (tb *Testbed) ServerState() *ir.State { return tb.walk.Stages[0].State() }
 
-// SwitchStats exposes the switch counters (offloaded mode only).
-func (tb *Testbed) SwitchStats() (switchsim.Stats, bool) {
-	sw := tb.walk.Stages[0].Switch
-	if sw == nil {
-		return switchsim.Stats{}, false
-	}
-	return sw.Stats(), true
-}
+// Switch exposes the simulated switch (nil in software mode). A write-back
+// the last packet made may still await its scheduled flip: Due applies it.
+func (tb *Testbed) Switch() *switchsim.Switch { return tb.walk.Stages[0].Switch }
 
 // rssHash steers a packet to a server core, keeping both directions of a
 // connection together (symmetric hash), like NIC RSS.

@@ -12,10 +12,9 @@ import (
 
 // Committer is the one thing the runtimes that drive a Walker differ in:
 // who carries a slow-path packet's replicated-state updates to the switch,
-// and when they become visible (§4.3.3). The sequential Testbed stages at
-// once and flips at a scheduled virtual time; the bare Deployment and each
-// engine worker flip immediately (ApplyBatch), a worker on its own switch
-// lane.
+// and when they become visible (§4.3.3). Both stage at once (StageBatch);
+// the sequential Testbed flips at a scheduled virtual time, each engine
+// worker on its own switch lane before the packet is delivered.
 type Committer interface {
 	// Due makes every control batch due by virtual time tNs visible to the
 	// data plane. The walker calls it before each switch pass; it is the
@@ -68,11 +67,6 @@ type Trip struct {
 	Verdict Verdict
 	// TookSlow means the packet left the switch fast path in this stage.
 	TookSlow bool
-	// SrvSteps is the server's executed statement count (0 on the fast path).
-	SrvSteps int
-	// StallOps is the number of control-plane operations output commit
-	// held the packet for.
-	StallOps int
 }
 
 // Walker is the execution core every runtime shares: it carries one packet
@@ -174,7 +168,7 @@ func (w *Walker) Walk(tNs int64, pkt *packet.Packet, tr *obs.Trace) (Delivery, e
 	// pipeline counts like a single middlebox would.
 	slow := false
 	for si := range w.Stages {
-		trip, err := w.Stage(si, pkt, &t, tr)
+		trip, err := w.stage(si, pkt, &t, tr)
 		if err != nil {
 			return Delivery{}, err
 		}
@@ -249,12 +243,12 @@ func (w *Walker) pass(st *Stage, post bool, pkt *packet.Packet, atNs int64, tr *
 	return r, err
 }
 
-// Stage carries the packet through one stage: the switch pre-pass, then —
+// stage carries the packet through one stage: the switch pre-pass, then —
 // when the compiled pipeline can't finish it — the slow-path trip to the
 // server core and the post-pass back through the switch. On Continue, *t
 // is the virtual time at which the packet leaves the stage and pkt
 // carries its rewritten headers.
-func (w *Walker) Stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (Trip, error) {
+func (w *Walker) stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (Trip, error) {
 	m := &w.Model
 	st := &w.Stages[si]
 	var trip Trip
@@ -322,7 +316,6 @@ func (w *Walker) Stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 	if err != nil {
 		return trip, fmt.Errorf("netsim: stage %d server: %w", si, err)
 	}
-	trip.SrvSteps = res.Steps
 	// The core is busy only for the CPU service time; the fixed datapath
 	// latency (NIC, PCIe, DPDK polling) is pipelined on top.
 	busyUntil := start + int64(m.ServerServiceNs(res.Steps))
@@ -343,7 +336,6 @@ func (w *Walker) Stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 		if err != nil {
 			return trip, err
 		}
-		trip.StallOps = n
 		release = done + int64(m.CtlBatchNs(n))
 	}
 	if release > done {

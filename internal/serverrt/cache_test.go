@@ -2,10 +2,10 @@ package serverrt_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gallium/internal/ir"
-	"gallium/internal/lang"
 	"gallium/internal/middleboxes"
 	"gallium/internal/netsim"
 	"gallium/internal/packet"
@@ -13,25 +13,21 @@ import (
 	"gallium/internal/serverrt"
 )
 
-// deployCached builds a deployment where the named tables run as §7
-// switch caches of the given capacity.
-func deployCached(t *testing.T, name string, caches map[string]int) (*ir.Program, *netsim.Deployment) {
+// compileCached partitions a bundled middlebox with the named tables as
+// §7 switch caches of the given capacity.
+func compileCached(t *testing.T, name string, caches map[string]int) (*ir.Program, *partition.Result) {
 	t.Helper()
-	spec, err := middleboxes.Lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := lang.Compile(spec.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := partition.DefaultConstraints()
 	c.CacheEntries = caches
-	res, err := partition.Partition(prog, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog, netsim.NewDeployment(res)
+	return compileBox(t, name, c)
+}
+
+// deployCached builds an instant testbed where the named tables run as §7
+// switch caches, seeded with the middlebox's configured state.
+func deployCached(t *testing.T, name string, caches map[string]int) *netsim.Testbed {
+	t.Helper()
+	_, res := compileCached(t, name, caches)
+	return deploy(t, res, netsim.InstantModel(), func(st *ir.State) { middleboxes.ConfigureState(name, st) })
 }
 
 // TestCacheModeEquivalence drives far more connections than the cache
@@ -48,16 +44,13 @@ func TestCacheModeEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			prog, d := deployCached(t, tc.name, tc.caches)
+			prog, res := compileCached(t, tc.name, tc.caches)
 			ref := serverrt.NewSoftware(prog)
 			setup := func(st *ir.State) { middleboxes.ConfigureState(tc.name, st) }
 			setup(ref.State)
-			if err := d.Configure(setup); err != nil {
-				t.Fatal(err)
-			}
+			tb := deploy(t, res, netsim.InstantModel(), setup)
 
 			rng := rand.New(rand.NewSource(11))
-			punts := 0
 			for i := 0; i < 4000; i++ {
 				// ~200 distinct connections against 8-16 cache slots.
 				src := packet.MakeIPv4Addr(10, 0, byte(rng.Intn(5)), byte(1+rng.Intn(40)))
@@ -72,14 +65,11 @@ func TestCacheModeEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tr, err := d.Process(pktDep)
-				if err != nil {
-					t.Fatalf("pkt %d: %v", i, err)
+				action, _ := inject(t, tb, pktDep)
+				if rRef.Action != action {
+					t.Fatalf("pkt %d: action ref=%v dep=%v", i, rRef.Action, action)
 				}
-				if rRef.Action != tr.Action {
-					t.Fatalf("pkt %d: action ref=%v dep=%v", i, rRef.Action, tr.Action)
-				}
-				if tr.Action == ir.ActionSent {
+				if action == ir.ActionSent {
 					for _, f := range []string{"ip.saddr", "ip.daddr", "l4.sport", "l4.dport"} {
 						a, _ := pktRef.GetField(f)
 						b, _ := pktDep.GetField(f)
@@ -88,15 +78,13 @@ func TestCacheModeEquivalence(t *testing.T) {
 						}
 					}
 				}
-				if !tr.FastPath && tr.SrvSteps > 0 {
-					punts++
-				}
 			}
-			if !ref.State.Equal(d.Server.State) {
+			if !ref.State.Equal(tb.ServerState()) {
 				t.Fatal("server state diverged from reference")
 			}
 			// Cache stayed within capacity.
-			st := d.Switch.Stats()
+			tb.Due(0)
+			st := tb.Switch().Stats()
 			for tbl, cap := range tc.caches {
 				if st.TableEntries[tbl] > cap {
 					t.Errorf("cache %s holds %d entries, capacity %d", tbl, st.TableEntries[tbl], cap)
@@ -118,12 +106,9 @@ func TestCacheModeEquivalence(t *testing.T) {
 // packet — no pipeline effects may leak (P4 predicates actions on the punt
 // flag).
 func TestCachePuntLeavesPacketUntouched(t *testing.T) {
-	_, d := deployCached(t, "minilb", map[string]int{"conn": 4})
-	if err := d.Configure(func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }); err != nil {
-		t.Fatal(err)
-	}
+	tb := deployCached(t, "minilb", map[string]int{"conn": 4})
 	pkt := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 7, 80, packet.TCPOptions{})
-	pre, err := d.Switch.ProcessPreShard(pkt, 0, nil)
+	pre, err := tb.Switch().ProcessPreShard(pkt, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,29 +126,13 @@ func TestCachePuntLeavesPacketUntouched(t *testing.T) {
 // TestCacheFillEnablesFastPath: after a punt warms the cache, the same
 // connection hits on the switch.
 func TestCacheFillEnablesFastPath(t *testing.T) {
-	_, d := deployCached(t, "minilb", map[string]int{"conn": 4})
-	if err := d.Configure(func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }); err != nil {
-		t.Fatal(err)
-	}
+	tb := deployCached(t, "minilb", map[string]int{"conn": 4})
 	p1 := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 7, 80, packet.TCPOptions{})
-	tr1, err := d.Process(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr1.FastPath {
+	if _, fast := inject(t, tb, p1); fast {
 		t.Fatal("first packet cannot be fast")
 	}
-	// The fill must not have stalled the packet: cache fills are not
-	// output-commit events (a racing packet just punts).
-	if tr1.SyncOps != 0 {
-		t.Errorf("cache fill stalled the packet (%d sync ops)", tr1.SyncOps)
-	}
 	p2 := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 7, 80, packet.TCPOptions{})
-	tr2, err := d.Process(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr2.FastPath {
+	if _, fast := inject(t, tb, p2); !fast {
 		t.Fatal("second packet should hit the warmed cache")
 	}
 	if p2.IP.DstIP != p1.IP.DstIP {
@@ -175,40 +144,26 @@ func TestCacheFillEnablesFastPath(t *testing.T) {
 // the switch cache must be invalidated synchronously so later packets of
 // that tuple punt (and get a fresh authoritative answer).
 func TestCacheInvalidationOnRemove(t *testing.T) {
-	_, d := deployCached(t, "l4lb", map[string]int{"conns": 8})
-	if err := d.Configure(func(st *ir.State) { middleboxes.ConfigureState("l4lb", st) }); err != nil {
-		t.Fatal(err)
-	}
+	tb := deployCached(t, "l4lb", map[string]int{"conns": 8})
 	client := packet.MakeIPv4Addr(172, 16, 0, 3)
 	vip := packet.MakeIPv4Addr(10, 0, 2, 2)
 	mk := func(flags uint8) *packet.Packet {
 		return packet.BuildTCP(client, vip, 6000, 80, packet.TCPOptions{Flags: flags})
 	}
-	if _, err := d.Process(mk(packet.TCPFlagSYN)); err != nil { // punt + fill
-		t.Fatal(err)
-	}
-	tr, err := d.Process(mk(packet.TCPFlagACK))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.FastPath {
+	inject(t, tb, mk(packet.TCPFlagSYN)) // punt + fill
+	if _, fast := inject(t, tb, mk(packet.TCPFlagACK)); !fast {
 		t.Fatal("data packet should hit the cache")
 	}
 	// FIN hits the cache, goes to the server partition, removes the entry;
-	// the removal is a synchronous update.
-	trFin, err := d.Process(mk(packet.TCPFlagFIN | packet.TCPFlagACK))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trFin.SyncOps == 0 {
-		t.Error("connection removal did not synchronize")
-	}
-	tbl, _ := d.Switch.Table("conns")
+	// the removal is a synchronous update (TestOutputCommitStallRule).
+	inject(t, tb, mk(packet.TCPFlagFIN|packet.TCPFlagACK))
+	tb.Due(0)
+	tbl, _ := tb.Switch().Table("conns")
 	if tbl.Len() != 0 {
 		t.Errorf("cache still holds %d entries after FIN", tbl.Len())
 	}
 	// Next packet of the tuple punts (authoritative miss → new entry).
-	pre, err := d.Switch.ProcessPreShard(mk(packet.TCPFlagACK), 0, nil)
+	pre, err := tb.Switch().ProcessPreShard(mk(packet.TCPFlagACK), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,14 +172,91 @@ func TestCacheInvalidationOnRemove(t *testing.T) {
 	}
 }
 
+// TestOutputCommitStallRule pins §7's output-commit rule on the Testbed.
+// A punted batch of read-through fills releases its packet at server
+// completion: a racing lookup just punts to the authoritative server. A
+// batch with any synchronous update holds the packet until the control
+// plane has pushed and flipped every update it staged, CtlBatchNs(staged).
+// Each packet runs through two testbeds that differ only in what the
+// control plane costs, so the gap between their latencies is the stall.
+func TestOutputCommitStallRule(t *testing.T) {
+	model := netsim.DefaultModel()
+	model.StackJitterFrac = 0
+	free := model
+	free.CtlOpSerialNs, free.CtlOpPipelinedNs = 0, 0
+	// batch is what a packet's server run ships to the switch.
+	const (
+		none = iota
+		fills
+		sync
+	)
+	client := packet.MakeIPv4Addr(10, 0, 0, 3)
+	for _, tc := range []struct {
+		name    string
+		caches  map[string]int
+		dst     packet.IPv4Addr
+		flags   []uint8 // one connection's packets, in order
+		batches []int
+		punts   int // of those packets, the cache misses
+	}{
+		{"minilb/insert", nil, packet.MakeIPv4Addr(9, 9, 9, 9),
+			[]uint8{packet.TCPFlagSYN, packet.TCPFlagACK}, []int{sync, none}, 0},
+		{"minilb/fill", map[string]int{"conn": 4}, packet.MakeIPv4Addr(9, 9, 9, 9),
+			[]uint8{packet.TCPFlagSYN, packet.TCPFlagACK}, []int{fills, none}, 1},
+		{"l4lb/fill-then-remove", map[string]int{"conns": 8}, packet.MakeIPv4Addr(10, 0, 2, 2),
+			[]uint8{packet.TCPFlagSYN, packet.TCPFlagACK, packet.TCPFlagFIN | packet.TCPFlagACK}, []int{fills, none, sync}, 1},
+		// A punted batch of one fill (the cached nat_fwd) and one
+		// synchronous insert (nat_rev) waits for both.
+		{"mazunat/fill-and-insert", map[string]int{"nat_fwd": 8}, packet.MakeIPv4Addr(93, 184, 216, 34),
+			[]uint8{packet.TCPFlagSYN, packet.TCPFlagACK}, []int{sync, none}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			name, _, _ := strings.Cut(tc.name, "/")
+			_, res := compileCached(t, name, tc.caches)
+			setup := func(st *ir.State) { middleboxes.ConfigureState(name, st) }
+			tb, tbFree := deploy(t, res, model, setup), deploy(t, res, free, setup)
+			for i, flags := range tc.flags {
+				mk := func() *packet.Packet {
+					return packet.BuildTCP(client, tc.dst, 6000, 80, packet.TCPOptions{Flags: flags})
+				}
+				// 10 ms apart: every earlier flip has landed.
+				tNs := int64(i) * 10_000_000
+				ops := tb.Stats().CtlOps
+				d, err := tb.Inject(tNs, mk())
+				if err != nil {
+					t.Fatal(err)
+				}
+				dFree, err := tbFree.Inject(tNs, mk())
+				if err != nil {
+					t.Fatal(err)
+				}
+				staged := tb.Stats().CtlOps - ops
+				if !d.Delivered || !dFree.Delivered {
+					t.Fatalf("packet %d not delivered: %+v, %+v", i, d, dFree)
+				}
+				if (staged > 0) != (tc.batches[i] != none) {
+					t.Fatalf("packet %d staged %d updates, want a batch: %v", i, staged, tc.batches[i] != none)
+				}
+				want := int64(0)
+				if tc.batches[i] == sync {
+					want = int64(model.CtlBatchNs(staged))
+				}
+				if stall := d.LatencyNs - dFree.LatencyNs; stall != want {
+					t.Errorf("packet %d (%d staged) held %d ns for its write-back, want %d", i, staged, stall, want)
+				}
+			}
+			if got := tb.Switch().Stats().Punts; got != tc.punts {
+				t.Errorf("%d packets punted, want %d", got, tc.punts)
+			}
+		})
+	}
+}
+
 // TestCacheHitRateGrowsWithCapacity: the §7 trade-off — more switch
 // memory, higher fast-path coverage.
 func TestCacheHitRateGrowsWithCapacity(t *testing.T) {
 	run := func(capEntries int) float64 {
-		_, d := deployCached(t, "minilb", map[string]int{"conn": capEntries})
-		if err := d.Configure(func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }); err != nil {
-			t.Fatal(err)
-		}
+		tb := deployCached(t, "minilb", map[string]int{"conn": capEntries})
 		rng := rand.New(rand.NewSource(5))
 		fast := 0
 		total := 6000
@@ -237,11 +269,7 @@ func TestCacheHitRateGrowsWithCapacity(t *testing.T) {
 				src = packet.MakeIPv4Addr(10, 0, 1, byte(1+rng.Intn(100))) // cold
 			}
 			p := packet.BuildTCP(src, packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{})
-			tr, err := d.Process(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tr.FastPath {
+			if _, fastPath := inject(t, tb, p); fastPath {
 				fast++
 			}
 		}

@@ -14,7 +14,8 @@ import (
 	"gallium/internal/switchsim"
 )
 
-func deploy(t *testing.T, name string) (*ir.Program, *netsim.Deployment) {
+// compileBox partitions a bundled middlebox under the given constraints.
+func compileBox(t *testing.T, name string, cons partition.Constraints) (*ir.Program, *partition.Result) {
 	t.Helper()
 	spec, err := middleboxes.Lookup(name)
 	if err != nil {
@@ -24,24 +25,50 @@ func deploy(t *testing.T, name string) (*ir.Program, *netsim.Deployment) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := partition.Partition(prog, partition.DefaultConstraints())
+	res, err := partition.Partition(prog, cons)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog, netsim.NewDeployment(res)
+	return prog, res
+}
+
+// deploy builds the offloaded switch and server pair on a testbed under
+// the given cost model, seeded by setup when non-nil.
+func deploy(t *testing.T, res *partition.Result, model netsim.CostModel, setup func(*ir.State)) *netsim.Testbed {
+	t.Helper()
+	tb, err := netsim.NewTestbed(netsim.Config{Model: model, Res: res, Setup: setup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+// inject runs one packet through a testbed under netsim.InstantModel,
+// where every packet may arrive at time 0, and returns its fate as the
+// middlebox's action, and whether the switch alone handled it.
+func inject(t *testing.T, tb *netsim.Testbed, pkt *packet.Packet) (ir.Action, bool) {
+	t.Helper()
+	d, err := tb.Inject(0, pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Delivered {
+		return ir.ActionSent, d.FastPath
+	}
+	return ir.ActionDropped, d.FastPath
 }
 
 // TestDeploymentEquivalenceAllMiddleboxes is the strongest equivalence
 // check in the repository: random traffic through the REAL runtime — the
 // switch pipeline with its tables, wire-format Gallium headers serialized
 // and reparsed on every hop, the server partition, and the write-back
-// synchronization protocol — must match the reference interpreter packet
-// for packet and end in identical state.
+// synchronization protocol, on a timing-free testbed — must match the
+// reference interpreter packet for packet and end in identical state.
 func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 	names := []string{"minilb", "mazunat", "l4lb", "firewall", "proxy", "trojandetector"}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			prog, d := deploy(t, name)
+			prog, res := compileBox(t, name, partition.DefaultConstraints())
 			ref := serverrt.NewSoftware(prog)
 
 			setup := func(st *ir.State) {
@@ -57,9 +84,7 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 				}
 			}
 			setup(ref.State)
-			if err := d.Configure(setup); err != nil {
-				t.Fatal(err)
-			}
+			tb := deploy(t, res, netsim.InstantModel(), setup)
 
 			rng := rand.New(rand.NewSource(3))
 			for i := 0; i < 2500; i++ {
@@ -85,14 +110,11 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 				if err != nil {
 					t.Fatalf("pkt %d: reference: %v", i, err)
 				}
-				tr, err := d.Process(pktDep)
-				if err != nil {
-					t.Fatalf("pkt %d (%v): deployment: %v", i, tup, err)
+				action, _ := inject(t, tb, pktDep)
+				if rRef.Action != action {
+					t.Fatalf("pkt %d (%v): action ref=%v dep=%v", i, tup, rRef.Action, action)
 				}
-				if rRef.Action != tr.Action {
-					t.Fatalf("pkt %d (%v): action ref=%v dep=%v", i, tup, rRef.Action, tr.Action)
-				}
-				if tr.Action == ir.ActionSent {
+				if action == ir.ActionSent {
 					for _, f := range []string{"ip.saddr", "ip.daddr", "l4.sport", "l4.dport"} {
 						a, _ := pktRef.GetField(f)
 						b, _ := pktDep.GetField(f)
@@ -105,16 +127,18 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 					}
 				}
 			}
-			if !ref.State.Equal(d.Server.State) {
+			if !ref.State.Equal(tb.ServerState()) {
 				t.Fatal("final server state mismatch with reference")
 			}
-			// Switch table contents must mirror the server's replicated maps.
-			for _, gn := range d.Server.Res.OffloadedGlobals {
-				g := d.Server.Res.Prog.Global(gn)
+			// Switch table contents must mirror the server's replicated maps
+			// once the last packet's write-back has flipped.
+			tb.Due(0)
+			for _, gn := range res.OffloadedGlobals {
+				g := res.Prog.Global(gn)
 				if g.Kind != ir.KindMap {
 					continue
 				}
-				tbl, _ := d.Switch.Table(gn)
+				tbl, _ := tb.Switch().Table(gn)
 				for k, v := range ref.State.Maps[gn] {
 					got, ok := tbl.Lookup(k)
 					if !ok || got[0] != v[0] {
@@ -148,40 +172,30 @@ func randTuple(rng *rand.Rand) packet.FiveTuple {
 }
 
 func TestServerRecordsReplicatedUpdates(t *testing.T) {
-	prog, d := deploy(t, "minilb")
-	_ = prog
-	if err := d.Configure(func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }); err != nil {
-		t.Fatal(err)
-	}
+	_, res := compileBox(t, "minilb", partition.DefaultConstraints())
+	tb := deploy(t, res, netsim.InstantModel(), func(st *ir.State) { middleboxes.ConfigureState("minilb", st) })
 	pkt := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 1, 80, packet.TCPOptions{})
-	tr, err := d.Process(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.FastPath {
+	if _, fast := inject(t, tb, pkt); fast {
 		t.Fatal("first packet of a connection must take the slow path")
 	}
-	if tr.SyncOps == 0 {
-		t.Fatal("server insert produced no sync operations")
+	if tb.Stats().CtlOps == 0 {
+		t.Fatal("server insert produced no write-back")
 	}
 	// The switch now has the entry: second packet is fast.
 	pkt2 := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 1, 80, packet.TCPOptions{})
-	tr2, err := d.Process(pkt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr2.FastPath {
+	ops := tb.Stats().CtlOps
+	if _, fast := inject(t, tb, pkt2); !fast {
 		t.Fatal("second packet should take the fast path after sync")
 	}
-	if tr2.SyncOps != 0 {
-		t.Error("fast path incurred sync operations")
+	if tb.Stats().CtlOps != ops {
+		t.Error("fast path produced a write-back")
 	}
 }
 
 func TestServerRejectsPacketWithoutHeader(t *testing.T) {
-	_, d := deploy(t, "minilb")
+	_, res := compileBox(t, "minilb", partition.DefaultConstraints())
 	pkt := packet.BuildTCP(1, 2, 3, 4, packet.TCPOptions{})
-	if _, err := d.Server.Process(pkt); err == nil {
+	if _, err := serverrt.New(res).Process(pkt); err == nil {
 		t.Fatal("server must reject packets without gallium_a")
 	}
 }
@@ -191,21 +205,13 @@ func TestServerRejectsPacketWithoutHeader(t *testing.T) {
 // observes all of p's updates, while a packet racing the sync observes
 // none — and in both cases each update batch is atomic.
 func TestRunToCompletionCausality(t *testing.T) {
-	spec, _ := middleboxes.Lookup("mazunat")
-	prog, err := lang.Compile(spec.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := partition.Partition(prog, partition.DefaultConstraints())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := netsim.NewDeployment(res)
+	_, res := compileBox(t, "mazunat", partition.DefaultConstraints())
+	sw, srv := switchsim.New(res), serverrt.New(res)
 
 	// p: first outbound packet of a connection (slow path, allocates a
 	// port, updates fwd+rev+counter).
 	p := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(99, 0, 0, 1), 1234, 80, packet.TCPOptions{Flags: packet.TCPFlagSYN})
-	pre, err := d.Switch.ProcessPreShard(p, 0, nil)
+	pre, err := sw.ProcessPreShard(p, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +222,7 @@ func TestRunToCompletionCausality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvRes, err := d.Server.Process(rx)
+	srvRes, err := srv.Process(rx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,12 +239,12 @@ func TestRunToCompletionCausality(t *testing.T) {
 	// Stage but do NOT flip: a concurrent packet q of the same connection
 	// must observe NONE of the updates (it re-takes the slow path).
 	for _, u := range srvRes.Updates {
-		if err := d.Switch.StageShard(0, u); err != nil {
+		if err := sw.StageShard(0, u); err != nil {
 			t.Fatal(err)
 		}
 	}
 	q := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(99, 0, 0, 1), 1234, 80, packet.TCPOptions{})
-	qPre, err := d.Switch.ProcessPreShard(q, 0, nil)
+	qPre, err := sw.ProcessPreShard(q, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +254,9 @@ func TestRunToCompletionCausality(t *testing.T) {
 
 	// Flip: p would now be released (output commit). A causally-later
 	// packet observes ALL updates: fast path with the same translation.
-	d.Switch.FlipShard(0)
+	sw.FlipShard(0)
 	q2 := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(99, 0, 0, 1), 1234, 80, packet.TCPOptions{})
-	q2Pre, err := d.Switch.ProcessPreShard(q2, 0, nil)
+	q2Pre, err := sw.ProcessPreShard(q2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +270,7 @@ func TestRunToCompletionCausality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Switch.ProcessPostShard(back, 0, nil); err != nil {
+	if _, err := sw.ProcessPostShard(back, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if q2.TCP.SrcPort != back.TCP.SrcPort {
@@ -275,13 +281,11 @@ func TestRunToCompletionCausality(t *testing.T) {
 // TestIPGatewayDeploymentEquivalence runs the LPM-based gateway through
 // the full deployment (LPM tables load onto the switch at configure time).
 func TestIPGatewayDeploymentEquivalence(t *testing.T) {
-	prog, d := deploy(t, "ipgateway")
+	prog, res := compileBox(t, "ipgateway", partition.DefaultConstraints())
 	ref := serverrt.NewSoftware(prog)
 	setup := func(st *ir.State) { middleboxes.ConfigureState("ipgateway", st) }
 	setup(ref.State)
-	if err := d.Configure(setup); err != nil {
-		t.Fatal(err)
-	}
+	tb := deploy(t, res, netsim.InstantModel(), setup)
 	rng := rand.New(rand.NewSource(17))
 	fast := 0
 	for i := 0; i < 1500; i++ {
@@ -292,17 +296,14 @@ func TestIPGatewayDeploymentEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := d.Process(pktDep)
-		if err != nil {
-			t.Fatal(err)
+		action, fastPath := inject(t, tb, pktDep)
+		if rRef.Action != action {
+			t.Fatalf("pkt %d: action ref=%v dep=%v", i, rRef.Action, action)
 		}
-		if rRef.Action != tr.Action {
-			t.Fatalf("pkt %d: action ref=%v dep=%v", i, rRef.Action, tr.Action)
-		}
-		if tr.Action == ir.ActionSent && (pktRef.IP.DstIP != pktDep.IP.DstIP || pktRef.IP.TTL != pktDep.IP.TTL) {
+		if action == ir.ActionSent && (pktRef.IP.DstIP != pktDep.IP.DstIP || pktRef.IP.TTL != pktDep.IP.TTL) {
 			t.Fatalf("pkt %d: hop/ttl mismatch", i)
 		}
-		if tr.FastPath {
+		if fastPath {
 			fast++
 		}
 	}
@@ -339,30 +340,20 @@ middlebox srvlpm {
 	if len(res.OffloadedGlobals) != 0 {
 		t.Fatalf("unannotated lpm offloaded: %v", res.OffloadedGlobals)
 	}
-	d := netsim.NewDeployment(res)
-	if err := d.Configure(func(st *ir.State) {
+	tb := deploy(t, res, netsim.InstantModel(), func(st *ir.State) {
 		st.AddRoute("routes", uint64(packet.MakeIPv4Addr(10, 0, 0, 0)), 8, 42)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	pkt := packet.BuildTCP(1, packet.MakeIPv4Addr(10, 1, 2, 3), 1, 2, packet.TCPOptions{})
-	tr, err := d.Process(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.FastPath {
+	action, fast := inject(t, tb, pkt)
+	if fast {
 		t.Error("server-side lpm cannot be fast")
 	}
-	if tr.Action != ir.ActionSent || uint64(pkt.IP.DstIP) != 42 {
-		t.Errorf("action=%v hop=%v", tr.Action, pkt.IP.DstIP)
+	if action != ir.ActionSent || uint64(pkt.IP.DstIP) != 42 {
+		t.Errorf("action=%v hop=%v", action, pkt.IP.DstIP)
 	}
 	miss := packet.BuildTCP(1, packet.MakeIPv4Addr(11, 1, 2, 3), 1, 2, packet.TCPOptions{})
-	tr, err = d.Process(miss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Action != ir.ActionDropped {
-		t.Errorf("miss action = %v", tr.Action)
+	if action, _ := inject(t, tb, miss); action != ir.ActionDropped {
+		t.Errorf("miss action = %v", action)
 	}
 }
 
@@ -372,26 +363,21 @@ middlebox srvlpm {
 // the new rule the packet after — on both the server state and the
 // offloaded switch tables, in one flip.
 func TestDeploymentReconfigureAtomicFlip(t *testing.T) {
-	_, d := deploy(t, "firewall")
+	_, res := compileBox(t, "firewall", partition.DefaultConstraints())
 	tupA := packet.FiveTuple{
 		SrcIP: packet.MakeIPv4Addr(10, 0, 0, 1), DstIP: packet.MakeIPv4Addr(93, 184, 0, 7),
 		SrcPort: 34000, DstPort: 80, Proto: packet.IPProtocolTCP,
 	}
 	tupB := tupA
 	tupB.SrcIP = packet.MakeIPv4Addr(10, 0, 0, 2)
-	if err := d.Configure(func(st *ir.State) { middleboxes.AllowFlow(st, tupA) }); err != nil {
-		t.Fatal(err)
-	}
+	tb := deploy(t, res, netsim.InstantModel(), func(st *ir.State) { middleboxes.AllowFlow(st, tupA) })
 
 	send := func(tup packet.FiveTuple) ir.Action {
 		t.Helper()
 		pkt := packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort,
 			packet.TCPOptions{Flags: packet.TCPFlagACK})
-		tr, err := d.Process(pkt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr.Action
+		action, _ := inject(t, tb, pkt)
+		return action
 	}
 
 	if got := send(tupA); got != ir.ActionSent {
@@ -412,7 +398,7 @@ func TestDeploymentReconfigureAtomicFlip(t *testing.T) {
 		{Table: "wl_out", Key: keyB, Vals: []uint64{1}},
 		{Table: "wl_out", Key: keyA, Delete: true},
 	}
-	if err := d.Reconfigure(mutate, updates); err != nil {
+	if err := tb.Reconfigure(mutate, updates); err != nil {
 		t.Fatal(err)
 	}
 
@@ -422,7 +408,7 @@ func TestDeploymentReconfigureAtomicFlip(t *testing.T) {
 	if got := send(tupA); got == ir.ActionSent {
 		t.Fatal("post-reconfig: flow A still passes after its rule was removed")
 	}
-	if got := d.Switch.Stats().Reconfigs; got != 1 {
+	if got := tb.Switch().Stats().Reconfigs; got != 1 {
 		t.Fatalf("switch counted %d reconfigs, want 1", got)
 	}
 }

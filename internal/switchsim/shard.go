@@ -17,7 +17,7 @@ import (
 // to the tables in place and publishes the successor view, which is the
 // one atomic operation that makes the batch visible — to every shard. A
 // worker stages and flips its own write-backs on its own goroutine.
-// Sequential drivers (Testbed, Deployment, SeedFrom) and the engine's
+// Sequential drivers (Testbed, SeedFrom) and the engine's
 // quiescent Reconfigure are shard 0 of the same protocol.
 //
 // Capacity across shards is enforced with bounded slack: a stage admits an

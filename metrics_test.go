@@ -138,8 +138,7 @@ func TestRegistryMatchesReport(t *testing.T) {
 				t.Errorf("%s = %d, Stats says %d", name, got, want)
 			}
 		}
-		sw, _ := tb.SwitchStats()
-		checkSwitchMetrics(t, snap, []switchsim.Stats{sw})
+		checkSwitchMetrics(t, snap, []switchsim.Stats{tb.Switch().Stats()})
 	})
 
 	t.Run("instrument-twice", func(t *testing.T) {
@@ -147,23 +146,24 @@ func TestRegistryMatchesReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dep, err := art.NewDeployment(art.ScenarioSetup(nil))
+		instant := netsim.InstantModel()
+		tb, err := art.NewTestbed(gallium.TestbedConfig{Model: &instant, Scenario: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
-		dep.Switch.Instrument(reg)
-		dep.Switch.Instrument(reg)
+		tb.Switch().Instrument(reg)
+		tb.Switch().Instrument(reg)
 		for _, tup := range iperfWorkload(4).Tuples() {
 			for i := 0; i < 3; i++ {
 				p := packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{})
-				if _, err := dep.Process(p); err != nil {
+				if _, err := tb.Inject(0, p); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		snap := reg.Snapshot()
-		st := dep.Switch.Stats()
+		st := tb.Switch().Stats()
 		if st.FastPath == 0 {
 			t.Fatal("no packet took the fast path")
 		}

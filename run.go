@@ -159,23 +159,7 @@ func WithQueueDepth(n int) Option {
 // injection-time control (latency sweeps, per-packet traces), build a
 // Testbed and use Inject.
 func (a *Artifacts) Run(ctx context.Context, wl Workload, opts ...Option) (*Report, error) {
-	opts = append([]Option{WithFlows(wl.Tuples())}, opts...)
-	s, err := openSession(ctx, []*Artifacts{a}, opts)
-	if err != nil {
-		return nil, err
-	}
-	feedErr := s.Feed(wl)
-	rep, closeErr := s.Close()
-	if feedErr != nil {
-		return nil, feedErr
-	}
-	if closeErr != nil {
-		return nil, closeErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return (&Pipeline{stages: []*Artifacts{a}}).Run(ctx, wl, opts...)
 }
 
 // shardScenarioSetup seeds the scenario ScenarioSetup describes on each of

@@ -73,8 +73,9 @@ func (p *Pipeline) Open(opts ...Option) (*Session, error) {
 	return openSession(context.Background(), p.stages, opts)
 }
 
-// Run streams one workload through the pipeline and closes — the
-// chained counterpart of Artifacts.Run.
+// Run streams one workload through the pipeline and closes: it opens a
+// session (announcing the workload's tuples as WithFlows), feeds the
+// workload, and closes. Artifacts.Run is its one-stage case.
 func (p *Pipeline) Run(ctx context.Context, wl Workload, opts ...Option) (*Report, error) {
 	opts = append([]Option{WithFlows(wl.Tuples())}, opts...)
 	s, err := openSession(ctx, p.stages, opts)
@@ -110,7 +111,6 @@ type Session struct {
 	eng     *engine.Engine
 	targets []ctlplane.Target
 	workers int
-	cancel  context.CancelFunc
 
 	settleFns []func(shard int, st *ir.State)
 	mergedFns []func(merged *ir.State, exact bool, conflict string)
@@ -166,20 +166,14 @@ func openSession(ctx context.Context, arts []*Artifacts, opts []Option) (*Sessio
 		cfg.Config.Stages = append(cfg.Config.Stages, st)
 		targets[i] = ctlplane.Target{Name: a.Name, Res: st.Res, Prog: a.Prog}
 	}
-	eng, err := engine.New(cfg.Config)
+	eng, err := engine.New(ctx, cfg.Config)
 	if err != nil {
-		return nil, err
-	}
-	runCtx, cancel := context.WithCancel(ctx)
-	if err := eng.Start(runCtx); err != nil {
-		cancel()
 		return nil, err
 	}
 	return &Session{
 		eng:       eng,
 		targets:   targets,
 		workers:   workers,
-		cancel:    cancel,
 		settleFns: cfg.settleFns,
 		mergedFns: cfg.mergedFns,
 		merge:     arts[0].MergeShardStates,
@@ -299,7 +293,6 @@ func (s *Session) Close() (*Report, error) {
 	}
 	s.closed = true
 	rep, err := s.eng.Stop()
-	s.cancel()
 	if err != nil {
 		return nil, err
 	}

@@ -100,15 +100,3 @@ func (a *Artifacts) ScenarioSetup(flows []packet.FiveTuple) func(st *ir.State) {
 	setup := a.shardScenarioSetup(flows, 1)
 	return func(st *ir.State) { setup(0, st) }
 }
-
-// NewDeployment builds the bare switch+server pair (no timing model) for
-// packet-at-a-time experiments, seeding state with setup when non-nil.
-func (a *Artifacts) NewDeployment(setup func(st *ir.State)) (*netsim.Deployment, error) {
-	d := netsim.NewDeployment(a.Res)
-	if setup != nil {
-		if err := d.Configure(setup); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
-}
