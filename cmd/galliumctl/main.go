@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -31,23 +32,31 @@ import (
 	"gallium/internal/ctlplane"
 )
 
-func main() {
-	sock := flag.String("s", "/tmp/gallium.sock", "control socket of the running galliumsim -serve")
-	flag.Usage = usage
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is galliumctl's whole command line: it parses args, talks to the
+// socket, prints to stdout and stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("galliumctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() { usage(stderr) }
+	sock := fs.String("s", "/tmp/gallium.sock", "control socket of the running galliumsim -serve")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if err := run(*sock, args[0], args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "galliumctl:", err)
-		os.Exit(1)
+	if fs.NArg() == 0 {
+		usage(stderr)
+		return 2
 	}
+	if err := command(*sock, fs.Arg(0), fs.Args()[1:], stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "galliumctl:", err)
+		return 1
+	}
+	return 0
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: galliumctl [-s socket] <command> [flags] [args]
+func usage(w io.Writer) {
+	fmt.Fprintf(w, `usage: galliumctl [-s socket] <command> [flags] [args]
 
 commands:
   ping                         liveness check
@@ -67,19 +76,21 @@ func stageFlags(fs *flag.FlagSet) (*int, *string) {
 	return stage, mb
 }
 
-func run(sock, cmd string, args []string) error {
+func command(sock, cmd string, args []string, stdout, stderr io.Writer) error {
 	c, err := ctlplane.Dial(sock)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 
 	switch cmd {
 	case "ping":
 		if _, err := c.Do(ctlplane.Request{Op: ctlplane.OpPing}); err != nil {
 			return err
 		}
-		fmt.Println("ok")
+		fmt.Fprintln(stdout, "ok")
 		return nil
 
 	case "stats":
@@ -87,10 +98,13 @@ func run(sock, cmd string, args []string) error {
 		if err != nil {
 			return err
 		}
-		return printStats(resp.Stats)
+		if resp.Stats == nil {
+			return fmt.Errorf("server returned no stats")
+		}
+		resp.Stats.WriteText(stdout)
+		return nil
 
 	case "firewall-swap":
-		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 		stage, mb := stageFlags(fs)
 		file := fs.String("f", "", "read the rule set from this JSON file (array of {src,dst,sport,dport,proto})")
 		if err := fs.Parse(args); err != nil {
@@ -106,11 +120,10 @@ func run(sock, cmd string, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("swapped firewall whitelist: %d rule(s)\n", len(rules))
+		fmt.Fprintf(stdout, "swapped firewall whitelist: %d rule(s)\n", len(rules))
 		return nil
 
 	case "lb-pool":
-		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 		stage, mb := stageFlags(fs)
 		drain := fs.Bool("drain", false, "keep established connections on removed backends until natural teardown")
 		if err := fs.Parse(args); err != nil {
@@ -134,11 +147,10 @@ func run(sock, cmd string, args []string) error {
 		if *drain {
 			mode = "draining"
 		}
-		fmt.Printf("replaced LB pool: %d backend(s), %s\n", len(pool), mode)
+		fmt.Fprintf(stdout, "replaced LB pool: %d backend(s), %s\n", len(pool), mode)
 		return nil
 
 	case "flow-table":
-		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 		capacity := fs.Int("capacity", 0, "engine-wide concurrent-flow limit (required, positive)")
 		tcpSyn := fs.Duration("tcp-syn", 0, "TCP half-open timeout (0 = runtime default)")
 		tcpEst := fs.Duration("tcp-est", 0, "TCP established timeout (0 = runtime default)")
@@ -162,11 +174,10 @@ func run(sock, cmd string, args []string) error {
 		if _, err := c.Do(ctlplane.Request{Op: ctlplane.OpFlowTable, FlowTable: ft}); err != nil {
 			return err
 		}
-		fmt.Printf("retuned flow table: capacity %d\n", *capacity)
+		fmt.Fprintf(stdout, "retuned flow table: capacity %d\n", *capacity)
 		return nil
 
 	case "nat-repartition":
-		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 		stage, mb := stageFlags(fs)
 		basesArg := fs.String("bases", "", "per-shard first external ports, comma-separated (default: even split)")
 		if err := fs.Parse(args); err != nil {
@@ -189,13 +200,13 @@ func run(sock, cmd string, args []string) error {
 			return err
 		}
 		if bases == nil {
-			fmt.Println("repartitioned NAT port space: even split")
+			fmt.Fprintln(stdout, "repartitioned NAT port space: even split")
 		} else {
-			fmt.Printf("repartitioned NAT port space: bases %v\n", bases)
+			fmt.Fprintf(stdout, "repartitioned NAT port space: bases %v\n", bases)
 		}
 		return nil
 	}
-	usage()
+	usage(stderr)
 	return fmt.Errorf("unknown command %q", cmd)
 }
 
@@ -273,27 +284,4 @@ func parsePool(arg string) ([]ctlplane.PoolMember, error) {
 		return nil, fmt.Errorf("empty backend pool")
 	}
 	return pool, nil
-}
-
-func printStats(st *ctlplane.StatsPayload) error {
-	if st == nil {
-		return fmt.Errorf("server returned no stats payload")
-	}
-	fmt.Printf("injected %d  delivered %d  mb-drops %d  queue-drops %d\n",
-		st.Injected, st.Delivered, st.MBDrops, st.QueueDrops)
-	fmt.Printf("fast path %d  slow path %d  workers %d  reconfigs %d  %.2f Mpps wall-clock\n",
-		st.FastPath, st.SlowPath, st.Workers, st.Reconfigs, st.PPS/1e6)
-	if st.FlowCapacity > 0 {
-		fmt.Printf("flow table: occupancy %d/%d  peak %d  expired %d  evicted %d\n",
-			st.FlowOccupancy, st.FlowCapacity, st.FlowPeak, st.FlowExpired, st.FlowEvicted)
-	}
-	for i, sg := range st.Stages {
-		name := sg.Name
-		if name == "" {
-			name = fmt.Sprintf("stage %d", i)
-		}
-		fmt.Printf("  %s: fast %d  to-server %d  ctl-ops %d  flips %d  reconfigs %d  epoch %d\n",
-			name, sg.FastPath, sg.ToServer, sg.CtlOps, sg.CtlFlips, sg.Reconfigs, sg.Epoch)
-	}
-	return nil
 }

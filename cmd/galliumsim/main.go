@@ -152,34 +152,39 @@ func run(mbList, modeStr string, workers, size int, pps float64, ms int, cache, 
 		return runServe(chain, gen, mbList, modeStr, mode, workers, servePath, reg, metricsPath)
 	}
 
+	// Deliveries are kept only to write them out.
 	type delivered struct {
 		deliverNs int64
-		latencyNs int64
 		pkt       *packet.Packet
 	}
 	var mu sync.Mutex
 	var outs []delivered
-	rep, err := chain.Run(context.Background(), gen,
+	opts := []gallium.Option{
 		gallium.WithMode(mode),
 		gallium.WithWorkers(workers),
 		gallium.WithScenario(),
 		gallium.WithMetrics(reg),
-		gallium.WithDeliveries(func(d gallium.Delivery) {
+	}
+	if pcapPath != "" {
+		opts = append(opts, gallium.WithDeliveries(func(d gallium.Delivery) {
 			if !d.Delivered {
 				return
 			}
 			mu.Lock()
-			outs = append(outs, delivered{d.DeliverNs, d.LatencyNs, d.Pkt})
+			outs = append(outs, delivered{d.DeliverNs, d.Pkt})
 			mu.Unlock()
-		}),
-	)
+		}))
+	}
+	rep, err := chain.Run(context.Background(), gen, opts...)
 	if err != nil {
 		return err
 	}
-	// Deliveries arrive in per-worker order; restore global time order.
-	sort.Slice(outs, func(i, j int) bool { return outs[i].deliverNs < outs[j].deliverNs })
-
+	fmt.Printf("middlebox %s, %s mode, %d worker(s), %dB packets, %.1f Mpps offered, %d ms\n",
+		mbList, modeStr, rep.Workers, size, pps/1e6, ms)
+	rep.WriteText(os.Stdout)
 	if pcapPath != "" {
+		// Deliveries arrive in per-worker order; restore global time order.
+		sort.Slice(outs, func(i, j int) bool { return outs[i].deliverNs < outs[j].deliverNs })
 		f, err := os.Create(pcapPath)
 		if err != nil {
 			return err
@@ -191,45 +196,8 @@ func run(mbList, modeStr string, workers, size int, pps float64, ms int, cache, 
 				return err
 			}
 		}
-	}
-
-	st := rep.Stats
-	fmt.Printf("middlebox %s, %s mode, %d worker(s), %dB packets, %.1f Mpps offered, %d ms\n",
-		mbList, modeStr, rep.Workers, size, pps/1e6, ms)
-	fmt.Printf("  injected %d  delivered %d  mb-drops %d  queue-drops %d\n",
-		st.Injected, st.Delivered, st.MBDrops, st.QueueDrops)
-	fmt.Printf("  throughput: %.2f Gbps virtual, %.2f Mpps wall-clock (%.1f ms wall)\n",
-		st.ThroughputBps()/1e9, rep.PPS/1e6, float64(rep.WallNs)/1e6)
-	if len(outs) > 0 {
-		lats := make([]float64, len(outs))
-		var sum float64
-		for i, d := range outs {
-			lats[i] = float64(d.latencyNs)
-			sum += lats[i]
-		}
-		sort.Float64s(lats)
-		pct := func(q float64) float64 { return lats[int(q*float64(len(lats)-1))] / 1000 }
-		fmt.Printf("  latency: mean %.2f µs, p50 %.2f, p99 %.2f, max %.2f\n",
-			sum/float64(len(lats))/1000, pct(0.50), pct(0.99), lats[len(lats)-1]/1000)
-	}
-	if pcapPath != "" {
 		fmt.Printf("  wrote %d delivered packets to %s\n", len(outs), pcapPath)
 	}
-	if mode == gallium.Offloaded {
-		fmt.Printf("  fast path: %d (%.2f%%)  slow path: %d\n",
-			st.FastPath, 100*float64(st.FastPath)/float64(st.Injected), st.SlowPath)
-		fmt.Printf("  control plane: %d ops in %d batches\n", st.CtlOps, st.CtlBatches)
-		for i, sws := range rep.SwitchStages {
-			label := ""
-			if len(rep.SwitchStages) > 1 {
-				label = fmt.Sprintf(" [%s]", names[i])
-			}
-			fmt.Printf("  switch tables%s: %v\n", label, sws.TableEntries)
-		}
-	}
-	fmt.Printf("  server cycles: %.0f (%.1f cycles/pkt over slow-path packets)\n",
-		st.ServerCycles, st.ServerCycles/maxf(1, float64(st.SlowPath)))
-
 	return writeMetrics(reg, metricsPath, 0)
 }
 
@@ -285,15 +253,7 @@ func runServe(chain *gallium.Pipeline, gen trafficgen.IperfConfig, mbList, modeS
 	if err != nil {
 		return err
 	}
-	st := rep.Stats
-	fmt.Printf("  injected %d  delivered %d  mb-drops %d  queue-drops %d  reconfigs %d\n",
-		st.Injected, st.Delivered, st.MBDrops, st.QueueDrops, rep.Reconfigs)
-	fmt.Printf("  throughput: %.2f Gbps virtual, %.2f Mpps wall-clock\n",
-		st.ThroughputBps()/1e9, rep.PPS/1e6)
-	if mode == gallium.Offloaded {
-		fmt.Printf("  fast path: %d  slow path: %d  control plane: %d ops in %d batches\n",
-			st.FastPath, st.SlowPath, st.CtlOps, st.CtlBatches)
-	}
+	rep.WriteText(os.Stdout)
 	return writeMetrics(reg, metricsPath, 0)
 }
 
@@ -339,13 +299,7 @@ func runListen(chain *gallium.Pipeline, gen trafficgen.IperfConfig, mbList, mode
 	st := fe.Stats()
 	fmt.Printf("  udp: rx %d datagrams in %d batches, tx %d in %d, decode-errors %d\n",
 		st.RxDatagrams, st.RxBatches, st.TxDatagrams, st.TxBatches, st.DecodeErrors)
-	es := rep.Stats
-	fmt.Printf("  engine: injected %d  delivered %d  mb-drops %d  queue-drops %d  reconfigs %d\n",
-		es.Injected, es.Delivered, es.MBDrops, es.QueueDrops, rep.Reconfigs)
-	if mode == gallium.Offloaded {
-		fmt.Printf("  fast path: %d  slow path: %d  control plane: %d ops in %d batches\n",
-			es.FastPath, es.SlowPath, es.CtlOps, es.CtlBatches)
-	}
+	rep.WriteText(os.Stdout)
 	return writeMetrics(reg, metricsPath, 0)
 }
 
@@ -387,7 +341,7 @@ func runSend(gen trafficgen.IperfConfig, addr string) error {
 	echoes := r.echoes
 	wall := time.Since(start)
 	fmt.Printf("galliumsim: sent %d datagrams to %s, received %d echoes (%.1f%%) in %.1f ms (%.3f Mpps round-trip)\n",
-		len(frames), addr, len(echoes), 100*float64(len(echoes))/maxf(1, float64(len(frames))),
+		len(frames), addr, len(echoes), 100*float64(len(echoes))/max(1, float64(len(frames))),
 		float64(wall.Nanoseconds())/1e6, float64(len(echoes))/wall.Seconds()/1e6)
 	return nil
 }
@@ -412,48 +366,27 @@ func runTestbed(art *gallium.Artifacts, gen trafficgen.IperfConfig, name, modeSt
 		defer f.Close()
 		pcapW = packet.NewPcapWriter(f)
 	}
-	var lats []float64
 	err = gen.Generate(func(tNs int64, pkt *packet.Packet) error {
 		d, err := tb.Inject(tNs, pkt)
-		if err != nil {
+		if err != nil || !d.Delivered || pcapW == nil {
 			return err
 		}
-		if d.Delivered {
-			lats = append(lats, float64(d.LatencyNs))
-			if pcapW != nil {
-				if err := pcapW.WritePacket(d.DeliverNs, pkt.Serialize()); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		return pcapW.WritePacket(d.DeliverNs, pkt.Serialize())
 	})
 	if err != nil {
 		return err
 	}
-	st := tb.Stats()
 	fmt.Printf("middlebox %s, %s mode, sequential testbed (-trace), %dB packets, %.1f Mpps offered, %d ms\n",
 		name, modeStr, size, pps/1e6, ms)
-	fmt.Printf("  injected %d  delivered %d  mb-drops %d  queue-drops %d\n",
-		st.Injected, st.Delivered, st.MBDrops, st.QueueDrops)
-	fmt.Printf("  throughput: %.2f Gbps\n", st.ThroughputBps()/1e9)
-	if len(lats) > 0 {
-		sort.Float64s(lats)
-		var sum float64
-		for _, v := range lats {
-			sum += v
-		}
-		pct := func(q float64) float64 { return lats[int(q*float64(len(lats)-1))] / 1000 }
-		fmt.Printf("  latency: mean %.2f µs, p50 %.2f, p99 %.2f, max %.2f\n",
-			sum/float64(len(lats))/1000, pct(0.50), pct(0.99), lats[len(lats)-1]/1000)
+	rep := &gallium.Report{
+		Stats:      tb.Stats(),
+		StageNames: []string{name},
+		Latency:    reg.Histogram("e2e.latency_ns", nil).Snapshot(),
 	}
-	if mode == gallium.Offloaded {
-		fmt.Printf("  fast path: %d (%.2f%%)  slow path: %d\n",
-			st.FastPath, 100*float64(st.FastPath)/float64(st.Injected), st.SlowPath)
-		if sw := tb.Switch(); sw != nil {
-			fmt.Printf("  switch tables: %v\n", sw.Stats().TableEntries)
-		}
+	if sw := tb.Switch(); sw != nil {
+		rep.SwitchStages = append(rep.SwitchStages, sw.Stats())
 	}
+	rep.WriteText(os.Stdout)
 	return writeMetrics(reg, metricsPath, traceN)
 }
 
@@ -480,11 +413,4 @@ func writeMetrics(reg *obs.Registry, metricsPath string, traceN int) error {
 			len(snap.Counters), len(snap.Histograms), len(snap.Traces), metricsPath)
 	}
 	return nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,15 +4,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	gallium "gallium"
 	"gallium/internal/ctlplane"
+	"gallium/internal/engine"
+	"gallium/internal/flowstate"
 	"gallium/internal/ir"
+	"gallium/internal/netsim"
+	"gallium/internal/obs"
 	"gallium/internal/packet"
 	"gallium/internal/serverrt"
+	"gallium/internal/switchsim"
 )
 
 // targetFor compiles a builtin middlebox into a control-plane target.
@@ -257,9 +263,38 @@ func (f *fakeRuntime) Reconfigure(op ctlplane.Op) error {
 	return nil
 }
 
-func (f *fakeRuntime) StatsPayload() (*ctlplane.StatsPayload, error) {
-	return &ctlplane.StatsPayload{Injected: 42, Delivered: 40, Workers: 4,
-		Stages: []ctlplane.StageStats{{Name: "firewall", Epoch: 3}}}, nil
+func (f *fakeRuntime) Stats() (*engine.Report, error) { return testReport(), nil }
+
+// testReport is a stats payload with every field of a real one filled
+// (per-worker counts, mean pulls, a bucketed latency histogram, flow-table
+// gauges, per-stage table sizes), so the server's encoder carries them all.
+func testReport() *engine.Report {
+	w := netsim.Stats{
+		Injected: 21, Delivered: 20, MBDrops: 1, FastPath: 19, SlowPath: 2,
+		BytesIn: 10500, BytesOut: 10000, ServerCycles: 3156.5,
+		CtlBatches: 1, CtlOps: 2, CtlRejected: 1, FirstDeliverNs: 100, LastDeliverNs: 9000,
+	}
+	agg := w
+	agg.Injected, agg.Delivered, agg.MBDrops = 42, 40, 2
+	return &engine.Report{
+		Stats: agg, PerWorker: []netsim.Stats{w, w}, Workers: 2,
+		WallNs: 5_000_000, PPS: 8400.25,
+		Latency: obs.HistSnapshot{
+			Count: 40, Sum: 720_000, Min: 9_000, Max: 40_000, Mean: 18_000,
+			P50: 17_500, P95: 30_000, P99: 39_000,
+			Buckets: []obs.Bucket{{UpperBound: 16_384, Count: 10}, {UpperBound: 32_768, Count: 28}, {UpperBound: 65_536, Count: 2}},
+		},
+		StageNames: []string{"firewall", "l4lb"},
+		SwitchStages: []switchsim.Stats{
+			{PrePackets: 42, PostPackets: 40, FastPath: 38, ToServer: 4, CtlOps: 2, CtlFlips: 1, Epoch: 3,
+				TableEntries: map[string]int{"wl_in": 0, "wl_out": 10}},
+			{PrePackets: 40, FastPath: 36, ToServer: 4, Punts: 1, Evictions: 2, Drops: 1, Expired: 3, Reconfigs: 1, Epoch: 5,
+				TableEntries: map[string]int{"conns": 4}},
+		},
+		Reconfigs:  1,
+		BatchSizes: []float64{1.5, 2.25},
+		Flow:       &flowstate.Stats{Capacity: 1024, Occupancy: 700, Peak: 900, Expired: 55, Evicted: 7},
+	}
 }
 
 func (f *fakeRuntime) StageNames() []string { return []string{"firewall", "l4lb"} }
@@ -289,8 +324,8 @@ func TestServerClientRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Stats == nil || resp.Stats.Injected != 42 || resp.Stats.Stages[0].Epoch != 3 {
-		t.Fatalf("stats round trip: %+v", resp.Stats)
+	if want := testReport(); !reflect.DeepEqual(resp.Stats, want) {
+		t.Fatalf("stats round trip:\n got %+v\nwant %+v", resp.Stats, want)
 	}
 	if _, err := c.Do(ctlplane.Request{
 		Op: ctlplane.OpLBPool, StageName: "l4lb",

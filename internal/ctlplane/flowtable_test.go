@@ -1,11 +1,13 @@
 package ctlplane_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"gallium/internal/ctlplane"
+	"gallium/internal/engine"
 	"gallium/internal/flowstate"
 	"gallium/internal/ir"
 )
@@ -99,7 +101,7 @@ func TestFlowTableCompileValidation(t *testing.T) {
 	}
 }
 
-// flowRuntime serves a stats payload with the flow gauges filled.
+// flowRuntime records the ops it gets and serves testReport.
 type flowRuntime struct{ ops []ctlplane.Op }
 
 func (f *flowRuntime) Reconfigure(op ctlplane.Op) error {
@@ -107,13 +109,7 @@ func (f *flowRuntime) Reconfigure(op ctlplane.Op) error {
 	return nil
 }
 
-func (f *flowRuntime) StatsPayload() (*ctlplane.StatsPayload, error) {
-	return &ctlplane.StatsPayload{
-		Workers:      2,
-		FlowCapacity: 1024, FlowOccupancy: 700, FlowPeak: 900,
-		FlowExpired: 55, FlowEvicted: 7,
-	}, nil
-}
+func (f *flowRuntime) Stats() (*engine.Report, error) { return testReport(), nil }
 
 func (f *flowRuntime) StageNames() []string { return []string{"l4lb"} }
 
@@ -153,10 +149,8 @@ func TestFlowTableServerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := resp.Stats
-	if st == nil || st.FlowCapacity != 1024 || st.FlowOccupancy != 700 ||
-		st.FlowPeak != 900 || st.FlowExpired != 55 || st.FlowEvicted != 7 {
-		t.Fatalf("flow gauges lost on the wire: %+v", st)
+	if resp.Stats == nil || !reflect.DeepEqual(resp.Stats.Flow, testReport().Flow) {
+		t.Fatalf("flow gauges lost on the wire: %+v", resp.Stats)
 	}
 }
 

@@ -181,7 +181,7 @@ func expectedResponse(t *testing.T, rt *fakeRuntime, line []byte) []byte {
 	if err := json.Unmarshal(line, &req); err != nil {
 		resp = ctlplane.Response{Error: "bad request: " + err.Error()}
 	} else if req.Op == ctlplane.OpStats {
-		resp.Stats, _ = rt.StatsPayload()
+		resp.Stats, _ = rt.Stats()
 	} else if req.Op != ctlplane.OpPing {
 		if _, err := req.ToOp(rt.StageNames()); err != nil {
 			resp = ctlplane.Response{Error: err.Error()}

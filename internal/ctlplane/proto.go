@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"gallium/internal/engine"
 	"gallium/internal/flowstate"
 	"gallium/internal/packet"
 )
@@ -74,42 +75,8 @@ type FlowTableConfig struct {
 type Response struct {
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`
-	// Stats carries the stats payload for OpStats.
-	Stats *StatsPayload `json:"stats,omitempty"`
-}
-
-// StatsPayload is the live counters snapshot served over the socket.
-type StatsPayload struct {
-	Injected   int64   `json:"injected"`
-	Delivered  int64   `json:"delivered"`
-	MBDrops    int64   `json:"mb_drops"`
-	QueueDrops int64   `json:"queue_drops"`
-	FastPath   int64   `json:"fast_path"`
-	SlowPath   int64   `json:"slow_path"`
-	Reconfigs  int     `json:"reconfigs"`
-	Workers    int     `json:"workers"`
-	PPS        float64 `json:"pps"`
-	// Stages reports each pipeline stage's switch activity (offloaded
-	// mode; empty in software mode).
-	Stages []StageStats `json:"stages,omitempty"`
-	// Flow-table lifecycle gauges (present only when the session runs
-	// with a flow table; FlowCapacity == 0 means lifecycle disabled).
-	FlowCapacity  int    `json:"flow_capacity,omitempty"`
-	FlowOccupancy uint64 `json:"flow_occupancy,omitempty"`
-	FlowPeak      uint64 `json:"flow_peak,omitempty"`
-	FlowExpired   uint64 `json:"flow_expired,omitempty"`
-	FlowEvicted   uint64 `json:"flow_evicted,omitempty"`
-}
-
-// StageStats is one stage's switch-side counters.
-type StageStats struct {
-	Name      string `json:"name,omitempty"`
-	FastPath  int    `json:"fast_path"`
-	ToServer  int    `json:"to_server"`
-	CtlOps    int    `json:"ctl_ops"`
-	CtlFlips  int    `json:"ctl_flips"`
-	Reconfigs int    `json:"reconfigs"`
-	Epoch     uint64 `json:"epoch"`
+	// Stats carries the running session's report for OpStats.
+	Stats *engine.Report `json:"stats,omitempty"`
 }
 
 // resolveStage maps the request's stage addressing onto a stage index.

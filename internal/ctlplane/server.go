@@ -8,6 +8,8 @@ import (
 	"net"
 	"os"
 	"sync"
+
+	"gallium/internal/engine"
 )
 
 // Runtime is the running-session surface the control server drives. The
@@ -16,8 +18,8 @@ import (
 type Runtime interface {
 	// Reconfigure validates and applies one typed operation atomically.
 	Reconfigure(op Op) error
-	// StatsPayload reports live counters (settling a barrier as needed).
-	StatsPayload() (*StatsPayload, error)
+	// Stats reports the live counters (settling a barrier as needed).
+	Stats() (*engine.Report, error)
 	// StageNames lists the pipeline's stage names for by-name addressing.
 	StageNames() []string
 }
@@ -111,7 +113,7 @@ func (s *Server) handle(req Request) Response {
 	case OpPing:
 		return Response{OK: true}
 	case OpStats:
-		st, err := s.rt.StatsPayload()
+		st, err := s.rt.Stats()
 		if err != nil {
 			return Response{Error: err.Error()}
 		}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"io"
 	"time"
 
 	"gallium/internal/flowstate"
@@ -47,33 +49,75 @@ type Delivery struct {
 type Report struct {
 	// Stats aggregates every worker's counters; latencies and delivery
 	// windows are virtual-time, like the testbed's.
-	Stats netsim.Stats
+	Stats netsim.Stats `json:"stats"`
 	// PerWorker holds each shard's own counters (index == worker id).
-	PerWorker []netsim.Stats
+	PerWorker []netsim.Stats `json:"per_worker,omitempty"`
 	// Workers is the shard count the engine ran with.
-	Workers int
+	Workers int `json:"workers"`
 	// WallNs is the wall-clock time from New to this report.
-	WallNs int64
+	WallNs int64 `json:"wall_ns"`
 	// PPS is wall-clock packets per second (Injected / WallNs) — the
 	// engine's real concurrency throughput, unlike the virtual-time
 	// Stats.ThroughputBps.
-	PPS float64
+	PPS float64 `json:"pps"`
 	// Latency is the end-to-end virtual-time latency distribution over
 	// all delivered packets.
-	Latency obs.HistSnapshot
+	Latency obs.HistSnapshot `json:"latency"`
+	// StageNames labels the pipeline stages in stage order.
+	StageNames []string `json:"stage_names,omitempty"`
 	// SwitchStages holds every pipeline stage's switch counters in stage
 	// order (nil in Software mode).
-	SwitchStages []switchsim.Stats
+	SwitchStages []switchsim.Stats `json:"switch_stages,omitempty"`
 	// Reconfigs counts control-plane reconfigurations applied during the
 	// run.
-	Reconfigs int
+	Reconfigs int `json:"reconfigs"`
 	// BatchSizes holds each worker's mean jobs per mailbox pull so far
 	// (0 for a worker that has not pulled yet).
-	BatchSizes []float64
+	BatchSizes []float64 `json:"batch_sizes,omitempty"`
 	// Flow sums the flow-state lifecycle counters over every worker's
 	// per-stage tracker, with the configured engine-wide Capacity (nil when
-	// no FlowTable was configured).
-	Flow *flowstate.Stats
+	// no FlowTable was configured). Flow.Peak is the sum of the per-shard
+	// high-water marks, each a shard's occupancy at the end of a sweep: an
+	// upper bound on the engine-wide peak, as shards need not peak
+	// together. It is not capped at Capacity: an incremental sweep evicts
+	// at most SweepLimit entries, and EvictNone evicts none.
+	Flow *flowstate.Stats `json:"flow,omitempty"`
+}
+
+// WriteText renders the report as galliumsim and galliumctl print it:
+// counters, throughput, latency, the path split, the flow table and one
+// line per switch stage, leaving out what the run did not measure.
+func (r *Report) WriteText(w io.Writer) {
+	st := r.Stats
+	fmt.Fprintf(w, "  injected %d  delivered %d  mb-drops %d  queue-drops %d  reconfigs %d\n",
+		st.Injected, st.Delivered, st.MBDrops, st.QueueDrops, r.Reconfigs)
+	fmt.Fprintf(w, "  throughput: %.2f Gbps virtual", st.ThroughputBps()/1e9)
+	if r.WallNs > 0 {
+		fmt.Fprintf(w, ", %.2f Mpps wall-clock on %d worker(s) (%.1f ms wall)", r.PPS/1e6, r.Workers, float64(r.WallNs)/1e6)
+	}
+	fmt.Fprintln(w)
+	if l := r.Latency; l.Count > 0 {
+		fmt.Fprintf(w, "  latency: mean %.2f µs, p50 %.2f, p99 %.2f, max %.2f\n",
+			l.Mean/1e3, l.P50/1e3, l.P99/1e3, float64(l.Max)/1e3)
+	}
+	if len(r.SwitchStages) > 0 {
+		fmt.Fprintf(w, "  fast path: %d (%.2f%%)  slow path: %d  control plane: %d ops in %d batches, %d rejected\n",
+			st.FastPath, 100*float64(st.FastPath)/max(1, float64(st.Injected)), st.SlowPath, st.CtlOps, st.CtlBatches, st.CtlRejected)
+	}
+	fmt.Fprintf(w, "  server cycles: %.0f (%.1f cycles/pkt over slow-path packets)\n",
+		st.ServerCycles, st.ServerCycles/max(1, float64(st.SlowPath)))
+	if f := r.Flow; f != nil {
+		fmt.Fprintf(w, "  flow table: occupancy %d/%d  peak %d  expired %d  evicted %d\n",
+			f.Occupancy, f.Capacity, f.Peak, f.Expired, f.Evicted)
+	}
+	for i, sw := range r.SwitchStages {
+		name := fmt.Sprintf("stage %d", i)
+		if i < len(r.StageNames) && r.StageNames[i] != "" {
+			name = r.StageNames[i]
+		}
+		fmt.Fprintf(w, "  %s: fast %d  to-server %d  ctl-ops %d  flips %d  reconfigs %d  epoch %d  tables %v\n",
+			name, sw.FastPath, sw.ToServer, sw.CtlOps, sw.CtlFlips, sw.Reconfigs, sw.Epoch, sw.TableEntries)
+	}
 }
 
 // buildReport aggregates worker- and engine-level state from the
@@ -115,6 +159,9 @@ func (e *Engine) buildReport(wall time.Duration) *Report {
 	r.Latency = obs.MergeHistograms(parts...).Snapshot()
 	if wall > 0 {
 		r.PPS = float64(agg.Injected) / wall.Seconds()
+	}
+	for _, st := range e.stages {
+		r.StageNames = append(r.StageNames, st.Name)
 	}
 	for _, sw := range e.sws {
 		r.SwitchStages = append(r.SwitchStages, sw.Stats())

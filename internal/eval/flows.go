@@ -150,7 +150,7 @@ func FlowSoak(quick bool) (*FlowsReport, error) {
 		if err := s.Feed(&flowFlood{base: k * per, n: n, spacingNs: spacingNs}); err != nil {
 			return nil, err
 		}
-		st, err := s.StatsPayload()
+		st, err := s.Stats()
 		if err != nil {
 			return nil, err
 		}
@@ -159,10 +159,10 @@ func FlowSoak(quick bool) (*FlowsReport, error) {
 		runtime.ReadMemStats(&m)
 		rep.Points = append(rep.Points, FlowPoint{
 			FlowsOffered:   k*per + n,
-			Occupancy:      st.FlowOccupancy,
-			Peak:           st.FlowPeak,
-			Expired:        st.FlowExpired,
-			Evicted:        st.FlowEvicted,
+			Occupancy:      st.Flow.Occupancy,
+			Peak:           st.Flow.Peak,
+			Expired:        st.Flow.Expired,
+			Evicted:        st.Flow.Evicted,
 			HeapAllocBytes: m.HeapAlloc,
 		})
 	}

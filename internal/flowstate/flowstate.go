@@ -258,11 +258,11 @@ type Removal struct {
 
 // Stats is a point-in-time snapshot of a tracker's counters.
 type Stats struct {
-	Capacity  int
-	Occupancy uint64
-	Peak      uint64
-	Expired   uint64
-	Evicted   uint64
+	Capacity  int    `json:"capacity"`
+	Occupancy uint64 `json:"occupancy"`
+	Peak      uint64 `json:"peak"`
+	Expired   uint64 `json:"expired"`
+	Evicted   uint64 `json:"evicted"`
 }
 
 // record is one tracked entry: a node of its class's recency list.

@@ -75,22 +75,23 @@ type Delivery struct {
 
 // Stats aggregates a run.
 type Stats struct {
-	Injected   int
-	Delivered  int
-	MBDrops    int
-	QueueDrops int
-	FastPath   int
-	SlowPath   int
+	Injected   int `json:"injected"`
+	Delivered  int `json:"delivered"`
+	MBDrops    int `json:"mb_drops"`
+	QueueDrops int `json:"queue_drops"`
+	FastPath   int `json:"fast_path"`
+	SlowPath   int `json:"slow_path"`
 	// CtlRejected counts control-plane updates refused because the
 	// switch table was full; the flows stay server-handled.
-	CtlRejected  int
-	BytesIn      int64
-	BytesOut     int64
-	ServerCycles float64
-	CtlBatches   int
-	CtlOps       int
+	CtlRejected  int     `json:"ctl_rejected"`
+	BytesIn      int64   `json:"bytes_in"`
+	BytesOut     int64   `json:"bytes_out"`
+	ServerCycles float64 `json:"server_cycles"`
+	CtlBatches   int     `json:"ctl_batches"`
+	CtlOps       int     `json:"ctl_ops"`
 	// FirstDeliverNs/LastDeliverNs frame the measurement window.
-	FirstDeliverNs, LastDeliverNs int64
+	FirstDeliverNs int64 `json:"first_deliver_ns"`
+	LastDeliverNs  int64 `json:"last_deliver_ns"`
 }
 
 // ThroughputBps is delivered goodput over the delivery window.
@@ -252,14 +253,21 @@ func (tb *Testbed) Reconfigure(mutate func(st *ir.State) []switchsim.Update, upd
 	if sw == nil {
 		return nil
 	}
-	_, rejected, _, err := StageBatch(sw, 0, all, false)
-	tb.walk.Stats.CtlRejected += rejected
+	staged, rejected, _, err := StageBatch(sw, 0, all, false)
+	st := &tb.walk.Stats
+	st.CtlOps += staged
+	st.CtlRejected += rejected
+	if staged > 0 {
+		st.CtlBatches++
+	}
 	if err != nil {
 		return err
 	}
 	sw.FlipShard(0)
 	sw.MarkReconfig()
-	tb.walk.Stats.CtlBatches++
+	// The write-backs still awaiting their scheduled flips rode this one:
+	// count their batches now, as Due would have.
+	st.CtlBatches += len(tb.flips)
 	tb.flips = tb.flips[:0]
 	return nil
 }

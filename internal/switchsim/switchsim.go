@@ -73,26 +73,26 @@ type Update struct {
 // Stats counts data-plane and control-plane activity. It is a
 // point-in-time snapshot; the live counters are atomics inside Switch.
 type Stats struct {
-	PrePackets  int
-	PostPackets int
-	FastPath    int
-	ToServer    int
-	Punts       int
-	Evictions   int
-	Drops       int
-	CtlOps      int
-	CtlFlips    int
+	PrePackets  int `json:"pre_packets"`
+	PostPackets int `json:"post_packets"`
+	FastPath    int `json:"fast_path"`
+	ToServer    int `json:"to_server"`
+	Punts       int `json:"punts"`
+	Evictions   int `json:"evictions"`
+	Drops       int `json:"drops"`
+	CtlOps      int `json:"ctl_ops"`
+	CtlFlips    int `json:"ctl_flips"`
 	// Expired counts staged deletions marked as lifecycle expirations
 	// (flow-table timeouts and capacity evictions).
-	Expired int
+	Expired int `json:"expired"`
 	// Reconfigs counts control-plane reconfiguration batches (rule swaps,
 	// pool changes) applied through the write-back path.
-	Reconfigs int
+	Reconfigs int `json:"reconfigs"`
 	// Epoch is the published view's epoch: it advances every time the
 	// control plane publishes, so two equal epochs bracket a quiescent
 	// data plane.
-	Epoch        uint64
-	TableEntries map[string]int
+	Epoch        uint64         `json:"epoch"`
+	TableEntries map[string]int `json:"table_entries,omitempty"`
 }
 
 // Switch simulates one programmable switch loaded with a compiled

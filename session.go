@@ -216,47 +216,9 @@ func (s *Session) Reconfigure(op ReconfigOp) error {
 
 // Stats settles the engine at a barrier and reports the traffic processed
 // so far without stopping it. Safe to call while Feed is streaming.
+// Implements ctlplane.Runtime: the control socket serves this report.
 func (s *Session) Stats() (*Report, error) {
 	return s.eng.LiveReport()
-}
-
-// StatsPayload implements ctlplane.Runtime: the live counters in wire
-// form.
-func (s *Session) StatsPayload() (*ctlplane.StatsPayload, error) {
-	rep, err := s.Stats()
-	if err != nil {
-		return nil, err
-	}
-	p := &ctlplane.StatsPayload{
-		Injected:   int64(rep.Stats.Injected),
-		Delivered:  int64(rep.Stats.Delivered),
-		MBDrops:    int64(rep.Stats.MBDrops),
-		QueueDrops: int64(rep.Stats.QueueDrops),
-		FastPath:   int64(rep.Stats.FastPath),
-		SlowPath:   int64(rep.Stats.SlowPath),
-		Reconfigs:  rep.Reconfigs,
-		Workers:    rep.Workers,
-		PPS:        rep.PPS,
-	}
-	if f := rep.Flow; f != nil {
-		p.FlowCapacity = f.Capacity
-		p.FlowOccupancy = f.Occupancy
-		p.FlowPeak = f.Peak
-		p.FlowExpired = f.Expired
-		p.FlowEvicted = f.Evicted
-	}
-	for i, sw := range rep.SwitchStages {
-		p.Stages = append(p.Stages, ctlplane.StageStats{
-			Name:      s.eng.StageName(i),
-			FastPath:  sw.FastPath,
-			ToServer:  sw.ToServer,
-			CtlOps:    sw.CtlOps,
-			CtlFlips:  sw.CtlFlips,
-			Reconfigs: sw.Reconfigs,
-			Epoch:     sw.Epoch,
-		})
-	}
-	return p, nil
 }
 
 // StageNames implements ctlplane.Runtime: the pipeline's middlebox names

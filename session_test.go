@@ -12,6 +12,7 @@ import (
 	gallium "gallium"
 	"gallium/internal/ctlplane"
 	"gallium/internal/difftest"
+	"gallium/internal/engine"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
 	"gallium/internal/netsim"
@@ -215,13 +216,7 @@ func TestReconfigDifferentialOracle(t *testing.T) {
 	oracle := make([]bool, len(tr.Packets))
 	for i := range tr.Packets {
 		if i == cut {
-			err := tb.Reconfigure(func(st *ir.State) []switchsim.Update {
-				if rec.Mutate == nil {
-					return nil
-				}
-				return rec.Mutate(0, st)
-			}, rec.Updates)
-			if err != nil {
+			if err := reconfigureTestbed(tb, rec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -276,6 +271,90 @@ func TestReconfigDifferentialOracle(t *testing.T) {
 		if oracle[i] != wantDelivered {
 			t.Errorf("oracle packet %d delivered=%v, semantics want %v", i, oracle[i], wantDelivered)
 		}
+	}
+}
+
+// reconfigureTestbed applies a compiled one-worker reconfiguration to the
+// sequential testbed, as the engine applies it to its only shard.
+func reconfigureTestbed(tb *netsim.Testbed, rec engine.Reconfig) error {
+	return tb.Reconfigure(func(st *ir.State) []switchsim.Update {
+		if rec.Mutate == nil {
+			return nil
+		}
+		return rec.Mutate(0, st)
+	}, rec.Updates)
+}
+
+// TestReconfigAccountingMatchesEngine applies one compiled operation to a
+// testbed and to a one-worker session and requires the same control-plane
+// accounting from both: the staged updates in CtlOps, one CtlBatch only
+// when something was staged, and the same rejections. A rule swap stages
+// both whitelist tables; a flow-table retune stages nothing; on a §7
+// cached LB, a new flow's read-through fill still awaits its scheduled
+// flip on the testbed when the pool change flips, and is counted then.
+func TestReconfigAccountingMatchesEngine(t *testing.T) {
+	flow := packet.FiveTuple{
+		SrcIP: packet.MakeIPv4Addr(10, 0, 0, 1), DstIP: packet.MakeIPv4Addr(198, 51, 100, 9),
+		SrcPort: 34000, DstPort: 80, Proto: packet.IPProtocolTCP,
+	}
+	syn := difftest.Trace{Packets: []difftest.TracePacket{{
+		Proto: 6, Src: flow.SrcIP, Dst: flow.DstIP, Sport: flow.SrcPort, Dport: flow.DstPort,
+		Flags: packet.TCPFlagSYN, TTL: 64,
+	}}}
+	for _, tc := range []struct {
+		name, mb string
+		cache    map[string]int
+		op       gallium.ReconfigOp
+		traffic  *difftest.Trace
+	}{
+		{"rule-swap", "firewall", nil, gallium.FirewallRuleSwap{Rules: []packet.FiveTuple{flow}}, nil},
+		{"flow-table", "firewall", nil, gallium.FlowTableUpdate{Table: gallium.FlowTable{Capacity: 64}}, nil},
+		{"pool-after-fill", "l4lb", map[string]int{"conns": 8},
+			gallium.LBPoolChange{Backends: []gallium.Backend{{Addr: packet.MakeIPv4Addr(10, 0, 1, 1), Weight: 1}}}, &syn},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			art, err := gallium.CompileBuiltin(tc.mb, gallium.Options{CacheEntries: tc.cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := ctlplane.Compile(tc.op, []ctlplane.Target{{Name: art.Name, Res: art.Res, Prog: art.Prog}}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows := []packet.FiveTuple{flow}
+			tb, err := art.NewTestbed(gallium.TestbedConfig{Scenario: true, Flows: flows})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := gallium.Open(art, gallium.WithWorkers(1), gallium.WithScenario(), gallium.WithFlows(flows))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if tc.traffic != nil {
+				if _, err := tb.Inject(0, tc.traffic.Build(0)); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Feed(tc.traffic); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := reconfigureTestbed(tb, rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Reconfigure(tc.op); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := tb.Stats(), rep.Stats
+			if got.CtlOps != want.CtlOps || got.CtlBatches != want.CtlBatches || got.CtlRejected != want.CtlRejected {
+				t.Errorf("testbed counts ops %d, batches %d, rejected %d; engine %d, %d, %d",
+					got.CtlOps, got.CtlBatches, got.CtlRejected, want.CtlOps, want.CtlBatches, want.CtlRejected)
+			}
+		})
 	}
 }
 
@@ -562,14 +641,14 @@ func TestSessionServeSocket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Stats == nil || resp.Stats.Injected == 0 {
+	if resp.Stats == nil || resp.Stats.Stats.Injected == 0 {
 		t.Fatalf("stats over socket: %+v", resp.Stats)
 	}
-	if len(resp.Stats.Stages) != 1 || resp.Stats.Stages[0].Name != "firewall" {
-		t.Fatalf("stage stats: %+v", resp.Stats.Stages)
+	if len(resp.Stats.SwitchStages) != 1 || len(resp.Stats.StageNames) != 1 || resp.Stats.StageNames[0] != "firewall" {
+		t.Fatalf("stage stats: %v %+v", resp.Stats.StageNames, resp.Stats.SwitchStages)
 	}
-	if resp.Stats.FlowCapacity != 4096 {
-		t.Fatalf("flow capacity over socket = %d, want 4096", resp.Stats.FlowCapacity)
+	if resp.Stats.Flow == nil || resp.Stats.Flow.Capacity != 4096 {
+		t.Fatalf("flow stats over socket = %+v, want capacity 4096", resp.Stats.Flow)
 	}
 	// A live flow-table retune through the wire protocol, visible in the
 	// next stats read.
@@ -583,8 +662,8 @@ func TestSessionServeSocket(t *testing.T) {
 	if resp, err = c.Do(ctlplane.Request{Op: ctlplane.OpStats}); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Stats.FlowCapacity != 2048 {
-		t.Fatalf("flow capacity after retune = %d, want 2048", resp.Stats.FlowCapacity)
+	if resp.Stats.Flow.Capacity != 2048 {
+		t.Fatalf("flow capacity after retune = %d, want 2048", resp.Stats.Flow.Capacity)
 	}
 	// A by-name reconfiguration through the wire protocol.
 	_, err = c.Do(ctlplane.Request{
