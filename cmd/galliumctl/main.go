@@ -30,6 +30,8 @@ import (
 	"strings"
 
 	"gallium/internal/ctlplane"
+	"gallium/internal/flowstate"
+	"gallium/internal/packet"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -76,143 +78,123 @@ func stageFlags(fs *flag.FlagSet) (*int, *string) {
 	return stage, mb
 }
 
+// command parses one subcommand into its request, so a malformed argument
+// or rules file fails before anything is sent, then sends it and prints
+// the outcome.
 func command(sock, cmd string, args []string, stdout, stderr io.Writer) error {
+	req, done, err := request(cmd, args, stderr)
+	if err != nil {
+		return err
+	}
 	c, err := ctlplane.Dial(sock)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
+	resp, err := c.Do(req)
+	if err != nil {
+		return err
+	}
+	if req.Op != ctlplane.OpStats {
+		fmt.Fprintln(stdout, done)
+		return nil
+	}
+	if resp.Stats == nil {
+		return fmt.Errorf("server returned no stats")
+	}
+	resp.Stats.WriteText(stdout)
+	return nil
+}
+
+// request builds the request a subcommand sends and the line printed once
+// the server accepts it.
+func request(cmd string, args []string, stderr io.Writer) (ctlplane.Request, string, error) {
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-
+	req := ctlplane.Request{Op: cmd}
 	switch cmd {
-	case "ping":
-		if _, err := c.Do(ctlplane.Request{Op: ctlplane.OpPing}); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "ok")
-		return nil
+	case ctlplane.OpPing:
+		return req, "ok", nil
 
-	case "stats":
-		resp, err := c.Do(ctlplane.Request{Op: ctlplane.OpStats})
-		if err != nil {
-			return err
-		}
-		if resp.Stats == nil {
-			return fmt.Errorf("server returned no stats")
-		}
-		resp.Stats.WriteText(stdout)
-		return nil
+	case ctlplane.OpStats:
+		return req, "", nil
 
-	case "firewall-swap":
+	case ctlplane.OpFirewallSwap:
 		stage, mb := stageFlags(fs)
 		file := fs.String("f", "", "read the rule set from this JSON file (array of {src,dst,sport,dport,proto})")
 		if err := fs.Parse(args); err != nil {
-			return err
+			return req, "", err
 		}
 		rules, err := parseRules(*file, fs.Args())
 		if err != nil {
-			return err
+			return req, "", err
 		}
-		_, err = c.Do(ctlplane.Request{
-			Op: ctlplane.OpFirewallSwap, Stage: *stage, StageName: *mb, Rules: rules,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "swapped firewall whitelist: %d rule(s)\n", len(rules))
-		return nil
+		req.Stage, req.StageName, req.Rules = *stage, *mb, rules
+		return req, fmt.Sprintf("swapped firewall whitelist: %d rule(s)", len(rules)), nil
 
-	case "lb-pool":
+	case ctlplane.OpLBPool:
 		stage, mb := stageFlags(fs)
 		drain := fs.Bool("drain", false, "keep established connections on removed backends until natural teardown")
 		if err := fs.Parse(args); err != nil {
-			return err
+			return req, "", err
 		}
 		if fs.NArg() != 1 {
-			return fmt.Errorf("lb-pool wants one addr=weight,... argument")
+			return req, "", fmt.Errorf("lb-pool wants one addr=weight,... argument")
 		}
 		pool, err := parsePool(fs.Arg(0))
 		if err != nil {
-			return err
+			return req, "", err
 		}
-		_, err = c.Do(ctlplane.Request{
-			Op: ctlplane.OpLBPool, Stage: *stage, StageName: *mb,
-			Backends: pool, Drain: *drain,
-		})
-		if err != nil {
-			return err
-		}
+		req.Stage, req.StageName, req.Backends, req.Drain = *stage, *mb, pool, *drain
 		mode := "purging stale connections"
 		if *drain {
 			mode = "draining"
 		}
-		fmt.Fprintf(stdout, "replaced LB pool: %d backend(s), %s\n", len(pool), mode)
-		return nil
+		return req, fmt.Sprintf("replaced LB pool: %d backend(s), %s", len(pool), mode), nil
 
-	case "flow-table":
-		capacity := fs.Int("capacity", 0, "engine-wide concurrent-flow limit (required, positive)")
-		tcpSyn := fs.Duration("tcp-syn", 0, "TCP half-open timeout (0 = runtime default)")
-		tcpEst := fs.Duration("tcp-est", 0, "TCP established timeout (0 = runtime default)")
-		tcpFin := fs.Duration("tcp-fin", 0, "TCP closing timeout (0 = runtime default)")
-		udp := fs.Duration("udp", 0, "UDP session timeout (0 = runtime default)")
-		policy := fs.String("policy", "", `eviction policy: "lru" (default) or "none"`)
+	case ctlplane.OpFlowTable:
+		ft := &flowstate.Config{}
+		fs.IntVar(&ft.Capacity, "capacity", 0, "engine-wide concurrent-flow limit (required, positive)")
+		fs.DurationVar(&ft.Syn, "tcp-syn", 0, "TCP half-open timeout (0 = runtime default)")
+		fs.DurationVar(&ft.Established, "tcp-est", 0, "TCP established timeout (0 = runtime default)")
+		fs.DurationVar(&ft.Fin, "tcp-fin", 0, "TCP closing timeout (0 = runtime default)")
+		fs.DurationVar(&ft.UDPTimeout, "udp", 0, "UDP session timeout (0 = runtime default)")
+		fs.TextVar(&ft.EvictPolicy, "policy", flowstate.EvictLRU, `eviction policy: "lru" or "none"`)
 		if err := fs.Parse(args); err != nil {
-			return err
+			return req, "", err
 		}
 		if fs.NArg() != 0 {
-			return fmt.Errorf("flow-table takes flags only, got %q", fs.Args())
+			return req, "", fmt.Errorf("flow-table takes flags only, got %q", fs.Args())
 		}
-		ft := &ctlplane.FlowTableConfig{
-			Capacity:         *capacity,
-			TCPSynNs:         int64(*tcpSyn),
-			TCPEstablishedNs: int64(*tcpEst),
-			TCPFinNs:         int64(*tcpFin),
-			UDPNs:            int64(*udp),
-			EvictPolicy:      *policy,
-		}
-		if _, err := c.Do(ctlplane.Request{Op: ctlplane.OpFlowTable, FlowTable: ft}); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "retuned flow table: capacity %d\n", *capacity)
-		return nil
+		req.FlowTable = ft
+		return req, fmt.Sprintf("retuned flow table: capacity %d", ft.Capacity), nil
 
-	case "nat-repartition":
+	case ctlplane.OpNATRepartition:
 		stage, mb := stageFlags(fs)
 		basesArg := fs.String("bases", "", "per-shard first external ports, comma-separated (default: even split)")
 		if err := fs.Parse(args); err != nil {
-			return err
+			return req, "", err
 		}
-		var bases []uint16
-		if *basesArg != "" {
-			for _, p := range strings.Split(*basesArg, ",") {
-				v, err := strconv.ParseUint(strings.TrimSpace(p), 10, 16)
-				if err != nil {
-					return fmt.Errorf("bad -bases entry %q: %v", p, err)
-				}
-				bases = append(bases, uint16(v))
+		req.Stage, req.StageName = *stage, *mb
+		if *basesArg == "" {
+			return req, "repartitioned NAT port space: even split", nil
+		}
+		for _, p := range strings.Split(*basesArg, ",") {
+			v, err := strconv.ParseUint(strings.TrimSpace(p), 10, 16)
+			if err != nil {
+				return req, "", fmt.Errorf("bad -bases entry %q: %v", p, err)
 			}
+			req.Bases = append(req.Bases, uint16(v))
 		}
-		_, err = c.Do(ctlplane.Request{
-			Op: ctlplane.OpNATRepartition, Stage: *stage, StageName: *mb, Bases: bases,
-		})
-		if err != nil {
-			return err
-		}
-		if bases == nil {
-			fmt.Fprintln(stdout, "repartitioned NAT port space: even split")
-		} else {
-			fmt.Fprintf(stdout, "repartitioned NAT port space: bases %v\n", bases)
-		}
-		return nil
+		return req, fmt.Sprintf("repartitioned NAT port space: bases %v", req.Bases), nil
 	}
 	usage(stderr)
-	return fmt.Errorf("unknown command %q", cmd)
+	return req, "", fmt.Errorf("unknown command %q", cmd)
 }
 
 // parseRules reads the new whitelist from -f (JSON) or from positional
 // "src,dst,sport,dport,proto" arguments (proto numeric or tcp/udp).
-func parseRules(file string, args []string) ([]ctlplane.Rule, error) {
+func parseRules(file string, args []string) ([]packet.FiveTuple, error) {
 	if file != "" {
 		if len(args) > 0 {
 			return nil, fmt.Errorf("firewall-swap takes -f or inline rules, not both")
@@ -221,17 +203,25 @@ func parseRules(file string, args []string) ([]ctlplane.Rule, error) {
 		if err != nil {
 			return nil, err
 		}
-		var rules []ctlplane.Rule
+		var rules []packet.FiveTuple
 		if err := json.Unmarshal(data, &rules); err != nil {
 			return nil, fmt.Errorf("%s: %v", file, err)
 		}
 		return rules, nil
 	}
-	rules := make([]ctlplane.Rule, 0, len(args))
+	rules := make([]packet.FiveTuple, 0, len(args))
 	for _, a := range args {
 		parts := strings.Split(a, ",")
 		if len(parts) != 5 {
 			return nil, fmt.Errorf("bad rule %q, want src,dst,sport,dport,proto", a)
+		}
+		src, err := packet.ParseIPv4Addr(parts[0])
+		if err != nil {
+			return nil, fmt.Errorf("bad rule %q: %v", a, err)
+		}
+		dst, err := packet.ParseIPv4Addr(parts[1])
+		if err != nil {
+			return nil, fmt.Errorf("bad rule %q: %v", a, err)
 		}
 		sport, err := strconv.ParseUint(parts[2], 10, 16)
 		if err != nil {
@@ -253,32 +243,34 @@ func parseRules(file string, args []string) ([]ctlplane.Rule, error) {
 				return nil, fmt.Errorf("bad rule %q: protocol: %v", a, err)
 			}
 		}
-		rules = append(rules, ctlplane.Rule{
-			Src: parts[0], Dst: parts[1],
-			Sport: uint16(sport), Dport: uint16(dport), Proto: uint8(proto),
+		rules = append(rules, packet.FiveTuple{
+			SrcIP: src, DstIP: dst,
+			SrcPort: uint16(sport), DstPort: uint16(dport), Proto: packet.IPProtocol(proto),
 		})
 	}
 	return rules, nil
 }
 
 // parsePool parses "addr=weight,addr=weight,..." (weight defaults to 1).
-func parsePool(arg string) ([]ctlplane.PoolMember, error) {
-	var pool []ctlplane.PoolMember
+func parsePool(arg string) ([]ctlplane.Backend, error) {
+	var pool []ctlplane.Backend
 	for _, p := range strings.Split(arg, ",") {
 		p = strings.TrimSpace(p)
 		if p == "" {
 			continue
 		}
-		addr, weightStr, found := strings.Cut(p, "=")
+		addrStr, weightStr, found := strings.Cut(p, "=")
+		addr, err := packet.ParseIPv4Addr(addrStr)
+		if err != nil {
+			return nil, fmt.Errorf("bad backend %q: %v", p, err)
+		}
 		weight := 1
 		if found {
-			v, err := strconv.Atoi(weightStr)
-			if err != nil {
+			if weight, err = strconv.Atoi(weightStr); err != nil {
 				return nil, fmt.Errorf("bad backend %q: weight: %v", p, err)
 			}
-			weight = v
 		}
-		pool = append(pool, ctlplane.PoolMember{Addr: addr, Weight: weight})
+		pool = append(pool, ctlplane.Backend{Addr: addr, Weight: weight})
 	}
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("empty backend pool")

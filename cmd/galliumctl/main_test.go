@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -12,9 +13,10 @@ import (
 
 // TestCommandsAgainstSession serves a firewall→mazunat→l4lb session on a
 // unix socket, feeds it traffic, and drives galliumctl against it in
-// process: ping, stats, and an LB pool swap addressed by name. Every
+// process: ping, stats, an LB pool swap addressed by name, a firewall swap
+// from a rules file, a flow-table retune and a NAT repartition. Every
 // counter stats prints must be the session's own, and it must name every
-// stage.
+// stage; a malformed rules file must fail before anything is sent.
 func TestCommandsAgainstSession(t *testing.T) {
 	var arts []*gallium.Artifacts
 	for _, name := range []string{"firewall", "mazunat", "l4lb"} {
@@ -96,6 +98,64 @@ func TestCommandsAgainstSession(t *testing.T) {
 		t.Errorf("the pool swap is not in the stats:\n%s", out)
 	}
 
+	// A rules file in the {src,dst,sport,dport,proto} form: one outbound
+	// and two inbound rules land in the firewall's two tables.
+	dir := t.TempDir()
+	rules := dir + "/rules.json"
+	writeFile(t, rules, `[
+  {"src": "10.0.0.10", "dst": "93.184.216.34", "sport": 40000, "dport": 5001, "proto": 6},
+  {"src": "93.184.216.34", "dst": "10.0.0.10", "sport": 5001, "dport": 40000, "proto": 6},
+  {"src": "198.51.100.7", "dst": "10.0.0.11", "sport": 53, "dport": 3333, "proto": 17}
+]`)
+	if out, _ := ctl(0, "firewall-swap", "-f", rules); out != "swapped firewall whitelist: 3 rule(s)\n" {
+		t.Fatalf("firewall-swap printed %q", out)
+	}
+	rep, err := s.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fw := rep.SwitchStages[0]; fw.TableEntries["wl_out"] != 1 || fw.TableEntries["wl_in"] != 2 || fw.Reconfigs != 1 {
+		t.Errorf("firewall after the swap: tables %v, %d reconfigs", fw.TableEntries, fw.Reconfigs)
+	}
+
+	if out, _ := ctl(0, "flow-table", "-capacity", "4096", "-udp", "20s", "-policy", "none"); out != "retuned flow table: capacity 4096\n" {
+		t.Fatalf("flow-table printed %q", out)
+	}
+	if rep, err = s.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Flow == nil || rep.Flow.Capacity != 4096 {
+		t.Errorf("flow table after the retune: %+v", rep.Flow)
+	}
+
+	if out, _ := ctl(0, "nat-repartition", "-mb", "mazunat", "-bases", "1024,33792"); out != "repartitioned NAT port space: bases [1024 33792]\n" {
+		t.Fatalf("nat-repartition printed %q", out)
+	}
+	out, _ = ctl(0, "stats")
+	checkStats(out)
+	if !strings.Contains(out, "reconfigs 4\n") {
+		t.Errorf("the four reconfigurations are not in the stats:\n%s", out)
+	}
+
+	// A malformed address in a rules file fails in galliumctl itself: the
+	// error names the file, the session sees no request, and no socket is
+	// needed to find out.
+	bad := dir + "/bad.json"
+	writeFile(t, bad, `[{"src": "10.0.0.300", "dst": "93.184.216.34", "sport": 1, "dport": 2, "proto": 6}]`)
+	for _, sockArg := range []string{sock, dir + "/no-such.sock"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-s", sockArg, "firewall-swap", "-f", bad}, &stdout, &stderr); code != 1 ||
+			!strings.Contains(stderr.String(), bad) || !strings.Contains(stderr.String(), "10.0.0.300") {
+			t.Errorf("-s %s: malformed rules file: exit %d, stderr %q", sockArg, code, stderr.String())
+		}
+	}
+	if rep, err = s.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Reconfigs != 4 {
+		t.Errorf("%d reconfigurations after the malformed file, want 4", rep.Reconfigs)
+	}
+
 	// Errors: a server-side refusal exits 1 with the reason on stderr; a
 	// missing command is a usage error.
 	if _, errOut := ctl(1, "nat-repartition", "-mb", "firewall"); !strings.Contains(errOut, "not a NAT") {
@@ -103,4 +163,11 @@ func TestCommandsAgainstSession(t *testing.T) {
 	}
 	ctl(1, "reboot")
 	ctl(2)
+}
+
+func writeFile(t *testing.T, path, data string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -22,29 +22,12 @@ import (
 	"gallium/internal/flowstate"
 	"gallium/internal/ir"
 	"gallium/internal/packet"
-	"gallium/internal/partition"
 	"gallium/internal/switchsim"
 )
 
-// Target describes one pipeline stage the control plane can address: the
-// middlebox's name plus its compiled partition (nil in software mode,
-// where every change is server-side only).
-type Target struct {
-	Name string
-	Res  *partition.Result
-	Prog *ir.Program
-}
-
-// program returns the stage's IR program from whichever field carries it.
-func (t Target) program() *ir.Program {
-	if t.Res != nil {
-		return t.Res.Prog
-	}
-	return t.Prog
-}
-
-// offloaded reports whether the named global is switch-resident.
-func (t Target) offloaded(name string) bool {
+// offloaded reports whether the stage's named global is switch-resident
+// (never in software mode, where every change is server-side only).
+func offloaded(t engine.StageConfig, name string) bool {
 	return t.Res != nil && slices.Contains(t.Res.OffloadedGlobals, name)
 }
 
@@ -52,22 +35,23 @@ func (t Target) offloaded(name string) bool {
 // pipeline stage it applies to (0 for single-middlebox sessions).
 type Op interface {
 	Stage() int
-	// compile validates the op against its target and lowers it.
-	compile(t Target, workers int) (engine.Reconfig, error)
+	// compile validates the op against its stage and lowers it.
+	compile(t engine.StageConfig, workers int) (engine.Reconfig, error)
 }
 
-// Compile validates op against the pipeline's compiled stages and lowers
-// it to the engine's mechanism-level Reconfig. workers is the engine's
-// shard count (repartition ops split allocator spaces across it).
-func Compile(op Op, targets []Target, workers int) (engine.Reconfig, error) {
+// Compile validates op against the pipeline's stages, as the engine was
+// configured with them, and lowers it to the engine's mechanism-level
+// Reconfig. workers is the engine's shard count (repartition ops split
+// allocator spaces across it).
+func Compile(op Op, stages []engine.StageConfig, workers int) (engine.Reconfig, error) {
 	si := op.Stage()
-	if si < 0 || si >= len(targets) {
-		return engine.Reconfig{}, fmt.Errorf("ctlplane: stage %d out of range (pipeline has %d stages)", si, len(targets))
+	if si < 0 || si >= len(stages) {
+		return engine.Reconfig{}, fmt.Errorf("ctlplane: stage %d out of range (pipeline has %d stages)", si, len(stages))
 	}
 	if workers <= 0 {
 		workers = 1
 	}
-	r, err := op.compile(targets[si], workers)
+	r, err := op.compile(stages[si], workers)
 	if err != nil {
 		return engine.Reconfig{}, err
 	}
@@ -94,8 +78,8 @@ func (o FirewallRuleSwap) Stage() int { return o.At }
 // firewallTables are the whitelist firewall's two direction tables.
 var firewallTables = []string{"wl_out", "wl_in"}
 
-func (o FirewallRuleSwap) compile(t Target, workers int) (engine.Reconfig, error) {
-	prog := t.program()
+func (o FirewallRuleSwap) compile(t engine.StageConfig, workers int) (engine.Reconfig, error) {
+	prog := t.Program()
 	if prog == nil {
 		return engine.Reconfig{}, fmt.Errorf("ctlplane: stage %q has no compiled program", t.Name)
 	}
@@ -121,7 +105,7 @@ func (o FirewallRuleSwap) compile(t Target, workers int) (engine.Reconfig, error
 		if g.MaxEntries > 0 && len(split[name]) > g.MaxEntries {
 			return engine.Reconfig{}, fmt.Errorf("ctlplane: %d %s rules exceed the table's annotated max %d", len(split[name]), name, g.MaxEntries)
 		}
-		if t.offloaded(name) {
+		if offloaded(t, name) {
 			updates = append(updates, switchsim.Update{Table: name, Replace: true, Entries: split[name]})
 		}
 	}
@@ -140,14 +124,15 @@ func (o FirewallRuleSwap) compile(t Target, workers int) (engine.Reconfig, error
 	}, nil
 }
 
-// Backend is one load-balancer pool member with its traffic weight.
+// Backend is one load-balancer pool member with its traffic weight; in
+// JSON, {addr,weight} with a dotted-quad address.
 type Backend struct {
-	Addr packet.IPv4Addr
+	Addr packet.IPv4Addr `json:"addr"`
 	// Weight is the member's share of the hash space, realized by entry
 	// repetition in the backend vector (>= 1; 0 removes the member from
 	// the pool, which combined with Drain lets existing connections
 	// finish on it while new flows go elsewhere).
-	Weight int
+	Weight int `json:"weight"`
 }
 
 // LBPoolChange atomically replaces a load balancer's backend pool,
@@ -177,8 +162,8 @@ func (o LBPoolChange) Stage() int { return o.At }
 // target program declares is the one drained or purged.
 var connTables = []string{"conns", "conn"}
 
-func (o LBPoolChange) compile(t Target, workers int) (engine.Reconfig, error) {
-	prog := t.program()
+func (o LBPoolChange) compile(t engine.StageConfig, workers int) (engine.Reconfig, error) {
+	prog := t.Program()
 	if prog == nil {
 		return engine.Reconfig{}, fmt.Errorf("ctlplane: stage %q has no compiled program", t.Name)
 	}
@@ -213,10 +198,10 @@ func (o LBPoolChange) compile(t Target, workers int) (engine.Reconfig, error) {
 		}
 	}
 	var updates []switchsim.Update
-	if t.offloaded("backends") {
+	if offloaded(t, "backends") {
 		updates = append(updates, switchsim.Update{Vec: "backends", VecVals: vec})
 	}
-	connOffloaded := connTable != "" && t.offloaded(connTable)
+	connOffloaded := connTable != "" && offloaded(t, connTable)
 	drain := o.Drain
 	return engine.Reconfig{
 		Updates: updates,
@@ -260,8 +245,8 @@ func (o NATRepartition) Stage() int { return o.At }
 // natPortGlobal is the NAT's monotonic external-port allocator.
 const natPortGlobal = "next_port"
 
-func (o NATRepartition) compile(t Target, workers int) (engine.Reconfig, error) {
-	prog := t.program()
+func (o NATRepartition) compile(t engine.StageConfig, workers int) (engine.Reconfig, error) {
+	prog := t.Program()
 	if prog == nil {
 		return engine.Reconfig{}, fmt.Errorf("ctlplane: stage %q has no compiled program", t.Name)
 	}
@@ -269,7 +254,7 @@ func (o NATRepartition) compile(t Target, workers int) (engine.Reconfig, error) 
 	if g == nil || g.Kind != ir.KindScalar {
 		return engine.Reconfig{}, fmt.Errorf("ctlplane: stage %q is not a NAT (no scalar global %q)", t.Name, natPortGlobal)
 	}
-	if t.offloaded(natPortGlobal) {
+	if offloaded(t, natPortGlobal) {
 		// A switch-resident allocator is a single register — there is no
 		// per-shard copy to repartition (and rule 7 keeps it server-side
 		// for every compiled NAT anyway).
@@ -309,7 +294,7 @@ type FlowTableUpdate struct {
 // the compile-time anchor.
 func (o FlowTableUpdate) Stage() int { return 0 }
 
-func (o FlowTableUpdate) compile(t Target, workers int) (engine.Reconfig, error) {
+func (o FlowTableUpdate) compile(t engine.StageConfig, workers int) (engine.Reconfig, error) {
 	if err := o.Table.Validate(); err != nil {
 		return engine.Reconfig{}, fmt.Errorf("ctlplane: flow table: %w", err)
 	}
@@ -332,8 +317,8 @@ type TableReplace struct {
 // Stage implements Op.
 func (o TableReplace) Stage() int { return o.At }
 
-func (o TableReplace) compile(t Target, workers int) (engine.Reconfig, error) {
-	prog := t.program()
+func (o TableReplace) compile(t engine.StageConfig, workers int) (engine.Reconfig, error) {
+	prog := t.Program()
 	if prog == nil {
 		return engine.Reconfig{}, fmt.Errorf("ctlplane: stage %q has no compiled program", t.Name)
 	}
@@ -345,13 +330,16 @@ func (o TableReplace) compile(t Target, workers int) (engine.Reconfig, error) {
 		return engine.Reconfig{}, fmt.Errorf("ctlplane: %d entries exceed %q's annotated max %d", len(o.Entries), o.Table, g.MaxEntries)
 	}
 	arity := uint8(len(g.KeyTypes))
-	for k := range o.Entries {
+	for k, v := range o.Entries {
 		if k.N != arity {
 			return engine.Reconfig{}, fmt.Errorf("ctlplane: key arity %d does not match %q's %d-part key", k.N, o.Table, arity)
 		}
+		if len(v) != len(g.ValTypes) {
+			return engine.Reconfig{}, fmt.Errorf("ctlplane: %d values do not match %q's %d-part value", len(v), o.Table, len(g.ValTypes))
+		}
 	}
 	var updates []switchsim.Update
-	if t.offloaded(o.Table) {
+	if offloaded(t, o.Table) {
 		updates = append(updates, switchsim.Update{Table: o.Table, Replace: true, Entries: o.Entries})
 	}
 	table := o.Table

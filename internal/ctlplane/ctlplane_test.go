@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	gallium "gallium"
 	"gallium/internal/ctlplane"
@@ -21,18 +22,18 @@ import (
 	"gallium/internal/switchsim"
 )
 
-// targetFor compiles a builtin middlebox into a control-plane target.
-func targetFor(t *testing.T, name string) ctlplane.Target {
+// targetFor compiles a builtin middlebox into an offloaded pipeline stage.
+func targetFor(t *testing.T, name string) engine.StageConfig {
 	t.Helper()
 	art, err := gallium.CompileBuiltin(name, gallium.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ctlplane.Target{Name: art.Name, Res: art.Res, Prog: art.Prog}
+	return engine.StageConfig{Name: art.Name, Res: art.Res, Prog: art.Prog}
 }
 
-// freshState builds an initialized server shard state for the target.
-func freshState(t *testing.T, tg ctlplane.Target) *ir.State {
+// freshState builds an initialized server shard state for the stage.
+func freshState(t *testing.T, tg engine.StageConfig) *ir.State {
 	t.Helper()
 	return serverrt.New(tg.Res).State
 }
@@ -54,7 +55,7 @@ func TestCompileValidation(t *testing.T) {
 	cases := []struct {
 		name    string
 		op      ctlplane.Op
-		tg      ctlplane.Target
+		tg      engine.StageConfig
 		wantErr string
 	}{
 		{"swap-on-lb", ctlplane.FirewallRuleSwap{}, l4lb, "not a whitelist firewall"},
@@ -69,10 +70,14 @@ func TestCompileValidation(t *testing.T) {
 			Table:   "wl_out",
 			Entries: map[ir.MapKey][]uint64{ir.MakeMapKey(1, 2): {1}},
 		}, firewall, "key arity"},
+		{"replace-bad-width", ctlplane.TableReplace{
+			Table:   "wl_out",
+			Entries: map[ir.MapKey][]uint64{ir.MakeMapKey(1, 2, 3, 4, 6): {1, 2}},
+		}, firewall, `2 values do not match "wl_out"'s 1-part value`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ctlplane.Compile(tc.op, []ctlplane.Target{tc.tg}, 4)
+			_, err := ctlplane.Compile(tc.op, []engine.StageConfig{tc.tg}, 4)
 			if err == nil {
 				t.Fatalf("Compile accepted %s", tc.name)
 			}
@@ -88,7 +93,7 @@ func TestCompileValidation(t *testing.T) {
 func TestCompileStageRange(t *testing.T) {
 	fw := targetFor(t, "firewall")
 	for _, stage := range []int{-1, 1, 7} {
-		_, err := ctlplane.Compile(ctlplane.FirewallRuleSwap{At: stage}, []ctlplane.Target{fw}, 1)
+		_, err := ctlplane.Compile(ctlplane.FirewallRuleSwap{At: stage}, []engine.StageConfig{fw}, 1)
 		if err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("stage %d: got %v, want out-of-range error", stage, err)
 		}
@@ -102,7 +107,7 @@ func TestFirewallSwapLowering(t *testing.T) {
 	fw := targetFor(t, "firewall")
 	out := tuple(10, 0, 0, 1, 1000, 80)     // 10/8 source: outbound
 	in := tuple(203, 0, 113, 50, 443, 1000) // external source: inbound
-	r, err := ctlplane.Compile(ctlplane.FirewallRuleSwap{Rules: []packet.FiveTuple{out, in}}, []ctlplane.Target{fw}, 2)
+	r, err := ctlplane.Compile(ctlplane.FirewallRuleSwap{Rules: []packet.FiveTuple{out, in}}, []engine.StageConfig{fw}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +145,7 @@ func TestLBPoolLoweringWeights(t *testing.T) {
 	op := ctlplane.LBPoolChange{
 		Backends: []ctlplane.Backend{{Addr: 7, Weight: 2}, {Addr: 9, Weight: 1}},
 	}
-	r, err := ctlplane.Compile(op, []ctlplane.Target{lb}, 1)
+	r, err := ctlplane.Compile(op, []engine.StageConfig{lb}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +171,7 @@ func TestLBPoolLoweringWeights(t *testing.T) {
 
 	// With drain, both survive.
 	op.Drain = true
-	r, err = ctlplane.Compile(op, []ctlplane.Target{lb}, 1)
+	r, err = ctlplane.Compile(op, []engine.StageConfig{lb}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +188,7 @@ func TestLBPoolLoweringWeights(t *testing.T) {
 func TestNATRepartitionEvenSplit(t *testing.T) {
 	nat := targetFor(t, "mazunat")
 	const workers = 4
-	r, err := ctlplane.Compile(ctlplane.NATRepartition{}, []ctlplane.Target{nat}, workers)
+	r, err := ctlplane.Compile(ctlplane.NATRepartition{}, []engine.StageConfig{nat}, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +204,15 @@ func TestNATRepartitionEvenSplit(t *testing.T) {
 	}
 }
 
-// TestToOp covers the wire-to-typed lowering: stage-name resolution,
-// address parsing, and unknown operations.
+// TestToOp covers the wire-to-typed lowering: stage-name resolution and
+// unknown operations.
 func TestToOp(t *testing.T) {
 	names := []string{"firewall", "mazunat", "l4lb"}
 
+	rule := tuple(10, 1, 2, 3, 1, 2)
 	op, err := ctlplane.Request{
 		Op: ctlplane.OpFirewallSwap, Stage: 2, StageName: "firewall",
-		Rules: []ctlplane.Rule{{Src: "10.1.2.3", Dst: "8.8.8.8", Sport: 1, Dport: 2, Proto: 6}},
+		Rules: []packet.FiveTuple{rule},
 	}.ToOp(names)
 	if err != nil {
 		t.Fatal(err)
@@ -215,13 +221,13 @@ func TestToOp(t *testing.T) {
 	if !ok || swap.Stage() != 0 {
 		t.Errorf("stage name must win over index: got %T stage %d", op, op.Stage())
 	}
-	if len(swap.Rules) != 1 || swap.Rules[0].SrcIP != packet.MakeIPv4Addr(10, 1, 2, 3) {
-		t.Errorf("parsed rules: %+v", swap.Rules)
+	if len(swap.Rules) != 1 || swap.Rules[0] != rule {
+		t.Errorf("lowered rules: %+v", swap.Rules)
 	}
 
 	lbop, err := ctlplane.Request{
 		Op: ctlplane.OpLBPool, StageName: "l4lb",
-		Backends: []ctlplane.PoolMember{{Addr: "10.0.1.1", Weight: 3}},
+		Backends: []ctlplane.Backend{{Addr: packet.MakeIPv4Addr(10, 0, 1, 1), Weight: 3}},
 		Drain:    true,
 	}.ToOp(names)
 	if err != nil {
@@ -235,14 +241,64 @@ func TestToOp(t *testing.T) {
 	if _, err := (ctlplane.Request{Op: ctlplane.OpFirewallSwap, StageName: "nope"}).ToOp(names); err == nil || !strings.Contains(err.Error(), `"nope"`) {
 		t.Errorf("unknown stage name: %v", err)
 	}
-	if _, err := (ctlplane.Request{Op: ctlplane.OpFirewallSwap, Rules: []ctlplane.Rule{{Src: "not-an-ip", Dst: "1.2.3.4"}}}).ToOp(names); err == nil {
-		t.Error("bad source address accepted")
-	}
 	if _, err := (ctlplane.Request{Op: "reboot"}).ToOp(names); err == nil || !strings.Contains(err.Error(), "unknown operation") {
 		t.Errorf("unknown op: %v", err)
 	}
 	if _, err := (ctlplane.Request{Op: ctlplane.OpNATRepartition, Stage: 1, Bases: []uint16{1, 2}}).ToOp(names); err != nil {
 		t.Errorf("repartition lowering: %v", err)
+	}
+}
+
+// TestWireFormDecodes: request lines in the protocol's JSON form decode to
+// the typed ops they name, and a malformed address or policy fails the
+// decode itself, before any op exists.
+func TestWireFormDecodes(t *testing.T) {
+	names := []string{"firewall", "mazunat", "l4lb"}
+	for _, tc := range []struct {
+		line string
+		want ctlplane.Op
+	}{
+		{`{"op":"firewall-swap","stage_name":"firewall","rules":[{"src":"10.1.2.3","dst":"8.8.8.8","sport":1,"dport":2,"proto":6}]}`,
+			ctlplane.FirewallRuleSwap{Rules: []packet.FiveTuple{{
+				SrcIP: packet.MakeIPv4Addr(10, 1, 2, 3), DstIP: packet.MakeIPv4Addr(8, 8, 8, 8),
+				SrcPort: 1, DstPort: 2, Proto: packet.IPProtocolTCP,
+			}}}},
+		{`{"op":"lb-pool","stage":2,"backends":[{"addr":"10.0.1.1","weight":2},{"addr":"10.0.1.2","weight":1}],"drain":true}`,
+			ctlplane.LBPoolChange{At: 2, Drain: true, Backends: []ctlplane.Backend{
+				{Addr: packet.MakeIPv4Addr(10, 0, 1, 1), Weight: 2}, {Addr: packet.MakeIPv4Addr(10, 0, 1, 2), Weight: 1},
+			}}},
+		{`{"op":"nat-repartition","stage_name":"mazunat","bases":[1024,17408]}`,
+			ctlplane.NATRepartition{At: 1, Bases: []uint16{1024, 17408}}},
+		{`{"op":"flow-table","flow_table":{"capacity":4096,"tcp_syn_ns":2000000000,"tcp_established_ns":600000000000,"tcp_fin_ns":5000000000,"udp_ns":20000000000,"evict_policy":"none"}}`,
+			ctlplane.FlowTableUpdate{Table: flowstate.Config{
+				Capacity:    4096,
+				TCPTimeouts: flowstate.TCPTimeouts{Syn: 2 * time.Second, Established: 10 * time.Minute, Fin: 5 * time.Second},
+				UDPTimeout:  20 * time.Second, EvictPolicy: flowstate.EvictNone,
+			}}},
+		{`{"op":"flow-table","flow_table":{"capacity":64,"evict_policy":""}}`,
+			ctlplane.FlowTableUpdate{Table: flowstate.Config{Capacity: 64}}},
+	} {
+		var req ctlplane.Request
+		if err := json.Unmarshal([]byte(tc.line), &req); err != nil {
+			t.Fatalf("%s: %v", tc.line, err)
+		}
+		op, err := req.ToOp(names)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.line, err)
+		}
+		if !reflect.DeepEqual(op, tc.want) {
+			t.Errorf("%s lowered to %+v, want %+v", tc.line, op, tc.want)
+		}
+	}
+	for _, line := range []string{
+		`{"op":"firewall-swap","rules":[{"src":"not-an-ip","dst":"1.2.3.4"}]}`,
+		`{"op":"lb-pool","backends":[{"addr":"10.0.1.256","weight":1}]}`,
+		`{"op":"flow-table","flow_table":{"capacity":10,"evict_policy":"fifo"}}`,
+	} {
+		var req ctlplane.Request
+		if err := json.Unmarshal([]byte(line), &req); err == nil {
+			t.Errorf("%s decoded to %+v", line, req)
+		}
 	}
 }
 
@@ -329,7 +385,7 @@ func TestServerClientRoundTrip(t *testing.T) {
 	}
 	if _, err := c.Do(ctlplane.Request{
 		Op: ctlplane.OpLBPool, StageName: "l4lb",
-		Backends: []ctlplane.PoolMember{{Addr: "10.0.1.1", Weight: 1}},
+		Backends: []ctlplane.Backend{{Addr: packet.MakeIPv4Addr(10, 0, 1, 1), Weight: 1}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +399,7 @@ func TestServerClientRoundTrip(t *testing.T) {
 	rt.applyErr = fmt.Errorf("shard 3 rejected the flip")
 	rt.mu.Unlock()
 	if _, err := c.Do(ctlplane.Request{
-		Op: ctlplane.OpLBPool, Backends: []ctlplane.PoolMember{{Addr: "10.0.1.1", Weight: 1}},
+		Op: ctlplane.OpLBPool, Backends: []ctlplane.Backend{{Addr: packet.MakeIPv4Addr(10, 0, 1, 1), Weight: 1}},
 	}); err == nil || !strings.Contains(err.Error(), "shard 3 rejected") {
 		t.Errorf("apply error did not surface: %v", err)
 	}
@@ -364,5 +420,36 @@ func TestServerClientRoundTrip(t *testing.T) {
 	}
 	if malformed.OK || !strings.Contains(malformed.Error, "bad request") {
 		t.Errorf("malformed line response: %+v", malformed)
+	}
+}
+
+// TestServerCloseHangsUpOpenClients: Close returns promptly while a client
+// keeps its connection open after a request, and that client is hung up.
+func TestServerCloseHangsUpOpenClients(t *testing.T) {
+	srv := ctlplane.NewServer(&fakeRuntime{})
+	sock := t.TempDir() + "/ctl.sock"
+	if err := srv.Listen(sock); err != nil {
+		t.Fatal(err)
+	}
+	c, err := ctlplane.Dial(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Do(ctlplane.Request{Op: ctlplane.OpPing}); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close has not returned after 2 s while a client holds its connection open")
+	}
+	if _, err := c.Do(ctlplane.Request{Op: ctlplane.OpPing}); err == nil {
+		t.Error("a connection was still served after Close")
 	}
 }

@@ -1,6 +1,7 @@
 package ctlplane_test
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,56 +13,16 @@ import (
 	"gallium/internal/ir"
 )
 
-// TestFlowTableToOp covers the wire lowering of the flow-table op:
-// payload required, policy parsed, nanosecond timeouts lifted into
-// durations, and validation errors surfaced at lowering time.
+// TestFlowTableToOp: the flow-table op needs its payload.
 func TestFlowTableToOp(t *testing.T) {
-	names := []string{"l4lb"}
-
-	op, err := ctlplane.Request{
-		Op: ctlplane.OpFlowTable,
-		FlowTable: &ctlplane.FlowTableConfig{
-			Capacity:         4096,
-			TCPSynNs:         int64(2 * time.Second),
-			TCPEstablishedNs: int64(10 * time.Minute),
-			TCPFinNs:         int64(5 * time.Second),
-			UDPNs:            int64(20 * time.Second),
-			EvictPolicy:      "none",
-		},
-	}.ToOp(names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft, ok := op.(ctlplane.FlowTableUpdate)
-	if !ok {
-		t.Fatalf("lowered to %T, want FlowTableUpdate", op)
-	}
-	want := flowstate.Config{
-		Capacity: 4096,
-		TCPTimeouts: flowstate.TCPTimeouts{
-			Syn: 2 * time.Second, Established: 10 * time.Minute, Fin: 5 * time.Second,
-		},
-		UDPTimeout:  20 * time.Second,
-		EvictPolicy: flowstate.EvictNone,
-	}
-	if ft.Table != want {
-		t.Fatalf("lowered config = %+v, want %+v", ft.Table, want)
-	}
-
-	if _, err := (ctlplane.Request{Op: ctlplane.OpFlowTable}).ToOp(names); err == nil ||
+	if _, err := (ctlplane.Request{Op: ctlplane.OpFlowTable}).ToOp([]string{"l4lb"}); err == nil ||
 		!strings.Contains(err.Error(), "flow_table") {
 		t.Errorf("missing payload not rejected: %v", err)
 	}
-	if _, err := (ctlplane.Request{
-		Op:        ctlplane.OpFlowTable,
-		FlowTable: &ctlplane.FlowTableConfig{Capacity: 10, EvictPolicy: "fifo"},
-	}).ToOp(names); err == nil || !strings.Contains(err.Error(), "fifo") {
-		t.Errorf("unknown policy not rejected: %v", err)
-	}
 }
 
-// TestFlowTableWireRoundTrip: FromConfig renders exactly what toConfig
-// reads back.
+// TestFlowTableWireRoundTrip: a config survives the JSON hop unchanged,
+// except the sweep knobs, which the socket does not carry.
 func TestFlowTableWireRoundTrip(t *testing.T) {
 	cfg := flowstate.Config{
 		Capacity: 1 << 20,
@@ -69,15 +30,24 @@ func TestFlowTableWireRoundTrip(t *testing.T) {
 			Syn: 5 * time.Second, Established: 5 * time.Minute, Fin: 10 * time.Second,
 		},
 		UDPTimeout:  30 * time.Second,
-		EvictPolicy: flowstate.EvictLRU,
+		EvictPolicy: flowstate.EvictNone,
 	}
-	op, err := ctlplane.Request{Op: ctlplane.OpFlowTable, FlowTable: ctlplane.FromConfig(cfg)}.
-		ToOp([]string{"l4lb"})
+	sent := cfg
+	sent.SweepEvery, sent.SweepLimit = 7, 9
+	line, err := json.Marshal(ctlplane.Request{Op: ctlplane.OpFlowTable, FlowTable: &sent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req ctlplane.Request
+	if err := json.Unmarshal(line, &req); err != nil {
+		t.Fatal(err)
+	}
+	op, err := req.ToOp([]string{"l4lb"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := op.(ctlplane.FlowTableUpdate).Table; got != cfg {
-		t.Fatalf("round trip drifted: %+v, want %+v", got, cfg)
+		t.Fatalf("round trip of %s drifted: %+v, want %+v", line, got, cfg)
 	}
 }
 
@@ -86,13 +56,13 @@ func TestFlowTableWireRoundTrip(t *testing.T) {
 func TestFlowTableCompileValidation(t *testing.T) {
 	_, err := ctlplane.Compile(ctlplane.FlowTableUpdate{
 		Table: flowstate.Config{Capacity: -1},
-	}, []ctlplane.Target{{Name: "l4lb"}}, 1)
+	}, []engine.StageConfig{{Name: "l4lb"}}, 1)
 	if err == nil || !strings.Contains(err.Error(), "capacity") {
 		t.Fatalf("invalid flow table compiled: %v", err)
 	}
 	r, err := ctlplane.Compile(ctlplane.FlowTableUpdate{
 		Table: flowstate.Config{Capacity: 64},
-	}, []ctlplane.Target{{Name: "l4lb"}}, 4)
+	}, []engine.StageConfig{{Name: "l4lb"}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +103,7 @@ func TestFlowTableServerRoundTrip(t *testing.T) {
 
 	if _, err := c.Do(ctlplane.Request{
 		Op:        ctlplane.OpFlowTable,
-		FlowTable: &ctlplane.FlowTableConfig{Capacity: 2048, UDPNs: int64(time.Minute)},
+		FlowTable: &flowstate.Config{Capacity: 2048, UDPTimeout: time.Minute},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +149,7 @@ func TestLBPoolPurgeKeepsLifecycleInStep(t *testing.T) {
 	}
 
 	r, err := ctlplane.Compile(ctlplane.LBPoolChange{Backends: []ctlplane.Backend{{Addr: 7, Weight: 1}}},
-		[]ctlplane.Target{lb}, 1)
+		[]engine.StageConfig{lb}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

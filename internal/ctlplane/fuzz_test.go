@@ -12,6 +12,7 @@ import (
 
 	"gallium/internal/ctlplane"
 	"gallium/internal/flowstate"
+	"gallium/internal/packet"
 )
 
 // FuzzCtlRequest feeds arbitrary bytes to the control socket's request
@@ -22,17 +23,15 @@ import (
 func FuzzCtlRequest(f *testing.F) {
 	seeds := []ctlplane.Request{
 		{Op: ctlplane.OpFirewallSwap, Stage: 2, StageName: "firewall",
-			Rules: []ctlplane.Rule{{Src: "10.1.2.3", Dst: "8.8.8.8", Sport: 1, Dport: 2, Proto: 6}}},
+			Rules: []packet.FiveTuple{{SrcIP: packet.MakeIPv4Addr(10, 1, 2, 3), DstIP: packet.MakeIPv4Addr(8, 8, 8, 8), SrcPort: 1, DstPort: 2, Proto: 6}}},
 		{Op: ctlplane.OpLBPool, StageName: "l4lb",
-			Backends: []ctlplane.PoolMember{{Addr: "10.0.1.1", Weight: 3}}, Drain: true},
+			Backends: []ctlplane.Backend{{Addr: packet.MakeIPv4Addr(10, 0, 1, 1), Weight: 3}}, Drain: true},
 		{Op: ctlplane.OpFirewallSwap, StageName: "nope"},
-		{Op: ctlplane.OpFirewallSwap, Rules: []ctlplane.Rule{{Src: "not-an-ip", Dst: "1.2.3.4"}}},
 		{Op: "reboot"},
 		{Op: ctlplane.OpNATRepartition, Stage: 1, Bases: []uint16{1, 2}},
 		{Op: ctlplane.OpFlowTable},
-		{Op: ctlplane.OpFlowTable, FlowTable: ctlplane.FromConfig(flowstate.Config{
-			Capacity: 64, UDPTimeout: time.Second, EvictPolicy: flowstate.EvictNone})},
-		{Op: ctlplane.OpFlowTable, FlowTable: &ctlplane.FlowTableConfig{Capacity: 8, EvictPolicy: "fifo"}},
+		{Op: ctlplane.OpFlowTable, FlowTable: &flowstate.Config{
+			Capacity: 64, UDPTimeout: time.Second, EvictPolicy: flowstate.EvictNone}},
 		{Op: ctlplane.OpPing},
 		{Op: ctlplane.OpStats},
 	}
@@ -49,6 +48,8 @@ func FuzzCtlRequest(f *testing.F) {
 	f.Add([]byte("not json\n"))
 	f.Add([]byte(`{"op":"lb-pool","stage":-1,"backends":[{"addr":"","weight":-5}]}`))
 	f.Add([]byte(`{"op":"flow-table","flow_table":{"capacity":-1,"udp_ns":-9223372036854775808}}`))
+	f.Add([]byte(`{"op":"firewall-swap","rules":[{"src":"not-an-ip","dst":"1.2.3.4"}]}`))
+	f.Add([]byte(`{"op":"flow-table","flow_table":{"capacity":8,"evict_policy":"fifo"}}`))
 
 	names := []string{"firewall", "mazunat", "l4lb"}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -29,13 +29,13 @@ type Runtime interface {
 const MaxLine = 16 << 20
 
 // Server answers the JSON control protocol on a unix socket for one
-// running Runtime. Start it with Serve; Close unblocks Serve and removes
-// the socket file.
+// running Runtime. Start it with Listen; Close stops it.
 type Server struct {
 	rt Runtime
 
 	mu     sync.Mutex
 	ln     net.Listener
+	conns  map[net.Conn]struct{} // open client connections, closed by Close
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -56,7 +56,7 @@ func (s *Server) Listen(path string) error {
 		return fmt.Errorf("ctlplane: %w", err)
 	}
 	s.mu.Lock()
-	s.ln = ln
+	s.ln, s.conns = ln, map[net.Conn]struct{}{}
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
@@ -70,11 +70,22 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // Close tore the listener down
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
-			defer conn.Close()
 			s.serveConn(conn)
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
+			conn.Close()
 		}()
 	}
 }
@@ -129,13 +140,17 @@ func (s *Server) handle(req Request) Response {
 	return Response{OK: true}
 }
 
-// Close stops accepting, waits for in-flight connections, and removes the
-// socket file.
+// Close stops accepting, hangs up every open connection (a request being
+// handled finishes first, its response lost), waits for the connection
+// goroutines, and removes the socket file.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	ln := s.ln
 	closed := s.closed
 	s.closed = true
+	for conn := range s.conns {
+		conn.Close()
+	}
 	s.mu.Unlock()
 	if closed || ln == nil {
 		return nil

@@ -82,6 +82,15 @@ type StageConfig struct {
 	Setup func(shard int, st *ir.State)
 }
 
+// Program returns the stage's IR program: the partitioned one when Res is
+// set, Prog otherwise.
+func (s StageConfig) Program() *ir.Program {
+	if s.Res != nil {
+		return s.Res.Prog
+	}
+	return s.Prog
+}
+
 // Config describes one engine instance.
 type Config struct {
 	// Mode is Offloaded (default for the zero Mode) or Software.
@@ -232,11 +241,7 @@ func New(ctx context.Context, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: unknown mode %v", cfg.Mode)
 	}
 	for _, st := range e.stages {
-		prog := st.Prog
-		if st.Res != nil {
-			prog = st.Res.Prog
-		}
-		e.lifeDyn = append(e.lifeDyn, flowstate.DynamicMaps(prog))
+		e.lifeDyn = append(e.lifeDyn, flowstate.DynamicMaps(st.Program()))
 		off := map[string]bool{}
 		if st.Res != nil {
 			for _, g := range st.Res.OffloadedGlobals {
@@ -630,19 +635,8 @@ func (e *Engine) LiveReport() (*Report, error) {
 	return e.buildReport(time.Since(e.startT)), nil
 }
 
-// Stages reports the pipeline's stage count.
-func (e *Engine) Stages() int { return len(e.stages) }
-
 // Uptime reports wall-clock time since New.
 func (e *Engine) Uptime() time.Duration { return time.Since(e.startT) }
-
-// StageName reports a stage's label ("" when unnamed).
-func (e *Engine) StageName(stage int) string {
-	if stage < 0 || stage >= len(e.stages) {
-		return ""
-	}
-	return e.stages[stage].Name
-}
 
 // ShardStatesAt returns each worker shard's authoritative middlebox state
 // for one pipeline stage, indexed by shard. Only meaningful after the

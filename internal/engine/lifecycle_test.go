@@ -340,9 +340,9 @@ func TestReconfigureFlowTableInvalid(t *testing.T) {
 	}
 }
 
-// TestInvalidFlowTableConfig: New rejects a bad lifecycle config, and a
+// TestInvalidFlowTableRejected: New rejects a bad lifecycle config, and a
 // New that fails has started no goroutine.
-func TestInvalidFlowTableConfig(t *testing.T) {
+func TestInvalidFlowTableRejected(t *testing.T) {
 	checkLeaks(t)
 	_, res := compileMB(t, "l4lb")
 	_, err := New(context.Background(), Config{

@@ -46,6 +46,10 @@ type worker struct {
 	seenMu sync.Mutex
 	seen   netsim.Stats
 
+	// expiries is sweep's reused batch of switch deletions, kept off the
+	// per-packet block below: a sweep runs once per SweepEvery packets.
+	expiries []switchsim.Update
+
 	// The fields below are this worker's per-packet hot state, padded on
 	// both sides so adjacent workers' blocks never share a cache line
 	// (workers are separate allocations, but the allocator is free to
@@ -149,11 +153,10 @@ func (w *worker) maybeSweep() {
 
 // sweep expires (and, over capacity, evicts) this worker's tracked flow
 // entries as of its latest packet time. Removals of switch-resident
-// entries are applied like a write-back, as expiry-marked deletions staged
-// on this worker's own lane and flipped as one batch: the lane applies
-// batches in order, so a later re-insert of the same key lands after the
-// deletion, and an expiry can never resurrect a stale entry over a
-// fresher one.
+// entries are applied like a write-back, as one batch of expiry-marked
+// deletions through apply: the lane applies batches in order, so a later
+// re-insert of the same key lands after the deletion, and an expiry can
+// never resurrect a stale entry over a fresher one.
 func (w *worker) sweep(full bool) {
 	for si := range w.life {
 		tr := w.life[si].Load()
@@ -164,21 +167,16 @@ func (w *worker) sweep(full bool) {
 		if len(removals) == 0 || si >= len(w.eng.sws) {
 			continue
 		}
-		sw, off, staged := w.eng.sws[si], w.eng.lifeOff[si], 0
+		off := w.eng.lifeOff[si]
+		w.expiries = w.expiries[:0]
 		for _, r := range removals {
-			if !off[r.Table] {
-				continue
+			if off[r.Table] {
+				w.expiries = append(w.expiries, switchsim.Update{Table: r.Table, Key: r.Key, Delete: true, Expire: true})
 			}
-			if err := sw.StageShard(w.id, switchsim.Update{Table: r.Table, Key: r.Key, Delete: true, Expire: true}); err != nil {
-				w.eng.fail(err)
-				return
-			}
-			staged++
 		}
-		if staged > 0 {
-			sw.FlipShard(w.id)
-			w.walk.Stats.CtlBatches++
-			w.walk.Stats.CtlOps += staged
+		if _, _, err := w.apply(si, w.expiries, false); err != nil {
+			w.eng.fail(err)
+			return
 		}
 	}
 }

@@ -91,11 +91,11 @@ func ClassOf(p *packet.Packet) Class {
 // selects the package default for that phase.
 type TCPTimeouts struct {
 	// Syn bounds half-open flows (SYN seen, not yet ACKed).
-	Syn time.Duration
+	Syn time.Duration `json:"tcp_syn_ns,omitempty"`
 	// Established bounds fully established flows.
-	Established time.Duration
+	Established time.Duration `json:"tcp_established_ns,omitempty"`
 	// Fin bounds closing flows (FIN or RST seen).
-	Fin time.Duration
+	Fin time.Duration `json:"tcp_fin_ns,omitempty"`
 }
 
 // EvictPolicy selects what happens when a flow table exceeds Capacity.
@@ -132,6 +132,19 @@ func ParseEvictPolicy(s string) (EvictPolicy, bool) {
 	return 0, false
 }
 
+// MarshalText renders the policy by name.
+func (p EvictPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText parses a policy name; an empty one selects the default.
+func (p *EvictPolicy) UnmarshalText(text []byte) error {
+	v, ok := ParseEvictPolicy(string(text))
+	if !ok && len(text) > 0 {
+		return fmt.Errorf("unknown eviction policy %q (want \"lru\" or \"none\")", text)
+	}
+	*p = v
+	return nil
+}
+
 // Defaults applied by Config.Normalized for zero fields.
 const (
 	DefaultSynTimeout         = 5 * time.Second
@@ -143,27 +156,29 @@ const (
 )
 
 // Config bounds the dynamic flow state of a pipeline. The facade
-// exposes it as gallium.FlowTable.
+// exposes it as gallium.FlowTable. Its JSON form (the control socket's
+// flow_table) is flat: timeouts are nanoseconds, the sweep knobs are not
+// carried.
 type Config struct {
 	// Capacity is the maximum number of concurrent entries across all
 	// dynamic maps of the pipeline (summed over shards). Required.
-	Capacity int
+	Capacity int `json:"capacity"`
 	// TCPTimeouts holds per-phase TCP timeouts; zero fields default.
-	TCPTimeouts TCPTimeouts
+	TCPTimeouts
 	// UDPTimeout bounds idle UDP (and unclassified) flows; zero
 	// selects DefaultUDPTimeout.
-	UDPTimeout time.Duration
+	UDPTimeout time.Duration `json:"udp_ns,omitempty"`
 	// EvictPolicy selects capacity enforcement (default EvictLRU).
-	EvictPolicy EvictPolicy
+	EvictPolicy EvictPolicy `json:"evict_policy,omitempty"`
 	// SweepEvery is the number of packets a worker processes between
 	// incremental sweeps, each run right after the packet that is due.
 	// Zero selects DefaultSweepEvery.
-	SweepEvery int
+	SweepEvery int `json:"-"`
 	// SweepLimit caps how many entries one incremental sweep removes,
 	// bounding the write-back batch it ships; what is left over is the
 	// next sweep's. Settle-barrier sweeps are uncapped. Zero selects
 	// DefaultSweepLimit.
-	SweepLimit int
+	SweepLimit int `json:"-"`
 }
 
 // Validate rejects configurations that cannot be meant: non-positive

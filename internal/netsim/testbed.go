@@ -3,6 +3,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"gallium/internal/ir"
 	"gallium/internal/obs"
@@ -236,14 +237,15 @@ func StageBatch(sw *switchsim.Switch, shard int, updates []switchsim.Update, pun
 // Reconfigure applies one control-plane change between injections: mutate
 // runs against the authoritative state (returning any extra switch
 // updates, e.g. connection purges), then the given updates plus mutate's
-// are staged and made visible as one atomic flip — the same §4.3.3 batch
-// the write-back path uses, so a packet injected before the call sees only
-// the old configuration and a packet injected after sees only the new one.
-// It is the oracle counterpart of the engine's Reconfigure — differential
-// tests apply the same change at the same packet index on both sides. Any
-// write-back still awaiting its scheduled flip shares the flip (a
-// sequential reconfiguration quiesces the deployment). The software
-// baseline has nothing to flip. On an error nothing flips.
+// are committed as one batch and everything pending is flipped at once —
+// the same §4.3.3 batch the write-back path uses, so a packet injected
+// before the call sees only the old configuration and a packet injected
+// after sees only the new one. It is the oracle counterpart of the
+// engine's Reconfigure — differential tests apply the same change at the
+// same packet index on both sides. Any write-back still awaiting its
+// scheduled flip shares the flip (a sequential reconfiguration quiesces
+// the deployment). The software baseline has nothing to flip. On an error
+// nothing flips.
 func (tb *Testbed) Reconfigure(mutate func(st *ir.State) []switchsim.Update, updates []switchsim.Update) error {
 	all := append([]switchsim.Update(nil), updates...)
 	if mutate != nil {
@@ -253,22 +255,11 @@ func (tb *Testbed) Reconfigure(mutate func(st *ir.State) []switchsim.Update, upd
 	if sw == nil {
 		return nil
 	}
-	staged, rejected, _, err := StageBatch(sw, 0, all, false)
-	st := &tb.walk.Stats
-	st.CtlOps += staged
-	st.CtlRejected += rejected
-	if staged > 0 {
-		st.CtlBatches++
-	}
-	if err != nil {
+	if _, err := tb.Commit(0, all, false, tb.lastInject); err != nil {
 		return err
 	}
-	sw.FlipShard(0)
+	tb.Due(math.MaxInt64)
 	sw.MarkReconfig()
-	// The write-backs still awaiting their scheduled flips rode this one:
-	// count their batches now, as Due would have.
-	st.CtlBatches += len(tb.flips)
-	tb.flips = tb.flips[:0]
 	return nil
 }
 

@@ -6,11 +6,14 @@ import (
 )
 
 // FiveTuple identifies a transport connection. It is comparable and is the
-// canonical key used by the middlebox state tables.
+// canonical key used by the middlebox state tables. In JSON (a firewall
+// rule on the control socket) it is {src,dst,sport,dport,proto}.
 type FiveTuple struct {
-	SrcIP, DstIP     IPv4Addr
-	SrcPort, DstPort uint16
-	Proto            IPProtocol
+	SrcIP   IPv4Addr   `json:"src"`
+	DstIP   IPv4Addr   `json:"dst"`
+	SrcPort uint16     `json:"sport"`
+	DstPort uint16     `json:"dport"`
+	Proto   IPProtocol `json:"proto"`
 }
 
 // Reverse returns the five-tuple of the opposite direction.

@@ -54,6 +54,16 @@ func ParseIPv4Addr(s string) (IPv4Addr, error) {
 	return MakeIPv4Addr(octs[0], octs[1], octs[2], octs[3]), nil
 }
 
+// MarshalText renders the address in dotted-quad form, so JSON carries
+// "10.0.1.2" rather than a number.
+func (a IPv4Addr) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
+// UnmarshalText parses a dotted-quad address.
+func (a *IPv4Addr) UnmarshalText(text []byte) (err error) {
+	*a, err = ParseIPv4Addr(string(text))
+	return err
+}
+
 // IPv4 is an IPv4 header (options unsupported; IHL is always 5).
 type IPv4 struct {
 	TOS      uint8

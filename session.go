@@ -108,8 +108,10 @@ func (p *Pipeline) Run(ctx context.Context, wl Workload, opts ...Option) (*Repor
 //	err = s.Reconfigure(gallium.LBPoolChange{Backends: pool, Drain: true})
 //	rep, err := s.Close()
 type Session struct {
-	eng     *engine.Engine
-	targets []ctlplane.Target
+	eng *engine.Engine
+	// stages are the configs the engine runs, which ctlplane.Compile
+	// checks operations against.
+	stages  []engine.StageConfig
 	workers int
 
 	settleFns []func(shard int, st *ir.State)
@@ -145,7 +147,6 @@ func openSession(ctx context.Context, arts []*Artifacts, opts []Option) (*Sessio
 	if workers <= 0 {
 		workers = 1
 	}
-	targets := make([]ctlplane.Target, len(arts))
 	for i, a := range arts {
 		st := engine.StageConfig{Name: a.Name, Res: a.Res}
 		if cfg.Mode == netsim.Software {
@@ -164,7 +165,6 @@ func openSession(ctx context.Context, arts []*Artifacts, opts []Option) (*Sessio
 			}
 		}
 		cfg.Config.Stages = append(cfg.Config.Stages, st)
-		targets[i] = ctlplane.Target{Name: a.Name, Res: st.Res, Prog: a.Prog}
 	}
 	eng, err := engine.New(ctx, cfg.Config)
 	if err != nil {
@@ -172,7 +172,7 @@ func openSession(ctx context.Context, arts []*Artifacts, opts []Option) (*Sessio
 	}
 	return &Session{
 		eng:       eng,
-		targets:   targets,
+		stages:    cfg.Config.Stages,
 		workers:   workers,
 		settleFns: cfg.settleFns,
 		mergedFns: cfg.mergedFns,
@@ -207,7 +207,7 @@ func (s *Session) Dispatch(tNs int64, pkt *Packet) (int64, error) {
 // change. Implements ctlplane.Runtime, so a ctlplane.Server can drive a
 // Session directly.
 func (s *Session) Reconfigure(op ReconfigOp) error {
-	r, err := ctlplane.Compile(op, s.targets, s.workers)
+	r, err := ctlplane.Compile(op, s.stages, s.workers)
 	if err != nil {
 		return err
 	}
@@ -224,9 +224,9 @@ func (s *Session) Stats() (*Report, error) {
 // StageNames implements ctlplane.Runtime: the pipeline's middlebox names
 // in stage order.
 func (s *Session) StageNames() []string {
-	names := make([]string, s.eng.Stages())
-	for i := range names {
-		names[i] = s.eng.StageName(i)
+	names := make([]string, len(s.stages))
+	for i, st := range s.stages {
+		names[i] = st.Name
 	}
 	return names
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -202,7 +203,7 @@ func TestReconfigDifferentialOracle(t *testing.T) {
 	seed := func(st *ir.State) { middleboxes.AllowFlow(st, flowA) }
 	swap := gallium.FirewallRuleSwap{Rules: []packet.FiveTuple{flowB}}
 	// Both sides apply the identical compiled operation.
-	rec, err := ctlplane.Compile(swap, []ctlplane.Target{{Name: art.Name, Res: art.Res, Prog: art.Prog}}, 1)
+	rec, err := ctlplane.Compile(swap, []engine.StageConfig{{Name: art.Name, Res: art.Res}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestReconfigAccountingMatchesEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, err := ctlplane.Compile(tc.op, []ctlplane.Target{{Name: art.Name, Res: art.Res, Prog: art.Prog}}, 1)
+			rec, err := ctlplane.Compile(tc.op, []engine.StageConfig{{Name: art.Name, Res: art.Res}}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -602,6 +603,54 @@ func TestWithStateSeedsAndInspects(t *testing.T) {
 	}
 }
 
+// TestMalformedTableReplaceRefused: a TableReplace whose value tuples are
+// wider than the table declares is refused when it compiles, before any
+// shard state changes, and the session keeps feeding and closes cleanly.
+func TestMalformedTableReplaceRefused(t *testing.T) {
+	art, err := gallium.CompileBuiltin("firewall", gallium.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := iperfWorkload(4)
+	ref, err := art.NewTestbed(gallium.TestbedConfig{Scenario: true, Flows: gen.Tuples()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.ServerState().Maps
+	var mu sync.Mutex
+	s, err := gallium.Open(art, gallium.WithWorkers(2), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()),
+		gallium.WithState(func(shard int, st *ir.State) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, name := range []string{"wl_out", "wl_in"} {
+				if !reflect.DeepEqual(st.Maps[name], want[name]) {
+					t.Errorf("shard %d: %s = %v after the refused op, want %v", shard, name, st.Maps[name], want[name])
+				}
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Feed(gen); err != nil {
+		t.Fatal(err)
+	}
+	bad := gallium.TableReplace{Table: "wl_out", Entries: map[ir.MapKey][]uint64{ir.MakeMapKey(1, 2, 3, 4, 6): {1, 2}}}
+	if err := s.Reconfigure(bad); err == nil || !strings.Contains(err.Error(), "2 values") {
+		t.Fatalf("two-word value for a one-word table: %v", err)
+	}
+	if err := s.Feed(trafficgen.Shifted{WL: gen, OffsetNs: gen.DurationNs}); err != nil {
+		t.Fatalf("feed after the refused op: %v", err)
+	}
+	rep, err := s.Close()
+	if err != nil {
+		t.Fatalf("close after the refused op: %v", err)
+	}
+	if st := rep.Stats; rep.Reconfigs != 0 || st.Delivered == 0 || st.Delivered != st.Injected {
+		t.Errorf("after the refused op: %d reconfigs, %d of %d delivered", rep.Reconfigs, st.Delivered, st.Injected)
+	}
+}
+
 // TestSessionServeSocket round-trips the full external control path: a
 // served session, a ctlplane client, stats and a reconfiguration over the
 // unix socket.
@@ -654,7 +703,7 @@ func TestSessionServeSocket(t *testing.T) {
 	// next stats read.
 	_, err = c.Do(ctlplane.Request{
 		Op:        ctlplane.OpFlowTable,
-		FlowTable: &ctlplane.FlowTableConfig{Capacity: 2048},
+		FlowTable: &gallium.FlowTable{Capacity: 2048},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -668,7 +717,10 @@ func TestSessionServeSocket(t *testing.T) {
 	// A by-name reconfiguration through the wire protocol.
 	_, err = c.Do(ctlplane.Request{
 		Op: ctlplane.OpFirewallSwap, StageName: "firewall",
-		Rules: []ctlplane.Rule{{Src: "10.0.0.1", Dst: "93.184.216.34", Sport: 40000, Dport: 5001, Proto: 6}},
+		Rules: []packet.FiveTuple{{
+			SrcIP: packet.MakeIPv4Addr(10, 0, 0, 1), DstIP: packet.MakeIPv4Addr(93, 184, 216, 34),
+			SrcPort: 40000, DstPort: 5001, Proto: packet.IPProtocolTCP,
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
