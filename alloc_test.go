@@ -24,10 +24,10 @@ import (
 const allocBudget = 0
 
 // slowPathAllocBudget is the budget for one new mazunat flow through
-// serverrt.Server.Process: the value tuples of its two table inserts
-// (built once, shared between the state and the update) and the update
-// list (sized once from the plan's count of recording statements).
-const slowPathAllocBudget = 3
+// serverrt.Server.Process: the update list and the arena holding its two
+// table inserts' value tuples, each sized once from the plan's recording
+// statements. The inserts themselves copy into the state's packed tables.
+const slowPathAllocBudget = 2
 
 // newFlowBudget is the budget for one new mazunat flow through the whole
 // slow path of a Testbed under netsim.InstantModel: pre-pass, the hop to

@@ -378,7 +378,7 @@ func BenchmarkEngineFeed(b *testing.B) {
 						return
 					}
 					for _, u := range entries {
-						st.Maps[u.Table][u.Key] = u.Vals
+						st.Table(u.Table).Put(&u.Key, u.Vals)
 					}
 				}))
 			if err != nil {
@@ -465,14 +465,16 @@ func BenchmarkWriteback(b *testing.B) {
 // entries over capacity (what SweepEvery = 1024 NAT packets of new flows
 // leave behind) in a table already holding n. It pins the sweep as
 // O(removed): eight times the resident set costs the same 512 pops and
-// one allocation, dearer only by the larger maps' cache misses — where a
+// no allocation, dearer only by the larger table's cache misses — where a
 // sweep that scans or sorts the resident set costs eight times as much.
 func BenchmarkSweep(b *testing.B) {
 	const over = 512
 	vals := []uint64{1}
 	for _, n := range []int{8192, 65536} {
 		b.Run(fmt.Sprintf("resident=%d", n), func(b *testing.B) {
-			st := &ir.State{Maps: map[string]map[ir.MapKey][]uint64{"conns": {}}}
+			st := ir.NewState(&ir.Program{Globals: []*ir.Global{
+				{Name: "conns", Kind: ir.KindMap, KeyTypes: []ir.Type{ir.U64}, ValTypes: []ir.Type{ir.U64}},
+			}})
 			tr := flowstate.NewTracker(flowstate.Config{Capacity: n, UDPTimeout: time.Hour}, st, []string{"conns"})
 			next := uint64(0)
 			fill := func(k int) {

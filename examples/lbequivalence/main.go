@@ -87,7 +87,7 @@ func main() {
 	fmt.Printf("  fast path:  %.1f%% (established connections bypass the server)\n", 100*float64(fast)/packets)
 	fmt.Printf("  states equal at end: %v\n", ref.State.Equal(state))
 	fmt.Printf("  connection entries: server=%d switch=%d\n",
-		len(state.Maps["conns"]), tableLen(tb))
+		state.Table("conns").Len(), tableLen(tb))
 	if mismatches == 0 && ref.State.Equal(state) {
 		fmt.Println("PASS: partitioned deployment is functionally equivalent to the input middlebox")
 	} else {

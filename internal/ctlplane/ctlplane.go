@@ -113,11 +113,7 @@ func (o FirewallRuleSwap) compile(t engine.StageConfig, workers int) (engine.Rec
 		Updates: updates,
 		Mutate: func(shard int, st *ir.State) []switchsim.Update {
 			for _, name := range firewallTables {
-				fresh := make(map[ir.MapKey][]uint64, len(split[name]))
-				for k, v := range split[name] {
-					fresh[k] = append([]uint64(nil), v...)
-				}
-				st.ReplaceMap(name, fresh)
+				st.ReplaceMap(name, split[name])
 			}
 			return nil
 		},
@@ -213,14 +209,20 @@ func (o LBPoolChange) compile(t engine.StageConfig, workers int) (engine.Reconfi
 			// Purge this shard's connections pinned to removed backends;
 			// the deletions ride the same flip as the new pool.
 			var dels []switchsim.Update
-			for k, v := range st.Maps[connTable] {
-				if len(v) > 0 && !keep[v[0]] {
+			tb := st.Table(connTable)
+			if tb == nil {
+				return nil
+			}
+			tb.Range(func(e int32) bool {
+				if v := tb.Vals(e); len(v) > 0 && !keep[v[0]] {
+					k := tb.Key(e)
 					st.MapRemove(connTable, k)
 					if connOffloaded {
 						dels = append(dels, switchsim.Update{Table: connTable, Key: k, Delete: true})
 					}
 				}
-			}
+				return true
+			})
 			return dels
 		},
 	}, nil
@@ -347,11 +349,7 @@ func (o TableReplace) compile(t engine.StageConfig, workers int) (engine.Reconfi
 	return engine.Reconfig{
 		Updates: updates,
 		Mutate: func(shard int, st *ir.State) []switchsim.Update {
-			fresh := make(map[ir.MapKey][]uint64, len(entries))
-			for k, v := range entries {
-				fresh[k] = append([]uint64(nil), v...)
-			}
-			st.ReplaceMap(table, fresh)
+			st.ReplaceMap(table, entries)
 			return nil
 		},
 	}, nil

@@ -125,17 +125,21 @@ func TestFirewallSwapLowering(t *testing.T) {
 	st0, st1 := freshState(t, fw), freshState(t, fw)
 	r.Mutate(0, st0)
 	r.Mutate(1, st1)
-	if len(st0.Maps["wl_out"]) != 1 || len(st0.Maps["wl_in"]) != 1 {
-		t.Fatalf("shard 0 maps after swap: out=%d in=%d", len(st0.Maps["wl_out"]), len(st0.Maps["wl_in"]))
+	if st0.Table("wl_out").Len() != 1 || st0.Table("wl_in").Len() != 1 {
+		t.Fatalf("shard 0 maps after swap: out=%d in=%d", st0.Table("wl_out").Len(), st0.Table("wl_in").Len())
 	}
-	for k := range st0.Maps["wl_out"] {
-		st0.Maps["wl_out"][k] = []uint64{99}
-	}
-	for _, v := range st1.Maps["wl_out"] {
-		if v[0] == 99 {
+	out0 := st0.Table("wl_out")
+	out0.Range(func(e int32) bool {
+		out0.Vals(e)[0] = 99
+		return true
+	})
+	out1 := st1.Table("wl_out")
+	out1.Range(func(e int32) bool {
+		if out1.Vals(e)[0] == 99 {
 			t.Error("shards share whitelist storage; mutation must install fresh copies")
 		}
-	}
+		return true
+	})
 }
 
 // TestLBPoolLoweringWeights: weights expand into the vector by
@@ -160,12 +164,13 @@ func TestLBPoolLoweringWeights(t *testing.T) {
 	st := freshState(t, lb)
 	gone := ir.MakeMapKey(1, 2, 3, 4, 6)
 	kept := ir.MakeMapKey(5, 6, 7, 8, 6)
-	st.Maps["conns"] = map[ir.MapKey][]uint64{gone: {42}, kept: {7}}
+	st.MapInsert("conns", gone, []uint64{42})
+	st.MapInsert("conns", kept, []uint64{7})
 	r.Mutate(0, st)
-	if _, ok := st.Maps["conns"][gone]; ok {
+	if _, ok := st.MapFind("conns", gone); ok {
 		t.Error("connection on removed backend survived a non-draining pool change")
 	}
-	if _, ok := st.Maps["conns"][kept]; !ok {
+	if _, ok := st.MapFind("conns", kept); !ok {
 		t.Error("connection on kept backend was purged")
 	}
 
@@ -176,10 +181,11 @@ func TestLBPoolLoweringWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = freshState(t, lb)
-	st.Maps["conns"] = map[ir.MapKey][]uint64{gone: {42}, kept: {7}}
+	st.MapInsert("conns", gone, []uint64{42})
+	st.MapInsert("conns", kept, []uint64{7})
 	r.Mutate(0, st)
-	if len(st.Maps["conns"]) != 2 {
-		t.Errorf("draining change left %d connections, want 2", len(st.Maps["conns"]))
+	if st.Table("conns").Len() != 2 {
+		t.Errorf("draining change left %d connections, want 2", st.Table("conns").Len())
 	}
 }
 

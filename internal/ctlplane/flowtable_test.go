@@ -159,8 +159,8 @@ func TestLBPoolPurgeKeepsLifecycleInStep(t *testing.T) {
 	if rm := tr.Sweep(n, true); len(rm) != 0 {
 		t.Fatalf("sweep right after the purge removed %+v", rm)
 	}
-	if got := tr.Stats().Occupancy; got != uint64(len(st.Maps["conns"])) || got != n-uint64(len(purged)) {
-		t.Fatalf("occupancy %d, table holds %d, want %d", got, len(st.Maps["conns"]), n-len(purged))
+	if got := tr.Stats().Occupancy; got != uint64(st.Table("conns").Len()) || got != n-uint64(len(purged)) {
+		t.Fatalf("occupancy %d, table holds %d, want %d", got, st.Table("conns").Len(), n-len(purged))
 	}
 	// Past the established timeout everything left expires — and only that.
 	rm := tr.Sweep(int64(time.Hour), true)

@@ -5,7 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 
 	"gallium"
@@ -285,26 +285,29 @@ func firstByteDiff(a, b []byte) string {
 
 // stateDiff describes the first difference between two states, or "".
 func stateDiff(want, got *ir.State) string {
-	var names []string
-	for n := range want.Maps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		wm, gm := want.Maps[n], got.Maps[n]
-		if len(wm) != len(gm) {
-			return fmt.Sprintf("map %s: %d entries vs %d", n, len(wm), len(gm))
+	tables := slices.DeleteFunc(slices.Clone(want.Tables), func(t *ir.Table) bool { return t == nil })
+	slices.SortFunc(tables, func(a, b *ir.Table) int { return strings.Compare(a.Name(), b.Name()) })
+	for _, wt := range tables {
+		n, gt := wt.Name(), got.Table(wt.Name())
+		if gt == nil {
+			return fmt.Sprintf("map %s: missing", n)
 		}
-		for k, wv := range wm {
-			gv, ok := gm[k]
-			if !ok {
-				return fmt.Sprintf("map %s: key %v missing", n, k)
+		if wt.Len() != gt.Len() {
+			return fmt.Sprintf("map %s: %d entries vs %d", n, wt.Len(), gt.Len())
+		}
+		diff := ""
+		wt.Range(func(e int32) bool {
+			k, wv := wt.Key(e), wt.Vals(e)
+			ge := gt.Find(&k)
+			if ge < 0 {
+				diff = fmt.Sprintf("map %s: key %v missing", n, k)
+			} else if gv := gt.Vals(ge); !slices.Equal(wv, gv) {
+				diff = fmt.Sprintf("map %s: key %v: value %v vs %v", n, k, wv, gv)
 			}
-			for i := range wv {
-				if i >= len(gv) || wv[i] != gv[i] {
-					return fmt.Sprintf("map %s: key %v: value %v vs %v", n, k, wv, gv)
-				}
-			}
+			return diff == ""
+		})
+		if diff != "" {
+			return diff
 		}
 	}
 	for n, wv := range want.Globals {

@@ -51,10 +51,12 @@ func serverConns(e *Engine) (int, []ir.MapKey) {
 	n := 0
 	var keys []ir.MapKey
 	for _, st := range e.ShardStatesAt(0) {
-		for k := range st.Maps["conns"] {
-			keys = append(keys, k)
-		}
-		n += len(st.Maps["conns"])
+		tb := st.Table("conns")
+		tb.Range(func(e int32) bool {
+			keys = append(keys, tb.Key(e))
+			return true
+		})
+		n += tb.Len()
 	}
 	return n, keys
 }

@@ -156,7 +156,8 @@ func (w *worker) maybeSweep() {
 // entries are applied like a write-back, as one batch of expiry-marked
 // deletions through apply: the lane applies batches in order, so a later
 // re-insert of the same key lands after the deletion, and an expiry can
-// never resurrect a stale entry over a fresher one.
+// never resurrect a stale entry over a fresher one. The removal list is
+// the tracker's, valid until its next Sweep, so it is consumed here.
 func (w *worker) sweep(full bool) {
 	for si := range w.life {
 		tr := w.life[si].Load()

@@ -15,7 +15,6 @@
 package flowstate
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -185,13 +184,16 @@ type Config struct {
 // capacity, negative timeouts, inverted TCP phase timeouts (a SYN or
 // FIN timeout longer than the established timeout would keep half-open
 // or closing flows around longer than live ones), unknown eviction
-// policies, and a negative SweepEvery.
+// policies, and a negative SweepEvery or SweepLimit.
 func (c Config) Validate() error {
 	if c.Capacity <= 0 {
 		return fmt.Errorf("flow table capacity must be a positive entry count, got %d", c.Capacity)
 	}
 	if c.SweepEvery < 0 {
 		return fmt.Errorf("SweepEvery must be non-negative, got %d", c.SweepEvery)
+	}
+	if c.SweepLimit < 0 {
+		return fmt.Errorf("SweepLimit must be non-negative, got %d", c.SweepLimit)
 	}
 	if c.TCPTimeouts.Syn < 0 || c.TCPTimeouts.Established < 0 || c.TCPTimeouts.Fin < 0 {
 		return fmt.Errorf("TCP timeouts must be non-negative, got syn=%v established=%v fin=%v",
@@ -280,44 +282,27 @@ type Stats struct {
 	Evicted   uint64 `json:"evicted"`
 }
 
-// record is one tracked entry: a node of its class's recency list.
-type record struct {
-	key        ir.MapKey
-	touch      int64
-	prev, next int32 // slab indices, none at the ends; next also links the free list
-	table      int32 // index into Tracker.tables, which is in name order
-	class      Class
-}
-
 const none = int32(-1)
 
-// trackedTable is one lifecycle-managed map and the index of its records.
-type trackedTable struct {
-	name string
-	recs map[ir.MapKey]int32
-}
-
-// Tracker holds the lifecycle metadata of one ir.State (one worker's
-// per-stage shard): one record per entry of the tracked tables, linked
-// into one list per traffic class in (touch, table name, key) order.
-// Every entry of a class shares a timeout, so the entries due to expire
-// are a prefix of their class's list, and the least-recently-touched
-// entry overall is the least of the class heads: expiry and LRU eviction
-// both pop list heads, at a cost proportional to what they remove.
+// Tracker holds the lifecycle of one ir.State (one worker's per-stage
+// shard). Each entry of the tracked tables carries its record inline
+// (ir.EntryLife), and the records are linked into one list per traffic
+// class in (touch, table name, key) order; a link names an entry as
+// index*len(tables) + table. Every entry of a class shares a timeout, so
+// the entries due to expire are a prefix of their class's list, and the
+// least-recently-touched entry overall is the least of the class heads:
+// expiry and LRU eviction both pop list heads, at a cost proportional to
+// what they remove.
 //
 // The tracker is the state's ir.Lifecycle hook. Touch, Forget and Sweep
 // must be called from the goroutine that owns the state; the counters
 // are atomics so Stats is safe to read from anywhere.
 type Tracker struct {
-	cfg atomic.Pointer[Config] // normalized, per-shard
-	st  *ir.State
-
-	tables     []trackedTable // sorted by name
-	byName     map[string]int32
-	recs       []record // slab; freed slots are chained from free
-	free       int32
-	live       int
+	cfg        atomic.Pointer[Config] // normalized, per-shard
+	tables     []*ir.Table            // sorted by name
+	live       int                    // linked entries
 	head, tail [numClasses]int32
+	out        []Removal // Sweep's result, reused
 
 	expired   atomic.Uint64
 	evicted   atomic.Uint64
@@ -327,16 +312,22 @@ type Tracker struct {
 
 // NewTracker tracks the named tables of st (the pipeline's dynamic
 // maps) under cfg, which is normalized and should already be per-shard
-// (see Config.Shard), and installs itself as st's lifecycle hook.
+// (see Config.Shard), and installs itself as st's lifecycle hook. Entries
+// already present are adopted by the first sweep.
 func NewTracker(cfg Config, st *ir.State, tables []string) *Tracker {
-	t := &Tracker{st: st, byName: make(map[string]int32, len(tables)), free: none}
+	t := &Tracker{}
 	n := cfg.Normalized()
 	t.cfg.Store(&n)
 	names := append([]string(nil), tables...)
 	slices.Sort(names)
-	for i, name := range names {
-		t.tables = append(t.tables, trackedTable{name: name, recs: make(map[ir.MapKey]int32)})
-		t.byName[name] = int32(i)
+	for _, name := range names {
+		if tb := st.Table(name); tb != nil {
+			tb.Range(func(e int32) bool {
+				tb.Life(e).Linked = false
+				return true
+			})
+			t.tables = append(t.tables, tb)
+		}
 	}
 	for c := range t.head {
 		t.head[c], t.tail[c] = none, none
@@ -364,98 +355,104 @@ func (t *Tracker) Stats() Stats {
 	}
 }
 
-// Touch implements ir.Lifecycle: the entry was found or inserted at
-// nowNs by a packet of the given class. Its record moves to its place
-// in that class's list, found by walking back from the tail over the
-// records that sort after it — normally none, or the same packet's few
-// equal-timestamp touches. Because the place depends only on (touch,
-// table, key), the lists come out the same whatever order the pre-pass,
-// the server and the post-pass touch entries in within one packet.
-func (t *Tracker) Touch(table string, key ir.MapKey, nowNs int64, class uint8) {
-	ti, ok := t.byName[table]
-	if !ok {
-		return
-	}
-	ri, ok := t.tables[ti].recs[key]
-	if ok {
-		t.unlink(ri)
-	} else {
-		ri = t.alloc()
-		t.tables[ti].recs[key] = ri
-	}
-	r := &t.recs[ri]
-	r.key, r.table, r.touch, r.class = key, ti, nowNs, Class(class)
-	if r.class >= numClasses {
-		r.class = ClassOther
-	}
-	at := t.tail[r.class]
-	for at != none && t.less(r, &t.recs[at]) {
-		at = t.recs[at].prev
-	}
-	r.prev = at
-	if at == none {
-		r.next, t.head[r.class] = t.head[r.class], ri
-	} else {
-		r.next, t.recs[at].next = t.recs[at].next, ri
-	}
-	if r.next == none {
-		t.tail[r.class] = ri
-	} else {
-		t.recs[r.next].prev = ri
-	}
-}
-
-// Forget implements ir.Lifecycle: the entry left the map.
-func (t *Tracker) Forget(table string, key ir.MapKey) {
-	if ti, ok := t.byName[table]; ok {
-		if ri, ok := t.tables[ti].recs[key]; ok {
-			t.drop(ri)
+// link names entry e of tb in the lists, or returns none for an
+// untracked table.
+func (t *Tracker) link(tb *ir.Table, e int32) int32 {
+	for ti, x := range t.tables {
+		if x == tb {
+			return e*int32(len(t.tables)) + int32(ti)
 		}
 	}
+	return none
 }
 
-func (t *Tracker) alloc() int32 {
-	t.live++
-	if ri := t.free; ri != none {
-		t.free = t.recs[ri].next
-		return ri
+// entry resolves a link to its table index and entry.
+func (t *Tracker) entry(l int32) (int, int32) {
+	n := int32(len(t.tables))
+	return int(l % n), l / n
+}
+
+func (t *Tracker) rec(l int32) *ir.EntryLife {
+	ti, e := t.entry(l)
+	return t.tables[ti].Life(e)
+}
+
+// Touch implements ir.Lifecycle: entry e was found or inserted at nowNs
+// by a packet of the given class. Its record moves to its place in that
+// class's list, found by walking back from the tail over the records that
+// sort after it — normally none, or the same packet's few equal-timestamp
+// touches. Because the place depends only on (touch, table, key), the
+// lists come out the same whatever order the pre-pass, the server and the
+// post-pass touch entries in within one packet.
+func (t *Tracker) Touch(tb *ir.Table, e int32, nowNs int64, class uint8) {
+	l := t.link(tb, e)
+	if l == none {
+		return
 	}
-	t.recs = append(t.recs, record{})
-	return int32(len(t.recs) - 1)
-}
-
-func (t *Tracker) unlink(ri int32) {
-	r := &t.recs[ri]
-	if r.prev == none {
-		t.head[r.class] = r.next
+	r := tb.Life(e)
+	if r.Linked {
+		t.unlink(l)
 	} else {
-		t.recs[r.prev].next = r.next
+		r.Linked = true
+		t.live++
 	}
-	if r.next == none {
-		t.tail[r.class] = r.prev
+	c := Class(class)
+	if c >= numClasses {
+		c = ClassOther
+	}
+	r.Touch, r.Class = nowNs, uint8(c)
+	at := t.tail[c]
+	for at != none && t.less(l, at) {
+		at = t.rec(at).Prev
+	}
+	r.Prev = at
+	if at == none {
+		r.Next, t.head[c] = t.head[c], l
 	} else {
-		t.recs[r.next].prev = r.prev
+		p := t.rec(at)
+		r.Next, p.Next = p.Next, l
+	}
+	if r.Next == none {
+		t.tail[c] = l
+	} else {
+		t.rec(r.Next).Prev = l
 	}
 }
 
-// drop releases a record; the map entry is the caller's business.
-func (t *Tracker) drop(ri int32) {
-	t.unlink(ri)
-	r := &t.recs[ri]
-	delete(t.tables[r.table].recs, r.key)
-	r.next, t.free = t.free, ri
-	t.live--
+// Forget implements ir.Lifecycle: entry e is leaving its table.
+func (t *Tracker) Forget(tb *ir.Table, e int32) {
+	if l := t.link(tb, e); l != none && tb.Life(e).Linked {
+		t.unlink(l)
+		tb.Life(e).Linked = false
+		t.live--
+	}
+}
+
+func (t *Tracker) unlink(l int32) {
+	r := t.rec(l)
+	if r.Prev == none {
+		t.head[r.Class] = r.Next
+	} else {
+		t.rec(r.Prev).Next = r.Next
+	}
+	if r.Next == none {
+		t.tail[r.Class] = r.Prev
+	} else {
+		t.rec(r.Next).Prev = r.Prev
+	}
 }
 
 // less is the list order: touch time, then table name, then key.
-func (t *Tracker) less(a, b *record) bool {
-	if a.touch != b.touch {
-		return a.touch < b.touch
+func (t *Tracker) less(a, b int32) bool {
+	if ta, tb := t.rec(a).Touch, t.rec(b).Touch; ta != tb {
+		return ta < tb
 	}
-	if a.table != b.table {
-		return a.table < b.table
+	ia, ea := t.entry(a)
+	ib, eb := t.entry(b)
+	if ia != ib {
+		return ia < ib
 	}
-	return compareKeys(a.key, b.key) < 0
+	return slices.Compare(t.tables[ia].KeyWords(ea), t.tables[ib].KeyWords(eb)) < 0
 }
 
 // Sweep expires idle entries and enforces capacity as of virtual time
@@ -464,7 +461,8 @@ func (t *Tracker) less(a, b *record) bool {
 // class's expired prefix and then, under EvictLRU, the least class head
 // until occupancy is within Capacity. An incremental sweep (full false)
 // stops after SweepLimit removals and leaves the rest to the next one; a
-// full sweep has no cap.
+// full sweep has no cap. The returned slice is the tracker's: it stays
+// valid until the next Sweep, which reuses it.
 func (t *Tracker) Sweep(nowNs int64, full bool) []Removal {
 	cfg := t.cfg.Load()
 	t.adopt(nowNs)
@@ -472,80 +470,72 @@ func (t *Tracker) Sweep(nowNs int64, full bool) []Removal {
 	if full {
 		budget = t.live
 	}
-	var out []Removal
+	t.out = t.out[:0]
 	for c := range t.head {
 		timeout := cfg.timeoutNs(Class(c))
-		for h := t.head[c]; h != none && len(out) < budget && nowNs-t.recs[h].touch >= timeout; h = t.head[c] {
-			out = append(out, t.remove(h, false))
+		for h := t.head[c]; h != none && len(t.out) < budget && nowNs-t.rec(h).Touch >= timeout; h = t.head[c] {
+			t.remove(h, false)
 		}
 	}
-	expired := len(out)
+	expired := len(t.out)
 	if cfg.EvictPolicy == EvictLRU {
-		over := min(t.live-cfg.Capacity, budget-expired)
-		if over > 0 {
-			out = slices.Grow(out, over)
-		}
-		for ; over > 0; over-- {
+		for over := min(t.live-cfg.Capacity, budget-expired); over > 0; over-- {
 			least := none
 			for _, h := range t.head {
-				if h != none && (least == none || t.less(&t.recs[h], &t.recs[least])) {
+				if h != none && (least == none || t.less(h, least)) {
 					least = h
 				}
 			}
-			out = append(out, t.remove(least, true))
+			t.remove(least, true)
 		}
 	}
 
 	t.expired.Add(uint64(expired))
-	t.evicted.Add(uint64(len(out) - expired))
+	t.evicted.Add(uint64(len(t.out) - expired))
 	occ := uint64(t.live)
 	t.occupancy.Store(occ)
 	if occ > t.peak.Load() {
 		t.peak.Store(occ)
 	}
-	return out
+	return t.out
 }
 
-// remove deletes a record's entry from the state and releases it.
-func (t *Tracker) remove(ri int32, evicted bool) Removal {
-	r := &t.recs[ri]
-	name := t.tables[r.table].name
-	rm := Removal{Table: name, Key: r.key, Evicted: evicted}
-	delete(t.st.Maps[name], r.key)
-	t.drop(ri)
-	return rm
+// remove deletes a listed entry from its table and records the removal.
+func (t *Tracker) remove(l int32, evicted bool) {
+	ti, e := t.entry(l)
+	tb := t.tables[ti]
+	t.out = append(t.out, Removal{Table: tb.Name(), Key: tb.Key(e), Evicted: evicted})
+	t.Forget(tb, e)
+	tb.Delete(e)
 }
 
-// adopt gives a record to every entry written behind the tracker's back
-// (state seeded before arming, a replaced map), which a table holding
-// more entries than records gives away: touched now rather than expired
-// unseen, ClassOther, in key order so each lands at the list's tail.
-// Removals have no such net: they go through State.MapRemove/ReplaceMap.
+// adopt links every entry written behind the tracker's back (state seeded
+// before arming, a replaced map, the seeding helpers' Table.Put), which
+// tables holding more entries than the tracker has linked give away:
+// touched now rather than expired unseen, ClassOther, in key order so each
+// lands at the list's tail. Removals have no such net: they go through
+// State.RemoveAt/ReplaceMap.
 func (t *Tracker) adopt(nowNs int64) {
-	for ti := range t.tables {
-		tb := &t.tables[ti]
-		m := t.st.Maps[tb.name]
-		if len(m) <= len(tb.recs) {
-			continue
+	n := 0
+	for _, tb := range t.tables {
+		n += tb.Len()
+	}
+	for _, tb := range t.tables {
+		if n <= t.live {
+			return
 		}
-		var fresh []ir.MapKey
-		for k := range m {
-			if _, ok := tb.recs[k]; !ok {
-				fresh = append(fresh, k)
+		var fresh []int32
+		tb.Range(func(e int32) bool {
+			if !tb.Life(e).Linked {
+				fresh = append(fresh, e)
 			}
-		}
-		slices.SortFunc(fresh, compareKeys)
-		for _, k := range fresh {
-			t.Touch(tb.name, k, nowNs, uint8(ClassOther))
+			return true
+		})
+		slices.SortFunc(fresh, func(a, b int32) int { return slices.Compare(tb.KeyWords(a), tb.KeyWords(b)) })
+		for _, e := range fresh {
+			t.Touch(tb, e, nowNs, uint8(ClassOther))
 		}
 	}
-}
-
-func compareKeys(a, b ir.MapKey) int {
-	if c := cmp.Compare(a.N, b.N); c != 0 {
-		return c
-	}
-	return slices.Compare(a.K[:], b.K[:])
 }
 
 // DynamicMaps returns the sorted names of the program's dynamic maps:

@@ -3,6 +3,8 @@ package ir
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 
 	"gallium/internal/packet"
 )
@@ -69,6 +71,10 @@ type LpmEntry struct {
 	Vals      []uint64
 }
 
+func (e LpmEntry) equal(o LpmEntry) bool {
+	return e.Key == o.Key && e.PrefixLen == o.PrefixLen && slices.Equal(e.Vals, o.Vals)
+}
+
 // Matches reports whether key falls under the entry's prefix.
 func (e LpmEntry) Matches(key uint64) bool {
 	if e.PrefixLen <= 0 {
@@ -80,16 +86,18 @@ func (e LpmEntry) Matches(key uint64) bool {
 
 // State is the middlebox's global state.
 type State struct {
-	Maps    map[string]map[MapKey][]uint64
+	// Tables holds the map globals' tables, indexed like Program.Globals
+	// (nil at the other kinds' indices).
+	Tables  []*Table
 	Vecs    map[string][]uint64
 	Globals map[string]uint64
 	Lpms    map[string][]LpmEntry
 
 	// Life, when set (by the flow-state tracker, internal/flowstate),
-	// hears of every MapFind hit, MapInsert and Touch with NowNs and
-	// Class, and of every MapRemove. Unarmed state pays one nil check
-	// per access. It is runtime scaffolding, not middlebox state: Clone
-	// leaves it behind and Equal ignores it.
+	// hears of every find hit, insert and Touch with NowNs and Class, and
+	// of every removal. Unarmed state pays one nil check per access. It is
+	// runtime scaffolding, not middlebox state: Clone leaves it behind and
+	// Equal ignores it.
 	Life Lifecycle
 	// NowNs and Class are the current packet's virtual time and
 	// traffic class, set by the runtime before each packet executes.
@@ -97,26 +105,27 @@ type State struct {
 	Class uint8
 }
 
-// Lifecycle is what a State tells of its map entries' comings and goings.
+// Lifecycle is what a State tells of its map entries' comings and goings,
+// naming each by table and index.
 type Lifecycle interface {
-	// Touch: the entry was found or written at nowNs by a packet of class.
-	Touch(table string, key MapKey, nowNs int64, class uint8)
-	// Forget: the entry was removed.
-	Forget(table string, key MapKey)
+	// Touch: entry e was found or written at nowNs by a packet of class.
+	Touch(t *Table, e int32, nowNs int64, class uint8)
+	// Forget: entry e is about to be removed.
+	Forget(t *Table, e int32)
 }
 
 // NewState initializes empty state for the program's globals.
 func NewState(p *Program) *State {
 	s := &State{
-		Maps:    map[string]map[MapKey][]uint64{},
+		Tables:  make([]*Table, len(p.Globals)),
 		Vecs:    map[string][]uint64{},
 		Globals: map[string]uint64{},
 		Lpms:    map[string][]LpmEntry{},
 	}
-	for _, g := range p.Globals {
+	for gi, g := range p.Globals {
 		switch g.Kind {
 		case KindMap:
-			s.Maps[g.Name] = map[MapKey][]uint64{}
+			s.Tables[gi] = newTable(g)
 		case KindVec:
 			s.Vecs[g.Name] = nil
 		case KindScalar:
@@ -131,136 +140,133 @@ func NewState(p *Program) *State {
 // Clone deep-copies the state.
 func (s *State) Clone() *State {
 	c := &State{
-		Maps:    make(map[string]map[MapKey][]uint64, len(s.Maps)),
+		Tables:  make([]*Table, len(s.Tables)),
 		Vecs:    make(map[string][]uint64, len(s.Vecs)),
-		Globals: make(map[string]uint64, len(s.Globals)),
+		Globals: maps.Clone(s.Globals),
+		Lpms:    make(map[string][]LpmEntry, len(s.Lpms)),
+		NowNs:   s.NowNs,
+		Class:   s.Class,
 	}
-	for name, m := range s.Maps {
-		cm := make(map[MapKey][]uint64, len(m))
-		for k, v := range m {
-			cm[k] = append([]uint64(nil), v...)
+	for gi, t := range s.Tables {
+		if t != nil {
+			ct := *t
+			ct.words, ct.index = slices.Clone(t.words), slices.Clone(t.index)
+			c.Tables[gi] = &ct
 		}
-		c.Maps[name] = cm
 	}
 	for name, v := range s.Vecs {
-		c.Vecs[name] = append([]uint64(nil), v...)
+		c.Vecs[name] = slices.Clone(v)
 	}
-	for name, v := range s.Globals {
-		c.Globals[name] = v
-	}
-	c.Lpms = make(map[string][]LpmEntry, len(s.Lpms))
 	for name, es := range s.Lpms {
 		cp := make([]LpmEntry, len(es))
 		for i, e := range es {
-			cp[i] = LpmEntry{Key: e.Key, PrefixLen: e.PrefixLen, Vals: append([]uint64(nil), e.Vals...)}
+			cp[i] = LpmEntry{Key: e.Key, PrefixLen: e.PrefixLen, Vals: slices.Clone(e.Vals)}
 		}
 		c.Lpms[name] = cp
 	}
-	c.NowNs = s.NowNs
-	c.Class = s.Class
 	return c
 }
 
-// Equal reports whether two states hold identical contents.
+// Equal reports whether two states of one program hold identical
+// contents.
 func (s *State) Equal(o *State) bool {
-	if len(s.Maps) != len(o.Maps) || len(s.Vecs) != len(o.Vecs) || len(s.Globals) != len(o.Globals) {
-		return false
-	}
-	for name, m := range s.Maps {
-		om, ok := o.Maps[name]
-		if !ok || len(m) != len(om) {
-			return false
-		}
-		for k, v := range m {
-			ov, ok := om[k]
-			if !ok || len(v) != len(ov) {
-				return false
-			}
-			for i := range v {
-				if v[i] != ov[i] {
-					return false
-				}
-			}
-		}
-	}
-	for name, v := range s.Vecs {
-		ov, ok := o.Vecs[name]
-		if !ok || len(v) != len(ov) {
-			return false
-		}
-		for i := range v {
-			if v[i] != ov[i] {
-				return false
-			}
-		}
-	}
-	for name, v := range s.Globals {
-		if ov, ok := o.Globals[name]; !ok || v != ov {
-			return false
-		}
-	}
-	if len(s.Lpms) != len(o.Lpms) {
-		return false
-	}
-	for name, es := range s.Lpms {
-		oes, ok := o.Lpms[name]
-		if !ok || len(es) != len(oes) {
-			return false
-		}
-		for i := range es {
-			if es[i].Key != oes[i].Key || es[i].PrefixLen != oes[i].PrefixLen || len(es[i].Vals) != len(oes[i].Vals) {
-				return false
-			}
-			for j := range es[i].Vals {
-				if es[i].Vals[j] != oes[i].Vals[j] {
-					return false
-				}
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(s.Tables, o.Tables, (*Table).equal) && maps.Equal(s.Globals, o.Globals) &&
+		maps.EqualFunc(s.Vecs, o.Vecs, slices.Equal[[]uint64]) &&
+		maps.EqualFunc(s.Lpms, o.Lpms, func(a, b []LpmEntry) bool { return slices.EqualFunc(a, b, LpmEntry.equal) })
 }
 
-// The accessors below are how the reference interpreter (and, by name, the
-// server runtime) reach the state; the switch simulator has its own
-// implementation of PlanState with write-back-table lookup semantics and
-// read-only enforcement (§4.3.3).
+// Table returns the named map global's table, or nil.
+func (s *State) Table(name string) *Table { return s.tableAt(s.tableIndex(name)) }
+
+func (s *State) tableAt(g int) *Table {
+	if uint(g) < uint(len(s.Tables)) {
+		return s.Tables[g]
+	}
+	return nil
+}
+
+func (s *State) tableIndex(name string) int {
+	for gi, t := range s.Tables {
+		if t != nil && t.name == name {
+			return gi
+		}
+	}
+	return -1
+}
+
+// The accessors below are how the interpreter (by name) and the server
+// (by global index) reach the state; the switch has its own PlanState.
+
+// FindAt looks key up in map global g, returning the table's own words.
+func (s *State) FindAt(g int, key *MapKey) ([]uint64, bool) {
+	t := s.tableAt(g)
+	e := t.Find(key)
+	if e < 0 {
+		return nil, false
+	}
+	if s.Life != nil {
+		s.Life.Touch(t, e, s.NowNs, s.Class)
+	}
+	return t.Vals(e), true
+}
+
+// InsertAt stores a copy of vals under key in map global g.
+func (s *State) InsertAt(g int, key *MapKey, vals []uint64) error {
+	t := s.tableAt(g)
+	if t == nil {
+		return fmt.Errorf("ir: insert into global %d, which is no map", g)
+	}
+	e, err := t.Put(key, vals)
+	if err == nil && s.Life != nil {
+		s.Life.Touch(t, e, s.NowNs, s.Class)
+	}
+	return err
+}
+
+// RemoveAt deletes key from map global g.
+func (s *State) RemoveAt(g int, key *MapKey) error {
+	t := s.tableAt(g)
+	if e := t.Find(key); e >= 0 {
+		if s.Life != nil {
+			s.Life.Forget(t, e)
+		}
+		t.Delete(e)
+	}
+	return nil
+}
 
 // MapFind looks key up in the named map.
 func (s *State) MapFind(name string, key MapKey) ([]uint64, bool) {
-	vals, ok := s.Maps[name][key]
-	if ok && s.Life != nil {
-		s.Life.Touch(name, key, s.NowNs, s.Class)
-	}
-	return vals, ok
+	return s.FindAt(s.tableIndex(name), &key)
 }
 
-// MapInsert stores vals under key in the named map.
+// MapInsert stores a copy of vals under key in the named map.
 func (s *State) MapInsert(name string, key MapKey, vals []uint64) error {
-	s.Maps[name][key] = vals
-	if s.Life != nil {
-		s.Life.Touch(name, key, s.NowNs, s.Class)
-	}
-	return nil
+	return s.InsertAt(s.tableIndex(name), &key, vals)
 }
 
 // MapRemove deletes key from the named map.
 func (s *State) MapRemove(name string, key MapKey) error {
-	delete(s.Maps[name], key)
-	if s.Life != nil {
-		s.Life.Forget(name, key)
-	}
-	return nil
+	return s.RemoveAt(s.tableIndex(name), &key)
 }
 
-// ReplaceMap swaps the named map's whole contents (control-plane path).
+// ReplaceMap makes fresh the named map's whole contents (control-plane
+// path), copying its values; an entry of another shape than the
+// declaration's, which the control plane refuses earlier, is dropped.
 func (s *State) ReplaceMap(name string, fresh map[MapKey][]uint64) {
-	if s.Life != nil {
-		for k := range s.Maps[name] {
-			s.Life.Forget(name, k)
-		}
+	g := s.tableIndex(name)
+	t := s.tableAt(g)
+	if t == nil {
+		return
 	}
-	s.Maps[name] = fresh
+	t.Range(func(e int32) bool {
+		k := t.Key(e)
+		s.RemoveAt(g, &k)
+		return true
+	})
+	for k, v := range fresh {
+		_, _ = t.Put(&k, v)
+	}
 }
 
 // Touch reports an existing entry as live at the state's current
@@ -268,11 +274,8 @@ func (s *State) ReplaceMap(name string, fresh map[MapKey][]uint64) {
 // present; the switch fast path uses it to record liveness for entries
 // it serves without a server round trip.
 func (s *State) Touch(name string, key MapKey) {
-	if s.Life == nil {
-		return
-	}
-	if _, ok := s.Maps[name][key]; ok {
-		s.Life.Touch(name, key, s.NowNs, s.Class)
+	if s.Life != nil {
+		s.FindAt(s.tableIndex(name), &key)
 	}
 }
 
@@ -336,8 +339,10 @@ type Env struct {
 	// the (possibly grown) buffer back, so a pooled Env converges to
 	// zero-allocation execution.
 	Regs []uint64
-	// key is the scratch map key Plan.Exec builds lookups in.
-	key MapKey
+	// key and vals are the scratch map key and value tuple Plan.Exec
+	// builds map operations in.
+	key  MapKey
+	vals []uint64
 }
 
 // regFile returns a zeroed register file of n registers, reusing Regs.

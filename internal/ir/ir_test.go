@@ -117,8 +117,8 @@ func TestMiniLBExecNewAndExistingConnection(t *testing.T) {
 	if first != packet.MakeIPv4Addr(10, 0, 1, 1) && first != packet.MakeIPv4Addr(10, 0, 1, 2) {
 		t.Fatalf("daddr = %v, not a backend", first)
 	}
-	if len(st.Maps["map"]) != 1 {
-		t.Fatalf("map entries = %d, want 1", len(st.Maps["map"]))
+	if st.Table("map").Len() != 1 {
+		t.Fatalf("map entries = %d, want 1", st.Table("map").Len())
 	}
 
 	// Same connection again: must hit the map and go to the same backend.
@@ -133,8 +133,8 @@ func TestMiniLBExecNewAndExistingConnection(t *testing.T) {
 	if res2.Steps >= res.Steps {
 		t.Errorf("hit path (%d steps) should be shorter than miss path (%d)", res2.Steps, res.Steps)
 	}
-	if len(st.Maps["map"]) != 1 {
-		t.Errorf("map entries = %d after second packet", len(st.Maps["map"]))
+	if st.Table("map").Len() != 1 {
+		t.Errorf("map entries = %d after second packet", st.Table("map").Len())
 	}
 }
 
@@ -167,18 +167,20 @@ func TestStateCloneAndEqual(t *testing.T) {
 	p := buildMiniLB(t)
 	st := NewState(p)
 	st.Vecs["backends"] = []uint64{1, 2, 3}
-	st.Maps["map"][MakeMapKey(7)] = []uint64{42}
+	st.MapInsert("map", MakeMapKey(7), []uint64{42})
 	st.Globals["x"] = 5
 
 	c := st.Clone()
 	if !st.Equal(c) || !c.Equal(st) {
 		t.Fatal("clone not equal")
 	}
-	c.Maps["map"][MakeMapKey(7)][0] = 43
+	if v, _ := c.MapFind("map", MakeMapKey(7)); true {
+		v[0] = 43
+	}
 	if st.Equal(c) {
 		t.Fatal("mutating clone affected equality check (shallow copy?)")
 	}
-	if st.Maps["map"][MakeMapKey(7)][0] != 42 {
+	if v, _ := st.MapFind("map", MakeMapKey(7)); v[0] != 42 {
 		t.Fatal("clone shares map storage")
 	}
 	c2 := st.Clone()
@@ -187,7 +189,7 @@ func TestStateCloneAndEqual(t *testing.T) {
 		t.Fatal("clone shares vector storage")
 	}
 	c3 := st.Clone()
-	delete(c3.Maps["map"], MakeMapKey(7))
+	c3.MapRemove("map", MakeMapKey(7))
 	if st.Equal(c3) {
 		t.Fatal("missing key not detected")
 	}
@@ -360,8 +362,8 @@ func TestMapMultiValueAndRemove(t *testing.T) {
 	st := NewState(p)
 	pkt := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 7), 2, 333, 4, packet.TCPOptions{})
 	res, _ := p.Exec(&Env{State: st, Pkt: pkt})
-	if res.Action != ActionDropped || len(st.Maps["nat"]) != 1 {
-		t.Fatalf("first packet: action=%v entries=%d", res.Action, len(st.Maps["nat"]))
+	if res.Action != ActionDropped || st.Table("nat").Len() != 1 {
+		t.Fatalf("first packet: action=%v entries=%d", res.Action, st.Table("nat").Len())
 	}
 	pkt2 := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 7), 2, 333, 4, packet.TCPOptions{})
 	res2, _ := p.Exec(&Env{State: st, Pkt: pkt2})
@@ -371,7 +373,7 @@ func TestMapMultiValueAndRemove(t *testing.T) {
 	if pkt2.IP.DstIP != packet.MakeIPv4Addr(10, 0, 0, 7) || pkt2.TCP.DstPort != 333 {
 		t.Errorf("rewrite wrong: %v:%d", pkt2.IP.DstIP, pkt2.TCP.DstPort)
 	}
-	if len(st.Maps["nat"]) != 0 {
+	if st.Table("nat").Len() != 0 {
 		t.Errorf("remove did not delete entry")
 	}
 }

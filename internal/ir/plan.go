@@ -15,11 +15,10 @@ import (
 // and an independent implementation for difftest to check this one against.
 
 // PlanState is how a plan reaches middlebox state: globals are addressed
-// by their index in Program.Globals, and map keys arrive as a pointer into
-// the Env's scratch key, valid only for the duration of the call.
+// by their index in Program.Globals, and map keys and inserted value tuples
+// arrive in the Env's scratch, valid only for the duration of the call.
 type PlanState interface {
 	MapFind(g int, key *MapKey) ([]uint64, bool)
-	// MapInsert receives a freshly built vals slice it may keep.
 	MapInsert(g int, key *MapKey, vals []uint64) error
 	MapRemove(g int, key *MapKey) error
 	VecGet(g int, idx uint64) (uint64, error)
@@ -407,11 +406,11 @@ func (p *Plan) Exec(st PlanState, env *Env) (Result, error) {
 				setFound(regs, op.args[op.nkey:], vals, ok)
 			case opMapInsert:
 				key := env.planKey(regs, op.args[:op.nkey])
-				srcs := op.args[op.nkey:]
-				vals := make([]uint64, len(srcs))
-				for i, s := range srcs {
-					vals[i] = regs[s.slot] & s.mask
+				vals := env.vals[:0]
+				for _, s := range op.args[op.nkey:] {
+					vals = append(vals, regs[s.slot]&s.mask)
 				}
+				env.vals = vals
 				if err := st.MapInsert(int(op.g), key, vals); err != nil {
 					return Result{}, fmt.Errorf("ir: stmt %d: %w", op.id, err)
 				}

@@ -75,7 +75,7 @@ func TestQuickStateCloneEqual(t *testing.T) {
 			if i < len(vals) {
 				v = vals[i]
 			}
-			st.Maps["m"][MakeMapKey(k)] = []uint64{v}
+			st.MapInsert("m", MakeMapKey(k), []uint64{v})
 		}
 		st.Vecs["v"] = append([]uint64(nil), vals...)
 		st.Globals["g"] = scalar
@@ -96,8 +96,8 @@ func TestQuickStateCloneEqual(t *testing.T) {
 		if !st.Equal(c) {
 			return false
 		}
-		c.Maps["m"][MakeMapKey(^uint64(0))] = []uint64{1}
-		if _, existed := st.Maps["m"][MakeMapKey(^uint64(0))]; !existed && st.Equal(c) {
+		c.MapInsert("m", MakeMapKey(^uint64(0)), []uint64{1})
+		if _, existed := st.MapFind("m", MakeMapKey(^uint64(0))); !existed && st.Equal(c) {
 			return false
 		}
 		return true

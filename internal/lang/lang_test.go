@@ -97,7 +97,7 @@ func TestParseAndLowerTiny(t *testing.T) {
 		t.Errorf("globals = %+v", prog.Globals)
 	}
 	st := ir.NewState(prog)
-	st.Maps["tbl"][ir.MakeMapKey(80)] = []uint64{uint64(packet.MakeIPv4Addr(9, 9, 9, 9))}
+	st.MapInsert("tbl", ir.MakeMapKey(80), []uint64{uint64(packet.MakeIPv4Addr(9, 9, 9, 9))})
 	pkt := packet.BuildTCP(1, 2, 3, 80, packet.TCPOptions{})
 	r, err := prog.Exec(&ir.Env{State: st, Pkt: pkt})
 	if err != nil {
@@ -480,7 +480,7 @@ middlebox helped {
 		t.Fatal(err)
 	}
 	st := ir.NewState(prog)
-	st.Maps["blocked"][ir.MakeMapKey(23)] = []uint64{1}
+	st.MapInsert("blocked", ir.MakeMapKey(23), []uint64{1})
 
 	// Blocked port: the inlined helper drops.
 	bad := packet.BuildTCP(1, 2, 3, 23, packet.TCPOptions{})
@@ -635,7 +635,7 @@ middlebox noter {
 		t.Fatal(err)
 	}
 	st := ir.NewState(prog)
-	st.Maps["m"][ir.MakeMapKey(80)] = []uint64{1}
+	st.MapInsert("m", ir.MakeMapKey(80), []uint64{1})
 	hit := packet.BuildTCP(1, 2, 3, 80, packet.TCPOptions{})
 	r, _ := prog.Exec(&ir.Env{State: st, Pkt: hit})
 	if r.Action != ir.ActionSent {

@@ -590,26 +590,18 @@ func ConfigureShard(name string, shard, total int, st *ir.State) {
 // AllowFlow installs a firewall whitelist rule for the given five-tuple
 // (both tables keep the same orientation as the packet headers).
 func AllowFlow(st *ir.State, t packet.FiveTuple) {
-	key := ir.MakeMapKey(uint64(t.SrcIP), uint64(t.DstIP), uint64(t.SrcPort), uint64(t.DstPort), uint64(t.Proto))
 	table := "wl_in"
 	if byte(t.SrcIP>>24) == 10 {
 		table = "wl_out"
 	}
-	if st.Maps[table] == nil {
-		st.Maps[table] = map[ir.MapKey][]uint64{}
-	}
-	st.Maps[table][key] = []uint64{1}
+	mark(st, table, ir.MakeMapKey(uint64(t.SrcIP), uint64(t.DstIP), uint64(t.SrcPort), uint64(t.DstPort), uint64(t.Proto)))
 }
 
 // AllowFlow6 installs an IPv6 whitelist rule for firewall6, keyed the
 // way wl6 is: address hi/lo halves, transport ports, next header.
 func AllowFlow6(st *ir.State, t packet.SixTuple) {
-	key := ir.MakeMapKey(t.SrcIP.Hi(), t.SrcIP.Lo(), t.DstIP.Hi(), t.DstIP.Lo(),
-		uint64(t.SrcPort), uint64(t.DstPort), uint64(t.Proto))
-	if st.Maps["wl6"] == nil {
-		st.Maps["wl6"] = map[ir.MapKey][]uint64{}
-	}
-	st.Maps["wl6"][key] = []uint64{1}
+	mark(st, "wl6", ir.MakeMapKey(t.SrcIP.Hi(), t.SrcIP.Lo(), t.DstIP.Hi(), t.DstIP.Lo(),
+		uint64(t.SrcPort), uint64(t.DstPort), uint64(t.Proto)))
 }
 
 // ProveFlow marks a flow as having completed the SYN-cookie handshake,
@@ -617,17 +609,20 @@ func AllowFlow6(st *ir.State, t packet.SixTuple) {
 // the flow on the scrubber's steady-state pass-through path without
 // replaying the cookie exchange.
 func ProveFlow(st *ir.State, t packet.FiveTuple) {
-	key := ir.MakeMapKey(uint64(t.SrcIP), uint64(t.DstIP), uint64(t.SrcPort), uint64(t.DstPort), uint64(t.Proto))
-	if st.Maps["proven"] == nil {
-		st.Maps["proven"] = map[ir.MapKey][]uint64{}
-	}
-	st.Maps["proven"][key] = []uint64{1}
+	mark(st, "proven", ir.MakeMapKey(uint64(t.SrcIP), uint64(t.DstIP), uint64(t.SrcPort), uint64(t.DstPort), uint64(t.Proto)))
 }
 
 // RedirectPort registers a destination port with the transparent proxy.
 func RedirectPort(st *ir.State, port uint16) {
-	if st.Maps["redirect_ports"] == nil {
-		st.Maps["redirect_ports"] = map[ir.MapKey][]uint64{}
+	mark(st, "redirect_ports", ir.MakeMapKey(uint64(port)))
+}
+
+// mark stores the value 1 under key in the named map, as configuration:
+// no lifecycle hears of it (a flow-state tracker adopts it at its next
+// sweep). A state whose program declares no such map, or one of another
+// shape, is left alone.
+func mark(st *ir.State, table string, key ir.MapKey) {
+	if tb := st.Table(table); tb != nil {
+		_, _ = tb.Put(&key, []uint64{1})
 	}
-	st.Maps["redirect_ports"][ir.MakeMapKey(uint64(port))] = []uint64{1}
 }

@@ -160,8 +160,8 @@ func TestL4LBConnectionConsistencyAndGC(t *testing.T) {
 	if !found {
 		t.Fatalf("daddr %v is not a backend", chosen)
 	}
-	if len(st.Maps["conns"]) != 1 {
-		t.Fatalf("conns entries = %d", len(st.Maps["conns"]))
+	if st.Table("conns").Len() != 1 {
+		t.Fatalf("conns entries = %d", st.Table("conns").Len())
 	}
 
 	// Data packets stick to the same backend.
@@ -183,8 +183,8 @@ func TestL4LBConnectionConsistencyAndGC(t *testing.T) {
 	if fin.IP.DstIP != chosen {
 		t.Errorf("FIN steered to %v, want %v", fin.IP.DstIP, chosen)
 	}
-	if len(st.Maps["conns"]) != 0 {
-		t.Errorf("conns entries = %d after FIN, want 0", len(st.Maps["conns"]))
+	if st.Table("conns").Len() != 0 {
+		t.Errorf("conns entries = %d after FIN, want 0", st.Table("conns").Len())
 	}
 
 	// UDP flows balance too.
@@ -192,7 +192,7 @@ func TestL4LBConnectionConsistencyAndGC(t *testing.T) {
 	if _, err := p.Exec(&ir.Env{State: st, Pkt: udp}); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Maps["conns"]) != 1 {
+	if st.Table("conns").Len() != 1 {
 		t.Errorf("udp flow not tracked")
 	}
 }
@@ -283,7 +283,7 @@ func TestTrojanDetectorStateMachine(t *testing.T) {
 
 	// (1) SSH connection marks the host.
 	exec(packet.BuildTCP(host, server, 4000, 22, packet.TCPOptions{Flags: packet.TCPFlagSYN}))
-	if v := st.Maps["hoststate"][ir.MakeMapKey(uint64(host))]; len(v) == 0 || v[0] != 1 {
+	if v, _ := st.MapFind("hoststate", ir.MakeMapKey(uint64(host))); len(v) == 0 || v[0] != 1 {
 		t.Fatalf("hoststate after SSH = %v, want [1]", v)
 	}
 
@@ -294,7 +294,7 @@ func TestTrojanDetectorStateMachine(t *testing.T) {
 	if a != ir.ActionSent {
 		t.Fatalf("download packet action = %v", a)
 	}
-	if v := st.Maps["hoststate"][ir.MakeMapKey(uint64(host))]; len(v) == 0 || v[0] != 2 {
+	if v, _ := st.MapFind("hoststate", ir.MakeMapKey(uint64(host))); len(v) == 0 || v[0] != 2 {
 		t.Fatalf("hoststate after download = %v, want [2]", v)
 	}
 
@@ -461,10 +461,7 @@ func TestIPGatewayLPMRouting(t *testing.T) {
 	}
 
 	// Blocklisted source drops.
-	if st.Maps["blocklist"] == nil {
-		st.Maps["blocklist"] = map[ir.MapKey][]uint64{}
-	}
-	st.Maps["blocklist"][ir.MakeMapKey(uint64(packet.MakeIPv4Addr(6, 6, 6, 6)))] = []uint64{1}
+	st.MapInsert("blocklist", ir.MakeMapKey(uint64(packet.MakeIPv4Addr(6, 6, 6, 6))), []uint64{1})
 	bad := packet.BuildTCP(packet.MakeIPv4Addr(6, 6, 6, 6), packet.MakeIPv4Addr(10, 0, 0, 1), 1, 2, packet.TCPOptions{})
 	r, _ := p.Exec(&ir.Env{State: st, Pkt: bad})
 	if r.Action != ir.ActionDropped {
@@ -523,10 +520,10 @@ func TestDDoSDetector(t *testing.T) {
 			t.Fatalf("SYN %d action = %v", i, a)
 		}
 	}
-	if v := st.Maps["syn_count"][ir.MakeMapKey(uint64(attacker))]; len(v) == 0 || v[0] != 101 {
+	if v, _ := st.MapFind("syn_count", ir.MakeMapKey(uint64(attacker))); len(v) == 0 || v[0] != 101 {
 		t.Fatalf("syn_count = %v, want 101", v)
 	}
-	if _, blocked := st.Maps["blocklist"][ir.MakeMapKey(uint64(attacker))]; !blocked {
+	if _, blocked := st.MapFind("blocklist", ir.MakeMapKey(uint64(attacker))); !blocked {
 		t.Fatal("attacker not blocklisted after crossing the threshold")
 	}
 	// Every further packet from the attacker drops — including non-SYNs.
@@ -637,8 +634,8 @@ func TestTunnelLB(t *testing.T) {
 			t.Fatalf("v6 flow moved backend")
 		}
 	}
-	if len(st.Maps["conns6"]) != 1 {
-		t.Errorf("conns6 entries = %d, want 1", len(st.Maps["conns6"]))
+	if st.Table("conns6").Len() != 1 {
+		t.Errorf("conns6 entries = %d, want 1", st.Table("conns6").Len())
 	}
 
 	// Non-TCP/UDP traffic passes through unencapsulated.
@@ -700,7 +697,7 @@ func TestSynProxyHandshake(t *testing.T) {
 	if syn.TCP.Flags != packet.TCPFlagSYN|packet.TCPFlagACK {
 		t.Errorf("reflected flags = %#x", syn.TCP.Flags)
 	}
-	if len(st.Maps["proven"]) != 0 {
+	if st.Table("proven").Len() != 0 {
 		t.Error("SYN touched the proven table")
 	}
 
@@ -709,8 +706,8 @@ func TestSynProxyHandshake(t *testing.T) {
 	if a := exec(ack); a != ir.ActionSent {
 		t.Fatalf("valid ACK action = %v", a)
 	}
-	if len(st.Maps["proven"]) != 1 {
-		t.Fatalf("proven entries = %d, want 1", len(st.Maps["proven"]))
+	if st.Table("proven").Len() != 1 {
+		t.Fatalf("proven entries = %d, want 1", st.Table("proven").Len())
 	}
 	if st.Globals["validated_total"] != 1 {
 		t.Errorf("validated_total = %d, want 1", st.Globals["validated_total"])
@@ -1053,7 +1050,7 @@ func TestDDoSDetectorPartitionAndEquivalence(t *testing.T) {
 	if float64(fast)/3000 < 0.5 {
 		t.Errorf("fast path only %d/3000", fast)
 	}
-	t.Logf("ddosdetector: %.1f%% fast path, blocked=%d sources", 100*float64(fast)/3000, len(stRef.Maps["blocklist"]))
+	t.Logf("ddosdetector: %.1f%% fast path, blocked=%d sources", 100*float64(fast)/3000, stRef.Table("blocklist").Len())
 }
 
 // TestStateSeedingHelpers checks that every helper that installs state by
@@ -1090,8 +1087,8 @@ func TestStateSeedingHelpers(t *testing.T) {
 		st := newState(t, "firewall")
 		AllowFlow(st, ext)
 		AllowFlow(st, intl)
-		if len(st.Maps["wl_in"]) != 1 || len(st.Maps["wl_out"]) != 1 {
-			t.Fatalf("wl_in=%d wl_out=%d entries", len(st.Maps["wl_in"]), len(st.Maps["wl_out"]))
+		if st.Table("wl_in").Len() != 1 || st.Table("wl_out").Len() != 1 {
+			t.Fatalf("wl_in=%d wl_out=%d entries", st.Table("wl_in").Len(), st.Table("wl_out").Len())
 		}
 		pkt := packet.BuildTCP(ext.SrcIP, ext.DstIP, ext.SrcPort, ext.DstPort, packet.TCPOptions{})
 		if got := exec(t, "firewall", st, pkt); got != ir.ActionSent {
@@ -1136,8 +1133,8 @@ func TestStateSeedingHelpers(t *testing.T) {
 		st := newState(t, "proxy")
 		RedirectPort(st, 80)
 		RedirectPort(st, 8080)
-		if len(st.Maps["redirect_ports"]) != 2 {
-			t.Fatalf("redirect_ports has %d entries", len(st.Maps["redirect_ports"]))
+		if st.Table("redirect_ports").Len() != 2 {
+			t.Fatalf("redirect_ports has %d entries", st.Table("redirect_ports").Len())
 		}
 	})
 }

@@ -173,6 +173,28 @@ type TransferVar struct {
 	Slot int
 }
 
+// XferField is a transfer variable's scratchpad slot and precomputed
+// header position, which both runtimes resolve once, at load time.
+type XferField struct {
+	Slot int
+	Spec packet.FieldSpec
+}
+
+// XferFields resolves vars against their header format f. A variable the
+// format lacks, or one without a compiled slot (unreachable for compiler-
+// produced Results), gets a position that fails loudly at Get/Set time.
+func XferFields(vars []TransferVar, f *packet.HeaderFormat) []XferField {
+	out := make([]XferField, 0, len(vars))
+	for _, v := range vars {
+		spec, ok := f.Spec(v.Name)
+		if !ok || v.Slot <= 0 {
+			spec = packet.FieldSpec{Off: -1}
+		}
+		out = append(out, XferField{Slot: v.Slot, Spec: spec})
+	}
+	return out
+}
+
 // Result is the partitioner's output: per-statement assignment, the three
 // executable partition functions, the synthesized transfer formats, and
 // accounting for the resource report.

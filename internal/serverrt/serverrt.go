@@ -10,7 +10,6 @@ package serverrt
 
 import (
 	"fmt"
-	"slices"
 
 	"gallium/internal/ir"
 	"gallium/internal/obs"
@@ -40,11 +39,12 @@ type Server struct {
 	State *ir.State
 
 	// srv and full are the server partition and the whole program lowered
-	// to execution plans, once, at New; srvRecords and fullRecords are their
-	// static counts of statements that can record an update, which size a
-	// packet's update list in one allocation.
-	srv, full               *ir.Plan
-	srvRecords, fullRecords int
+	// to execution plans, once, at New; srvRoom and fullRoom are their
+	// static counts of statements that can record an update and of the
+	// value words those carry, which size a packet's update list and value
+	// arena in one allocation each.
+	srv, full         *ir.Plan
+	srvRoom, fullRoom room
 
 	// replicated and cached are indexed like Res.Prog.Globals. cached marks
 	// tables running in §7 cache mode: authoritative hits are republished
@@ -57,29 +57,17 @@ type Server struct {
 	xfer []uint64
 	// xferA and xferB pair each transfer variable's scratchpad slot with
 	// its precomputed header position (resolved once at construction).
-	xferA, xferB []xferField
+	xferA, xferB []partition.XferField
 
 	reg *obs.Registry
 	c   serverCounters
-	// fills tracks per-cached-table read-through fills.
-	fills map[string]*obs.Counter
+	// fills tracks per-cached-table read-through fills, indexed like
+	// Res.Prog.Globals.
+	fills []*obs.Counter
 }
 
-// xferField pairs a transfer variable's scratchpad slot with its
-// precomputed wire position.
-type xferField struct {
-	slot int
-	spec packet.FieldSpec
-}
-
-func compileXferFields(vars []partition.TransferVar, f *packet.HeaderFormat) []xferField {
-	out := make([]xferField, 0, len(vars))
-	for _, v := range vars {
-		spec, _ := f.Spec(v.Name)
-		out = append(out, xferField{slot: v.Slot, spec: spec})
-	}
-	return out
-}
+// room is what one packet's recorded updates can need at most.
+type room struct{ updates, words int }
 
 // serverCounters are the server-wide activity counters.
 type serverCounters struct {
@@ -109,10 +97,10 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		cacheMisses:  reg.Counter("server.cache.misses"),
 		cacheFills:   reg.Counter("server.cache.fills"),
 	}
-	s.fills = map[string]*obs.Counter{}
+	s.fills = make([]*obs.Counter, len(s.cached))
 	for gi, g := range s.Res.Prog.Globals {
 		if s.cached[gi] {
-			s.fills[g.Name] = reg.Counter("server.cache." + g.Name + ".fills")
+			s.fills[gi] = reg.Counter("server.cache." + g.Name + ".fills")
 		}
 	}
 }
@@ -140,54 +128,62 @@ func New(res *partition.Result) *Server {
 			}
 		}
 	}
-	// recording counts fn's statements that can record an update: writes to
-	// replicated globals and finds on §7 cache tables.
-	recording := func(fn *ir.Function) (n int) {
+	// recording counts fn's statements that can record an update — writes
+	// to replicated globals and finds on §7 cache tables — and bounds the
+	// value words they carry (a remove carries none).
+	recording := func(fn *ir.Function) (r room) {
 		for _, in := range fn.Stmts() {
 			gi, isGlobal := index[in.Obj]
-			switch in.Kind {
-			case ir.MapInsert, ir.MapRemove, ir.GlobalStore:
-				if isGlobal && s.replicated[gi] {
-					n++
-				}
-			case ir.MapFind:
-				if isGlobal && s.cached[gi] {
-					n++
-				}
+			writes := in.Kind == ir.MapInsert || in.Kind == ir.MapRemove || in.Kind == ir.GlobalStore
+			if isGlobal && (writes && s.replicated[gi] || in.Kind == ir.MapFind && s.cached[gi]) {
+				r.updates++
+				r.words += len(res.Prog.Globals[gi].ValTypes)
 			}
 		}
-		return n
+		return r
 	}
-	s.srvRecords, s.fullRecords = recording(res.SrvFn), recording(res.Prog.Fn)
+	s.srvRoom, s.fullRoom = recording(res.SrvFn), recording(res.Prog.Fn)
 	s.rec.srv = s
 	s.xfer = make([]uint64, res.NumXferSlots)
-	s.xferA = compileXferFields(res.TransferA, res.FormatA)
-	s.xferB = compileXferFields(res.TransferB, res.FormatB)
+	s.xferA = partition.XferFields(res.TransferA, res.FormatA)
+	s.xferB = partition.XferFields(res.TransferB, res.FormatB)
 	return s
 }
 
 // recorder is the server's ir.PlanState: it applies state mutations to the
-// authoritative State (by name — ir.State is keyed that way) and records
-// those that touch replicated state.
+// authoritative State — maps by global index, straight to their tables —
+// and records those that touch replicated state.
 type recorder struct {
 	srv     *Server
 	updates []switchsim.Update
+	// vals holds the value tuples of the packet's updates.
+	vals []uint64
 	// room is the capacity the first update of a packet allocates.
-	room int
+	room room
 }
 
 func (r *recorder) name(g int) string { return r.srv.Res.Prog.Globals[g].Name }
 
 func (r *recorder) record(u switchsim.Update) {
 	if r.updates == nil {
-		r.updates = make([]switchsim.Update, 0, r.room)
+		r.updates = make([]switchsim.Update, 0, r.room.updates)
 	}
 	r.updates = append(r.updates, u)
 }
 
+// keep copies an update's value tuple into the packet's arena.
+func (r *recorder) keep(vals []uint64) []uint64 {
+	if r.vals == nil {
+		r.vals = make([]uint64, 0, r.room.words)
+	}
+	n := len(r.vals)
+	r.vals = append(r.vals, vals...)
+	return r.vals[n:len(r.vals):len(r.vals)]
+}
+
 func (r *recorder) MapFind(g int, key *ir.MapKey) ([]uint64, bool) {
 	name, cached := r.name(g), r.srv.cached[g]
-	vals, ok := r.srv.State.MapFind(name, *key)
+	vals, ok := r.srv.State.FindAt(g, key)
 	if r.srv.reg != nil && cached {
 		r.srv.c.cacheLookups.Inc()
 		if ok {
@@ -199,30 +195,27 @@ func (r *recorder) MapFind(g int, key *ir.MapKey) ([]uint64, bool) {
 	if ok && cached {
 		// Read-through fill (§7 cache mode): republish the entry so the
 		// switch cache can serve the next packets of this flow.
-		r.record(switchsim.Update{Table: name, Key: *key, Vals: slices.Clone(vals), ReadFill: true})
+		r.record(switchsim.Update{Table: name, Key: *key, Vals: r.keep(vals), ReadFill: true})
 		if r.srv.reg != nil {
 			r.srv.c.cacheFills.Inc()
-			r.srv.fills[name].Inc()
+			r.srv.fills[g].Inc()
 		}
 	}
 	return vals, ok
 }
 
-// MapInsert shares vals between the state and the update: the plan built
-// the slice for this insert and nothing mutates a stored value tuple (the
-// switch copies it when the update is staged).
 func (r *recorder) MapInsert(g int, key *ir.MapKey, vals []uint64) error {
 	if r.srv.replicated[g] {
-		r.record(switchsim.Update{Table: r.name(g), Key: *key, Vals: vals})
+		r.record(switchsim.Update{Table: r.name(g), Key: *key, Vals: r.keep(vals)})
 	}
-	return r.srv.State.MapInsert(r.name(g), *key, vals)
+	return r.srv.State.InsertAt(g, key, vals)
 }
 
 func (r *recorder) MapRemove(g int, key *ir.MapKey) error {
 	if r.srv.replicated[g] {
 		r.record(switchsim.Update{Table: r.name(g), Key: *key, Delete: true})
 	}
-	return r.srv.State.MapRemove(r.name(g), *key)
+	return r.srv.State.RemoveAt(g, key)
 }
 
 func (r *recorder) VecGet(g int, idx uint64) (uint64, error) {
@@ -260,28 +253,28 @@ func (s *Server) Process(pkt *packet.Packet) (Result, error) {
 	}
 	xfer := s.scratchXfer()
 	for _, f := range s.xferA {
-		val, err := s.Res.FormatA.GetAt(pkt.GalData, f.spec)
+		val, err := s.Res.FormatA.GetAt(pkt.GalData, f.Spec)
 		if err != nil {
 			return Result{}, err
 		}
-		if f.slot <= 0 {
+		if f.Slot <= 0 {
 			return Result{}, fmt.Errorf("serverrt: transfer field without compiled slot")
 		}
-		xfer[f.slot-1] = val
+		xfer[f.Slot-1] = val
 	}
 	pkt.StripGallium()
 
-	r, err := s.exec(s.srv, s.srvRecords, pkt, xfer)
+	r, err := s.exec(s.srv, s.srvRoom, pkt, xfer)
 	if err != nil {
 		return Result{}, fmt.Errorf("serverrt: %w", err)
 	}
 	if r.Action == ir.ActionNext {
 		pkt.AttachGallium(s.Res.FormatB)
 		for _, f := range s.xferB {
-			if f.slot <= 0 {
+			if f.Slot <= 0 {
 				return Result{}, fmt.Errorf("serverrt: transfer field without compiled slot")
 			}
-			if err := s.Res.FormatB.SetAt(pkt.GalData, f.spec, xfer[f.slot-1]); err != nil {
+			if err := s.Res.FormatB.SetAt(pkt.GalData, f.Spec, xfer[f.Slot-1]); err != nil {
 				return Result{}, err
 			}
 		}
@@ -301,11 +294,11 @@ func (s *Server) scratchXfer() []uint64 {
 }
 
 // exec runs plan over pkt in the reusable environment, whose register file
-// (Env.Regs) is retained across packets; records is the plan's static count
-// of recording statements. The environment lets go of pkt on return: it is
+// (Env.Regs) is retained across packets; room is what the plan's recording
+// statements can need. The environment lets go of pkt on return: it is
 // the caller's packet, which the server must not keep reachable.
-func (s *Server) exec(plan *ir.Plan, records int, pkt *packet.Packet, xfer []uint64) (ir.Result, error) {
-	s.rec.room = records
+func (s *Server) exec(plan *ir.Plan, room room, pkt *packet.Packet, xfer []uint64) (ir.Result, error) {
+	s.rec.room = room
 	s.env.Pkt = pkt
 	s.env.Xfer = xfer
 	r, err := plan.Exec(&s.rec, &s.env)
@@ -319,7 +312,7 @@ func (s *Server) exec(plan *ir.Plan, records int, pkt *packet.Packet, xfer []uin
 // steady-state case records nothing and returns nil without allocating.
 func (s *Server) takeUpdates() []switchsim.Update {
 	u := s.rec.updates
-	s.rec.updates = nil
+	s.rec.updates, s.rec.vals = nil, nil
 	return u
 }
 
@@ -331,7 +324,7 @@ func (s *Server) ProcessFull(pkt *packet.Packet) (Result, error) {
 	if pkt.HasGallium {
 		return Result{}, fmt.Errorf("serverrt: punted packet unexpectedly carries a gallium header")
 	}
-	r, err := s.exec(s.full, s.fullRecords, pkt, nil)
+	r, err := s.exec(s.full, s.fullRoom, pkt, nil)
 	if err != nil {
 		return Result{}, fmt.Errorf("serverrt: full program: %w", err)
 	}

@@ -139,14 +139,16 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 					continue
 				}
 				tbl, _ := tb.Switch().Table(gn)
-				for k, v := range ref.State.Maps[gn] {
-					got, ok := tbl.Lookup(k)
-					if !ok || got[0] != v[0] {
-						t.Fatalf("switch table %s out of sync at %v", gn, k)
+				srv := ref.State.Table(gn)
+				srv.Range(func(e int32) bool {
+					got, ok := tbl.Lookup(srv.Key(e))
+					if !ok || got[0] != srv.Vals(e)[0] {
+						t.Fatalf("switch table %s out of sync at %v", gn, srv.Key(e))
 					}
-				}
-				if tbl.Len() != len(ref.State.Maps[gn]) {
-					t.Fatalf("switch table %s has %d entries, server has %d", gn, tbl.Len(), len(ref.State.Maps[gn]))
+					return true
+				})
+				if tbl.Len() != srv.Len() {
+					t.Fatalf("switch table %s has %d entries, server has %d", gn, tbl.Len(), srv.Len())
 				}
 			}
 		})
@@ -390,7 +392,7 @@ func TestDeploymentReconfigureAtomicFlip(t *testing.T) {
 	keyA := ir.MakeMapKey(uint64(tupA.SrcIP), uint64(tupA.DstIP), uint64(tupA.SrcPort), uint64(tupA.DstPort), uint64(tupA.Proto))
 	keyB := ir.MakeMapKey(uint64(tupB.SrcIP), uint64(tupB.DstIP), uint64(tupB.SrcPort), uint64(tupB.DstPort), uint64(tupB.Proto))
 	mutate := func(st *ir.State) []switchsim.Update {
-		delete(st.Maps["wl_out"], keyA)
+		st.MapRemove("wl_out", keyA)
 		middleboxes.AllowFlow(st, tupB)
 		return nil
 	}

@@ -92,7 +92,7 @@ func TestSeedFromReplicatesEveryKind(t *testing.T) {
 	sw := New(res)
 	st := ir.NewState(res.Prog)
 	st.Vecs["backends"] = []uint64{7, 8}
-	st.Maps["conn"][ir.MakeMapKey(5)] = []uint64{1}
+	st.MapInsert("conn", ir.MakeMapKey(5), []uint64{1})
 	if err := sw.SeedFrom(st); err != nil {
 		t.Fatal(err)
 	}

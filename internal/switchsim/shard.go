@@ -187,7 +187,7 @@ func (ln *ctlLane) overwrites(v *view, t *Table, key *ir.MapKey) bool {
 		return true
 	}
 	for _, op := range ln.pending {
-		if op.t == t && !op.n.dead() && sameKey(t.key(op.n), key.K[:t.nk]) {
+		if op.t == t && !op.n.dead() && ir.SameKey(t.key(op.n), key.K[:t.nk]) {
 			return true
 		}
 	}

@@ -138,7 +138,7 @@ type Switch struct {
 	// variable, the scratchpad slot paired with its precomputed bit
 	// position in the synthesized header, so the hot path never resolves
 	// field names.
-	xferA, xferB []xferField
+	xferA, xferB []partition.XferField
 
 	evictions, reconfigs atomic.Int64
 
@@ -147,13 +147,6 @@ type Switch struct {
 	hop *obs.Hop
 	// regs are the registries Instrument has registered with (under mu).
 	regs []*obs.Registry
-}
-
-// xferField pairs a transfer variable's scratchpad slot with its
-// precomputed wire position.
-type xferField struct {
-	slot int
-	spec packet.FieldSpec
 }
 
 // view is what a pass pins: everything the data plane reads that is not a
@@ -287,8 +280,8 @@ func New(res *partition.Result) *Switch {
 			}
 		}
 	}
-	sw.xferA = compileXferFields(res.TransferA, res.FormatA)
-	sw.xferB = compileXferFields(res.TransferB, res.FormatB)
+	sw.xferA = partition.XferFields(res.TransferA, res.FormatA)
+	sw.xferB = partition.XferFields(res.TransferB, res.FormatB)
 	sw.view.Store(&view{epoch: 1, registers: make([]uint64, n), vecs: make([][]uint64, n),
 		lpms: make([][]ir.LpmEntry, n), obs: &switchObs{}})
 	return sw
@@ -302,22 +295,6 @@ func (sw *Switch) global(name string, kind ir.GlobalKind) (int, bool) {
 		return 0, false
 	}
 	return gi, true
-}
-
-// compileXferFields resolves each transfer variable to its scratchpad slot
-// and precomputed header position once, at load time.
-func compileXferFields(vars []partition.TransferVar, f *packet.HeaderFormat) []xferField {
-	out := make([]xferField, 0, len(vars))
-	for _, v := range vars {
-		spec, ok := f.Spec(v.Name)
-		if !ok || v.Slot <= 0 {
-			// Unreachable for compiler-produced Results; a hand-built Result
-			// without slots falls back to failing loudly at Set/Get time.
-			spec = packet.FieldSpec{Off: -1}
-		}
-		out = append(out, xferField{slot: v.Slot, spec: spec})
-	}
-	return out
 }
 
 // SeedFrom installs configured replicated state from an authoritative
@@ -336,10 +313,14 @@ func (sw *Switch) SeedFrom(st *ir.State) error {
 				return err
 			}
 		case ir.KindMap:
-			for k, v := range st.Maps[gn] {
-				if err := sw.StageShard(0, Update{Table: gn, Key: k, Vals: v}); err != nil {
-					return err
-				}
+			var err error
+			tb := st.Table(gn)
+			tb.Range(func(e int32) bool {
+				err = sw.StageShard(0, Update{Table: gn, Key: tb.Key(e), Vals: tb.Vals(e)})
+				return err == nil
+			})
+			if err != nil {
+				return err
 			}
 		case ir.KindScalar:
 			if err := sw.StageShard(0, Update{Register: gn, RegVal: st.Globals[gn]}); err != nil {
@@ -700,10 +681,10 @@ func (p *Pass) Pre(pkt *packet.Packet, onTouch func(table string, key ir.MapKey)
 		p.toServer++
 		pkt.AttachGallium(sw.Res.FormatA)
 		for _, f := range sw.xferA {
-			if f.slot <= 0 {
+			if f.Slot <= 0 {
 				return PreResult{}, fmt.Errorf("switchsim: transfer field without compiled slot")
 			}
-			if err := sw.Res.FormatA.SetAt(pkt.GalData, f.spec, p.xfer[f.slot-1]); err != nil {
+			if err := sw.Res.FormatA.SetAt(pkt.GalData, f.Spec, p.xfer[f.Slot-1]); err != nil {
 				return PreResult{}, err
 			}
 		}
@@ -727,14 +708,14 @@ func (p *Pass) Post(pkt *packet.Packet, onTouch func(table string, key ir.MapKey
 	}
 	p.begin(v, pkt, onTouch)
 	for _, f := range sw.xferB {
-		if f.slot <= 0 {
+		if f.Slot <= 0 {
 			return PreResult{}, fmt.Errorf("switchsim: transfer field without compiled slot")
 		}
-		val, err := sw.Res.FormatB.GetAt(pkt.GalData, f.spec)
+		val, err := sw.Res.FormatB.GetAt(pkt.GalData, f.Spec)
 		if err != nil {
 			return PreResult{}, err
 		}
-		p.xfer[f.slot-1] = val
+		p.xfer[f.Slot-1] = val
 	}
 	pkt.StripGallium()
 	r, err := sw.post.Exec(&p.acc, &p.env)

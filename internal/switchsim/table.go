@@ -124,38 +124,18 @@ func (t *Table) Capacity() int { return t.capacity }
 // server, and inserts beyond capacity evict the oldest entry (FIFO).
 func (t *Table) Cached() bool { return t.cached }
 
-// hashKey mixes the key words; the low bits index the array.
-func hashKey(k []uint64) uint64 {
-	h := uint64(len(k))
-	for _, w := range k {
-		h = (h ^ w) * 0x9E3779B97F4A7C15
-		h ^= h >> 29
-	}
-	return h
-}
-
 // slot returns the index of key's slot in s: the one holding its node, or
 // the first empty one of its probe sequence. key has the table's arity.
 func (t *Table) slot(s []atomic.Pointer[node], key []uint64) uint64 {
 	mask := uint64(len(s) - 1)
-	i := hashKey(key) & mask
+	i := ir.HashKey(key) & mask
 	for {
 		n := s[i].Load()
-		if n == nil || sameKey(t.key(n), key) {
+		if n == nil || ir.SameKey(t.key(n), key) {
 			return i
 		}
 		i = (i + 1) & mask
 	}
-}
-
-// sameKey compares two keys of the table's arity word by word.
-func sameKey(a, b []uint64) bool {
-	for i, w := range a {
-		if w != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // lookup resolves key as of view v — the whole data-plane read path. The
@@ -184,7 +164,7 @@ func (t *Table) lookup(v *view, key *ir.MapKey) ([]uint64, bool) {
 func (t *Table) before(v *view, key []uint64) *node {
 	for w := v; w != nil; w = w.next.Load() {
 		for r := w.undo.Load(); r != nil; r = r.next {
-			if r.t == t && sameKey(t.key(r.n), key) {
+			if r.t == t && ir.SameKey(t.key(r.n), key) {
 				return r.old
 			}
 		}

@@ -15,8 +15,8 @@ import (
 // TestStageRejectsMalformedEntries: a nat_rev entry with one value where
 // the table declares two used to stage, flip, and then index out of range
 // in the reverse-direction packet's MapFind. Every path an entry can take
-// into a table — insert, Replace, SeedFrom — checks key and value arity
-// against the global's declaration.
+// into a table — insert, Replace, and the server state SeedFrom reads —
+// checks key and value arity against the global's declaration.
 func TestStageRejectsMalformedEntries(t *testing.T) {
 	res := compileMB(t, "mazunat")
 	sw := New(res)
@@ -41,10 +41,11 @@ func TestStageRejectsMalformedEntries(t *testing.T) {
 			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
 		}
 	}
+	// The server's state cannot hold a malformed entry to seed from: its
+	// tables take their widths from the same declaration.
 	st := ir.NewState(res.Prog)
-	st.Maps["nat_rev"][ir.MakeMapKey(4000)] = []uint64{1}
-	if err := New(res).SeedFrom(st); err == nil || !strings.Contains(err.Error(), "1 values, declared 2") {
-		t.Errorf("SeedFrom of a malformed state: err = %v, want the arity error", err)
+	if err := st.MapInsert("nat_rev", ir.MakeMapKey(4000), []uint64{1}); err == nil || !strings.Contains(err.Error(), "1 value words, declared 1 and 2") {
+		t.Errorf("state insert of a short tuple: err = %v, want the arity error", err)
 	}
 	sw.FlipShard(0)
 	if ep := sw.Epoch(); ep != 1 {

@@ -48,17 +48,24 @@ func (a *Artifacts) MergeShardStates(states []*ir.State) (merged *ir.State, exac
 	exact = cert != nil && cert.Exact()
 	merged = states[0].Clone()
 	for si, st := range states[1:] {
-		for name, m := range st.Maps {
-			if merged.Maps[name] == nil {
-				merged.Maps[name] = map[ir.MapKey][]uint64{}
+		for gi, tb := range st.Tables {
+			if tb == nil {
+				continue
 			}
-			for k, v := range m {
-				if ex, ok := merged.Maps[name][k]; ok && exact {
-					return nil, true, fmt.Sprintf(
+			mt := merged.Tables[gi]
+			tb.Range(func(e int32) bool {
+				k, v := tb.Key(e), tb.Vals(e)
+				if me := mt.Find(&k); me >= 0 && exact {
+					conflict = fmt.Sprintf(
 						"map %s: key %v present on multiple shards (%v vs %v) despite an exact certificate",
-						name, k, ex, v)
+						tb.Name(), k, mt.Vals(me), v)
+					return false
 				}
-				merged.Maps[name][k] = append([]uint64(nil), v...)
+				_, _ = mt.Put(&k, v) // shards share the declaration: it fits
+				return true
+			})
+			if conflict != "" {
+				return nil, true, conflict
 			}
 		}
 		if !exact {

@@ -33,7 +33,7 @@ func TestMergedStateExactCertificate(t *testing.T) {
 		gallium.WithState(func(shard int, st *ir.State) {
 			// Seed-phase visits see empty maps and contribute nothing;
 			// the settle visits count each shard's final entries.
-			shardEntries += len(st.Maps["flows"])
+			shardEntries += st.Table("flows").Len()
 		}),
 		gallium.WithMergedState(func(m *ir.State, e bool, c string) {
 			merged, exact, conflict = m, e, c
@@ -54,7 +54,7 @@ func TestMergedStateExactCertificate(t *testing.T) {
 	if shardEntries == 0 {
 		t.Fatal("workload left no flow entries; the merge was vacuous")
 	}
-	if got := len(merged.Maps["flows"]); got != shardEntries {
+	if got := merged.Table("flows").Len(); got != shardEntries {
 		t.Errorf("merged flows has %d entries, shards hold %d", got, shardEntries)
 	}
 }
@@ -104,8 +104,8 @@ func TestMergeShardStatesConflict(t *testing.T) {
 	}
 	a, b := ir.NewState(art.Prog), ir.NewState(art.Prog)
 	k := ir.MakeMapKey(1, 2, 3, 4, 6)
-	a.Maps["flows"][k] = []uint64{100}
-	b.Maps["flows"][k] = []uint64{200}
+	a.MapInsert("flows", k, []uint64{100})
+	b.MapInsert("flows", k, []uint64{200})
 	merged, exact, conflict := art.MergeShardStates([]*ir.State{a, b})
 	if !exact {
 		t.Error("exact certificate did not select the exact merge policy")

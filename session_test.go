@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -378,12 +379,14 @@ func TestLBPoolDrainSemantics(t *testing.T) {
 				gallium.WithState(func(shard int, st *ir.State) {
 					// Seed-phase visits see an empty conns map; the
 					// settle visits count the surviving connections.
-					for _, v := range st.Maps["conns"] {
+					tb := st.Table("conns")
+					tb.Range(func(e int32) bool {
 						total++
-						if len(v) > 0 && v[0] != middleboxes.Backends[0] {
+						if v := tb.Vals(e); len(v) > 0 && v[0] != middleboxes.Backends[0] {
 							kept++
 						}
-					}
+						return true
+					})
 				}),
 			)
 			if err != nil {
@@ -589,7 +592,7 @@ func TestWithStateSeedsAndInspects(t *testing.T) {
 				}
 				return
 			}
-			finalRules += len(st.Maps["wl_out"]) + len(st.Maps["wl_in"])
+			finalRules += st.Table("wl_out").Len() + st.Table("wl_in").Len()
 		}),
 	)
 	if err != nil {
@@ -616,15 +619,15 @@ func TestMalformedTableReplaceRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ref.ServerState().Maps
+	want := ref.ServerState()
 	var mu sync.Mutex
 	s, err := gallium.Open(art, gallium.WithWorkers(2), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()),
 		gallium.WithState(func(shard int, st *ir.State) {
 			mu.Lock()
 			defer mu.Unlock()
 			for _, name := range []string{"wl_out", "wl_in"} {
-				if !reflect.DeepEqual(st.Maps[name], want[name]) {
-					t.Errorf("shard %d: %s = %v after the refused op, want %v", shard, name, st.Maps[name], want[name])
+				if got, want := tableEntries(st, name), tableEntries(want, name); !reflect.DeepEqual(got, want) {
+					t.Errorf("shard %d: %s = %v after the refused op, want %v", shard, name, got, want)
 				}
 			}
 		}))
@@ -903,4 +906,15 @@ func TestPipelineOpenDrainUptime(t *testing.T) {
 	if len(rep.SwitchStages) != 2 {
 		t.Errorf("report covers %d stages, want 2", len(rep.SwitchStages))
 	}
+}
+
+// tableEntries copies the named map's entries out of st.
+func tableEntries(st *ir.State, name string) map[ir.MapKey][]uint64 {
+	tb := st.Table(name)
+	out := make(map[ir.MapKey][]uint64, tb.Len())
+	tb.Range(func(e int32) bool {
+		out[tb.Key(e)] = slices.Clone(tb.Vals(e))
+		return true
+	})
+	return out
 }
