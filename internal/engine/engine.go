@@ -10,7 +10,10 @@
 // bursts, through the worker's one bounded mailbox (mailbox.go): Feed
 // pushes 32-packet bursts, Dispatch and the control jobs of settle and
 // Reconfigure bursts of one, the worker pulls everything queued per lock.
-// Cancelling the run closes the mailboxes (see abort).
+// A Dispatch that finds its worker parked on an empty mailbox hands
+// nothing off: it borrows the worker and runs the packet on the caller's
+// goroutine, delivery callback included, while the mailbox keeps the
+// worker parked. Cancelling the run closes the mailboxes (see abort).
 //
 // Ordering guarantees: packets of one flow always hash to the same worker
 // and each worker runs one packet to completion before starting the next,
@@ -112,8 +115,10 @@ type Config struct {
 	// drop). <=0 means 256.
 	QueueDepth int
 	// OnDelivery, when non-nil, observes every packet fate. It is invoked
-	// from worker goroutines concurrently (per-flow order preserved); the
-	// callback must be safe for concurrent use.
+	// from worker goroutines concurrently (per-flow order preserved), and
+	// for a packet Dispatch runs itself on the Dispatch caller's goroutine
+	// before Dispatch returns, so it must be safe for concurrent use and
+	// must not wait for a lock its Dispatch caller holds.
 	OnDelivery func(Delivery)
 	// FlowTable, when non-nil, bounds the pipeline's dynamic flow state:
 	// per-entry last-touch stamping, protocol-aware timeouts, and
@@ -308,8 +313,9 @@ func New(ctx context.Context, cfg Config) (*Engine, error) {
 // instrument registers the engine's metrics, all read at snapshot time:
 // "engine.worker.<i>.*" reads worker i's walker Stats as of its latest
 // barrier, "engine.*" the sum of those (one func per worker under each
-// name), and "engine.latency_ns" merges the per-worker latency histograms
-// — the packet path touches no metric of its own.
+// name), "engine.borrowed" the workers' borrowed-run counts, and
+// "engine.latency_ns" merges the per-worker latency histograms — the
+// packet path touches no metric of its own.
 func (e *Engine) instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -335,6 +341,7 @@ func (e *Engine) instrument(reg *obs.Registry) {
 		stat("delivered", func(s netsim.Stats) int { return s.Delivered })
 		stat("fastpath", func(s netsim.Stats) int { return s.FastPath })
 		stat("slowpath", func(s netsim.Stats) int { return s.SlowPath })
+		reg.CounterFunc("engine.borrowed", func() uint64 { return uint64(w.borrowed.Load()) })
 		parts = append(parts, w.hLat)
 	}
 	reg.CounterFunc("engine.reconfigs", func() uint64 { return uint64(e.reconfigs.Load()) })
@@ -394,7 +401,13 @@ func (e *Engine) hand(w *worker, jobs ...job) error {
 	if w.box.push(jobs) {
 		return nil
 	}
-	return cmp.Or(e.runCtx.Err(), errors.New("engine: stopped"))
+	return e.refusal()
+}
+
+// refusal is why an aborted or stopped engine takes no more packets: the
+// run's first failure, else the cancellation, else the Stop.
+func (e *Engine) refusal() error {
+	return cmp.Or(e.err(), e.runCtx.Err(), errors.New("engine: stopped"))
 }
 
 // err returns the first recorded failure, if any.
@@ -462,7 +475,17 @@ func (e *Engine) flush(w *worker) error {
 // Dispatch injects one packet into the running engine without settling:
 // the streaming ingress for real-I/O front ends, where a barrier per
 // datagram would defeat batching. It returns the packet's sequence
-// number; the OnDelivery callback reports its fate asynchronously.
+// number; the OnDelivery callback reports its fate.
+//
+// If the packet's worker is parked on an empty mailbox, Dispatch runs the
+// packet to completion itself, as a DPDK core runs what it received
+// (flat combining: the caller that finds the owner idle does the owner's
+// work), so the callback runs on the caller's goroutine before Dispatch
+// returns. Otherwise the packet queues and the callback runs later on the
+// worker. A packet marked RxBurst always queues: its caller read a batch
+// and has more to dispatch. Either way each worker runs its packets and
+// control jobs one at a time in arrival order.
+//
 // Injection times are clamped monotone (real clocks jitter; virtual time
 // cannot restart). Dispatch serializes with Feed on the dispatcher lock
 // and may run concurrently with Reconfigure.
@@ -471,20 +494,31 @@ func (e *Engine) Dispatch(tNs int64, pkt *packet.Packet) (int64, error) {
 		return 0, errors.New("engine: Dispatch after Stop")
 	}
 	e.feedMu.Lock()
-	defer e.feedMu.Unlock()
 	if e.fedAny && tNs < e.lastT {
 		tNs = e.lastT
 	}
 	e.fedAny = true
 	e.lastT = tNs
 	flow, _ := pkt.DispatchTuple()
-	seq := e.seq
+	j := job{seq: e.seq, tNs: tNs, flow: flow, pkt: pkt}
 	e.seq++
 	w := e.workers[netsim.RSSShard(pkt, len(e.workers))]
-	if err := e.hand(w, job{seq: seq, tNs: tNs, flow: flow, pkt: pkt}); err != nil {
-		return 0, err
+	if pkt.RxBurst || !w.box.borrow() {
+		err := e.hand(w, j)
+		e.feedMu.Unlock()
+		if err != nil {
+			return 0, err
+		}
+		return j.seq, nil
 	}
-	return seq, nil
+	// The worker is ours until runBorrowed gives it back; a Dispatch behind
+	// this one finds it borrowed and queues.
+	e.feedMu.Unlock()
+	w.runBorrowed(&j)
+	if e.aborted.Load() {
+		return 0, e.refusal()
+	}
+	return j.seq, nil
 }
 
 // settle injects a barrier control job into every worker and blocks until

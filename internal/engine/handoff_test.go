@@ -13,6 +13,7 @@ import (
 
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
+	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/switchsim"
 )
@@ -286,6 +287,213 @@ func TestWorkerPanicFailsFeed(t *testing.T) {
 			}
 			if _, stopErr := eng.Stop(); stopErr == nil || stopErr.Error() != err.Error() {
 				t.Errorf("Stop returned %v, want the same failure", stopErr)
+			}
+		})
+	}
+}
+
+// allParked waits until every worker of eng is parked on its mailbox, so
+// the next Dispatch to any of them borrows it.
+func allParked(t *testing.T, eng *Engine) {
+	t.Helper()
+	eventually(t, "every worker parks", func() bool {
+		for _, w := range eng.workers {
+			if !w.box.consumerParked() {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// TestBorrowedRunsKeepFIFO: at 8 workers two dispatchers send the same
+// NAT flows' packets one at a time. One waits for each packet's worker to
+// park, so its packets are mostly run on it (borrowed); the other marks
+// its packets RxBurst, so they queue, often behind a borrowed run of the
+// same flow. Meanwhile LiveReport settles and Reconfigure pauses arrive
+// from two more goroutines. Every packet must be delivered exactly once,
+// each flow's and each worker's in sequence order, both paths must have
+// run, and each flow must own exactly one NAT mapping: a write-back made
+// in a borrowed run was served to the flow's next packet wherever that
+// ran.
+func TestBorrowedRunsKeepFIFO(t *testing.T) {
+	_, res := compileMB(t, "mazunat")
+	const workers, perFlow = 8, 16
+	flows := natFlows(64)
+	checkLeaks(t)
+	var mu sync.Mutex
+	seen := map[int64]int{}
+	lastFlow := map[packet.FiveTuple]int64{}
+	lastWorker := make([]int64, workers)
+	for i := range lastWorker {
+		lastWorker[i] = -1
+	}
+	eng, err := New(context.Background(), Config{
+		Workers: workers,
+		Stages: oneStage(res, func(shard int, st *ir.State) {
+			middleboxes.ConfigureShard("mazunat", shard, workers, st)
+		}),
+		OnDelivery: func(d Delivery) {
+			mu.Lock()
+			defer mu.Unlock()
+			seen[d.Seq]++
+			if prev, ok := lastFlow[d.Flow]; ok && d.Seq <= prev {
+				t.Errorf("flow %v: seq %d delivered after %d", d.Flow, d.Seq, prev)
+			}
+			lastFlow[d.Flow] = d.Seq
+			if d.Seq <= lastWorker[d.Worker] {
+				t.Errorf("worker %d: seq %d delivered after %d", d.Worker, d.Seq, lastWorker[d.Worker])
+			}
+			lastWorker[d.Worker] = d.Seq
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var ctl, traffic sync.WaitGroup
+	ctl.Add(2)
+	go func() {
+		defer ctl.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := eng.LiveReport(); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	go func() {
+		defer ctl.Done()
+		for i := 0; i < 5; i++ {
+			if err := eng.Reconfigure(Reconfig{Mutate: func(int, *ir.State) []switchsim.Update { return nil }}); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	var sent atomic.Int64
+	dispatch := func(burst bool) {
+		defer traffic.Done()
+		for i := 0; i < perFlow; i++ {
+			for _, tup := range flows {
+				pkt := packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{Flags: packet.TCPFlagACK})
+				pkt.RxBurst = burst
+				if !burst {
+					// Give the worker a moment to park; a packet that finds
+					// it busy queues, which the test allows.
+					box := eng.workers[netsim.RSSShard(pkt, workers)].box
+					for spin := 0; spin < 1000 && !box.consumerParked(); spin++ {
+						runtime.Gosched()
+					}
+				}
+				if _, err := eng.Dispatch(int64(i)*1000, pkt); err != nil {
+					t.Error(err)
+					return
+				}
+				sent.Add(1)
+			}
+		}
+	}
+	traffic.Add(2)
+	go dispatch(false)
+	go dispatch(true)
+	traffic.Wait()
+	close(stop)
+	ctl.Wait()
+	rep, err := eng.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(sent.Load())
+	if n != 2*perFlow*len(flows) || rep.Stats.Delivered != n {
+		t.Errorf("delivered %d of %d sent, want %d", rep.Stats.Delivered, n, 2*perFlow*len(flows))
+	}
+	t.Logf("%d of %d packets borrowed", rep.Borrowed, n)
+	if rep.Borrowed == 0 || rep.Borrowed > n/2 {
+		t.Errorf("%d of %d packets borrowed, want some and at most the %d unmarked", rep.Borrowed, n, n/2)
+	}
+	for seq := int64(0); seq < int64(n); seq++ {
+		if seen[seq] != 1 {
+			t.Errorf("seq %d reached the callback %d times", seq, seen[seq])
+		}
+	}
+	for _, table := range []string{"nat_fwd", "nat_rev"} {
+		if got := rep.SwitchStages[0].TableEntries[table]; got != len(flows) {
+			t.Errorf("%s holds %d entries, want one per flow (%d)", table, got, len(flows))
+		}
+	}
+}
+
+// TestBorrowedPanicFailsDispatch is TestWorkerPanicFailsFeed for a
+// borrowed run: a delivery callback that panics on the Dispatch caller's
+// goroutine fails the run with the same attributed error, which that
+// Dispatch returns, and so do every later Dispatch and Feed; Stop joins.
+func TestBorrowedPanicFailsDispatch(t *testing.T) {
+	_, res := compileMB(t, "l4lb")
+	flows := lbFlows(16)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			checkLeaks(t)
+			var calls atomic.Int64
+			eng, err := New(context.Background(), Config{
+				Workers: workers,
+				Stages:  oneStage(res, setupLB),
+				OnDelivery: func(Delivery) {
+					if calls.Add(1) == 10 {
+						panic("boom")
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := func(i int) *packet.Packet {
+				tup := flows[i%len(flows)]
+				return packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{Flags: packet.TCPFlagACK})
+			}
+			var want string
+			for i := 0; i < 10; i++ {
+				allParked(t, eng)
+				pkt := next(i)
+				worker := netsim.RSSShard(pkt, workers)
+				_, err := eng.Dispatch(int64(i)*1000, pkt)
+				if i < 9 {
+					if err != nil {
+						t.Fatalf("dispatch %d: %v", i, err)
+					}
+					continue
+				}
+				want = fmt.Sprintf("engine: worker %d panicked at seq 9: boom", worker)
+				if err == nil || err.Error() != want {
+					t.Fatalf("the borrowed dispatch returned %v, want %q", err, want)
+				}
+			}
+			if _, err := eng.Dispatch(10_000, next(10)); err == nil || err.Error() != want {
+				t.Errorf("a later Dispatch returned %v, want %q", err, want)
+			}
+			if err := eng.Feed(roundRobin(flows, 2, -1)); err == nil || err.Error() != want {
+				t.Errorf("a later Feed returned %v, want %q", err, want)
+			}
+			stopped := make(chan error, 1)
+			go func() {
+				_, err := eng.Stop()
+				stopped <- err
+			}()
+			select {
+			case err := <-stopped:
+				if err == nil || err.Error() != want {
+					t.Errorf("Stop returned %v, want %q", err, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Stop still blocked 5 s after a borrowed run panicked")
 			}
 		})
 	}

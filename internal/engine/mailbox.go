@@ -7,6 +7,12 @@ import "sync"
 // side however many packets it carries. Producers (the dispatcher's bursts,
 // the control jobs of settle and Reconfigure) block while it is full, the
 // one consumer while it is empty. Jobs leave in the order they entered.
+//
+// A producer that finds the consumer parked on an empty ring may borrow it
+// instead of queueing (borrow, giveBack): it runs the job on its own
+// goroutine with the consumer's state, and pull keeps the consumer parked
+// until the borrower gives it back, so jobs queued meanwhile run after the
+// borrowed one and the consumer's state never has two goroutines.
 type mailbox struct {
 	mu       sync.Mutex
 	notEmpty sync.Cond // the consumer parks here
@@ -14,6 +20,9 @@ type mailbox struct {
 	ring     []job
 	head, n  int
 	done     bool
+	// parked: the consumer waits in pull. borrowed: a producer runs the
+	// consumer's work.
+	parked, borrowed bool
 }
 
 func newMailbox(depth int) *mailbox {
@@ -48,14 +57,42 @@ func (m *mailbox) push(jobs []job) bool {
 	return true
 }
 
-// pull blocks while the ring is empty, then appends everything queued to
-// dst and returns it, leaving the ring empty. ok is false once the mailbox
-// is closed and drained: a close never loses a job that push accepted.
+// borrow lends the consumer to the caller if it is parked on an empty,
+// open ring and nobody has borrowed it yet: the caller then runs the job it
+// would have pushed and must call giveBack.
+func (m *mailbox) borrow() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.parked || m.borrowed || m.n > 0 || m.done {
+		return false
+	}
+	m.borrowed = true
+	return true
+}
+
+// giveBack ends a borrow, waking the consumer if jobs or a close arrived
+// while it was lent.
+func (m *mailbox) giveBack() {
+	m.mu.Lock()
+	m.borrowed = false
+	wake := m.n > 0 || m.done
+	m.mu.Unlock()
+	if wake {
+		m.notEmpty.Signal()
+	}
+}
+
+// pull blocks while the ring is empty or the consumer is borrowed, then
+// appends everything queued to dst and returns it, leaving the ring empty.
+// ok is false once the mailbox is closed and drained: a close never loses a
+// job that push accepted.
 func (m *mailbox) pull(dst []job) (batch []job, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.n == 0 && !m.done {
+	for m.n == 0 && !m.done || m.borrowed {
+		m.parked = true
 		m.notEmpty.Wait()
+		m.parked = false
 	}
 	k := m.n
 	if k == len(m.ring) {

@@ -205,3 +205,79 @@ func TestMailboxCloseReleasesBlocked(t *testing.T) {
 		t.Errorf("closed ring drained %d jobs, ok %v; want 4, true", len(batch), ok)
 	}
 }
+
+func (m *mailbox) consumerParked() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.parked
+}
+
+// TestMailboxBorrow: a producer may borrow the consumer only while it is
+// parked on an empty, open ring and lent to nobody else; jobs pushed and a
+// close made while it is lent wait for giveBack, then arrive in order.
+func TestMailboxBorrow(t *testing.T) {
+	checkLeaks(t)
+	m := newMailbox(4)
+	if m.borrow() {
+		t.Fatal("borrowed a consumer that is not pulling")
+	}
+	pulled := make(chan []job)
+	go func() {
+		for {
+			batch, ok := m.pull(nil)
+			if !ok {
+				close(pulled)
+				return
+			}
+			pulled <- batch
+		}
+	}()
+	eventually(t, "the consumer parks", m.consumerParked)
+	if !m.borrow() {
+		t.Fatal("could not borrow a parked consumer")
+	}
+	if m.borrow() {
+		t.Fatal("borrowed a consumer twice")
+	}
+	m.push(seqJobs(0, 0, 2))
+	// There is no event for "still parked": give a consumer woken in
+	// error the time to return.
+	time.Sleep(10 * time.Millisecond)
+	select {
+	case <-pulled:
+		t.Fatal("the consumer pulled while it was borrowed")
+	default:
+	}
+	m.giveBack()
+	if batch := <-pulled; len(batch) != 2 || batch[0].seq != 0 || batch[1].seq != 1 {
+		t.Fatalf("after giveBack the consumer pulled %v, want seqs 0 and 1", batch)
+	}
+
+	eventually(t, "the consumer parks again", m.consumerParked)
+	m.push(seqJobs(0, 2, 1))
+	if m.borrow() {
+		t.Error("borrowed a consumer with a job queued")
+	}
+	if batch := <-pulled; len(batch) != 1 || batch[0].seq != 2 {
+		t.Fatalf("pulled %v, want seq 2", batch)
+	}
+
+	eventually(t, "the consumer parks again", m.consumerParked)
+	if !m.borrow() {
+		t.Fatal("could not borrow a parked consumer")
+	}
+	m.close()
+	time.Sleep(10 * time.Millisecond)
+	select {
+	case <-pulled:
+		t.Fatal("the consumer left while it was borrowed")
+	default:
+	}
+	m.giveBack()
+	if _, ok := <-pulled; ok {
+		t.Fatal("the consumer pulled a batch from a closed, empty mailbox")
+	}
+	if m.borrow() {
+		t.Error("borrowed the consumer of a closed mailbox")
+	}
+}

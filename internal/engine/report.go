@@ -33,8 +33,9 @@ type Delivery struct {
 	// before it can block (a mailbox pull, a control job), and a callback
 	// that batches its output may hold it. It is false before every control
 	// job — a settle, Drain, Stats or Reconfigure barrier still means
-	// "everything queued before me has left" — and at the end of each
-	// pulled batch. Only an abort breaks the promise.
+	// "everything queued before me has left" — at the end of each pulled
+	// batch, and for a packet Dispatch ran on its caller's goroutine. Only
+	// an abort breaks the promise.
 	More bool
 
 	// Delivery is the fate itself: delivered, dropped by the middlebox or
@@ -72,8 +73,13 @@ type Report struct {
 	// run.
 	Reconfigs int `json:"reconfigs"`
 	// BatchSizes holds each worker's mean jobs per mailbox pull so far
-	// (0 for a worker that has not pulled yet).
+	// (0 for a worker that has not pulled yet); borrowed runs are not
+	// pulls.
 	BatchSizes []float64 `json:"batch_sizes,omitempty"`
+	// Borrowed counts the packets Dispatch ran on its caller's goroutine,
+	// having found their worker parked on an empty mailbox, instead of
+	// handing them off.
+	Borrowed int `json:"borrowed"`
 	// Flow sums the flow-state lifecycle counters over every worker's
 	// per-stage tracker, with the configured engine-wide Capacity (nil when
 	// no FlowTable was configured). Flow.Peak is the sum of the per-shard
@@ -96,6 +102,9 @@ func (r *Report) WriteText(w io.Writer) {
 		fmt.Fprintf(w, ", %.2f Mpps wall-clock on %d worker(s) (%.1f ms wall)", r.PPS/1e6, r.Workers, float64(r.WallNs)/1e6)
 	}
 	fmt.Fprintln(w)
+	if r.Borrowed > 0 {
+		fmt.Fprintf(w, "  borrowed: %d packets run on the Dispatch caller, not handed off\n", r.Borrowed)
+	}
 	if l := r.Latency; l.Count > 0 {
 		fmt.Fprintf(w, "  latency: mean %.2f µs, p50 %.2f, p99 %.2f, max %.2f\n",
 			l.Mean/1e3, l.P50/1e3, l.P99/1e3, float64(l.Max)/1e3)
@@ -154,6 +163,7 @@ func (e *Engine) buildReport(wall time.Duration) *Report {
 			mean = float64(w.pulled.Load()) / float64(n)
 		}
 		r.BatchSizes = append(r.BatchSizes, mean)
+		r.Borrowed += int(w.borrowed.Load())
 	}
 	r.Reconfigs = int(e.reconfigs.Load())
 	r.Latency = obs.MergeHistograms(parts...).Snapshot()

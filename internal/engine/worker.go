@@ -81,8 +81,9 @@ type worker struct {
 	sweepDue int
 
 	// pulls and pulled count this worker's mailbox pulls and the jobs they
-	// took, exported race-free to reports as the mean batch size.
-	pulls, pulled atomic.Int64
+	// took, exported race-free to reports as the mean batch size; borrowed
+	// counts the packets Dispatch callers ran in its place (runBorrowed).
+	pulls, pulled, borrowed atomic.Int64
 
 	_ [64]byte
 }
@@ -261,12 +262,40 @@ func (w *worker) runBatch() {
 		if w.eng.aborted.Load() {
 			continue
 		}
-		if err := w.process(j); err != nil {
+		more := w.next < len(w.batch) && w.batch[w.next].ctrl == nil
+		if err := w.process(j, more); err != nil {
 			w.eng.fail(err)
 		}
 		if w.lifeOn {
 			w.maybeSweep()
 		}
+	}
+}
+
+// runBorrowed runs one packet on a Dispatch caller's goroutine while the
+// mailbox lends it this worker (mailbox.borrow): the worker's walker,
+// shard and counters, the same steps and the same panic containment as
+// runBatch, then the flush the worker makes after a pull. Nothing follows
+// the packet here, so its delivery's More is false. It gives the worker
+// back on every exit, after the walker is flushed and any failure
+// recorded.
+func (w *worker) runBorrowed(j *job) {
+	defer w.box.giveBack()
+	defer w.walk.Flush()
+	defer func() {
+		if r := recover(); r != nil {
+			w.eng.fail(fmt.Errorf("engine: worker %d panicked at seq %d: %v", w.id, j.seq, r))
+		}
+	}()
+	if w.eng.aborted.Load() {
+		return
+	}
+	w.borrowed.Add(1)
+	if err := w.process(j, false); err != nil {
+		w.eng.fail(err)
+	}
+	if w.lifeOn {
+		w.maybeSweep()
 	}
 }
 
@@ -311,9 +340,9 @@ func (w *worker) Commit(stage int, updates []switchsim.Update, punt bool, _ int6
 }
 
 // process runs one packet to completion through the walker and reports
-// its fate: the engine counterpart of Testbed.Inject, with this worker as
-// the packet's (simulated) core.
-func (w *worker) process(j *job) error {
+// its fate, with more as its delivery's More hint: the engine counterpart
+// of Testbed.Inject, with this worker as the packet's (simulated) core.
+func (w *worker) process(j *job, more bool) error {
 	if w.lifeOn {
 		w.setClock(j)
 	}
@@ -325,7 +354,6 @@ func (w *worker) process(j *job) error {
 		w.hLat.Observe(d.LatencyNs)
 	}
 	if cb := w.eng.cfg.OnDelivery; cb != nil {
-		more := w.next < len(w.batch) && w.batch[w.next].ctrl == nil
 		cb(Delivery{Seq: j.seq, TNs: j.tNs, Worker: w.id, Flow: j.flow, Pkt: j.pkt, More: more, Delivery: d})
 	}
 	return nil

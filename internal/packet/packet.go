@@ -36,6 +36,12 @@ type Packet struct {
 	HasIP6 bool
 	HasTCP bool
 	HasUDP bool
+	// RxBurst marks a packet the ingress front end read in a batch of more
+	// than one datagram: a hint to the engine's Dispatch to queue it for its
+	// worker, which keeps the reader reading, rather than run it on the
+	// caller (see engine.Engine.Dispatch). Like Ingress it is never
+	// serialized.
+	RxBurst bool
 
 	GalData []byte
 	Outer   IPv4

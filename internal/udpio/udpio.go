@@ -12,18 +12,20 @@
 // not one datagram or one syscall, and RxDatagrams/RxBatches (the
 // benchmark's rx_batch_mean) is datagrams per read.
 //
-// The data path runs to completion on the engine's workers, as a DPDK core
-// does rx burst, process, tx burst: Serve reads a batch of datagrams,
-// decodes each in place into a recycled packet, stamps the sender's address
-// on it (Packet.Ingress) and hands it to the Dispatcher (Session.Dispatch —
-// the engine's streaming ingress, no settle barrier per datagram). The
+// The data path runs to completion, as a DPDK core does rx burst, process,
+// tx burst: Serve reads a batch of datagrams, decodes each in place into a
+// recycled packet, stamps the sender's address on it (Packet.Ingress) and
+// hands it to the Dispatcher (Session.Dispatch — the engine's streaming
+// ingress, no settle barrier per datagram). A datagram that came alone runs
+// on Serve's own goroutine whenever its worker is idle (the engine borrows
+// the worker); the datagrams of a larger read are marked Packet.RxBurst and
+// queue for the engine's workers, so Serve keeps reading while they run. The
 // engine's delivery callback (Deliver, registered via WithDeliveries)
 // serializes each surviving packet — headers rewritten by the middlebox —
-// into the calling worker's TX lane and sends the lane's batch itself, back
-// to the address on the packet, when the lane is full or the worker is about
-// to run out of packets (Delivery.More). There is no TX goroutine and no
-// per-flow or per-peer table. Packets the middlebox dropped are counted,
-// not echoed.
+// into its worker's TX lane and sends the lane's batch itself, back to the
+// address on the packet, when the lane is full or the worker is about to run
+// out of packets (Delivery.More). There is no TX goroutine and no per-flow
+// or per-peer table. Packets the middlebox dropped are counted, not echoed.
 //
 // Packet ownership: a packet Serve hands to Dispatch belongs to the engine
 // until its Deliver call returns, then to the front end again, which
@@ -154,10 +156,11 @@ type Frontend struct {
 	dropped, untracked     atomic.Int64
 }
 
-// lane is one engine worker's transmit side, touched only from that
-// worker's goroutine: the echoes serialized since the last flush, sitting
-// in ms[:n] (slot i's bytes in the i-th MaxPacket piece of arena), and
-// everything sending them needs.
+// lane is one engine worker's transmit side, touched only by whoever runs
+// that worker's packets — the worker, or a Dispatch caller that borrowed
+// it, never both at once: the echoes serialized since the last flush,
+// sitting in ms[:n] (slot i's bytes in the i-th MaxPacket piece of arena),
+// and everything sending them needs.
 type lane struct {
 	ms      []mmsg
 	n       int
@@ -219,14 +222,16 @@ func (f *Frontend) Addr() netip.AddrPort {
 
 // Deliver is the engine delivery callback: register it with
 // WithDeliveries when opening the session Serve dispatches into. It runs
-// on the worker that processed the packet and finishes the packet's trip
-// there: the echo is serialized into that worker's lane, and the lane is
-// sent — one WriteBatch from this goroutine — once it is full or d.More
-// says no further delivery is certain to follow, so nothing the engine
-// queued before a barrier is still sitting here after it. A socket that
-// cannot take the batch blocks the worker (backpressure, never a drop).
-// After it returns the packet is the front end's again. Safe for
-// concurrent use: workers call it in parallel, each on its own lane.
+// wherever the packet was processed — on its worker, or on Serve's
+// goroutine inside Dispatch (Serve holds no front-end lock there) — and
+// finishes the packet's trip there: the echo is serialized into that
+// worker's lane, and the lane is sent — one WriteBatch from this
+// goroutine — once it is full or d.More says no further delivery is
+// certain to follow, so nothing the engine queued before a barrier is
+// still sitting here after it. A socket that cannot take the batch blocks
+// the sender (backpressure, never a drop). After it returns the packet is
+// the front end's again. Safe for concurrent use: workers call it in
+// parallel, each on its own lane.
 func (f *Frontend) Deliver(d engine.Delivery) {
 	l := f.lane(d.Worker)
 	switch tag := d.Pkt.Ingress; {
@@ -336,6 +341,9 @@ func (f *Frontend) Serve(ctx context.Context, d Dispatcher) (err error) {
 			}
 			pkts = pkts[:len(pkts)-1]
 			pkt.Ingress = ingressTag(ms[i].addr)
+			// A lone datagram may run on this goroutine (Engine.Dispatch);
+			// one of a batch queues, so the next is decoded while it runs.
+			pkt.RxBurst = n > 1
 			if _, err := d.Dispatch(tNs, pkt); err != nil {
 				return fmt.Errorf("udpio: dispatch: %w", err)
 			}

@@ -390,3 +390,56 @@ func TestHostileDatagrams(t *testing.T) {
 		}
 	}
 }
+
+// TestBorrowOnlyLoneDatagrams: Serve marks the datagrams of a read that
+// returned more than one (Packet.RxBurst), and the engine runs only
+// unmarked packets on the Dispatch caller. Traffic one datagram at a time
+// (each read waits for the last echo) runs on Serve's goroutine, each echo
+// sent alone; with every datagram in flight at once Serve reads bursts of
+// 32 (Config.Batch), which queue for the worker, none borrowed, and their
+// echoes still leave in batches.
+func TestBorrowOnlyLoneDatagrams(t *testing.T) {
+	const total = 64
+	flows := natFlows(8)
+	run := func(window int) (Stats, *gallium.Report) {
+		t.Helper()
+		var echoed atomic.Int64
+		io := newScriptIO(total, func(i int, buf []byte) int { return copy(buf, ackFrame(flows[i%len(flows)], uint32(i))) },
+			func(mmsg) { echoed.Add(1) })
+		for len(io.credits) > window {
+			<-io.credits
+		}
+		fe, sess := scripted(t, "mazunat", io, gallium.WithScenario(), gallium.WithFlows(flows))
+		if err := fe.Serve(context.Background(), sess); err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+		rep, err := sess.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if echoed.Load() != total {
+			t.Fatalf("window %d: %d echoes for %d datagrams", window, echoed.Load(), total)
+		}
+		return fe.Stats(), rep
+	}
+
+	st, rep := run(1)
+	t.Logf("one at a time: %d of %d borrowed, %d echoes in %d batches", rep.Borrowed, total, st.TxDatagrams, st.TxBatches)
+	if st.RxBatches != total || st.TxBatches != total {
+		t.Errorf("one at a time: %d reads and %d sends for %d datagrams, want one each", st.RxBatches, st.TxBatches, total)
+	}
+	// Until the worker first parks a datagram finds it busy and queues;
+	// after that nothing wakes it, so every later one is borrowed.
+	if rep.Borrowed < total/2 {
+		t.Errorf("one at a time: %d of %d datagrams borrowed, want nearly all", rep.Borrowed, total)
+	}
+
+	st, rep = run(total)
+	t.Logf("32-datagram reads: %d of %d borrowed, %d echoes in %d batches", rep.Borrowed, total, st.TxDatagrams, st.TxBatches)
+	if st.RxBatches != 2 || rep.Borrowed != 0 {
+		t.Errorf("%d datagrams in flight: %d reads, %d borrowed; want 2 reads of 32 and none borrowed", total, st.RxBatches, rep.Borrowed)
+	}
+	if st.TxBatches >= st.TxDatagrams {
+		t.Errorf("%d datagrams in flight: %d echoes in %d sends, want batches", total, st.TxDatagrams, st.TxBatches)
+	}
+}

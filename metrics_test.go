@@ -80,6 +80,14 @@ func TestRegistryMatchesReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Single dispatches into parked workers run on this goroutine and
+		// count in engine.borrowed.
+		for _, tup := range gen.Tuples() {
+			pkt := packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{Flags: packet.TCPFlagACK})
+			if _, err := s.Dispatch(2*gen.DurationNs, pkt); err != nil {
+				t.Fatal(err)
+			}
+		}
 		rep, err := s.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -198,6 +206,9 @@ func checkEngineMetrics(t *testing.T, snap *obs.Snapshot, rep *gallium.Report) {
 		}
 	}
 	check("engine.", rep.Stats)
+	if got := snap.Counters["engine.borrowed"]; got != uint64(rep.Borrowed) {
+		t.Errorf("engine.borrowed = %d, report says %d", got, rep.Borrowed)
+	}
 	for i, s := range rep.PerWorker {
 		check(fmt.Sprintf("engine.worker.%d.", i), s)
 	}

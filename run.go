@@ -124,8 +124,10 @@ func WithCostModel(m netsim.CostModel) Option {
 }
 
 // WithDeliveries registers a per-packet fate callback. It is invoked
-// concurrently from worker goroutines (per-flow order preserved) and must
-// be safe for concurrent use.
+// concurrently from worker goroutines (per-flow order preserved) and, for
+// a packet Session.Dispatch runs itself, on the Dispatch caller's
+// goroutine before Dispatch returns. It must be safe for concurrent use
+// and must not wait for a lock its Dispatch caller holds.
 func WithDeliveries(fn func(Delivery)) Option {
 	return func(c *runConfig) { c.OnDelivery = fn }
 }

@@ -192,9 +192,12 @@ func (s *Session) Feed(wl Workload) error {
 // Dispatch injects one packet into the session without a settle barrier:
 // the streaming ingress for real-I/O front ends (see internal/udpio),
 // where a quiescence barrier per datagram would defeat batching. It
-// returns the packet's sequence number; fates arrive asynchronously on
-// the WithDeliveries callback. tNs is the arrival timestamp in ns;
-// values that run backwards are clamped monotone.
+// returns the packet's sequence number; its fate arrives on the
+// WithDeliveries callback — on this goroutine before Dispatch returns
+// when the packet's worker was idle and Dispatch ran the packet itself,
+// later on the worker otherwise (always, for a packet marked RxBurst).
+// tNs is the arrival timestamp in ns; values that run backwards are
+// clamped monotone.
 func (s *Session) Dispatch(tNs int64, pkt *Packet) (int64, error) {
 	return s.eng.Dispatch(tNs, pkt)
 }
