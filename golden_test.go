@@ -2,6 +2,7 @@ package gallium_test
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,7 +15,9 @@ var update = flag.Bool("update", false, "rewrite golden files with current compi
 
 // TestGoldenArtifacts pins the emitted P4 and server programs for every
 // harnessed middlebox byte-for-byte — the paper five plus the
-// scenario-diversity set (tunlb, synproxy, mssclamp, firewall6).
+// scenario-diversity set (tunlb, synproxy, mssclamp, firewall6) — and
+// the partitioner's resource report, whose chain depths and live
+// metadata width the other tests only check against budgets.
 // Codegen churn is invisible in unit tests and expensive to review after
 // the fact; this makes every output change show up as a reviewable diff.
 // Run `go test -run Golden -update .` after an intentional change.
@@ -29,6 +32,7 @@ func TestGoldenArtifacts(t *testing.T) {
 			}
 			compareGolden(t, filepath.Join("testdata", "golden", spec.Name+".p4"), art.P4.Source)
 			compareGolden(t, filepath.Join("testdata", "golden", spec.Name+".server"), art.Server.Source)
+			compareGolden(t, filepath.Join("testdata", "golden", spec.Name+".report"), fmt.Sprintf("%+v\n", art.Res.Report))
 		})
 	}
 }
