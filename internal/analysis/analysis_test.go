@@ -137,6 +137,47 @@ func TestLintDeadStore(t *testing.T) {
 	}
 }
 
+// TestLintDeadStoreReadOnOneArm: a value read on only one arm of a later
+// branch is live after its definition, so it is no dead store.
+func TestLintDeadStoreReadOnOneArm(t *testing.T) {
+	b := ir.NewBuilder("onearm")
+	x := b.LoadHeader("x", "ip.saddr", ir.U32)
+	k := b.LoadHeader("k", "ip.proto", ir.U8)
+	c := b.BinOp("c", ir.Eq, k, k)
+	then, els := b.NewBlock(), b.NewBlock()
+	b.Branch(c, then, els)
+	b.SetBlock(then)
+	b.StoreHeader("ip.daddr", x)
+	b.Send()
+	b.SetBlock(els)
+	b.Drop()
+	if ds := Lint(buildProg(b)); len(ds.ByCheck(CheckDeadStore)) != 0 {
+		t.Fatalf("value read on one arm flagged as a dead store:\n%s", ds.Render("onearm"))
+	}
+}
+
+// TestLintDeadStoreReadNextIteration: a loop-carried value written at the
+// bottom of the body is read only by the loop head on the next
+// iteration, so it is no dead store.
+func TestLintDeadStoreReadNextIteration(t *testing.T) {
+	b := ir.NewBuilder("carried")
+	acc := b.Const("acc", ir.U32, 0)
+	head, body, exit := b.NewBlock(), b.NewBlock(), b.NewBlock()
+	b.Jump(head)
+	b.SetBlock(head)
+	c := b.BinOp("c", ir.Lt, acc, b.Const("ten", ir.U32, 10))
+	b.Branch(c, body, exit)
+	b.SetBlock(body)
+	next := b.BinOp("next", ir.Add, acc, b.Const("one", ir.U32, 1))
+	body.Instrs = append(body.Instrs, ir.Instr{Kind: ir.Convert, Dst: []ir.Reg{acc}, Args: []ir.Reg{next}, Typ: ir.U32})
+	b.Jump(head)
+	b.SetBlock(exit)
+	b.Send()
+	if ds := Lint(buildProg(b)); len(ds.ByCheck(CheckDeadStore)) != 0 {
+		t.Fatalf("value read on the next iteration flagged as a dead store:\n%s", ds.Render("carried"))
+	}
+}
+
 func TestLintUnreachableBlock(t *testing.T) {
 	b := ir.NewBuilder("unreach")
 	orphan := b.NewBlock()

@@ -7,7 +7,6 @@ import (
 	"gallium/internal/cfg"
 	"gallium/internal/deps"
 	"gallium/internal/ir"
-	"gallium/internal/liveness"
 )
 
 // diag builds one diagnostic anchored at a statement (nil for
@@ -60,51 +59,34 @@ func Lint(p *ir.Program) Diagnostics {
 	// lint/dead-store — a pure definition whose results are never read.
 	// Side-effecting kinds are exempt: the instruction is kept for its
 	// effect regardless of its register results.
-	info := liveness.Analyze(fn)
+	live := dataflow.Liveness(fn)
 	for _, b := range fn.Blocks {
-		if b.ID != 0 && !reach[0][b.ID] {
+		if live.Out[b.ID] == nil || b.ID != 0 && !reach[0][b.ID] {
 			continue
 		}
-		live := map[ir.Reg]bool{}
-		for r := range info.LiveOut[b.ID] {
-			live[r] = true
-		}
-		for _, r := range b.Term.Args {
-			live[r] = true
-		}
-		for j := len(b.Instrs) - 1; j >= 0; j-- {
+		dataflow.WalkLive(b, live.Out[b.ID], func(j int, after []bool) {
+			if j < 0 {
+				return
+			}
 			s := &b.Instrs[j]
-			if isPureDef(s.Kind) && len(s.Dst) > 0 {
-				dead := true
-				for _, r := range s.Dst {
-					if live[r] {
-						dead = false
-						break
-					}
-				}
-				if dead {
-					ds = append(ds, diag(CheckDeadStore, fn.Name, s,
-						"result of %s into %s (r%d) is never read", s.Kind, fn.RegName(s.Dst[0]), s.Dst[0]))
-				}
+			if !isPureDef(s.Kind) || len(s.Dst) == 0 {
+				return
 			}
 			for _, r := range s.Dst {
-				delete(live, r)
+				if after[r] {
+					return
+				}
 			}
-			for _, r := range s.Args {
-				live[r] = true
-			}
-		}
+			ds = append(ds, diag(CheckDeadStore, fn.Name, s,
+				"result of %s into %s (r%d) is never read", s.Kind, fn.RegName(s.Dst[0]), s.Dst[0]))
+		})
 	}
 
 	// lint/unused-global — declared state no statement touches.
 	accessed := map[string]bool{}
-	usedRegs := map[ir.Reg]bool{}
 	for _, s := range fn.Stmts() {
 		if gn := deps.GlobalAccessed(s); gn != "" {
 			accessed[gn] = true
-		}
-		for _, r := range s.Args {
-			usedRegs[r] = true
 		}
 	}
 	for _, g := range p.Globals {
@@ -116,6 +98,7 @@ func Lint(p *ir.Program) Diagnostics {
 
 	// lint/unchecked-map-miss — lookup values consumed while the found
 	// flag is never tested: the miss path silently reads zeroes.
+	usedRegs := dataflow.UsedRegs(fn)
 	for _, s := range fn.Stmts() {
 		if (s.Kind != ir.MapFind && s.Kind != ir.LpmFind) || len(s.Dst) < 2 {
 			continue

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"gallium/internal/analysis/dataflow"
 	"gallium/internal/ir"
 )
@@ -37,7 +39,7 @@ func (p *definedRegs) Join(a, b []bool) []bool {
 	return j
 }
 
-func (p *definedRegs) Equal(a, b []bool) bool { return boolsEqual(a, b) }
+func (p *definedRegs) Equal(a, b []bool) bool { return slices.Equal(a, b) }
 
 func (p *definedRegs) Transfer(b *ir.Block, in []bool) []bool {
 	cur := append([]bool(nil), in...)
@@ -101,13 +103,4 @@ func maybeUninitUses(fn *ir.Function) []uninitUse {
 		}
 	}
 	return uses
-}
-
-func boolsEqual(a, b []bool) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -3,10 +3,10 @@ package analysis
 import (
 	"fmt"
 
+	"gallium/internal/analysis/dataflow"
 	"gallium/internal/cfg"
 	"gallium/internal/deps"
 	"gallium/internal/ir"
-	"gallium/internal/liveness"
 	"gallium/internal/packet"
 	"gallium/internal/partition"
 )
@@ -813,17 +813,7 @@ func (v *verifier) checkExpirySafety() {
 		if p.id == partition.NonOff {
 			continue
 		}
-		used := map[ir.Reg]bool{}
-		for _, b := range p.fn.Blocks {
-			for i := range b.Instrs {
-				for _, r := range b.Instrs[i].Args {
-					used[r] = true
-				}
-			}
-			for _, r := range b.Term.Args {
-				used[r] = true
-			}
-		}
+		used := dataflow.UsedRegs(p.fn)
 		for _, b := range p.fn.Blocks {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
@@ -863,7 +853,7 @@ func (v *verifier) checkResources() {
 			}
 		}
 		if v.cons.MetadataBytes > 0 {
-			if bits := liveness.MaxLiveBits(p.fn); bits > v.cons.MetadataBytes*8 {
+			if bits := dataflow.MaxLiveBits(p.fn); bits > v.cons.MetadataBytes*8 {
 				v.errf(p.fn.Name, nil, CheckMetadataBudget,
 					"peak live registers need %d bits of per-packet metadata, budget is %d", bits, v.cons.MetadataBytes*8)
 			}

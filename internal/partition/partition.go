@@ -369,7 +369,6 @@ func fillReport(res *Result, c Constraints) {
 	r.TransferBBytes = res.FormatB.DataLen()
 	r.DepthPre = partitionDepth(res.Graph, res.Assign, Pre)
 	r.DepthPost = partitionDepth(res.Graph, res.Assign, Post)
-	_ = c
 }
 
 func sortStrings(s []string) {

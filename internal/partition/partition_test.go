@@ -2,9 +2,11 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"gallium/internal/deps"
 	"gallium/internal/ir"
 	"gallium/internal/packet"
 )
@@ -370,6 +372,31 @@ func TestDepthConstraintLimitsChains(t *testing.T) {
 		t.Error("a 30-deep chain must push something to the server")
 	}
 	assertEquivalent(t, p, res, 200)
+}
+
+// TestChainLengths checks the one longest-chain pass behind constraint 2
+// and the report's depths on a hand-built dependence graph: the chain
+// 0→1→2→3→6 with a shortcut 0→3, and statements 4 and 5 on a cycle
+// hanging off 1 and feeding 6. The cycle is on no chain, so 6 is reached
+// only through 3; dropping 2 with the filter leaves 0→3→6 as the longest.
+func TestChainLengths(t *testing.T) {
+	g := &deps.Graph{N: 7, Out: make([][]deps.Edge, 7)}
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}, {1, 4}, {4, 5}, {5, 4}, {5, 6}, {3, 6}} {
+		g.Out[e[0]] = append(g.Out[e[0]], deps.Edge{To: e[1]})
+	}
+	for _, tc := range []struct {
+		name       string
+		keep       func(int) bool
+		into, from []int
+	}{
+		{"all", func(int) bool { return true }, []int{1, 2, 3, 4, 0, 0, 5}, []int{5, 4, 3, 2, 0, 0, 1}},
+		{"without 2", func(s int) bool { return s != 2 }, []int{1, 2, 0, 2, 0, 0, 3}, []int{3, 1, 0, 2, 0, 0, 1}},
+	} {
+		into, from := chainLengths(g, tc.keep)
+		if !slices.Equal(into, tc.into) || !slices.Equal(from, tc.from) {
+			t.Errorf("%s: into %v from %v, want into %v from %v", tc.name, into, from, tc.into, tc.from)
+		}
+	}
 }
 
 func TestTransferConstraintMovesCode(t *testing.T) {

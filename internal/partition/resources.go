@@ -2,10 +2,11 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 
+	"gallium/internal/analysis/dataflow"
 	"gallium/internal/deps"
 	"gallium/internal/ir"
-	"gallium/internal/liveness"
 )
 
 // enforceDepth implements Constraint 2 (§4.2.2): the longest dependency
@@ -18,43 +19,12 @@ func enforceDepth(g *deps.Graph, labels []LabelSet, c Constraints) error {
 	if k <= 0 {
 		return fmt.Errorf("partition: pipeline depth must be positive")
 	}
-	star := g.DependsOnStar()
-	onCycle := func(s int) bool { return star[s][s] }
-
-	// Longest chain lengths over the acyclic part of the dependence graph.
-	// distEntry[s]: statements on the longest chain ending at s.
-	// distExit[s]: statements on the longest chain starting at s.
-	distEntry := make([]int, g.N)
-	distExit := make([]int, g.N)
-	for i := range distEntry {
-		distEntry[i], distExit[i] = 1, 1
-	}
-	for changed := true; changed; {
-		changed = false
-		for s := 0; s < g.N; s++ {
-			if onCycle(s) {
-				continue
-			}
-			for _, e := range g.Out[s] {
-				if onCycle(e.To) {
-					continue
-				}
-				if d := distEntry[s] + 1; d > distEntry[e.To] && d <= g.N {
-					distEntry[e.To] = d
-					changed = true
-				}
-				if d := distExit[e.To] + 1; d > distExit[s] && d <= g.N {
-					distExit[s] = d
-					changed = true
-				}
-			}
-		}
-	}
-	for s := 0; s < g.N; s++ {
-		if distEntry[s] > k {
+	into, from := chainLengths(g, func(int) bool { return true })
+	for s := range g.N {
+		if into[s] > k {
 			labels[s] &^= LPre
 		}
-		if distExit[s] > k {
+		if from[s] > k {
 			labels[s] &^= LPost
 		}
 	}
@@ -65,35 +35,46 @@ func enforceDepth(g *deps.Graph, labels []LabelSet, c Constraints) error {
 // partitionDepth reports the longest dependency chain among statements
 // assigned to partition p (for the resource report).
 func partitionDepth(g *deps.Graph, assignv []ID, p ID) int {
+	into, _ := chainLengths(g, func(s int) bool { return assignv[s] == p })
+	return slices.Max(append(into, 0))
+}
+
+// chainLengths measures the longest dependence chains through the
+// statements keep accepts, over the acyclic part of g: into[s] counts the
+// statements on the longest chain ending at s, from[s] those on the
+// longest chain starting at s. Statements keep rejects, and those on a
+// dependence cycle, are on no chain and get 0 in both.
+func chainLengths(g *deps.Graph, keep func(s int) bool) (into, from []int) {
 	star := g.DependsOnStar()
-	dist := make([]int, g.N)
-	max := 0
+	on := func(s int) bool { return keep(s) && !star[s][s] }
+	into, from = make([]int, g.N), make([]int, g.N)
+	for s := range g.N {
+		if on(s) {
+			into[s], from[s] = 1, 1
+		}
+	}
 	for changed := true; changed; {
 		changed = false
-		for s := 0; s < g.N; s++ {
-			if assignv[s] != p || star[s][s] {
+		for s := range g.N {
+			if !on(s) {
 				continue
 			}
-			if dist[s] == 0 {
-				dist[s] = 1
-			}
 			for _, e := range g.Out[s] {
-				if assignv[e.To] != p || star[e.To][e.To] {
+				if !on(e.To) {
 					continue
 				}
-				if d := dist[s] + 1; d > dist[e.To] && d <= g.N {
-					dist[e.To] = d
+				if d := into[s] + 1; d > into[e.To] {
+					into[e.To] = d
+					changed = true
+				}
+				if d := from[e.To] + 1; d > from[s] {
+					from[s] = d
 					changed = true
 				}
 			}
 		}
 	}
-	for s := 0; s < g.N; s++ {
-		if dist[s] > max {
-			max = dist[s]
-		}
-	}
-	return max
+	return into, from
 }
 
 // switchMemory sums the sizes of globals that would live on the switch
@@ -287,9 +268,5 @@ func transferBytes(vars []TransferVar) int {
 // maxMetaBits is the scratchpad requirement of the switch program: the
 // worse of the two switch partitions' peak live-register widths.
 func maxMetaBits(pre, post *ir.Function) int {
-	a, b := liveness.MaxLiveBits(pre), liveness.MaxLiveBits(post)
-	if a > b {
-		return a
-	}
-	return b
+	return max(dataflow.MaxLiveBits(pre), dataflow.MaxLiveBits(post))
 }

@@ -5,9 +5,9 @@ import (
 	"sort"
 	"strings"
 
+	"gallium/internal/analysis/dataflow"
 	"gallium/internal/deps"
 	"gallium/internal/ir"
-	"gallium/internal/liveness"
 	"gallium/internal/packet"
 )
 
@@ -156,8 +156,8 @@ func computeSplit(p *ir.Program, g *deps.Graph, assignv []ID, cons Constraints) 
 	srvReachable := hasHandoff(pre)
 	postReachable := srvReachable && hasHandoff(srv)
 
-	postUses := liveness.UsedRegs(post)
-	srvUses := liveness.UsedRegs(srv)
+	postUses := dataflow.UsedRegs(post)
+	srvUses := dataflow.UsedRegs(srv)
 	if !srvReachable {
 		srvUses = nil
 	}
@@ -172,12 +172,13 @@ func computeSplit(p *ir.Program, g *deps.Graph, assignv []ID, cons Constraints) 
 		rematRegs[part] = append(rematRegs[part], r)
 	}
 
-	// Iterate the liveness sets in register order: the order determines
+	// Walk the used registers in register order: the order determines
 	// the rematerialization prologues, and with it the emitted P4/server
 	// text — codegen must be deterministic for a given input.
 	inPost := map[ir.Reg]bool{}
-	for _, r := range sortedRegs(postUses) {
-		if !definedIn(r, Pre, NonOff) {
+	for i, used := range postUses {
+		r := ir.Reg(i)
+		if !used || !definedIn(r, Pre, NonOff) {
 			continue
 		}
 		if d, ok := rematable(r, Post); ok {
@@ -187,8 +188,9 @@ func computeSplit(p *ir.Program, g *deps.Graph, assignv []ID, cons Constraints) 
 		}
 	}
 	inSrv := map[ir.Reg]bool{}
-	for _, r := range sortedRegs(srvUses) {
-		if !definedIn(r, Pre) {
+	for i, used := range srvUses {
+		r := ir.Reg(i)
+		if !used || !definedIn(r, Pre) {
 			continue
 		}
 		if d, ok := rematable(r, NonOff); ok {
