@@ -210,9 +210,8 @@ func TestTestbedNewFlowAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	instant := netsim.InstantModel()
-	tb, err := art.NewTestbed(gallium.TestbedConfig{Model: &instant,
-		Setup: func(st *ir.State) { middleboxes.ConfigureState("mazunat", st) }})
+	tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: func(st *ir.State) { middleboxes.ConfigureState("mazunat", st) }},
+		gallium.WithCostModel(netsim.InstantModel()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +241,7 @@ func TestTestbedNewFlowAllocs(t *testing.T) {
 	if failed != nil {
 		t.Fatal(failed)
 	}
-	if st := tb.Stats(); st.CtlOps != 2*int(flow) || st.CtlBatches != int(flow) {
+	if st := tb.Report().Stats; st.CtlOps != 2*int(flow) || st.CtlBatches != int(flow) {
 		t.Fatalf("%d new flows staged %d updates in %d flips, want two inserts and one flip each", flow, st.CtlOps, st.CtlBatches)
 	}
 	if allocs > newFlowBudget {

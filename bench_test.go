@@ -581,7 +581,7 @@ func BenchmarkTestbedInject(b *testing.B) {
 		b.Fatal(err)
 	}
 	gen := trafficgen.IperfConfig{Conns: 10, PacketSize: 500, PPS: 1, DurationNs: 1}
-	tb, err := eval.NewScenarioTestbed(c, netsim.Offloaded, 1, gen.Tuples())
+	tb, err := c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -605,9 +605,8 @@ func benchTestbedWithMetrics(b *testing.B, reg *obs.Registry) {
 		b.Fatal(err)
 	}
 	gen := trafficgen.IperfConfig{Conns: 10, PacketSize: 500, PPS: 1, DurationNs: 1}
-	tb, err := art.NewTestbed(gallium.TestbedConfig{
-		Mode: gallium.Offloaded, Scenario: true, Flows: gen.Tuples(), Metrics: reg,
-	})
+	tb, err := art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(gallium.Offloaded),
+		gallium.WithScenario(), gallium.WithFlows(gen.Tuples()), gallium.WithMetrics(reg))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,7 +12,8 @@
 // counters, server cache statistics, latency histograms) as JSON; with
 // -trace N it prints the first N packets' hop traces, which switches to
 // the sequential testbed (hop ordering is only meaningful
-// packet-at-a-time).
+// packet-at-a-time), with -workers as its simulated server core count.
+// -trace cannot be combined with -listen or -serve.
 //
 // With -serve PATH the simulator keeps generating traffic segment after
 // segment until interrupted, answering the galliumctl JSON protocol on
@@ -105,6 +106,9 @@ func run(mbList, modeStr string, workers, size int, pps float64, ms int, cache, 
 		return runSend(gen, sendAddr)
 	}
 
+	if traceN > 0 && (listenAddr != "" || servePath != "") {
+		return errors.New("-trace replays the workload on the sequential testbed, which cannot -listen or -serve")
+	}
 	caches, err := parseCache(cache)
 	if err != nil {
 		return err
@@ -135,7 +139,7 @@ func run(mbList, modeStr string, workers, size int, pps float64, ms int, cache, 
 		}
 		// Hop traces interleave meaninglessly under concurrency: replay
 		// the workload on the sequential testbed instead.
-		return runTestbed(arts[0], gen, names[0], modeStr, mode, size, pps, ms, pcapPath, metricsPath, reg, traceN)
+		return runTestbed(arts[0], gen, names[0], modeStr, mode, workers, size, pps, ms, pcapPath, metricsPath, reg, traceN)
 	}
 
 	chain, err := gallium.Chain(arts...)
@@ -349,11 +353,10 @@ func runSend(gen trafficgen.IperfConfig, addr string) error {
 // runTestbed is the -trace escape hatch: the sequential, packet-at-a-time
 // testbed whose hop traces are globally ordered.
 func runTestbed(art *gallium.Artifacts, gen trafficgen.IperfConfig, name, modeStr string,
-	mode gallium.Mode, size int, pps float64, ms int, pcapPath, metricsPath string,
+	mode gallium.Mode, workers, size int, pps float64, ms int, pcapPath, metricsPath string,
 	reg *obs.Registry, traceN int) error {
-	tb, err := art.NewTestbed(gallium.TestbedConfig{
-		Mode: mode, Cores: 1, Scenario: true, Flows: gen.Tuples(), Metrics: reg,
-	})
+	tb, err := art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(workers),
+		gallium.WithScenario(), gallium.WithFlows(gen.Tuples()), gallium.WithMetrics(reg))
 	if err != nil {
 		return err
 	}
@@ -378,15 +381,7 @@ func runTestbed(art *gallium.Artifacts, gen trafficgen.IperfConfig, name, modeSt
 	}
 	fmt.Printf("middlebox %s, %s mode, sequential testbed (-trace), %dB packets, %.1f Mpps offered, %d ms\n",
 		name, modeStr, size, pps/1e6, ms)
-	rep := &gallium.Report{
-		Stats:      tb.Stats(),
-		StageNames: []string{name},
-		Latency:    reg.Histogram("e2e.latency_ns", nil).Snapshot(),
-	}
-	if sw := tb.Switch(); sw != nil {
-		rep.SwitchStages = append(rep.SwitchStages, sw.Stats())
-	}
-	rep.WriteText(os.Stdout)
+	tb.Report().WriteText(os.Stdout)
 	return writeMetrics(reg, metricsPath, traceN)
 }
 

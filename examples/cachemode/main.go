@@ -43,9 +43,8 @@ func main() {
 			log.Fatal(err)
 		}
 		res := art.Res
-		instant := netsim.InstantModel()
-		tb, err := art.NewTestbed(gallium.TestbedConfig{Model: &instant,
-			Setup: func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }})
+		tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }},
+			gallium.WithCostModel(netsim.InstantModel()))
 		if err != nil {
 			log.Fatal(err)
 		}

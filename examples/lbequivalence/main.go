@@ -31,8 +31,7 @@ func main() {
 
 	setup := func(st *ir.State) { middleboxes.ConfigureState("l4lb", st) }
 	setup(ref.State)
-	instant := netsim.InstantModel()
-	tb, err := art.NewTestbed(gallium.TestbedConfig{Model: &instant, Setup: setup})
+	tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: setup}, gallium.WithCostModel(netsim.InstantModel()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -95,7 +94,7 @@ func main() {
 	}
 }
 
-func tableLen(tb *netsim.Testbed) int {
+func tableLen(tb *gallium.Testbed) int {
 	t, ok := tb.Switch().Table("conns")
 	if !ok {
 		return -1

@@ -7,14 +7,16 @@
 // p4.Generate/servergen.Generate in every caller:
 //
 //	art, err := gallium.Compile(src, gallium.Options{})
-//	tb, err := art.NewTestbed(gallium.TestbedConfig{Mode: gallium.Offloaded})
+//	tb, err := art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(gallium.Offloaded))
 //
 // Compiled artifacts run three ways, from lowest-level to highest:
 // NewTestbed for the sequential virtual-time simulator (Inject,
 // Reconfigure — the differential-test oracle; under netsim.InstantModel
 // it moves packets with no timing at all), Run for a one-shot batch
 // through the concurrent engine, and Open for a long-lived Session with
-// live reconfiguration (Feed, Reconfigure, Stats, Serve). Chain composes
+// live reconfiguration (Feed, Reconfigure, Stats, Serve). All three take
+// the same Options, reconfigure with the same typed operations and
+// report the same Report. Chain composes
 // several compiled middleboxes into one pipeline served by a single
 // engine pass.
 package gallium

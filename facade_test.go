@@ -156,9 +156,8 @@ func TestTestbedMetricsEndToEnd(t *testing.T) {
 	}}
 	reg := obs.NewRegistry()
 	reg.EnableTracing(3)
-	tb, err := art.NewTestbed(gallium.TestbedConfig{
-		Mode: gallium.Offloaded, Cores: 1, Scenario: true, Flows: flows, Metrics: reg,
-	})
+	tb, err := art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(gallium.Offloaded), gallium.WithWorkers(1),
+		gallium.WithScenario(), gallium.WithFlows(flows), gallium.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +205,7 @@ func TestTestbedMetricsEndToEnd(t *testing.T) {
 	}
 
 	// The same config with Metrics nil must still work (the zero-cost path).
-	tb2, err := art.NewTestbed(gallium.TestbedConfig{Mode: gallium.Offloaded, Scenario: true, Flows: flows})
+	tb2, err := art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(gallium.Offloaded), gallium.WithScenario(), gallium.WithFlows(flows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +223,7 @@ func TestScenarioSetupSeedsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	instant := netsim.InstantModel()
-	tb, err := art.NewTestbed(gallium.TestbedConfig{Model: &instant, Scenario: true})
+	tb, err := art.NewTestbed(gallium.TestbedConfig{}, gallium.WithCostModel(netsim.InstantModel()), gallium.WithScenario())
 	if err != nil {
 		t.Fatal(err)
 	}

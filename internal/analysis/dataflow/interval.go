@@ -28,21 +28,7 @@ func (iv Interval) String() string {
 }
 
 func joinInterval(a, b Interval) Interval {
-	return Interval{Lo: min64(a.Lo, b.Lo), Hi: max64(a.Hi, b.Hi)}
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	return Interval{Lo: min(a.Lo, b.Lo), Hi: max(a.Hi, b.Hi)}
 }
 
 // Truncation is one header write whose value range provably can exceed
@@ -202,7 +188,7 @@ func negateCmp(op ir.Op) ir.Op {
 func refineCmp(op ir.Op, x, y Interval) (rx, ry Interval, feasible bool) {
 	switch op {
 	case ir.Eq:
-		lo, hi := max64(x.Lo, y.Lo), min64(x.Hi, y.Hi)
+		lo, hi := max(x.Lo, y.Lo), min(x.Hi, y.Hi)
 		if lo > hi {
 			return x, y, false
 		}
@@ -235,23 +221,23 @@ func refineCmp(op ir.Op, x, y Interval) (rx, ry Interval, feasible bool) {
 				return x, y, false
 			}
 		}
-		x.Hi = min64(x.Hi, y.Hi-1)
-		y.Lo = max64(y.Lo, x.Lo+1)
+		x.Hi = min(x.Hi, y.Hi-1)
+		y.Lo = max(y.Lo, x.Lo+1)
 		return x, y, x.Lo <= x.Hi && y.Lo <= y.Hi
 	case ir.Le: // x <= y
-		x.Hi = min64(x.Hi, y.Hi)
-		y.Lo = max64(y.Lo, x.Lo)
+		x.Hi = min(x.Hi, y.Hi)
+		y.Lo = max(y.Lo, x.Lo)
 		return x, y, x.Lo <= x.Hi && y.Lo <= y.Hi
 	case ir.Gt: // x > y
 		if x.Hi == 0 {
 			return x, y, false
 		}
-		y.Hi = min64(y.Hi, x.Hi-1)
-		x.Lo = max64(x.Lo, y.Lo+1)
+		y.Hi = min(y.Hi, x.Hi-1)
+		x.Lo = max(x.Lo, y.Lo+1)
 		return x, y, x.Lo <= x.Hi && y.Lo <= y.Hi
 	case ir.Ge: // x >= y
-		x.Lo = max64(x.Lo, y.Lo)
-		y.Hi = min64(y.Hi, x.Hi)
+		x.Lo = max(x.Lo, y.Lo)
+		y.Hi = min(y.Hi, x.Hi)
 		return x, y, x.Lo <= x.Hi && y.Lo <= y.Hi
 	}
 	return x, y, true
@@ -359,11 +345,11 @@ func binOpInterval(op ir.Op, x, y Interval) Interval {
 		if y.Hi == 0 {
 			return top
 		}
-		return Interval{0, min64(x.Hi, y.Hi-1)}
+		return Interval{0, min(x.Hi, y.Hi-1)}
 	case ir.And:
-		return Interval{0, min64(x.Hi, y.Hi)}
+		return Interval{0, min(x.Hi, y.Hi)}
 	case ir.Or:
-		return Interval{max64(x.Lo, y.Lo), mask(bits.Len64(x.Hi | y.Hi))}
+		return Interval{max(x.Lo, y.Lo), mask(bits.Len64(x.Hi | y.Hi))}
 	case ir.Xor:
 		return Interval{0, mask(bits.Len64(x.Hi | y.Hi))}
 	case ir.Shl:

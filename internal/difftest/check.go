@@ -118,8 +118,7 @@ func runOracle(prog *ir.Program, spec *ProgramSpec, tr *Trace) ([]PacketOutcome,
 // the testbed, with packets spaced so every control-plane flip lands
 // before the next arrival.
 func runInject(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace) ([]PacketOutcome, *ir.State, error) {
-	model := fuzzModel()
-	tb, err := art.NewTestbed(gallium.TestbedConfig{Model: &model, Setup: spec.Setup})
+	tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: spec.Setup}, gallium.WithCostModel(fuzzModel()))
 	if err != nil {
 		return nil, nil, err
 	}

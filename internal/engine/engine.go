@@ -1,5 +1,9 @@
-// Package engine is the concurrent sharded packet engine: the runtime
-// counterpart of the netsim testbed's single-threaded virtual-time model.
+// Package engine holds both drivers of the netsim walker, built from one
+// Config, reconfigured by one Reconfig and reported through one Report:
+// the sequential virtual-time Testbed (testbed.go) and the concurrent
+// sharded packet engine described below. They differ only in how a packet
+// enters (Inject against Dispatch/Feed) and in when a write-back flips.
+//
 // An RSS-style flow-hash dispatcher fans packets out to N workers, each
 // owning one shard of the middlebox server (its own authoritative state,
 // like a DPDK core with per-core tables); the switch pipeline runs as a
@@ -152,6 +156,20 @@ type Reconfig struct {
 	FlowTable *flowstate.Config
 }
 
+// check refuses a change to a stage outside a pipeline of n stages, or to
+// an invalid flow table, before either driver applies any of it.
+func (r Reconfig) check(n int) error {
+	if r.Stage < 0 || r.Stage >= n {
+		return fmt.Errorf("engine: reconfigure stage %d out of range (pipeline has %d stages)", r.Stage, n)
+	}
+	if r.FlowTable != nil {
+		if err := r.FlowTable.Validate(); err != nil {
+			return fmt.Errorf("engine: flow table: %w", err)
+		}
+	}
+	return nil
+}
+
 // Engine runs workloads through the concurrent sharded pipeline, from New
 // (which starts its workers) to Stop: Feed, Dispatch, Reconfigure and
 // LiveReport in between.
@@ -210,41 +228,14 @@ type Engine struct {
 // A New that fails has started nothing. Cancel ctx to abort everything in
 // flight; Stop ends the engine either way.
 func New(ctx context.Context, cfg Config) (*Engine, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.Mode == 0 {
-		cfg.Mode = netsim.Offloaded
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
 	}
-	if cfg.Model == (netsim.CostModel{}) {
-		cfg.Model = netsim.DefaultModel()
+	sws, shards, err := build(&cfg, cfg.Workers)
+	if err != nil {
+		return nil, err
 	}
-	if len(cfg.Stages) == 0 {
-		return nil, errors.New("engine: no pipeline stages")
-	}
-	e := &Engine{cfg: cfg, stages: cfg.Stages}
-	switch cfg.Mode {
-	case netsim.Offloaded:
-		for si, st := range e.stages {
-			if st.Res == nil {
-				return nil, fmt.Errorf("engine: offloaded stage %d needs a partition result", si)
-			}
-			sw := switchsim.New(st.Res)
-			sw.ConfigureShards(cfg.Workers)
-			e.sws = append(e.sws, sw)
-		}
-	case netsim.Software:
-		for si, st := range e.stages {
-			if st.Prog == nil {
-				return nil, fmt.Errorf("engine: software stage %d needs a program", si)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("engine: unknown mode %v", cfg.Mode)
-	}
+	e := &Engine{cfg: cfg, stages: cfg.Stages, sws: sws}
 	for _, st := range e.stages {
 		e.lifeDyn = append(e.lifeDyn, flowstate.DynamicMaps(st.Program()))
 		off := map[string]bool{}
@@ -255,7 +246,7 @@ func New(ctx context.Context, cfg Config) (*Engine, error) {
 		}
 		e.lifeOff = append(e.lifeOff, off)
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	for i, stages := range shards {
 		w := &worker{
 			id:   i,
 			eng:  e,
@@ -263,28 +254,10 @@ func New(ctx context.Context, cfg Config) (*Engine, error) {
 			hLat: obs.NewHistogram(nil),
 			life: make([]atomic.Pointer[flowstate.Tracker], len(e.stages)),
 		}
-		stages := make([]netsim.Stage, len(e.stages))
-		for si, st := range e.stages {
-			if len(e.sws) > 0 {
-				stages[si] = netsim.Stage{Switch: e.sws[si], Server: serverrt.New(st.Res)}
-			} else {
-				stages[si] = netsim.Stage{Software: serverrt.NewSoftware(st.Prog)}
-			}
-			if st.Setup != nil {
-				st.Setup(i, stages[si].State())
-			}
-		}
 		// One simulated core per worker, reading switch lane i; the seed
 		// decorrelates the per-worker jitter streams.
 		w.walk = netsim.NewWalker(cfg.Model, stages, 1, i, uint64(i+1)*0x9E3779B97F4A7C15, w)
 		e.workers = append(e.workers, w)
-	}
-	for si, st := range e.stages {
-		if len(e.sws) > 0 && st.Setup != nil {
-			if err := e.sws[si].SeedFrom(e.workers[0].stageState(si)); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if cfg.FlowTable != nil {
 		if err := cfg.FlowTable.Validate(); err != nil {
@@ -308,6 +281,67 @@ func New(ctx context.Context, cfg Config) (*Engine, error) {
 		}(w)
 	}
 	return e, nil
+}
+
+// build fills cfg's defaults and builds what both drivers run: per stage,
+// in offloaded mode, one switch with a control lane per shard, and per
+// shard one walker stage per pipeline stage, its server state seeded
+// through the stage's Setup. Each switch is seeded from shard 0's state
+// through the ordinary control plane.
+func build(cfg *Config, shards int) ([]*switchsim.Switch, [][]netsim.Stage, error) {
+	if cfg.Workers <= 0 {
+		cfg.Workers = 1
+	}
+	shards = max(shards, 1)
+	if cfg.Mode == 0 {
+		cfg.Mode = netsim.Offloaded
+	}
+	if cfg.Model == (netsim.CostModel{}) {
+		cfg.Model = netsim.DefaultModel()
+	}
+	if len(cfg.Stages) == 0 {
+		return nil, nil, errors.New("engine: no pipeline stages")
+	}
+	if cfg.Mode != netsim.Offloaded && cfg.Mode != netsim.Software {
+		return nil, nil, fmt.Errorf("engine: unknown mode %v", cfg.Mode)
+	}
+	var sws []*switchsim.Switch
+	for si, st := range cfg.Stages {
+		if cfg.Mode == netsim.Software {
+			if st.Prog == nil {
+				return nil, nil, fmt.Errorf("engine: software stage %d needs a program", si)
+			}
+			continue
+		}
+		if st.Res == nil {
+			return nil, nil, fmt.Errorf("engine: offloaded stage %d needs a partition result", si)
+		}
+		sw := switchsim.New(st.Res)
+		sw.ConfigureShards(shards)
+		sws = append(sws, sw)
+	}
+	all := make([][]netsim.Stage, shards)
+	for i := range all {
+		all[i] = make([]netsim.Stage, len(cfg.Stages))
+		for si, st := range cfg.Stages {
+			stage := &all[i][si]
+			if len(sws) > 0 {
+				*stage = netsim.Stage{Switch: sws[si], Server: serverrt.New(st.Res)}
+			} else {
+				*stage = netsim.Stage{Software: serverrt.NewSoftware(st.Prog)}
+			}
+			if st.Setup == nil {
+				continue
+			}
+			st.Setup(i, stage.State())
+			if i == 0 && stage.Switch != nil {
+				if err := stage.Switch.SeedFrom(stage.State()); err != nil {
+					return nil, nil, err
+				}
+			}
+		}
+	}
+	return sws, all, nil
 }
 
 // instrument registers the engine's metrics, all read at snapshot time:
@@ -559,13 +593,8 @@ func (e *Engine) Reconfigure(r Reconfig) error {
 	if e.stopped.Load() {
 		return errors.New("engine: Reconfigure after Stop")
 	}
-	if r.Stage < 0 || r.Stage >= len(e.stages) {
-		return fmt.Errorf("engine: reconfigure stage %d out of range (pipeline has %d stages)", r.Stage, len(e.stages))
-	}
-	if r.FlowTable != nil {
-		if err := r.FlowTable.Validate(); err != nil {
-			return fmt.Errorf("engine: flow table: %w", err)
-		}
+	if err := r.check(len(e.stages)); err != nil {
+		return err
 	}
 	e.reconfMu.Lock()
 	defer e.reconfMu.Unlock()

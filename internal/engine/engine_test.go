@@ -483,7 +483,8 @@ func TestStopIsOneShot(t *testing.T) {
 	}
 }
 
-// TestOutOfOrderInjectionRejected mirrors the testbed's contract.
+// TestOutOfOrderInjectionRejected mirrors the testbed's contract
+// (TestTestbedOutOfOrderInjectionRejected) within a Feed.
 func TestOutOfOrderInjectionRejected(t *testing.T) {
 	_, res := compileMB(t, "l4lb")
 	eng, err := New(context.Background(), Config{Stages: oneStage(res, setupLB)})

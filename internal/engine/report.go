@@ -129,16 +129,14 @@ func (r *Report) WriteText(w io.Writer) {
 	}
 }
 
-// buildReport aggregates worker- and engine-level state from the
-// per-worker stats each worker published at its latest barrier (the
-// settle just taken, or its exit once the run is over).
-func (e *Engine) buildReport(wall time.Duration) *Report {
-	r := &Report{Workers: len(e.workers), WallNs: int64(wall)}
-	parts := make([]*obs.Histogram, 0, len(e.workers))
+// newReport aggregates per-walker stats into a Report, the one way both
+// drivers report: Stats sums them, PerWorker keeps each, Latency merges
+// the walkers' latency histograms at read time, and the stage names and
+// switch counters come from the pipeline.
+func newReport(stages []StageConfig, sws []*switchsim.Switch, per []netsim.Stats, lat []*obs.Histogram) *Report {
+	r := &Report{Workers: len(per), PerWorker: per}
 	agg := &r.Stats
-	for _, w := range e.workers {
-		s := w.published()
-		r.PerWorker = append(r.PerWorker, s)
+	for _, s := range per {
 		agg.Injected += s.Injected
 		agg.Delivered += s.Delivered
 		agg.MBDrops += s.MBDrops
@@ -157,7 +155,30 @@ func (e *Engine) buildReport(wall time.Duration) *Report {
 		if s.LastDeliverNs > agg.LastDeliverNs {
 			agg.LastDeliverNs = s.LastDeliverNs
 		}
-		parts = append(parts, w.hLat)
+	}
+	r.Latency = obs.MergeHistograms(lat...).Snapshot()
+	for _, st := range stages {
+		r.StageNames = append(r.StageNames, st.Name)
+	}
+	for _, sw := range sws {
+		r.SwitchStages = append(r.SwitchStages, sw.Stats())
+	}
+	return r
+}
+
+// buildReport reports the engine from the per-worker stats each worker
+// published at its latest barrier (the settle just taken, or its exit once
+// the run is over), with the wall-clock, hand-off and lifecycle figures
+// only the engine has.
+func (e *Engine) buildReport(wall time.Duration) *Report {
+	per := make([]netsim.Stats, len(e.workers))
+	lat := make([]*obs.Histogram, len(e.workers))
+	for i, w := range e.workers {
+		per[i], lat[i] = w.published(), w.hLat
+	}
+	r := newReport(e.stages, e.sws, per, lat)
+	r.WallNs = int64(wall)
+	for _, w := range e.workers {
 		mean := 0.0
 		if n := w.pulls.Load(); n > 0 {
 			mean = float64(w.pulled.Load()) / float64(n)
@@ -166,15 +187,8 @@ func (e *Engine) buildReport(wall time.Duration) *Report {
 		r.Borrowed += int(w.borrowed.Load())
 	}
 	r.Reconfigs = int(e.reconfigs.Load())
-	r.Latency = obs.MergeHistograms(parts...).Snapshot()
 	if wall > 0 {
-		r.PPS = float64(agg.Injected) / wall.Seconds()
-	}
-	for _, st := range e.stages {
-		r.StageNames = append(r.StageNames, st.Name)
-	}
-	for _, sw := range e.sws {
-		r.SwitchStages = append(r.SwitchStages, sw.Stats())
+		r.PPS = float64(r.Stats.Injected) / wall.Seconds()
 	}
 	r.Flow = e.flowStats()
 	return r

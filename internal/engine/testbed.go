@@ -1,0 +1,246 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"math"
+
+	"gallium/internal/ir"
+	"gallium/internal/netsim"
+	"gallium/internal/obs"
+	"gallium/internal/packet"
+	"gallium/internal/serverrt"
+	"gallium/internal/switchsim"
+)
+
+// Testbed is the engine's sequential driver: a time-ordered, single-pass
+// model of the Figure 1 topology on the caller's goroutine. Packets must
+// be injected in non-decreasing timestamp order. The testbed is its
+// walker's Committer: write-backs are staged at once and become visible
+// at a scheduled virtual time, where an engine worker flips them before
+// it delivers the packet.
+type Testbed struct {
+	walk   netsim.Walker
+	stages []StageConfig
+	sws    []*switchsim.Switch
+
+	// flips are the scheduled visibility flips, in commit order.
+	flips      []flip
+	lastInject int64
+	reconfigs  int
+
+	hFast *obs.Histogram // end-to-end latency, fast-path (switch-only) packets
+	hSlow *obs.Histogram // end-to-end latency, slow-path (server-visited) packets
+	// tracer is resolved once at build time, like every other handle, so
+	// the per-packet path never touches the registry mutex. Enable tracing
+	// on the registry before constructing the testbed.
+	tracer *obs.TraceRecorder
+}
+
+// flip is one write-back batch's scheduled visibility: the stage whose
+// switch lane it flips, at virtual time atNs.
+type flip struct {
+	atNs  int64
+	stage int
+}
+
+// NewTestbed builds a testbed from the engine's Config, through the same
+// switch, stage and seeding code as New: one shard (each stage's Setup
+// seeds shard 0), one switch lane, Workers simulated server cores, and
+// walker jitter seed 0. A field only the concurrent engine honours —
+// QueueDepth, OnDelivery, FlowTable — is an error.
+func NewTestbed(cfg Config) (*Testbed, error) {
+	switch {
+	case cfg.QueueDepth != 0:
+		return nil, errors.New("engine: the testbed has no mailbox for QueueDepth to bound")
+	case cfg.OnDelivery != nil:
+		return nil, errors.New("engine: the testbed takes no OnDelivery callback: Inject returns each packet's fate")
+	case cfg.FlowTable != nil:
+		return nil, errors.New("engine: the testbed keeps no flow-state lifecycle for a FlowTable to bound")
+	}
+	sws, shards, err := build(&cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	tb := &Testbed{stages: cfg.Stages, sws: sws}
+	tb.walk = netsim.NewWalker(cfg.Model, shards[0], cfg.Workers, 0, 0, tb)
+	tb.instrument(cfg.Obs)
+	return tb, nil
+}
+
+// instrument wires the registry through every component, registers the
+// end-to-end counters as reads of the walker's Stats, and resolves the
+// latency histograms (private ones without a registry: Report reads them).
+func (tb *Testbed) instrument(reg *obs.Registry) {
+	if reg == nil {
+		tb.hFast, tb.hSlow = obs.NewHistogram(nil), obs.NewHistogram(nil)
+		return
+	}
+	for _, sw := range tb.sws {
+		sw.Instrument(reg)
+	}
+	for _, st := range tb.walk.Stages {
+		if st.Server != nil {
+			st.Server.Instrument(reg)
+		} else {
+			st.Software.Instrument(reg)
+		}
+	}
+	tb.walk.Instrument(reg)
+	stat := func(name string, pick func(netsim.Stats) int) {
+		reg.CounterFunc(name, func() uint64 { return uint64(pick(tb.walk.Stats)) })
+	}
+	stat("e2e.injected", func(s netsim.Stats) int { return s.Injected })
+	stat("e2e.delivered", func(s netsim.Stats) int { return s.Delivered })
+	stat("e2e.mb_drops", func(s netsim.Stats) int { return s.MBDrops })
+	stat("e2e.queue_drops", func(s netsim.Stats) int { return s.QueueDrops })
+	stat("e2e.ctl_rejected", func(s netsim.Stats) int { return s.CtlRejected })
+	tb.hFast = reg.Histogram("e2e.latency_ns.fast", nil)
+	tb.hSlow = reg.Histogram("e2e.latency_ns.slow", nil)
+	// Every delivered packet is either fast or slow, so the all-packets
+	// histogram is a read-time merge — one observation per delivery.
+	reg.MergedHistogram("e2e.latency_ns", tb.hFast, tb.hSlow)
+	tb.tracer = reg.Tracer()
+}
+
+// traceStart opens a hop trace for the packet if the registry has tracing
+// enabled and capacity left.
+func (tb *Testbed) traceStart(tNs int64, pkt *packet.Packet) *obs.Trace {
+	if tb.tracer == nil {
+		return nil
+	}
+	summary := "packet"
+	if tup, ok := pkt.Tuple(); ok {
+		summary = tup.String()
+	}
+	tr := tb.tracer.Start(summary)
+	tr.Hop("inject", tNs)
+	return tr
+}
+
+// stageBatch stages updates on shard's lane of the switch, invisible until
+// the lane's next flip, and counts them in st: the staging half of both
+// committers. punt marks a §7 cache-mode batch, classified first into
+// read-through fills and synchronous updates; syncs counts the updates
+// output commit must hold the packet for. A full table is a soft failure
+// (CtlRejected): that entry never reaches the switch. Any other failure
+// unstages the whole batch, so no flip publishes part of it.
+func stageBatch(sw *switchsim.Switch, shard int, updates []switchsim.Update, punt bool, st *netsim.Stats) (staged, syncs int, err error) {
+	syncs = len(updates)
+	if punt {
+		fills, s := serverrt.ClassifyUpdates(sw, updates)
+		updates, syncs = append(fills, s...), len(s)
+	}
+	for _, u := range updates {
+		if err := sw.StageShard(shard, u); err != nil {
+			if errors.Is(err, switchsim.ErrTableFull) {
+				st.CtlRejected++
+				continue
+			}
+			sw.Unstage(shard, staged)
+			return 0, 0, err
+		}
+		staged++
+	}
+	st.CtlOps += staged
+	return staged, syncs, nil
+}
+
+// Reconfigure applies one compiled control-plane change between
+// injections, as Engine.Reconfigure applies it to a paused engine: Mutate
+// runs against the stage's only shard, then Updates plus Mutate's are
+// staged as one §4.3.3 batch and flipped at once, together with any
+// write-back still awaiting its scheduled flip (a sequential
+// reconfiguration quiesces the deployment). A FlowTable retune has no
+// lifecycle to reach. On an error nothing flips and nothing stays staged.
+func (tb *Testbed) Reconfigure(r Reconfig) error {
+	if err := r.check(len(tb.walk.Stages)); err != nil {
+		return err
+	}
+	st := &tb.walk.Stages[r.Stage]
+	updates := append([]switchsim.Update(nil), r.Updates...)
+	if r.Mutate != nil {
+		updates = append(updates, r.Mutate(0, st.State())...)
+	}
+	if st.Switch != nil {
+		if _, err := tb.Commit(r.Stage, updates, false, tb.lastInject); err != nil {
+			return err
+		}
+		tb.Due(math.MaxInt64)
+		st.Switch.MarkReconfig()
+	}
+	tb.reconfigs++
+	return nil
+}
+
+// Due implements netsim.Committer: every scheduled flip whose time has
+// passed becomes visible to the data plane.
+func (tb *Testbed) Due(nowNs int64) {
+	if len(tb.flips) == 0 {
+		return
+	}
+	kept := tb.flips[:0]
+	for _, f := range tb.flips {
+		if f.atNs <= nowNs {
+			tb.walk.Stages[f.stage].Switch.FlipShard(0)
+			tb.walk.Stats.CtlBatches++
+		} else {
+			kept = append(kept, f)
+		}
+	}
+	tb.flips = kept
+}
+
+// Commit implements netsim.Committer: stage now (invisible), flip one
+// control batch latency after the server finished. §7 cache fills ride the
+// same flip but only synchronous updates hold the packet.
+func (tb *Testbed) Commit(stage int, updates []switchsim.Update, punt bool, doneNs int64) (int, error) {
+	staged, syncs, err := stageBatch(tb.walk.Stages[stage].Switch, 0, updates, punt, &tb.walk.Stats)
+	if err != nil || staged == 0 {
+		return 0, err
+	}
+	tb.flips = append(tb.flips, flip{doneNs + int64(tb.walk.Model.CtlBatchNs(staged)), stage})
+	if syncs == 0 {
+		return 0, nil
+	}
+	return staged, nil
+}
+
+// Inject runs one packet through the testbed, starting from the source
+// application at time tNs. Packets must arrive in time order.
+func (tb *Testbed) Inject(tNs int64, pkt *packet.Packet) (netsim.Delivery, error) {
+	if tNs < tb.lastInject {
+		return netsim.Delivery{}, fmt.Errorf("engine: out-of-order injection (%d < %d)", tNs, tb.lastInject)
+	}
+	tb.lastInject = tNs
+	d, err := tb.walk.Walk(tNs, pkt, tb.traceStart(tNs, pkt))
+	tb.walk.Flush()
+	if err != nil || !d.Delivered {
+		return d, err
+	}
+	if d.FastPath {
+		tb.hFast.Observe(d.LatencyNs)
+	} else {
+		tb.hSlow.Observe(d.LatencyNs)
+	}
+	return d, nil
+}
+
+// Report reports the run so far through the engine's own aggregation over
+// the testbed's one walker. It has no wall-clock figures: the testbed runs
+// in virtual time only.
+func (tb *Testbed) Report() *Report {
+	r := newReport(tb.stages, tb.sws, []netsim.Stats{tb.walk.Stats}, []*obs.Histogram{tb.hFast, tb.hSlow})
+	r.Reconfigs = tb.reconfigs
+	return r
+}
+
+// ServerState exposes stage 0's authoritative middlebox state: the
+// server's in offloaded mode, the software runner's otherwise. Callers
+// must not mutate it while injections are in flight.
+func (tb *Testbed) ServerState() *ir.State { return tb.walk.Stages[0].State() }
+
+// Switch exposes stage 0's simulated switch (nil in software mode). A
+// write-back the last packet made may still await its scheduled flip: Due
+// applies it.
+func (tb *Testbed) Switch() *switchsim.Switch { return tb.walk.Stages[0].Switch }

@@ -300,25 +300,21 @@ func (w *worker) runBorrowed(j *job) {
 }
 
 // apply is output commit with no propagation delay: it stages a batch on
-// this worker's own lane of the stage's switch (netsim.StageBatch) and
-// flips it visible before returning, so the worker releases the packet
-// that recorded it, and runs its next job, with the switch already serving
-// the batch. It accounts the batch in the walker's stats as the Testbed
-// does. It runs on the worker's goroutine, except for Reconfigure's batch,
-// applied while every worker is parked in the pause. On an error nothing
-// flips.
+// this worker's own lane of the stage's switch (stageBatch) and flips it
+// visible before returning, so the worker releases the packet that
+// recorded it, and runs its next job, with the switch already serving the
+// batch. It runs on the worker's goroutine, except for Reconfigure's
+// batch, applied while every worker is parked in the pause. On an error
+// nothing flips.
 func (w *worker) apply(stage int, updates []switchsim.Update, punt bool) (staged, syncs int, err error) {
 	sw := w.eng.sws[stage]
-	staged, rejected, syncs, err := netsim.StageBatch(sw, w.id, updates, punt)
+	staged, syncs, err = stageBatch(sw, w.id, updates, punt, &w.walk.Stats)
 	if err == nil {
 		sw.FlipShard(w.id)
 	}
-	s := &w.walk.Stats
 	if staged > 0 {
-		s.CtlBatches++
+		w.walk.Stats.CtlBatches++
 	}
-	s.CtlOps += staged
-	s.CtlRejected += rejected
 	return staged, syncs, err
 }
 

@@ -71,18 +71,11 @@ func AblationPipelineDepth() ([]AblationRow, error) {
 				Middlebox: s.Name, Setting: fmt.Sprintf("depth %d", depth),
 				OffloadPct:    100 * res.Report.OffloadFraction(),
 				TransferBytes: res.FormatA.DataLen() + res.FormatB.DataLen(),
-				Extra:         fmt.Sprintf("used %d", maxInt2(res.Report.DepthPre, res.Report.DepthPost)),
+				Extra:         fmt.Sprintf("used %d", max(res.Report.DepthPre, res.Report.DepthPost)),
 			})
 		}
 	}
 	return rows, nil
-}
-
-func maxInt2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // AblationRematerialization compares transfers with and without header
@@ -166,9 +159,8 @@ func AblationCacheSize() ([]CacheRow, error) {
 			return nil, err
 		}
 		res := art.Res
-		instant := netsim.InstantModel()
-		tb, err := art.NewTestbed(gallium.TestbedConfig{Model: &instant,
-			Setup: func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }})
+		tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }},
+			gallium.WithCostModel(netsim.InstantModel()))
 		if err != nil {
 			return nil, err
 		}

@@ -10,8 +10,6 @@ import (
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
 	"gallium/internal/netsim"
-	"gallium/internal/obs"
-	"gallium/internal/packet"
 	"gallium/internal/partition"
 	"gallium/internal/trafficgen"
 )
@@ -58,31 +56,6 @@ func CompileOneWithCache(name string, caches map[string]int) (*Compiled, error) 
 	return &Compiled{Name: name, Spec: spec, Prog: art.Prog, Res: art.Res, Art: art}, nil
 }
 
-// newTestbed builds a testbed for one (middlebox, mode, cores) cell,
-// seeding the middlebox's standard benchmark scenario for the flows.
-func newTestbed(c *Compiled, mode netsim.Mode, cores int, tuples []packet.FiveTuple) (*netsim.Testbed, error) {
-	return newTestbedObs(c, mode, cores, tuples, nil)
-}
-
-// newTestbedObs is newTestbed with an observability registry attached.
-func newTestbedObs(c *Compiled, mode netsim.Mode, cores int, tuples []packet.FiveTuple, reg *obs.Registry) (*netsim.Testbed, error) {
-	return c.Art.NewTestbed(gallium.TestbedConfig{
-		Mode:     mode,
-		Cores:    cores,
-		Scenario: true,
-		Flows:    tuples,
-		Metrics:  reg,
-	})
-}
-
-// NewScenarioTestbed is the exported testbed constructor used by the CLI
-// tools and examples: it seeds the middlebox's scenario state (backends,
-// whitelists for the given flows, proxy ports) exactly as the experiments
-// do.
-func NewScenarioTestbed(c *Compiled, mode netsim.Mode, cores int, tuples []packet.FiveTuple) (*netsim.Testbed, error) {
-	return newTestbed(c, mode, cores, tuples)
-}
-
 // Configs are the paper's four deployment configurations for Figures 7/8.
 type ConfigSpec struct {
 	Label string
@@ -110,4 +83,18 @@ func trafficFor(pktSize int, pps float64, durNs int64) trafficgen.IperfConfig {
 		DurationNs: durNs,
 		Seed:       7,
 	}
+}
+
+// middleboxOrder returns the distinct middlebox names of points in
+// first-seen order, the order the figures list them in.
+func middleboxOrder[P any](points []P, name func(P) string) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, p := range points {
+		if n := name(p); !seen[n] {
+			seen[n] = true
+			out = append(out, n)
+		}
+	}
+	return out
 }

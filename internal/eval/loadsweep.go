@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"gallium"
 	"gallium/internal/netsim"
-	"gallium/internal/obs"
 	"gallium/internal/packet"
 )
 
@@ -27,7 +27,7 @@ type LoadPoint struct {
 
 // LoadSweep sweeps offered load for one middlebox across the offloaded and
 // 4-core software deployments. Latency numbers come from the testbed's
-// e2e.latency_ns histogram.
+// Report, the merge of its fast- and slow-path latency histograms.
 func LoadSweep(name string, quick bool) ([]LoadPoint, error) {
 	c, err := CompileOne(name)
 	if err != nil {
@@ -42,8 +42,8 @@ func LoadSweep(name string, quick bool) ([]LoadPoint, error) {
 	for _, cfg := range []ConfigSpec{{"Offloaded", netsim.Offloaded, 1}, {"Click-4c", netsim.Software, 4}} {
 		for _, pps := range rates {
 			gen := trafficFor(500, pps, durNs)
-			reg := obs.NewRegistry()
-			tb, err := newTestbedObs(c, cfg.Mode, cfg.Cores, gen.Tuples(), reg)
+			tb, err := c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(cfg.Mode), gallium.WithWorkers(cfg.Cores),
+				gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
 			if err != nil {
 				return nil, err
 			}
@@ -53,14 +53,13 @@ func LoadSweep(name string, quick bool) ([]LoadPoint, error) {
 			}); err != nil {
 				return nil, err
 			}
-			st := tb.Stats()
-			lat := reg.Histogram("e2e.latency_ns", nil)
+			rep := tb.Report()
 			points = append(points, LoadPoint{
 				Middlebox: name, Config: cfg.Label, OfferedPps: pps,
-				Gbps:       st.ThroughputBps() / 1e9,
-				MeanUs:     lat.Mean() / 1000,
-				P99Us:      lat.Quantile(0.99) / 1000,
-				QueueDrops: st.QueueDrops,
+				Gbps:       rep.Stats.ThroughputBps() / 1e9,
+				MeanUs:     rep.Latency.Mean / 1000,
+				P99Us:      rep.Latency.P99 / 1000,
+				QueueDrops: rep.Stats.QueueDrops,
 			})
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"gallium"
 	"gallium/internal/netsim"
 	"gallium/internal/packet"
 )
@@ -67,7 +68,8 @@ func Figure7(quick bool) ([]Fig7Point, error) {
 			// Offered load: generator capability capped by line rate.
 			pps := math.Min(model.GenMaxPps, model.LineRateBps/float64(cl.size*8))
 			gen := trafficFor(cl.size, pps, durNs)
-			tb, err := newTestbed(cl.c, cl.cfg.Mode, cl.cfg.Cores, gen.Tuples())
+			tb, err := cl.c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(cl.cfg.Mode), gallium.WithWorkers(cl.cfg.Cores),
+				gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
 			if err != nil {
 				errs[i] = err
 				return
@@ -83,7 +85,7 @@ func Figure7(quick bool) ([]Fig7Point, error) {
 				Middlebox: cl.c.Name,
 				Config:    cl.cfg.Label,
 				PktSize:   cl.size,
-				Gbps:      tb.Stats().ThroughputBps() / 1e9,
+				Gbps:      tb.Report().Stats.ThroughputBps() / 1e9,
 			}
 		}(i, cl)
 	}
@@ -101,7 +103,7 @@ func FormatFigure7(points []Fig7Point) string {
 	var b strings.Builder
 	b.WriteString("Figure 7: throughput (Gbps) vs packet size, 10 iperf TCP connections\n")
 	byMB := groupBy(points, func(p Fig7Point) string { return p.Middlebox })
-	for _, mb := range orderedKeys(points) {
+	for _, mb := range middleboxOrder(points, func(p Fig7Point) string { return p.Middlebox }) {
 		fmt.Fprintf(&b, "  %s:\n", mb)
 		fmt.Fprintf(&b, "    %-12s %8s %8s %8s\n", "config", "100B", "500B", "1500B")
 		for _, cfg := range []string{"Offloaded", "Click-4c", "Click-2c", "Click-1c"} {
@@ -121,18 +123,6 @@ func groupBy(points []Fig7Point, key func(Fig7Point) string) map[string][]Fig7Po
 	out := map[string][]Fig7Point{}
 	for _, p := range points {
 		out[key(p)] = append(out[key(p)], p)
-	}
-	return out
-}
-
-func orderedKeys(points []Fig7Point) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, p := range points {
-		if !seen[p.Middlebox] {
-			seen[p.Middlebox] = true
-			out = append(out, p.Middlebox)
-		}
 	}
 	return out
 }
@@ -185,7 +175,7 @@ func Table2() ([]Table2Row, error) {
 // measureLatency warms one connection, then averages probe latencies.
 func measureLatency(c *Compiled, mode netsim.Mode, cores int) (meanUs, stdUs float64, err error) {
 	gen := trafficFor(500, 1, 1) // only for the tuple set
-	tb, err := newTestbed(c, mode, cores, gen.Tuples())
+	tb, err := c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -315,7 +305,7 @@ func Headline(quick bool) (*HeadlineStats, error) {
 		// packet.
 		gen := trafficFor(1500, 2e6, durNs)
 		runCycles := func(mode netsim.Mode, cores int) (netsim.Stats, error) {
-			tb, err := newTestbed(c, mode, cores, gen.Tuples())
+			tb, err := c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
 			if err != nil {
 				return netsim.Stats{}, err
 			}
@@ -325,7 +315,7 @@ func Headline(quick bool) (*HeadlineStats, error) {
 			}); err != nil {
 				return netsim.Stats{}, err
 			}
-			return tb.Stats(), nil
+			return tb.Report().Stats, nil
 		}
 		off, err := runCycles(netsim.Offloaded, 1)
 		if err != nil {

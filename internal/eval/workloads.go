@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"gallium"
 	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/trafficgen"
@@ -51,7 +52,7 @@ type FlowParams struct {
 func MeasureFlowParams(c *Compiled, mode netsim.Mode, cores int) (FlowParams, error) {
 	model := netsim.DefaultModel()
 	gen := trafficFor(1500, 1, 1)
-	tb, err := newTestbed(c, mode, cores, gen.Tuples())
+	tb, err := c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
 	if err != nil {
 		return FlowParams{}, err
 	}
@@ -94,7 +95,7 @@ func MeasureFlowParams(c *Compiled, mode netsim.Mode, cores int) (FlowParams, er
 
 	bottleneck := model.LineRateBps
 	if mode == netsim.Software {
-		st := tb.Stats()
+		st := tb.Report().Stats
 		avgCycles := st.ServerCycles / float64(st.SlowPath)
 		serverBps := float64(cores) * model.CoreHz / avgCycles * 1500 * 8
 		if serverBps < bottleneck {
@@ -191,8 +192,7 @@ func Figures89(quick bool) ([]Fig8Point, []Fig9Point, error) {
 func FormatFigure8(points []Fig8Point) string {
 	var b strings.Builder
 	b.WriteString("Figure 8: throughput (Gbps) on realistic workloads (100 workers)\n")
-	mbs := orderedMBs(points)
-	for _, mb := range mbs {
+	for _, mb := range middleboxOrder(points, func(p Fig8Point) string { return p.Middlebox }) {
 		fmt.Fprintf(&b, "  %s:\n", mb)
 		fmt.Fprintf(&b, "    %-12s %12s %12s\n", "config", "Enterprise", "DataMining")
 		for _, cfg := range []string{"Offloaded", "Click-4c", "Click-2c", "Click-1c"} {
@@ -217,7 +217,7 @@ func FormatFigure9(points []Fig9Point) string {
 	var b strings.Builder
 	b.WriteString("Figure 9: average flow completion time (µs) per flow-size bin\n")
 	b.WriteString("  bins: [0-100K] [100K-10M] [>10M] bytes\n")
-	for _, mb := range orderedMBs9(points) {
+	for _, mb := range middleboxOrder(points, func(p Fig9Point) string { return p.Middlebox }) {
 		fmt.Fprintf(&b, "  %s:\n", mb)
 		for _, wl := range []string{"enterprise", "datamining"} {
 			for _, cfg := range []string{"Offloaded", "Click-4c"} {
@@ -231,28 +231,4 @@ func FormatFigure9(points []Fig9Point) string {
 		}
 	}
 	return b.String()
-}
-
-func orderedMBs(points []Fig8Point) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, p := range points {
-		if !seen[p.Middlebox] {
-			seen[p.Middlebox] = true
-			out = append(out, p.Middlebox)
-		}
-	}
-	return out
-}
-
-func orderedMBs9(points []Fig9Point) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, p := range points {
-		if !seen[p.Middlebox] {
-			seen[p.Middlebox] = true
-			out = append(out, p.Middlebox)
-		}
-	}
-	return out
 }

@@ -1,8 +1,9 @@
 // Package netsim models the paper's testbed (§6.3): three servers and a
 // Tofino switch on 100 Gbps links, with a DPDK middlebox server. It
-// provides a packet-level simulator for the microbenchmarks (Figure 7,
-// Tables 2-3) and a flow-level fluid engine for the 100k-flow realistic
-// workloads (Figures 8-9).
+// provides the packet walker both of internal/engine's drivers run (the
+// sequential Testbed behind the microbenchmarks, Figure 7 and Tables 2-3,
+// and the concurrent engine) and a flow-level fluid engine for the
+// 100k-flow realistic workloads (Figures 8-9).
 //
 // Absolute costs are calibrated so the *software baseline* reproduces the
 // paper's measurements (≈22-23 µs end-to-end latency through FastClick,

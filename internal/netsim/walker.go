@@ -12,9 +12,9 @@ import (
 
 // Committer is the one thing the runtimes that drive a Walker differ in:
 // who carries a slow-path packet's replicated-state updates to the switch,
-// and when they become visible (§4.3.3). Both stage at once (StageBatch);
-// the sequential Testbed flips at a scheduled virtual time, each engine
-// worker on its own switch lane before the packet is delivered.
+// and when they become visible (§4.3.3). Both of internal/engine's drivers
+// stage at once; its sequential Testbed flips at a scheduled virtual time,
+// each engine worker on its own switch lane before the packet is delivered.
 type Committer interface {
 	// Due makes every control batch due by virtual time tNs visible to the
 	// data plane. The walker calls it before each switch pass; it is the

@@ -121,19 +121,12 @@ func Generate(res *partition.Result) (*Program, error) {
 	p.Resources = Resources{
 		MemoryBytes:   res.Report.SwitchMemoryBytes,
 		MetadataBits:  res.Report.MaxMetadataBits,
-		PipelineDepth: maxInt(res.Report.DepthPre, res.Report.DepthPost),
+		PipelineDepth: max(res.Report.DepthPre, res.Report.DepthPost),
 		TransferABits: res.FormatA.DataLen() * 8,
 		TransferBBits: res.FormatB.DataLen() * 8,
 	}
 	p.Source = render(res, p)
 	return p, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // LinesOfCode counts non-blank lines of the rendered program (the unit of

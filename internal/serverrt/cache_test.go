@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"gallium/internal/engine"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
 	"gallium/internal/netsim"
@@ -24,7 +25,7 @@ func compileCached(t *testing.T, name string, caches map[string]int) (*ir.Progra
 
 // deployCached builds an instant testbed where the named tables run as §7
 // switch caches, seeded with the middlebox's configured state.
-func deployCached(t *testing.T, name string, caches map[string]int) *netsim.Testbed {
+func deployCached(t *testing.T, name string, caches map[string]int) *engine.Testbed {
 	t.Helper()
 	_, res := compileCached(t, name, caches)
 	return deploy(t, res, netsim.InstantModel(), func(st *ir.State) { middleboxes.ConfigureState(name, st) })
@@ -221,7 +222,7 @@ func TestOutputCommitStallRule(t *testing.T) {
 				}
 				// 10 ms apart: every earlier flip has landed.
 				tNs := int64(i) * 10_000_000
-				ops := tb.Stats().CtlOps
+				ops := tb.Report().Stats.CtlOps
 				d, err := tb.Inject(tNs, mk())
 				if err != nil {
 					t.Fatal(err)
@@ -230,7 +231,7 @@ func TestOutputCommitStallRule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				staged := tb.Stats().CtlOps - ops
+				staged := tb.Report().Stats.CtlOps - ops
 				if !d.Delivered || !dFree.Delivered {
 					t.Fatalf("packet %d not delivered: %+v, %+v", i, d, dFree)
 				}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gallium/internal/engine"
 	"gallium/internal/ir"
 	"gallium/internal/lang"
 	"gallium/internal/middleboxes"
@@ -34,9 +35,13 @@ func compileBox(t *testing.T, name string, cons partition.Constraints) (*ir.Prog
 
 // deploy builds the offloaded switch and server pair on a testbed under
 // the given cost model, seeded by setup when non-nil.
-func deploy(t *testing.T, res *partition.Result, model netsim.CostModel, setup func(*ir.State)) *netsim.Testbed {
+func deploy(t *testing.T, res *partition.Result, model netsim.CostModel, setup func(*ir.State)) *engine.Testbed {
 	t.Helper()
-	tb, err := netsim.NewTestbed(netsim.Config{Model: model, Res: res, Setup: setup})
+	stage := engine.StageConfig{Res: res}
+	if setup != nil {
+		stage.Setup = func(_ int, st *ir.State) { setup(st) }
+	}
+	tb, err := engine.NewTestbed(engine.Config{Model: model, Stages: []engine.StageConfig{stage}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +51,7 @@ func deploy(t *testing.T, res *partition.Result, model netsim.CostModel, setup f
 // inject runs one packet through a testbed under netsim.InstantModel,
 // where every packet may arrive at time 0, and returns its fate as the
 // middlebox's action, and whether the switch alone handled it.
-func inject(t *testing.T, tb *netsim.Testbed, pkt *packet.Packet) (ir.Action, bool) {
+func inject(t *testing.T, tb *engine.Testbed, pkt *packet.Packet) (ir.Action, bool) {
 	t.Helper()
 	d, err := tb.Inject(0, pkt)
 	if err != nil {
@@ -180,16 +185,16 @@ func TestServerRecordsReplicatedUpdates(t *testing.T) {
 	if _, fast := inject(t, tb, pkt); fast {
 		t.Fatal("first packet of a connection must take the slow path")
 	}
-	if tb.Stats().CtlOps == 0 {
+	if tb.Report().Stats.CtlOps == 0 {
 		t.Fatal("server insert produced no write-back")
 	}
 	// The switch now has the entry: second packet is fast.
 	pkt2 := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 1, 80, packet.TCPOptions{})
-	ops := tb.Stats().CtlOps
+	ops := tb.Report().Stats.CtlOps
 	if _, fast := inject(t, tb, pkt2); !fast {
 		t.Fatal("second packet should take the fast path after sync")
 	}
-	if tb.Stats().CtlOps != ops {
+	if tb.Report().Stats.CtlOps != ops {
 		t.Error("fast path produced a write-back")
 	}
 }
@@ -391,7 +396,7 @@ func TestDeploymentReconfigureAtomicFlip(t *testing.T) {
 
 	keyA := ir.MakeMapKey(uint64(tupA.SrcIP), uint64(tupA.DstIP), uint64(tupA.SrcPort), uint64(tupA.DstPort), uint64(tupA.Proto))
 	keyB := ir.MakeMapKey(uint64(tupB.SrcIP), uint64(tupB.DstIP), uint64(tupB.SrcPort), uint64(tupB.DstPort), uint64(tupB.Proto))
-	mutate := func(st *ir.State) []switchsim.Update {
+	mutate := func(_ int, st *ir.State) []switchsim.Update {
 		st.MapRemove("wl_out", keyA)
 		middleboxes.AllowFlow(st, tupB)
 		return nil
@@ -400,7 +405,7 @@ func TestDeploymentReconfigureAtomicFlip(t *testing.T) {
 		{Table: "wl_out", Key: keyB, Vals: []uint64{1}},
 		{Table: "wl_out", Key: keyA, Delete: true},
 	}
-	if err := tb.Reconfigure(mutate, updates); err != nil {
+	if err := tb.Reconfigure(engine.Reconfig{Mutate: mutate, Updates: updates}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -264,6 +264,27 @@ func (sw *Switch) FlipShard(shard int) {
 	sw.publishLocked(nv)
 }
 
+// Unstage drops the last n updates shard staged and has not flipped, as if
+// they had never been staged, so a batch that failed half way leaves
+// nothing for the lane's next flip to publish (§4.3.3: a batch is visible
+// whole or not at all). Every StageShard that returns nil stages one.
+func (sw *Switch) Unstage(shard, n int) {
+	if shard < 0 || shard >= len(sw.lanes) {
+		return
+	}
+	ln := sw.lanes[shard]
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	keep := max(len(ln.pending)-n, 0)
+	for _, op := range ln.pending[keep:] {
+		if op.n != nil && !op.n.dead() {
+			op.t.staged.Add(-1)
+		}
+	}
+	clear(ln.pending[keep:])
+	ln.pending = ln.pending[:keep]
+}
+
 // The six names below are the two write-back protocols this package used
 // to have. They remain only because bench/ — a separate module this tree
 // may not edit — replays the old write-back sequence by name; nothing

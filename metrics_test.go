@@ -120,7 +120,7 @@ func TestRegistryMatchesReport(t *testing.T) {
 		}
 		gen := iperfWorkload(6)
 		reg := obs.NewRegistry()
-		tb, err := art.NewTestbed(gallium.TestbedConfig{Scenario: true, Flows: gen.Tuples(), Metrics: reg})
+		tb, err := art.NewTestbed(gallium.TestbedConfig{}, gallium.WithScenario(), gallium.WithFlows(gen.Tuples()), gallium.WithMetrics(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestRegistryMatchesReport(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := reg.Snapshot()
-		st := tb.Stats()
+		st := tb.Report().Stats
 		if st.Injected == 0 {
 			t.Fatal("nothing injected")
 		}
@@ -154,8 +154,7 @@ func TestRegistryMatchesReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		instant := netsim.InstantModel()
-		tb, err := art.NewTestbed(gallium.TestbedConfig{Model: &instant, Scenario: true})
+		tb, err := art.NewTestbed(gallium.TestbedConfig{}, gallium.WithCostModel(netsim.InstantModel()), gallium.WithScenario())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,6 +48,43 @@ type runConfig struct {
 	err       error
 }
 
+// parseOptions applies opts in order; the first invalid option's error
+// wins.
+func parseOptions(opts []Option) (*runConfig, error) {
+	var cfg runConfig
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return &cfg, cfg.err
+}
+
+// stages translates the options into the engine's pipeline over arts,
+// each stage's state seeded for shards shards: the scenario if
+// WithScenario was given, else stage 0 through the seed hooks.
+func (c *runConfig) stages(arts []*Artifacts, shards int) []engine.StageConfig {
+	var out []engine.StageConfig
+	for i, a := range arts {
+		st := engine.StageConfig{Name: a.Name, Res: a.Res}
+		if c.Mode == netsim.Software {
+			st.Res = nil
+			st.Prog = a.Prog
+		}
+		switch {
+		case c.scenario:
+			st.Setup = a.shardScenarioSetup(c.flows, shards)
+		case i == 0 && len(c.seedFns) > 0:
+			seeds := c.seedFns
+			st.Setup = func(shard int, state *ir.State) {
+				for _, fn := range seeds {
+					fn(shard, state)
+				}
+			}
+		}
+		out = append(out, st)
+	}
+	return out
+}
+
 // fail records the first option error.
 func (c *runConfig) fail(err error) {
 	if c.err == nil {
@@ -169,9 +206,6 @@ func (a *Artifacts) Run(ctx context.Context, wl Workload, opts ...Option) (*Repo
 // allocators the middlebox must partition across concurrent shards
 // (mazunat's external-port space).
 func (a *Artifacts) shardScenarioSetup(flows []packet.FiveTuple, workers int) func(int, *ir.State) {
-	if workers <= 0 {
-		workers = 1
-	}
 	name := a.Name
 	return func(shard int, st *ir.State) {
 		middleboxes.ConfigureShard(name, shard, workers, st)

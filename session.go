@@ -10,7 +10,6 @@ import (
 	"gallium/internal/ctlplane"
 	"gallium/internal/engine"
 	"gallium/internal/ir"
-	"gallium/internal/netsim"
 )
 
 // ReconfigOp is one typed live-reconfiguration operation accepted by
@@ -136,43 +135,19 @@ func Open(a *Artifacts, opts ...Option) (*Session, error) {
 // Pipeline.Open. ctx aborts the whole session when cancelled (Run's
 // context; background for Open, where Close is the only exit).
 func openSession(ctx context.Context, arts []*Artifacts, opts []Option) (*Session, error) {
-	var cfg runConfig
-	for _, opt := range opts {
-		opt(&cfg)
+	cfg, err := parseOptions(opts)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.err != nil {
-		return nil, cfg.err
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	for i, a := range arts {
-		st := engine.StageConfig{Name: a.Name, Res: a.Res}
-		if cfg.Mode == netsim.Software {
-			st.Res = nil
-			st.Prog = a.Prog
-		}
-		switch {
-		case cfg.scenario:
-			st.Setup = a.shardScenarioSetup(cfg.flows, workers)
-		case i == 0 && len(cfg.seedFns) > 0:
-			seeds := cfg.seedFns
-			st.Setup = func(shard int, state *ir.State) {
-				for _, fn := range seeds {
-					fn(shard, state)
-				}
-			}
-		}
-		cfg.Config.Stages = append(cfg.Config.Stages, st)
-	}
+	workers := max(cfg.Workers, 1)
+	cfg.Stages = cfg.stages(arts, workers)
 	eng, err := engine.New(ctx, cfg.Config)
 	if err != nil {
 		return nil, err
 	}
 	return &Session{
 		eng:       eng,
-		stages:    cfg.Config.Stages,
+		stages:    cfg.Stages,
 		workers:   workers,
 		settleFns: cfg.settleFns,
 		mergedFns: cfg.mergedFns,

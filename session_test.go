@@ -19,7 +19,6 @@ import (
 	"gallium/internal/middleboxes"
 	"gallium/internal/netsim"
 	"gallium/internal/packet"
-	"gallium/internal/switchsim"
 	"gallium/internal/trafficgen"
 )
 
@@ -202,12 +201,8 @@ func TestReconfigDifferentialOracle(t *testing.T) {
 	}
 	const cut = 6 // reconfigure before packet index 6
 	seed := func(st *ir.State) { middleboxes.AllowFlow(st, flowA) }
+	// Both sides apply the identical typed operation.
 	swap := gallium.FirewallRuleSwap{Rules: []packet.FiveTuple{flowB}}
-	// Both sides apply the identical compiled operation.
-	rec, err := ctlplane.Compile(swap, []engine.StageConfig{{Name: art.Name, Res: art.Res}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Oracle: sequential testbed, reconfigured between injections cut-1
 	// and cut.
@@ -218,7 +213,7 @@ func TestReconfigDifferentialOracle(t *testing.T) {
 	oracle := make([]bool, len(tr.Packets))
 	for i := range tr.Packets {
 		if i == cut {
-			if err := reconfigureTestbed(tb, rec); err != nil {
+			if err := tb.Reconfigure(swap); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -276,15 +271,38 @@ func TestReconfigDifferentialOracle(t *testing.T) {
 	}
 }
 
-// reconfigureTestbed applies a compiled one-worker reconfiguration to the
-// sequential testbed, as the engine applies it to its only shard.
-func reconfigureTestbed(tb *netsim.Testbed, rec engine.Reconfig) error {
-	return tb.Reconfigure(func(st *ir.State) []switchsim.Update {
-		if rec.Mutate == nil {
-			return nil
+// TestTestbedRefusesEngineOnlyOptions: every option and engine config
+// field that needs concurrent workers or a Close is refused by the
+// sequential testbed, with an error naming it.
+func TestTestbedRefusesEngineOnlyOptions(t *testing.T) {
+	art, err := gallium.CompileBuiltin("mazunat", gallium.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range map[string]gallium.Option{
+		"WithDeliveries":  gallium.WithDeliveries(func(gallium.Delivery) {}),
+		"WithQueueDepth":  gallium.WithQueueDepth(8),
+		"WithFlowTable":   gallium.WithFlowTable(gallium.FlowTable{Capacity: 64}),
+		"WithState":       gallium.WithState(func(int, *ir.State) {}),
+		"WithMergedState": gallium.WithMergedState(func(*ir.State, bool, string) {}),
+	} {
+		if _, err := art.NewTestbed(gallium.TestbedConfig{}, opt); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("NewTestbed with %s: %v, want an error naming it", name, err)
 		}
-		return rec.Mutate(0, st)
-	}, rec.Updates)
+	}
+	stages := []engine.StageConfig{{Name: art.Name, Res: art.Res}}
+	for name, cfg := range map[string]engine.Config{
+		"QueueDepth": {Stages: stages, QueueDepth: 8},
+		"OnDelivery": {Stages: stages, OnDelivery: func(engine.Delivery) {}},
+		"FlowTable":  {Stages: stages, FlowTable: &gallium.FlowTable{Capacity: 64}},
+	} {
+		if _, err := engine.NewTestbed(cfg); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("engine.NewTestbed with %s set: %v, want an error naming it", name, err)
+		}
+	}
+	if _, err := engine.NewTestbed(engine.Config{Stages: stages}); err != nil {
+		t.Fatalf("the same config without them: %v", err)
+	}
 }
 
 // TestReconfigAccountingMatchesEngine applies one compiled operation to a
@@ -319,12 +337,8 @@ func TestReconfigAccountingMatchesEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, err := ctlplane.Compile(tc.op, []engine.StageConfig{{Name: art.Name, Res: art.Res}}, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
 			flows := []packet.FiveTuple{flow}
-			tb, err := art.NewTestbed(gallium.TestbedConfig{Scenario: true, Flows: flows})
+			tb, err := art.NewTestbed(gallium.TestbedConfig{}, gallium.WithScenario(), gallium.WithFlows(flows))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -341,7 +355,7 @@ func TestReconfigAccountingMatchesEngine(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := reconfigureTestbed(tb, rec); err != nil {
+			if err := tb.Reconfigure(tc.op); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Reconfigure(tc.op); err != nil {
@@ -351,7 +365,7 @@ func TestReconfigAccountingMatchesEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, want := tb.Stats(), rep.Stats
+			got, want := tb.Report().Stats, rep.Stats
 			if got.CtlOps != want.CtlOps || got.CtlBatches != want.CtlBatches || got.CtlRejected != want.CtlRejected {
 				t.Errorf("testbed counts ops %d, batches %d, rejected %d; engine %d, %d, %d",
 					got.CtlOps, got.CtlBatches, got.CtlRejected, want.CtlOps, want.CtlBatches, want.CtlRejected)
@@ -615,7 +629,7 @@ func TestMalformedTableReplaceRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := iperfWorkload(4)
-	ref, err := art.NewTestbed(gallium.TestbedConfig{Scenario: true, Flows: gen.Tuples()})
+	ref, err := art.NewTestbed(gallium.TestbedConfig{}, gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,10 @@ package gallium
 import (
 	"fmt"
 
+	"gallium/internal/ctlplane"
+	"gallium/internal/engine"
 	"gallium/internal/ir"
 	"gallium/internal/netsim"
-	"gallium/internal/obs"
 	"gallium/internal/packet"
 )
 
@@ -34,62 +35,77 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("unknown mode %q (want %v or %v)", s, Offloaded, Software)
 }
 
-// TestbedConfig describes one simulated testbed built from compiled
-// artifacts. The zero value runs the offloaded deployment on one server
-// core under the default cost model, with no state seeded and
-// observability off.
+// TestbedConfig describes what a testbed takes beyond Open's options.
+// The zero value seeds no state.
 type TestbedConfig struct {
-	// Mode is Offloaded (default) or Software.
-	Mode Mode
-	// Cores is the middlebox server core count; <=0 means 1.
-	Cores int
-	// Model overrides the testbed cost model; nil uses the default.
-	Model *netsim.CostModel
-	// Setup seeds middlebox state before traffic starts.
+	// Setup seeds middlebox state before traffic starts. WithScenario
+	// wins over it when both are given.
 	Setup func(st *ir.State)
-	// Scenario, when true, seeds the middlebox's standard benchmark
-	// scenario instead of Setup: configured state (backends, NAT pools),
-	// firewall whitelists for Flows, and the proxy port redirect.
-	Scenario bool
-	// Flows lists the traffic five-tuples the scenario whitelists.
-	Flows []packet.FiveTuple
-	// Metrics, when non-nil, receives counters, histograms, and (if
-	// tracing is enabled on it) per-packet hop traces from every
-	// component. Nil disables observability at zero cost.
-	Metrics *obs.Registry
 }
 
-// NewTestbed builds the packet-level simulator — traffic endpoints,
-// programmable switch, middlebox server — around these artifacts.
+// Testbed is the sequential driver NewTestbed builds. It embeds the
+// engine's, whose Reconfigure takes a compiled engine.Reconfig; its own
+// takes the typed operation.
+type Testbed struct {
+	*engine.Testbed
+	// stages are what ctlplane.Compile checks operations against.
+	stages []engine.StageConfig
+}
+
+// NewTestbed builds the sequential virtual-time simulator — traffic
+// endpoints, programmable switch, middlebox server — around these
+// artifacts, from Open's options through the translation Open uses, with
+// WithWorkers as the simulated server core count. The options that need
+// concurrent workers or a Close (WithDeliveries, WithQueueDepth,
+// WithFlowTable, WithState, WithMergedState) are refused with an error.
 //
-// The testbed's Inject is the low-level escape hatch: a sequential,
-// virtual-time, packet-at-a-time model with deterministic latencies,
-// right for latency experiments, per-packet traces, and differential
-// tests that need exact control over injection times. Its Reconfigure
-// applies a control-plane change between two injections, which makes it
-// the oracle counterpart of Session.Reconfigure: differential tests
-// apply the same compiled change at the same packet index on both
-// sides. For streaming a workload through the concurrent engine, use
-// Artifacts.Run (one-shot) or Open (long-lived Session with live
-// reconfiguration) instead.
-func (a *Artifacts) NewTestbed(cfg TestbedConfig) (*netsim.Testbed, error) {
-	model := netsim.DefaultModel()
-	if cfg.Model != nil {
-		model = *cfg.Model
+// Inject is the low-level escape hatch: a packet at a time, with exact
+// control over injection times, for latency experiments, per-packet
+// traces and differential tests. Reconfigure applies the operation
+// Session.Reconfigure takes between two injections, which makes the
+// testbed the session's oracle. To stream a workload through the
+// concurrent engine, use Artifacts.Run or Open.
+func (a *Artifacts) NewTestbed(cfg TestbedConfig, opts ...Option) (*Testbed, error) {
+	rc, err := parseOptions(opts)
+	if err != nil {
+		return nil, err
 	}
-	setup := cfg.Setup
-	if cfg.Scenario {
-		setup = a.ScenarioSetup(cfg.Flows)
+	refused := ""
+	switch {
+	case rc.OnDelivery != nil:
+		refused = "WithDeliveries"
+	case rc.QueueDepth != 0:
+		refused = "WithQueueDepth"
+	case rc.FlowTable != nil:
+		refused = "WithFlowTable"
+	case len(rc.settleFns) > 0:
+		refused = "WithState"
+	case len(rc.mergedFns) > 0:
+		refused = "WithMergedState"
 	}
-	return netsim.NewTestbed(netsim.Config{
-		Model: model,
-		Mode:  cfg.Mode,
-		Cores: cfg.Cores,
-		Res:   a.Res,
-		Prog:  a.Prog,
-		Setup: setup,
-		Obs:   cfg.Metrics,
-	})
+	if refused != "" {
+		return nil, fmt.Errorf("gallium: %s has no meaning on a Testbed, which runs on the caller's goroutine and has no Close", refused)
+	}
+	if cfg.Setup != nil {
+		rc.seedFns = append(rc.seedFns, func(_ int, st *ir.State) { cfg.Setup(st) })
+	}
+	rc.Stages = rc.stages([]*Artifacts{a}, 1)
+	tb, err := engine.NewTestbed(rc.Config)
+	if err != nil {
+		return nil, err
+	}
+	return &Testbed{Testbed: tb, stages: rc.Stages}, nil
+}
+
+// Reconfigure validates one typed operation against the compiled
+// partition, as Session.Reconfigure does, and applies it between two
+// injections as one atomic visibility flip.
+func (tb *Testbed) Reconfigure(op ReconfigOp) error {
+	r, err := ctlplane.Compile(op, tb.stages, 1)
+	if err != nil {
+		return err
+	}
+	return tb.Testbed.Reconfigure(r)
 }
 
 // ScenarioSetup returns the state-seeding function for the middlebox's

@@ -239,8 +239,8 @@ func (d *vtDigest) sum(st netsim.Stats) string {
 
 func vtTestbed(t *testing.T, art *gallium.Artifacts, tr *vtTrace, mode gallium.Mode, cores int) string {
 	t.Helper()
-	model := vtModel()
-	tb, err := art.NewTestbed(gallium.TestbedConfig{Mode: mode, Cores: cores, Model: &model, Setup: tr.setup(art)})
+	tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: tr.setup(art)},
+		gallium.WithMode(mode), gallium.WithWorkers(cores), gallium.WithCostModel(vtModel()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func vtTestbed(t *testing.T, art *gallium.Artifacts, tr *vtTrace, mode gallium.M
 		}
 		d.add(int64(i), del.Delivered, del.MBDropped, del.QueueDropped, del.FastPath, del.DeliverNs)
 	}
-	return d.sum(tb.Stats())
+	return d.sum(tb.Report().Stats)
 }
 
 // vtEngine runs the trace through the engine at one worker — the
