@@ -10,10 +10,10 @@
 // separated chain (firewall,mazunat,l4lb) sharing one engine pass. With
 // -metrics it dumps the full observability snapshot (per-table hit/miss
 // counters, server cache statistics, latency histograms) as JSON; with
-// -trace N it prints the first N packets' hop traces, which switches to
-// the sequential testbed (hop ordering is only meaningful
-// packet-at-a-time), with -workers as its simulated server core count.
-// -trace cannot be combined with -listen or -serve.
+// -trace N it prints the first N packets' hop traces at the end of the
+// run — for -listen and -serve, at drain. Each trace is one packet's trip
+// on its worker; with several workers, traces of different flows start in
+// whichever order the workers reach them.
 //
 // With -serve PATH the simulator keeps generating traffic segment after
 // segment until interrupted, answering the galliumctl JSON protocol on
@@ -70,7 +70,7 @@ func main() {
 	cache := flag.String("cache", "", "run a table as a §7 switch cache, e.g. -cache conn=512")
 	pcap := flag.String("pcap", "", "write delivered packets to this pcap file")
 	metrics := flag.String("metrics", "", "write the observability snapshot as JSON to this file")
-	trace := flag.Int("trace", 0, "print hop-by-hop traces for the first N packets (sequential testbed)")
+	trace := flag.Int("trace", 0, "print hop-by-hop traces for the first N packets")
 	serve := flag.String("serve", "", "stay resident and answer the galliumctl protocol on this unix socket")
 	listen := flag.String("listen", "", "serve real traffic: read Gallium frames from this UDP address and echo deliveries")
 	send := flag.String("send", "", "ship the workload as UDP datagrams to a listening simulator and report echoes")
@@ -106,9 +106,6 @@ func run(mbList, modeStr string, workers, size int, pps float64, ms int, cache, 
 		return runSend(gen, sendAddr)
 	}
 
-	if traceN > 0 && (listenAddr != "" || servePath != "") {
-		return errors.New("-trace replays the workload on the sequential testbed, which cannot -listen or -serve")
-	}
 	caches, err := parseCache(cache)
 	if err != nil {
 		return err
@@ -131,15 +128,6 @@ func run(mbList, modeStr string, workers, size int, pps float64, ms int, cache, 
 	if metricsPath != "" || traceN > 0 {
 		reg = obs.NewRegistry()
 		reg.EnableTracing(traceN)
-	}
-
-	if traceN > 0 {
-		if len(arts) > 1 {
-			return fmt.Errorf("-trace replays on the sequential testbed, which runs a single middlebox (got a %d-stage chain)", len(arts))
-		}
-		// Hop traces interleave meaninglessly under concurrency: replay
-		// the workload on the sequential testbed instead.
-		return runTestbed(arts[0], gen, names[0], modeStr, mode, workers, size, pps, ms, pcapPath, metricsPath, reg, traceN)
 	}
 
 	chain, err := gallium.Chain(arts...)
@@ -202,7 +190,7 @@ func run(mbList, modeStr string, workers, size int, pps float64, ms int, cache, 
 		}
 		fmt.Printf("  wrote %d delivered packets to %s\n", len(outs), pcapPath)
 	}
-	return writeMetrics(reg, metricsPath, 0)
+	return writeMetrics(reg, metricsPath)
 }
 
 // runServe keeps the deployment live: segment after segment of generated
@@ -258,7 +246,7 @@ func runServe(chain *gallium.Pipeline, gen trafficgen.IperfConfig, mbList, modeS
 		return err
 	}
 	rep.WriteText(os.Stdout)
-	return writeMetrics(reg, metricsPath, 0)
+	return writeMetrics(reg, metricsPath)
 }
 
 // runListen keeps the deployment live behind a batched UDP front end:
@@ -304,7 +292,7 @@ func runListen(chain *gallium.Pipeline, gen trafficgen.IperfConfig, mbList, mode
 	fmt.Printf("  udp: rx %d datagrams in %d batches, tx %d in %d, decode-errors %d\n",
 		st.RxDatagrams, st.RxBatches, st.TxDatagrams, st.TxBatches, st.DecodeErrors)
 	rep.WriteText(os.Stdout)
-	return writeMetrics(reg, metricsPath, 0)
+	return writeMetrics(reg, metricsPath)
 }
 
 // runSend is the traffic side of -listen: serialize the workload, ship it
@@ -350,47 +338,14 @@ func runSend(gen trafficgen.IperfConfig, addr string) error {
 	return nil
 }
 
-// runTestbed is the -trace escape hatch: the sequential, packet-at-a-time
-// testbed whose hop traces are globally ordered.
-func runTestbed(art *gallium.Artifacts, gen trafficgen.IperfConfig, name, modeStr string,
-	mode gallium.Mode, workers, size int, pps float64, ms int, pcapPath, metricsPath string,
-	reg *obs.Registry, traceN int) error {
-	tb, err := art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(workers),
-		gallium.WithScenario(), gallium.WithFlows(gen.Tuples()), gallium.WithMetrics(reg))
-	if err != nil {
-		return err
-	}
-	var pcapW *packet.PcapWriter
-	if pcapPath != "" {
-		f, err := os.Create(pcapPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		pcapW = packet.NewPcapWriter(f)
-	}
-	err = gen.Generate(func(tNs int64, pkt *packet.Packet) error {
-		d, err := tb.Inject(tNs, pkt)
-		if err != nil || !d.Delivered || pcapW == nil {
-			return err
-		}
-		return pcapW.WritePacket(d.DeliverNs, pkt.Serialize())
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("middlebox %s, %s mode, sequential testbed (-trace), %dB packets, %.1f Mpps offered, %d ms\n",
-		name, modeStr, size, pps/1e6, ms)
-	tb.Report().WriteText(os.Stdout)
-	return writeMetrics(reg, metricsPath, traceN)
-}
-
-func writeMetrics(reg *obs.Registry, metricsPath string, traceN int) error {
+// writeMetrics prints the recorded hop traces and, given a path, writes
+// the registry's snapshot there as JSON.
+func writeMetrics(reg *obs.Registry, metricsPath string) error {
 	if reg == nil {
 		return nil
 	}
 	snap := reg.Snapshot()
-	if traceN > 0 {
+	if len(snap.Traces) > 0 {
 		fmt.Printf("\nhop traces (first %d packets):\n", len(snap.Traces))
 		for _, tr := range snap.Traces {
 			fmt.Print(tr.Format())

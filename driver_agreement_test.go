@@ -2,11 +2,14 @@ package gallium_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"gallium"
+	"gallium/internal/difftest"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
+	"gallium/internal/obs"
 	"gallium/internal/packet"
 	"gallium/internal/serverrt"
 )
@@ -85,5 +88,76 @@ func TestDriverAgreement(t *testing.T) {
 			}
 			agree("engine", got, final)
 		})
+	}
+}
+
+// TestDriverTracesAgree holds the two drivers' hop traces to each other:
+// one mazunat flow set, spaced 10 ms apart as difftest's inject leg so
+// every write-back flip lands before the next packet, traced packet by
+// packet through the Testbed and through a one-worker Session. Each
+// packet must visit the same sites with the same actions, steps and
+// table lookups; times and notes differ by the drivers' endpoint jitter.
+func TestDriverTracesAgree(t *testing.T) {
+	art, err := gallium.CompileBuiltin("mazunat", gallium.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newVTTrace("mazunat", 200, difftest.PacketSpacingNs)
+	scenario := []gallium.Option{gallium.WithScenario(), gallium.WithFlows(tr.Tuples())}
+	traced := func() *obs.Registry {
+		reg := obs.NewRegistry()
+		reg.EnableTracing(len(tr.pkts))
+		return reg
+	}
+
+	tbReg := traced()
+	tb, err := art.NewTestbed(gallium.TestbedConfig{}, append(scenario, gallium.WithMetrics(tbReg))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Generate(func(tNs int64, p *packet.Packet) error {
+		_, err := tb.Inject(tNs, p)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	sessReg := traced()
+	s, err := gallium.Open(art, append(scenario, gallium.WithWorkers(1), gallium.WithMetrics(sessReg))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Feed(tr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// shape is a hop without its time and note.
+	shape := func(h *obs.Hop) string {
+		return fmt.Sprintf("%s action=%s steps=%d lookups=%v", h.Site, h.Action, h.Steps, h.Lookups)
+	}
+	want, got := tbReg.Tracer().Traces(), sessReg.Tracer().Traces()
+	if len(want) != len(tr.pkts) || len(got) != len(want) {
+		t.Fatalf("traced %d packets on the testbed and %d on the session, want %d each", len(want), len(got), len(tr.pkts))
+	}
+	slow := 0
+	for i := range want {
+		w, g := want[i], got[i]
+		if w.Packet != g.Packet || len(w.Hops) != len(g.Hops) {
+			t.Fatalf("packet %d: testbed trace\n%ssession trace\n%s", i, w.Format(), g.Format())
+		}
+		for h := range w.Hops {
+			if shape(w.Hops[h]) != shape(g.Hops[h]) {
+				t.Fatalf("packet %d hop %d: testbed %s, session %s", i, h, shape(w.Hops[h]), shape(g.Hops[h]))
+			}
+			if w.Hops[h].Site == "server" {
+				slow++
+			}
+		}
+	}
+	if slow == 0 {
+		t.Fatal("no traced packet visited the server; the comparison covered only the fast path")
 	}
 }

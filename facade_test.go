@@ -172,10 +172,10 @@ func TestTestbedMetricsEndToEnd(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if got := snap.Counters["e2e.injected"]; got != 50 {
-		t.Errorf("e2e.injected = %d, want 50", got)
+	if got := snap.Counters["engine.packets"]; got != 50 {
+		t.Errorf("engine.packets = %d, want 50", got)
 	}
-	if snap.Counters["e2e.delivered"] == 0 {
+	if snap.Counters["engine.delivered"] == 0 {
 		t.Error("nothing delivered")
 	}
 	if snap.Counters["switch.fastpath"] == 0 {
@@ -190,7 +190,7 @@ func TestTestbedMetricsEndToEnd(t *testing.T) {
 	if !found {
 		t.Error("no per-table hit counter recorded")
 	}
-	lat, ok := snap.Histograms["e2e.latency_ns"]
+	lat, ok := snap.Histograms["engine.latency_ns"]
 	if !ok || lat.Count == 0 {
 		t.Fatalf("latency histogram missing or empty: %+v", lat)
 	}

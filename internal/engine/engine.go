@@ -109,9 +109,9 @@ type Config struct {
 	Stages []StageConfig
 	// Model is the virtual-time cost model; the zero value means defaults.
 	Model netsim.CostModel
-	// Obs, when non-nil, receives metrics: per-worker and "engine.*"
-	// counts read from the workers' stats at snapshot time. Nil disables
-	// observability.
+	// Obs, when non-nil, receives metrics (see deployment.instrument) and,
+	// when its tracing is enabled, the first packets' hop traces. Nil
+	// disables observability.
 	Obs *obs.Registry
 	// QueueDepth bounds the packets queued in each worker's mailbox, and
 	// so the most one pull can take: a dispatcher whose burst does not fit
@@ -174,9 +174,8 @@ func (r Reconfig) check(n int) error {
 // (which starts its workers) to Stop: Feed, Dispatch, Reconfigure and
 // LiveReport in between.
 type Engine struct {
+	deployment
 	cfg     Config
-	stages  []StageConfig
-	sws     []*switchsim.Switch // per stage; nil slice in Software mode
 	workers []*worker
 
 	// lifeDyn lists each stage's dynamic maps (those the data path
@@ -235,7 +234,8 @@ func New(ctx context.Context, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, stages: cfg.Stages, sws: sws}
+	e := &Engine{cfg: cfg, deployment: deployment{stages: cfg.Stages, sws: sws}}
+	e.stats = func(i int) netsim.Stats { return e.workers[i].published() }
 	for _, st := range e.stages {
 		e.lifeDyn = append(e.lifeDyn, flowstate.DynamicMaps(st.Program()))
 		off := map[string]bool{}
@@ -251,13 +251,13 @@ func New(ctx context.Context, cfg Config) (*Engine, error) {
 			id:   i,
 			eng:  e,
 			box:  newMailbox(cfg.QueueDepth),
-			hLat: obs.NewHistogram(nil),
 			life: make([]atomic.Pointer[flowstate.Tracker], len(e.stages)),
 		}
 		// One simulated core per worker, reading switch lane i; the seed
 		// decorrelates the per-worker jitter streams.
 		w.walk = netsim.NewWalker(cfg.Model, stages, 1, i, uint64(i+1)*0x9E3779B97F4A7C15, w)
 		e.workers = append(e.workers, w)
+		e.walks = append(e.walks, &w.walk)
 	}
 	if cfg.FlowTable != nil {
 		if err := cfg.FlowTable.Validate(); err != nil {
@@ -269,7 +269,7 @@ func New(ctx context.Context, cfg Config) (*Engine, error) {
 			w.setLifecycle(n)
 		}
 	}
-	e.instrument(cfg.Obs)
+	e.register(cfg.Obs)
 	e.startT = time.Now()
 	e.runCtx, e.cancel = context.WithCancel(ctx)
 	context.AfterFunc(e.runCtx, e.abort)
@@ -344,42 +344,18 @@ func build(cfg *Config, shards int) ([]*switchsim.Switch, [][]netsim.Stage, erro
 	return sws, all, nil
 }
 
-// instrument registers the engine's metrics, all read at snapshot time:
-// "engine.worker.<i>.*" reads worker i's walker Stats as of its latest
-// barrier, "engine.*" the sum of those (one func per worker under each
-// name), "engine.borrowed" the workers' borrowed-run counts, and
-// "engine.latency_ns" merges the per-worker latency histograms — the
-// packet path touches no metric of its own.
-func (e *Engine) instrument(reg *obs.Registry) {
+// register registers the deployment's metrics and the engine's own, read
+// at snapshot time: the workers' borrowed runs, the reconfigurations and,
+// with a lifecycle, the flow table.
+func (e *Engine) register(reg *obs.Registry) {
+	e.instrument(reg)
 	if reg == nil {
 		return
 	}
-	for _, sw := range e.sws {
-		sw.Instrument(reg)
-	}
-	parts := make([]*obs.Histogram, 0, len(e.workers))
 	for _, w := range e.workers {
-		for _, st := range w.walk.Stages {
-			if st.Server != nil {
-				st.Server.Instrument(reg)
-			} else {
-				st.Software.Instrument(reg)
-			}
-		}
-		stat := func(name string, pick func(netsim.Stats) int) {
-			fn := func() uint64 { return uint64(pick(w.published())) }
-			reg.CounterFunc(fmt.Sprintf("engine.worker.%d.%s", w.id, name), fn)
-			reg.CounterFunc("engine."+name, fn)
-		}
-		stat("packets", func(s netsim.Stats) int { return s.Injected })
-		stat("delivered", func(s netsim.Stats) int { return s.Delivered })
-		stat("fastpath", func(s netsim.Stats) int { return s.FastPath })
-		stat("slowpath", func(s netsim.Stats) int { return s.SlowPath })
 		reg.CounterFunc("engine.borrowed", func() uint64 { return uint64(w.borrowed.Load()) })
-		parts = append(parts, w.hLat)
 	}
 	reg.CounterFunc("engine.reconfigs", func() uint64 { return uint64(e.reconfigs.Load()) })
-	reg.MergedHistogram("engine.latency_ns", parts...)
 	if e.flowCfg.Load() != nil {
 		reg.CounterFunc("engine.flow.occupancy", func() uint64 { return e.flowStats().Occupancy })
 		reg.CounterFunc("engine.flow.expired", func() uint64 { return e.flowStats().Expired })

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"gallium/internal/flowstate"
@@ -129,14 +130,27 @@ func (r *Report) WriteText(w io.Writer) {
 	}
 }
 
-// newReport aggregates per-walker stats into a Report, the one way both
-// drivers report: Stats sums them, PerWorker keeps each, Latency merges
-// the walkers' latency histograms at read time, and the stage names and
-// switch counters come from the pipeline.
-func newReport(stages []StageConfig, sws []*switchsim.Switch, per []netsim.Stats, lat []*obs.Histogram) *Report {
-	r := &Report{Workers: len(per), PerWorker: per}
+// deployment is what both drivers run, report and instrument: the
+// pipeline, its switches (nil in Software mode) and the walkers, with
+// stats(i) reading walker i's Stats — the testbed's own as they stand, an
+// engine worker's as of its latest barrier.
+type deployment struct {
+	stages []StageConfig
+	sws    []*switchsim.Switch
+	walks  []*netsim.Walker
+	stats  func(i int) netsim.Stats
+}
+
+// report aggregates the walkers into a Report, the one way both drivers
+// report: Stats sums their Stats, PerWorker keeps each, Latency merges
+// their latency histograms at read time, and the stage names and switch
+// counters come from the pipeline.
+func (d *deployment) report() *Report {
+	r := &Report{Workers: len(d.walks)}
 	agg := &r.Stats
-	for _, s := range per {
+	for i := range d.walks {
+		s := d.stats(i)
+		r.PerWorker = append(r.PerWorker, s)
 		agg.Injected += s.Injected
 		agg.Delivered += s.Delivered
 		agg.MBDrops += s.MBDrops
@@ -156,11 +170,12 @@ func newReport(stages []StageConfig, sws []*switchsim.Switch, per []netsim.Stats
 			agg.LastDeliverNs = s.LastDeliverNs
 		}
 	}
-	r.Latency = obs.MergeHistograms(lat...).Snapshot()
-	for _, st := range stages {
+	fast, slow := d.latency()
+	r.Latency = obs.MergeHistograms(slices.Concat(fast, slow)...).Snapshot()
+	for _, st := range d.stages {
 		r.StageNames = append(r.StageNames, st.Name)
 	}
-	for _, sw := range sws {
+	for _, sw := range d.sws {
 		r.SwitchStages = append(r.SwitchStages, sw.Stats())
 	}
 	return r
@@ -171,12 +186,7 @@ func newReport(stages []StageConfig, sws []*switchsim.Switch, per []netsim.Stats
 // the run is over), with the wall-clock, hand-off and lifecycle figures
 // only the engine has.
 func (e *Engine) buildReport(wall time.Duration) *Report {
-	per := make([]netsim.Stats, len(e.workers))
-	lat := make([]*obs.Histogram, len(e.workers))
-	for i, w := range e.workers {
-		per[i], lat[i] = w.published(), w.hLat
-	}
-	r := newReport(e.stages, e.sws, per, lat)
+	r := e.report()
 	r.WallNs = int64(wall)
 	for _, w := range e.workers {
 		mean := 0.0
@@ -192,4 +202,69 @@ func (e *Engine) buildReport(wall time.Duration) *Report {
 	}
 	r.Flow = e.flowStats()
 	return r
+}
+
+// latency returns the walkers' fast- and slow-path latency histograms, in
+// walker order.
+func (d *deployment) latency() (fast, slow []*obs.Histogram) {
+	for _, w := range d.walks {
+		fast, slow = append(fast, w.Metrics.Fast), append(slow, w.Metrics.Slow)
+	}
+	return fast, slow
+}
+
+// walkerCounts are the walker Stats fields every deployment exports, as
+// "engine.<name>" summed over its walkers and "engine.worker.<i>.<name>"
+// for walker i.
+var walkerCounts = []struct {
+	name string
+	pick func(netsim.Stats) int
+}{
+	{"packets", func(s netsim.Stats) int { return s.Injected }},
+	{"delivered", func(s netsim.Stats) int { return s.Delivered }},
+	{"fastpath", func(s netsim.Stats) int { return s.FastPath }},
+	{"slowpath", func(s netsim.Stats) int { return s.SlowPath }},
+	{"mb_drops", func(s netsim.Stats) int { return s.MBDrops }},
+	{"queue_drops", func(s netsim.Stats) int { return s.QueueDrops }},
+	{"ctl_rejected", func(s netsim.Stats) int { return s.CtlRejected }},
+}
+
+// instrument registers the deployment's metrics with reg (nil: none), the
+// one way both drivers do: the switches' and the walkers' own, the walker
+// counts read through stats at snapshot time, and every per-walker
+// histogram as a read-time merge of the walkers' parts. core.<i> numbers
+// the deployment's server cores across walkers: the testbed's simulated
+// cores, or one per engine worker.
+func (d *deployment) instrument(reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
+	for _, sw := range d.sws {
+		sw.Instrument(reg)
+	}
+	var wait, stall []*obs.Histogram
+	core := 0
+	for i, w := range d.walks {
+		w.Instrument(reg)
+		wait, stall = append(wait, w.Metrics.Wait), append(stall, w.Metrics.Stall)
+		for j := range w.Metrics.Cores {
+			c := &w.Metrics.Cores[j]
+			reg.CounterFunc(fmt.Sprintf("core.%d.packets", core), c.Packets.Value)
+			reg.CounterFunc(fmt.Sprintf("core.%d.busy_ns", core), c.BusyNs.Value)
+			core++
+		}
+		for _, c := range walkerCounts {
+			fn := func() uint64 { return uint64(c.pick(d.stats(i))) }
+			reg.CounterFunc(fmt.Sprintf("engine.worker.%d.%s", i, c.name), fn)
+			reg.CounterFunc("engine."+c.name, fn)
+		}
+	}
+	fast, slow := d.latency()
+	reg.MergedHistogram("engine.latency_ns.fast", fast...)
+	reg.MergedHistogram("engine.latency_ns.slow", slow...)
+	// Every delivered packet is either fast or slow, so the all-packets
+	// histogram merges both: one observation per delivery.
+	reg.MergedHistogram("engine.latency_ns", slices.Concat(fast, slow)...)
+	reg.MergedHistogram("server.queue.wait_ns", wait...)
+	reg.MergedHistogram("switch.ctl.stall_ns", stall...)
 }

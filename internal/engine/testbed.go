@@ -7,7 +7,6 @@ import (
 
 	"gallium/internal/ir"
 	"gallium/internal/netsim"
-	"gallium/internal/obs"
 	"gallium/internal/packet"
 	"gallium/internal/serverrt"
 	"gallium/internal/switchsim"
@@ -20,21 +19,13 @@ import (
 // at a scheduled virtual time, where an engine worker flips them before
 // it delivers the packet.
 type Testbed struct {
-	walk   netsim.Walker
-	stages []StageConfig
-	sws    []*switchsim.Switch
+	deployment
+	walk netsim.Walker
 
 	// flips are the scheduled visibility flips, in commit order.
 	flips      []flip
 	lastInject int64
 	reconfigs  int
-
-	hFast *obs.Histogram // end-to-end latency, fast-path (switch-only) packets
-	hSlow *obs.Histogram // end-to-end latency, slow-path (server-visited) packets
-	// tracer is resolved once at build time, like every other handle, so
-	// the per-packet path never touches the registry mutex. Enable tracing
-	// on the registry before constructing the testbed.
-	tracer *obs.TraceRecorder
 }
 
 // flip is one write-back batch's scheduled visibility: the stage whose
@@ -62,60 +53,12 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	tb := &Testbed{stages: cfg.Stages, sws: sws}
+	tb := &Testbed{}
 	tb.walk = netsim.NewWalker(cfg.Model, shards[0], cfg.Workers, 0, 0, tb)
+	tb.deployment = deployment{stages: cfg.Stages, sws: sws, walks: []*netsim.Walker{&tb.walk},
+		stats: func(int) netsim.Stats { return tb.walk.Stats }}
 	tb.instrument(cfg.Obs)
 	return tb, nil
-}
-
-// instrument wires the registry through every component, registers the
-// end-to-end counters as reads of the walker's Stats, and resolves the
-// latency histograms (private ones without a registry: Report reads them).
-func (tb *Testbed) instrument(reg *obs.Registry) {
-	if reg == nil {
-		tb.hFast, tb.hSlow = obs.NewHistogram(nil), obs.NewHistogram(nil)
-		return
-	}
-	for _, sw := range tb.sws {
-		sw.Instrument(reg)
-	}
-	for _, st := range tb.walk.Stages {
-		if st.Server != nil {
-			st.Server.Instrument(reg)
-		} else {
-			st.Software.Instrument(reg)
-		}
-	}
-	tb.walk.Instrument(reg)
-	stat := func(name string, pick func(netsim.Stats) int) {
-		reg.CounterFunc(name, func() uint64 { return uint64(pick(tb.walk.Stats)) })
-	}
-	stat("e2e.injected", func(s netsim.Stats) int { return s.Injected })
-	stat("e2e.delivered", func(s netsim.Stats) int { return s.Delivered })
-	stat("e2e.mb_drops", func(s netsim.Stats) int { return s.MBDrops })
-	stat("e2e.queue_drops", func(s netsim.Stats) int { return s.QueueDrops })
-	stat("e2e.ctl_rejected", func(s netsim.Stats) int { return s.CtlRejected })
-	tb.hFast = reg.Histogram("e2e.latency_ns.fast", nil)
-	tb.hSlow = reg.Histogram("e2e.latency_ns.slow", nil)
-	// Every delivered packet is either fast or slow, so the all-packets
-	// histogram is a read-time merge — one observation per delivery.
-	reg.MergedHistogram("e2e.latency_ns", tb.hFast, tb.hSlow)
-	tb.tracer = reg.Tracer()
-}
-
-// traceStart opens a hop trace for the packet if the registry has tracing
-// enabled and capacity left.
-func (tb *Testbed) traceStart(tNs int64, pkt *packet.Packet) *obs.Trace {
-	if tb.tracer == nil {
-		return nil
-	}
-	summary := "packet"
-	if tup, ok := pkt.Tuple(); ok {
-		summary = tup.String()
-	}
-	tr := tb.tracer.Start(summary)
-	tr.Hop("inject", tNs)
-	return tr
 }
 
 // stageBatch stages updates on shard's lane of the switch, invisible until
@@ -213,24 +156,16 @@ func (tb *Testbed) Inject(tNs int64, pkt *packet.Packet) (netsim.Delivery, error
 		return netsim.Delivery{}, fmt.Errorf("engine: out-of-order injection (%d < %d)", tNs, tb.lastInject)
 	}
 	tb.lastInject = tNs
-	d, err := tb.walk.Walk(tNs, pkt, tb.traceStart(tNs, pkt))
+	d, err := tb.walk.Walk(tNs, pkt)
 	tb.walk.Flush()
-	if err != nil || !d.Delivered {
-		return d, err
-	}
-	if d.FastPath {
-		tb.hFast.Observe(d.LatencyNs)
-	} else {
-		tb.hSlow.Observe(d.LatencyNs)
-	}
-	return d, nil
+	return d, err
 }
 
 // Report reports the run so far through the engine's own aggregation over
 // the testbed's one walker. It has no wall-clock figures: the testbed runs
 // in virtual time only.
 func (tb *Testbed) Report() *Report {
-	r := newReport(tb.stages, tb.sws, []netsim.Stats{tb.walk.Stats}, []*obs.Histogram{tb.hFast, tb.hSlow})
+	r := tb.report()
 	r.Reconfigs = tb.reconfigs
 	return r
 }

@@ -8,7 +8,6 @@ import (
 	"gallium/internal/flowstate"
 	"gallium/internal/ir"
 	"gallium/internal/netsim"
-	"gallium/internal/obs"
 	"gallium/internal/packet"
 	"gallium/internal/switchsim"
 )
@@ -63,8 +62,6 @@ type worker struct {
 	// next indexes the batch's first job not yet run.
 	batch []job
 	next  int
-
-	hLat *obs.Histogram
 
 	// Flow-state lifecycle. life holds one tracker per stage (nil when
 	// the stage has no dynamic maps or the lifecycle is disabled); the
@@ -342,12 +339,9 @@ func (w *worker) process(j *job, more bool) error {
 	if w.lifeOn {
 		w.setClock(j)
 	}
-	d, err := w.walk.Walk(j.tNs, j.pkt, nil)
+	d, err := w.walk.Walk(j.tNs, j.pkt)
 	if err != nil {
 		return err
-	}
-	if d.Delivered {
-		w.hLat.Observe(d.LatencyNs)
 	}
 	if cb := w.eng.cfg.OnDelivery; cb != nil {
 		cb(Delivery{Seq: j.seq, TNs: j.tNs, Worker: w.id, Flow: j.flow, Pkt: j.pkt, More: more, Delivery: d})

@@ -50,24 +50,17 @@ func (st *Stage) State() *ir.State {
 	return st.Software.State
 }
 
-// Verdict is one stage's outcome for a packet.
-type Verdict uint8
+// verdict is one stage's outcome for a packet.
+type verdict uint8
 
 const (
-	// Continue advances the packet to the next stage (or delivery).
-	Continue Verdict = iota
-	// MBDrop means the stage's middlebox logic dropped the packet.
-	MBDrop
-	// QueueDrop means the server core's (virtual-time) queue overflowed.
-	QueueDrop
+	// continued advances the packet to the next stage (or delivery).
+	continued verdict = iota
+	// mbDrop means the stage's middlebox logic dropped the packet.
+	mbDrop
+	// queueDrop means the server core's (virtual-time) queue overflowed.
+	queueDrop
 )
-
-// Trip describes one packet's trip through one stage.
-type Trip struct {
-	Verdict Verdict
-	// TookSlow means the packet left the switch fast path in this stage.
-	TookSlow bool
-}
 
 // Walker is the execution core every runtime shares: it carries one packet
 // through the paper's Figure 1 trip — links, switch pre-pass, the §7 punt,
@@ -92,14 +85,32 @@ type Walker struct {
 	// frame holds the wire bytes of the slow path's switch-server hops.
 	frame packet.SerializeBuffer
 
-	// Observability handles (nil-safe; see Instrument).
-	hWait *obs.Histogram // server ingress queue wait
-	// hStall is the output-commit stall: time a packet is held past server
-	// completion waiting for its write-back batch to flip (§4.3.3). Its
-	// count is the number of packets held.
-	hStall   *obs.Histogram
-	corePkts []*obs.Counter
-	coreBusy []*obs.Counter
+	// Metrics are the walker's own observations, which its driver
+	// registers (merged with its other walkers') by name.
+	Metrics Metrics
+	// tracer hands out hop traces once Instrument has found tracing on;
+	// the walker drops it when the recorder is full.
+	tracer *obs.TraceRecorder
+}
+
+// Metrics are one walker's parts of its deployment's metrics. The latency
+// histograms are always kept (reports read them); the rest stay nil until
+// Instrument, so an unobserved walker pays one nil check for them.
+type Metrics struct {
+	// Fast and Slow hold the end-to-end latency of delivered packets that
+	// did and did not stay on the switch fast path.
+	Fast, Slow *obs.Histogram
+	// Wait is the server ingress queue wait. Stall is the output-commit
+	// stall: time a packet is held past server completion waiting for its
+	// write-back batch to flip (§4.3.3); its count is the packets held.
+	Wait, Stall *obs.Histogram
+	// Cores counts each simulated server core's packets and busy time.
+	Cores []CoreCounts
+}
+
+// CoreCounts are one server core's packet count and busy virtual time.
+type CoreCounts struct {
+	Packets, BusyNs obs.Counter
 }
 
 // NewWalker builds a walker over the pipeline with the given number of
@@ -112,7 +123,8 @@ func NewWalker(model CostModel, stages []Stage, cores, shard int, jitterSeed uin
 		}
 	}
 	return Walker{Model: model, Stages: stages, commit: c,
-		coreFreeNs: make([]int64, cores), jitter: jitterSeed}
+		coreFreeNs: make([]int64, cores), jitter: jitterSeed,
+		Metrics: Metrics{Fast: obs.NewHistogram(nil), Slow: obs.NewHistogram(nil)}}
 }
 
 // Flush publishes the stages' switch-pass counts into the switches' shard
@@ -126,16 +138,20 @@ func (w *Walker) Flush() {
 	}
 }
 
-// Instrument registers the server-side queueing and output-commit metrics.
+// Instrument registers the stages' servers with reg, takes hop traces from
+// its tracer, and starts the walker's queue-wait, stall and per-core
+// metrics. It must run before the walker's first packet.
 func (w *Walker) Instrument(reg *obs.Registry) {
-	w.hWait = reg.Histogram("server.queue.wait_ns", nil)
-	w.hStall = reg.Histogram("switch.ctl.stall_ns", nil)
-	w.corePkts = make([]*obs.Counter, len(w.coreFreeNs))
-	w.coreBusy = make([]*obs.Counter, len(w.coreFreeNs))
-	for i := range w.coreFreeNs {
-		w.corePkts[i] = reg.Counter(fmt.Sprintf("core.%d.packets", i))
-		w.coreBusy[i] = reg.Counter(fmt.Sprintf("core.%d.busy_ns", i))
+	for _, st := range w.Stages {
+		if st.Server != nil {
+			st.Server.Instrument(reg)
+		} else {
+			st.Software.Instrument(reg)
+		}
 	}
+	w.tracer = reg.Tracer()
+	w.Metrics.Wait, w.Metrics.Stall = obs.NewHistogram(nil), obs.NewHistogram(nil)
+	w.Metrics.Cores = make([]CoreCounts, len(w.coreFreeNs))
 }
 
 // stackNs returns the endpoint stack latency with deterministic jitter
@@ -153,9 +169,14 @@ func (w *Walker) stackNs() float64 {
 
 // Walk runs one packet from the source application at tNs through every
 // stage to the sink host. A packet that survives stage i feeds stage i+1
-// with its rewritten headers; any stage may drop it. tr, when non-nil,
-// receives the hop-by-hop trace.
-func (w *Walker) Walk(tNs int64, pkt *packet.Packet, tr *obs.Trace) (Delivery, error) {
+// with its rewritten headers; any stage may drop it. A delivered packet's
+// latency lands in Metrics.Fast or .Slow; while the registry's recorder
+// has room, the packet's hops land in a trace the walk ends.
+func (w *Walker) Walk(tNs int64, pkt *packet.Packet) (Delivery, error) {
+	var tr *obs.Trace
+	if w.tracer != nil {
+		tr = w.startTrace(tNs, pkt)
+	}
 	m := &w.Model
 	w.Stats.Injected++
 	size := pkt.WireLen()
@@ -168,23 +189,26 @@ func (w *Walker) Walk(tNs int64, pkt *packet.Packet, tr *obs.Trace) (Delivery, e
 	// pipeline counts like a single middlebox would.
 	slow := false
 	for si := range w.Stages {
-		trip, err := w.stage(si, pkt, &t, tr)
+		v, tookSlow, err := w.stage(si, pkt, &t, tr)
 		if err != nil {
+			w.tracer.End(tr)
 			return Delivery{}, err
 		}
-		if trip.TookSlow && !slow {
+		if tookSlow && !slow {
 			slow = true
 			w.Stats.SlowPath++
 		}
-		switch trip.Verdict {
-		case MBDrop:
+		switch v {
+		case mbDrop:
 			w.Stats.MBDrops++
 			if !slow {
 				w.Stats.FastPath++
 			}
+			w.tracer.End(tr)
 			return Delivery{MBDropped: true, FastPath: !slow}, nil
-		case QueueDrop:
+		case queueDrop:
 			w.Stats.QueueDrops++
+			w.tracer.End(tr)
 			return Delivery{QueueDropped: true}, nil
 		}
 	}
@@ -203,16 +227,36 @@ func (w *Walker) Walk(tNs int64, pkt *packet.Packet, tr *obs.Trace) (Delivery, e
 	if d.DeliverNs > w.Stats.LastDeliverNs {
 		w.Stats.LastDeliverNs = d.DeliverNs
 	}
+	if slow {
+		w.Metrics.Slow.Observe(d.LatencyNs)
+	} else {
+		w.Metrics.Fast.Observe(d.LatencyNs)
+	}
 	if tr != nil { // guard: the Sprintf must not run on the untraced path
 		tr.Hop("deliver", d.DeliverNs).SetNote(fmt.Sprintf("latency %.2fµs", float64(d.LatencyNs)/1000))
+		w.tracer.End(tr)
 	}
 	return d, nil
 }
 
+// startTrace starts the packet's trace, or returns nil once the recorder
+// is full, from when on the walker stops asking.
+func (w *Walker) startTrace(tNs int64, pkt *packet.Packet) *obs.Trace {
+	summary := "packet"
+	if tup, ok := pkt.Tuple(); ok {
+		summary = tup.String()
+	}
+	tr := w.tracer.Start(summary)
+	if tr == nil {
+		w.tracer = nil
+		return nil
+	}
+	tr.Hop("inject", tNs)
+	return tr
+}
+
 // pass runs one switch pipeline pass at virtual time atNs, after making
-// due control batches visible. The switch's shared trace-hop slot is
-// written only when a trace is live, so concurrent untraced walkers never
-// touch it.
+// due control batches visible, with its table lookups traced into tr.
 func (w *Walker) pass(st *Stage, post bool, pkt *packet.Packet, atNs int64, tr *obs.Trace) (switchsim.PreResult, error) {
 	w.commit.Due(atNs)
 	var hop *obs.Hop
@@ -222,7 +266,7 @@ func (w *Walker) pass(st *Stage, post bool, pkt *packet.Packet, atNs int64, tr *
 			site = "switch-post"
 		}
 		hop = tr.Hop(site, atNs)
-		st.Switch.TraceHop(hop)
+		st.pass.Trace(hop)
 	}
 	var r switchsim.PreResult
 	var err error
@@ -232,12 +276,10 @@ func (w *Walker) pass(st *Stage, post bool, pkt *packet.Packet, atNs int64, tr *
 		r, err = st.pass.Pre(pkt, st.Touch)
 	}
 	if hop != nil {
-		st.Switch.TraceHop(nil)
-		hop.SetSteps(r.Steps)
+		st.pass.Trace(nil)
+		hop.Steps, hop.Action = r.Steps, r.Action.String()
 		if r.Punt {
-			hop.SetAction("punt")
-		} else {
-			hop.SetAction(r.Action.String())
+			hop.Action = "punt"
 		}
 	}
 	return r, err
@@ -247,11 +289,11 @@ func (w *Walker) pass(st *Stage, post bool, pkt *packet.Packet, atNs int64, tr *
 // when the compiled pipeline can't finish it — the slow-path trip to the
 // server core and the post-pass back through the switch. On Continue, *t
 // is the virtual time at which the packet leaves the stage and pkt
-// carries its rewritten headers.
-func (w *Walker) stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (Trip, error) {
+// carries its rewritten headers. slow means the packet left the switch
+// fast path in this stage.
+func (w *Walker) stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (v verdict, slow bool, err error) {
 	m := &w.Model
 	st := &w.Stages[si]
-	var trip Trip
 	software := st.Switch == nil
 	punt := false
 	if software {
@@ -261,7 +303,7 @@ func (w *Walker) stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 	} else {
 		pre, err := w.pass(st, false, pkt, int64(*t), tr)
 		if err != nil {
-			return trip, err
+			return v, slow, err
 		}
 		*t += m.SwitchPipelineNs
 		switch {
@@ -271,12 +313,11 @@ func (w *Walker) stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 			punt = true
 		case pre.Action == ir.ActionDropped:
 			tr.Hop("drop", int64(*t)).SetNote("middlebox drop on switch")
-			trip.Verdict = MBDrop
-			return trip, nil
+			return mbDrop, false, nil
 		case pre.Action == ir.ActionSent:
-			return trip, nil
+			return continued, false, nil
 		}
-		trip.TookSlow = true
+		slow = true
 		*t += m.SerializationNs(pkt.WireLen()) + m.LinkPropNs
 	}
 
@@ -290,16 +331,14 @@ func (w *Walker) stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 	}
 	if float64(start-arrive) > m.MaxQueueDelayNs {
 		tr.Hop("drop", start).SetNote("server queue overflow")
-		trip.Verdict = QueueDrop
-		return trip, nil
+		return queueDrop, slow, nil
 	}
-	trip.TookSlow = true // the baseline counts only packets its server took
+	slow = true // the baseline counts only packets its server took
 
 	// The frame crosses the switch-server link carrying gallium_a (nothing
 	// on a punt), so the server sees the packet the wire format carries.
 	site := "server"
 	var res serverrt.Result
-	var err error
 	switch {
 	case software:
 		res, err = st.Software.Process(pkt)
@@ -314,7 +353,7 @@ func (w *Walker) stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 		}
 	}
 	if err != nil {
-		return trip, fmt.Errorf("netsim: stage %d server: %w", si, err)
+		return v, slow, fmt.Errorf("netsim: stage %d server: %w", si, err)
 	}
 	// The core is busy only for the CPU service time; the fixed datapath
 	// latency (NIC, PCIe, DPDK polling) is pipelined on top.
@@ -322,10 +361,10 @@ func (w *Walker) stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 	w.coreFreeNs[core] = busyUntil
 	done := busyUntil + int64(m.ServerDatapathNs)
 	w.Stats.ServerCycles += m.ServerCycles(res.Steps)
-	if w.corePkts != nil {
-		w.corePkts[core].Inc()
-		w.coreBusy[core].Add(uint64(busyUntil - start))
-		w.hWait.Observe(start - arrive)
+	if c := w.Metrics.Cores; c != nil {
+		c[core].Packets.Inc()
+		c[core].BusyNs.Add(uint64(busyUntil - start))
+		w.Metrics.Wait.Observe(start - arrive)
 	}
 
 	// Output commit (§4.3.3): the packet is held until the control plane
@@ -334,17 +373,16 @@ func (w *Walker) stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 	if len(res.Updates) > 0 {
 		n, err := w.commit.Commit(si, res.Updates, punt, done)
 		if err != nil {
-			return trip, err
+			return v, slow, err
 		}
 		release = done + int64(m.CtlBatchNs(n))
 	}
 	if release > done {
-		w.hStall.Observe(release - done)
+		w.Metrics.Stall.Observe(release - done)
 	}
 	if tr != nil {
 		hop := tr.Hop(site, start)
-		hop.SetSteps(res.Steps)
-		hop.SetAction(res.Action.String())
+		hop.Steps, hop.Action = res.Steps, res.Action.String()
 		switch {
 		case release > done:
 			hop.SetNote(fmt.Sprintf("output commit stalled %.2fµs", float64(release-done)/1000))
@@ -355,33 +393,31 @@ func (w *Walker) stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (T
 
 	if res.Action == ir.ActionDropped {
 		tr.Hop("drop", done).SetNote("middlebox drop on server")
-		trip.Verdict = MBDrop
-		return trip, nil
+		return mbDrop, true, nil
 	}
 	if software || punt || res.Action == ir.ActionSent {
 		// The server owned the terminator: back out through the switch as
 		// plain forwarding.
 		*t = float64(release) + m.SerializationNs(pkt.WireLen()) + m.LinkPropNs + m.SwitchPipelineNs
-		return trip, nil
+		return continued, true, nil
 	}
 
 	// Back to the switch, carrying gallium_b, for post-processing.
 	tBack := float64(release) + m.SerializationNs(pkt.WireLen()) + m.LinkPropNs
 	if err := w.hop(pkt, st.Server.Res.FormatB); err != nil {
-		return trip, fmt.Errorf("netsim: stage %d switch rx from server: %w", si, err)
+		return v, slow, fmt.Errorf("netsim: stage %d switch rx from server: %w", si, err)
 	}
 	post, err := w.pass(st, true, pkt, int64(tBack), tr)
 	if err != nil {
-		return trip, err
+		return v, slow, err
 	}
 	tBack += m.SwitchPipelineNs
 	if post.Action == ir.ActionDropped {
 		tr.Hop("drop", int64(tBack)).SetNote("middlebox drop on switch post-pass")
-		trip.Verdict = MBDrop
-		return trip, nil
+		return mbDrop, true, nil
 	}
 	*t = tBack
-	return trip, nil
+	return continued, true, nil
 }
 
 // hop carries pkt over the switch-server link: it serializes the packet

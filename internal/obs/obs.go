@@ -14,7 +14,6 @@ package obs
 
 import (
 	"encoding/json"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -211,15 +210,4 @@ func (r *Registry) Snapshot() *Snapshot {
 // already marshal sorted; this is the plain encoding).
 func (s *Snapshot) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
-}
-
-// CounterNames returns the registered counter names, sorted (tests and
-// text reports use it).
-func (s *Snapshot) CounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

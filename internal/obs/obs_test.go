@@ -29,7 +29,8 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	tr := rec.Start("pkt")
 	hop := tr.Hop("switch", 0)
 	hop.Lookup("t", true)
-	hop.SetAction("sent")
+	hop.SetNote("sent")
+	rec.End(tr)
 	s := r.Snapshot()
 	if len(s.Counters) != 0 || len(s.Gauges) != 0 {
 		t.Error("nil registry snapshot has counters or gauges")
@@ -157,13 +158,18 @@ func TestTraceRecorderCapacity(t *testing.T) {
 	}
 	hop := t1.Hop("switch-pre", 1000)
 	hop.Lookup("conn", false)
-	hop.SetAction("next")
-	hop.SetSteps(7)
+	hop.Action, hop.Steps = "next", 7
 	t1.Hop("deliver", 9000).SetNote("latency 8.0µs")
 
+	// A trace is visible once its walk has ended, in Start order.
+	if n := len(tr.Traces()); n != 0 {
+		t.Fatalf("traces = %d before any ended, want 0", n)
+	}
+	tr.End(t2)
+	tr.End(t1)
 	traces := tr.Traces()
-	if len(traces) != 2 {
-		t.Fatalf("traces = %d, want 2", len(traces))
+	if len(traces) != 2 || traces[0].ID != 0 || traces[1].ID != 1 {
+		t.Fatalf("traces = %+v, want #0 and #1", traces)
 	}
 	text := traces[0].Format()
 	for _, want := range []string{"trace #0 pkt1", "switch-pre", "conn=miss", "action=next", "steps=7", "deliver"} {
@@ -177,10 +183,11 @@ func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("switch.table.conn.hits").Add(3)
 	r.GaugeFunc("switch.table.conn.entries", func() int64 { return 2 })
-	r.Histogram("e2e.latency_ns", nil).Observe(15_000)
+	r.Histogram("engine.latency_ns", nil).Observe(15_000)
 	r.EnableTracing(1)
 	tr := r.Tracer().Start("tcp 1.2.3.4:1000 > 9.9.9.9:80")
 	tr.Hop("switch-pre", 0).Lookup("conn", true)
+	r.Tracer().End(tr)
 
 	data, err := r.Snapshot().JSON()
 	if err != nil {
@@ -193,7 +200,7 @@ func TestSnapshotJSON(t *testing.T) {
 	if back.Counters["switch.table.conn.hits"] != 3 {
 		t.Errorf("counter lost: %+v", back.Counters)
 	}
-	h, ok := back.Histograms["e2e.latency_ns"]
+	h, ok := back.Histograms["engine.latency_ns"]
 	if !ok || h.Count != 1 || h.P50 == 0 {
 		t.Errorf("histogram lost: %+v", h)
 	}

@@ -2,48 +2,68 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
 
-// TraceRecorder captures the first N packets' hop-by-hop traces. Start
-// hands out a *Trace until the capacity is reached; each trace is then
-// appended to by exactly one goroutine (the testbed is single-threaded per
-// packet), so only Start and Traces take the lock.
+// TraceRecorder keeps the first N packets' hop-by-hop traces. Start hands
+// out a *Trace until N have been started; each trace is then appended to
+// by exactly one goroutine, the walker carrying its packet, and End
+// publishes it. Traces shows ended traces only, so a reader never copies
+// hops another goroutine is still appending.
 type TraceRecorder struct {
 	mu       sync.Mutex
 	capacity int
-	traces   []*Trace
+	started  int
+	ended    []*Trace
 }
 
 // Start begins a new trace for a packet described by summary (typically
-// the five-tuple). Returns nil when the recorder is nil or full.
+// the five-tuple). Returns nil when the recorder is nil or full: it never
+// frees a slot, so once Start returns nil it always will.
 func (tr *TraceRecorder) Start(summary string) *Trace {
 	if tr == nil {
 		return nil
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if len(tr.traces) >= tr.capacity {
+	if tr.started >= tr.capacity {
 		return nil
 	}
-	t := &Trace{ID: len(tr.traces), Packet: summary}
-	tr.traces = append(tr.traces, t)
+	t := &Trace{ID: tr.started, Packet: summary}
+	tr.started++
 	return t
 }
 
-// Traces returns copies of the recorded traces.
+// End publishes a trace Start handed out, once its packet's trip is over;
+// the trace must not change afterwards. Nil-safe, and inlined, so an
+// untraced walk pays one nil check.
+func (tr *TraceRecorder) End(t *Trace) {
+	if tr != nil && t != nil {
+		tr.end(t)
+	}
+}
+
+func (tr *TraceRecorder) end(t *Trace) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	tr.ended = append(tr.ended, t)
+}
+
+// Traces returns copies of the ended traces, in Start order.
 func (tr *TraceRecorder) Traces() []Trace {
 	if tr == nil {
 		return nil
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	out := make([]Trace, len(tr.traces))
-	for i, t := range tr.traces {
+	out := make([]Trace, len(tr.ended))
+	for i, t := range tr.ended {
 		out[i] = *t
 		out[i].Hops = append([]*Hop(nil), t.Hops...)
 	}
+	slices.SortFunc(out, func(a, b Trace) int { return a.ID - b.ID })
 	return out
 }
 
@@ -118,22 +138,6 @@ func (h *Hop) Lookup(table string, hit bool) {
 		return
 	}
 	h.Lookups = append(h.Lookups, HopLookup{Table: table, Hit: hit})
-}
-
-// SetAction records the pass's terminal action. Nil-safe.
-func (h *Hop) SetAction(a string) {
-	if h == nil {
-		return
-	}
-	h.Action = a
-}
-
-// SetSteps records the executed statement count. Nil-safe.
-func (h *Hop) SetSteps(n int) {
-	if h == nil {
-		return
-	}
-	h.Steps = n
 }
 
 // SetNote attaches free-form detail (e.g. the measured latency). Nil-safe.

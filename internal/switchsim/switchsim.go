@@ -142,9 +142,6 @@ type Switch struct {
 
 	evictions, reconfigs atomic.Int64
 
-	// hop is the active per-packet trace hop, set by the (sequential)
-	// testbed only.
-	hop *obs.Hop
 	// regs are the registries Instrument has registered with (under mu).
 	regs []*obs.Registry
 }
@@ -254,10 +251,6 @@ func (sw *Switch) Instrument(reg *obs.Registry) {
 	}
 	sw.publishLocked(nv)
 }
-
-// TraceHop directs table-lookup trace events of subsequent Process calls
-// into h; nil detaches. The testbed brackets each pipeline pass with it.
-func (sw *Switch) TraceHop(h *obs.Hop) { sw.hop = h }
 
 // New loads a partitioned middlebox onto a fresh switch.
 func New(res *partition.Result) *Switch {
@@ -558,6 +551,8 @@ type Pass struct {
 	acc   access
 	env   ir.Env
 	xfer  []uint64
+	// hop receives the table lookups of the pass in flight (nil: untraced).
+	hop *obs.Hop
 
 	prePackets, postPackets, fastPath, toServer, punts, drops int64
 }
@@ -565,6 +560,10 @@ type Pass struct {
 // NewPass returns a pass context accounting to shard (the calling worker's
 // index; an out-of-range one accounts to shard 0).
 func (sw *Switch) NewPass(shard int) *Pass { return &Pass{sw: sw, shard: shard} }
+
+// Trace directs the table lookups of the pass's following Pre and Post
+// calls into h; nil detaches. The walker brackets each traced pass with it.
+func (p *Pass) Trace(h *obs.Hop) { p.hop = h }
 
 // Flush adds the counts accumulated since the last Flush to the shard's
 // atomic counter block and unpins the last pass's view (which keeps every
@@ -592,7 +591,7 @@ func (p *Pass) Flush() {
 // begin wires the pass to the view it pins and the packet, with a zeroed
 // scratchpad of the compiled slot count.
 func (p *Pass) begin(v *view, pkt *packet.Packet, onTouch func(string, ir.MapKey)) {
-	p.acc = access{sw: p.sw, v: v, hop: p.sw.hop, onTouch: onTouch}
+	p.acc = access{sw: p.sw, v: v, hop: p.hop, onTouch: onTouch}
 	n := p.sw.Res.NumXferSlots
 	if cap(p.xfer) >= n {
 		p.xfer = p.xfer[:n]

@@ -10,10 +10,25 @@ import (
 	"gallium/internal/ir"
 )
 
+// finalStates runs the workload on workers shards and returns each
+// shard's final state, cloned in the WithState hook's settle visit (the
+// seed visit comes first, so the settle clone is the one kept).
+func finalStates(t *testing.T, art *gallium.Artifacts, wl gallium.Workload, workers int) []*ir.State {
+	t.Helper()
+	states := make([]*ir.State, workers)
+	_, err := art.Run(context.Background(), wl, gallium.WithWorkers(workers),
+		gallium.WithState(func(shard int, st *ir.State) { states[shard] = st.Clone() }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return states
+}
+
 // TestMergedStateExactCertificate: a program whose maps are keyed by the
 // full ingress 5-tuple carries an Exact flow-affinity certificate, so
-// WithMergedState must run the disjoint-union policy and reproduce every
-// shard's entries in one state with no conflicts.
+// MergeShardStates must run the disjoint-union policy over a run's shard
+// states and reproduce every shard's entries in one state with no
+// conflicts.
 func TestMergedStateExactCertificate(t *testing.T) {
 	art, err := gallium.Compile(analysis.FlowMapHostSource, gallium.Options{Verify: true})
 	if err != nil {
@@ -24,24 +39,12 @@ func TestMergedStateExactCertificate(t *testing.T) {
 		t.Fatalf("flowmap certificate is not exact: %v", cert.Summary())
 	}
 
-	var merged *ir.State
-	var exact bool
-	var conflict string
+	states := finalStates(t, art, iperfWorkload(8), 4)
 	shardEntries := 0
-	_, err = art.Run(context.Background(), iperfWorkload(8),
-		gallium.WithWorkers(4),
-		gallium.WithState(func(shard int, st *ir.State) {
-			// Seed-phase visits see empty maps and contribute nothing;
-			// the settle visits count each shard's final entries.
-			shardEntries += st.Table("flows").Len()
-		}),
-		gallium.WithMergedState(func(m *ir.State, e bool, c string) {
-			merged, exact, conflict = m, e, c
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
+	for _, st := range states {
+		shardEntries += st.Table("flows").Len()
 	}
+	merged, exact, conflict := art.MergeShardStates(states)
 	if !exact {
 		t.Error("exact certificate did not select the exact merge policy")
 	}
@@ -49,7 +52,7 @@ func TestMergedStateExactCertificate(t *testing.T) {
 		t.Fatalf("exact merge reported a conflict: %s", conflict)
 	}
 	if merged == nil {
-		t.Fatal("WithMergedState hook received a nil state without a conflict")
+		t.Fatal("exact merge returned a nil state without a conflict")
 	}
 	if shardEntries == 0 {
 		t.Fatal("workload left no flow entries; the merge was vacuous")
@@ -60,8 +63,9 @@ func TestMergedStateExactCertificate(t *testing.T) {
 }
 
 // TestMergedStateRelaxedWithoutCertificate: a program that writes a
-// scalar global on the data path is cross-flow, so the merge must fall
-// back to the relaxed policy and never claim exactness.
+// scalar global on the data path is cross-flow, so the merge of a run's
+// shard states must fall back to the relaxed policy and never claim
+// exactness.
 func TestMergedStateRelaxedWithoutCertificate(t *testing.T) {
 	art, err := gallium.Compile(analysis.ServerGlobalHostSource, gallium.Options{Verify: true})
 	if err != nil {
@@ -71,27 +75,15 @@ func TestMergedStateRelaxedWithoutCertificate(t *testing.T) {
 		t.Fatalf("srvcounter certificate should be cross-flow: %v", cert)
 	}
 
-	called := false
-	_, err = art.Run(context.Background(), iperfWorkload(4),
-		gallium.WithWorkers(2),
-		gallium.WithMergedState(func(m *ir.State, e bool, c string) {
-			called = true
-			if e {
-				t.Error("cross-flow program merged under the exact policy")
-			}
-			if c != "" {
-				t.Errorf("relaxed merge reported a conflict: %s", c)
-			}
-			if m == nil {
-				t.Error("relaxed merge returned a nil state")
-			}
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
+	m, e, c := art.MergeShardStates(finalStates(t, art, iperfWorkload(4), 2))
+	if e {
+		t.Error("cross-flow program merged under the exact policy")
 	}
-	if !called {
-		t.Fatal("WithMergedState hook never ran")
+	if c != "" {
+		t.Errorf("relaxed merge reported a conflict: %s", c)
+	}
+	if m == nil {
+		t.Error("relaxed merge returned a nil state")
 	}
 }
 

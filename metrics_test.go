@@ -111,6 +111,32 @@ func TestRegistryMatchesReport(t *testing.T) {
 		if got := snap.Histograms["engine.latency_ns"].Count; got != rep.Latency.Count {
 			t.Errorf("engine.latency_ns count = %d, report says %d", got, rep.Latency.Count)
 		}
+		// The walker metrics: every delivery is fast or slow, and each
+		// worker is one server core.
+		fast, okF := snap.Histograms["engine.latency_ns.fast"]
+		slow, okS := snap.Histograms["engine.latency_ns.slow"]
+		if !okF || !okS || fast.Count+slow.Count != rep.Latency.Count {
+			t.Errorf("engine.latency_ns.fast + .slow = %d + %d (present %v, %v), report says %d",
+				fast.Count, slow.Count, okF, okS, rep.Latency.Count)
+		}
+		for _, name := range []string{"server.queue.wait_ns", "switch.ctl.stall_ns"} {
+			if _, ok := snap.Histograms[name]; !ok {
+				t.Errorf("histogram %s missing", name)
+			}
+		}
+		var corePkts uint64
+		for i := range rep.PerWorker {
+			for _, m := range []string{"packets", "busy_ns"} {
+				name := fmt.Sprintf("core.%d.%s", i, m)
+				if _, ok := snap.Counters[name]; !ok {
+					t.Errorf("counter %s missing", name)
+				}
+			}
+			corePkts += snap.Counters[fmt.Sprintf("core.%d.packets", i)]
+		}
+		if got := snap.Histograms["server.queue.wait_ns"].Count; got != corePkts {
+			t.Errorf("server.queue.wait_ns count = %d, the cores served %d packets", got, corePkts)
+		}
 	})
 
 	t.Run("testbed", func(t *testing.T) {
@@ -135,17 +161,7 @@ func TestRegistryMatchesReport(t *testing.T) {
 		if st.Injected == 0 {
 			t.Fatal("nothing injected")
 		}
-		for name, want := range map[string]int{
-			"e2e.injected":     st.Injected,
-			"e2e.delivered":    st.Delivered,
-			"e2e.mb_drops":     st.MBDrops,
-			"e2e.queue_drops":  st.QueueDrops,
-			"e2e.ctl_rejected": st.CtlRejected,
-		} {
-			if got := snap.Counters[name]; got != uint64(want) {
-				t.Errorf("%s = %d, Stats says %d", name, got, want)
-			}
-		}
+		checkEngineMetrics(t, snap, tb.Report())
 		checkSwitchMetrics(t, snap, []switchsim.Stats{tb.Switch().Stats()})
 	})
 
@@ -194,10 +210,13 @@ func checkEngineMetrics(t *testing.T, snap *obs.Snapshot, rep *gallium.Report) {
 	t.Helper()
 	check := func(prefix string, s netsim.Stats) {
 		for name, want := range map[string]int{
-			"packets":   s.Injected,
-			"delivered": s.Delivered,
-			"fastpath":  s.FastPath,
-			"slowpath":  s.SlowPath,
+			"packets":      s.Injected,
+			"delivered":    s.Delivered,
+			"fastpath":     s.FastPath,
+			"slowpath":     s.SlowPath,
+			"mb_drops":     s.MBDrops,
+			"queue_drops":  s.QueueDrops,
+			"ctl_rejected": s.CtlRejected,
 		} {
 			if got := snap.Counters[prefix+name]; got != uint64(want) {
 				t.Errorf("%s%s = %d, report says %d", prefix, name, got, want)
@@ -262,6 +281,65 @@ func checkSwitchMetrics(t *testing.T, snap *obs.Snapshot, stages []switchsim.Sta
 		_, known := want[name]
 		if !known && !strings.HasSuffix(name, ".hits") && !strings.HasSuffix(name, ".misses") {
 			t.Errorf("switch counter %s is not checked against Stats", name)
+		}
+	}
+}
+
+// TestTraceSnapshotDuringFeed: traces are recorded by the engine's
+// workers while other goroutines snapshot the registry. A snapshot copies
+// only traces whose walk has ended, so under -race it must never read a
+// hop a worker is still appending, and once the feed has settled every
+// trace is complete: its last hop is the packet's fate.
+func TestTraceSnapshotDuringFeed(t *testing.T) {
+	art, err := gallium.CompileBuiltin("mazunat", gallium.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := iperfWorkload(8)
+	const traced = 64
+	reg := obs.NewRegistry()
+	reg.EnableTracing(traced)
+	s, err := gallium.Open(art, gallium.WithWorkers(2), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()), gallium.WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				for _, tr := range reg.Snapshot().Traces {
+					for _, h := range tr.Hops {
+						_ = h.Site + h.Action + h.Note
+					}
+				}
+			}
+		}
+	}()
+	err = s.Feed(gen)
+	close(done)
+	wg.Wait()
+	if _, cerr := s.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := reg.Snapshot().Traces
+	if len(traces) != traced {
+		t.Fatalf("recorded %d traces, want %d", len(traces), traced)
+	}
+	for i, tr := range traces {
+		if tr.ID != i {
+			t.Errorf("trace %d has ID %d: traces are not in Start order", i, tr.ID)
+		}
+		if n := len(tr.Hops); n < 2 || tr.Hops[0].Site != "inject" || (tr.Hops[n-1].Site != "deliver" && tr.Hops[n-1].Site != "drop") {
+			t.Errorf("trace %d is incomplete:\n%s", i, tr.Format())
 		}
 	}
 }

@@ -42,9 +42,6 @@ type runConfig struct {
 	// shard after the run settles. WithState registers in both.
 	seedFns   []func(shard int, st *ir.State)
 	settleFns []func(shard int, st *ir.State)
-	// mergedFns run once after the settle hooks with the shard states
-	// merged under the certificate-selected policy (WithMergedState).
-	mergedFns []func(merged *ir.State, exact bool, conflict string)
 	err       error
 }
 
@@ -104,9 +101,11 @@ func WithMode(m Mode) Option {
 	return func(c *runConfig) { c.Mode = m }
 }
 
-// WithMetrics attaches an observability registry: the engine's per-worker
-// and "engine.*" counts, read from each worker's stats as of its latest
-// barrier, and the switch and server metrics.
+// WithMetrics attaches an observability registry: the "engine.*" and
+// per-worker counts, read from each worker's stats as of its latest
+// barrier, latency, queue-wait and stall histograms, per-core counts, the
+// switch and server metrics, and hop traces when the registry has tracing
+// enabled.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(c *runConfig) { c.Obs = reg }
 }
@@ -142,17 +141,6 @@ func WithState(fn func(shard int, st *ir.State)) Option {
 		c.seedFns = append(c.seedFns, fn)
 		c.settleFns = append(c.settleFns, fn)
 	}
-}
-
-// WithMergedState registers a hook invoked once when the session closes,
-// after any WithState settle hooks, with every worker shard's final
-// state merged through Artifacts.MergeShardStates. exact reports whether
-// the flow-affinity certificate authorized the exact disjoint-union
-// policy; a non-empty conflict means the shard states falsified an exact
-// certificate (merged is nil in that case). For chained pipelines the
-// merge covers stage 0's shards, matching WithState.
-func WithMergedState(fn func(merged *ir.State, exact bool, conflict string)) Option {
-	return func(c *runConfig) { c.mergedFns = append(c.mergedFns, fn) }
 }
 
 // WithCostModel overrides the virtual-time cost model.
@@ -195,7 +183,7 @@ func WithQueueDepth(n int) Option {
 // session, feeds the workload, and closes. Long-lived traffic with hot
 // reconfiguration uses Open / Session.Feed / Session.Reconfigure
 // directly. For packet-at-a-time experiments that need exact
-// injection-time control (latency sweeps, per-packet traces), build a
+// injection-time control (latency sweeps, differential tests), build a
 // Testbed and use Inject.
 func (a *Artifacts) Run(ctx context.Context, wl Workload, opts ...Option) (*Report, error) {
 	return (&Pipeline{stages: []*Artifacts{a}}).Run(ctx, wl, opts...)

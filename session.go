@@ -114,10 +114,6 @@ type Session struct {
 	workers int
 
 	settleFns []func(shard int, st *ir.State)
-	mergedFns []func(merged *ir.State, exact bool, conflict string)
-	// merge combines shard states for the mergedFns hooks; bound to stage
-	// 0's artifacts at open time (Artifacts.MergeShardStates).
-	merge func(states []*ir.State) (*ir.State, bool, string)
 
 	mu     sync.Mutex
 	closed bool
@@ -150,8 +146,6 @@ func openSession(ctx context.Context, arts []*Artifacts, opts []Option) (*Sessio
 		stages:    cfg.Stages,
 		workers:   workers,
 		settleFns: cfg.settleFns,
-		mergedFns: cfg.mergedFns,
-		merge:     arts[0].MergeShardStates,
 	}, nil
 }
 
@@ -218,10 +212,8 @@ func (s *Session) Drain() error {
 }
 
 // Close stops the session — joins the workers — and returns the final
-// report. Any WithState hooks observe
-// each shard's final state here, and WithMergedState hooks then receive
-// the certificate-policy merge of those states. Idempotent: later calls
-// return the first result.
+// report. Any WithState hooks observe each shard's final state here.
+// Idempotent: later calls return the first result.
 func (s *Session) Close() (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -236,18 +228,9 @@ func (s *Session) Close() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(s.settleFns) > 0 || len(s.mergedFns) > 0 {
-		states := s.eng.ShardStatesAt(0)
-		for shard, st := range states {
-			for _, fn := range s.settleFns {
-				fn(shard, st)
-			}
-		}
-		if len(s.mergedFns) > 0 {
-			merged, exact, conflict := s.merge(states)
-			for _, fn := range s.mergedFns {
-				fn(merged, exact, conflict)
-			}
+	for shard, st := range s.eng.ShardStatesAt(0) {
+		for _, fn := range s.settleFns {
+			fn(shard, st)
 		}
 	}
 	s.report = rep

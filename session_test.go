@@ -280,11 +280,10 @@ func TestTestbedRefusesEngineOnlyOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, opt := range map[string]gallium.Option{
-		"WithDeliveries":  gallium.WithDeliveries(func(gallium.Delivery) {}),
-		"WithQueueDepth":  gallium.WithQueueDepth(8),
-		"WithFlowTable":   gallium.WithFlowTable(gallium.FlowTable{Capacity: 64}),
-		"WithState":       gallium.WithState(func(int, *ir.State) {}),
-		"WithMergedState": gallium.WithMergedState(func(*ir.State, bool, string) {}),
+		"WithDeliveries": gallium.WithDeliveries(func(gallium.Delivery) {}),
+		"WithQueueDepth": gallium.WithQueueDepth(8),
+		"WithFlowTable":  gallium.WithFlowTable(gallium.FlowTable{Capacity: 64}),
+		"WithState":      gallium.WithState(func(int, *ir.State) {}),
 	} {
 		if _, err := art.NewTestbed(gallium.TestbedConfig{}, opt); err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("NewTestbed with %s: %v, want an error naming it", name, err)

@@ -57,11 +57,11 @@ type Testbed struct {
 // artifacts, from Open's options through the translation Open uses, with
 // WithWorkers as the simulated server core count. The options that need
 // concurrent workers or a Close (WithDeliveries, WithQueueDepth,
-// WithFlowTable, WithState, WithMergedState) are refused with an error.
+// WithFlowTable, WithState) are refused with an error.
 //
 // Inject is the low-level escape hatch: a packet at a time, with exact
-// control over injection times, for latency experiments, per-packet
-// traces and differential tests. Reconfigure applies the operation
+// control over injection times, for latency experiments and
+// differential tests. Reconfigure applies the operation
 // Session.Reconfigure takes between two injections, which makes the
 // testbed the session's oracle. To stream a workload through the
 // concurrent engine, use Artifacts.Run or Open.
@@ -80,8 +80,6 @@ func (a *Artifacts) NewTestbed(cfg TestbedConfig, opts ...Option) (*Testbed, err
 		refused = "WithFlowTable"
 	case len(rc.settleFns) > 0:
 		refused = "WithState"
-	case len(rc.mergedFns) > 0:
-		refused = "WithMergedState"
 	}
 	if refused != "" {
 		return nil, fmt.Errorf("gallium: %s has no meaning on a Testbed, which runs on the caller's goroutine and has no Close", refused)
