@@ -3,6 +3,7 @@ package packet
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -103,9 +104,9 @@ func (f *HeaderFormat) Set(data []byte, name string, v uint64) error {
 	return setBits(data, off, bits, v)
 }
 
-// FieldSpec is a precomputed field location inside a header's data area.
-// Hot paths resolve fields to specs once (at load time) and then read and
-// write through GetAt/SetAt without per-packet name lookups.
+// FieldSpec is a precomputed field location inside a header's data area,
+// read and written through GetAt/SetAt without a name lookup. The
+// runtimes move a whole transfer set through a Codec instead.
 type FieldSpec struct {
 	Off, Bits int
 }
@@ -140,33 +141,261 @@ func (f *HeaderFormat) String() string {
 	return b.String()
 }
 
-func getBits(data []byte, off, bits int) (uint64, error) {
-	if (off+bits+7)/8 > len(data) {
-		return 0, fmt.Errorf("packet: field out of range (off %d, %d bits, %d bytes)", off, bits, len(data))
+// words is a header data area as big-endian 64-bit words: room for
+// MaxTransferBytes, and for the 9 bytes a field at an odd offset spans.
+// Its length is a power of two so a masked index needs no bounds check.
+type words [4]uint64
+
+// piece is the part of one field that lies in one word of a data area:
+// the m-masked bits s above the word's least significant bit, which are
+// the field value's bits v above its own. A field crossing a word
+// boundary is two pieces.
+type piece struct {
+	slot    int
+	w, s, v uint8
+	m       uint64
+}
+
+// place appends the pieces of the bits-wide field at bit off (MSB-first)
+// of a data area, bound to slot. The caller has checked 0 < bits <= 64
+// and that the field ends inside words.
+func place(dst []piece, off, bits, slot int) []piece {
+	for end := off + bits; off < end; {
+		wordEnd := (off/64 + 1) * 64
+		n := min(end, wordEnd) - off
+		dst = append(dst, piece{slot: slot, w: uint8(off / 64), s: uint8(wordEnd - off - n),
+			v: uint8(end - off - n), m: ^uint64(0) >> (64 - n)})
+		off += n
 	}
+	return dst
+}
+
+// get returns the piece's bits of w, in place in its field's value.
+func (p *piece) get(w *words) uint64 { return (w[p.w&3] >> (p.s & 63) & p.m) << (p.v & 63) }
+
+// bits returns the piece's bits of the field value v, in place in its word.
+func (p *piece) bits(v uint64) uint64 { return (v >> (p.v & 63) & p.m) << (p.s & 63) }
+
+// load reads data (at most 32 bytes) into w, zero past its end, a word
+// and then a 4-, 2- and 1-byte tail at a time.
+func (w *words) load(data []byte) {
+	*w = words{}
+	i := 0
+	for ; len(data) >= 8; i++ {
+		w[i&3] = binary.BigEndian.Uint64(data)
+		data = data[8:]
+	}
+	var t uint64
+	sh := 64
+	if len(data) >= 4 {
+		sh -= 32
+		t |= uint64(binary.BigEndian.Uint32(data)) << sh
+		data = data[4:]
+	}
+	if len(data) >= 2 {
+		sh -= 16
+		t |= uint64(binary.BigEndian.Uint16(data)) << sh
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		sh -= 8
+		t |= uint64(data[0]) << sh
+	}
+	w[i&3] |= t
+}
+
+// store writes w back over data (at most 32 bytes), as load reads it.
+func (w *words) store(data []byte) {
+	i := 0
+	for ; len(data) >= 8; i++ {
+		binary.BigEndian.PutUint64(data, w[i&3])
+		data = data[8:]
+	}
+	t := w[i&3]
+	if len(data) >= 4 {
+		binary.BigEndian.PutUint32(data, uint32(t>>32))
+		t <<= 32
+		data = data[4:]
+	}
+	if len(data) >= 2 {
+		binary.BigEndian.PutUint16(data, uint16(t>>48))
+		t <<= 16
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		data[0] = byte(t >> 56)
+	}
+}
+
+// window checks that a bits-wide field at bit off lies inside data, and
+// returns the bytes around it — at most 16, starting with the field's
+// first byte — and its pieces there.
+func window(data []byte, off, bits int, buf *[2]piece) ([]byte, []piece, error) {
+	if off < 0 || bits <= 0 || bits > 64 || (off+bits+7)/8 > len(data) {
+		return nil, nil, fmt.Errorf("packet: field out of range (off %d, %d bits, %d bytes)", off, bits, len(data))
+	}
+	b := off / 8
+	return data[b:min(len(data), b+16)], place(buf[:0], off%8, bits, 0), nil
+}
+
+func getBits(data []byte, off, bits int) (uint64, error) {
+	var buf [2]piece
+	win, ps, err := window(data, off, bits, &buf)
+	if err != nil {
+		return 0, err
+	}
+	var w words
+	w.load(win)
 	var v uint64
-	for i := 0; i < bits; i++ {
-		bit := off + i
-		v <<= 1
-		v |= uint64(data[bit/8]>>(7-bit%8)) & 1
+	for i := range ps {
+		v |= ps[i].get(&w)
 	}
 	return v, nil
 }
 
 func setBits(data []byte, off, bits int, v uint64) error {
-	if (off+bits+7)/8 > len(data) {
-		return fmt.Errorf("packet: field out of range (off %d, %d bits, %d bytes)", off, bits, len(data))
+	var buf [2]piece
+	win, ps, err := window(data, off, bits, &buf)
+	if err != nil {
+		return err
 	}
-	for i := 0; i < bits; i++ {
-		bit := off + i
-		mask := byte(1) << (7 - bit%8)
-		if v>>(bits-1-i)&1 == 1 {
-			data[bit/8] |= mask
-		} else {
-			data[bit/8] &^= mask
+	var w words
+	w.load(win)
+	for i := range ps {
+		p := &ps[i]
+		w[p.w&3] = w[p.w&3]&^p.bits(^uint64(0)) | p.bits(v)
+	}
+	w.store(win)
+	return nil
+}
+
+// Bind names the header field a scratchpad slot (0-based) travels in.
+type Bind struct {
+	Field string
+	Slot  int
+}
+
+// Codec is a HeaderFormat compiled for one scratchpad layout: it packs
+// scratchpad slots into the header's data area and unpacks them back,
+// a word at a time, with the layout's names, offsets and slots resolved
+// once, at construction. The wire layout is the format's, bit for bit.
+type Codec struct {
+	f *HeaderFormat
+	// whole holds the bound fields that lie inside one word (v is zero),
+	// in word order; split the fields crossing a word boundary, as their
+	// two pieces.
+	whole, split []piece
+	// keep masks, per word, the bits no bound field covers.
+	keep words
+	// n is the number of data bytes the bound fields span.
+	n   int
+	err error
+}
+
+// NewCodec compiles f for binds over a scratchpad of slots words. A bind
+// naming a field f lacks, or a slot outside the scratchpad, is an error;
+// the codec returned with it fails every call with that error and
+// touches nothing, so a caller that cannot fail at construction reports
+// it on the first packet that carries the header.
+func NewCodec(f *HeaderFormat, binds []Bind, slots int) (*Codec, error) {
+	c := &Codec{f: f, keep: words{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}}
+	for _, b := range binds {
+		off, bits, ok := f.FieldOffset(b.Field)
+		switch {
+		case !ok:
+			c.err = fmt.Errorf("packet: no header field %q", b.Field)
+		case b.Slot < 0 || b.Slot >= slots:
+			c.err = fmt.Errorf("packet: header field %q bound to slot %d of %d", b.Field, b.Slot, slots)
+		case off+bits > 8*MaxTransferBytes:
+			c.err = fmt.Errorf("packet: header field %q ends past byte %d", b.Field, MaxTransferBytes)
 		}
+		if c.err != nil {
+			c.whole, c.split = nil, nil
+			return c, c.err
+		}
+		if ps := place(nil, off, bits, b.Slot); len(ps) == 1 {
+			c.whole = append(c.whole, ps[0])
+		} else {
+			c.split = append(c.split, ps...)
+		}
+		c.n = max(c.n, (off+bits+7)/8)
+	}
+	slices.SortStableFunc(c.whole, func(a, b piece) int { return int(a.w) - int(b.w) })
+	for _, p := range slices.Concat(c.whole, c.split) {
+		c.keep[p.w] &^= p.bits(^uint64(0))
+	}
+	return c, nil
+}
+
+// Pack writes each bound slot of scratch into its field of data (the
+// header's data area), truncated to the field's width. Bits outside the
+// bound fields keep their value.
+func (c *Codec) Pack(data []byte, scratch []uint64) error {
+	if err := c.check(data); err != nil {
+		return err
+	}
+	var w words
+	w.load(data[:c.n])
+	for i := range w {
+		w[i] &= c.keep[i]
+	}
+	// Each word's whole fields are merged in a register, and the word is
+	// written once.
+	var acc uint64
+	var k uint8
+	for i := range c.whole {
+		p := &c.whole[i]
+		if p.w != k {
+			w[k&3] |= acc
+			acc, k = 0, p.w
+		}
+		acc |= scratch[p.slot] & p.m << (p.s & 63)
+	}
+	w[k&3] |= acc
+	for i := range c.split {
+		p := &c.split[i]
+		w[p.w&3] |= p.bits(scratch[p.slot])
+	}
+	w.store(data[:c.n])
+	return nil
+}
+
+// Unpack reads each bound field of data into its scratchpad slot.
+func (c *Codec) Unpack(data []byte, scratch []uint64) error {
+	if err := c.check(data); err != nil {
+		return err
+	}
+	var w words
+	w.load(data[:c.n])
+	for i := range c.whole {
+		p := &c.whole[i]
+		scratch[p.slot] = w[p.w&3] >> (p.s & 63) & p.m
+	}
+	for i := 0; i+1 < len(c.split); i += 2 {
+		hi, lo := &c.split[i], &c.split[i+1]
+		scratch[hi.slot] = hi.get(&w) | lo.get(&w)
 	}
 	return nil
+}
+
+// Attach adds a header in the codec's format to p, packed from scratch.
+// On error p is left as it was.
+func (c *Codec) Attach(p *Packet, scratch []uint64) error {
+	if c.err != nil {
+		return c.err
+	}
+	p.AttachGallium(c.f)
+	return c.Pack(p.GalData, scratch)
+}
+
+func (c *Codec) check(data []byte) error {
+	if c.err == nil && len(data) >= c.n {
+		return nil
+	}
+	if c.err != nil {
+		return c.err
+	}
+	return fmt.Errorf("packet: header data is %d bytes, its fields span %d", len(data), c.n)
 }
 
 // Gallium is the synthesized header carrying temporary state between the

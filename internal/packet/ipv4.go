@@ -132,14 +132,36 @@ func (ip *IPv4) serializeTo(b *SerializeBuffer) {
 }
 
 // ipChecksum computes the standard Internet checksum over data.
-func ipChecksum(data []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(data); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
+func ipChecksum(data []byte) uint16 { return foldChecksum(addChecksum(0, data)) }
+
+// addChecksum adds data, which starts at an even offset of the checksummed
+// bytes, to an RFC 1071 sum. It adds eight bytes a step, as two 32-bit
+// words into the 64-bit sum, which no frame is long enough to overflow;
+// the one's-complement sum of the 16-bit words is the same modulo 0xFFFF
+// (RFC 1071 §2).
+func addChecksum(sum uint64, data []byte) uint64 {
+	for len(data) >= 8 {
+		w := binary.BigEndian.Uint64(data)
+		sum += w>>32 + w&0xFFFFFFFF
+		data = data[8:]
 	}
-	if len(data)%2 == 1 {
-		sum += uint32(data[len(data)-1]) << 8
+	if len(data) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(data))
+		data = data[4:]
 	}
+	if len(data) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(data))
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		sum += uint64(data[0]) << 8
+	}
+	return sum
+}
+
+// foldChecksum folds an RFC 1071 sum to 16 bits, end-around carries
+// included, and complements it.
+func foldChecksum(sum uint64) uint16 {
 	for sum > 0xFFFF {
 		sum = sum&0xFFFF + sum>>16
 	}

@@ -145,35 +145,15 @@ type pseudoHeader struct {
 }
 
 // transportChecksum computes the TCP/UDP checksum of segment with the given
-// pseudo-header.
+// pseudo-header, whose fields are added as the words they occupy.
 func transportChecksum(segment []byte, ph *pseudoHeader, proto IPProtocol) uint16 {
-	var sum uint32
-	add := func(data []byte) {
-		for i := 0; i+1 < len(data); i += 2 {
-			sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
-		}
-		if len(data)%2 == 1 {
-			sum += uint32(data[len(data)-1]) << 8
-		}
-	}
+	sum := uint64(proto)
 	if ph.V6 {
-		var pseudo [40]byte
-		copy(pseudo[0:16], ph.SrcIP6[:])
-		copy(pseudo[16:32], ph.DstIP6[:])
-		binary.BigEndian.PutUint32(pseudo[32:36], uint32(len(segment)))
-		pseudo[39] = uint8(proto)
-		add(pseudo[:])
+		sum = addChecksum(sum, ph.SrcIP6[:])
+		sum = addChecksum(sum, ph.DstIP6[:])
+		sum += uint64(uint32(len(segment)))
 	} else {
-		var pseudo [12]byte
-		binary.BigEndian.PutUint32(pseudo[0:4], uint32(ph.SrcIP))
-		binary.BigEndian.PutUint32(pseudo[4:8], uint32(ph.DstIP))
-		pseudo[9] = uint8(proto)
-		binary.BigEndian.PutUint16(pseudo[10:12], uint16(len(segment)))
-		add(pseudo[:])
+		sum += uint64(ph.SrcIP) + uint64(ph.DstIP) + uint64(uint16(len(segment)))
 	}
-	add(segment)
-	for sum > 0xFFFF {
-		sum = sum&0xFFFF + sum>>16
-	}
-	return ^uint16(sum)
+	return foldChecksum(addChecksum(sum, segment))
 }

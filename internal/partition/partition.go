@@ -173,26 +173,18 @@ type TransferVar struct {
 	Slot int
 }
 
-// XferField is a transfer variable's scratchpad slot and precomputed
-// header position, which both runtimes resolve once, at load time.
-type XferField struct {
-	Slot int
-	Spec packet.FieldSpec
-}
-
-// XferFields resolves vars against their header format f. A variable the
-// format lacks, or one without a compiled slot (unreachable for compiler-
-// produced Results), gets a position that fails loudly at Get/Set time.
-func XferFields(vars []TransferVar, f *packet.HeaderFormat) []XferField {
-	out := make([]XferField, 0, len(vars))
-	for _, v := range vars {
-		spec, ok := f.Spec(v.Name)
-		if !ok || v.Slot <= 0 {
-			spec = packet.FieldSpec{Off: -1}
-		}
-		out = append(out, XferField{Slot: v.Slot, Spec: spec})
+// XferCodec compiles vars' layout in their header format f once, for a
+// scratchpad of slots words (Result.NumXferSlots). A variable f lacks, or
+// one without a compiled slot (unreachable for compiler-produced Results),
+// is an error; the codec returned with it fails every call, touching no
+// packet, so a runtime whose constructor cannot fail reports it on the
+// first packet that carries the header.
+func XferCodec(vars []TransferVar, f *packet.HeaderFormat, slots int) (*packet.Codec, error) {
+	binds := make([]packet.Bind, len(vars))
+	for i, v := range vars {
+		binds[i] = packet.Bind{Field: v.Name, Slot: v.Slot - 1}
 	}
-	return out
+	return packet.NewCodec(f, binds, slots)
 }
 
 // Result is the partitioner's output: per-statement assignment, the three

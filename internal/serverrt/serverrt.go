@@ -55,9 +55,9 @@ type Server struct {
 	rec  recorder
 	env  ir.Env
 	xfer []uint64
-	// xferA and xferB pair each transfer variable's scratchpad slot with
-	// its precomputed header position (resolved once at construction).
-	xferA, xferB []partition.XferField
+	// xferA and xferB are the transfer headers compiled against xfer; a
+	// layout error fails their first packet.
+	xferA, xferB *packet.Codec
 
 	reg *obs.Registry
 	c   serverCounters
@@ -145,8 +145,8 @@ func New(res *partition.Result) *Server {
 	s.srvRoom, s.fullRoom = recording(res.SrvFn), recording(res.Prog.Fn)
 	s.rec.srv = s
 	s.xfer = make([]uint64, res.NumXferSlots)
-	s.xferA = partition.XferFields(res.TransferA, res.FormatA)
-	s.xferB = partition.XferFields(res.TransferB, res.FormatB)
+	s.xferA, _ = partition.XferCodec(res.TransferA, res.FormatA, res.NumXferSlots)
+	s.xferB, _ = partition.XferCodec(res.TransferB, res.FormatB, res.NumXferSlots)
 	return s
 }
 
@@ -252,15 +252,8 @@ func (s *Server) Process(pkt *packet.Packet) (Result, error) {
 		return Result{}, fmt.Errorf("serverrt: slow-path packet lacks gallium_a header")
 	}
 	xfer := s.scratchXfer()
-	for _, f := range s.xferA {
-		val, err := s.Res.FormatA.GetAt(pkt.GalData, f.Spec)
-		if err != nil {
-			return Result{}, err
-		}
-		if f.Slot <= 0 {
-			return Result{}, fmt.Errorf("serverrt: transfer field without compiled slot")
-		}
-		xfer[f.Slot-1] = val
+	if err := s.xferA.Unpack(pkt.GalData, xfer); err != nil {
+		return Result{}, fmt.Errorf("serverrt: %w", err)
 	}
 	pkt.StripGallium()
 
@@ -269,14 +262,8 @@ func (s *Server) Process(pkt *packet.Packet) (Result, error) {
 		return Result{}, fmt.Errorf("serverrt: %w", err)
 	}
 	if r.Action == ir.ActionNext {
-		pkt.AttachGallium(s.Res.FormatB)
-		for _, f := range s.xferB {
-			if f.Slot <= 0 {
-				return Result{}, fmt.Errorf("serverrt: transfer field without compiled slot")
-			}
-			if err := s.Res.FormatB.SetAt(pkt.GalData, f.Spec, xfer[f.Slot-1]); err != nil {
-				return Result{}, err
-			}
+		if err := s.xferB.Attach(pkt, xfer); err != nil {
+			return Result{}, fmt.Errorf("serverrt: %w", err)
 		}
 	}
 	if s.reg != nil {

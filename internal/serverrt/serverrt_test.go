@@ -1,7 +1,9 @@
 package serverrt_test
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gallium/internal/engine"
@@ -417,5 +419,46 @@ func TestDeploymentReconfigureAtomicFlip(t *testing.T) {
 	}
 	if got := tb.Switch().Stats().Reconfigs; got != 1 {
 		t.Fatalf("switch counted %d reconfigs, want 1", got)
+	}
+}
+
+// TestMissingTransferFieldTouchesNoPacket hands the runtimes a Result
+// whose TransferA names a variable FormatA lacks (l4lb's, whose pre pass
+// sends a new flow's SYN to the server unmodified). Neither the switch's
+// pre pass nor the server may read or write the header's data area for
+// it: each fails on the first packet that carries the header and leaves
+// the packet's bytes as they were.
+func TestMissingTransferFieldTouchesNoPacket(t *testing.T) {
+	_, res := compileBox(t, "l4lb", partition.DefaultConstraints())
+	bad := *res
+	bad.TransferA = append(slices.Clone(res.TransferA), partition.TransferVar{Name: "ghost", Bits: 8, Slot: 1})
+	if _, err := partition.XferCodec(bad.TransferA, bad.FormatA, bad.NumXferSlots); err == nil {
+		t.Fatal("XferCodec accepted a variable its format lacks")
+	}
+	syn := func() *packet.Packet {
+		return packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(93, 184, 216, 34),
+			40000, 443, packet.TCPOptions{Flags: packet.TCPFlagSYN})
+	}
+
+	pkt := syn()
+	before := pkt.Serialize()
+	if _, err := switchsim.New(&bad).NewPass(0).Pre(pkt, nil); err == nil {
+		t.Fatal("Pre packed a header with a variable its format lacks")
+	}
+	if after := pkt.Serialize(); !bytes.Equal(after, before) || pkt.HasGallium {
+		t.Fatalf("Pre changed the packet:\n got %x\nwant %x", after, before)
+	}
+
+	pkt = syn()
+	r, err := switchsim.New(res).NewPass(0).Pre(pkt, nil)
+	if err != nil || r.Action != ir.ActionNext || !pkt.HasGallium {
+		t.Fatalf("sound pre pass: %+v, gallium %v, %v", r, pkt.HasGallium, err)
+	}
+	before = pkt.Serialize()
+	if _, err := serverrt.New(&bad).Process(pkt); err == nil {
+		t.Fatal("Process unpacked a header with a variable its format lacks")
+	}
+	if after := pkt.Serialize(); !bytes.Equal(after, before) || !pkt.HasGallium {
+		t.Fatalf("Process changed the packet:\n got %x\nwant %x", after, before)
 	}
 }

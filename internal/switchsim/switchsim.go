@@ -134,11 +134,9 @@ type Switch struct {
 	// them before traffic starts.
 	lanes []*ctlLane
 
-	// xferA and xferB are the compiled transfer-field layouts: per
-	// variable, the scratchpad slot paired with its precomputed bit
-	// position in the synthesized header, so the hot path never resolves
-	// field names.
-	xferA, xferB []partition.XferField
+	// xferA and xferB are the transfer headers compiled against the
+	// pass's scratchpad; a layout error fails their first packet.
+	xferA, xferB *packet.Codec
 
 	evictions, reconfigs atomic.Int64
 
@@ -273,8 +271,8 @@ func New(res *partition.Result) *Switch {
 			}
 		}
 	}
-	sw.xferA = partition.XferFields(res.TransferA, res.FormatA)
-	sw.xferB = partition.XferFields(res.TransferB, res.FormatB)
+	sw.xferA, _ = partition.XferCodec(res.TransferA, res.FormatA, res.NumXferSlots)
+	sw.xferB, _ = partition.XferCodec(res.TransferB, res.FormatB, res.NumXferSlots)
 	sw.view.Store(&view{epoch: 1, registers: make([]uint64, n), vecs: make([][]uint64, n),
 		lpms: make([][]ir.LpmEntry, n), obs: &switchObs{}})
 	return sw
@@ -678,14 +676,8 @@ func (p *Pass) Pre(pkt *packet.Packet, onTouch func(table string, key ir.MapKey)
 	switch r.Action {
 	case ir.ActionNext:
 		p.toServer++
-		pkt.AttachGallium(sw.Res.FormatA)
-		for _, f := range sw.xferA {
-			if f.Slot <= 0 {
-				return PreResult{}, fmt.Errorf("switchsim: transfer field without compiled slot")
-			}
-			if err := sw.Res.FormatA.SetAt(pkt.GalData, f.Spec, p.xfer[f.Slot-1]); err != nil {
-				return PreResult{}, err
-			}
+		if err := sw.xferA.Attach(pkt, p.xfer); err != nil {
+			return PreResult{}, fmt.Errorf("switchsim: pre pipeline: %w", err)
 		}
 	case ir.ActionDropped:
 		p.drops++
@@ -706,15 +698,8 @@ func (p *Pass) Post(pkt *packet.Packet, onTouch func(table string, key ir.MapKey
 		return PreResult{}, fmt.Errorf("switchsim: post pipeline: packet from server lacks gallium_b header")
 	}
 	p.begin(v, pkt, onTouch)
-	for _, f := range sw.xferB {
-		if f.Slot <= 0 {
-			return PreResult{}, fmt.Errorf("switchsim: transfer field without compiled slot")
-		}
-		val, err := sw.Res.FormatB.GetAt(pkt.GalData, f.Spec)
-		if err != nil {
-			return PreResult{}, err
-		}
-		p.xfer[f.Slot-1] = val
+	if err := sw.xferB.Unpack(pkt.GalData, p.xfer); err != nil {
+		return PreResult{}, fmt.Errorf("switchsim: post pipeline: %w", err)
 	}
 	pkt.StripGallium()
 	r, err := sw.post.Exec(&p.acc, &p.env)
