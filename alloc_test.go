@@ -24,18 +24,19 @@ import (
 const allocBudget = 0
 
 // slowPathAllocBudget is the budget for one new mazunat flow through
-// serverrt.Server.Process: the update list and the arena holding its two
-// table inserts' value tuples, each sized once from the plan's recording
-// statements. The inserts themselves copy into the state's packed tables.
-const slowPathAllocBudget = 2
+// serverrt.Server.Process whose caller recycles the Result, as both
+// drivers do: the update list and the arena holding its two table
+// inserts' value tuples are reused, and the inserts copy into the state's
+// packed tables.
+const slowPathAllocBudget = 0
 
 // newFlowBudget is the budget for one new mazunat flow through the whole
 // slow path of a Testbed under netsim.InstantModel: pre-pass, the hop to
 // the server, the server, output commit (stage + flip), the hop back,
-// post-pass. It is the server's slowPathAllocBudget plus the two table
-// nodes its inserts stage, the successor view and the flip's undo slab;
-// the hops decode in place and the pending batch is reused.
-const newFlowBudget = slowPathAllocBudget + 4
+// post-pass. It is the two table nodes the server's inserts stage and the
+// successor view, which carries the flip's undo records; the hops decode
+// in place and the pending batch is reused.
+const newFlowBudget = slowPathAllocBudget + 3
 
 // resetPacket restores dst to the pristine packet while keeping dst's
 // gallium buffer capacity, so the measured loop replays the same flow
@@ -187,6 +188,7 @@ func TestSlowPathAllocs(t *testing.T) {
 		if err != nil || len(res.Updates) != 2 {
 			failed = fmt.Errorf("new flow recorded %d updates (want its two table inserts): %v", len(res.Updates), err)
 		}
+		srv.Recycle()
 	}
 	// Pre-size the state's maps so their growth is not charged to a packet.
 	for i := 0; i < 2000; i++ {
@@ -201,11 +203,17 @@ func TestSlowPathAllocs(t *testing.T) {
 	}
 }
 
-// TestTestbedNewFlowAllocs gates a new flow's whole slow path, end to end
-// through a Testbed under the zero-cost model: every run sends the first
-// packet of a flow the NAT has not seen, which must come back from the
-// switch post-pass with its two table inserts staged and flipped.
-func TestTestbedNewFlowAllocs(t *testing.T) {
+// newFlowRig sends never-seen mazunat flows through a Testbed under the
+// zero-cost model, one retained SYN each: the first packet of a flow takes
+// the whole slow path and comes back from the switch post-pass with its two
+// table inserts staged and flipped.
+type newFlowRig struct {
+	tb            *gallium.Testbed
+	pristine, buf *packet.Packet
+	flows         uint32
+}
+
+func newNewFlowRig(t testing.TB) *newFlowRig {
 	art, err := gallium.Compile(middleboxes.MazuNATSource, gallium.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -215,21 +223,32 @@ func TestTestbedNewFlowAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pristine := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(9, 9, 9, 9), 1234, 80,
-		packet.TCPOptions{Flags: packet.TCPFlagSYN})
-	buf := &packet.Packet{}
+	return &newFlowRig{tb: tb, buf: &packet.Packet{},
+		pristine: packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(9, 9, 9, 9), 1234, 80,
+			packet.TCPOptions{Flags: packet.TCPFlagSYN})}
+}
+
+// next sends the first packet of the rig's next flow.
+func (r *newFlowRig) next() error {
+	resetPacket(r.buf, r.pristine)
+	r.flows++
+	r.buf.IP.SrcIP = packet.IPv4Addr(10<<24 | r.flows)
+	d, err := r.tb.Inject(0, r.buf)
+	if err != nil || d.FastPath || !d.Delivered {
+		return fmt.Errorf("new flow: %+v, %v (want a slow-path delivery)", d, err)
+	}
+	return nil
+}
+
+// TestTestbedNewFlowAllocs gates a new flow's whole slow path, end to end
+// through a Testbed under the zero-cost model: every run sends the first
+// packet of a flow the NAT has not seen.
+func TestTestbedNewFlowAllocs(t *testing.T) {
+	rig := newNewFlowRig(t)
 	var failed error
-	flow := uint32(0)
 	newFlow := func() {
-		if failed != nil {
-			return
-		}
-		resetPacket(buf, pristine)
-		flow++
-		buf.IP.SrcIP = packet.IPv4Addr(10<<24 | flow)
-		d, err := tb.Inject(0, buf)
-		if err != nil || d.FastPath || !d.Delivered {
-			failed = fmt.Errorf("new flow: %+v, %v (want a slow-path delivery)", d, err)
+		if failed == nil {
+			failed = rig.next()
 		}
 	}
 	// Pre-size the state's maps and the switch tables so their growth is
@@ -241,8 +260,8 @@ func TestTestbedNewFlowAllocs(t *testing.T) {
 	if failed != nil {
 		t.Fatal(failed)
 	}
-	if st := tb.Report().Stats; st.CtlOps != 2*int(flow) || st.CtlBatches != int(flow) {
-		t.Fatalf("%d new flows staged %d updates in %d flips, want two inserts and one flip each", flow, st.CtlOps, st.CtlBatches)
+	if st := rig.tb.Report().Stats; st.CtlOps != 2*int(rig.flows) || st.CtlBatches != int(rig.flows) {
+		t.Fatalf("%d new flows staged %d updates in %d flips, want two inserts and one flip each", rig.flows, st.CtlOps, st.CtlBatches)
 	}
 	if allocs > newFlowBudget {
 		t.Fatalf("a new flow's slow path allocates %.1f objects, budget is %d", allocs, newFlowBudget)

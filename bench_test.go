@@ -513,9 +513,13 @@ func BenchmarkServerSlowPath(b *testing.B) {
 	}
 	srv := serverrt.New(art.Res)
 	middleboxes.ConfigureState("minilb", srv.State)
+	pristine := packet.BuildTCP(0, packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{})
+	pkt := &packet.Packet{}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pkt := packet.BuildTCP(packet.IPv4Addr(i), packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{})
+		resetPacket(pkt, pristine)
+		pkt.IP.SrcIP = packet.IPv4Addr(i)
 		if _, err := sw.ProcessPreShard(pkt, 0, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -523,6 +527,36 @@ func BenchmarkServerSlowPath(b *testing.B) {
 			if _, err := srv.Process(pkt); err != nil {
 				b.Fatal(err)
 			}
+			srv.Recycle()
+		}
+	}
+}
+
+// BenchmarkNewFlow measures one never-seen mazunat flow's first packet
+// through a Testbed under the zero-cost model, on a retained packet: the
+// whole slow path of churn's new flows — pre-pass miss, the hop to the
+// server, the server, output commit (stage + flip), the hop back,
+// post-pass — with its allocations. Each Testbed is built and warmed with
+// warm flows off the clock, which sizes its tables for the timed flows
+// that follow, and replaced before the NAT's 16-bit port space wraps.
+func BenchmarkNewFlow(b *testing.B) {
+	const warm, timed = 30000, 19000
+	var rig *newFlowRig
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rig == nil || rig.flows == warm+timed {
+			b.StopTimer()
+			rig = newNewFlowRig(b)
+			for k := 0; k < warm; k++ {
+				if err := rig.next(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+		if err := rig.next(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -67,23 +67,18 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 // read-through fills and synchronous updates; syncs counts the updates
 // output commit must hold the packet for. A full table is a soft failure
 // (CtlRejected): that entry never reaches the switch. Any other failure
-// unstages the whole batch, so no flip publishes part of it.
+// unstages the whole batch (switchsim.StageBatch), so no flip publishes
+// part of it.
 func stageBatch(sw *switchsim.Switch, shard int, updates []switchsim.Update, punt bool, st *netsim.Stats) (staged, syncs int, err error) {
 	syncs = len(updates)
 	if punt {
 		fills, s := serverrt.ClassifyUpdates(sw, updates)
 		updates, syncs = append(fills, s...), len(s)
 	}
-	for _, u := range updates {
-		if err := sw.StageShard(shard, u); err != nil {
-			if errors.Is(err, switchsim.ErrTableFull) {
-				st.CtlRejected++
-				continue
-			}
-			sw.Unstage(shard, staged)
-			return 0, 0, err
-		}
-		staged++
+	staged, rejected, err := sw.StageBatch(shard, updates)
+	st.CtlRejected += rejected
+	if err != nil {
+		return 0, 0, err
 	}
 	st.CtlOps += staged
 	return staged, syncs, nil

@@ -25,26 +25,23 @@ type Result struct {
 	// from it).
 	Steps int
 	// Updates lists replicated-state mutations that must be synchronized
-	// to the switch before the packet is released (output commit).
+	// to the switch before the packet is released (output commit). They
+	// stay valid until the caller hands them back with Server.Recycle.
 	Updates []switchsim.Update
 }
 
 // Server runs the non-offloaded partition. A Server is NOT safe for
 // concurrent use — the engine runs one per worker shard — which lets it
 // keep a reusable execution scratchpad (transfer slots, register file,
-// recorder) so a steady-state packet that records no updates allocates
-// nothing.
+// recorder) so a steady-state packet allocates nothing, and neither does a
+// packet that records updates once its caller recycles them.
 type Server struct {
 	Res   *partition.Result
 	State *ir.State
 
 	// srv and full are the server partition and the whole program lowered
-	// to execution plans, once, at New; srvRoom and fullRoom are their
-	// static counts of statements that can record an update and of the
-	// value words those carry, which size a packet's update list and value
-	// arena in one allocation each.
-	srv, full         *ir.Plan
-	srvRoom, fullRoom room
+	// to execution plans, once, at New.
+	srv, full *ir.Plan
 
 	// replicated and cached are indexed like Res.Prog.Globals. cached marks
 	// tables running in §7 cache mode: authoritative hits are republished
@@ -142,7 +139,10 @@ func New(res *partition.Result) *Server {
 		}
 		return r
 	}
-	s.srvRoom, s.fullRoom = recording(res.SrvFn), recording(res.Prog.Fn)
+	// The recorder's update list and value arena are sized once, for
+	// either plan.
+	srvRoom, fullRoom := recording(res.SrvFn), recording(res.Prog.Fn)
+	s.rec.room = room{max(srvRoom.updates, fullRoom.updates), max(srvRoom.words, fullRoom.words)}
 	s.rec.srv = s
 	s.xfer = make([]uint64, res.NumXferSlots)
 	s.xferA, _ = partition.XferCodec(res.TransferA, res.FormatA, res.NumXferSlots)
@@ -154,15 +154,28 @@ func New(res *partition.Result) *Server {
 // authoritative State — maps by global index, straight to their tables —
 // and records those that touch replicated state.
 type recorder struct {
-	srv     *Server
+	srv *Server
+	// updates is the packet's update list and vals the arena holding its
+	// value tuples. Both are allocated at the first recorded update, with
+	// the capacity room, and reused from packet to packet unless lent.
 	updates []switchsim.Update
-	// vals holds the value tuples of the packet's updates.
-	vals []uint64
-	// room is the capacity the first update of a packet allocates.
+	vals    []uint64
+	// lent marks updates and vals as handed out in a Result its caller
+	// has not recycled: the next packet records into new ones.
+	lent bool
 	room room
 }
 
 func (r *recorder) name(g int) string { return r.srv.Res.Prog.Globals[g].Name }
+
+// reset readies the recorder for the next packet.
+func (r *recorder) reset() {
+	if r.lent {
+		r.updates, r.vals, r.lent = nil, nil, false
+		return
+	}
+	r.updates, r.vals = r.updates[:0], r.vals[:0]
+}
 
 func (r *recorder) record(u switchsim.Update) {
 	if r.updates == nil {
@@ -257,7 +270,7 @@ func (s *Server) Process(pkt *packet.Packet) (Result, error) {
 	}
 	pkt.StripGallium()
 
-	r, err := s.exec(s.srv, s.srvRoom, pkt, xfer)
+	r, err := s.exec(s.srv, pkt, xfer)
 	if err != nil {
 		return Result{}, fmt.Errorf("serverrt: %w", err)
 	}
@@ -281,11 +294,11 @@ func (s *Server) scratchXfer() []uint64 {
 }
 
 // exec runs plan over pkt in the reusable environment, whose register file
-// (Env.Regs) is retained across packets; room is what the plan's recording
-// statements can need. The environment lets go of pkt on return: it is
-// the caller's packet, which the server must not keep reachable.
-func (s *Server) exec(plan *ir.Plan, room room, pkt *packet.Packet, xfer []uint64) (ir.Result, error) {
-	s.rec.room = room
+// (Env.Regs) is retained across packets. The environment lets go of pkt
+// on return: it is the caller's packet, which the server must not keep
+// reachable.
+func (s *Server) exec(plan *ir.Plan, pkt *packet.Packet, xfer []uint64) (ir.Result, error) {
+	s.rec.reset()
 	s.env.Pkt = pkt
 	s.env.Xfer = xfer
 	r, err := plan.Exec(&s.rec, &s.env)
@@ -293,15 +306,25 @@ func (s *Server) exec(plan *ir.Plan, room room, pkt *packet.Packet, xfer []uint6
 	return r, err
 }
 
-// takeUpdates hands ownership of the recorded updates to the caller (they
-// may outlive this packet: the Testbed stages them for a flip scheduled
-// later in virtual time, so the slice cannot be reused). The common
-// steady-state case records nothing and returns nil without allocating.
+// takeUpdates lends the packet's recorded updates to the caller, or
+// returns nil when it recorded none (the steady-state case). Both drivers
+// stage a batch inside their Commit, which copies every key and value
+// into table nodes, and then Recycle it; a caller that keeps a Result
+// longer simply never recycles, and its updates stay valid for good.
 func (s *Server) takeUpdates() []switchsim.Update {
-	u := s.rec.updates
-	s.rec.updates, s.rec.vals = nil, nil
-	return u
+	if len(s.rec.updates) == 0 {
+		return nil
+	}
+	s.rec.lent = true
+	return s.rec.updates
 }
+
+// Recycle hands the Updates of the last Result back to the server: the
+// next Process or ProcessFull records into the same update list and value
+// arena, so a new flow's server run allocates nothing. The caller must
+// not read those Updates afterwards. Without a Recycle, every Result's
+// Updates outlive any later call.
+func (s *Server) Recycle() { s.rec.lent = false }
 
 // ProcessFull runs the COMPLETE middlebox program over a punted packet
 // (§7 cache mode: a switch cache miss proves nothing about the
@@ -311,7 +334,7 @@ func (s *Server) ProcessFull(pkt *packet.Packet) (Result, error) {
 	if pkt.HasGallium {
 		return Result{}, fmt.Errorf("serverrt: punted packet unexpectedly carries a gallium header")
 	}
-	r, err := s.exec(s.full, s.fullRoom, pkt, nil)
+	r, err := s.exec(s.full, pkt, nil)
 	if err != nil {
 		return Result{}, fmt.Errorf("serverrt: full program: %w", err)
 	}

@@ -462,3 +462,48 @@ func TestMissingTransferFieldTouchesNoPacket(t *testing.T) {
 		t.Fatalf("Process changed the packet:\n got %x\nwant %x", after, before)
 	}
 }
+
+// TestRecycleReusesUpdates: a Result's Updates outlive every later
+// Process until the caller recycles them — a caller may collect many
+// packets' batches before staging any — and after Recycle the next packet
+// records into the same update list and value arena.
+func TestRecycleReusesUpdates(t *testing.T) {
+	_, res := compileBox(t, "mazunat", partition.DefaultConstraints())
+	sw, srv := switchsim.New(res), serverrt.New(res)
+	newFlow := func(i int) serverrt.Result {
+		t.Helper()
+		p := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, byte(i)), packet.MakeIPv4Addr(99, 0, 0, 1), 1234, 80, packet.TCPOptions{Flags: packet.TCPFlagSYN})
+		if pre, err := sw.ProcessPreShard(p, 0, nil); err != nil || pre.Action != ir.ActionNext {
+			t.Fatalf("flow %d: pre-pass %v, %v; want the slow path", i, pre.Action, err)
+		}
+		r, err := srv.Process(p)
+		if err != nil || len(r.Updates) != 2 {
+			t.Fatalf("flow %d: %d updates, %v; want its two inserts", i, len(r.Updates), err)
+		}
+		return r
+	}
+	// fwd is flow i's nat_fwd insert: its key's source is 10.0.0.i.
+	fwd := func(r serverrt.Result) switchsim.Update {
+		for _, u := range r.Updates {
+			if u.Table == "nat_fwd" {
+				return u
+			}
+		}
+		t.Fatal("no nat_fwd insert")
+		return switchsim.Update{}
+	}
+	kept := []serverrt.Result{newFlow(1), newFlow(2), newFlow(3)}
+	for i, r := range kept {
+		if u := fwd(r); u.Key.K[0] != uint64(packet.MakeIPv4Addr(10, 0, 0, byte(i+1))) || u.Vals[0] != uint64(i) {
+			t.Errorf("kept result %d now holds %v -> %v", i+1, u.Key, u.Vals)
+		}
+	}
+	srv.Recycle()
+	r := newFlow(4)
+	if &r.Updates[0] != &kept[2].Updates[0] || &fwd(r).Vals[0] != &fwd(kept[2]).Vals[0] {
+		t.Error("the packet after Recycle did not record into the recycled update list and arena")
+	}
+	if &kept[1].Updates[0] == &kept[2].Updates[0] {
+		t.Error("an unrecycled result's update list was reused")
+	}
+}

@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -93,23 +94,55 @@ func (sw *Switch) statsFor(shard int) *laneStats {
 }
 
 // StageShard validates one update of any kind and appends it to shard's
-// pending batch, invisible until FlipShard; a plain insert or delete is
-// packed into its table node here, so the caller's value tuple may change
-// once StageShard returns. It takes only the shard's own mutex —
-// concurrent shards stage without serializing on each other. An
-// out-of-range shard is an error, so nothing can be pending where
-// FlipShard would not find it. A key or value tuple whose arity disagrees
-// with the table's declaration is an error here, so the flip and the data
-// plane only ever meet well-formed entries.
+// pending batch, invisible until FlipShard: StageBatch of one update, which
+// returns an ErrTableFull error when a full table refuses it.
 func (sw *Switch) StageShard(shard int, u Update) error {
+	_, rejected, err := sw.StageBatch(shard, []Update{u})
+	if err == nil && rejected > 0 {
+		err = fmt.Errorf("%w: %q", ErrTableFull, u.Table)
+	}
+	return err
+}
+
+// StageBatch validates updates, in order, and appends them to shard's
+// pending batch, invisible until FlipShard, under one lock of the shard's
+// own mutex — concurrent shards stage without serializing on each other.
+// A plain insert or delete is packed into its table node here, so the
+// caller may reuse updates once StageBatch returns. An insert a full table
+// refuses (ErrTableFull, a soft failure) is skipped and counted in
+// rejected: that entry never reaches the switch. Any other error — an
+// out-of-range shard, a global that is not resident, a key or value tuple
+// whose arity disagrees with the table's declaration — unstages what this
+// call staged and is returned, so no flip publishes part of the batch and
+// the flip and the data plane only ever meet well-formed entries.
+func (sw *Switch) StageBatch(shard int, updates []Update) (staged, rejected int, err error) {
 	if shard < 0 || shard >= len(sw.lanes) {
-		return fmt.Errorf("switchsim: shard %d out of range (%d shards)", shard, len(sw.lanes))
+		return 0, 0, fmt.Errorf("switchsim: shard %d out of range (%d shards)", shard, len(sw.lanes))
 	}
 	ln := sw.lanes[shard]
 	v := sw.view.Load()
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
-	ln.stats.ctlOps.Add(1)
+	for i := range updates {
+		err = sw.stage(ln, v, &updates[i])
+		switch {
+		case err == nil:
+			staged++
+		case errors.Is(err, ErrTableFull):
+			rejected++
+		default:
+			ln.stats.ctlOps.Add(int64(i + 1))
+			ln.unstage(staged)
+			return 0, rejected, err
+		}
+	}
+	ln.stats.ctlOps.Add(int64(len(updates)))
+	return staged, rejected, nil
+}
+
+// stage validates one update and appends it to ln's pending batch; v is
+// the view its capacity check reads. Callers hold ln.mu.
+func (sw *Switch) stage(ln *ctlLane, v *view, u *Update) error {
 	t, resident := sw.Table(u.Table)
 	switch {
 	case u.Register != "":
@@ -120,21 +153,17 @@ func (sw *Switch) StageShard(shard int, u Update) error {
 		if _, err := sw.checkVector(u.Vec, u.VecVals); err != nil {
 			return err
 		}
-		u.VecVals = slices.Clone(u.VecVals)
 	case !resident:
 		return fmt.Errorf("switchsim: table %q not resident", u.Table)
 	case u.Replace:
 		if t.capacity > 0 && len(u.Entries) > t.capacity && !t.cached {
 			return fmt.Errorf("%w: %q (%d entries, capacity %d)", ErrTableFull, u.Table, len(u.Entries), t.capacity)
 		}
-		entries := make(map[ir.MapKey][]uint64, len(u.Entries))
 		for k, vals := range u.Entries {
 			if err := t.checkEntry(&k, vals); err != nil {
 				return err
 			}
-			entries[k] = slices.Clone(vals)
 		}
-		u.Entries = entries
 	case u.Delete:
 		if err := t.checkKey(&u.Key); err != nil {
 			return err
@@ -155,9 +184,16 @@ func (sw *Switch) StageShard(shard int, u Update) error {
 		ln.pending = append(ln.pending, pendingOp{t: t, n: t.newNode(u.Key.K[:t.nk], u.Vals, false)})
 		return nil
 	}
-	// A register, vector or replace update keeps a private copy, declared
+	// A register, vector or replace update keeps a private copy, made
 	// here so only these kinds move an Update to the heap.
-	c := u
+	c := *u
+	c.VecVals = slices.Clone(c.VecVals)
+	if c.Replace {
+		c.Entries = make(map[ir.MapKey][]uint64, len(u.Entries))
+		for k, vals := range u.Entries {
+			c.Entries[k] = slices.Clone(vals)
+		}
+	}
 	ln.pending = append(ln.pending, pendingOp{u: &c})
 	return nil
 }
@@ -198,7 +234,8 @@ func (ln *ctlLane) overwrites(v *view, t *Table, key *ir.MapKey) bool {
 // §4.3.3 visibility flip. Under the control-plane mutex it applies the
 // batch to the tables in place, in staging order (last writer wins), each
 // write stamped with the next epoch and preceded by an undo record on the
-// current view (from one slab sized to the batch); then §7 cache tables
+// current view (from the successor's own array for a batch of at most
+// viewUndo updates, else from one slab sized to the batch); then §7 cache tables
 // evict down to capacity, as deletions of the same batch; then the
 // successor view is published. A pass that
 // pinned the current view sees none of the batch, however far the flip has
@@ -221,10 +258,13 @@ func (sw *Switch) FlipShard(shard int) {
 	nv := cur.successor()
 	ln.stats.ctlFlips.Add(1)
 	ln.stats.ctlOps.Add(1)
-	undo := make(undoSlab, len(ln.pending))
+	undo := undoSlab(nv.undoBuf[:])
+	if len(ln.pending) > len(undo) {
+		undo = make(undoSlab, len(ln.pending))
+	}
 	ownRegs, ownVecs := false, false // nv's maps are still cur's until written
 	for _, op := range ln.pending {
-		// StageShard checked that the one name a copied u carries is resident.
+		// stage checked that the one name a copied u carries is resident.
 		switch u := op.u; {
 		case op.n != nil:
 			if !op.n.dead() {
@@ -264,17 +304,11 @@ func (sw *Switch) FlipShard(shard int) {
 	sw.publishLocked(nv)
 }
 
-// Unstage drops the last n updates shard staged and has not flipped, as if
-// they had never been staged, so a batch that failed half way leaves
-// nothing for the lane's next flip to publish (§4.3.3: a batch is visible
-// whole or not at all). Every StageShard that returns nil stages one.
-func (sw *Switch) Unstage(shard, n int) {
-	if shard < 0 || shard >= len(sw.lanes) {
-		return
-	}
-	ln := sw.lanes[shard]
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
+// unstage drops the last n updates on ln's pending batch, as if they had
+// never been staged, so a batch that failed half way leaves nothing for
+// the lane's next flip to publish (§4.3.3: a batch is visible whole or not
+// at all). Callers hold ln.mu.
+func (ln *ctlLane) unstage(n int) {
 	keep := max(len(ln.pending)-n, 0)
 	for _, op := range ln.pending[keep:] {
 		if op.n != nil && !op.n.dead() {

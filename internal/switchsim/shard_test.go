@@ -364,3 +364,108 @@ func TestFIFOOnlyTracksCacheTables(t *testing.T) {
 		t.Fatalf("non-cached table after 10000 inserts: %d entries, fifo holds %d (want 10000, 0)", tbl.Len(), len(tbl.fifo))
 	}
 }
+
+// TestStageBatch: a batch stages under one lock and counts one control op
+// per update it took up. A full table's refusal is skipped and counted,
+// the rest of the batch staged; any other error unstages what the call
+// staged — and only that — so the next flip publishes what was pending
+// before the batch and nothing of it.
+func TestStageBatch(t *testing.T) {
+	sw := New(compileSrc(t, `
+middlebox tinytbl {
+    map<u16 -> u32> t(max = 2);
+    proc process(pkt p) {
+        let r = t.find(p.tcp.dport);
+        if (r.ok) { send(p); } else { drop(p); }
+    }
+}
+`))
+	tbl, _ := sw.Table("t")
+	ins := func(k, v uint64) Update { return Update{Table: "t", Key: ir.MakeMapKey(k), Vals: []uint64{v}} }
+	ops := func() int { return sw.counts().CtlOps }
+
+	staged, rejected, err := sw.StageBatch(0, []Update{ins(0, 1), ins(1, 1), ins(2, 1), ins(1, 2)})
+	if err != nil || staged != 3 || rejected != 1 || ops() != 4 {
+		t.Fatalf("full-table batch: staged %d, rejected %d, %d ops, %v; want 3, 1, 4 and no error", staged, rejected, ops(), err)
+	}
+	sw.FlipShard(0)
+	if v, ok := tbl.Lookup(ir.MakeMapKey(1)); !ok || v[0] != 2 || tbl.Len() != 2 {
+		t.Fatalf("key 1 = %v %v with %d entries, want 2 and two entries", v, ok, tbl.Len())
+	}
+
+	if err := sw.StageShard(0, Update{Table: "t", Key: ir.MakeMapKey(0), Delete: true}); err != nil {
+		t.Fatal(err)
+	}
+	bad := Update{Table: "t", Key: ir.MakeMapKey(1, 1), Vals: []uint64{3}}
+	before := ops()
+	staged, rejected, err = sw.StageBatch(0, []Update{ins(1, 3), bad, ins(0, 4)})
+	if err == nil || staged != 0 || rejected != 0 || ops() != before+2 {
+		t.Fatalf("malformed batch: staged %d, rejected %d, %d ops, %v; want 0, 0, %d and an error", staged, rejected, ops()-before, err, 2)
+	}
+	if n := len(sw.lanes[0].pending); n != 1 || tbl.staged.Load() != 0 {
+		t.Fatalf("%d updates pending, %d inserts counted staged; want only the earlier delete", n, tbl.staged.Load())
+	}
+	sw.FlipShard(0)
+	if _, ok := tbl.Lookup(ir.MakeMapKey(0)); ok {
+		t.Error("the delete pending before the failed batch was lost")
+	}
+	if v, ok := tbl.Lookup(ir.MakeMapKey(1)); !ok || v[0] != 2 {
+		t.Errorf("key 1 = %v %v, want the failed batch's write undone (2)", v, ok)
+	}
+
+	if _, _, err := sw.StageBatch(1, []Update{ins(1, 5)}); err == nil {
+		t.Error("a batch staged on a shard the switch does not have")
+	}
+	if err := sw.StageShard(0, ins(3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.StageShard(0, ins(4, 1)); !errors.Is(err, ErrTableFull) {
+		t.Errorf("StageShard into a full table = %v, want ErrTableFull", err)
+	}
+}
+
+// TestSmallFlipUndoInView: a flip of at most viewUndo updates takes its
+// undo records from the view it publishes, so staging and flipping a new
+// flow's two inserts allocates the two nodes and the view alone, and a
+// pass pinned before the flip still resolves both keys as they were.
+func TestSmallFlipUndoInView(t *testing.T) {
+	sw := New(compileMB(t, "minilb"))
+	tbl, _ := sw.Table("conn")
+	next := uint64(1 << 20)
+	batch, vals := make([]Update, viewUndo), []uint64{1}
+	flip := func() {
+		for i := range batch {
+			batch[i] = Update{Table: "conn", Key: ir.MakeMapKey(next), Vals: vals}
+			next++
+		}
+		if _, _, err := sw.StageBatch(0, batch); err != nil {
+			t.Fatal(err)
+		}
+		sw.FlipShard(0)
+	}
+	for i := 0; i < 5000; i++ { // grow the probe array past the measured flips
+		flip()
+	}
+	if allocs := testing.AllocsPerRun(200, flip); allocs != viewUndo+1 {
+		t.Errorf("a flip of %d inserts allocates %.1f objects, want its nodes and one view", viewUndo, allocs)
+	}
+
+	old := sw.view.Load()
+	k0, k1 := ir.MakeMapKey(next), ir.MakeMapKey(next+1)
+	if _, _, err := sw.StageBatch(0, []Update{{Table: "conn", Key: k0, Vals: []uint64{1}}, {Table: "conn", Key: k1, Vals: []uint64{1}}}); err != nil {
+		t.Fatal(err)
+	}
+	sw.FlipShard(0)
+	nv := sw.view.Load()
+	for r := old.undo.Load(); r != nil; r = r.next {
+		if inView := r == &nv.undoBuf[0] || r == &nv.undoBuf[1]; !inView {
+			t.Errorf("an undo record of a two-insert flip lives outside the view it published")
+		}
+	}
+	if _, ok := tbl.lookup(old, &k0); ok {
+		t.Error("a pass pinned before the flip sees its insert")
+	}
+	if _, ok := tbl.lookup(nv, &k1); !ok {
+		t.Error("a pass pinned after the flip misses its insert")
+	}
+}

@@ -85,9 +85,10 @@ type undoRec struct {
 	next   *undoRec
 }
 
-// undoSlab hands one flip its undo records from a single allocation sized
-// to the batch. The writes a batch cannot count ahead — a Replace's
-// deletions, §7 evictions — allocate theirs once it runs out.
+// undoSlab hands one flip its undo records: from the successor view's own
+// array for a small batch, else from a single allocation sized to the
+// batch. The writes a batch cannot count ahead — a Replace's deletions,
+// §7 evictions — allocate theirs once it runs out.
 type undoSlab []undoRec
 
 func (s *undoSlab) take() *undoRec {
