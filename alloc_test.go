@@ -10,9 +10,9 @@ import (
 	"testing"
 
 	"gallium"
+	"gallium/internal/engine"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
-	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/serverrt"
 	"gallium/internal/switchsim"
@@ -31,7 +31,7 @@ const allocBudget = 0
 const slowPathAllocBudget = 0
 
 // newFlowBudget is the budget for one new mazunat flow through the whole
-// slow path of a Testbed under netsim.InstantModel: pre-pass, the hop to
+// slow path of a Testbed under engine.InstantModel: pre-pass, the hop to
 // the server, the server, output commit (stage + flip), the hop back,
 // post-pass. It is the two table nodes the server's inserts stage and the
 // successor view, which carries the flip's undo records; the hops decode
@@ -219,7 +219,7 @@ func newNewFlowRig(t testing.TB) *newFlowRig {
 		t.Fatal(err)
 	}
 	tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: func(st *ir.State) { middleboxes.ConfigureState("mazunat", st) }},
-		gallium.WithCostModel(netsim.InstantModel()))
+		gallium.WithCostModel(engine.InstantModel()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,6 @@ import (
 	"gallium/internal/flowstate"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
-	"gallium/internal/netsim"
 	"gallium/internal/obs"
 	"gallium/internal/packet"
 	"gallium/internal/partition"
@@ -659,13 +658,13 @@ func BenchmarkTransferCodec(b *testing.B) {
 func BenchmarkFluidEngine(b *testing.B) {
 	sizes := trafficgen.Enterprise().SampleFlows(100_000, 1)
 	flows := trafficgen.SplitWorkers(sizes, 100)
-	cfg := netsim.DefaultFluidConfig()
+	cfg := eval.DefaultFluidConfig()
 	cfg.BottleneckBps = 100e9
 	cfg.SetupNs = 100_000
 	cfg.RTTNs = 16_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := netsim.RunFluid(cfg, flows); err != nil {
+		if _, err := eval.RunFluid(cfg, flows); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,9 +19,9 @@ import (
 	"math/rand"
 
 	"gallium"
+	"gallium/internal/engine"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
-	"gallium/internal/netsim"
 	"gallium/internal/packet"
 )
 
@@ -44,7 +44,7 @@ func main() {
 		}
 		res := art.Res
 		tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }},
-			gallium.WithCostModel(netsim.InstantModel()))
+			gallium.WithCostModel(engine.InstantModel()))
 		if err != nil {
 			log.Fatal(err)
 		}

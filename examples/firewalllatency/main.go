@@ -13,9 +13,9 @@ import (
 	"log"
 
 	"gallium"
+	"gallium/internal/engine"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
-	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/trafficgen"
 )
@@ -53,7 +53,7 @@ func main() {
 	gal := measure(gallium.Offloaded)
 	fc := measure(gallium.Software)
 
-	m := netsim.DefaultModel()
+	m := engine.DefaultModel()
 	fmt.Println("per-hop latency budget (µs):")
 	fmt.Printf("  endpoint stacks (2x)        %6.2f\n", 2*m.EndpointStackNs/1000)
 	fmt.Printf("  switch pipeline (per pass)  %6.2f\n", m.SwitchPipelineNs/1000)

@@ -15,9 +15,9 @@ import (
 	"math/rand"
 
 	"gallium"
+	"gallium/internal/engine"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
-	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/serverrt"
 )
@@ -31,7 +31,7 @@ func main() {
 
 	setup := func(st *ir.State) { middleboxes.ConfigureState("l4lb", st) }
 	setup(ref.State)
-	tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: setup}, gallium.WithCostModel(netsim.InstantModel()))
+	tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: setup}, gallium.WithCostModel(engine.InstantModel()))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,7 @@
 //
 // Compiled artifacts run three ways, from lowest-level to highest:
 // NewTestbed for the sequential virtual-time simulator (Inject,
-// Reconfigure — the differential-test oracle; under netsim.InstantModel
+// Reconfigure — the differential-test oracle; under engine.InstantModel
 // it moves packets with no timing at all), Run for a one-shot batch
 // through the concurrent engine, and Open for a long-lived Session with
 // live reconfiguration (Feed, Reconfigure, Stats, Serve). All three take

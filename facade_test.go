@@ -8,8 +8,8 @@ import (
 
 	"gallium"
 	"gallium/internal/analysis"
+	"gallium/internal/engine"
 	"gallium/internal/middleboxes"
-	"gallium/internal/netsim"
 	"gallium/internal/obs"
 	"gallium/internal/packet"
 )
@@ -223,7 +223,7 @@ func TestScenarioSetupSeedsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := art.NewTestbed(gallium.TestbedConfig{}, gallium.WithCostModel(netsim.InstantModel()), gallium.WithScenario())
+	tb, err := art.NewTestbed(gallium.TestbedConfig{}, gallium.WithCostModel(engine.InstantModel()), gallium.WithScenario())
 	if err != nil {
 		t.Fatal(err)
 	}

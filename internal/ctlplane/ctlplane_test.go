@@ -15,7 +15,6 @@ import (
 	"gallium/internal/engine"
 	"gallium/internal/flowstate"
 	"gallium/internal/ir"
-	"gallium/internal/netsim"
 	"gallium/internal/obs"
 	"gallium/internal/packet"
 	"gallium/internal/serverrt"
@@ -331,7 +330,7 @@ func (f *fakeRuntime) Stats() (*engine.Report, error) { return testReport(), nil
 // (per-worker counts, mean pulls, a bucketed latency histogram, flow-table
 // gauges, per-stage table sizes), so the server's encoder carries them all.
 func testReport() *engine.Report {
-	w := netsim.Stats{
+	w := engine.Stats{
 		Injected: 21, Delivered: 20, MBDrops: 1, FastPath: 19, SlowPath: 2,
 		BytesIn: 10500, BytesOut: 10000, ServerCycles: 3156.5,
 		CtlBatches: 1, CtlOps: 2, CtlRejected: 1, FirstDeliverNs: 100, LastDeliverNs: 9000,
@@ -339,7 +338,7 @@ func testReport() *engine.Report {
 	agg := w
 	agg.Injected, agg.Delivered, agg.MBDrops = 42, 40, 2
 	return &engine.Report{
-		Stats: agg, PerWorker: []netsim.Stats{w, w}, Workers: 2,
+		Stats: agg, PerWorker: []engine.Stats{w, w}, Workers: 2,
 		WallNs: 5_000_000, PPS: 8400.25,
 		Latency: obs.HistSnapshot{
 			Count: 40, Sum: 720_000, Min: 9_000, Max: 40_000, Mean: 18_000,

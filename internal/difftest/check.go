@@ -9,9 +9,9 @@ import (
 	"sync"
 
 	"gallium"
+	"gallium/internal/engine"
 	"gallium/internal/flowstate"
 	"gallium/internal/ir"
-	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/serverrt"
 )
@@ -63,8 +63,8 @@ func (d *Divergence) String() string {
 // fuzzModel is the cost model every leg runs under: default constants,
 // but an effectively unbounded server ingress queue (a queue drop is a
 // performance artifact, not middlebox semantics) and no endpoint jitter.
-func fuzzModel() netsim.CostModel {
-	m := netsim.DefaultModel()
+func fuzzModel() engine.CostModel {
+	m := engine.DefaultModel()
 	m.MaxQueueDelayNs = 1e15
 	m.StackJitterFrac = 0
 	return m

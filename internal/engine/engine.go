@@ -1,8 +1,11 @@
-// Package engine holds both drivers of the netsim walker, built from one
-// Config, reconfigured by one Reconfig and reported through one Report:
-// the sequential virtual-time Testbed (testbed.go) and the concurrent
-// sharded packet engine described below. They differ only in how a packet
-// enters (Inject against Dispatch/Feed) and in when a write-back flips.
+// Package engine models the paper's testbed (§6.3) packet by packet. It
+// holds the walker (walker.go), which carries one packet through the
+// Figure 1 trip under the calibrated cost model (costmodel.go), and both
+// of its drivers, built from one Config, reconfigured by one Reconfig and
+// reported through one Report: the sequential virtual-time Testbed
+// (testbed.go) and the concurrent sharded packet engine described below.
+// They differ only in how a packet enters (Inject against Dispatch/Feed)
+// and in when a write-back flips.
 //
 // An RSS-style flow-hash dispatcher fans packets out to N workers, each
 // owning one shard of the middlebox server (its own authoritative state,
@@ -58,7 +61,6 @@ import (
 
 	"gallium/internal/flowstate"
 	"gallium/internal/ir"
-	"gallium/internal/netsim"
 	"gallium/internal/obs"
 	"gallium/internal/packet"
 	"gallium/internal/partition"
@@ -98,17 +100,43 @@ func (s StageConfig) Program() *ir.Program {
 	return s.Prog
 }
 
+// Mode selects the deployment under test. The zero Mode is "unset": it
+// defaults to Offloaded when a testbed or engine is built from it, and is
+// what gallium.ParseMode returns alongside an error — so an ignored parse
+// error can never be mistaken for an explicit mode choice.
+type Mode int
+
+// Deployment modes.
+const (
+	// Offloaded runs the Gallium-compiled switch+server pair.
+	Offloaded Mode = iota + 1
+	// Software runs the unpartitioned middlebox on the server (the
+	// FastClick baseline), with the switch as a plain forwarder.
+	Software
+)
+
+// String implements fmt.Stringer for flag defaults and error messages.
+func (m Mode) String() string {
+	switch m {
+	case Offloaded:
+		return "offloaded"
+	case Software:
+		return "software"
+	}
+	return fmt.Sprintf("mode(%d)", int(m))
+}
+
 // Config describes one engine instance.
 type Config struct {
 	// Mode is Offloaded (default for the zero Mode) or Software.
-	Mode netsim.Mode
+	Mode Mode
 	// Workers is the number of server shards; <=0 means 1.
 	Workers int
 	// Stages is the middlebox pipeline, traversed in order; it needs at
 	// least one stage.
 	Stages []StageConfig
 	// Model is the virtual-time cost model; the zero value means defaults.
-	Model netsim.CostModel
+	Model CostModel
 	// Obs, when non-nil, receives metrics (see deployment.instrument) and,
 	// when its tracing is enabled, the first packets' hop traces. Nil
 	// disables observability.
@@ -235,7 +263,7 @@ func New(ctx context.Context, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, deployment: deployment{stages: cfg.Stages, sws: sws}}
-	e.stats = func(i int) netsim.Stats { return e.workers[i].published() }
+	e.stats = func(i int) Stats { return e.workers[i].published() }
 	for _, st := range e.stages {
 		e.lifeDyn = append(e.lifeDyn, flowstate.DynamicMaps(st.Program()))
 		off := map[string]bool{}
@@ -255,7 +283,7 @@ func New(ctx context.Context, cfg Config) (*Engine, error) {
 		}
 		// One simulated core per worker, reading switch lane i; the seed
 		// decorrelates the per-worker jitter streams.
-		w.walk = netsim.NewWalker(cfg.Model, stages, 1, i, uint64(i+1)*0x9E3779B97F4A7C15, w)
+		w.walk = newWalker(cfg.Model, stages, 1, i, uint64(i+1)*0x9E3779B97F4A7C15, w)
 		e.workers = append(e.workers, w)
 		e.walks = append(e.walks, &w.walk)
 	}
@@ -288,26 +316,26 @@ func New(ctx context.Context, cfg Config) (*Engine, error) {
 // shard one walker stage per pipeline stage, its server state seeded
 // through the stage's Setup. Each switch is seeded from shard 0's state
 // through the ordinary control plane.
-func build(cfg *Config, shards int) ([]*switchsim.Switch, [][]netsim.Stage, error) {
+func build(cfg *Config, shards int) ([]*switchsim.Switch, [][]walkStage, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
 	shards = max(shards, 1)
 	if cfg.Mode == 0 {
-		cfg.Mode = netsim.Offloaded
+		cfg.Mode = Offloaded
 	}
-	if cfg.Model == (netsim.CostModel{}) {
-		cfg.Model = netsim.DefaultModel()
+	if cfg.Model == (CostModel{}) {
+		cfg.Model = DefaultModel()
 	}
 	if len(cfg.Stages) == 0 {
 		return nil, nil, errors.New("engine: no pipeline stages")
 	}
-	if cfg.Mode != netsim.Offloaded && cfg.Mode != netsim.Software {
+	if cfg.Mode != Offloaded && cfg.Mode != Software {
 		return nil, nil, fmt.Errorf("engine: unknown mode %v", cfg.Mode)
 	}
 	var sws []*switchsim.Switch
 	for si, st := range cfg.Stages {
-		if cfg.Mode == netsim.Software {
+		if cfg.Mode == Software {
 			if st.Prog == nil {
 				return nil, nil, fmt.Errorf("engine: software stage %d needs a program", si)
 			}
@@ -320,15 +348,15 @@ func build(cfg *Config, shards int) ([]*switchsim.Switch, [][]netsim.Stage, erro
 		sw.ConfigureShards(shards)
 		sws = append(sws, sw)
 	}
-	all := make([][]netsim.Stage, shards)
+	all := make([][]walkStage, shards)
 	for i := range all {
-		all[i] = make([]netsim.Stage, len(cfg.Stages))
+		all[i] = make([]walkStage, len(cfg.Stages))
 		for si, st := range cfg.Stages {
 			stage := &all[i][si]
 			if len(sws) > 0 {
-				*stage = netsim.Stage{Switch: sws[si], Server: serverrt.New(st.Res)}
+				*stage = walkStage{Switch: sws[si], Server: serverrt.New(st.Res)}
 			} else {
-				*stage = netsim.Stage{Software: serverrt.NewSoftware(st.Prog)}
+				*stage = walkStage{Software: serverrt.NewSoftware(st.Prog)}
 			}
 			if st.Setup == nil {
 				continue
@@ -450,7 +478,7 @@ func (e *Engine) Feed(wl Workload) error {
 		e.fedAny = true
 		e.lastT = tNs
 		flow, _ := pkt.DispatchTuple()
-		w := e.workers[netsim.RSSShard(pkt, len(e.workers))]
+		w := e.workers[RSSShard(pkt, len(e.workers))]
 		w.burst = append(w.burst, job{seq: e.seq, tNs: tNs, flow: flow, pkt: pkt})
 		e.seq++
 		if len(w.burst) < feedBurst {
@@ -512,7 +540,7 @@ func (e *Engine) Dispatch(tNs int64, pkt *packet.Packet) (int64, error) {
 	flow, _ := pkt.DispatchTuple()
 	j := job{seq: e.seq, tNs: tNs, flow: flow, pkt: pkt}
 	e.seq++
-	w := e.workers[netsim.RSSShard(pkt, len(e.workers))]
+	w := e.workers[RSSShard(pkt, len(e.workers))]
 	if pkt.RxBurst || !w.box.borrow() {
 		err := e.hand(w, j)
 		e.feedMu.Unlock()

@@ -268,7 +268,7 @@ func TestRunContextCancellation(t *testing.T) {
 func TestEngineSoftwareMode(t *testing.T) {
 	prog, _ := compileMB(t, "l4lb")
 	eng, err := New(context.Background(), Config{
-		Mode:    2, // netsim.Software without importing it here
+		Mode:    Software,
 		Workers: 4,
 		Stages:  []StageConfig{{Prog: prog, Setup: setupLB}},
 	})

@@ -13,7 +13,6 @@ import (
 
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
-	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/switchsim"
 )
@@ -389,7 +388,7 @@ func TestBorrowedRunsKeepFIFO(t *testing.T) {
 				if !burst {
 					// Give the worker a moment to park; a packet that finds
 					// it busy queues, which the test allows.
-					box := eng.workers[netsim.RSSShard(pkt, workers)].box
+					box := eng.workers[RSSShard(pkt, workers)].box
 					for spin := 0; spin < 1000 && !box.consumerParked(); spin++ {
 						runtime.Gosched()
 					}
@@ -463,7 +462,7 @@ func TestBorrowedPanicFailsDispatch(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				allParked(t, eng)
 				pkt := next(i)
-				worker := netsim.RSSShard(pkt, workers)
+				worker := RSSShard(pkt, workers)
 				_, err := eng.Dispatch(int64(i)*1000, pkt)
 				if i < 9 {
 					if err != nil {

@@ -7,15 +7,29 @@ import (
 	"time"
 
 	"gallium/internal/flowstate"
-	"gallium/internal/netsim"
 	"gallium/internal/obs"
 	"gallium/internal/packet"
 	"gallium/internal/switchsim"
 )
 
-// Delivery reports one packet's fate, extending the testbed's Delivery
-// with the dispatch coordinates that only exist under concurrency.
+// Delivery reports one packet's fate. The walker sets the fate fields,
+// Delivered through LatencyNs, under either driver; Testbed.Inject returns
+// just those. The engine adds the dispatch coordinates, Seq through More,
+// which only exist under concurrency, before it calls OnDelivery.
 type Delivery struct {
+	// Delivered is true when the packet reached the destination host.
+	Delivered bool
+	// MBDropped means the middlebox's logic dropped it (e.g. firewall).
+	MBDropped bool
+	// QueueDropped means the server ingress queue overflowed.
+	QueueDropped bool
+	// FastPath means the switch handled it without the server.
+	FastPath bool
+	// DeliverNs is when the packet reached the destination (virtual ns).
+	DeliverNs int64
+	// LatencyNs is end-to-end (application to application).
+	LatencyNs int64
+
 	// Seq is the packet's position in the workload stream.
 	Seq int64
 	// TNs is the injection time (virtual ns).
@@ -38,11 +52,35 @@ type Delivery struct {
 	// batch, and for a packet Dispatch ran on its caller's goroutine. Only
 	// an abort breaks the promise.
 	More bool
+}
 
-	// Delivery is the fate itself: delivered, dropped by the middlebox or
-	// the shard's ingress queue, fast path or not, and the virtual-time
-	// delivery and latency.
-	netsim.Delivery
+// Stats aggregates a run.
+type Stats struct {
+	Injected   int `json:"injected"`
+	Delivered  int `json:"delivered"`
+	MBDrops    int `json:"mb_drops"`
+	QueueDrops int `json:"queue_drops"`
+	FastPath   int `json:"fast_path"`
+	SlowPath   int `json:"slow_path"`
+	// CtlRejected counts control-plane updates refused because the
+	// switch table was full; the flows stay server-handled.
+	CtlRejected  int     `json:"ctl_rejected"`
+	BytesIn      int64   `json:"bytes_in"`
+	BytesOut     int64   `json:"bytes_out"`
+	ServerCycles float64 `json:"server_cycles"`
+	CtlBatches   int     `json:"ctl_batches"`
+	CtlOps       int     `json:"ctl_ops"`
+	// FirstDeliverNs/LastDeliverNs frame the measurement window.
+	FirstDeliverNs int64 `json:"first_deliver_ns"`
+	LastDeliverNs  int64 `json:"last_deliver_ns"`
+}
+
+// ThroughputBps is delivered goodput over the delivery window.
+func (s Stats) ThroughputBps() float64 {
+	if s.LastDeliverNs <= s.FirstDeliverNs {
+		return 0
+	}
+	return float64(s.BytesOut) * 8 / (float64(s.LastDeliverNs-s.FirstDeliverNs) / 1e9)
 }
 
 // Report summarizes one engine run: virtual-time traffic statistics
@@ -51,9 +89,9 @@ type Delivery struct {
 type Report struct {
 	// Stats aggregates every worker's counters; latencies and delivery
 	// windows are virtual-time, like the testbed's.
-	Stats netsim.Stats `json:"stats"`
+	Stats Stats `json:"stats"`
 	// PerWorker holds each shard's own counters (index == worker id).
-	PerWorker []netsim.Stats `json:"per_worker,omitempty"`
+	PerWorker []Stats `json:"per_worker,omitempty"`
 	// Workers is the shard count the engine ran with.
 	Workers int `json:"workers"`
 	// WallNs is the wall-clock time from New to this report.
@@ -137,8 +175,8 @@ func (r *Report) WriteText(w io.Writer) {
 type deployment struct {
 	stages []StageConfig
 	sws    []*switchsim.Switch
-	walks  []*netsim.Walker
-	stats  func(i int) netsim.Stats
+	walks  []*walker
+	stats  func(i int) Stats
 }
 
 // report aggregates the walkers into a Report, the one way both drivers
@@ -218,15 +256,15 @@ func (d *deployment) latency() (fast, slow []*obs.Histogram) {
 // for walker i.
 var walkerCounts = []struct {
 	name string
-	pick func(netsim.Stats) int
+	pick func(Stats) int
 }{
-	{"packets", func(s netsim.Stats) int { return s.Injected }},
-	{"delivered", func(s netsim.Stats) int { return s.Delivered }},
-	{"fastpath", func(s netsim.Stats) int { return s.FastPath }},
-	{"slowpath", func(s netsim.Stats) int { return s.SlowPath }},
-	{"mb_drops", func(s netsim.Stats) int { return s.MBDrops }},
-	{"queue_drops", func(s netsim.Stats) int { return s.QueueDrops }},
-	{"ctl_rejected", func(s netsim.Stats) int { return s.CtlRejected }},
+	{"packets", func(s Stats) int { return s.Injected }},
+	{"delivered", func(s Stats) int { return s.Delivered }},
+	{"fastpath", func(s Stats) int { return s.FastPath }},
+	{"slowpath", func(s Stats) int { return s.SlowPath }},
+	{"mb_drops", func(s Stats) int { return s.MBDrops }},
+	{"queue_drops", func(s Stats) int { return s.QueueDrops }},
+	{"ctl_rejected", func(s Stats) int { return s.CtlRejected }},
 }
 
 // instrument registers the deployment's metrics with reg (nil: none), the

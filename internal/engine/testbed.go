@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"gallium/internal/ir"
-	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/serverrt"
 	"gallium/internal/switchsim"
@@ -15,12 +14,12 @@ import (
 // Testbed is the engine's sequential driver: a time-ordered, single-pass
 // model of the Figure 1 topology on the caller's goroutine. Packets must
 // be injected in non-decreasing timestamp order. The testbed is its
-// walker's Committer: write-backs are staged at once and become visible
+// walker's committer: write-backs are staged at once and become visible
 // at a scheduled virtual time, where an engine worker flips them before
 // it delivers the packet.
 type Testbed struct {
 	deployment
-	walk netsim.Walker
+	walk walker
 
 	// flips are the scheduled visibility flips, in commit order.
 	flips      []flip
@@ -54,9 +53,9 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 		return nil, err
 	}
 	tb := &Testbed{}
-	tb.walk = netsim.NewWalker(cfg.Model, shards[0], cfg.Workers, 0, 0, tb)
-	tb.deployment = deployment{stages: cfg.Stages, sws: sws, walks: []*netsim.Walker{&tb.walk},
-		stats: func(int) netsim.Stats { return tb.walk.Stats }}
+	tb.walk = newWalker(cfg.Model, shards[0], cfg.Workers, 0, 0, tb)
+	tb.deployment = deployment{stages: cfg.Stages, sws: sws, walks: []*walker{&tb.walk},
+		stats: func(int) Stats { return tb.walk.Stats }}
 	tb.instrument(cfg.Obs)
 	return tb, nil
 }
@@ -69,7 +68,7 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 // (CtlRejected): that entry never reaches the switch. Any other failure
 // unstages the whole batch (switchsim.StageBatch), so no flip publishes
 // part of it.
-func stageBatch(sw *switchsim.Switch, shard int, updates []switchsim.Update, punt bool, st *netsim.Stats) (staged, syncs int, err error) {
+func stageBatch(sw *switchsim.Switch, shard int, updates []switchsim.Update, punt bool, st *Stats) (staged, syncs int, err error) {
 	syncs = len(updates)
 	if punt {
 		fills, s := serverrt.ClassifyUpdates(sw, updates)
@@ -111,7 +110,7 @@ func (tb *Testbed) Reconfigure(r Reconfig) error {
 	return nil
 }
 
-// Due implements netsim.Committer: every scheduled flip whose time has
+// Due implements committer: every scheduled flip whose time has
 // passed becomes visible to the data plane.
 func (tb *Testbed) Due(nowNs int64) {
 	if len(tb.flips) == 0 {
@@ -129,7 +128,7 @@ func (tb *Testbed) Due(nowNs int64) {
 	tb.flips = kept
 }
 
-// Commit implements netsim.Committer: stage now (invisible), flip one
+// Commit implements committer: stage now (invisible), flip one
 // control batch latency after the server finished. §7 cache fills ride the
 // same flip but only synchronous updates hold the packet.
 func (tb *Testbed) Commit(stage int, updates []switchsim.Update, punt bool, doneNs int64) (int, error) {
@@ -145,13 +144,16 @@ func (tb *Testbed) Commit(stage int, updates []switchsim.Update, punt bool, done
 }
 
 // Inject runs one packet through the testbed, starting from the source
-// application at time tNs. Packets must arrive in time order.
-func (tb *Testbed) Inject(tNs int64, pkt *packet.Packet) (netsim.Delivery, error) {
+// application at time tNs, and returns its fate: the Delivery's fate
+// fields, with the engine's dispatch coordinates left zero. Packets must
+// arrive in time order.
+func (tb *Testbed) Inject(tNs int64, pkt *packet.Packet) (Delivery, error) {
 	if tNs < tb.lastInject {
-		return netsim.Delivery{}, fmt.Errorf("engine: out-of-order injection (%d < %d)", tNs, tb.lastInject)
+		return Delivery{}, fmt.Errorf("engine: out-of-order injection (%d < %d)", tNs, tb.lastInject)
 	}
 	tb.lastInject = tNs
-	d, err := tb.walk.Walk(tNs, pkt)
+	var d Delivery
+	err := tb.walk.Walk(tNs, pkt, &d)
 	tb.walk.Flush()
 	return d, err
 }

@@ -10,17 +10,16 @@ import (
 	"gallium/internal/ir"
 	"gallium/internal/lang"
 	"gallium/internal/middleboxes"
-	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/partition"
 	"gallium/internal/switchsim"
 )
 
-func buildTestbed(t *testing.T, name string, mode netsim.Mode, cores int) *Testbed {
+func buildTestbed(t *testing.T, name string, mode Mode, cores int) *Testbed {
 	t.Helper()
 	prog, res := compileMB(t, name)
 	stage := StageConfig{Prog: prog, Setup: func(_ int, st *ir.State) { middleboxes.ConfigureState(name, st) }}
-	if mode == netsim.Offloaded {
+	if mode == Offloaded {
 		stage.Res = res
 	}
 	tb, err := NewTestbed(Config{Mode: mode, Workers: cores, Stages: []StageConfig{stage}})
@@ -31,7 +30,7 @@ func buildTestbed(t *testing.T, name string, mode netsim.Mode, cores int) *Testb
 }
 
 func TestLatencyFastVsSlowPath(t *testing.T) {
-	tb := buildTestbed(t, "minilb", netsim.Offloaded, 1)
+	tb := buildTestbed(t, "minilb", Offloaded, 1)
 
 	// First packet: slow path (miss), includes the sync stall.
 	p1 := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{Flags: packet.TCPFlagSYN})
@@ -63,7 +62,7 @@ func TestLatencyFastVsSlowPath(t *testing.T) {
 }
 
 func TestSoftwareLatencyMatchesTable2(t *testing.T) {
-	tb := buildTestbed(t, "minilb", netsim.Software, 1)
+	tb := buildTestbed(t, "minilb", Software, 1)
 	// Warm the connection table first.
 	p0 := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{Flags: packet.TCPFlagSYN})
 	if _, err := tb.Inject(0, p0); err != nil {
@@ -83,8 +82,8 @@ func TestSoftwareLatencyMatchesTable2(t *testing.T) {
 func TestServerQueueSaturation(t *testing.T) {
 	// Offer far more than one software core can process; the queue must
 	// overflow and the delivered rate must settle at the core's capacity.
-	tb := buildTestbed(t, "minilb", netsim.Software, 1)
-	m := netsim.DefaultModel()
+	tb := buildTestbed(t, "minilb", Software, 1)
+	m := DefaultModel()
 	pktSize := 200
 	offered := 5e6 // 5 Mpps at ~1.4k cycles/pkt >> 1 core
 	interval := 1e9 / offered
@@ -116,7 +115,7 @@ func TestMultiCoreScaling(t *testing.T) {
 	// Same overload, 4 cores: should deliver roughly 4x the packets of 1
 	// core (many flows spread across cores via RSS).
 	run := func(cores int) int {
-		tb := buildTestbed(t, "firewall", netsim.Software, cores)
+		tb := buildTestbed(t, "firewall", Software, cores)
 		// Allow all generated flows.
 		setup := tb.ServerState()
 		interval := 1e9 / 14e6 // well above 4-core capacity
@@ -143,7 +142,7 @@ func TestMultiCoreScaling(t *testing.T) {
 }
 
 func TestOffloadedSkipsServer(t *testing.T) {
-	tb := buildTestbed(t, "proxy", netsim.Offloaded, 1)
+	tb := buildTestbed(t, "proxy", Offloaded, 1)
 	// Proxy forwards unregistered ports entirely on the switch.
 	for i := 0; i < 100; i++ {
 		p := packet.BuildTCP(packet.MakeIPv4Addr(1, 1, 1, 1), packet.MakeIPv4Addr(2, 2, 2, 2), uint16(1000+i), 22, packet.TCPOptions{})
@@ -267,50 +266,10 @@ middlebox tiny {
 	}
 }
 
-// TestFluidMatchesPacketLevel cross-validates the two simulation engines:
-// an uncontended flow driven packet by packet through the testbed must
-// complete in about the time the fluid engine predicts from the same
-// measured parameters.
-func TestFluidMatchesPacketLevel(t *testing.T) {
-	tb := buildTestbed(t, "minilb", netsim.Offloaded, 1)
-	tup := packet.FiveTuple{
-		SrcIP: packet.MakeIPv4Addr(1, 2, 3, 4), DstIP: packet.MakeIPv4Addr(9, 9, 9, 9),
-		SrcPort: 1000, DstPort: 80, Proto: packet.IPProtocolTCP,
-	}
-	drv := &FlowDriver{TB: tb, MSS: 1460, InitWindow: 10}
-	const size = 3_000_000 // 3 MB
-	got, err := drv.Run(0, tup, size)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Fluid prediction with the same parameters: the SYN pays the sync
-	// stall (~135 µs + slow path), data rides the fast path at ~16 µs RTT
-	// and drains at line rate.
-	m := netsim.DefaultModel()
-	fc := netsim.DefaultFluidConfig()
-	fc.Workers = 1
-	fc.BottleneckBps = m.LineRateBps
-	fc.SetupNs = 135_000 + 25_000 // sync + slow-path first packet
-	fc.RTTNs = 32_000             // ~2x one-way fast path
-	fl, err := netsim.RunFluid(fc, [][]int64{{size}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := float64(fl.Records[0].FCTNs)
-	have := float64(got.FCTNs)
-	ratio := have / want
-	t.Logf("packet-level FCT = %.0f µs, fluid FCT = %.0f µs (ratio %.2f, %d packets, %d rounds)",
-		have/1000, want/1000, ratio, got.Packets, got.Rounds)
-	if ratio < 0.5 || ratio > 2.0 {
-		t.Errorf("engines disagree by %.2fx", ratio)
-	}
-}
-
 // TestTestbedOutOfOrderInjectionRejected: the testbed refuses an Inject
 // whose time runs backwards.
 func TestTestbedOutOfOrderInjectionRejected(t *testing.T) {
-	tb := buildTestbed(t, "minilb", netsim.Offloaded, 1)
+	tb := buildTestbed(t, "minilb", Offloaded, 1)
 	p := packet.BuildTCP(1, 2, 3, 4, packet.TCPOptions{})
 	if _, err := tb.Inject(100, p.Clone()); err != nil {
 		t.Fatal(err)
@@ -331,7 +290,7 @@ func TestModeZeroDefaultsToOffloaded(t *testing.T) {
 	if tb.Switch() == nil {
 		t.Fatal("zero Mode did not build the offloaded deployment")
 	}
-	if _, err := NewTestbed(Config{Mode: netsim.Mode(7), Stages: []StageConfig{{Res: res, Prog: prog}}}); err == nil {
+	if _, err := NewTestbed(Config{Mode: Mode(7), Stages: []StageConfig{{Res: res, Prog: prog}}}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -342,7 +301,7 @@ func TestModeZeroDefaultsToOffloaded(t *testing.T) {
 // any other byte slice reachable from it would be that frame, kept alive
 // for as long as the caller keeps the packet.
 func TestSlowPathPacketPinsNoFrame(t *testing.T) {
-	tb := buildTestbed(t, "minilb", netsim.Offloaded, 1)
+	tb := buildTestbed(t, "minilb", Offloaded, 1)
 	pkt := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80,
 		packet.TCPOptions{Flags: packet.TCPFlagSYN, Payload: make([]byte, 64)})
 	d, err := tb.Inject(0, pkt)

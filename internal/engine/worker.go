@@ -7,7 +7,6 @@ import (
 
 	"gallium/internal/flowstate"
 	"gallium/internal/ir"
-	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/switchsim"
 )
@@ -29,7 +28,7 @@ type job struct {
 // serverrt state per pipeline stage (authoritative for the flows hashed to
 // it) with one simulated core — worker == core. Everything here is
 // goroutine-local except the shared switches (lock-free data plane, one
-// control lane per worker). The worker is its walker's Committer: a
+// control lane per worker). The worker is its walker's committer: a
 // packet's write-back batch is staged on this worker's own switch lane and
 // flipped before the packet is delivered (§4.3.3 output commit).
 type worker struct {
@@ -43,7 +42,7 @@ type worker struct {
 	// seen is the walker's Stats as of this worker's latest barrier — a
 	// settle, or its exit — which reports and metrics read.
 	seenMu sync.Mutex
-	seen   netsim.Stats
+	seen   Stats
 
 	// expiries is sweep's reused batch of switch deletions, kept off the
 	// per-packet block below: a sweep runs once per SweepEvery packets.
@@ -56,7 +55,7 @@ type worker struct {
 	// cross-core traffic).
 	_ [64]byte
 
-	walk netsim.Walker
+	walk walker
 
 	// batch is reused across pulls so the steady state does not allocate;
 	// next indexes the batch's first job not yet run.
@@ -228,7 +227,7 @@ func (w *worker) publish() {
 
 // published returns the Stats of the worker's latest barrier; any
 // goroutine may call it.
-func (w *worker) published() netsim.Stats {
+func (w *worker) published() Stats {
 	w.seenMu.Lock()
 	defer w.seenMu.Unlock()
 	return w.seen
@@ -315,11 +314,11 @@ func (w *worker) apply(stage int, updates []switchsim.Update, punt bool) (staged
 	return staged, syncs, err
 }
 
-// Due implements netsim.Committer: every batch flipped when it was
+// Due implements committer: every batch flipped when it was
 // committed, so there is nothing to make visible by virtual time.
 func (w *worker) Due(int64) {}
 
-// Commit implements netsim.Committer: the batch is flipped on this
+// Commit implements committer: the batch is flipped on this
 // worker's lane before Commit returns, so the packet is delivered, and the
 // worker takes its next job, only once the switch serves its write-back
 // (§4.3.3 output commit). The walker accounts the stall in virtual time;
@@ -339,12 +338,13 @@ func (w *worker) process(j *job, more bool) error {
 	if w.lifeOn {
 		w.setClock(j)
 	}
-	d, err := w.walk.Walk(j.tNs, j.pkt)
-	if err != nil {
+	var d Delivery
+	if err := w.walk.Walk(j.tNs, j.pkt, &d); err != nil {
 		return err
 	}
 	if cb := w.eng.cfg.OnDelivery; cb != nil {
-		cb(Delivery{Seq: j.seq, TNs: j.tNs, Worker: w.id, Flow: j.flow, Pkt: j.pkt, More: more, Delivery: d})
+		d.Seq, d.TNs, d.Worker, d.Flow, d.Pkt, d.More = j.seq, j.tNs, w.id, j.flow, j.pkt, more
+		cb(d)
 	}
 	return nil
 }

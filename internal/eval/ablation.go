@@ -6,9 +6,9 @@ import (
 	"strings"
 
 	"gallium"
+	"gallium/internal/engine"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
-	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/partition"
 )
@@ -160,7 +160,7 @@ func AblationCacheSize() ([]CacheRow, error) {
 		}
 		res := art.Res
 		tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }},
-			gallium.WithCostModel(netsim.InstantModel()))
+			gallium.WithCostModel(engine.InstantModel()))
 		if err != nil {
 			return nil, err
 		}

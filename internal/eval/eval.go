@@ -9,7 +9,6 @@ import (
 	"gallium"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
-	"gallium/internal/netsim"
 	"gallium/internal/partition"
 	"gallium/internal/trafficgen"
 )
@@ -59,17 +58,17 @@ func CompileOneWithCache(name string, caches map[string]int) (*Compiled, error) 
 // Configs are the paper's four deployment configurations for Figures 7/8.
 type ConfigSpec struct {
 	Label string
-	Mode  netsim.Mode
+	Mode  gallium.Mode
 	Cores int
 }
 
 // Configurations returns [Offloaded, Click-4c, Click-2c, Click-1c].
 func Configurations() []ConfigSpec {
 	return []ConfigSpec{
-		{"Offloaded", netsim.Offloaded, 1},
-		{"Click-4c", netsim.Software, 4},
-		{"Click-2c", netsim.Software, 2},
-		{"Click-1c", netsim.Software, 1},
+		{"Offloaded", gallium.Offloaded, 1},
+		{"Click-4c", gallium.Software, 4},
+		{"Click-2c", gallium.Software, 2},
+		{"Click-1c", gallium.Software, 1},
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"gallium"
-	"gallium/internal/netsim"
-	"gallium/internal/packet"
 )
 
 // LoadSweep goes beyond the paper's fixed-rate bars: it sweeps the offered
@@ -39,21 +37,12 @@ func LoadSweep(name string, quick bool) ([]LoadPoint, error) {
 	}
 	rates := []float64{0.5e6, 1e6, 2e6, 4e6, 6e6, 8e6, 10e6, 12e6}
 	var points []LoadPoint
-	for _, cfg := range []ConfigSpec{{"Offloaded", netsim.Offloaded, 1}, {"Click-4c", netsim.Software, 4}} {
+	for _, cfg := range []ConfigSpec{{"Offloaded", gallium.Offloaded, 1}, {"Click-4c", gallium.Software, 4}} {
 		for _, pps := range rates {
-			gen := trafficFor(500, pps, durNs)
-			tb, err := c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(cfg.Mode), gallium.WithWorkers(cfg.Cores),
-				gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
+			rep, err := replay(c, cfg.Mode, cfg.Cores, trafficFor(500, pps, durNs))
 			if err != nil {
 				return nil, err
 			}
-			if err := gen.Generate(func(tNs int64, pkt *packet.Packet) error {
-				_, err := tb.Inject(tNs, pkt)
-				return err
-			}); err != nil {
-				return nil, err
-			}
-			rep := tb.Report()
 			points = append(points, LoadPoint{
 				Middlebox: name, Config: cfg.Label, OfferedPps: pps,
 				Gbps:       rep.Stats.ThroughputBps() / 1e9,

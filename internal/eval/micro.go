@@ -8,7 +8,7 @@ import (
 	"sync"
 
 	"gallium"
-	"gallium/internal/netsim"
+	"gallium/internal/engine"
 	"gallium/internal/packet"
 )
 
@@ -38,7 +38,7 @@ func Figure7(quick bool) ([]Fig7Point, error) {
 	if quick {
 		durNs = 2_000_000
 	}
-	model := netsim.DefaultModel()
+	model := engine.DefaultModel()
 
 	// Every (middlebox, config, size) cell is an independent simulation;
 	// run them in parallel.
@@ -67,17 +67,8 @@ func Figure7(quick bool) ([]Fig7Point, error) {
 			defer func() { <-sem }()
 			// Offered load: generator capability capped by line rate.
 			pps := math.Min(model.GenMaxPps, model.LineRateBps/float64(cl.size*8))
-			gen := trafficFor(cl.size, pps, durNs)
-			tb, err := cl.c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(cl.cfg.Mode), gallium.WithWorkers(cl.cfg.Cores),
-				gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
+			rep, err := replay(cl.c, cl.cfg.Mode, cl.cfg.Cores, trafficFor(cl.size, pps, durNs))
 			if err != nil {
-				errs[i] = err
-				return
-			}
-			if err := gen.Generate(func(tNs int64, pkt *packet.Packet) error {
-				_, err := tb.Inject(tNs, pkt)
-				return err
-			}); err != nil {
 				errs[i] = fmt.Errorf("%s/%s/%d: %w", cl.c.Name, cl.cfg.Label, cl.size, err)
 				return
 			}
@@ -85,7 +76,7 @@ func Figure7(quick bool) ([]Fig7Point, error) {
 				Middlebox: cl.c.Name,
 				Config:    cl.cfg.Label,
 				PktSize:   cl.size,
-				Gbps:      tb.Report().Stats.ThroughputBps() / 1e9,
+				Gbps:      rep.Stats.ThroughputBps() / 1e9,
 			}
 		}(i, cl)
 	}
@@ -117,6 +108,24 @@ func FormatFigure7(points []Fig7Point) string {
 		}
 	}
 	return b.String()
+}
+
+// replay opens a testbed on the compiled middlebox in the given mode with
+// the given simulated server cores, seeded with the standard scenario for
+// gen's flows, replays gen through Inject and returns the testbed's Report.
+func replay(c *Compiled, mode gallium.Mode, cores int, gen gallium.Workload) (*gallium.Report, error) {
+	tb, err := c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores),
+		gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
+	if err != nil {
+		return nil, err
+	}
+	if err := gen.Generate(func(tNs int64, pkt *packet.Packet) error {
+		_, err := tb.Inject(tNs, pkt)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return tb.Report(), nil
 }
 
 func groupBy(points []Fig7Point, key func(Fig7Point) string) map[string][]Fig7Point {
@@ -155,11 +164,11 @@ func Table2() ([]Table2Row, error) {
 	}
 	var rows []Table2Row
 	for _, c := range compiled {
-		g, gs, err := measureLatency(c, netsim.Offloaded, 1)
+		g, gs, err := measureLatency(c, gallium.Offloaded, 1)
 		if err != nil {
 			return nil, err
 		}
-		f, fs, err := measureLatency(c, netsim.Software, 1)
+		f, fs, err := measureLatency(c, gallium.Software, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -173,7 +182,7 @@ func Table2() ([]Table2Row, error) {
 }
 
 // measureLatency warms one connection, then averages probe latencies.
-func measureLatency(c *Compiled, mode netsim.Mode, cores int) (meanUs, stdUs float64, err error) {
+func measureLatency(c *Compiled, mode gallium.Mode, cores int) (meanUs, stdUs float64, err error) {
 	gen := trafficFor(500, 1, 1) // only for the tuple set
 	tb, err := c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
 	if err != nil {
@@ -243,7 +252,7 @@ type Table3Row struct {
 // implementation, so their costs coincide (the paper's measured spreads
 // are within its error bars).
 func Table3() []Table3Row {
-	m := netsim.DefaultModel()
+	m := engine.DefaultModel()
 	var rows []Table3Row
 	for _, n := range []int{1, 2, 4} {
 		us := m.CtlBatchNs(n) / 1000
@@ -294,7 +303,7 @@ func Headline(quick bool) (*HeadlineStats, error) {
 		LatencyReductionPct: map[string]float64{},
 		SlowPathPct:         map[string]float64{},
 	}
-	model := netsim.DefaultModel()
+	model := engine.DefaultModel()
 	durNs := int64(10_000_000)
 	if quick {
 		durNs = 2_000_000
@@ -304,27 +313,15 @@ func Headline(quick bool) (*HeadlineStats, error) {
 		// rate both can sustain, and compare server cycles per delivered
 		// packet.
 		gen := trafficFor(1500, 2e6, durNs)
-		runCycles := func(mode netsim.Mode, cores int) (netsim.Stats, error) {
-			tb, err := c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
-			if err != nil {
-				return netsim.Stats{}, err
-			}
-			if err := gen.Generate(func(tNs int64, pkt *packet.Packet) error {
-				_, err := tb.Inject(tNs, pkt)
-				return err
-			}); err != nil {
-				return netsim.Stats{}, err
-			}
-			return tb.Report().Stats, nil
-		}
-		off, err := runCycles(netsim.Offloaded, 1)
+		offRep, err := replay(c, gallium.Offloaded, 1, gen)
 		if err != nil {
 			return nil, err
 		}
-		sw, err := runCycles(netsim.Software, 4)
+		swRep, err := replay(c, gallium.Software, 4, gen)
 		if err != nil {
 			return nil, err
 		}
+		off, sw := offRep.Stats, swRep.Stats
 		if sw.ServerCycles > 0 {
 			out.CycleSavingsPct[c.Name] = 100 * (sw.ServerCycles - off.ServerCycles) / sw.ServerCycles
 		}
@@ -341,11 +338,11 @@ func Headline(quick bool) (*HeadlineStats, error) {
 		coresUsed := off.ServerCycles / (float64(durNs) / 1e9) / model.CoreHz
 		out.CoresSaved[c.Name] = coresNeeded - coresUsed
 
-		g, _, err := measureLatency(c, netsim.Offloaded, 1)
+		g, _, err := measureLatency(c, gallium.Offloaded, 1)
 		if err != nil {
 			return nil, err
 		}
-		f, _, err := measureLatency(c, netsim.Software, 1)
+		f, _, err := measureLatency(c, gallium.Software, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,7 @@ import (
 	"sync"
 
 	"gallium"
-	"gallium/internal/netsim"
+	"gallium/internal/engine"
 	"gallium/internal/packet"
 	"gallium/internal/trafficgen"
 )
@@ -49,8 +49,8 @@ type FlowParams struct {
 // fresh connection's first packet (slow path + synchronization stall under
 // output commit), the latency of an established connection's packets, and
 // the server cost per data packet.
-func MeasureFlowParams(c *Compiled, mode netsim.Mode, cores int) (FlowParams, error) {
-	model := netsim.DefaultModel()
+func MeasureFlowParams(c *Compiled, mode gallium.Mode, cores int) (FlowParams, error) {
+	model := engine.DefaultModel()
 	gen := trafficFor(1500, 1, 1)
 	tb, err := c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
 	if err != nil {
@@ -94,7 +94,7 @@ func MeasureFlowParams(c *Compiled, mode netsim.Mode, cores int) (FlowParams, er
 	}
 
 	bottleneck := model.LineRateBps
-	if mode == netsim.Software {
+	if mode == gallium.Software {
 		st := tb.Report().Stats
 		avgCycles := st.ServerCycles / float64(st.SlowPath)
 		serverBps := float64(cores) * model.CoreHz / avgCycles * 1500 * 8
@@ -150,11 +150,11 @@ func Figures89(quick bool) ([]Fig8Point, []Fig9Point, error) {
 			}
 			for _, dist := range Workloads() {
 				sizes := dist.SampleFlows(nFlows, 1234)
-				fc := netsim.DefaultFluidConfig()
+				fc := DefaultFluidConfig()
 				fc.BottleneckBps = params.BottleneckBps
 				fc.SetupNs = params.SetupNs
 				fc.RTTNs = params.RTTNs
-				st, err := netsim.RunFluid(fc, trafficgen.SplitWorkers(sizes, fc.Workers))
+				st, err := RunFluid(fc, trafficgen.SplitWorkers(sizes, fc.Workers))
 				if err != nil {
 					errs[i] = err
 					return
@@ -163,7 +163,7 @@ func Figures89(quick bool) ([]Fig8Point, []Fig9Point, error) {
 					Middlebox: cl.c.Name, Workload: dist.Name, Config: cl.cfg.Label,
 					Gbps: st.ThroughputBps() / 1e9,
 				})
-				avg, counts := netsim.BinFCT(st.Records)
+				avg, counts := BinFCT(st.Records)
 				var avgUs [3]float64
 				for j := range avg {
 					avgUs[j] = avg[j] / 1000

@@ -12,7 +12,6 @@
 package p4
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -160,5 +159,3 @@ func (p *Program) RegisterFor(global string) (*Register, bool) {
 	}
 	return nil, false
 }
-
-var _ = fmt.Sprintf

@@ -319,8 +319,8 @@ func TestWireLenMatchesSerialize(t *testing.T) {
 	}
 }
 
-// TestHeaderFormatSpecs covers the precomputed-location fast path and the
-// format's debug rendering.
+// TestHeaderFormatSpecs covers field resolution by name and the format's
+// debug rendering.
 func TestHeaderFormatSpecs(t *testing.T) {
 	hf, err := NewHeaderFormat([]HeaderField{{Name: "cond", Bits: 1}, {Name: "hash32", Bits: 32}})
 	if err != nil {
@@ -329,34 +329,22 @@ func TestHeaderFormatSpecs(t *testing.T) {
 	if got := hf.String(); got != "{cond:1, hash32:32}" {
 		t.Fatalf("String = %q", got)
 	}
+	if off, bits, ok := hf.FieldOffset("hash32"); !ok || off != 1 || bits != 32 {
+		t.Fatalf("FieldOffset(hash32) = %d, %d, %v; want 1, 32, true", off, bits, ok)
+	}
+	if _, _, ok := hf.FieldOffset("nope"); ok {
+		t.Fatal("FieldOffset resolved unknown field")
+	}
 	data := make([]byte, hf.DataLen())
-	spec, ok := hf.Spec("hash32")
-	if !ok {
-		t.Fatal("Spec missing hash32")
+	setField(t, hf, data, "hash32", 0xDEADBEEF)
+	if v := getField(t, hf, data, "hash32"); v != 0xDEADBEEF {
+		t.Fatalf("hash32 = %#x", v)
 	}
-	if _, ok := hf.Spec("nope"); ok {
-		t.Fatal("Spec resolved unknown field")
+	if v := refGetBits(data, 1, 32); v != 0xDEADBEEF {
+		t.Fatalf("reference reads hash32 as %#x", v)
 	}
-	if err := hf.SetAt(data, spec, 0xDEADBEEF); err != nil {
-		t.Fatal(err)
-	}
-	v, err := hf.GetAt(data, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0xDEADBEEF {
-		t.Fatalf("GetAt = %#x", v)
-	}
-	// The named slow path reads the same bits.
-	nv, err := hf.Get(data, "hash32")
-	if err != nil || nv != 0xDEADBEEF {
-		t.Fatalf("Get = %#x, %v", nv, err)
-	}
-	if err := hf.Set(data, "nope", 1); err == nil {
-		t.Error("Set accepted unknown field")
-	}
-	if _, err := hf.Get(data, "nope"); err == nil {
-		t.Error("Get accepted unknown field")
+	if _, err := NewCodec(hf, []Bind{{Field: "nope"}}, 1); err == nil {
+		t.Error("a codec bound an unknown field")
 	}
 }
 

@@ -85,48 +85,6 @@ func (f *HeaderFormat) FieldOffset(name string) (offset, bits int, ok bool) {
 	return offset, f.Fields[i].Bits, true
 }
 
-// Get extracts the named field from data (the header's data area).
-func (f *HeaderFormat) Get(data []byte, name string) (uint64, error) {
-	off, bits, ok := f.FieldOffset(name)
-	if !ok {
-		return 0, fmt.Errorf("packet: no header field %q", name)
-	}
-	return getBits(data, off, bits)
-}
-
-// Set stores the named field into data (the header's data area). Values
-// wider than the field are truncated to the low-order bits.
-func (f *HeaderFormat) Set(data []byte, name string, v uint64) error {
-	off, bits, ok := f.FieldOffset(name)
-	if !ok {
-		return fmt.Errorf("packet: no header field %q", name)
-	}
-	return setBits(data, off, bits, v)
-}
-
-// FieldSpec is a precomputed field location inside a header's data area,
-// read and written through GetAt/SetAt without a name lookup. The
-// runtimes move a whole transfer set through a Codec instead.
-type FieldSpec struct {
-	Off, Bits int
-}
-
-// Spec resolves the named field to its precomputed location.
-func (f *HeaderFormat) Spec(name string) (FieldSpec, bool) {
-	off, bits, ok := f.FieldOffset(name)
-	return FieldSpec{Off: off, Bits: bits}, ok
-}
-
-// GetAt extracts the field at a precomputed location from data.
-func (f *HeaderFormat) GetAt(data []byte, s FieldSpec) (uint64, error) {
-	return getBits(data, s.Off, s.Bits)
-}
-
-// SetAt stores the field at a precomputed location into data.
-func (f *HeaderFormat) SetAt(data []byte, s FieldSpec, v uint64) error {
-	return setBits(data, s.Off, s.Bits, v)
-}
-
 // String renders the format compactly, e.g. "{cond:1, hash32:32}".
 func (f *HeaderFormat) String() string {
 	var b strings.Builder
@@ -225,48 +183,6 @@ func (w *words) store(data []byte) {
 	if len(data) == 1 {
 		data[0] = byte(t >> 56)
 	}
-}
-
-// window checks that a bits-wide field at bit off lies inside data, and
-// returns the bytes around it — at most 16, starting with the field's
-// first byte — and its pieces there.
-func window(data []byte, off, bits int, buf *[2]piece) ([]byte, []piece, error) {
-	if off < 0 || bits <= 0 || bits > 64 || (off+bits+7)/8 > len(data) {
-		return nil, nil, fmt.Errorf("packet: field out of range (off %d, %d bits, %d bytes)", off, bits, len(data))
-	}
-	b := off / 8
-	return data[b:min(len(data), b+16)], place(buf[:0], off%8, bits, 0), nil
-}
-
-func getBits(data []byte, off, bits int) (uint64, error) {
-	var buf [2]piece
-	win, ps, err := window(data, off, bits, &buf)
-	if err != nil {
-		return 0, err
-	}
-	var w words
-	w.load(win)
-	var v uint64
-	for i := range ps {
-		v |= ps[i].get(&w)
-	}
-	return v, nil
-}
-
-func setBits(data []byte, off, bits int, v uint64) error {
-	var buf [2]piece
-	win, ps, err := window(data, off, bits, &buf)
-	if err != nil {
-		return err
-	}
-	var w words
-	w.load(win)
-	for i := range ps {
-		p := &ps[i]
-		w[p.w&3] = w[p.w&3]&^p.bits(^uint64(0)) | p.bits(v)
-	}
-	w.store(win)
-	return nil
 }
 
 // Bind names the header field a scratchpad slot (0-based) travels in.

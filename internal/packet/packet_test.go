@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -195,32 +196,20 @@ func TestHeaderFormatBitPacking(t *testing.T) {
 		t.Fatalf("DataLen = %d, want 7", f.DataLen())
 	}
 	data := make([]byte, f.DataLen())
-	if err := f.Set(data, "cond", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Set(data, "hash32", 0xDEADBEEF); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Set(data, "port", 4242); err != nil {
-		t.Fatal(err)
-	}
+	setField(t, f, data, "cond", 1)
+	setField(t, f, data, "hash32", 0xDEADBEEF)
+	setField(t, f, data, "port", 4242)
 	for name, want := range map[string]uint64{"cond": 1, "hash32": 0xDEADBEEF, "port": 4242} {
-		got, err := f.Get(data, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
+		if got := getField(t, f, data, name); got != want {
 			t.Errorf("%s = %#x, want %#x", name, got, want)
 		}
 	}
 	// Overwriting one field must not clobber neighbors.
-	if err := f.Set(data, "hash32", 0); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := f.Get(data, "cond"); got != 1 {
+	setField(t, f, data, "hash32", 0)
+	if got := getField(t, f, data, "cond"); got != 1 {
 		t.Error("cond clobbered by hash32 write")
 	}
-	if got, _ := f.Get(data, "port"); got != 4242 {
+	if got := getField(t, f, data, "port"); got != 4242 {
 		t.Error("port clobbered by hash32 write")
 	}
 }
@@ -247,21 +236,19 @@ func TestHeaderFormatPropertyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prop := func(a, b, c, d uint64) bool {
+	// The fields travel in reverse slot order, so slots and wire order differ.
+	c, err := NewCodec(f, []Bind{{"a", 3}, {"b", 2}, {"c", 1}, {"d", 0}}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prop := func(a, b, cv, d uint64) bool {
 		data := make([]byte, f.DataLen())
-		vals := map[string]uint64{"a": a & 0x7, "b": b & 0x1FFFF, "c": c & 0xFFFFFFFF, "d": d & 0x1FF}
-		for k, v := range vals {
-			if err := f.Set(data, k, v); err != nil {
-				return false
-			}
+		vals := []uint64{d & 0x1FF, cv & 0xFFFFFFFF, b & 0x1FFFF, a & 0x7}
+		got := make([]uint64, len(vals))
+		if c.Pack(data, vals) != nil || c.Unpack(data, got) != nil {
+			return false
 		}
-		for k, v := range vals {
-			got, err := f.Get(data, k)
-			if err != nil || got != v {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(got, vals)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
@@ -272,7 +259,7 @@ func TestGalliumLayerRoundTrip(t *testing.T) {
 	f, _ := NewHeaderFormat([]HeaderField{{"cond", 1}, {"hash32", 32}})
 	p := BuildUDP(MakeIPv4Addr(10, 1, 0, 1), MakeIPv4Addr(10, 1, 0, 2), 1, 2, []byte("ippart"))
 	p.AttachGallium(f)
-	_ = f.Set(p.GalData, "hash32", 99)
+	setField(t, f, p.GalData, "hash32", 99)
 	raw := p.Serialize()
 	// Ethernet says Gallium; the Gallium header's first two bytes carry the
 	// EtherType of what follows it.
@@ -286,8 +273,11 @@ func TestGalliumLayerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := f.Get(d.GalData, "hash32"); !d.HasGallium || got != 99 {
-		t.Errorf("hash32 = %d (HasGallium %v)", got, d.HasGallium)
+	if !d.HasGallium {
+		t.Fatal("gallium header lost")
+	}
+	if got := getField(t, f, d.GalData, "hash32"); got != 99 {
+		t.Errorf("hash32 = %d", got)
 	}
 	if !d.HasIP || !d.HasUDP || string(d.Payload) != "ippart" {
 		t.Errorf("inner packet mismatch: %+v", d)
@@ -318,9 +308,7 @@ func TestPacketRoundTripWithGallium(t *testing.T) {
 	f, _ := NewHeaderFormat([]HeaderField{{"cond", 1}, {"v", 32}})
 	p := BuildUDP(MakeIPv4Addr(10, 1, 0, 1), MakeIPv4Addr(10, 1, 0, 2), 9999, 53, []byte("q"))
 	p.AttachGallium(f)
-	if err := f.Set(p.GalData, "v", 777); err != nil {
-		t.Fatal(err)
-	}
+	setField(t, f, p.GalData, "v", 777)
 	raw := p.Serialize()
 	q, err := DecodePacket(raw, f)
 	if err != nil {
@@ -329,7 +317,7 @@ func TestPacketRoundTripWithGallium(t *testing.T) {
 	if !q.HasGallium {
 		t.Fatal("gallium header lost")
 	}
-	if got, _ := f.Get(q.GalData, "v"); got != 777 {
+	if got := getField(t, f, q.GalData, "v"); got != 777 {
 		t.Errorf("v = %d", got)
 	}
 	if !q.HasUDP || q.UDP.DstPort != 53 || string(q.Payload) != "q" {

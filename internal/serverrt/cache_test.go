@@ -8,7 +8,6 @@ import (
 	"gallium/internal/engine"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
-	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/partition"
 	"gallium/internal/serverrt"
@@ -28,7 +27,7 @@ func compileCached(t *testing.T, name string, caches map[string]int) (*ir.Progra
 func deployCached(t *testing.T, name string, caches map[string]int) *engine.Testbed {
 	t.Helper()
 	_, res := compileCached(t, name, caches)
-	return deploy(t, res, netsim.InstantModel(), func(st *ir.State) { middleboxes.ConfigureState(name, st) })
+	return deploy(t, res, engine.InstantModel(), func(st *ir.State) { middleboxes.ConfigureState(name, st) })
 }
 
 // TestCacheModeEquivalence drives far more connections than the cache
@@ -49,7 +48,7 @@ func TestCacheModeEquivalence(t *testing.T) {
 			ref := serverrt.NewSoftware(prog)
 			setup := func(st *ir.State) { middleboxes.ConfigureState(tc.name, st) }
 			setup(ref.State)
-			tb := deploy(t, res, netsim.InstantModel(), setup)
+			tb := deploy(t, res, engine.InstantModel(), setup)
 
 			rng := rand.New(rand.NewSource(11))
 			for i := 0; i < 4000; i++ {
@@ -181,7 +180,7 @@ func TestCacheInvalidationOnRemove(t *testing.T) {
 // Each packet runs through two testbeds that differ only in what the
 // control plane costs, so the gap between their latencies is the stall.
 func TestOutputCommitStallRule(t *testing.T) {
-	model := netsim.DefaultModel()
+	model := engine.DefaultModel()
 	model.StackJitterFrac = 0
 	free := model
 	free.CtlOpSerialNs, free.CtlOpPipelinedNs = 0, 0

@@ -10,7 +10,6 @@ import (
 	"gallium/internal/ir"
 	"gallium/internal/lang"
 	"gallium/internal/middleboxes"
-	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/partition"
 	"gallium/internal/serverrt"
@@ -37,7 +36,7 @@ func compileBox(t *testing.T, name string, cons partition.Constraints) (*ir.Prog
 
 // deploy builds the offloaded switch and server pair on a testbed under
 // the given cost model, seeded by setup when non-nil.
-func deploy(t *testing.T, res *partition.Result, model netsim.CostModel, setup func(*ir.State)) *engine.Testbed {
+func deploy(t *testing.T, res *partition.Result, model engine.CostModel, setup func(*ir.State)) *engine.Testbed {
 	t.Helper()
 	stage := engine.StageConfig{Res: res}
 	if setup != nil {
@@ -50,7 +49,7 @@ func deploy(t *testing.T, res *partition.Result, model netsim.CostModel, setup f
 	return tb
 }
 
-// inject runs one packet through a testbed under netsim.InstantModel,
+// inject runs one packet through a testbed under engine.InstantModel,
 // where every packet may arrive at time 0, and returns its fate as the
 // middlebox's action, and whether the switch alone handled it.
 func inject(t *testing.T, tb *engine.Testbed, pkt *packet.Packet) (ir.Action, bool) {
@@ -91,7 +90,7 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 				}
 			}
 			setup(ref.State)
-			tb := deploy(t, res, netsim.InstantModel(), setup)
+			tb := deploy(t, res, engine.InstantModel(), setup)
 
 			rng := rand.New(rand.NewSource(3))
 			for i := 0; i < 2500; i++ {
@@ -182,7 +181,7 @@ func randTuple(rng *rand.Rand) packet.FiveTuple {
 
 func TestServerRecordsReplicatedUpdates(t *testing.T) {
 	_, res := compileBox(t, "minilb", partition.DefaultConstraints())
-	tb := deploy(t, res, netsim.InstantModel(), func(st *ir.State) { middleboxes.ConfigureState("minilb", st) })
+	tb := deploy(t, res, engine.InstantModel(), func(st *ir.State) { middleboxes.ConfigureState("minilb", st) })
 	pkt := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 1, 80, packet.TCPOptions{})
 	if _, fast := inject(t, tb, pkt); fast {
 		t.Fatal("first packet of a connection must take the slow path")
@@ -294,7 +293,7 @@ func TestIPGatewayDeploymentEquivalence(t *testing.T) {
 	ref := serverrt.NewSoftware(prog)
 	setup := func(st *ir.State) { middleboxes.ConfigureState("ipgateway", st) }
 	setup(ref.State)
-	tb := deploy(t, res, netsim.InstantModel(), setup)
+	tb := deploy(t, res, engine.InstantModel(), setup)
 	rng := rand.New(rand.NewSource(17))
 	fast := 0
 	for i := 0; i < 1500; i++ {
@@ -349,7 +348,7 @@ middlebox srvlpm {
 	if len(res.OffloadedGlobals) != 0 {
 		t.Fatalf("unannotated lpm offloaded: %v", res.OffloadedGlobals)
 	}
-	tb := deploy(t, res, netsim.InstantModel(), func(st *ir.State) {
+	tb := deploy(t, res, engine.InstantModel(), func(st *ir.State) {
 		st.AddRoute("routes", uint64(packet.MakeIPv4Addr(10, 0, 0, 0)), 8, 42)
 	})
 	pkt := packet.BuildTCP(1, packet.MakeIPv4Addr(10, 1, 2, 3), 1, 2, packet.TCPOptions{})
@@ -379,7 +378,7 @@ func TestDeploymentReconfigureAtomicFlip(t *testing.T) {
 	}
 	tupB := tupA
 	tupB.SrcIP = packet.MakeIPv4Addr(10, 0, 0, 2)
-	tb := deploy(t, res, netsim.InstantModel(), func(st *ir.State) { middleboxes.AllowFlow(st, tupA) })
+	tb := deploy(t, res, engine.InstantModel(), func(st *ir.State) { middleboxes.AllowFlow(st, tupA) })
 
 	send := func(tup packet.FiveTuple) ir.Action {
 		t.Helper()

@@ -268,10 +268,7 @@ func TestProcessPreFastAndSlowPaths(t *testing.T) {
 	if hashField == "" {
 		t.Fatal("no hash32 transfer var")
 	}
-	got, err := res.FormatA.Get(pkt.GalData, hashField)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := headerField(t, res.FormatA, pkt.GalData, hashField)
 	want := uint64(packet.MakeIPv4Addr(1, 2, 3, 4) ^ packet.MakeIPv4Addr(9, 9, 9, 9))
 	if got != want {
 		t.Errorf("hash32 in header = %#x, want %#x", got, want)
@@ -349,9 +346,7 @@ func TestFullPrePostPass(t *testing.T) {
 		} else {
 			val = middleboxes.Backends[1]
 		}
-		if err := res.FormatB.Set(pkt.GalData, v.Name, val); err != nil {
-			t.Fatal(err)
-		}
+		setHeaderField(t, res.FormatB, pkt.GalData, v.Name, val)
 	}
 	post, err := sw.ProcessPostShard(pkt, 0, nil)
 	if err != nil {
@@ -395,11 +390,7 @@ func TestSwitchRegisterAndLpmDataPlane(t *testing.T) {
 	foundCounter := false
 	for _, v := range res.TransferA {
 		if strings.HasPrefix(v.Name, "b_") {
-			got, err := res.FormatA.Get(pkt.GalData, v.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != 77 {
+			if got := headerField(t, res.FormatA, pkt.GalData, v.Name); got != 77 {
 				t.Errorf("register value in header = %d, want 77", got)
 			}
 			foundCounter = true

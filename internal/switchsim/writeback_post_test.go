@@ -24,10 +24,34 @@ func emulateServer(t *testing.T, sw *Switch, pkt *packet.Packet, backend uint64)
 		} else {
 			val = backend
 		}
-		if err := res.FormatB.Set(pkt.GalData, v.Name, val); err != nil {
-			t.Fatal(err)
-		}
+		setHeaderField(t, res.FormatB, pkt.GalData, v.Name, val)
 	}
+}
+
+// setHeaderField and headerField write and read one named field of a
+// transfer header's data area through a one-field codec.
+func setHeaderField(t *testing.T, f *packet.HeaderFormat, data []byte, name string, v uint64) {
+	t.Helper()
+	c, err := packet.NewCodec(f, []packet.Bind{{Field: name}}, 1)
+	if err == nil {
+		err = c.Pack(data, []uint64{v})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func headerField(t *testing.T, f *packet.HeaderFormat, data []byte, name string) uint64 {
+	t.Helper()
+	c, err := packet.NewCodec(f, []packet.Bind{{Field: name}}, 1)
+	v := []uint64{0}
+	if err == nil {
+		err = c.Unpack(data, v)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v[0]
 }
 
 func buildFlow(host byte) *packet.Packet {

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"gallium/internal/netsim"
+	"gallium/internal/engine"
 	"gallium/internal/packet"
 )
 
@@ -192,7 +192,7 @@ func TestIperfShardDistributionUniform(t *testing.T) {
 	counts := make([]float64, shards)
 	for _, tup := range cfg.Tuples() {
 		pkt := packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{})
-		counts[netsim.RSSShard(pkt, shards)]++
+		counts[engine.RSSShard(pkt, shards)]++
 	}
 	exp := float64(nFlows) / shards
 	chi2 := 0.0

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	gallium "gallium"
-	"gallium/internal/netsim"
+	"gallium/internal/engine"
 	"gallium/internal/obs"
 	"gallium/internal/packet"
 	"gallium/internal/switchsim"
@@ -170,7 +170,7 @@ func TestRegistryMatchesReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, err := art.NewTestbed(gallium.TestbedConfig{}, gallium.WithCostModel(netsim.InstantModel()), gallium.WithScenario())
+		tb, err := art.NewTestbed(gallium.TestbedConfig{}, gallium.WithCostModel(engine.InstantModel()), gallium.WithScenario())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestRegistryMatchesReport(t *testing.T) {
 // engine.worker.<i>.* against its per-worker stats.
 func checkEngineMetrics(t *testing.T, snap *obs.Snapshot, rep *gallium.Report) {
 	t.Helper()
-	check := func(prefix string, s netsim.Stats) {
+	check := func(prefix string, s engine.Stats) {
 		for name, want := range map[string]int{
 			"packets":      s.Injected,
 			"delivered":    s.Delivered,

@@ -7,7 +7,6 @@ import (
 	"gallium/internal/engine"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
-	"gallium/internal/netsim"
 	"gallium/internal/obs"
 	"gallium/internal/packet"
 )
@@ -62,7 +61,7 @@ func (c *runConfig) stages(arts []*Artifacts, shards int) []engine.StageConfig {
 	var out []engine.StageConfig
 	for i, a := range arts {
 		st := engine.StageConfig{Name: a.Name, Res: a.Res}
-		if c.Mode == netsim.Software {
+		if c.Mode == Software {
 			st.Res = nil
 			st.Prog = a.Prog
 		}
@@ -144,7 +143,7 @@ func WithState(fn func(shard int, st *ir.State)) Option {
 }
 
 // WithCostModel overrides the virtual-time cost model.
-func WithCostModel(m netsim.CostModel) Option {
+func WithCostModel(m engine.CostModel) Option {
 	return func(c *runConfig) { c.Model = m }
 }
 

@@ -17,7 +17,6 @@ import (
 	"gallium/internal/engine"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
-	"gallium/internal/netsim"
 	"gallium/internal/packet"
 	"gallium/internal/trafficgen"
 )
@@ -172,8 +171,8 @@ func TestSessionReconfigureZeroLossAndOrdering(t *testing.T) {
 
 // TestReconfigDifferentialOracle runs the same trace with a mid-trace
 // firewall rule swap through the concurrent session AND the sequential
-// netsim testbed (the oracle), switching configuration at the same packet
-// index, and requires identical per-packet fates.
+// testbed (the oracle), switching configuration at the same packet index,
+// and requires identical per-packet fates.
 func TestReconfigDifferentialOracle(t *testing.T) {
 	art, err := gallium.CompileBuiltin("firewall", gallium.Options{})
 	if err != nil {
@@ -498,7 +497,7 @@ func TestChainGolden(t *testing.T) {
 	// A patient, jitter-free cost model: this test pins middlebox
 	// semantics, so virtual-time queue overflow (flow bursts stacking
 	// slow-path service on one worker) must not drop packets.
-	model := netsim.DefaultModel()
+	model := engine.DefaultModel()
 	model.MaxQueueDelayNs = 1e15
 	model.StackJitterFrac = 0
 	var mu sync.Mutex

@@ -6,20 +6,19 @@ import (
 	"gallium/internal/ctlplane"
 	"gallium/internal/engine"
 	"gallium/internal/ir"
-	"gallium/internal/netsim"
 	"gallium/internal/packet"
 )
 
 // Mode selects the deployment under test.
-type Mode = netsim.Mode
+type Mode = engine.Mode
 
 // Deployment modes.
 const (
 	// Offloaded runs the Gallium-compiled switch+server pair.
-	Offloaded = netsim.Offloaded
+	Offloaded = engine.Offloaded
 	// Software runs the unpartitioned middlebox on the server (the
 	// FastClick baseline), with the switch as a plain forwarder.
-	Software = netsim.Software
+	Software = engine.Software
 )
 
 // ParseMode parses "offloaded" or "software" (the CLI flag values). On

@@ -9,9 +9,9 @@ import (
 	"testing"
 
 	"gallium"
+	"gallium/internal/engine"
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
-	"gallium/internal/netsim"
 	"gallium/internal/packet"
 )
 
@@ -214,8 +214,8 @@ func seedOnce(setup func(*ir.State), final **ir.State) gallium.Option {
 
 // vtModel is the default cost model (jitter on) with a short server
 // ingress queue, so a few hundred packets reach the queue-drop path.
-func vtModel() netsim.CostModel {
-	m := netsim.DefaultModel()
+func vtModel() engine.CostModel {
+	m := engine.DefaultModel()
 	m.MaxQueueDelayNs = 6_000
 	return m
 }
@@ -232,7 +232,7 @@ func (d *vtDigest) add(seq int64, delivered, mbDropped, queueDropped, fast bool,
 	d.lines[seq] = fmt.Sprintf("%t %t %t %t %d", delivered, mbDropped, queueDropped, fast, deliverNs)
 }
 
-func (d *vtDigest) sum(st netsim.Stats) string {
+func (d *vtDigest) sum(st engine.Stats) string {
 	h := sha256.Sum256([]byte(strings.Join(d.lines, "\n")))
 	return fmt.Sprintf("%x stats=%+v", h[:8], st)
 }
