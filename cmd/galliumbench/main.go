@@ -1,6 +1,7 @@
 // Command galliumbench regenerates the paper's evaluation: every table
 // and figure of §6 (Table 1, Figure 7, Table 2, Table 3, Figures 8-9) plus
-// the headline summary numbers.
+// the headline summary numbers. Each experiment checks its own invariants
+// as it runs and exits non-zero on a violation; none writes a file.
 //
 // Usage:
 //
@@ -12,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -20,47 +22,122 @@ import (
 	"gallium/internal/eval"
 )
 
+// bench is one galliumbench invocation: where the experiments print, how
+// large they run, and the Figures 8-9 simulation both figures read.
+type bench struct {
+	w     io.Writer
+	quick bool
+	fig8  []eval.Fig8Point
+	fig9  []eval.Fig9Point
+}
+
+// figures89 runs the simulation behind Figures 8 and 9 once per
+// invocation, so -exp all prints both from one run.
+func (b *bench) figures89() error {
+	if b.fig8 != nil {
+		return nil
+	}
+	var err error
+	b.fig8, b.fig9, err = eval.Figures89(b.quick)
+	return err
+}
+
+// printed is an experiment that builds a result and prints it in format.
+func printed[T any](build func(quick bool) (T, error), format func(T) string) func(*bench) error {
+	return func(b *bench) error {
+		v, err := build(b.quick)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(b.w, format(v))
+		return nil
+	}
+}
+
+// experiments is every -exp target in the order -exp all runs them. Each
+// runs, prints its result, and returns an error if it failed or broke one
+// of its invariants.
+var experiments = []struct {
+	name string
+	run  func(b *bench) error
+}{
+	{"scale", func(b *bench) error {
+		rep, err := eval.EngineScale(b.quick)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(b.w, eval.FormatScale(rep))
+		skip, err := eval.CheckScaleGate(rep)
+		if skip != "" {
+			notice(b.w, skip)
+		}
+		return err
+	}},
+	{"flows", func(b *bench) error {
+		rep, err := eval.FlowSoak(b.quick)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(b.w, eval.FormatFlows(rep))
+		return eval.ValidateFlows(rep)
+	}},
+	{"table1", printed(func(bool) ([]eval.Table1Row, error) { return eval.Table1() }, eval.FormatTable1)},
+	{"offloading", printed(func(bool) ([]eval.OffloadSummary, error) {
+		return eval.Offloading()
+	}, eval.FormatOffloading)},
+	{"fig7", printed(eval.Figure7, eval.FormatFigure7)},
+	{"table2", printed(func(bool) ([]eval.Table2Row, error) { return eval.Table2() }, eval.FormatTable2)},
+	{"table3", printed(func(bool) ([]eval.Table3Row, error) { return eval.Table3(), nil }, eval.FormatTable3)},
+	{"fig8", func(b *bench) error {
+		if err := b.figures89(); err != nil {
+			return err
+		}
+		fmt.Fprintln(b.w, eval.FormatFigure8(b.fig8))
+		return nil
+	}},
+	{"fig9", func(b *bench) error {
+		if err := b.figures89(); err != nil {
+			return err
+		}
+		fmt.Fprintln(b.w, eval.FormatFigure9(b.fig9))
+		return nil
+	}},
+	{"loadsweep", printed(func(quick bool) ([]eval.LoadPoint, error) {
+		return eval.LoadSweep("mazunat", quick)
+	}, eval.FormatLoadSweep)},
+	{"ablation", printed(func(bool) (string, error) { return eval.Ablations() }, func(s string) string { return s })},
+	{"headline", printed(eval.Headline, eval.FormatHeadline)},
+	{"reconfig", func(b *bench) error {
+		rows, err := eval.ReconfigEval(b.quick)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(b.w, eval.FormatReconfig(rows))
+		for _, r := range rows {
+			if !r.Accounted() {
+				return fmt.Errorf("reconfig: %s lost packets (injected %d != delivered %d + drops %d)",
+					r.Middlebox, r.Injected, r.Delivered, r.MBDrops+r.QueueDrops)
+			}
+		}
+		return nil
+	}},
+}
+
+// experimentNames lists every value -exp accepts.
+func experimentNames() string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "all"), ", ")
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, offloading, fig7, table2, table3, fig8, fig9, headline, loadsweep, ablation, reconfig, flows, scale, all")
+	exp := flag.String("exp", "all", "experiment: "+experimentNames())
 	quick := flag.Bool("quick", false, "shrink simulated durations and flow counts")
-	flowsOut := flag.String("flowsout", "BENCH_flows.json", "where -exp flows writes the flow-soak artifact")
-	checkFlows := flag.String("checkflows", "", "validate an existing BENCH_flows.json artifact and exit")
-	scaleOut := flag.String("scaleout", "BENCH_scale.json", "where -exp scale writes the scale-out matrix artifact")
-	checkScale := flag.String("checkscale", "", "validate an existing BENCH_scale.json artifact (and gate on speedup where the host allows) and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	flag.Parse()
-	if *checkFlows != "" {
-		rep, err := eval.LoadFlows(*checkFlows)
-		if err == nil {
-			err = eval.ValidateFlows(rep)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "galliumbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: valid\n%s", *checkFlows, eval.FormatFlows(rep))
-		return
-	}
-	if *checkScale != "" {
-		rep, err := eval.LoadScale(*checkScale)
-		if err == nil {
-			err = eval.ValidateScale(rep)
-		}
-		var skip string
-		if err == nil {
-			skip, err = eval.CheckScaleGate(rep)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "galliumbench:", err)
-			os.Exit(1)
-		}
-		if skip != "" {
-			notice(skip)
-		}
-		fmt.Printf("%s: valid\n%s", *checkScale, eval.FormatScale(rep))
-		return
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -73,7 +150,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if err := run(*exp, *quick, *flowsOut, *scaleOut); err != nil {
+	if err := run(os.Stdout, *exp, *quick); err != nil {
 		fmt.Fprintln(os.Stderr, "galliumbench:", err)
 		os.Exit(1)
 	}
@@ -92,136 +169,22 @@ func main() {
 	}
 }
 
-func run(exp string, quick bool, flowsOut, scaleOut string) error {
-	want := func(name string) bool { return exp == "all" || exp == name }
+// run runs the experiment named exp, or every experiment for "all",
+// printing to w.
+func run(w io.Writer, exp string, quick bool) error {
+	b := &bench{w: w, quick: quick}
 	ran := false
-
-	if want("scale") {
-		rep, err := eval.EngineScale(quick)
-		if err != nil {
+	for _, e := range experiments {
+		if exp != "all" && exp != e.name {
+			continue
+		}
+		if err := e.run(b); err != nil {
 			return err
-		}
-		if err := eval.ValidateScale(rep); err != nil {
-			return err
-		}
-		if skip, err := eval.CheckScaleGate(rep); err != nil {
-			return err
-		} else if skip != "" {
-			notice(skip)
-		}
-		if err := eval.WriteScale(rep, scaleOut); err != nil {
-			return err
-		}
-		fmt.Print(eval.FormatScale(rep))
-		fmt.Println("wrote", scaleOut)
-		ran = true
-	}
-
-	if want("flows") {
-		rep, err := eval.FlowSoak(quick)
-		if err != nil {
-			return err
-		}
-		if err := eval.ValidateFlows(rep); err != nil {
-			return err
-		}
-		if err := eval.WriteFlows(rep, flowsOut); err != nil {
-			return err
-		}
-		fmt.Print(eval.FormatFlows(rep))
-		fmt.Println("wrote", flowsOut)
-		ran = true
-	}
-	if want("table1") {
-		rows, err := eval.Table1()
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.FormatTable1(rows))
-		ran = true
-	}
-	if want("offloading") {
-		rows, err := eval.Offloading()
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.FormatOffloading(rows))
-		ran = true
-	}
-	if want("fig7") {
-		points, err := eval.Figure7(quick)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.FormatFigure7(points))
-		ran = true
-	}
-	if want("table2") {
-		rows, err := eval.Table2()
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.FormatTable2(rows))
-		ran = true
-	}
-	if want("table3") {
-		fmt.Println(eval.FormatTable3(eval.Table3()))
-		ran = true
-	}
-	if want("fig8") || want("fig9") {
-		fig8, fig9, err := eval.Figures89(quick)
-		if err != nil {
-			return err
-		}
-		if want("fig8") {
-			fmt.Println(eval.FormatFigure8(fig8))
-		}
-		if want("fig9") {
-			fmt.Println(eval.FormatFigure9(fig9))
-		}
-		ran = true
-	}
-	if want("loadsweep") {
-		points, err := eval.LoadSweep("mazunat", quick)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.FormatLoadSweep(points))
-		ran = true
-	}
-	if want("ablation") {
-		txt, err := eval.Ablations()
-		if err != nil {
-			return err
-		}
-		fmt.Println(txt)
-		ran = true
-	}
-	if want("headline") {
-		h, err := eval.Headline(quick)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.FormatHeadline(h))
-		ran = true
-	}
-	if want("reconfig") {
-		rows, err := eval.ReconfigEval(quick)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.FormatReconfig(rows))
-		for _, r := range rows {
-			if !r.Accounted() {
-				return fmt.Errorf("reconfig: %s lost packets (injected %d != delivered %d + drops %d)",
-					r.Middlebox, r.Injected, r.Delivered, r.MBDrops+r.QueueDrops)
-			}
 		}
 		ran = true
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q (want %s)", exp,
-			strings.Join([]string{"table1", "offloading", "fig7", "table2", "table3", "fig8", "fig9", "headline", "loadsweep", "ablation", "reconfig", "flows", "scale", "all"}, ", "))
+		return fmt.Errorf("unknown experiment %q (want %s)", exp, experimentNames())
 	}
 	return nil
 }
@@ -229,9 +192,9 @@ func run(exp string, quick bool, flowsOut, scaleOut string) error {
 // notice surfaces a skipped gate both as a GitHub Actions annotation (so
 // the run is visibly marked, not silently green) and as plain text for
 // terminals.
-func notice(msg string) {
+func notice(w io.Writer, msg string) {
 	if os.Getenv("GITHUB_ACTIONS") == "true" {
-		fmt.Printf("::notice title=galliumbench::%s\n", msg)
+		fmt.Fprintf(w, "::notice title=galliumbench::%s\n", msg)
 	}
-	fmt.Println("galliumbench:", msg)
+	fmt.Fprintln(w, "galliumbench:", msg)
 }

@@ -100,7 +100,7 @@ func (tb *Testbed) Reconfigure(r Reconfig) error {
 		updates = append(updates, r.Mutate(0, st.State())...)
 	}
 	if st.Switch != nil {
-		if _, err := tb.Commit(r.Stage, updates, false, tb.lastInject); err != nil {
+		if _, err := tb.ship(r.Stage, updates, false, tb.lastInject); err != nil {
 			return err
 		}
 		tb.Due(math.MaxInt64)
@@ -128,10 +128,10 @@ func (tb *Testbed) Due(nowNs int64) {
 	tb.flips = kept
 }
 
-// Commit implements committer: stage now (invisible), flip one
+// ship implements committer: stage now (invisible), flip one
 // control batch latency after the server finished. §7 cache fills ride the
 // same flip but only synchronous updates hold the packet.
-func (tb *Testbed) Commit(stage int, updates []switchsim.Update, punt bool, doneNs int64) (int, error) {
+func (tb *Testbed) ship(stage int, updates []switchsim.Update, punt bool, doneNs int64) (int, error) {
 	staged, syncs, err := stageBatch(tb.walk.Stages[stage].Switch, 0, updates, punt, &tb.walk.Stats)
 	if err != nil || staged == 0 {
 		return 0, err

@@ -20,13 +20,13 @@ type committer interface {
 	// data plane. The walker calls it before each switch pass; it is the
 	// only committer call a fast-path packet makes.
 	Due(tNs int64)
-	// Commit ships the updates the stage's server recorded for the packet
+	// ship carries the updates the stage's server recorded for the packet
 	// in flight — punt marks a §7 cache-mode batch, whose read-through
 	// fills never stall — and returns how many control-plane operations
 	// output commit holds the packet for (0: released at once). doneNs is
 	// when the server finished with the packet. The updates are the
-	// server's to reuse once Commit returns.
-	Commit(stage int, updates []switchsim.Update, punt bool, doneNs int64) (stallOps int, err error)
+	// server's to reuse once ship returns.
+	ship(stage int, updates []switchsim.Update, punt bool, doneNs int64) (stallOps int, err error)
 }
 
 // walkStage is one middlebox of a walker's pipeline: the compiled switch
@@ -378,11 +378,11 @@ func (w *walker) stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (v
 	// has made its replicated-state updates visible on the switch.
 	release := done
 	if len(res.Updates) > 0 {
-		n, err := w.commit.Commit(si, res.Updates, punt, done)
+		n, err := w.commit.ship(si, res.Updates, punt, done)
 		if err != nil {
 			return v, slow, err
 		}
-		// Commit staged the batch, copying it into the switch's nodes.
+		// ship staged the batch, copying it into the switch's nodes.
 		st.Server.Recycle()
 		release = done + int64(m.CtlBatchNs(n))
 	}

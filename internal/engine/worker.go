@@ -318,12 +318,12 @@ func (w *worker) apply(stage int, updates []switchsim.Update, punt bool) (staged
 // committed, so there is nothing to make visible by virtual time.
 func (w *worker) Due(int64) {}
 
-// Commit implements committer: the batch is flipped on this
-// worker's lane before Commit returns, so the packet is delivered, and the
-// worker takes its next job, only once the switch serves its write-back
+// ship implements committer: the batch is flipped on this worker's lane
+// before ship returns, so the packet is delivered, and the worker takes
+// its next job, only once the switch serves its write-back
 // (§4.3.3 output commit). The walker accounts the stall in virtual time;
 // §7 read-through fills ride the flip without holding the packet.
-func (w *worker) Commit(stage int, updates []switchsim.Update, punt bool, _ int64) (int, error) {
+func (w *worker) ship(stage int, updates []switchsim.Update, punt bool, _ int64) (int, error) {
 	staged, syncs, err := w.apply(stage, updates, punt)
 	if err != nil || staged == 0 || syncs == 0 {
 		return 0, err

@@ -51,11 +51,10 @@ func TestReconfigEvalQuickZeroLoss(t *testing.T) {
 // count, the loud skip below 4 cores, and the regression error.
 func TestCheckScaleGate(t *testing.T) {
 	rep := func(numCPU int, rungs map[int][2]float64) *ScaleReport {
-		r := &ScaleReport{BenchEnv: BenchEnv{NumCPU: numCPU}}
+		r := &ScaleReport{NumCPU: numCPU}
 		for procs, pps := range rungs {
-			r.BenchEnv.GoMaxProcs = procs
 			for i, w := range scaleWorkerCounts {
-				p := ScalePoint{Workers: w, GoMaxProcs: procs, PPS: pps[0]}
+				p := ScalePoint{Workers: w, GoMaxProcs: procs, Packets: 1000, WallNs: 1e6, PPS: pps[0]}
 				if i == len(scaleWorkerCounts)-1 {
 					p.PPS = pps[1]
 				}

@@ -14,26 +14,28 @@ import (
 // ScalePoint is one cell of the multi-core scale-out matrix: the engine's
 // wall-clock throughput at one (workers × GOMAXPROCS) combination.
 type ScalePoint struct {
-	Workers    int   `json:"workers"`
-	GoMaxProcs int   `json:"gomaxprocs"`
-	Packets    int64 `json:"packets"`
-	WallNs     int64 `json:"wall_ns"`
+	Workers    int
+	GoMaxProcs int
+	Packets    int64
+	WallNs     int64
 	// PPS is wall-clock packets per second.
-	PPS float64 `json:"pps"`
+	PPS float64
 	// BatchSizes holds each worker's mean jobs per mailbox pull.
-	BatchSizes []float64 `json:"batch_sizes"`
+	BatchSizes []float64
 }
 
-// ScaleReport is the multi-core scale-out artifact (BENCH_scale.json): the
-// worker ladder measured at every GOMAXPROCS rung the host can pin, so
-// worker-count scaling (software parallelism) and core-count scaling
-// (hardware parallelism) are separable. A single-core host degenerates to
-// one rung — the artifact says so via num_cpu, and the gate skips loudly
-// instead of passing vacuously.
+// ScaleReport is the multi-core scale-out matrix: the worker ladder
+// measured at every GOMAXPROCS rung the host can pin, so worker-count
+// scaling (software parallelism) and core-count scaling (hardware
+// parallelism) are separable. A single-core host degenerates to one
+// rung — NumCPU says so, and the gate skips loudly instead of passing
+// vacuously.
 type ScaleReport struct {
-	Middlebox string `json:"middlebox"`
-	BenchEnv
-	Points []ScalePoint `json:"points"`
+	Middlebox string
+	// NumCPU is the host's core count — the ceiling any scaling claim is
+	// judged against.
+	NumCPU int
+	Points []ScalePoint
 }
 
 // prebuiltWorkload replays packets that were generated ahead of the timed
@@ -105,17 +107,20 @@ func EngineScale(quick bool) (*ScaleReport, error) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	ladder := scaleProcLadder(runtime.NumCPU())
-	rep := &ScaleReport{
-		Middlebox: name,
-		BenchEnv:  BenchEnv{GoMaxProcs: ladder[len(ladder)-1], NumCPU: runtime.NumCPU()},
-	}
+	rep := &ScaleReport{Middlebox: name, NumCPU: runtime.NumCPU()}
 	// One untimed warmup pass: the first cell otherwise pays the process's
 	// cold-start costs (first compile, cold allocator) and the matrix's
 	// 1-worker baseline lands first.
-	if c, err := CompileOne(name); err == nil {
-		if wl, err := prebuild(trafficgen.IperfConfig{Conns: flows, PPS: 1e7, DurationNs: durNs / 4, Seed: 7}); err == nil {
-			_, _ = c.Art.Run(context.Background(), wl, gallium.WithWorkers(1), gallium.WithScenario())
-		}
+	c, err := CompileOne(name)
+	if err != nil {
+		return nil, err
+	}
+	wl, err := prebuild(trafficgen.IperfConfig{Conns: flows, PPS: 1e7, DurationNs: durNs / 4, Seed: 7})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := c.Art.Run(context.Background(), wl, gallium.WithWorkers(1), gallium.WithScenario()); err != nil {
+		return nil, fmt.Errorf("scale warmup: %w", err)
 	}
 	for _, procs := range ladder {
 		runtime.GOMAXPROCS(procs)
@@ -148,58 +153,9 @@ func EngineScale(quick bool) (*ScaleReport, error) {
 	return rep, nil
 }
 
-// WriteScale writes the report as the BENCH_scale.json artifact.
-func WriteScale(rep *ScaleReport, path string) error {
-	return writeArtifact(rep, path)
-}
-
-// LoadScale reads a BENCH_scale.json artifact back.
-func LoadScale(path string) (*ScaleReport, error) {
-	var rep ScaleReport
-	if err := loadArtifact(path, &rep); err != nil {
-		return nil, err
-	}
-	return &rep, nil
-}
-
-// ValidateScale checks the matrix's structural invariants: every rung
-// carries the full worker ladder in order, every cell is non-degenerate,
-// all cells streamed the same packet count, and the environment is
-// recorded. It does not gate on speedup — that is CheckScaleGate's job,
-// because it depends on the host.
-func ValidateScale(rep *ScaleReport) error {
-	if err := rep.checkBenchEnv(); err != nil {
-		return err
-	}
-	if len(rep.Points) == 0 || len(rep.Points)%len(scaleWorkerCounts) != 0 {
-		return fmt.Errorf("scale artifact has %d points, want a multiple of the %d-step worker ladder",
-			len(rep.Points), len(scaleWorkerCounts))
-	}
-	for i, p := range rep.Points {
-		if want := scaleWorkerCounts[i%len(scaleWorkerCounts)]; p.Workers != want {
-			return fmt.Errorf("point %d measures %d workers, want %d", i, p.Workers, want)
-		}
-		if p.GoMaxProcs <= 0 || p.GoMaxProcs > rep.NumCPU {
-			return fmt.Errorf("point %d ran at GOMAXPROCS=%d on a %d-CPU host", i, p.GoMaxProcs, rep.NumCPU)
-		}
-		if i%len(scaleWorkerCounts) != 0 && p.GoMaxProcs != rep.Points[i-1].GoMaxProcs {
-			return fmt.Errorf("point %d switches GOMAXPROCS mid-ladder", i)
-		}
-		if p.PPS <= 0 || p.WallNs <= 0 || p.Packets <= 0 {
-			return fmt.Errorf("point %d is degenerate: %+v", i, p)
-		}
-		if p.Packets != rep.Points[0].Packets {
-			return fmt.Errorf("point %d streamed %d packets, others %d — cells not comparable",
-				i, p.Packets, rep.Points[0].Packets)
-		}
-		if len(p.BatchSizes) != p.Workers {
-			return fmt.Errorf("point %d records %d batch sizes for %d workers", i, len(p.BatchSizes), p.Workers)
-		}
-	}
-	return nil
-}
-
-// CheckScaleGate asserts aggregate scale-out on the widest rung: 8
+// CheckScaleGate checks the matrix. On any host every cell must be
+// non-degenerate and stream the same packet count, so a lost packet fails
+// the ladder. Then it asserts aggregate scale-out on the widest rung: 8
 // workers must deliver at least 3× the 1-worker throughput when the host
 // exposes 8+ cores, 1.5× on 4-7 cores. Below 4 cores the measurement is
 // physically meaningless, so the gate returns a non-empty skip reason —
@@ -207,7 +163,14 @@ func ValidateScale(rep *ScaleReport) error {
 // letting the step pass as if it had checked something.
 func CheckScaleGate(rep *ScaleReport) (skip string, err error) {
 	top := 0
-	for _, p := range rep.Points {
+	for i, p := range rep.Points {
+		if p.PPS <= 0 || p.WallNs <= 0 || p.Packets <= 0 {
+			return "", fmt.Errorf("point %d is degenerate: %+v", i, p)
+		}
+		if p.Packets != rep.Points[0].Packets {
+			return "", fmt.Errorf("point %d streamed %d packets, others %d — cells not comparable",
+				i, p.Packets, rep.Points[0].Packets)
+		}
 		if p.GoMaxProcs > top {
 			top = p.GoMaxProcs
 		}
@@ -233,7 +196,7 @@ func CheckScaleGate(rep *ScaleReport) (skip string, err error) {
 		}
 	}
 	if base <= 0 || eight <= 0 {
-		return "", fmt.Errorf("scale artifact lacks 1- and 8-worker cells at GOMAXPROCS=%d", top)
+		return "", fmt.Errorf("scale matrix lacks 1- and 8-worker cells at GOMAXPROCS=%d", top)
 	}
 	if sc := eight / base; sc < min {
 		return "", fmt.Errorf("multi-core scaling regression: 8 workers deliver %.2fx the 1-worker throughput at GOMAXPROCS=%d, want >= %.2fx (%d CPUs)",

@@ -303,6 +303,20 @@ func TestTestbedRefusesEngineOnlyOptions(t *testing.T) {
 	}
 }
 
+// TestTestbedHidesCommit: the facade Testbed embeds the engine's, so
+// every exported engine method is a library call. Staging raw switch
+// updates must not be one of them: a change goes through Reconfigure,
+// which ctlplane.Compile checks.
+func TestTestbedHidesCommit(t *testing.T) {
+	typ := reflect.TypeOf((*gallium.Testbed)(nil))
+	if _, ok := typ.MethodByName("Reconfigure"); !ok {
+		t.Fatal("method set lacks Reconfigure; the lookup below proves nothing")
+	}
+	if _, ok := typ.MethodByName("Commit"); ok {
+		t.Error("*gallium.Testbed exports Commit: raw switch updates skip ctlplane.Compile")
+	}
+}
+
 // TestReconfigAccountingMatchesEngine applies one compiled operation to a
 // testbed and to a one-worker session and requires the same control-plane
 // accounting from both: the staged updates in CtlOps, one CtlBatch only
