@@ -678,7 +678,7 @@ func BenchmarkTestbedInject(b *testing.B) {
 		b.Fatal(err)
 	}
 	gen := trafficgen.IperfConfig{Conns: 10, PacketSize: 500, PPS: 1, DurationNs: 1}
-	tb, err := c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
+	tb, err := c.NewTestbed(gallium.TestbedConfig{}, gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,17 +11,17 @@ import (
 	"gallium/internal/middleboxes"
 	"gallium/internal/obs"
 	"gallium/internal/packet"
-	"gallium/internal/serverrt"
 )
 
-// TestDriverAgreement holds the two runtimes to the unpartitioned program.
-// The sequential Testbed and the engine at one worker are the same walker
-// behind two committers. With arrivals spaced past the control plane's
-// flip latency (10 ms, as difftest's inject leg), every packet must meet
-// the fate, with the same output bytes, that the unpartitioned IR gives it
-// (serverrt.Software on identically seeded state), and both servers must
-// end in the oracle's state — for every bundled middlebox, on the golden
-// test's per-middlebox traffic.
+// TestDriverAgreement holds the two runtimes, in both deployment modes, to
+// the unpartitioned program. The sequential Testbed and the engine at one
+// worker are the same walker behind two committers. With arrivals spaced
+// past the control plane's flip latency (10 ms, as difftest's inject leg),
+// every packet must meet the fate, with the same output bytes, that the
+// reference interpreter gives it on identically seeded state, and every
+// server must end in the oracle's state — for every bundled middlebox, on
+// the golden test's per-middlebox traffic. The software rows check the
+// FastClick baseline, whose server runs the whole program as a plan.
 func TestDriverAgreement(t *testing.T) {
 	for _, spec := range middleboxes.Extended() {
 		t.Run(spec.Name, func(t *testing.T) {
@@ -40,12 +40,12 @@ func TestDriverAgreement(t *testing.T) {
 				q.StripGallium()
 				return string(q.Serialize())
 			}
-			oracle := serverrt.NewSoftware(art.Prog)
-			tr.setup(art)(oracle.State)
+			oracle := ir.NewState(art.Prog)
+			tr.setup(art)(oracle)
 			want := make([]string, len(tr.pkts))
 			for i := range tr.pkts {
 				p := tr.build(i)
-				res, err := oracle.Process(p)
+				res, err := art.Prog.Exec(&ir.Env{State: oracle, Pkt: p})
 				if err != nil {
 					t.Fatalf("oracle packet %d: %v", i, err)
 				}
@@ -58,35 +58,37 @@ func TestDriverAgreement(t *testing.T) {
 						t.Fatalf("packet %d: %s and the unpartitioned program disagree:\n%q\n%q", i, driver, got[i], want[i])
 					}
 				}
-				if !state.Equal(oracle.State) {
+				if !state.Equal(oracle) {
 					t.Fatalf("%s ends in a server state the unpartitioned program does not", driver)
 				}
 			}
 
-			tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: tr.setup(art)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([]string, len(tr.pkts))
-			for i := range tr.pkts {
-				p := tr.build(i)
-				d, err := tb.Inject(tr.pkts[i].tNs, p)
+			for _, mode := range []gallium.Mode{gallium.Offloaded, gallium.Software} {
+				tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: tr.setup(art)}, gallium.WithMode(mode))
 				if err != nil {
-					t.Fatalf("testbed packet %d: %v", i, err)
+					t.Fatal(err)
 				}
-				got[i] = fate(d.Delivered, p)
-			}
-			agree("testbed", got, tb.ServerState())
+				got := make([]string, len(tr.pkts))
+				for i := range tr.pkts {
+					p := tr.build(i)
+					d, err := tb.Inject(tr.pkts[i].tNs, p)
+					if err != nil {
+						t.Fatalf("%v testbed packet %d: %v", mode, i, err)
+					}
+					got[i] = fate(d.Delivered, p)
+				}
+				agree(mode.String()+" testbed", got, tb.ServerState())
 
-			var final *ir.State
-			got = make([]string, len(tr.pkts))
-			_, err = art.Run(context.Background(), tr,
-				seedOnce(tr.setup(art), &final), gallium.WithWorkers(1),
-				gallium.WithDeliveries(func(d gallium.Delivery) { got[d.Seq] = fate(d.Delivered, d.Pkt) }))
-			if err != nil {
-				t.Fatal(err)
+				var final *ir.State
+				got = make([]string, len(tr.pkts))
+				_, err = art.Run(context.Background(), tr,
+					seedOnce(tr.setup(art), &final), gallium.WithWorkers(1), gallium.WithMode(mode),
+					gallium.WithDeliveries(func(d gallium.Delivery) { got[d.Seq] = fate(d.Delivered, d.Pkt) }))
+				if err != nil {
+					t.Fatal(err)
+				}
+				agree(mode.String()+" engine", got, final)
 			}
-			agree("engine", got, final)
 		})
 	}
 }

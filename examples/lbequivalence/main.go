@@ -19,7 +19,6 @@ import (
 	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
 	"gallium/internal/packet"
-	"gallium/internal/serverrt"
 )
 
 func main() {
@@ -27,10 +26,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref := serverrt.NewSoftware(art.Prog)
+	ref := ir.NewState(art.Prog)
 
 	setup := func(st *ir.State) { middleboxes.ConfigureState("l4lb", st) }
-	setup(ref.State)
+	setup(ref)
 	tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: setup}, gallium.WithCostModel(engine.InstantModel()))
 	if err != nil {
 		log.Fatal(err)
@@ -58,7 +57,7 @@ func main() {
 		}
 		b := a.Clone()
 
-		rRef, err := ref.Process(a)
+		rRef, err := art.Prog.Exec(&ir.Env{State: ref, Pkt: a})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -84,10 +83,10 @@ func main() {
 	fmt.Printf("ran %d packets through reference and offloaded deployment\n", packets)
 	fmt.Printf("  mismatches: %d\n", mismatches)
 	fmt.Printf("  fast path:  %.1f%% (established connections bypass the server)\n", 100*float64(fast)/packets)
-	fmt.Printf("  states equal at end: %v\n", ref.State.Equal(state))
+	fmt.Printf("  states equal at end: %v\n", ref.Equal(state))
 	fmt.Printf("  connection entries: server=%d switch=%d\n",
 		state.Table("conns").Len(), tableLen(tb))
-	if mismatches == 0 && ref.State.Equal(state) {
+	if mismatches == 0 && ref.Equal(state) {
 		fmt.Println("PASS: partitioned deployment is functionally equivalent to the input middlebox")
 	} else {
 		fmt.Println("FAIL")

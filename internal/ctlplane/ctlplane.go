@@ -25,10 +25,11 @@ import (
 	"gallium/internal/switchsim"
 )
 
-// offloaded reports whether the stage's named global is switch-resident
-// (never in software mode, where every change is server-side only).
+// offloaded reports whether the stage's partition places the named global
+// on the switch. A software deployment has no switch and drops the switch
+// updates this selects, so every change there is server-side only.
 func offloaded(t engine.StageConfig, name string) bool {
-	return t.Res != nil && slices.Contains(t.Res.OffloadedGlobals, name)
+	return slices.Contains(t.Res.OffloadedGlobals, name)
 }
 
 // Op is one typed reconfiguration operation. Stage() addresses the
@@ -79,10 +80,10 @@ func (o FirewallRuleSwap) Stage() int { return o.At }
 var firewallTables = []string{"wl_out", "wl_in"}
 
 func (o FirewallRuleSwap) compile(t engine.StageConfig, workers int) (engine.Reconfig, error) {
-	prog := t.Program()
-	if prog == nil {
+	if t.Res == nil {
 		return engine.Reconfig{}, fmt.Errorf("ctlplane: stage %q has no compiled program", t.Name)
 	}
+	prog := t.Res.Prog
 	split := map[string]map[ir.MapKey][]uint64{}
 	for _, name := range firewallTables {
 		g := prog.Global(name)
@@ -159,10 +160,10 @@ func (o LBPoolChange) Stage() int { return o.At }
 var connTables = []string{"conns", "conn"}
 
 func (o LBPoolChange) compile(t engine.StageConfig, workers int) (engine.Reconfig, error) {
-	prog := t.Program()
-	if prog == nil {
+	if t.Res == nil {
 		return engine.Reconfig{}, fmt.Errorf("ctlplane: stage %q has no compiled program", t.Name)
 	}
+	prog := t.Res.Prog
 	g := prog.Global("backends")
 	if g == nil || g.Kind != ir.KindVec {
 		return engine.Reconfig{}, fmt.Errorf("ctlplane: stage %q is not a load balancer (no vector %q)", t.Name, "backends")
@@ -248,10 +249,10 @@ func (o NATRepartition) Stage() int { return o.At }
 const natPortGlobal = "next_port"
 
 func (o NATRepartition) compile(t engine.StageConfig, workers int) (engine.Reconfig, error) {
-	prog := t.Program()
-	if prog == nil {
+	if t.Res == nil {
 		return engine.Reconfig{}, fmt.Errorf("ctlplane: stage %q has no compiled program", t.Name)
 	}
+	prog := t.Res.Prog
 	g := prog.Global(natPortGlobal)
 	if g == nil || g.Kind != ir.KindScalar {
 		return engine.Reconfig{}, fmt.Errorf("ctlplane: stage %q is not a NAT (no scalar global %q)", t.Name, natPortGlobal)
@@ -320,10 +321,10 @@ type TableReplace struct {
 func (o TableReplace) Stage() int { return o.At }
 
 func (o TableReplace) compile(t engine.StageConfig, workers int) (engine.Reconfig, error) {
-	prog := t.Program()
-	if prog == nil {
+	if t.Res == nil {
 		return engine.Reconfig{}, fmt.Errorf("ctlplane: stage %q has no compiled program", t.Name)
 	}
+	prog := t.Res.Prog
 	g := prog.Global(o.Table)
 	if g == nil || g.Kind != ir.KindMap {
 		return engine.Reconfig{}, fmt.Errorf("ctlplane: stage %q has no map %q", t.Name, o.Table)

@@ -28,7 +28,7 @@ func targetFor(t *testing.T, name string) engine.StageConfig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return engine.StageConfig{Name: art.Name, Res: art.Res, Prog: art.Prog}
+	return engine.StageConfig{Name: art.Name, Res: art.Res}
 }
 
 // freshState builds an initialized server shard state for the stage.

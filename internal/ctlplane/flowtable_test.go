@@ -131,7 +131,7 @@ func TestFlowTableServerRoundTrip(t *testing.T) {
 func TestLBPoolPurgeKeepsLifecycleInStep(t *testing.T) {
 	lb := targetFor(t, "l4lb")
 	st := freshState(t, lb)
-	tr := flowstate.NewTracker(flowstate.Config{Capacity: 1000}, st, flowstate.DynamicMaps(lb.Prog))
+	tr := flowstate.NewTracker(flowstate.Config{Capacity: 1000}, st, flowstate.DynamicMaps(lb.Res.Prog))
 
 	const n = 20
 	purged := map[ir.MapKey]bool{}

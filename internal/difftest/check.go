@@ -13,7 +13,6 @@ import (
 	"gallium/internal/flowstate"
 	"gallium/internal/ir"
 	"gallium/internal/packet"
-	"gallium/internal/serverrt"
 )
 
 // Case is one differential test input: a generated program and a
@@ -98,12 +97,12 @@ func (p *ProgramSpec) Setup(st *ir.State) {
 // runOracle executes the unpartitioned IR sequentially through the
 // reference interpreter — the definition of correct behavior.
 func runOracle(prog *ir.Program, spec *ProgramSpec, tr *Trace) ([]PacketOutcome, *ir.State, error) {
-	soft := serverrt.NewSoftware(prog)
-	spec.Setup(soft.State)
+	st := ir.NewState(prog)
+	spec.Setup(st)
 	outs := make([]PacketOutcome, len(tr.Packets))
 	for i := range tr.Packets {
 		pkt := tr.Build(i)
-		res, err := soft.Process(pkt)
+		res, err := prog.Exec(&ir.Env{State: st, Pkt: pkt})
 		if err != nil {
 			return nil, nil, fmt.Errorf("packet %d: %w", i, err)
 		}
@@ -111,7 +110,7 @@ func runOracle(prog *ir.Program, spec *ProgramSpec, tr *Trace) ([]PacketOutcome,
 			outs[i] = PacketOutcome{Sent: true, Bytes: outBytes(pkt)}
 		}
 	}
-	return outs, soft.State, nil
+	return outs, st, nil
 }
 
 // runInject executes the partitioned deployment packet-at-a-time through
@@ -216,15 +215,15 @@ func runExpiry(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace) *Divergence
 	cfg := spec.Expiry.Normalized()
 	cfg.SweepEvery = 1
 
-	soft := serverrt.NewSoftware(art.Prog)
-	spec.Setup(soft.State)
-	trk := flowstate.NewTracker(cfg, soft.State, flowstate.DynamicMaps(art.Prog))
+	st := ir.NewState(art.Prog)
+	spec.Setup(st)
+	trk := flowstate.NewTracker(cfg, st, flowstate.DynamicMaps(art.Prog))
 	oracle := make([]PacketOutcome, len(tr.Packets))
 	for i := range tr.Packets {
 		pkt := tr.Build(i)
 		tNs := int64(i) * PacketSpacingNs
-		soft.SetClock(tNs, uint8(flowstate.ClassOf(pkt)))
-		res, err := soft.Process(pkt)
+		st.NowNs, st.Class = tNs, uint8(flowstate.ClassOf(pkt))
+		res, err := art.Prog.Exec(&ir.Env{State: st, Pkt: pkt})
 		if err != nil {
 			return &Divergence{Leg: "expiry", Detail: fmt.Sprintf("oracle packet %d: %v", i, err)}
 		}
@@ -241,7 +240,7 @@ func runExpiry(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace) *Divergence
 	if d := comparePackets("expiry", oracle, outs); d != nil {
 		return d
 	}
-	if diff := stateDiff(soft.State, states[0]); diff != "" {
+	if diff := stateDiff(st, states[0]); diff != "" {
 		return &Divergence{Leg: "expiry", Detail: "final state: " + diff}
 	}
 	return nil

@@ -81,23 +81,13 @@ type Workload interface {
 type StageConfig struct {
 	// Name labels the stage (reconfig addressing, diagnostics).
 	Name string
-	// Res is required in Offloaded mode.
+	// Res is the stage's compiled middlebox, required in either mode: the
+	// software baseline runs its Prog whole.
 	Res *partition.Result
-	// Prog is required in Software mode.
-	Prog *ir.Program
 	// Setup seeds one shard's middlebox state for this stage (shard in
 	// [0, Workers)). Configuration must be identical across shards except
 	// for explicitly partitioned allocators (middleboxes.ConfigureShard).
 	Setup func(shard int, st *ir.State)
-}
-
-// Program returns the stage's IR program: the partitioned one when Res is
-// set, Prog otherwise.
-func (s StageConfig) Program() *ir.Program {
-	if s.Res != nil {
-		return s.Res.Prog
-	}
-	return s.Prog
 }
 
 // Mode selects the deployment under test. The zero Mode is "unset": it
@@ -265,12 +255,10 @@ func New(ctx context.Context, cfg Config) (*Engine, error) {
 	e := &Engine{cfg: cfg, deployment: deployment{stages: cfg.Stages, sws: sws}}
 	e.stats = func(i int) Stats { return e.workers[i].published() }
 	for _, st := range e.stages {
-		e.lifeDyn = append(e.lifeDyn, flowstate.DynamicMaps(st.Program()))
+		e.lifeDyn = append(e.lifeDyn, flowstate.DynamicMaps(st.Res.Prog))
 		off := map[string]bool{}
-		if st.Res != nil {
-			for _, g := range st.Res.OffloadedGlobals {
-				off[g] = true
-			}
+		for _, g := range st.Res.OffloadedGlobals {
+			off[g] = true
 		}
 		e.lifeOff = append(e.lifeOff, off)
 	}
@@ -335,18 +323,14 @@ func build(cfg *Config, shards int) ([]*switchsim.Switch, [][]walkStage, error) 
 	}
 	var sws []*switchsim.Switch
 	for si, st := range cfg.Stages {
-		if cfg.Mode == Software {
-			if st.Prog == nil {
-				return nil, nil, fmt.Errorf("engine: software stage %d needs a program", si)
-			}
-			continue
-		}
 		if st.Res == nil {
-			return nil, nil, fmt.Errorf("engine: offloaded stage %d needs a partition result", si)
+			return nil, nil, fmt.Errorf("engine: stage %d needs a partition result", si)
 		}
-		sw := switchsim.New(st.Res)
-		sw.ConfigureShards(shards)
-		sws = append(sws, sw)
+		if cfg.Mode == Offloaded {
+			sw := switchsim.New(st.Res)
+			sw.ConfigureShards(shards)
+			sws = append(sws, sw)
+		}
 	}
 	all := make([][]walkStage, shards)
 	for i := range all {
@@ -356,14 +340,14 @@ func build(cfg *Config, shards int) ([]*switchsim.Switch, [][]walkStage, error) 
 			if len(sws) > 0 {
 				*stage = walkStage{Switch: sws[si], Server: serverrt.New(st.Res)}
 			} else {
-				*stage = walkStage{Software: serverrt.NewSoftware(st.Prog)}
+				*stage = walkStage{Server: serverrt.NewSoftware(st.Res.Prog)}
 			}
 			if st.Setup == nil {
 				continue
 			}
-			st.Setup(i, stage.State())
+			st.Setup(i, stage.Server.State)
 			if i == 0 && stage.Switch != nil {
-				if err := stage.Switch.SeedFrom(stage.State()); err != nil {
+				if err := stage.Switch.SeedFrom(stage.Server.State); err != nil {
 					return nil, nil, err
 				}
 			}

@@ -266,11 +266,11 @@ func TestRunContextCancellation(t *testing.T) {
 
 // TestEngineSoftwareMode runs the unpartitioned baseline across shards.
 func TestEngineSoftwareMode(t *testing.T) {
-	prog, _ := compileMB(t, "l4lb")
+	_, res := compileMB(t, "l4lb")
 	eng, err := New(context.Background(), Config{
 		Mode:    Software,
 		Workers: 4,
-		Stages:  []StageConfig{{Prog: prog, Setup: setupLB}},
+		Stages:  oneStage(res, setupLB),
 	})
 	if err != nil {
 		t.Fatal(err)

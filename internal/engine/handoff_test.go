@@ -186,7 +186,7 @@ func TestPullTakesWhatIsQueued(t *testing.T) {
 // fed packet itself (the walker's hops decode in place), as does the
 // software baseline on every packet.
 func TestEngineReleasesPackets(t *testing.T) {
-	prog, lb := compileMB(t, "l4lb")
+	_, lb := compileMB(t, "l4lb")
 	_, nat := compileMB(t, "mazunat")
 	setupNAT := func(shard int, st *ir.State) { middleboxes.ConfigureShard("mazunat", shard, 2, st) }
 	for _, tc := range []struct {
@@ -198,7 +198,7 @@ func TestEngineReleasesPackets(t *testing.T) {
 	}{
 		{"offloaded fast path", Config{Stages: oneStage(lb, setupLB)}, lbFlows(16), packet.TCPFlagACK, false},
 		{"offloaded slow path", Config{Stages: oneStage(nat, setupNAT)}, natFlows(100), packet.TCPFlagSYN, true},
-		{"software", Config{Mode: 2, Stages: []StageConfig{{Prog: prog, Setup: setupLB}}}, lbFlows(16), packet.TCPFlagACK, true},
+		{"software", Config{Mode: Software, Stages: oneStage(lb, setupLB)}, lbFlows(16), packet.TCPFlagACK, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg

@@ -97,7 +97,7 @@ func (tb *Testbed) Reconfigure(r Reconfig) error {
 	st := &tb.walk.Stages[r.Stage]
 	updates := append([]switchsim.Update(nil), r.Updates...)
 	if r.Mutate != nil {
-		updates = append(updates, r.Mutate(0, st.State())...)
+		updates = append(updates, r.Mutate(0, st.Server.State)...)
 	}
 	if st.Switch != nil {
 		if _, err := tb.ship(r.Stage, updates, false, tb.lastInject); err != nil {
@@ -167,10 +167,10 @@ func (tb *Testbed) Report() *Report {
 	return r
 }
 
-// ServerState exposes stage 0's authoritative middlebox state: the
-// server's in offloaded mode, the software runner's otherwise. Callers
-// must not mutate it while injections are in flight.
-func (tb *Testbed) ServerState() *ir.State { return tb.walk.Stages[0].State() }
+// ServerState exposes stage 0's authoritative middlebox state, its
+// server's in either mode. Callers must not mutate it while injections are
+// in flight.
+func (tb *Testbed) ServerState() *ir.State { return tb.walk.Stages[0].Server.State }
 
 // Switch exposes stage 0's simulated switch (nil in software mode). A
 // write-back the last packet made may still await its scheduled flip: Due

@@ -17,12 +17,9 @@ import (
 
 func buildTestbed(t *testing.T, name string, mode Mode, cores int) *Testbed {
 	t.Helper()
-	prog, res := compileMB(t, name)
-	stage := StageConfig{Prog: prog, Setup: func(_ int, st *ir.State) { middleboxes.ConfigureState(name, st) }}
-	if mode == Offloaded {
-		stage.Res = res
-	}
-	tb, err := NewTestbed(Config{Mode: mode, Workers: cores, Stages: []StageConfig{stage}})
+	_, res := compileMB(t, name)
+	setup := func(_ int, st *ir.State) { middleboxes.ConfigureState(name, st) }
+	tb, err := NewTestbed(Config{Mode: mode, Workers: cores, Stages: oneStage(res, setup)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,15 +279,15 @@ func TestTestbedOutOfOrderInjectionRejected(t *testing.T) {
 func TestModeZeroDefaultsToOffloaded(t *testing.T) {
 	// A zero-Mode config (e.g. built from TestbedConfig{}) must run the
 	// offloaded deployment, even though Mode(0) itself is "unset".
-	prog, res := compileMB(t, "firewall")
-	tb, err := NewTestbed(Config{Stages: []StageConfig{{Res: res, Prog: prog}}})
+	_, res := compileMB(t, "firewall")
+	tb, err := NewTestbed(Config{Stages: oneStage(res, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tb.Switch() == nil {
 		t.Fatal("zero Mode did not build the offloaded deployment")
 	}
-	if _, err := NewTestbed(Config{Mode: Mode(7), Stages: []StageConfig{{Res: res, Prog: prog}}}); err == nil {
+	if _, err := NewTestbed(Config{Mode: Mode(7), Stages: oneStage(res, nil)}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }

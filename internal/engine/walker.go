@@ -30,25 +30,16 @@ type committer interface {
 }
 
 // walkStage is one middlebox of a walker's pipeline: the compiled switch
-// and server pair, or (Switch nil) the software baseline with the switch as
-// a plain forwarder.
+// and server pair, or (Switch nil) the software baseline's server, which
+// runs the whole program, with the switch as a plain forwarder.
 type walkStage struct {
-	Switch   *switchsim.Switch
-	Server   *serverrt.Server
-	Software *serverrt.Software
+	Switch *switchsim.Switch
+	Server *serverrt.Server
 	// Touch, when non-nil, fires for every switch table hit so the
 	// flow-state lifecycle can stamp fast-path liveness.
 	Touch func(table string, key ir.MapKey)
 	// pass is the walker's own pass context on Switch (set by newWalker).
 	pass *switchsim.Pass
-}
-
-// State returns the stage's authoritative middlebox state.
-func (st *walkStage) State() *ir.State {
-	if st.Server != nil {
-		return st.Server.State
-	}
-	return st.Software.State
 }
 
 // verdict is one stage's outcome for a packet.
@@ -144,11 +135,7 @@ func (w *walker) Flush() {
 // metrics. It must run before the walker's first packet.
 func (w *walker) Instrument(reg *obs.Registry) {
 	for _, st := range w.Stages {
-		if st.Server != nil {
-			st.Server.Instrument(reg)
-		} else {
-			st.Software.Instrument(reg)
-		}
+		st.Server.Instrument(reg)
 	}
 	w.tracer = reg.Tracer()
 	w.Metrics.Wait, w.Metrics.Stall = obs.NewHistogram(nil), obs.NewHistogram(nil)
@@ -348,7 +335,7 @@ func (w *walker) stage(si int, pkt *packet.Packet, t *float64, tr *obs.Trace) (v
 	var res serverrt.Result
 	switch {
 	case software:
-		res, err = st.Software.Process(pkt)
+		res, err = st.Server.ProcessFull(pkt)
 	case punt:
 		site = "server-full"
 		if err = w.hop(pkt, nil); err == nil {

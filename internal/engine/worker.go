@@ -184,7 +184,7 @@ func (w *worker) stageState(stage int) *ir.State {
 	if stage < 0 || stage >= len(w.walk.Stages) {
 		return nil
 	}
-	return w.walk.Stages[stage].State()
+	return w.walk.Stages[stage].Server.State
 }
 
 // loop consumes the worker's mailbox in batches, the way a DPDK

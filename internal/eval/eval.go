@@ -7,26 +7,13 @@ package eval
 
 import (
 	"gallium"
-	"gallium/internal/ir"
 	"gallium/internal/middleboxes"
-	"gallium/internal/partition"
 	"gallium/internal/trafficgen"
 )
 
-// Compiled bundles everything the experiments need for one middlebox.
-type Compiled struct {
-	Name string
-	Spec middleboxes.Spec
-	Prog *ir.Program
-	Res  *partition.Result
-	// Art is the full artifact set from the gallium facade (P4, server
-	// program, testbed constructors).
-	Art *gallium.Artifacts
-}
-
 // CompileAll compiles and partitions the five evaluation middleboxes.
-func CompileAll() ([]*Compiled, error) {
-	var out []*Compiled
+func CompileAll() ([]*gallium.Artifacts, error) {
+	var out []*gallium.Artifacts
 	for _, spec := range middleboxes.All() {
 		c, err := CompileOne(spec.Name)
 		if err != nil {
@@ -38,21 +25,8 @@ func CompileAll() ([]*Compiled, error) {
 }
 
 // CompileOne compiles and partitions one middlebox by name.
-func CompileOne(name string) (*Compiled, error) {
-	return CompileOneWithCache(name, nil)
-}
-
-// CompileOneWithCache compiles a middlebox with §7 cache-mode tables.
-func CompileOneWithCache(name string, caches map[string]int) (*Compiled, error) {
-	spec, err := middleboxes.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	art, err := gallium.CompileBuiltin(name, gallium.Options{CacheEntries: caches})
-	if err != nil {
-		return nil, err
-	}
-	return &Compiled{Name: name, Spec: spec, Prog: art.Prog, Res: art.Res, Art: art}, nil
+func CompileOne(name string) (*gallium.Artifacts, error) {
+	return gallium.CompileBuiltin(name, gallium.Options{})
 }
 
 // Configs are the paper's four deployment configurations for Figures 7/8.

@@ -111,7 +111,7 @@ func FlowSoak(quick bool) (*FlowsReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := gallium.Open(c.Art,
+	s, err := gallium.Open(c,
 		gallium.WithWorkers(workers),
 		gallium.WithScenario(),
 		gallium.WithFlowTable(gallium.FlowTable{

@@ -143,7 +143,7 @@ func TestFluidMatchesPacketLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := c.Art.NewTestbed(gallium.TestbedConfig{Setup: func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }})
+	tb, err := c.NewTestbed(gallium.TestbedConfig{Setup: func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }})
 	if err != nil {
 		t.Fatal(err)
 	}

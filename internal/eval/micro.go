@@ -43,7 +43,7 @@ func Figure7(quick bool) ([]Fig7Point, error) {
 	// Every (middlebox, config, size) cell is an independent simulation;
 	// run them in parallel.
 	type cell struct {
-		c    *Compiled
+		c    *gallium.Artifacts
 		cfg  ConfigSpec
 		size int
 	}
@@ -113,8 +113,8 @@ func FormatFigure7(points []Fig7Point) string {
 // replay opens a testbed on the compiled middlebox in the given mode with
 // the given simulated server cores, seeded with the standard scenario for
 // gen's flows, replays gen through Inject and returns the testbed's Report.
-func replay(c *Compiled, mode gallium.Mode, cores int, gen gallium.Workload) (*gallium.Report, error) {
-	tb, err := c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores),
+func replay(c *gallium.Artifacts, mode gallium.Mode, cores int, gen gallium.Workload) (*gallium.Report, error) {
+	tb, err := c.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores),
 		gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
 	if err != nil {
 		return nil, err
@@ -182,9 +182,9 @@ func Table2() ([]Table2Row, error) {
 }
 
 // measureLatency warms one connection, then averages probe latencies.
-func measureLatency(c *Compiled, mode gallium.Mode, cores int) (meanUs, stdUs float64, err error) {
+func measureLatency(c *gallium.Artifacts, mode gallium.Mode, cores int) (meanUs, stdUs float64, err error) {
 	gen := trafficFor(500, 1, 1) // only for the tuple set
-	tb, err := c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
+	tb, err := c.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
 	if err != nil {
 		return 0, 0, err
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"gallium"
 	"gallium/internal/ir"
 	"gallium/internal/partition"
 )
@@ -56,7 +57,7 @@ func Offloading() ([]OffloadSummary, error) {
 	return out, nil
 }
 
-func summarize(c *Compiled) OffloadSummary {
+func summarize(c *gallium.Artifacts) OffloadSummary {
 	res := c.Res
 	s := OffloadSummary{
 		Middlebox:      c.Name,

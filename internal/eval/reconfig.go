@@ -130,10 +130,10 @@ func ReconfigEval(quick bool) ([]ReconfigRow, error) {
 	return rows, nil
 }
 
-func runReconfig(c *Compiled, tc reconfigCase, n, workers int) (ReconfigRow, error) {
+func runReconfig(c *gallium.Artifacts, tc reconfigCase, n, workers int) (ReconfigRow, error) {
 	// Modest offered rate: queue drops would muddy the loss attribution.
 	gen := trafficFor(128, 2e5, 2_000_000)
-	s, err := gallium.Open(c.Art,
+	s, err := gallium.Open(c,
 		gallium.WithWorkers(workers),
 		gallium.WithScenario(),
 		gallium.WithFlows(gen.Tuples()),

@@ -54,7 +54,7 @@ func TestCheckScaleGate(t *testing.T) {
 		r := &ScaleReport{NumCPU: numCPU}
 		for procs, pps := range rungs {
 			for i, w := range scaleWorkerCounts {
-				p := ScalePoint{Workers: w, GoMaxProcs: procs, Packets: 1000, WallNs: 1e6, PPS: pps[0]}
+				p := ScalePoint{Workers: w, GoMaxProcs: procs, Packets: 1000, Delivered: 1000, WallNs: 1e6, PPS: pps[0]}
 				if i == len(scaleWorkerCounts)-1 {
 					p.PPS = pps[1]
 				}

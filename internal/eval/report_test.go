@@ -90,8 +90,8 @@ func TestFlowsArtifactRoundTrip(t *testing.T) {
 }
 
 // goodScaleReport builds a synthetic scale matrix: two GOMAXPROCS rungs,
-// the full worker ladder per rung, identical packet counts, linear-ish
-// speedup on the wide rung.
+// the full worker ladder per rung, identical packet counts all delivered,
+// linear-ish speedup on the wide rung.
 func goodScaleReport() *ScaleReport {
 	rep := &ScaleReport{Middlebox: "mazunat", NumCPU: 8}
 	for _, procs := range []int{4, 8} {
@@ -99,7 +99,7 @@ func goodScaleReport() *ScaleReport {
 			pps := 1e6 * float64(workers) // ideal scaling
 			rep.Points = append(rep.Points, ScalePoint{
 				Workers: workers, GoMaxProcs: procs,
-				Packets: 200_000, WallNs: int64(200_000 / pps * 1e9),
+				Packets: 200_000, Delivered: 200_000, WallNs: int64(200_000 / pps * 1e9),
 				PPS:        pps,
 				BatchSizes: make([]float64, workers),
 			})
@@ -109,7 +109,7 @@ func goodScaleReport() *ScaleReport {
 }
 
 // TestScaleArtifactRoundTrip covers the scale matrix's checks: format a
-// good matrix, catch a degenerate or incomparable cell on any host, plus
+// good matrix, catch a degenerate, lossy or incomparable cell on any host, plus
 // the host-dependent gate (pass, regression, and loud-skip legs).
 func TestScaleArtifactRoundTrip(t *testing.T) {
 	out := FormatScale(goodScaleReport())
@@ -123,7 +123,8 @@ func TestScaleArtifactRoundTrip(t *testing.T) {
 		want string
 	}{
 		{"degenerate cell", func(r *ScaleReport) { r.Points[3].PPS = 0 }, "degenerate"},
-		{"uneven packets", func(r *ScaleReport) { r.Points[6].Packets = 1 }, "not comparable"},
+		{"uneven packets", func(r *ScaleReport) { r.Points[6].Packets, r.Points[6].Delivered = 1, 1 }, "not comparable"},
+		{"lost packet", func(r *ScaleReport) { r.Points[5].Delivered-- }, "lost packets"},
 	}
 	for _, c := range breakIt {
 		t.Run(c.name, func(t *testing.T) {

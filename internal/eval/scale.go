@@ -16,8 +16,11 @@ import (
 type ScalePoint struct {
 	Workers    int
 	GoMaxProcs int
-	Packets    int64
-	WallNs     int64
+	// Packets is what the cell was fed; every one of them must end
+	// delivered or in an attributed drop.
+	Packets                        int64
+	Delivered, MBDrops, QueueDrops int64
+	WallNs                         int64
 	// PPS is wall-clock packets per second.
 	PPS float64
 	// BatchSizes holds each worker's mean jobs per mailbox pull.
@@ -119,7 +122,7 @@ func EngineScale(quick bool) (*ScaleReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := c.Art.Run(context.Background(), wl, gallium.WithWorkers(1), gallium.WithScenario()); err != nil {
+	if _, err := c.Run(context.Background(), wl, gallium.WithWorkers(1), gallium.WithScenario()); err != nil {
 		return nil, fmt.Errorf("scale warmup: %w", err)
 	}
 	for _, procs := range ladder {
@@ -135,7 +138,7 @@ func EngineScale(quick bool) (*ScaleReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := c.Art.Run(context.Background(), wl,
+			r, err := c.Run(context.Background(), wl,
 				gallium.WithWorkers(workers), gallium.WithScenario())
 			if err != nil {
 				return nil, err
@@ -144,6 +147,9 @@ func EngineScale(quick bool) (*ScaleReport, error) {
 				Workers:    workers,
 				GoMaxProcs: procs,
 				Packets:    int64(r.Stats.Injected),
+				Delivered:  int64(r.Stats.Delivered),
+				MBDrops:    int64(r.Stats.MBDrops),
+				QueueDrops: int64(r.Stats.QueueDrops),
 				WallNs:     r.WallNs,
 				PPS:        r.PPS,
 				BatchSizes: r.BatchSizes,
@@ -154,8 +160,9 @@ func EngineScale(quick bool) (*ScaleReport, error) {
 }
 
 // CheckScaleGate checks the matrix. On any host every cell must be
-// non-degenerate and stream the same packet count, so a lost packet fails
-// the ladder. Then it asserts aggregate scale-out on the widest rung: 8
+// non-degenerate, account for every packet it was fed (a delivery or an
+// attributed drop, ReconfigRow.Accounted's invariant), and be fed the same
+// packet count. Then it asserts aggregate scale-out on the widest rung: 8
 // workers must deliver at least 3× the 1-worker throughput when the host
 // exposes 8+ cores, 1.5× on 4-7 cores. Below 4 cores the measurement is
 // physically meaningless, so the gate returns a non-empty skip reason —
@@ -166,6 +173,10 @@ func CheckScaleGate(rep *ScaleReport) (skip string, err error) {
 	for i, p := range rep.Points {
 		if p.PPS <= 0 || p.WallNs <= 0 || p.Packets <= 0 {
 			return "", fmt.Errorf("point %d is degenerate: %+v", i, p)
+		}
+		if p.Packets != p.Delivered+p.MBDrops+p.QueueDrops {
+			return "", fmt.Errorf("point %d lost packets: %d injected, %d delivered + %d mb-drops + %d queue-drops",
+				i, p.Packets, p.Delivered, p.MBDrops, p.QueueDrops)
 		}
 		if p.Packets != rep.Points[0].Packets {
 			return "", fmt.Errorf("point %d streamed %d packets, others %d — cells not comparable",

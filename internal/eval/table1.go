@@ -25,9 +25,9 @@ func Table1() ([]Table1Row, error) {
 	for _, c := range compiled {
 		rows = append(rows, Table1Row{
 			Middlebox: c.Name,
-			InputLoC:  countLoC(c.Spec.Source),
-			P4LoC:     c.Art.P4.LinesOfCode(),
-			ServerLoC: c.Art.Server.LinesOfCode(),
+			InputLoC:  countLoC(c.Source),
+			P4LoC:     c.P4.LinesOfCode(),
+			ServerLoC: c.Server.LinesOfCode(),
 		})
 	}
 	return rows, nil

@@ -49,10 +49,10 @@ type FlowParams struct {
 // fresh connection's first packet (slow path + synchronization stall under
 // output commit), the latency of an established connection's packets, and
 // the server cost per data packet.
-func MeasureFlowParams(c *Compiled, mode gallium.Mode, cores int) (FlowParams, error) {
+func MeasureFlowParams(c *gallium.Artifacts, mode gallium.Mode, cores int) (FlowParams, error) {
 	model := engine.DefaultModel()
 	gen := trafficFor(1500, 1, 1)
-	tb, err := c.Art.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
+	tb, err := c.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
 	if err != nil {
 		return FlowParams{}, err
 	}
@@ -123,7 +123,7 @@ func Figures89(quick bool) ([]Fig8Point, []Fig9Point, error) {
 	}
 	// Each (middlebox, config) pair characterizes and runs independently.
 	type cell struct {
-		c   *Compiled
+		c   *gallium.Artifacts
 		cfg ConfigSpec
 	}
 	var cells []cell

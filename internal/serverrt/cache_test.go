@@ -10,7 +10,6 @@ import (
 	"gallium/internal/middleboxes"
 	"gallium/internal/packet"
 	"gallium/internal/partition"
-	"gallium/internal/serverrt"
 )
 
 // compileCached partitions a bundled middlebox with the named tables as
@@ -45,9 +44,9 @@ func TestCacheModeEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog, res := compileCached(t, tc.name, tc.caches)
-			ref := serverrt.NewSoftware(prog)
+			ref := ir.NewState(prog)
 			setup := func(st *ir.State) { middleboxes.ConfigureState(tc.name, st) }
-			setup(ref.State)
+			setup(ref)
 			tb := deploy(t, res, engine.InstantModel(), setup)
 
 			rng := rand.New(rand.NewSource(11))
@@ -61,7 +60,7 @@ func TestCacheModeEquivalence(t *testing.T) {
 				}
 				pktDep := pktRef.Clone()
 
-				rRef, err := ref.Process(pktRef)
+				rRef, err := prog.Exec(&ir.Env{State: ref, Pkt: pktRef})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +78,7 @@ func TestCacheModeEquivalence(t *testing.T) {
 					}
 				}
 			}
-			if !ref.State.Equal(tb.ServerState()) {
+			if !ref.Equal(tb.ServerState()) {
 				t.Fatal("server state diverged from reference")
 			}
 			// Cache stayed within capacity.

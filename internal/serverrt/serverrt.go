@@ -3,9 +3,9 @@
 // the authoritative middlebox state, records every update touching
 // replicated state, and hands those updates to the runtime so they can be
 // pushed through the switch's write-back control plane while the packet is
-// held by output commit (§4.3.3). It also provides the software baseline —
-// the whole input program on the server — which plays the paper's
-// FastClick comparison.
+// held by output commit (§4.3.3). The same Server, built by NewSoftware
+// with nothing replicated, runs the software baseline — the whole input
+// program on the server — which plays the paper's FastClick comparison.
 package serverrt
 
 import (
@@ -30,20 +30,24 @@ type Result struct {
 	Updates []switchsim.Update
 }
 
-// Server runs the non-offloaded partition. A Server is NOT safe for
-// concurrent use — the engine runs one per worker shard — which lets it
-// keep a reusable execution scratchpad (transfer slots, register file,
-// recorder) so a steady-state packet allocates nothing, and neither does a
-// packet that records updates once its caller recycles them.
+// Server runs the non-offloaded partition, or (built by NewSoftware) only
+// the whole program. A Server is NOT safe for concurrent use — the engine
+// runs one per worker shard — which lets it keep a reusable execution
+// scratchpad (transfer slots, register file, recorder) so a steady-state
+// packet allocates nothing, and neither does a packet that records updates
+// once its caller recycles them.
 type Server struct {
+	// Res is the partition the server runs; nil for a software server.
 	Res   *partition.Result
 	State *ir.State
 
-	// srv and full are the server partition and the whole program lowered
-	// to execution plans, once, at New.
+	// prog is the program whose globals the state holds.
+	prog *ir.Program
+	// srv and full are the server partition (nil for a software server)
+	// and the whole program lowered to execution plans, once, at build.
 	srv, full *ir.Plan
 
-	// replicated and cached are indexed like Res.Prog.Globals. cached marks
+	// replicated and cached are indexed like prog.Globals. cached marks
 	// tables running in §7 cache mode: authoritative hits are republished
 	// to the switch as read-through fills.
 	replicated, cached []bool
@@ -59,7 +63,7 @@ type Server struct {
 	reg *obs.Registry
 	c   serverCounters
 	// fills tracks per-cached-table read-through fills, indexed like
-	// Res.Prog.Globals.
+	// prog.Globals.
 	fills []*obs.Counter
 }
 
@@ -69,7 +73,7 @@ type room struct{ updates, words int }
 // serverCounters are the server-wide activity counters.
 type serverCounters struct {
 	packets, steps         *obs.Counter // slow-path partition executions
-	fullPackets, fullSteps *obs.Counter // §7 full-program re-executions
+	fullPackets, fullSteps *obs.Counter // §7 punts and software-baseline runs
 	updates                *obs.Counter // replicated-state updates recorded
 	cacheLookups           *obs.Counter // authoritative lookups on cached tables
 	cacheHits, cacheMisses *obs.Counter
@@ -95,23 +99,32 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		cacheFills:   reg.Counter("server.cache.fills"),
 	}
 	s.fills = make([]*obs.Counter, len(s.cached))
-	for gi, g := range s.Res.Prog.Globals {
+	for gi, g := range s.prog.Globals {
 		if s.cached[gi] {
 			s.fills[gi] = reg.Counter("server.cache." + g.Name + ".fills")
 		}
 	}
 }
 
+// NewSoftware builds the software baseline with fresh state: a server
+// that runs p whole through ProcessFull, with nothing replicated, so it
+// records no updates.
+func NewSoftware(p *ir.Program) *Server {
+	s := &Server{
+		prog:       p,
+		State:      ir.NewState(p),
+		full:       ir.CompilePlan(p, p.Fn),
+		replicated: make([]bool, len(p.Globals)),
+		cached:     make([]bool, len(p.Globals)),
+	}
+	s.rec.srv = s
+	return s
+}
+
 // New builds a server for a partitioned middlebox with fresh state.
 func New(res *partition.Result) *Server {
-	s := &Server{
-		Res:        res,
-		State:      ir.NewState(res.Prog),
-		srv:        ir.CompilePlan(res.Prog, res.SrvFn),
-		full:       ir.CompilePlan(res.Prog, res.Prog.Fn),
-		replicated: make([]bool, len(res.Prog.Globals)),
-		cached:     make([]bool, len(res.Prog.Globals)),
-	}
+	s := NewSoftware(res.Prog)
+	s.Res, s.srv = res, ir.CompilePlan(res.Prog, res.SrvFn)
 	index := make(map[string]int, len(res.Prog.Globals))
 	for gi, g := range res.Prog.Globals {
 		index[g.Name] = gi
@@ -143,7 +156,6 @@ func New(res *partition.Result) *Server {
 	// either plan.
 	srvRoom, fullRoom := recording(res.SrvFn), recording(res.Prog.Fn)
 	s.rec.room = room{max(srvRoom.updates, fullRoom.updates), max(srvRoom.words, fullRoom.words)}
-	s.rec.srv = s
 	s.xfer = make([]uint64, res.NumXferSlots)
 	s.xferA, _ = partition.XferCodec(res.TransferA, res.FormatA, res.NumXferSlots)
 	s.xferB, _ = partition.XferCodec(res.TransferB, res.FormatB, res.NumXferSlots)
@@ -166,7 +178,7 @@ type recorder struct {
 	room room
 }
 
-func (r *recorder) name(g int) string { return r.srv.Res.Prog.Globals[g].Name }
+func (r *recorder) name(g int) string { return r.srv.prog.Globals[g].Name }
 
 // reset readies the recorder for the next packet.
 func (r *recorder) reset() {
@@ -326,10 +338,11 @@ func (s *Server) takeUpdates() []switchsim.Update {
 // Updates outlive any later call.
 func (s *Server) Recycle() { s.rec.lent = false }
 
-// ProcessFull runs the COMPLETE middlebox program over a punted packet
-// (§7 cache mode: a switch cache miss proves nothing about the
-// authoritative state, so the server re-executes everything). The packet
-// must not carry a gallium header — the switch punts it unmodified.
+// ProcessFull runs the COMPLETE middlebox program over a packet: a punted
+// one (§7 cache mode: a switch cache miss proves nothing about the
+// authoritative state, so the server re-executes everything), or every
+// packet of the software baseline. The packet must not carry a gallium
+// header — the switch punts it unmodified.
 func (s *Server) ProcessFull(pkt *packet.Packet) (Result, error) {
 	if pkt.HasGallium {
 		return Result{}, fmt.Errorf("serverrt: punted packet unexpectedly carries a gallium header")
@@ -344,55 +357,6 @@ func (s *Server) ProcessFull(pkt *packet.Packet) (Result, error) {
 		s.c.updates.Add(uint64(len(s.rec.updates)))
 	}
 	return Result{Action: r.Action, Steps: r.Steps, Updates: s.takeUpdates()}, nil
-}
-
-// Software is the non-offloaded baseline: the unpartitioned middlebox
-// running entirely on the server.
-type Software struct {
-	Prog  *ir.Program
-	State *ir.State
-
-	// env is reused across packets (a Software instance is single-goroutine,
-	// one per engine worker).
-	env ir.Env
-
-	packets, steps *obs.Counter
-}
-
-// NewSoftware builds the baseline with fresh state.
-func NewSoftware(p *ir.Program) *Software {
-	return &Software{Prog: p, State: ir.NewState(p)}
-}
-
-// Instrument registers the baseline's metrics with reg.
-func (s *Software) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	s.packets = reg.Counter("server.packets")
-	s.steps = reg.Counter("server.steps")
-}
-
-// SetClock sets the virtual time and traffic class stamped onto
-// lifecycle-armed flow-table entries by subsequent Process calls.
-func (s *Software) SetClock(nowNs int64, class uint8) {
-	s.State.NowNs = nowNs
-	s.State.Class = class
-}
-
-// Process runs the whole input program over one packet, which the reused
-// environment does not keep reachable once Process returns.
-func (s *Software) Process(pkt *packet.Packet) (Result, error) {
-	s.env.State = s.State
-	s.env.Pkt = pkt
-	r, err := s.Prog.Exec(&s.env)
-	s.env.Pkt = nil
-	if err != nil {
-		return Result{}, err
-	}
-	s.packets.Inc()
-	s.steps.Add(uint64(r.Steps))
-	return Result{Action: r.Action, Steps: r.Steps}, nil
 }
 
 // ClassifyUpdates splits the server's replicated-state updates into cache

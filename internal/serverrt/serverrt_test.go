@@ -75,7 +75,7 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			prog, res := compileBox(t, name, partition.DefaultConstraints())
-			ref := serverrt.NewSoftware(prog)
+			ref := ir.NewState(prog)
 
 			setup := func(st *ir.State) {
 				middleboxes.ConfigureState(name, st)
@@ -89,7 +89,7 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 					}
 				}
 			}
-			setup(ref.State)
+			setup(ref)
 			tb := deploy(t, res, engine.InstantModel(), setup)
 
 			rng := rand.New(rand.NewSource(3))
@@ -112,7 +112,7 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 				}
 				pktDep := pktRef.Clone()
 
-				rRef, err := ref.Process(pktRef)
+				rRef, err := prog.Exec(&ir.Env{State: ref, Pkt: pktRef})
 				if err != nil {
 					t.Fatalf("pkt %d: reference: %v", i, err)
 				}
@@ -133,7 +133,7 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 					}
 				}
 			}
-			if !ref.State.Equal(tb.ServerState()) {
+			if !ref.Equal(tb.ServerState()) {
 				t.Fatal("final server state mismatch with reference")
 			}
 			// Switch table contents must mirror the server's replicated maps
@@ -145,7 +145,7 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 					continue
 				}
 				tbl, _ := tb.Switch().Table(gn)
-				srv := ref.State.Table(gn)
+				srv := ref.Table(gn)
 				srv.Range(func(e int32) bool {
 					got, ok := tbl.Lookup(srv.Key(e))
 					if !ok || got[0] != srv.Vals(e)[0] {
@@ -290,9 +290,9 @@ func TestRunToCompletionCausality(t *testing.T) {
 // the full deployment (LPM tables load onto the switch at configure time).
 func TestIPGatewayDeploymentEquivalence(t *testing.T) {
 	prog, res := compileBox(t, "ipgateway", partition.DefaultConstraints())
-	ref := serverrt.NewSoftware(prog)
+	ref := ir.NewState(prog)
 	setup := func(st *ir.State) { middleboxes.ConfigureState("ipgateway", st) }
-	setup(ref.State)
+	setup(ref)
 	tb := deploy(t, res, engine.InstantModel(), setup)
 	rng := rand.New(rand.NewSource(17))
 	fast := 0
@@ -300,7 +300,7 @@ func TestIPGatewayDeploymentEquivalence(t *testing.T) {
 		dst := packet.MakeIPv4Addr(byte(rng.Intn(30)), byte(rng.Intn(4)), byte(rng.Intn(4)), byte(rng.Intn(20)))
 		pktRef := packet.BuildTCP(packet.MakeIPv4Addr(1, 1, 1, 1), dst, 5, 6, packet.TCPOptions{})
 		pktDep := pktRef.Clone()
-		rRef, err := ref.Process(pktRef)
+		rRef, err := prog.Exec(&ir.Env{State: ref, Pkt: pktRef})
 		if err != nil {
 			t.Fatal(err)
 		}

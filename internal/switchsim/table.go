@@ -17,7 +17,9 @@ type Table struct {
 	sw       *Switch
 	name     string
 	capacity int
-	cached   bool
+	// cached marks §7 cache mode: misses punt, and inserts beyond
+	// capacity evict the oldest entry (FIFO).
+	cached bool
 	// nk and nv are the key and value arity in words.
 	nk, nv int
 
@@ -119,11 +121,6 @@ func (t *Table) Len() int { return int(t.live.Load()) }
 // Capacity reports the annotated maximum entry count (the §7 cache size
 // for a cache table).
 func (t *Table) Capacity() int { return t.capacity }
-
-// Cached reports whether the table runs in §7 cache mode: it holds a
-// subset of the server's authoritative map, misses punt the packet to the
-// server, and inserts beyond capacity evict the oldest entry (FIFO).
-func (t *Table) Cached() bool { return t.cached }
 
 // slot returns the index of key's slot in s: the one holding its node, or
 // the first empty one of its probe sequence. key has the table's arity.

@@ -61,10 +61,6 @@ func (c *runConfig) stages(arts []*Artifacts, shards int) []engine.StageConfig {
 	var out []engine.StageConfig
 	for i, a := range arts {
 		st := engine.StageConfig{Name: a.Name, Res: a.Res}
-		if c.Mode == Software {
-			st.Res = nil
-			st.Prog = a.Prog
-		}
 		switch {
 		case c.scenario:
 			st.Setup = a.shardScenarioSetup(c.flows, shards)

@@ -2,10 +2,12 @@ package gallium_test
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
 	gallium "gallium"
+	"gallium/internal/engine"
 	"gallium/internal/obs"
 	"gallium/internal/packet"
 	"gallium/internal/trafficgen"
@@ -100,16 +102,20 @@ func TestRunNATScenarioShardsAllocator(t *testing.T) {
 	}
 }
 
-// TestRunSoftwareMode drives the unpartitioned baseline through Run.
+// TestRunSoftwareMode drives the unpartitioned baseline through Run. Its
+// server runs every packet through the whole program, so it counts them
+// as full-program runs (server.full.*), not partition runs.
 func TestRunSoftwareMode(t *testing.T) {
 	art, err := gallium.CompileBuiltin("firewall", gallium.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
 	rep, err := art.Run(context.Background(), iperfWorkload(4),
 		gallium.WithMode(gallium.Software),
 		gallium.WithWorkers(2),
 		gallium.WithScenario(),
+		gallium.WithMetrics(reg),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +128,17 @@ func TestRunSoftwareMode(t *testing.T) {
 	}
 	if len(rep.SwitchStages) != 0 {
 		t.Error("software report carries switch stats")
+	}
+	c := reg.Snapshot().Counters
+	if got := c["server.full.packets"]; got != uint64(rep.Stats.SlowPath) {
+		t.Errorf("server.full.packets = %d, want the %d slow-path packets", got, rep.Stats.SlowPath)
+	}
+	m := engine.DefaultModel()
+	if steps, want := c["server.full.steps"], (rep.Stats.ServerCycles-m.PerPacketCycles*float64(rep.Stats.SlowPath))/m.PerStepCycles; math.Abs(float64(steps)-want) > 0.5 {
+		t.Errorf("server.full.steps = %d, want the %.1f the cycle count charges", steps, want)
+	}
+	if c["server.packets"] != 0 || c["server.steps"] != 0 {
+		t.Errorf("software runs counted as partition runs: server.packets %d, server.steps %d", c["server.packets"], c["server.steps"])
 	}
 }
 
