@@ -426,6 +426,98 @@ func BenchmarkEngineFeed(b *testing.B) {
 	}
 }
 
+// BenchmarkDispatchRead measures the wire path's hand-off without a
+// socket: reads of 32 mazunat ACKs on 32,768 seeded flows, 31 of them
+// marked Packet.RxBurst and an unmarked last one, as the UDP front end
+// dispatches a receive batch, go through Session.Dispatch at one worker.
+// Delivered packets go back to a free list the next reads draw from, so at
+// most four reads are in flight. It reports wall ns per packet (dispatch,
+// hand-off, pre-pass, virtual-time accounting, callback), allocations per
+// packet, which must be 0, and mailbox pulls per read: 1 when each read
+// reaches the worker as one push and the worker keeps up with them.
+func BenchmarkDispatchRead(b *testing.B) {
+	art, err := gallium.Compile(middleboxes.MazuNATSource, gallium.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const flows, read, inFlight = 32768, 32, 4
+	acks, entries := natFlows(flows)
+	free := make(chan *packet.Packet, inFlight*read)
+	for len(free) < cap(free) {
+		free <- new(packet.Packet)
+	}
+	var fast atomic.Int64
+	seeded := false // WithState fires again at Close
+	sess, err := gallium.Open(art,
+		gallium.WithDeliveries(func(d gallium.Delivery) {
+			if d.Delivered && d.FastPath {
+				fast.Add(1)
+			}
+			free <- d.Pkt
+		}),
+		gallium.WithState(func(_ int, st *ir.State) {
+			if seeded {
+				return
+			}
+			seeded = true
+			for _, u := range entries {
+				st.Table(u.Table).Put(&u.Key, u.Vals)
+			}
+		}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sent, tNs := 0, int64(0)
+	dispatchRead := func() {
+		for i := 0; i < read; i++ {
+			pkt := <-free
+			*pkt = acks[sent%flows]
+			pkt.RxBurst = i < read-1
+			sent++
+			tNs += 1e6
+			if _, err := sess.Dispatch(tNs, pkt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// returned waits until every packet is back on the free list.
+	returned := func() {
+		for len(free) < cap(free) {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 2*inFlight; i++ { // warm: grow the bursts and the batch buffers
+		dispatchRead()
+	}
+	returned()
+	warm := sent
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dispatchRead()
+	}
+	returned()
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	rep, err := sess.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got := fast.Load(); got != int64(sent) {
+		b.Fatalf("%d of %d packets took the fast path", got, sent)
+	}
+	pkts := float64(sent - warm)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pkts, "ns/pkt")
+	perPkt := float64(after.Mallocs-before.Mallocs) / pkts
+	b.ReportMetric(perPkt, "allocs/pkt")
+	if perPkt > 0.001 {
+		b.Errorf("%.4f allocations per packet, want 0", perPkt)
+	}
+	// Every job the worker pulled was a packet: read / mean pull is pulls per read.
+	b.ReportMetric(read/rep.BatchSizes[0], "pulls/read")
+}
+
 // BenchmarkWriteback measures one control-plane write-back — stage and
 // flip an insert of a fresh key, then stage and flip its deletion — into
 // a table already holding n entries. It pins the write-back as O(1): the

@@ -15,12 +15,14 @@
 //
 // Hand-off: packets reach a worker the way they reach a DPDK core, in
 // bursts, through the worker's one bounded mailbox (mailbox.go): Feed
-// pushes 32-packet bursts, Dispatch and the control jobs of settle and
-// Reconfigure bursts of one, the worker pulls everything queued per lock.
-// A Dispatch that finds its worker parked on an empty mailbox hands
-// nothing off: it borrows the worker and runs the packet on the caller's
-// goroutine, delivery callback included, while the mailbox keeps the
-// worker parked. Cancelling the run closes the mailboxes (see abort).
+// pushes 32-packet bursts, Dispatch one burst per worker per receive batch
+// (a read's packets marked Packet.RxBurst wait for its unmarked last one),
+// the control jobs of settle and Reconfigure bursts of one, and the worker
+// pulls everything queued per lock. A lone Dispatch that finds its worker
+// parked on an empty mailbox hands nothing off: it borrows the worker and
+// runs the packet on the caller's goroutine, delivery callback included,
+// while the mailbox keeps the worker parked. Cancelling the run closes the
+// mailboxes (see abort).
 //
 // Ordering guarantees: packets of one flow always hash to the same worker
 // and each worker runs one packet to completion before starting the next,
@@ -219,14 +221,19 @@ type Engine struct {
 	// with each other.
 	reconfMu sync.Mutex
 	// feedMu and the dispatcher's per-packet state under it (seq, lastT,
-	// fedAny) are written on every Dispatch: padded off the lines workers
-	// read per packet (cfg, runCtx, aborted).
+	// fedAny, pending) are written on every Dispatch: padded off the lines
+	// workers read per packet (cfg, runCtx, aborted).
 	_      [64]byte
 	feedMu sync.Mutex
 	seq    int64
 	lastT  int64
 	fedAny bool
-	_      [64]byte
+	// pending is set while a worker's burst holds packets a Dispatch left
+	// there (Packet.RxBurst), and cleared by flushBursts. It is written
+	// under feedMu; the control paths read it without feedMu to learn
+	// whether they must flush before their barrier (flushPending).
+	pending atomic.Bool
+	_       [64]byte
 
 	stopped atomic.Bool
 	startT  time.Time
@@ -452,6 +459,10 @@ func (e *Engine) Feed(wl Workload) error {
 	}
 	e.feedMu.Lock()
 	defer e.feedMu.Unlock()
+	// A read that Dispatch left unfinished goes first, so nothing is
+	// pending while the workload runs: a control job it issues does not
+	// wait for this Feed's lock.
+	e.flushBursts()
 	genErr := wl.Generate(func(tNs int64, pkt *packet.Packet) error {
 		if e.aborted.Load() {
 			return e.runCtx.Err()
@@ -471,9 +482,7 @@ func (e *Engine) Feed(wl Workload) error {
 		return e.flush(w)
 	})
 	// Publish the tail bursts before the barrier that waits for them.
-	for _, w := range e.workers {
-		e.flush(w)
-	}
+	e.flushBursts()
 	e.settle()
 	if err := e.err(); err != nil {
 		return err
@@ -481,12 +490,13 @@ func (e *Engine) Feed(wl Workload) error {
 	return genErr
 }
 
-// feedBurst is how many packets Feed accumulates per worker before one
-// push: enough to amortize the mailbox lock and the worker's wake-up to a
-// few ns per packet, small against the default QueueDepth.
+// feedBurst is how many packets Feed, or Dispatch for a receive batch,
+// accumulates per worker before one push: enough to amortize the mailbox
+// lock and the worker's wake-up to a few ns per packet, small against the
+// default QueueDepth.
 const feedBurst = 32
 
-// flush pushes the burst Feed accumulated for w (callers hold feedMu).
+// flush pushes the burst accumulated for w (callers hold feedMu).
 func (e *Engine) flush(w *worker) error {
 	err := e.hand(w, w.burst...)
 	clear(w.burst) // the backing array must not pin the caller's packets
@@ -494,28 +504,71 @@ func (e *Engine) flush(w *worker) error {
 	return err
 }
 
+// flushBursts pushes every worker's burst, one push each, and clears
+// pending (callers hold feedMu). It returns the first refusal.
+func (e *Engine) flushBursts() error {
+	var err error
+	for _, w := range e.workers {
+		if len(w.burst) > 0 {
+			err = cmp.Or(err, e.flush(w))
+		}
+	}
+	e.pending.Store(false)
+	return err
+}
+
+// flushPending pushes the bursts Dispatch left pending, if any, so that a
+// control job handed next queues behind every packet whose Dispatch
+// returned. It takes feedMu only when something is pending, so a control
+// job beside a running Feed does not wait for that Feed. A refused push
+// means the run is aborting, which the caller's barrier reports.
+func (e *Engine) flushPending() {
+	if !e.pending.Load() {
+		return
+	}
+	e.feedMu.Lock()
+	e.flushBursts()
+	e.feedMu.Unlock()
+}
+
 // Dispatch injects one packet into the running engine without settling:
 // the streaming ingress for real-I/O front ends, where a barrier per
 // datagram would defeat batching. It returns the packet's sequence
 // number; the OnDelivery callback reports its fate.
 //
-// If the packet's worker is parked on an empty mailbox, Dispatch runs the
-// packet to completion itself, as a DPDK core runs what it received
-// (flat combining: the caller that finds the owner idle does the owner's
-// work), so the callback runs on the caller's goroutine before Dispatch
-// returns. Otherwise the packet queues and the callback runs later on the
-// worker. A packet marked RxBurst always queues: its caller read a batch
-// and has more to dispatch. Either way each worker runs its packets and
-// control jobs one at a time in arrival order.
+// A packet marked RxBurst says that more datagrams of the caller's read
+// follow: it joins its worker's burst, as Feed's packets do, and returns.
+// An unmarked packet ends the read: every worker's pending burst is
+// pushed, one push each, so a read whose datagrams hash to several
+// workers leaves nothing behind; a burst that reaches 32 packets pushes
+// them all early. A caller that marks its last packet has its packets
+// pushed by the next unmarked Dispatch, Feed, LiveReport, Reconfigure or
+// Stop, whichever comes first.
+//
+// An unmarked packet whose worker has nothing pending goes last: if the
+// worker is then parked on an empty mailbox, Dispatch runs the packet to
+// completion itself, as a DPDK core runs what it received (flat
+// combining: the caller that finds the owner idle does the owner's work),
+// so the callback runs on the caller's goroutine before Dispatch returns.
+// Otherwise the packet joins its worker's burst, pushed with the others,
+// and the callback runs later on the worker. Either way each worker runs
+// its packets and control jobs one at a time in arrival order.
 //
 // Injection times are clamped monotone (real clocks jitter; virtual time
 // cannot restart). Dispatch serializes with Feed on the dispatcher lock
 // and may run concurrently with Reconfigure.
 func (e *Engine) Dispatch(tNs int64, pkt *packet.Packet) (int64, error) {
+	e.feedMu.Lock()
+	// Checked under feedMu: Stop flushes the bursts under it, so a packet
+	// is either in a burst Stop pushes or refused here.
 	if e.stopped.Load() {
+		e.feedMu.Unlock()
 		return 0, errors.New("engine: Dispatch after Stop")
 	}
-	e.feedMu.Lock()
+	if e.aborted.Load() {
+		e.feedMu.Unlock()
+		return 0, e.refusal()
+	}
 	if e.fedAny && tNs < e.lastT {
 		tNs = e.lastT
 	}
@@ -525,20 +578,35 @@ func (e *Engine) Dispatch(tNs int64, pkt *packet.Packet) (int64, error) {
 	j := job{seq: e.seq, tNs: tNs, flow: flow, pkt: pkt}
 	e.seq++
 	w := e.workers[RSSShard(pkt, len(e.workers))]
-	if pkt.RxBurst || !w.box.borrow() {
-		err := e.hand(w, j)
-		e.feedMu.Unlock()
-		if err != nil {
-			return 0, err
+	var err error
+	if !pkt.RxBurst && len(w.burst) == 0 {
+		// Nothing of this worker is pending: push the rest of the read,
+		// then run the packet here if the worker is idle.
+		if e.pending.Load() {
+			err = e.flushBursts()
 		}
-		return j.seq, nil
+		if err == nil && w.box.borrow() {
+			// The worker is ours until runBorrowed gives it back; a
+			// Dispatch behind this one finds it borrowed and queues.
+			e.feedMu.Unlock()
+			w.runBorrowed(&j)
+			if e.aborted.Load() {
+				return 0, e.refusal()
+			}
+			return j.seq, nil
+		}
 	}
-	// The worker is ours until runBorrowed gives it back; a Dispatch behind
-	// this one finds it borrowed and queues.
+	w.burst = append(w.burst, j)
+	if pkt.RxBurst && len(w.burst) < feedBurst {
+		if !e.pending.Load() {
+			e.pending.Store(true)
+		}
+	} else {
+		err = cmp.Or(err, e.flushBursts())
+	}
 	e.feedMu.Unlock()
-	w.runBorrowed(&j)
-	if e.aborted.Load() {
-		return 0, e.refusal()
+	if err != nil {
+		return 0, err
 	}
 	return j.seq, nil
 }
@@ -584,6 +652,9 @@ func (e *Engine) Reconfigure(r Reconfig) error {
 	if err := r.check(len(e.stages)); err != nil {
 		return err
 	}
+	// Before reconfMu: a Reconfigure issued by a Feed's workload must not
+	// wait on one that waits for that Feed's lock.
+	e.flushPending()
 	e.reconfMu.Lock()
 	defer e.reconfMu.Unlock()
 	ctx := e.runCtx
@@ -658,6 +729,11 @@ func (e *Engine) Stop() (*Report, error) {
 	if !e.stopped.CompareAndSwap(false, true) {
 		return nil, errors.New("engine: Stop may be called at most once per Engine")
 	}
+	// Under feedMu whatever is pending: a Dispatch after this finds the
+	// engine stopped, one before it has its packets in a burst pushed here.
+	e.feedMu.Lock()
+	e.flushBursts()
+	e.feedMu.Unlock()
 	for _, w := range e.workers {
 		w.box.close()
 	}
@@ -679,6 +755,7 @@ func (e *Engine) LiveReport() (*Report, error) {
 	if e.stopped.Load() {
 		return nil, errors.New("engine: LiveReport after Stop")
 	}
+	e.flushPending()
 	e.settle()
 	if err := e.err(); err != nil {
 		return nil, err

@@ -69,9 +69,10 @@ func BenchmarkFalseSharingPadded(b *testing.B) {
 
 // TestDispatcherStateOffWorkerLines pins the Engine layout that keeps the
 // dispatcher's writes off the workers' reads: every Dispatch locks feedMu
-// and bumps seq, lastT and fedAny, while a worker reads aborted (and runCtx
-// beside it) once per packet. A field that starts at least 64 bytes past
-// the end of another can share no cache line with it.
+// and bumps seq, lastT and fedAny (and pending, within a receive batch),
+// while a worker reads aborted (and runCtx beside it) once per packet. A
+// field that starts at least 64 bytes past the end of another can share
+// no cache line with it.
 func TestDispatcherStateOffWorkerLines(t *testing.T) {
 	type field struct {
 		name      string
@@ -87,6 +88,7 @@ func TestDispatcherStateOffWorkerLines(t *testing.T) {
 		{"seq", unsafe.Offsetof(e.seq), unsafe.Sizeof(e.seq)},
 		{"lastT", unsafe.Offsetof(e.lastT), unsafe.Sizeof(e.lastT)},
 		{"fedAny", unsafe.Offsetof(e.fedAny), unsafe.Sizeof(e.fedAny)},
+		{"pending", unsafe.Offsetof(e.pending), unsafe.Sizeof(e.pending)},
 	}
 	for _, r := range read {
 		for _, w := range written {

@@ -35,8 +35,9 @@ type worker struct {
 	id  int
 	eng *Engine
 	box *mailbox
-	// burst is the dispatcher's side of the hand-off: packets Feed has
-	// hashed to this worker and not yet pushed (guarded by feedMu).
+	// burst is the dispatcher's side of the hand-off: packets Feed, or
+	// Dispatch for a receive batch, has hashed to this worker and not yet
+	// pushed (guarded by feedMu).
 	burst []job
 
 	// seen is the walker's Stats as of this worker's latest barrier — a

@@ -36,11 +36,11 @@ type Packet struct {
 	HasIP6 bool
 	HasTCP bool
 	HasUDP bool
-	// RxBurst marks a packet the ingress front end read in a batch of more
-	// than one datagram: a hint to the engine's Dispatch to queue it for its
-	// worker, which keeps the reader reading, rather than run it on the
-	// caller (see engine.Engine.Dispatch). Like Ingress it is never
-	// serialized.
+	// RxBurst tells the engine's Dispatch that more datagrams of the
+	// ingress front end's read follow this one: the packet joins its
+	// worker's burst, and the read's unmarked last packet pushes every
+	// worker's burst, one mailbox push each (see engine.Engine.Dispatch).
+	// Like Ingress it is never serialized.
 	RxBurst bool
 
 	GalData []byte

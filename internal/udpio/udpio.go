@@ -14,18 +14,21 @@
 //
 // The data path runs to completion, as a DPDK core does rx burst, process,
 // tx burst: Serve reads a batch of datagrams, decodes each in place into a
-// recycled packet, stamps the sender's address on it (Packet.Ingress) and
-// hands it to the Dispatcher (Session.Dispatch — the engine's streaming
-// ingress, no settle barrier per datagram). A datagram that came alone runs
-// on Serve's own goroutine whenever its worker is idle (the engine borrows
-// the worker); the datagrams of a larger read are marked Packet.RxBurst and
-// queue for the engine's workers, so Serve keeps reading while they run. The
-// engine's delivery callback (Deliver, registered via WithDeliveries)
-// serializes each surviving packet — headers rewritten by the middlebox —
-// into its worker's TX lane and sends the lane's batch itself, back to the
-// address on the packet, when the lane is full or the worker is about to run
-// out of packets (Delivery.More). There is no TX goroutine and no per-flow
-// or per-peer table. Packets the middlebox dropped are counted, not echoed.
+// recycled packet, stamps the sender's address on it (Packet.Ingress), and
+// then hands the read's packets to the Dispatcher (Session.Dispatch — the
+// engine's streaming ingress, no settle barrier per datagram). Every packet
+// but the read's last is marked Packet.RxBurst, so it joins its worker's
+// burst; the unmarked last one pushes each worker's burst with one mailbox
+// push, and the workers run them while Serve reads on. A read ends with an
+// unmarked packet even when its last datagram fails to decode. A datagram
+// that came alone runs on Serve's own goroutine whenever its worker is idle
+// (the engine borrows the worker). The engine's delivery callback (Deliver,
+// registered via WithDeliveries) serializes each surviving packet —
+// headers rewritten by the middlebox — into its worker's TX lane and sends
+// the lane's batch itself, back to the address on the packet, when the lane
+// is full or the worker is about to run out of packets (Delivery.More).
+// There is no TX goroutine and no per-flow or per-peer table. Packets the
+// middlebox dropped are counted, not echoed.
 //
 // Packet ownership: a packet Serve hands to Dispatch belongs to the engine
 // until its Deliver call returns, then to the front end again, which
@@ -316,8 +319,10 @@ func (f *Frontend) Serve(ctx context.Context, d Dispatcher) (err error) {
 	defer stop()
 
 	ms := make([]mmsg, f.cfg.Batch)
-	// pkts are the packets drawn from the free list and not yet dispatched.
+	// pkts are the packets drawn from the free list and not yet decoded
+	// into; read holds the current read's decoded packets.
 	pkts := make([]*packet.Packet, 0, f.cfg.Batch)
+	read := make([]*packet.Packet, 0, f.cfg.Batch)
 	for {
 		n, err := f.io.ReadBatch(ms, time.Time{})
 		if err != nil {
@@ -333,6 +338,7 @@ func (f *Frontend) Serve(ctx context.Context, d Dispatcher) (err error) {
 		f.rxDatagrams.Add(int64(n))
 		tNs := time.Since(f.start).Nanoseconds()
 		pkts = f.draw(pkts, n)
+		read = read[:0]
 		for i := 0; i < n; i++ {
 			pkt := pkts[len(pkts)-1]
 			if ms[i].trunc || pkt.Decode(ms[i].buf, nil) != nil {
@@ -341,9 +347,14 @@ func (f *Frontend) Serve(ctx context.Context, d Dispatcher) (err error) {
 			}
 			pkts = pkts[:len(pkts)-1]
 			pkt.Ingress = ingressTag(ms[i].addr)
-			// A lone datagram may run on this goroutine (Engine.Dispatch);
-			// one of a batch queues, so the next is decoded while it runs.
-			pkt.RxBurst = n > 1
+			read = append(read, pkt)
+		}
+		// Every packet but the read's last is marked: it joins its worker's
+		// burst, and the last pushes every burst, one push per worker. A
+		// packet alone in its read may run on this goroutine
+		// (Engine.Dispatch).
+		for i, pkt := range read {
+			pkt.RxBurst = i < len(read)-1
 			if _, err := d.Dispatch(tNs, pkt); err != nil {
 				return fmt.Errorf("udpio: dispatch: %w", err)
 			}

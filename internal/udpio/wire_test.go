@@ -391,13 +391,13 @@ func TestHostileDatagrams(t *testing.T) {
 	}
 }
 
-// TestBorrowOnlyLoneDatagrams: Serve marks the datagrams of a read that
-// returned more than one (Packet.RxBurst), and the engine runs only
-// unmarked packets on the Dispatch caller. Traffic one datagram at a time
-// (each read waits for the last echo) runs on Serve's goroutine, each echo
-// sent alone; with every datagram in flight at once Serve reads bursts of
-// 32 (Config.Batch), which queue for the worker, none borrowed, and their
-// echoes still leave in batches.
+// TestBorrowOnlyLoneDatagrams: Serve marks every datagram of a read but
+// the last (Packet.RxBurst), and the engine runs an unmarked packet on the
+// Dispatch caller only when nothing of its read is pending. Traffic one
+// datagram at a time (each read waits for the last echo) runs on Serve's
+// goroutine, each echo sent alone; with every datagram in flight at once
+// Serve reads bursts of 32 (Config.Batch), which reach the worker as one
+// push each, none borrowed, and their echoes still leave in batches.
 func TestBorrowOnlyLoneDatagrams(t *testing.T) {
 	const total = 64
 	flows := natFlows(8)
@@ -441,5 +441,43 @@ func TestBorrowOnlyLoneDatagrams(t *testing.T) {
 	}
 	if st.TxBatches >= st.TxDatagrams {
 		t.Errorf("%d datagrams in flight: %d echoes in %d sends, want batches", total, st.TxDatagrams, st.TxBatches)
+	}
+}
+
+// TestUndecodableLastDatagram: a read whose last datagram does not decode
+// still ends with an unmarked packet, so the 31 datagrams before it are
+// pushed to their worker and echo with no barrier behind them; a read that
+// ended on a marked packet would leave them waiting for the next read,
+// which the script holds back until they have echoed.
+func TestUndecodableLastDatagram(t *testing.T) {
+	const total, read = 64, 32 // read: Config.Batch
+	flows := natFlows(8)
+	var echoed atomic.Int64
+	io := newScriptIO(total, func(i int, buf []byte) int {
+		if i == read-1 {
+			return copy(buf, []byte{0x45})
+		}
+		return copy(buf, ackFrame(flows[i%len(flows)], uint32(i)))
+	}, func(mmsg) { echoed.Add(1) })
+	io.pauseAt, io.paused, io.resume = read, make(chan struct{}), make(chan struct{})
+	fe, sess := scripted(t, "mazunat", io, gallium.WithScenario(), gallium.WithFlows(flows))
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- fe.Serve(context.Background(), sess) }()
+	<-io.paused
+	for deadline := time.Now().Add(10 * time.Second); echoed.Load() != read-1; time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("the first read echoed %d of its %d good datagrams before the next read", echoed.Load(), read-1)
+			break
+		}
+	}
+	close(io.resume)
+	if err := <-serveDone; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if _, err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := fe.Stats(); st.RxBatches != 2 || st.DecodeErrors != 1 || st.TxDatagrams != total-1 || echoed.Load() != total-1 {
+		t.Errorf("front end counters %+v, %d echoes: want 2 reads, 1 decode error and %d echoes", st, echoed.Load(), total-1)
 	}
 }

@@ -164,9 +164,11 @@ func (s *Session) Feed(wl Workload) error {
 // returns the packet's sequence number; its fate arrives on the
 // WithDeliveries callback — on this goroutine before Dispatch returns
 // when the packet's worker was idle and Dispatch ran the packet itself,
-// later on the worker otherwise (always, for a packet marked RxBurst).
-// tNs is the arrival timestamp in ns; values that run backwards are
-// clamped monotone.
+// later on the worker otherwise. A packet marked RxBurst (more datagrams
+// of the caller's read follow) always runs later: it waits in its
+// worker's burst until the read's unmarked last packet, or the next Feed,
+// Drain, Stats, Reconfigure or Close, pushes it. tNs is the arrival
+// timestamp in ns; values that run backwards are clamped monotone.
 func (s *Session) Dispatch(tNs int64, pkt *Packet) (int64, error) {
 	return s.eng.Dispatch(tNs, pkt)
 }
