@@ -1,7 +1,9 @@
 // Command galliumbench regenerates the paper's evaluation: every table
-// and figure of §6 (Table 1, Figure 7, Table 2, Table 3, Figures 8-9) plus
-// the headline summary numbers. Each experiment checks its own invariants
-// as it runs and exits non-zero on a violation; none writes a file.
+// and figure of §6 (table1, offloading, fig7, table2, table3, fig8, fig9)
+// plus the headline numbers, two sweeps beyond the paper (loadsweep,
+// ablation) and two engine checks (scale, flows) that wait to move into
+// bench/. Each experiment checks its own invariants as it runs and exits
+// non-zero on a violation; none writes a file.
 //
 // Usage:
 //
@@ -107,20 +109,6 @@ var experiments = []struct {
 	}, eval.FormatLoadSweep)},
 	{"ablation", printed(func(bool) (string, error) { return eval.Ablations() }, func(s string) string { return s })},
 	{"headline", printed(eval.Headline, eval.FormatHeadline)},
-	{"reconfig", func(b *bench) error {
-		rows, err := eval.ReconfigEval(b.quick)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(b.w, eval.FormatReconfig(rows))
-		for _, r := range rows {
-			if !r.Accounted() {
-				return fmt.Errorf("reconfig: %s lost packets (injected %d != delivered %d + drops %d)",
-					r.Middlebox, r.Injected, r.Delivered, r.MBDrops+r.QueueDrops)
-			}
-		}
-		return nil
-	}},
 }
 
 // experimentNames lists every value -exp accepts.

@@ -47,13 +47,16 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"gallium"
+	"gallium/internal/ir"
 	"gallium/internal/obs"
 	"gallium/internal/packet"
 	"gallium/internal/trafficgen"
@@ -61,42 +64,59 @@ import (
 )
 
 func main() {
-	mb := flag.String("mb", "mazunat", "middlebox, or a comma-separated chain: mazunat, l4lb, firewall, proxy, trojandetector, minilb, ipgateway, ddosdetector")
-	mode := flag.String("mode", "offloaded", "deployment: offloaded or software")
-	workers := flag.Int("workers", 1, "concurrent server shards (engine workers)")
-	size := flag.Int("size", 500, "packet size in bytes")
-	pps := flag.Float64("pps", 4e6, "offered aggregate packet rate")
-	ms := flag.Int("ms", 10, "simulated duration in milliseconds (per segment with -serve)")
-	cache := flag.String("cache", "", "run a table as a §7 switch cache, e.g. -cache conn=512")
-	pcap := flag.String("pcap", "", "write delivered packets to this pcap file")
-	metrics := flag.String("metrics", "", "write the observability snapshot as JSON to this file")
-	trace := flag.Int("trace", 0, "print hop-by-hop traces for the first N packets")
-	serve := flag.String("serve", "", "stay resident and answer the galliumctl protocol on this unix socket")
-	listen := flag.String("listen", "", "serve real traffic: read Gallium frames from this UDP address and echo deliveries")
-	send := flag.String("send", "", "ship the workload as UDP datagrams to a listening simulator and report echoes")
-	flag.Parse()
-	if err := run(*mb, *mode, *workers, *size, *pps, *ms, *cache, *pcap, *metrics, *trace, *serve, *listen, *send); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "galliumsim:", err)
 		os.Exit(1)
 	}
 }
 
+// parseCache reads -cache's table=entries; the count must be above 0.
 func parseCache(cache string) (map[string]int, error) {
 	if cache == "" {
 		return nil, nil
 	}
-	parts := strings.SplitN(cache, "=", 2)
-	if len(parts) != 2 || parts[0] == "" {
+	table, count, ok := strings.Cut(cache, "=")
+	if !ok || table == "" {
 		return nil, fmt.Errorf("bad -cache value %q, want table=entries", cache)
 	}
-	var entries int
-	if _, err := fmt.Sscanf(parts[1], "%d", &entries); err != nil {
-		return nil, fmt.Errorf("bad -cache entry count %q", parts[1])
+	entries, err := strconv.Atoi(count)
+	if err != nil || entries <= 0 {
+		return nil, fmt.Errorf("bad -cache entry count %q, want a whole number above 0", count)
 	}
-	return map[string]int{parts[0]: entries}, nil
+	return map[string]int{table: entries}, nil
 }
 
-func run(mbList, modeStr string, workers, size int, pps float64, ms int, cache, pcapPath, metricsPath string, traceN int, servePath, listenAddr, sendAddr string) error {
+// run parses galliumsim's command line and runs the mode it selects.
+func run(args []string) error {
+	var mbList, modeStr, cache, pcapPath, metricsPath, servePath, listenAddr, sendAddr string
+	var workers, size, ms, traceN int
+	var pps float64
+	fs := flag.NewFlagSet("galliumsim", flag.ExitOnError)
+	fs.StringVar(&mbList, "mb", "mazunat", "middlebox, or a comma-separated chain: mazunat, l4lb, firewall, proxy, trojandetector, minilb, ipgateway, ddosdetector")
+	fs.StringVar(&modeStr, "mode", "offloaded", "deployment: offloaded or software")
+	fs.IntVar(&workers, "workers", 1, "concurrent server shards (engine workers)")
+	fs.IntVar(&size, "size", 500, "packet size in bytes")
+	fs.Float64Var(&pps, "pps", 4e6, "offered aggregate packet rate")
+	fs.IntVar(&ms, "ms", 10, "simulated duration in milliseconds (per segment with -serve)")
+	fs.StringVar(&cache, "cache", "", "run a table as a §7 switch cache, e.g. -cache conn=512")
+	fs.StringVar(&pcapPath, "pcap", "", "write delivered packets to this pcap file")
+	fs.StringVar(&metricsPath, "metrics", "", "write the observability snapshot as JSON to this file")
+	fs.IntVar(&traceN, "trace", 0, "print hop-by-hop traces for the first N packets")
+	fs.StringVar(&servePath, "serve", "", "stay resident and answer the galliumctl protocol on this unix socket")
+	fs.StringVar(&listenAddr, "listen", "", "serve real traffic: read Gallium frames from this UDP address and echo deliveries")
+	fs.StringVar(&sendAddr, "send", "", "ship the workload as UDP datagrams to a listening simulator and report echoes")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	resident := listenAddr != "" || servePath != ""
+	switch {
+	case listenAddr != "" && servePath != "":
+		return errors.New("-listen and -serve are separate resident modes; pick one")
+	case sendAddr != "" && resident:
+		return errors.New("-send is a traffic source of its own; it does not combine with -listen or -serve")
+	case pcapPath != "" && resident:
+		return errors.New("-pcap writes a generated run's deliveries; -listen and -serve do not write it")
+	}
 	gen := trafficgen.IperfConfig{
 		Conns: 10, PacketSize: size, PPS: pps,
 		DurationNs: int64(ms) * 1_000_000, Seed: 7,
@@ -119,6 +139,14 @@ func run(mbList, modeStr string, workers, size int, pps float64, ms int, cache, 
 		}
 		arts = append(arts, art)
 	}
+	for table := range caches {
+		if !slices.ContainsFunc(arts, func(a *gallium.Artifacts) bool {
+			g := a.Prog.Global(table)
+			return g != nil && g.Kind == ir.KindMap
+		}) {
+			return fmt.Errorf("-cache: no middlebox of -mb %s declares a map table %q", mbList, table)
+		}
+	}
 	mode, err := gallium.ParseMode(modeStr)
 	if err != nil {
 		return err
@@ -135,9 +163,6 @@ func run(mbList, modeStr string, workers, size int, pps float64, ms int, cache, 
 		return err
 	}
 	if listenAddr != "" {
-		if servePath != "" {
-			return fmt.Errorf("-listen and -serve are separate resident modes; pick one")
-		}
 		return runListen(chain, gen, mbList, modeStr, mode, workers, listenAddr, reg, metricsPath)
 	}
 	if servePath != "" {

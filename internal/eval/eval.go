@@ -1,8 +1,10 @@
-// Package eval drives the paper's evaluation (§6): it regenerates every
-// table and figure — Table 1 (lines of code), Figure 7 (throughput vs
-// packet size), Table 2 (latency), Table 3 (state-synchronization
-// latency), Figures 8/9 (realistic workloads), and the headline numbers
-// (cycle savings, latency reduction, slow-path fraction).
+// Package eval drives the paper's evaluation (§6): Table 1 (lines of
+// code), the §6.2 offloading report, Figure 7 (throughput vs packet size),
+// Table 2 (latency), Table 3 (state-synchronization latency), Figures 8/9
+// (realistic workloads), and the headline numbers (cycle savings, latency
+// reduction, slow-path fraction). Two sweeps go beyond the paper: LoadSweep
+// (latency vs offered load) and Ablations (the design choices). Two engine
+// checks, EngineScale and FlowSoak, live here until they move into bench/.
 package eval
 
 import (

@@ -229,3 +229,45 @@ func TestFlowFloodGenerator(t *testing.T) {
 		t.Fatalf("flood produced %d distinct flows, want 50", len(seen))
 	}
 }
+
+// TestCheckScaleGate pins the matrix gate: threshold selection by core
+// count, the loud skip below 4 cores, and the regression error.
+func TestCheckScaleGate(t *testing.T) {
+	rep := func(numCPU int, rungs map[int][2]float64) *ScaleReport {
+		r := &ScaleReport{NumCPU: numCPU}
+		for procs, pps := range rungs {
+			for i, w := range scaleWorkerCounts {
+				p := ScalePoint{Workers: w, GoMaxProcs: procs, Packets: 1000, Delivered: 1000, WallNs: 1e6, PPS: pps[0]}
+				if i == len(scaleWorkerCounts)-1 {
+					p.PPS = pps[1]
+				}
+				r.Points = append(r.Points, p)
+			}
+		}
+		return r
+	}
+	cases := []struct {
+		name     string
+		rep      *ScaleReport
+		wantSkip bool
+		wantErr  string
+	}{
+		{"one-core-loud-skip", rep(1, map[int][2]float64{1: {1e6, 1e6}}), true, ""},
+		{"mid-host-pass", rep(4, map[int][2]float64{4: {1e6, 1.6e6}}), false, ""},
+		{"mid-host-regression", rep(4, map[int][2]float64{4: {1e6, 1.2e6}}), false, "scaling regression"},
+		{"big-host-pass", rep(8, map[int][2]float64{8: {1e6, 3.2e6}}), false, ""},
+		{"big-host-regression", rep(8, map[int][2]float64{8: {1e6, 2e6}}), false, "scaling regression"},
+	}
+	for _, c := range cases {
+		skip, err := CheckScaleGate(c.rep)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("%s: error %v, want containing %q", c.name, err, c.wantErr)
+		}
+		if c.wantSkip != (skip != "") {
+			t.Errorf("%s: skip = %q, want skip %v", c.name, skip, c.wantSkip)
+		}
+	}
+}

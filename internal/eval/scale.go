@@ -161,13 +161,13 @@ func EngineScale(quick bool) (*ScaleReport, error) {
 
 // CheckScaleGate checks the matrix. On any host every cell must be
 // non-degenerate, account for every packet it was fed (a delivery or an
-// attributed drop, ReconfigRow.Accounted's invariant), and be fed the same
-// packet count. Then it asserts aggregate scale-out on the widest rung: 8
-// workers must deliver at least 3× the 1-worker throughput when the host
-// exposes 8+ cores, 1.5× on 4-7 cores. Below 4 cores the measurement is
-// physically meaningless, so the gate returns a non-empty skip reason —
-// the caller must print it (CI turns it into an annotation) rather than
-// letting the step pass as if it had checked something.
+// attributed drop), and be fed the same packet count. Then it asserts
+// aggregate scale-out on the widest rung: 8 workers must deliver at least
+// 3× the 1-worker throughput when the host exposes 8+ cores, 1.5× on 4-7
+// cores. Below 4 cores the measurement is physically meaningless, so the
+// gate returns a non-empty skip reason — the caller must print it (CI
+// turns it into an annotation) rather than letting the step pass as if it
+// had checked something.
 func CheckScaleGate(rep *ScaleReport) (skip string, err error) {
 	top := 0
 	for i, p := range rep.Points {
