@@ -4,31 +4,27 @@
 // stay resident as a live deployment whose control plane galliumctl
 // reconfigures over a unix socket.
 //
-// Traffic streams through the concurrent sharded engine (Artifacts.Run):
-// -workers picks the shard count, and the report includes wall-clock
-// throughput alongside the virtual-time numbers. -mb takes a comma-
-// separated chain (firewall,mazunat,l4lb) sharing one engine pass. With
-// -metrics it dumps the full observability snapshot (per-table hit/miss
-// counters, server cache statistics, latency histograms) as JSON; with
-// -trace N it prints the first N packets' hop traces at the end of the
-// run — for -listen and -serve, at drain. Each trace is one packet's trip
-// on its worker; with several workers, traces of different flows start in
-// whichever order the workers reach them.
+// Every run is one gallium.Session on the concurrent sharded engine
+// (-workers shards; -mb may name a chain, firewall,mazunat,l4lb, sharing
+// one engine pass). -metrics dumps the observability snapshot as JSON;
+// -trace N prints the first N packets' hop traces at the end of the run,
+// each one packet's trip on its worker.
 //
-// With -serve PATH the simulator keeps generating traffic segment after
-// segment until interrupted, answering the galliumctl JSON protocol on
-// the unix socket at PATH: live stats, firewall rule swaps, LB pool
-// changes with draining, NAT port repartitioning — each applied to the
-// running engine as one atomic visibility flip.
+// The session's ingress is the generated workload by default. With -serve
+// PATH it is segment after segment of that workload until interrupted,
+// while the galliumctl JSON protocol on the unix socket at PATH reports
+// live stats and applies each reconfiguration (firewall rule swap, LB pool
+// change, NAT repartition) as one atomic visibility flip. With -listen
+// ADDR it is a batched UDP front end (internal/udpio): each datagram is
+// one serialized Ethernet frame, and every delivered packet (headers
+// rewritten by the middlebox) echoes back to its sender. Interrupting a
+// generated run stops it at once; interrupting -serve or -listen drains
+// the session and prints the final report and traces.
 //
-// With -listen ADDR the simulator serves real traffic instead of
-// generating its own: a batched UDP front end (internal/udpio) reads
-// datagrams — each one serialized Ethernet frame — decodes them into the
-// engine, and echoes every delivered packet (headers rewritten by the
-// middlebox) back to its sender. -send ADDR is the matching traffic
-// source: it ships the standard workload's frames to a listening
-// simulator and reports the echoes. The two sides share the workload
-// flags, so the listener's scenario whitelist matches the sender's flows.
+// -send ADDR is the matching traffic source: it ships the standard
+// workload's frames to a listening simulator and reports the echoes. It
+// reads only -size, -pps and -ms, which it shares with the listener, and
+// refuses any other flag by name.
 //
 // Usage:
 //
@@ -41,10 +37,12 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"slices"
@@ -64,78 +62,94 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	var usage usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &usage):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "galliumsim:", err)
 		os.Exit(1)
 	}
 }
 
-// parseCache reads -cache's table=entries; the count must be above 0.
-func parseCache(cache string) (map[string]int, error) {
-	if cache == "" {
-		return nil, nil
-	}
-	table, count, ok := strings.Cut(cache, "=")
-	if !ok || table == "" {
-		return nil, fmt.Errorf("bad -cache value %q, want table=entries", cache)
-	}
-	entries, err := strconv.Atoi(count)
-	if err != nil || entries <= 0 {
-		return nil, fmt.Errorf("bad -cache entry count %q, want a whole number above 0", count)
-	}
-	return map[string]int{table: entries}, nil
+// usageError is a command line the flag set refused; the flag set has
+// already printed the error and the usage.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+// config is galliumsim's command line.
+type config struct {
+	mb, mode, cache, pcap, metrics, serve, listen, send string
+	workers, size, ms, trace                            int
+	pps                                                 float64
 }
 
-// run parses galliumsim's command line and runs the mode it selects.
-func run(args []string) error {
-	var mbList, modeStr, cache, pcapPath, metricsPath, servePath, listenAddr, sendAddr string
-	var workers, size, ms, traceN int
-	var pps float64
-	fs := flag.NewFlagSet("galliumsim", flag.ExitOnError)
-	fs.StringVar(&mbList, "mb", "mazunat", "middlebox, or a comma-separated chain: mazunat, l4lb, firewall, proxy, trojandetector, minilb, ipgateway, ddosdetector")
-	fs.StringVar(&modeStr, "mode", "offloaded", "deployment: offloaded or software")
-	fs.IntVar(&workers, "workers", 1, "concurrent server shards (engine workers)")
-	fs.IntVar(&size, "size", 500, "packet size in bytes")
-	fs.Float64Var(&pps, "pps", 4e6, "offered aggregate packet rate")
-	fs.IntVar(&ms, "ms", 10, "simulated duration in milliseconds (per segment with -serve)")
-	fs.StringVar(&cache, "cache", "", "run a table as a §7 switch cache, e.g. -cache conn=512")
-	fs.StringVar(&pcapPath, "pcap", "", "write delivered packets to this pcap file")
-	fs.StringVar(&metricsPath, "metrics", "", "write the observability snapshot as JSON to this file")
-	fs.IntVar(&traceN, "trace", 0, "print hop-by-hop traces for the first N packets")
-	fs.StringVar(&servePath, "serve", "", "stay resident and answer the galliumctl protocol on this unix socket")
-	fs.StringVar(&listenAddr, "listen", "", "serve real traffic: read Gallium frames from this UDP address and echo deliveries")
-	fs.StringVar(&sendAddr, "send", "", "ship the workload as UDP datagrams to a listening simulator and report echoes")
+// parseFlags reads the command line and refuses flags the selected mode
+// would never read, each by name.
+func parseFlags(args []string) (*config, error) {
+	var c config
+	fs := flag.NewFlagSet("galliumsim", flag.ContinueOnError)
+	fs.StringVar(&c.mb, "mb", "mazunat", "middlebox, or a comma-separated chain: "+strings.Join(gallium.Builtins(), ", "))
+	fs.StringVar(&c.mode, "mode", "offloaded", "deployment: offloaded or software")
+	fs.IntVar(&c.workers, "workers", 1, "concurrent server shards (engine workers)")
+	fs.IntVar(&c.size, "size", 500, "packet size in bytes")
+	fs.Float64Var(&c.pps, "pps", 4e6, "offered aggregate packet rate")
+	fs.IntVar(&c.ms, "ms", 10, "simulated duration in milliseconds (per segment with -serve)")
+	fs.StringVar(&c.cache, "cache", "", "run a table as a §7 switch cache, e.g. -cache conn=512")
+	fs.StringVar(&c.pcap, "pcap", "", "write delivered packets to this pcap file")
+	fs.StringVar(&c.metrics, "metrics", "", "write the observability snapshot as JSON to this file")
+	fs.IntVar(&c.trace, "trace", 0, "print hop-by-hop traces for the first N packets")
+	fs.StringVar(&c.serve, "serve", "", "stay resident and answer the galliumctl protocol on this unix socket")
+	fs.StringVar(&c.listen, "listen", "", "serve real traffic: read Gallium frames from this UDP address and echo deliveries")
+	fs.StringVar(&c.send, "send", "", "ship the workload as UDP datagrams to a listening simulator and report echoes (reads only -size, -pps, -ms)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, usageError{err}
 	}
-	resident := listenAddr != "" || servePath != ""
+	var unread []string // flags -send does not read: all but the workload's shape
+	if c.send != "" {
+		fs.Visit(func(f *flag.Flag) {
+			if !slices.Contains([]string{"send", "size", "pps", "ms"}, f.Name) {
+				unread = append(unread, "-"+f.Name)
+			}
+		})
+	}
 	switch {
-	case listenAddr != "" && servePath != "":
-		return errors.New("-listen and -serve are separate resident modes; pick one")
-	case sendAddr != "" && resident:
-		return errors.New("-send is a traffic source of its own; it does not combine with -listen or -serve")
-	case pcapPath != "" && resident:
-		return errors.New("-pcap writes a generated run's deliveries; -listen and -serve do not write it")
+	case c.listen != "" && c.serve != "":
+		return nil, errors.New("-listen and -serve are separate resident modes; pick one")
+	case len(unread) > 0:
+		return nil, fmt.Errorf("-send is a traffic source of its own; it does not read %s", strings.Join(unread, ", "))
+	case c.pcap != "" && (c.listen != "" || c.serve != ""):
+		return nil, errors.New("-pcap writes a generated run's deliveries; -listen and -serve do not write it")
 	}
-	gen := trafficgen.IperfConfig{
-		Conns: 10, PacketSize: size, PPS: pps,
-		DurationNs: int64(ms) * 1_000_000, Seed: 7,
-	}
-	if sendAddr != "" {
-		// Pure traffic source: no middlebox of its own.
-		return runSend(gen, sendAddr)
-	}
+	return &c, nil
+}
 
-	caches, err := parseCache(cache)
-	if err != nil {
-		return err
+// compileChain compiles -mb's middleboxes into one pipeline, each with
+// -cache's table=entries (entries above 0) run as a §7 switch cache.
+func compileChain(mbList, cache string) (*gallium.Pipeline, error) {
+	var caches map[string]int
+	if cache != "" {
+		table, count, ok := strings.Cut(cache, "=")
+		if !ok || table == "" {
+			return nil, fmt.Errorf("bad -cache value %q, want table=entries", cache)
+		}
+		entries, err := strconv.Atoi(count)
+		if err != nil || entries <= 0 {
+			return nil, fmt.Errorf("bad -cache entry count %q, want a whole number above 0", count)
+		}
+		caches = map[string]int{table: entries}
 	}
 	names := strings.Split(mbList, ",")
 	arts := make([]*gallium.Artifacts, 0, len(names))
 	for _, name := range names {
 		art, err := gallium.CompileBuiltin(strings.TrimSpace(name), gallium.Options{CacheEntries: caches})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		arts = append(arts, art)
 	}
@@ -144,185 +158,167 @@ func run(args []string) error {
 			g := a.Prog.Global(table)
 			return g != nil && g.Kind == ir.KindMap
 		}) {
-			return fmt.Errorf("-cache: no middlebox of -mb %s declares a map table %q", mbList, table)
+			return nil, fmt.Errorf("-cache: no middlebox of -mb %s declares a map table %q", mbList, table)
 		}
 	}
-	mode, err := gallium.ParseMode(modeStr)
+	return gallium.Chain(arts...)
+}
+
+// run parses galliumsim's command line, runs the mode it selects until
+// the mode ends or ctx is cancelled, and prints to stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	c, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-
+	gen := trafficgen.IperfConfig{
+		Conns: 10, PacketSize: c.size, PPS: c.pps,
+		DurationNs: int64(c.ms) * 1_000_000, Seed: 7,
+	}
+	if c.send != "" {
+		return runSend(ctx, gen, c.send, stdout)
+	}
+	chain, err := compileChain(c.mb, c.cache)
+	if err != nil {
+		return err
+	}
+	mode, err := gallium.ParseMode(c.mode)
+	if err != nil {
+		return err
+	}
 	var reg *obs.Registry
-	if metricsPath != "" || traceN > 0 {
+	if c.metrics != "" || c.trace > 0 {
 		reg = obs.NewRegistry()
-		reg.EnableTracing(traceN)
+		reg.EnableTracing(c.trace)
 	}
-
-	chain, err := gallium.Chain(arts...)
-	if err != nil {
-		return err
-	}
-	if listenAddr != "" {
-		return runListen(chain, gen, mbList, modeStr, mode, workers, listenAddr, reg, metricsPath)
-	}
-	if servePath != "" {
-		return runServe(chain, gen, mbList, modeStr, mode, workers, servePath, reg, metricsPath)
-	}
-
-	// Deliveries are kept only to write them out.
-	type delivered struct {
-		deliverNs int64
-		pkt       *packet.Packet
-	}
-	var mu sync.Mutex
-	var outs []delivered
 	opts := []gallium.Option{
 		gallium.WithMode(mode),
-		gallium.WithWorkers(workers),
+		gallium.WithWorkers(c.workers),
 		gallium.WithScenario(),
+		gallium.WithFlows(gen.Tuples()),
 		gallium.WithMetrics(reg),
 	}
-	if pcapPath != "" {
-		opts = append(opts, gallium.WithDeliveries(func(d gallium.Delivery) {
-			if !d.Delivered {
-				return
-			}
-			mu.Lock()
-			outs = append(outs, delivered{d.DeliverNs, d.Pkt})
-			mu.Unlock()
-		}))
+
+	var rep *gallium.Report
+	var outs []gallium.Delivery // kept only to write -pcap
+	if c.listen != "" || c.serve != "" {
+		rep, err = resident(ctx, stdout, chain, opts, c, gen)
+	} else {
+		var mu sync.Mutex
+		if c.pcap != "" {
+			opts = append(opts, gallium.WithDeliveries(func(d gallium.Delivery) {
+				if d.Delivered {
+					mu.Lock()
+					outs = append(outs, d)
+					mu.Unlock()
+				}
+			}))
+		}
+		if rep, err = chain.Run(ctx, gen, opts...); err == nil {
+			fmt.Fprintf(stdout, "middlebox %s, %s mode, %d worker(s), %dB packets, %.1f Mpps offered, %d ms\n",
+				c.mb, c.mode, rep.Workers, c.size, c.pps/1e6, c.ms)
+		}
 	}
-	rep, err := chain.Run(context.Background(), gen, opts...)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("middlebox %s, %s mode, %d worker(s), %dB packets, %.1f Mpps offered, %d ms\n",
-		mbList, modeStr, rep.Workers, size, pps/1e6, ms)
-	rep.WriteText(os.Stdout)
-	if pcapPath != "" {
-		// Deliveries arrive in per-worker order; restore global time order.
-		sort.Slice(outs, func(i, j int) bool { return outs[i].deliverNs < outs[j].deliverNs })
-		f, err := os.Create(pcapPath)
+	rep.WriteText(stdout)
+	if c.pcap != "" {
+		if err := writePcap(stdout, c.pcap, outs); err != nil {
+			return err
+		}
+	}
+	return writeMetrics(stdout, reg, c.metrics)
+}
+
+// resident keeps the deployment live until ctx is cancelled, then drains
+// it: -serve feeds segment after segment of gen beside the control socket,
+// -listen serves the UDP front end, whose deliveries echo to their senders.
+func resident(ctx context.Context, stdout io.Writer, chain *gallium.Pipeline, opts []gallium.Option,
+	c *config, gen trafficgen.IperfConfig) (*gallium.Report, error) {
+	var fe *udpio.Frontend
+	if c.listen != "" {
+		var err error
+		if fe, err = udpio.Listen(udpio.Config{Addr: c.listen}); err != nil {
+			return nil, err
+		}
+		defer fe.Close()
+		opts = append(opts, gallium.WithDeliveries(fe.Deliver))
+	}
+	s, err := chain.Open(opts...)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close() // for the error returns; Close is idempotent
+	if fe != nil {
+		fmt.Fprintf(stdout, "galliumsim: %s (%s mode, %d worker(s)) listening on udp://%s\n",
+			c.mb, c.mode, c.workers, fe.Addr())
+		fmt.Fprintf(stdout, "galliumsim: feed it with: galliumsim -send %s -size %d -pps %g -ms %d\n",
+			fe.Addr(), c.size, c.pps, c.ms)
+		if err := fe.Serve(ctx, s); err != nil && !errors.Is(err, context.Canceled) {
+			return nil, err
+		}
+		fmt.Fprintln(stdout, "galliumsim: interrupted, draining")
+	} else {
+		srv, err := s.Serve(c.serve)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		defer f.Close()
-		w := packet.NewPcapWriter(f)
-		for _, d := range outs {
-			if err := w.WritePacket(d.deliverNs, d.pkt.Serialize()); err != nil {
-				return err
+		defer srv.Close()
+		fmt.Fprintf(stdout, "galliumsim: serving %s (%s mode, %d worker(s)) on %s\n",
+			c.mb, c.mode, c.workers, c.serve)
+		fmt.Fprintf(stdout, "galliumsim: feeding %.1f Mpps in %d ms segments until interrupted\n",
+			c.pps/1e6, c.ms)
+		segments := 0
+		for ; ctx.Err() == nil; segments++ {
+			if err := s.Feed(trafficgen.Shifted{WL: gen, OffsetNs: int64(segments) * gen.DurationNs}); err != nil {
+				if ctx.Err() != nil {
+					break
+				}
+				return nil, err
 			}
 		}
-		fmt.Printf("  wrote %d delivered packets to %s\n", len(outs), pcapPath)
-	}
-	return writeMetrics(reg, metricsPath)
-}
-
-// runServe keeps the deployment live: segment after segment of generated
-// traffic flows through one Session while the control server answers
-// galliumctl on the unix socket. Interrupt (SIGINT/SIGTERM) drains and
-// prints the final report.
-func runServe(chain *gallium.Pipeline, gen trafficgen.IperfConfig, mbList, modeStr string,
-	mode gallium.Mode, workers int, servePath string, reg *obs.Registry, metricsPath string) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	s, err := chain.Open(
-		gallium.WithMode(mode),
-		gallium.WithWorkers(workers),
-		gallium.WithScenario(),
-		gallium.WithFlows(gen.Tuples()),
-		gallium.WithMetrics(reg),
-	)
-	if err != nil {
-		return err
-	}
-	srv, err := s.Serve(servePath)
-	if err != nil {
-		_, _ = s.Close()
-		return err
-	}
-	fmt.Printf("galliumsim: serving %s (%s mode, %d worker(s)) on %s\n",
-		mbList, modeStr, workers, servePath)
-	fmt.Printf("galliumsim: feeding %.1f Mpps in %d ms segments until interrupted\n",
-		gen.PPS/1e6, gen.DurationNs/1_000_000)
-
-	var offset int64
-	segments := 0
-	for ctx.Err() == nil {
-		if err := s.Feed(trafficgen.Shifted{WL: gen, OffsetNs: offset}); err != nil {
-			if ctx.Err() != nil {
-				break
-			}
-			_ = srv.Close()
-			_, _ = s.Close()
-			return err
+		fmt.Fprintf(stdout, "galliumsim: interrupted after %d segment(s), draining\n", segments)
+		if err := srv.Close(); err != nil {
+			return nil, err
 		}
-		offset += gen.DurationNs
-		segments++
-	}
-
-	fmt.Printf("galliumsim: interrupted after %d segment(s), draining\n", segments)
-	if err := srv.Close(); err != nil {
-		return err
 	}
 	rep, err := s.Close()
-	if err != nil {
-		return err
-	}
-	rep.WriteText(os.Stdout)
-	return writeMetrics(reg, metricsPath)
-}
-
-// runListen keeps the deployment live behind a batched UDP front end:
-// every datagram is one Gallium frame, every delivery echoes back to its
-// sender with the middlebox's rewrites applied. Interrupt drains and
-// prints the final report.
-func runListen(chain *gallium.Pipeline, gen trafficgen.IperfConfig, mbList, modeStr string,
-	mode gallium.Mode, workers int, addr string, reg *obs.Registry, metricsPath string) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	fe, err := udpio.Listen(udpio.Config{Addr: addr})
-	if err != nil {
-		return err
-	}
-	defer fe.Close()
-	s, err := chain.Open(
-		gallium.WithMode(mode),
-		gallium.WithWorkers(workers),
-		gallium.WithScenario(),
-		gallium.WithFlows(gen.Tuples()),
-		gallium.WithMetrics(reg),
-		gallium.WithDeliveries(fe.Deliver),
-	)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("galliumsim: %s (%s mode, %d worker(s)) listening on udp://%s\n",
-		mbList, modeStr, workers, fe.Addr())
-	fmt.Printf("galliumsim: feed it with: galliumsim -send %s -size %d -pps %g -ms %d\n",
-		fe.Addr(), gen.PacketSize, gen.PPS, gen.DurationNs/1_000_000)
-
-	if err := fe.Serve(ctx, s); err != nil && !errors.Is(err, context.Canceled) {
-		_, _ = s.Close()
-		return err
-	}
-	fmt.Println("galliumsim: interrupted, draining")
-	rep, err := s.Close()
-	if err != nil {
-		return err
+	if err != nil || fe == nil {
+		return rep, err
 	}
 	st := fe.Stats()
-	fmt.Printf("  udp: rx %d datagrams in %d batches, tx %d in %d, decode-errors %d\n",
+	fmt.Fprintf(stdout, "  udp: rx %d datagrams in %d batches, tx %d in %d, decode-errors %d\n",
 		st.RxDatagrams, st.RxBatches, st.TxDatagrams, st.TxBatches, st.DecodeErrors)
-	rep.WriteText(os.Stdout)
-	return writeMetrics(reg, metricsPath)
+	return rep, nil
+}
+
+// writePcap stores a generated run's deliveries at path in global time
+// order; they arrive in per-worker order.
+func writePcap(stdout io.Writer, path string, outs []gallium.Delivery) error {
+	sort.Slice(outs, func(i, j int) bool { return outs[i].DeliverNs < outs[j].DeliverNs })
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	w := packet.NewPcapWriter(f)
+	for _, d := range outs {
+		if err := w.WritePacket(d.DeliverNs, d.Pkt.Serialize()); err != nil {
+			return err
+		}
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "  wrote %d delivered packets to %s\n", len(outs), path)
+	return nil
 }
 
 // runSend is the traffic side of -listen: serialize the workload, ship it
-// over UDP in sendmmsg-style batches, and report the echoes.
-func runSend(gen trafficgen.IperfConfig, addr string) error {
+// over UDP in sendmmsg-style batches, and report the echoes. Cancelling
+// ctx closes the socket, which ends the exchange.
+func runSend(ctx context.Context, gen trafficgen.IperfConfig, addr string, stdout io.Writer) error {
 	var frames [][]byte
 	err := gen.Generate(func(_ int64, pkt *packet.Packet) error {
 		frames = append(frames, pkt.Serialize())
@@ -336,28 +332,26 @@ func runSend(gen trafficgen.IperfConfig, addr string) error {
 		return err
 	}
 	defer c.Close()
+	defer context.AfterFunc(ctx, func() { c.Close() })()
 	// Receive concurrently with sending, or early echoes overflow the
 	// client's socket buffer while the tail of the workload ships.
-	type recvResult struct {
-		echoes [][]byte
-		err    error
-	}
-	rch := make(chan recvResult, 1)
+	var echoes [][]byte
+	var recvErr error
+	received := make(chan struct{})
 	start := time.Now()
 	go func() {
-		e, err := c.Recv(len(frames), 5*time.Second)
-		rch <- recvResult{e, err}
+		echoes, recvErr = c.Recv(len(frames), 5*time.Second)
+		close(received)
 	}()
-	if err := c.Send(frames); err != nil {
-		return err
+	if err = c.Send(frames); err != nil {
+		c.Close() // ends Recv
 	}
-	r := <-rch
-	if r.err != nil {
-		return r.err
+	<-received
+	if err = cmp.Or(err, recvErr); err != nil {
+		return cmp.Or(ctx.Err(), err)
 	}
-	echoes := r.echoes
 	wall := time.Since(start)
-	fmt.Printf("galliumsim: sent %d datagrams to %s, received %d echoes (%.1f%%) in %.1f ms (%.3f Mpps round-trip)\n",
+	fmt.Fprintf(stdout, "galliumsim: sent %d datagrams to %s, received %d echoes (%.1f%%) in %.1f ms (%.3f Mpps round-trip)\n",
 		len(frames), addr, len(echoes), 100*float64(len(echoes))/max(1, float64(len(frames))),
 		float64(wall.Nanoseconds())/1e6, float64(len(echoes))/wall.Seconds()/1e6)
 	return nil
@@ -365,15 +359,15 @@ func runSend(gen trafficgen.IperfConfig, addr string) error {
 
 // writeMetrics prints the recorded hop traces and, given a path, writes
 // the registry's snapshot there as JSON.
-func writeMetrics(reg *obs.Registry, metricsPath string) error {
+func writeMetrics(stdout io.Writer, reg *obs.Registry, metricsPath string) error {
 	if reg == nil {
 		return nil
 	}
 	snap := reg.Snapshot()
 	if len(snap.Traces) > 0 {
-		fmt.Printf("\nhop traces (first %d packets):\n", len(snap.Traces))
+		fmt.Fprintf(stdout, "\nhop traces (first %d packets):\n", len(snap.Traces))
 		for _, tr := range snap.Traces {
-			fmt.Print(tr.Format())
+			fmt.Fprint(stdout, tr.Format())
 		}
 	}
 	if metricsPath != "" {
@@ -384,7 +378,7 @@ func writeMetrics(reg *obs.Registry, metricsPath string) error {
 		if err := os.WriteFile(metricsPath, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote %d counters, %d histograms, %d traces to %s\n",
+		fmt.Fprintf(stdout, "\nwrote %d counters, %d histograms, %d traces to %s\n",
 			len(snap.Counters), len(snap.Histograms), len(snap.Traces), metricsPath)
 	}
 	return nil

@@ -194,11 +194,12 @@ func CompileTarget(target string, opts Options) (*Artifacts, error) {
 	return CompileBuiltin(target, opts)
 }
 
-// Builtins returns the names CompileBuiltin accepts: the paper five plus
-// the scenario-diversity set (tunlb, synproxy, mssclamp, firewall6).
+// Builtins returns the names CompileBuiltin accepts: the paper five, the
+// scenario-diversity set (tunlb, synproxy, mssclamp, firewall6), minilb,
+// ipgateway and ddosdetector.
 func Builtins() []string {
-	names := []string{"minilb", "ipgateway"}
-	for _, s := range middleboxes.Extended() {
+	var names []string
+	for _, s := range middleboxes.Builtins() {
 		names = append(names, s.Name)
 	}
 	return names

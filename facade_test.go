@@ -92,16 +92,29 @@ func TestCompileBuiltinAndTarget(t *testing.T) {
 	}
 }
 
+// TestBuiltinsListsEveryMiddlebox: Builtins names each middlebox Lookup
+// accepts exactly once, and nothing else, and each of them compiles.
 func TestBuiltinsListsEveryMiddlebox(t *testing.T) {
 	names := gallium.Builtins()
 	have := make(map[string]bool, len(names))
 	for _, n := range names {
+		if have[n] {
+			t.Errorf("Builtins() lists %q twice", n)
+		}
 		have[n] = true
 	}
-	for _, want := range []string{"minilb", "mazunat", "l4lb", "firewall", "proxy", "trojandetector"} {
+	every := []string{"minilb", "ipgateway", "ddosdetector", "mazunat", "l4lb", "firewall", "proxy",
+		"trojandetector", "tunlb", "synproxy", "mssclamp", "firewall6"}
+	for _, want := range every {
+		if _, err := middleboxes.Lookup(want); err != nil {
+			t.Errorf("Lookup(%q): %v", want, err)
+		}
 		if !have[want] {
 			t.Errorf("Builtins() missing %q (got %v)", want, names)
 		}
+	}
+	if len(names) != len(every) {
+		t.Errorf("Builtins() lists %d names, want the %d Lookup accepts: %v", len(names), len(every), names)
 	}
 	for _, n := range names {
 		if _, err := gallium.CompileBuiltin(n, gallium.Options{}); err != nil {

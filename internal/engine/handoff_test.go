@@ -310,11 +310,13 @@ func allParked(t *testing.T, eng *Engine) {
 // park, so its packets are mostly run on it (borrowed); the other marks
 // its packets RxBurst, so they queue, often behind a borrowed run of the
 // same flow. Meanwhile LiveReport settles and Reconfigure pauses arrive
-// from two more goroutines. Every packet must be delivered exactly once,
-// each flow's and each worker's in sequence order, both paths must have
-// run, and each flow must own exactly one NAT mapping: a write-back made
-// in a borrowed run was served to the flow's next packet wherever that
-// ran.
+// from two more goroutines. The unmarked dispatcher sends its first round
+// of flows alone, each packet once its worker has parked, so that round
+// is borrowed however loaded the host is. Every packet must be delivered
+// exactly once, each flow's and each worker's in sequence order, both
+// paths must have run, and each flow must own exactly one NAT mapping: a
+// write-back made in a borrowed run was served to the flow's next packet
+// wherever that ran.
 func TestBorrowedRunsKeepFIFO(t *testing.T) {
 	_, res := compileMB(t, "mazunat")
 	const workers, perFlow = 8, 16
@@ -351,10 +353,15 @@ func TestBorrowedRunsKeepFIFO(t *testing.T) {
 	}
 
 	stop := make(chan struct{})
+	// alone closes once the unmarked dispatcher's first round is sent; the
+	// other goroutines start then.
+	alone := make(chan struct{})
+	endAlone := sync.OnceFunc(func() { close(alone) })
 	var ctl, traffic sync.WaitGroup
 	ctl.Add(2)
 	go func() {
 		defer ctl.Done()
+		<-alone
 		for {
 			select {
 			case <-stop:
@@ -370,6 +377,7 @@ func TestBorrowedRunsKeepFIFO(t *testing.T) {
 	}()
 	go func() {
 		defer ctl.Done()
+		<-alone
 		for i := 0; i < 5; i++ {
 			if err := eng.Reconfigure(Reconfig{Mutate: func(int, *ir.State) []switchsim.Update { return nil }}); err != nil {
 				t.Error(err)
@@ -381,15 +389,26 @@ func TestBorrowedRunsKeepFIFO(t *testing.T) {
 	var sent atomic.Int64
 	dispatch := func(burst bool) {
 		defer traffic.Done()
+		if burst {
+			<-alone
+		} else {
+			defer endAlone()
+		}
 		for i := 0; i < perFlow; i++ {
+			if i == 1 && !burst {
+				endAlone()
+			}
 			for _, tup := range flows {
 				pkt := packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{Flags: packet.TCPFlagACK})
 				pkt.RxBurst = burst
 				if !burst {
-					// Give the worker a moment to park; a packet that finds
-					// it busy queues, which the test allows.
+					// Give the worker time to park: in the first round,
+					// while nothing else gives it work, up to ten seconds;
+					// later a moment, and a packet that finds it busy
+					// queues, which the test allows.
 					box := eng.workers[RSSShard(pkt, workers)].box
-					for spin := 0; spin < 1000 && !box.consumerParked(); spin++ {
+					deadline := time.Now().Add(10 * time.Second)
+					for spin := 0; (i == 0 && time.Now().Before(deadline) || spin < 1000) && !box.consumerParked(); spin++ {
 						runtime.Gosched()
 					}
 				}

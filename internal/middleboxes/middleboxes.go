@@ -507,19 +507,19 @@ func Extended() []Spec {
 	)
 }
 
-// Lookup returns the named middlebox spec: the extended set plus
-// "minilb", the LPM-based "ipgateway", and "ddosdetector".
+// Builtins returns every middlebox Lookup accepts: "minilb", the
+// LPM-based "ipgateway", the extended set, and "ddosdetector".
+func Builtins() []Spec {
+	specs := append([]Spec{
+		{"minilb", MiniLBSource},
+		{"ipgateway", IPGatewaySource},
+	}, Extended()...)
+	return append(specs, Spec{"ddosdetector", DDoSDetectorSource})
+}
+
+// Lookup returns the named middlebox spec, one of Builtins.
 func Lookup(name string) (Spec, error) {
-	if name == "minilb" {
-		return Spec{Name: "minilb", Source: MiniLBSource}, nil
-	}
-	if name == "ipgateway" {
-		return Spec{Name: "ipgateway", Source: IPGatewaySource}, nil
-	}
-	if name == "ddosdetector" {
-		return Spec{Name: "ddosdetector", Source: DDoSDetectorSource}, nil
-	}
-	for _, s := range Extended() {
+	for _, s := range Builtins() {
 		if s.Name == name {
 			return s, nil
 		}
