@@ -2,10 +2,11 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
-
-	"gallium/internal/eval"
 )
 
 // TestRunUnknownExperiment checks that a mistyped -exp fails and that the
@@ -29,18 +30,33 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestRunTable3 checks that one named experiment runs alone and prints
-// its table.
-func TestRunTable3(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(&out, "table3", true); err != nil {
-		t.Fatal(err)
+// TestQuickGolden runs each deterministic experiment alone at -quick and
+// requires its output to match testdata/quick/<exp>.golden byte for byte,
+// so a refactor of internal/eval that moves any printed number fails here.
+// scale and flows time the host and stay out. A golden is regenerated
+// with `go run ./cmd/galliumbench -exp <exp> -quick >
+// cmd/galliumbench/testdata/quick/<exp>.golden`, and every changed line
+// must be explained where the change is recorded.
+func TestQuickGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Other targets may fuse multiply-adds and move a last digit.
+		t.Skipf("goldens are pinned on amd64, not %s", runtime.GOARCH)
 	}
-	got := out.String()
-	if want := eval.FormatTable3(eval.Table3()) + "\n"; got != want {
-		t.Fatalf("-exp table3 printed:\n%s\nwant:\n%s", got, want)
-	}
-	if !strings.HasPrefix(got, "Table 3:") {
-		t.Fatalf("-exp table3 did not print Table 3:\n%s", got)
+	for _, exp := range []string{"table1", "offloading", "fig7", "table2", "table3", "fig8", "fig9", "loadsweep", "ablation", "headline"} {
+		t.Run(exp, func(t *testing.T) {
+			t.Parallel()
+			var out bytes.Buffer
+			if err := run(&out, exp, true); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("testdata", "quick", exp+".golden")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out.String(); got != string(want) {
+				t.Errorf("-exp %s -quick drifted from %s:\n--- got ---\n%s--- want ---\n%s", exp, path, got, want)
+			}
+		})
 	}
 }
