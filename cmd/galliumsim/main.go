@@ -269,9 +269,12 @@ func resident(ctx context.Context, stdout io.Writer, chain *gallium.Pipeline, op
 			c.mb, c.mode, c.workers, c.serve)
 		fmt.Fprintf(stdout, "galliumsim: feeding %.1f Mpps in %d ms segments until interrupted\n",
 			c.pps/1e6, c.ms)
+		// segments counts those fed, the one the interrupt cut short too.
 		segments := 0
-		for ; ctx.Err() == nil; segments++ {
-			if err := s.Feed(trafficgen.Shifted{WL: gen, OffsetNs: int64(segments) * gen.DurationNs}); err != nil {
+		for ctx.Err() == nil {
+			seg := trafficgen.Shifted{WL: gen, OffsetNs: int64(segments) * gen.DurationNs}
+			segments++
+			if err := s.Feed(untilCancelled{ctx, seg}); err != nil {
 				if ctx.Err() != nil {
 					break
 				}
@@ -291,6 +294,25 @@ func resident(ctx context.Context, stdout io.Writer, chain *gallium.Pipeline, op
 	fmt.Fprintf(stdout, "  udp: rx %d datagrams in %d batches, tx %d in %d, decode-errors %d\n",
 		st.RxDatagrams, st.RxBatches, st.TxDatagrams, st.TxBatches, st.DecodeErrors)
 	return rep, nil
+}
+
+// untilCancelled is a workload that stops emitting once ctx is cancelled,
+// so an interrupted Feed settles only the packets already in flight.
+type untilCancelled struct {
+	ctx context.Context
+	gallium.Workload
+}
+
+func (u untilCancelled) Generate(emit func(tNs int64, pkt *packet.Packet) error) error {
+	done := u.ctx.Done()
+	return u.Workload.Generate(func(tNs int64, pkt *packet.Packet) error {
+		select {
+		case <-done:
+			return u.ctx.Err()
+		default:
+			return emit(tNs, pkt)
+		}
+	})
 }
 
 // writePcap stores a generated run's deliveries at path in global time

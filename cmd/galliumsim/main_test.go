@@ -233,23 +233,7 @@ func TestServeAnswersControl(t *testing.T) {
 	if _, err := c.Do(ctlplane.Request{Op: ctlplane.OpPing}); err != nil {
 		t.Fatal(err)
 	}
-	// Stats until traffic shows, so at least one segment is fed.
-	for deadline := time.Now().Add(time.Minute); ; {
-		resp, err := c.Do(ctlplane.Request{Op: ctlplane.OpStats})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Stats == nil || !slices.Equal(resp.Stats.StageNames, []string{"firewall", "l4lb"}) {
-			t.Fatalf("stats: %+v, want a report on stages firewall, l4lb", resp.Stats)
-		}
-		if resp.Stats.Stats.Injected > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no packet injected within a minute")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitTraffic(t, c, "firewall", "l4lb")
 	pool := []ctlplane.Backend{{Addr: packet.MakeIPv4Addr(10, 0, 1, 9), Weight: 1}}
 	if _, err := c.Do(ctlplane.Request{Op: ctlplane.OpLBPool, StageName: "l4lb", Backends: pool}); err != nil {
 		t.Fatal(err)
@@ -269,6 +253,52 @@ func TestServeAnswersControl(t *testing.T) {
 	}
 	if _, err := os.Stat(sock); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("control socket still there after drain: %v", err)
+	}
+}
+
+// TestServeInterruptIsPrompt checks that interrupting -serve stops the
+// segment it is feeding: the drain settles only the packets in flight, so
+// the final report follows within seconds however long -ms makes a
+// segment (a 10 s segment is 40 M packets).
+func TestServeInterruptIsPrompt(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "g.sock")
+	sim := start(t, "-ms", "10000", "-serve", sock)
+	sim.waitFor(t, `feeding 4.0 Mpps in (10000) ms segments until interrupted`)
+	c, err := ctlplane.Dial(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitTraffic(t, c, "mazunat")
+	c.Close()
+
+	begin := time.Now()
+	out := sim.stop(t)
+	if d := time.Since(begin); d > 3*time.Second {
+		t.Errorf("-serve took %v to drain after the interrupt", d)
+	}
+	match(t, out, `galliumsim: interrupted after (1) segment\(s\), draining\n`)
+	match(t, out, `(?m)^  injected [1-9]\d*  delivered [1-9]\d*  `)
+}
+
+// awaitTraffic asks a -serve run for stats until a packet has been
+// injected, requiring each report to name stages.
+func awaitTraffic(t *testing.T, c *ctlplane.Client, stages ...string) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Minute); ; {
+		resp, err := c.Do(ctlplane.Request{Op: ctlplane.OpStats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Stats == nil || !slices.Equal(resp.Stats.StageNames, stages) {
+			t.Fatalf("stats: %+v, want a report on stages %v", resp.Stats, stages)
+		}
+		if resp.Stats.Stats.Injected > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no packet injected within a minute")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

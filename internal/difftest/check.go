@@ -95,19 +95,30 @@ func (p *ProgramSpec) Setup(st *ir.State) {
 }
 
 // runOracle executes the unpartitioned IR sequentially through the
-// reference interpreter — the definition of correct behavior.
-func runOracle(prog *ir.Program, spec *ProgramSpec, tr *Trace) ([]PacketOutcome, *ir.State, error) {
+// reference interpreter — the definition of correct behavior. Packet i
+// arrives at i*PacketSpacingNs. With expiry set, a flow-state tracker is
+// armed on the state and swept after every packet.
+func runOracle(prog *ir.Program, spec *ProgramSpec, tr *Trace, expiry *flowstate.Config) ([]PacketOutcome, *ir.State, error) {
 	st := ir.NewState(prog)
 	spec.Setup(st)
+	var trk *flowstate.Tracker
+	if expiry != nil {
+		trk = flowstate.NewTracker(*expiry, st, flowstate.DynamicMaps(prog))
+	}
 	outs := make([]PacketOutcome, len(tr.Packets))
 	for i := range tr.Packets {
 		pkt := tr.Build(i)
+		tNs := int64(i) * PacketSpacingNs
+		st.NowNs, st.Class = tNs, uint8(flowstate.ClassOf(pkt))
 		res, err := prog.Exec(&ir.Env{State: st, Pkt: pkt})
 		if err != nil {
 			return nil, nil, fmt.Errorf("packet %d: %w", i, err)
 		}
 		if res.Action == ir.ActionSent {
 			outs[i] = PacketOutcome{Sent: true, Bytes: outBytes(pkt)}
+		}
+		if trk != nil {
+			trk.Sweep(tNs, true)
 		}
 	}
 	return outs, st, nil
@@ -214,23 +225,9 @@ func runEngine(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace, workers int
 func runExpiry(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace) *Divergence {
 	cfg := spec.Expiry.Normalized()
 	cfg.SweepEvery = 1
-
-	st := ir.NewState(art.Prog)
-	spec.Setup(st)
-	trk := flowstate.NewTracker(cfg, st, flowstate.DynamicMaps(art.Prog))
-	oracle := make([]PacketOutcome, len(tr.Packets))
-	for i := range tr.Packets {
-		pkt := tr.Build(i)
-		tNs := int64(i) * PacketSpacingNs
-		st.NowNs, st.Class = tNs, uint8(flowstate.ClassOf(pkt))
-		res, err := art.Prog.Exec(&ir.Env{State: st, Pkt: pkt})
-		if err != nil {
-			return &Divergence{Leg: "expiry", Detail: fmt.Sprintf("oracle packet %d: %v", i, err)}
-		}
-		if res.Action == ir.ActionSent {
-			oracle[i] = PacketOutcome{Sent: true, Bytes: outBytes(pkt)}
-		}
-		trk.Sweep(tNs, true)
+	oracle, st, err := runOracle(art.Prog, spec, tr, &cfg)
+	if err != nil {
+		return &Divergence{Leg: "expiry", Detail: "oracle " + err.Error()}
 	}
 
 	outs, states, _, err := runEngine(art, spec, tr, 1, gallium.WithFlowTable(cfg))
@@ -371,7 +368,7 @@ func DiffArtifacts(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace) *Diverg
 		return &Divergence{Leg: "affinity", Detail: "generator declares shard-safe but the analyzer could not certify exact flow affinity (" + detail + ")"}
 	}
 
-	oracle, ostate, err := runOracle(art.Prog, spec, tr)
+	oracle, ostate, err := runOracle(art.Prog, spec, tr, nil)
 	if err != nil {
 		return &Divergence{Leg: "oracle", Detail: err.Error()}
 	}

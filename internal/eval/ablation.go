@@ -31,108 +31,90 @@ type AblationRow struct {
 	Extra string
 }
 
-func partitionWith(name string, opts gallium.Options) (*partition.Result, error) {
-	art, err := gallium.CompileBuiltin(name, opts)
-	if err != nil {
-		return nil, err
-	}
-	return art.Res, nil
+// Sweep is one partition ablation: one row per (middlebox, setting).
+type Sweep struct {
+	Title string
+	Rows  []AblationRow
 }
 
-// AblationTransferBudget sweeps Constraint 5.
-func AblationTransferBudget() ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, s := range middleboxes.All() {
-		for _, budget := range []int{2, 4, 8, 20} {
-			res, err := partitionWith(s.Name, gallium.Options{TransferBytes: gallium.Int(budget)})
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, AblationRow{
-				Middlebox: s.Name, Setting: fmt.Sprintf("%dB budget", budget),
-				OffloadPct:    100 * res.Report.OffloadFraction(),
-				TransferBytes: res.FormatA.DataLen() + res.FormatB.DataLen(),
-			})
-		}
-	}
-	return rows, nil
+// sweepSetting is one column of a partition ablation: its label and the
+// options every middlebox compiles with.
+type sweepSetting struct {
+	label string
+	opts  gallium.Options
 }
 
-// AblationPipelineDepth sweeps Constraint 2.
-func AblationPipelineDepth() ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, s := range middleboxes.All() {
-		for _, depth := range []int{6, 12, 20, 32} {
-			res, err := partitionWith(s.Name, gallium.Options{PipelineDepth: gallium.Int(depth)})
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, AblationRow{
-				Middlebox: s.Name, Setting: fmt.Sprintf("depth %d", depth),
-				OffloadPct:    100 * res.Report.OffloadFraction(),
-				TransferBytes: res.FormatA.DataLen() + res.FormatB.DataLen(),
-				Extra:         fmt.Sprintf("used %d", max(res.Report.DepthPre, res.Report.DepthPost)),
-			})
-		}
-	}
-	return rows, nil
-}
-
-// AblationRematerialization compares transfers with and without header
-// rematerialization.
-func AblationRematerialization() ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, s := range middleboxes.All() {
-		for _, noRemat := range []bool{false, true} {
-			res, err := partitionWith(s.Name, gallium.Options{NoRematerialization: noRemat})
-			if err != nil {
-				return nil, err
-			}
-			setting := "remat on"
-			if noRemat {
-				setting = "remat off"
-			}
-			rows = append(rows, AblationRow{
-				Middlebox: s.Name, Setting: setting,
-				OffloadPct:    100 * res.Report.OffloadFraction(),
-				TransferBytes: res.FormatA.DataLen() + res.FormatB.DataLen(),
-			})
-		}
-	}
-	return rows, nil
-}
-
-// AblationObjective compares the statement-count objective against the §7
-// weighted cost model.
-func AblationObjective() ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, s := range middleboxes.All() {
-		for _, weighted := range []bool{false, true} {
-			res, err := partitionWith(s.Name, gallium.Options{WeightedObjective: weighted})
-			if err != nil {
-				return nil, err
-			}
-			setting := "count"
-			if weighted {
-				setting = "weighted"
-			}
-			lookups := 0
-			for id, a := range res.Assign {
-				if a != partition.NonOff {
-					switch res.Prog.Fn.Stmt(id).Kind {
-					case ir.MapFind, ir.VecGet:
-						lookups++
-					}
+// partitionSweeps is every partition ablation in the order Ablations
+// prints them. detail reads a result's transfer bytes and extra column.
+var partitionSweeps = []struct {
+	title    string
+	settings []sweepSetting
+	detail   func(res *partition.Result) (xfer int, extra string)
+}{
+	{"Ablation: transfer budget (Constraint 5)", []sweepSetting{
+		{"2B budget", gallium.Options{TransferBytes: gallium.Int(2)}},
+		{"4B budget", gallium.Options{TransferBytes: gallium.Int(4)}},
+		{"8B budget", gallium.Options{TransferBytes: gallium.Int(8)}},
+		{"20B budget", gallium.Options{TransferBytes: gallium.Int(20)}},
+	}, func(res *partition.Result) (int, string) { return transferBytes(res), "" }},
+	{"Ablation: pipeline depth (Constraint 2)", []sweepSetting{
+		{"depth 6", gallium.Options{PipelineDepth: gallium.Int(6)}},
+		{"depth 12", gallium.Options{PipelineDepth: gallium.Int(12)}},
+		{"depth 20", gallium.Options{PipelineDepth: gallium.Int(20)}},
+		{"depth 32", gallium.Options{PipelineDepth: gallium.Int(32)}},
+	}, func(res *partition.Result) (int, string) {
+		return transferBytes(res), fmt.Sprintf("used %d", max(res.Report.DepthPre, res.Report.DepthPost))
+	}},
+	{"Ablation: header rematerialization", []sweepSetting{
+		{"remat on", gallium.Options{}},
+		{"remat off", gallium.Options{NoRematerialization: true}},
+	}, func(res *partition.Result) (int, string) { return transferBytes(res), "" }},
+	// The §7 weighted cost model against the statement-count objective.
+	{"Ablation: partitioning objective (§7 cost model)", []sweepSetting{
+		{"count", gallium.Options{}},
+		{"weighted", gallium.Options{WeightedObjective: true}},
+	}, func(res *partition.Result) (int, string) {
+		lookups := 0
+		for id, a := range res.Assign {
+			if a != partition.NonOff {
+				switch res.Prog.Fn.Stmt(id).Kind {
+				case ir.MapFind, ir.VecGet:
+					lookups++
 				}
 			}
-			rows = append(rows, AblationRow{
-				Middlebox: s.Name, Setting: setting,
-				OffloadPct: 100 * res.Report.OffloadFraction(),
-				Extra:      fmt.Sprintf("%d lookups on switch", lookups),
-			})
 		}
+		return 0, fmt.Sprintf("%d lookups on switch", lookups)
+	}},
+}
+
+// transferBytes is a partition's FormatA+FormatB on-wire bytes.
+func transferBytes(res *partition.Result) int {
+	return res.FormatA.DataLen() + res.FormatB.DataLen()
+}
+
+// PartitionSweeps runs every partition ablation: each evaluation
+// middlebox compiled under each of a sweep's settings.
+func PartitionSweeps() ([]Sweep, error) {
+	var sweeps []Sweep
+	for _, sw := range partitionSweeps {
+		s := Sweep{Title: sw.title}
+		for _, mb := range middleboxes.All() {
+			for _, set := range sw.settings {
+				art, err := gallium.CompileBuiltin(mb.Name, set.opts)
+				if err != nil {
+					return nil, err
+				}
+				xfer, extra := sw.detail(art.Res)
+				s.Rows = append(s.Rows, AblationRow{
+					Middlebox: mb.Name, Setting: set.label,
+					OffloadPct:    100 * art.Res.Report.OffloadFraction(),
+					TransferBytes: xfer, Extra: extra,
+				})
+			}
+		}
+		sweeps = append(sweeps, s)
 	}
-	return rows, nil
+	return sweeps, nil
 }
 
 // CacheRow is one point of the §7 cache-size sweep.
@@ -146,19 +128,19 @@ type CacheRow struct {
 
 // AblationCacheSize sweeps the MiniLB connection cache under skewed
 // traffic: a hot set of connections plus a cold tail, the regime §7's
-// cache proposal targets.
-func AblationCacheSize() ([]CacheRow, error) {
+// cache proposal targets. Each of entries is one row; 0 keeps the full
+// table resident.
+func AblationCacheSize(entries ...int) ([]CacheRow, error) {
 	var rows []CacheRow
-	for _, entries := range []int{0, 8, 32, 128, 512} {
+	for _, n := range entries {
 		var opts gallium.Options
-		if entries > 0 {
-			opts.CacheEntries = map[string]int{"conn": entries}
+		if n > 0 {
+			opts.CacheEntries = map[string]int{"conn": n}
 		}
 		art, err := gallium.CompileBuiltin("minilb", opts)
 		if err != nil {
 			return nil, err
 		}
-		res := art.Res
 		tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }},
 			gallium.WithCostModel(engine.InstantModel()))
 		if err != nil {
@@ -184,10 +166,9 @@ func AblationCacheSize() ([]CacheRow, error) {
 		}
 		tb.Due(0) // the last packet's write-back still awaits its flip
 		st := tb.Switch().Stats()
-		mem := res.Report.SwitchMemoryBytes
 		rows = append(rows, CacheRow{
-			Entries:     entries,
-			MemoryBytes: mem,
+			Entries:     n,
+			MemoryBytes: art.Res.Report.SwitchMemoryBytes,
 			FastPathPct: 100 * float64(fast) / float64(total),
 			Punts:       st.Punts,
 			Evictions:   st.Evictions,
@@ -197,20 +178,16 @@ func AblationCacheSize() ([]CacheRow, error) {
 }
 
 // FormatAblations renders every sweep.
-func FormatAblations(transfer, depth, remat, objective []AblationRow, cache []CacheRow) string {
+func FormatAblations(sweeps []Sweep, cache []CacheRow) string {
 	var b strings.Builder
-	section := func(title string, rows []AblationRow, extra bool) {
-		fmt.Fprintf(&b, "%s\n", title)
+	for _, s := range sweeps {
+		fmt.Fprintf(&b, "%s\n", s.Title)
 		fmt.Fprintf(&b, "  %-16s %-14s %10s %10s %s\n", "middlebox", "setting", "offload", "xfer", "")
-		for _, r := range rows {
+		for _, r := range s.Rows {
 			fmt.Fprintf(&b, "  %-16s %-14s %9.0f%% %9dB %s\n", r.Middlebox, r.Setting, r.OffloadPct, r.TransferBytes, r.Extra)
 		}
 		b.WriteString("\n")
 	}
-	section("Ablation: transfer budget (Constraint 5)", transfer, false)
-	section("Ablation: pipeline depth (Constraint 2)", depth, true)
-	section("Ablation: header rematerialization", remat, false)
-	section("Ablation: partitioning objective (§7 cost model)", objective, true)
 
 	b.WriteString("Ablation: §7 switch-as-cache (MiniLB, skewed traffic; 0 = full table resident)\n")
 	fmt.Fprintf(&b, "  %8s %12s %10s %8s %10s\n", "entries", "switch mem", "fast path", "punts", "evictions")
@@ -222,25 +199,13 @@ func FormatAblations(transfer, depth, remat, objective []AblationRow, cache []Ca
 
 // Ablations runs every sweep.
 func Ablations() (string, error) {
-	transfer, err := AblationTransferBudget()
+	sweeps, err := PartitionSweeps()
 	if err != nil {
 		return "", err
 	}
-	depth, err := AblationPipelineDepth()
+	cache, err := AblationCacheSize(0, 8, 32, 128, 512)
 	if err != nil {
 		return "", err
 	}
-	remat, err := AblationRematerialization()
-	if err != nil {
-		return "", err
-	}
-	objective, err := AblationObjective()
-	if err != nil {
-		return "", err
-	}
-	cache, err := AblationCacheSize()
-	if err != nil {
-		return "", err
-	}
-	return FormatAblations(transfer, depth, remat, objective, cache), nil
+	return FormatAblations(sweeps, cache), nil
 }

@@ -8,8 +8,13 @@
 package eval
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
+
 	"gallium"
 	"gallium/internal/middleboxes"
+	"gallium/internal/packet"
 	"gallium/internal/trafficgen"
 )
 
@@ -72,4 +77,66 @@ func middleboxOrder[P any](points []P, name func(P) string) []string {
 		}
 	}
 	return out
+}
+
+// fanOut runs f(0) … f(n-1), at most one per CPU at a time, and returns
+// the error of the lowest failing index.
+func fanOut(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.NumCPU())
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			errs[i] = f(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// probe opens a testbed on c and measures one warm connection: a SYN of
+// synSize bytes at t=0 establishes it, then n ACK probes, probe i padded
+// to size(i), follow gapNs apart from 2 ms on, after any synchronization
+// has settled. It returns the SYN's latency, the latencies of the probes
+// that were delivered and the testbed's Report.
+func probe(c *gallium.Artifacts, mode gallium.Mode, cores, synSize, n int, gapNs int64, size func(i int) int) (synNs int64, latNs []int64, rep *gallium.Report, err error) {
+	gen := trafficFor(synSize, 1, 1) // only for the tuple set
+	tb, err := c.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	tup := gen.Tuples()[0]
+	syn := packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{Flags: packet.TCPFlagSYN})
+	syn.PadTo(synSize)
+	d, err := tb.Inject(0, syn)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	synNs = d.LatencyNs
+	t := int64(2_000_000)
+	for i := range n {
+		p := packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{Flags: packet.TCPFlagACK})
+		p.PadTo(size(i))
+		d, err := tb.Inject(t, p)
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		if d.Delivered {
+			latNs = append(latNs, d.LatencyNs)
+		}
+		t += gapNs
+	}
+	if len(latNs) == 0 {
+		return 0, nil, nil, fmt.Errorf("%s/%v: no probes delivered", c.Name, mode)
+	}
+	return synNs, latNs, tb.Report(), nil
 }

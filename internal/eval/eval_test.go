@@ -292,9 +292,18 @@ func TestAblationsRun(t *testing.T) {
 		}
 	}
 	// Rematerialization must show a win for at least one middlebox.
-	remat, err := AblationRematerialization()
+	sweeps, err := PartitionSweeps()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var remat []AblationRow
+	for _, s := range sweeps {
+		if strings.Contains(s.Title, "rematerialization") {
+			remat = s.Rows
+		}
+	}
+	if len(remat) == 0 {
+		t.Fatal("no rematerialization sweep")
 	}
 	better := false
 	byMB := map[string][2]AblationRow{}

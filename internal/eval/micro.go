@@ -3,9 +3,7 @@ package eval
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-	"sync"
 
 	"gallium"
 	"gallium/internal/engine"
@@ -56,35 +54,24 @@ func Figure7(quick bool) ([]Fig7Point, error) {
 		}
 	}
 	points := make([]Fig7Point, len(cells))
-	errs := make([]error, len(cells))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.NumCPU())
-	for i, cl := range cells {
-		wg.Add(1)
-		go func(i int, cl cell) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Offered load: generator capability capped by line rate.
-			pps := math.Min(model.GenMaxPps, model.LineRateBps/float64(cl.size*8))
-			rep, err := replay(cl.c, cl.cfg.Mode, cl.cfg.Cores, trafficFor(cl.size, pps, durNs))
-			if err != nil {
-				errs[i] = fmt.Errorf("%s/%s/%d: %w", cl.c.Name, cl.cfg.Label, cl.size, err)
-				return
-			}
-			points[i] = Fig7Point{
-				Middlebox: cl.c.Name,
-				Config:    cl.cfg.Label,
-				PktSize:   cl.size,
-				Gbps:      rep.Stats.ThroughputBps() / 1e9,
-			}
-		}(i, cl)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err = fanOut(len(cells), func(i int) error {
+		cl := cells[i]
+		// Offered load: generator capability capped by line rate.
+		pps := math.Min(model.GenMaxPps, model.LineRateBps/float64(cl.size*8))
+		rep, err := replay(cl.c, cl.cfg.Mode, cl.cfg.Cores, trafficFor(cl.size, pps, durNs))
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("%s/%s/%d: %w", cl.c.Name, cl.cfg.Label, cl.size, err)
 		}
+		points[i] = Fig7Point{
+			Middlebox: cl.c.Name,
+			Config:    cl.cfg.Label,
+			PktSize:   cl.size,
+			Gbps:      rep.Stats.ThroughputBps() / 1e9,
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return points, nil
 }
@@ -93,14 +80,13 @@ func Figure7(quick bool) ([]Fig7Point, error) {
 func FormatFigure7(points []Fig7Point) string {
 	var b strings.Builder
 	b.WriteString("Figure 7: throughput (Gbps) vs packet size, 10 iperf TCP connections\n")
-	byMB := groupBy(points, func(p Fig7Point) string { return p.Middlebox })
 	for _, mb := range middleboxOrder(points, func(p Fig7Point) string { return p.Middlebox }) {
 		fmt.Fprintf(&b, "  %s:\n", mb)
 		fmt.Fprintf(&b, "    %-12s %8s %8s %8s\n", "config", "100B", "500B", "1500B")
 		for _, cfg := range []string{"Offloaded", "Click-4c", "Click-2c", "Click-1c"} {
 			vals := map[int]float64{}
-			for _, p := range byMB[mb] {
-				if p.Config == cfg {
+			for _, p := range points {
+				if p.Middlebox == mb && p.Config == cfg {
 					vals[p.PktSize] = p.Gbps
 				}
 			}
@@ -126,14 +112,6 @@ func replay(c *gallium.Artifacts, mode gallium.Mode, cores int, gen gallium.Work
 		return nil, err
 	}
 	return tb.Report(), nil
-}
-
-func groupBy(points []Fig7Point, key func(Fig7Point) string) map[string][]Fig7Point {
-	out := map[string][]Fig7Point{}
-	for _, p := range points {
-		out[key(p)] = append(out[key(p)], p)
-	}
-	return out
 }
 
 // Table 2: end-to-end latency, Nptcp-style probes.
@@ -181,48 +159,25 @@ func Table2() ([]Table2Row, error) {
 	return rows, nil
 }
 
-// measureLatency warms one connection, then averages probe latencies.
+// measureLatency warms one connection, then averages 50 probe latencies
+// sent 1 ms apart.
 func measureLatency(c *gallium.Artifacts, mode gallium.Mode, cores int) (meanUs, stdUs float64, err error) {
-	gen := trafficFor(500, 1, 1) // only for the tuple set
-	tb, err := c.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
+	// Small deterministic packet-size jitter models the measurement noise
+	// the paper reports as standard deviations.
+	_, latNs, _, err := probe(c, mode, cores, 500, 50, 1_000_000, func(i int) int { return 500 + (i%5)*16 })
 	if err != nil {
 		return 0, 0, err
 	}
-	tup := gen.Tuples()[0]
-	// Warm: SYN to establish state, wait out any synchronization.
-	syn := packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{Flags: packet.TCPFlagSYN})
-	syn.PadTo(500)
-	if _, err := tb.Inject(0, syn); err != nil {
-		return 0, 0, err
-	}
-	var lat []float64
-	t := int64(2_000_000)
-	for i := 0; i < 50; i++ {
-		// Small deterministic packet-size jitter models the measurement
-		// noise the paper reports as standard deviations.
-		p := packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{Flags: packet.TCPFlagACK})
-		p.PadTo(500 + (i%5)*16)
-		d, err := tb.Inject(t, p)
-		if err != nil {
-			return 0, 0, err
-		}
-		if d.Delivered {
-			lat = append(lat, float64(d.LatencyNs)/1000)
-		}
-		t += 1_000_000
-	}
-	if len(lat) == 0 {
-		return 0, 0, fmt.Errorf("%s/%v: no probes delivered", c.Name, mode)
-	}
 	var sum, sq float64
-	for _, v := range lat {
-		sum += v
+	for _, ns := range latNs {
+		sum += float64(ns) / 1000
 	}
-	mean := sum / float64(len(lat))
-	for _, v := range lat {
-		sq += (v - mean) * (v - mean)
+	mean := sum / float64(len(latNs))
+	for _, ns := range latNs {
+		d := float64(ns)/1000 - mean
+		sq += d * d
 	}
-	return mean, math.Sqrt(sq / float64(len(lat))), nil
+	return mean, math.Sqrt(sq / float64(len(latNs))), nil
 }
 
 // FormatTable2 renders the latency table.
@@ -297,6 +252,10 @@ func Headline(quick bool) (*HeadlineStats, error) {
 	if err != nil {
 		return nil, err
 	}
+	table2, err := Table2()
+	if err != nil {
+		return nil, err
+	}
 	out := &HeadlineStats{
 		CycleSavingsPct:     map[string]float64{},
 		CoresSaved:          map[string]float64{},
@@ -337,16 +296,9 @@ func Headline(quick bool) (*HeadlineStats, error) {
 		coresNeeded := offMaxBps / perCoreBps
 		coresUsed := off.ServerCycles / (float64(durNs) / 1e9) / model.CoreHz
 		out.CoresSaved[c.Name] = coresNeeded - coresUsed
-
-		g, _, err := measureLatency(c, gallium.Offloaded, 1)
-		if err != nil {
-			return nil, err
-		}
-		f, _, err := measureLatency(c, gallium.Software, 1)
-		if err != nil {
-			return nil, err
-		}
-		out.LatencyReductionPct[c.Name] = 100 * (f - g) / f
+	}
+	for _, r := range table2 {
+		out.LatencyReductionPct[r.Middlebox] = r.ReductionPct()
 	}
 	return out, nil
 }

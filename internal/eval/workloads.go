@@ -2,13 +2,10 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"gallium"
 	"gallium/internal/engine"
-	"gallium/internal/packet"
 	"gallium/internal/trafficgen"
 )
 
@@ -51,56 +48,21 @@ type FlowParams struct {
 // the server cost per data packet.
 func MeasureFlowParams(c *gallium.Artifacts, mode gallium.Mode, cores int) (FlowParams, error) {
 	model := engine.DefaultModel()
-	gen := trafficFor(1500, 1, 1)
-	tb, err := c.NewTestbed(gallium.TestbedConfig{}, gallium.WithMode(mode), gallium.WithWorkers(cores), gallium.WithScenario(), gallium.WithFlows(gen.Tuples()))
+	synNs, latNs, rep, err := probe(c, mode, cores, 100, 20, 100_000, func(int) int { return 1500 })
 	if err != nil {
 		return FlowParams{}, err
 	}
-	tup := gen.Tuples()[0]
-
-	syn := packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{Flags: packet.TCPFlagSYN})
-	syn.PadTo(100)
-	d1, err := tb.Inject(0, syn)
-	if err != nil {
-		return FlowParams{}, err
-	}
-	firstNs := float64(d1.LatencyNs)
-
-	// Let any synchronization settle, then measure the established path.
-	t := int64(2_000_000)
 	var warmNs float64
-	var n int
-	for i := 0; i < 20; i++ {
-		p := packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, packet.TCPOptions{Flags: packet.TCPFlagACK})
-		p.PadTo(1500)
-		d, err := tb.Inject(t, p)
-		if err != nil {
-			return FlowParams{}, err
-		}
-		if d.Delivered {
-			warmNs += float64(d.LatencyNs)
-			n++
-		}
-		t += 100_000
+	for _, ns := range latNs {
+		warmNs += float64(ns)
 	}
-	if n == 0 {
-		return FlowParams{}, fmt.Errorf("%s: no warm probes delivered", c.Name)
-	}
-	warmNs /= float64(n)
-
-	setup := firstNs - warmNs
-	if setup < 0 {
-		setup = 0
-	}
+	warmNs /= float64(len(latNs))
+	setup := max(float64(synNs)-warmNs, 0)
 
 	bottleneck := model.LineRateBps
 	if mode == gallium.Software {
-		st := tb.Report().Stats
-		avgCycles := st.ServerCycles / float64(st.SlowPath)
-		serverBps := float64(cores) * model.CoreHz / avgCycles * 1500 * 8
-		if serverBps < bottleneck {
-			bottleneck = serverBps
-		}
+		avgCycles := rep.Stats.ServerCycles / float64(rep.Stats.SlowPath)
+		bottleneck = min(bottleneck, float64(cores)*model.CoreHz/avgCycles*1500*8)
 	}
 	return FlowParams{SetupNs: setup, RTTNs: warmNs, BottleneckBps: bottleneck}, nil
 }
@@ -134,54 +96,44 @@ func Figures89(quick bool) ([]Fig8Point, []Fig9Point, error) {
 	}
 	fig8cells := make([][]Fig8Point, len(cells))
 	fig9cells := make([][]Fig9Point, len(cells))
-	errs := make([]error, len(cells))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.NumCPU())
-	for i, cl := range cells {
-		wg.Add(1)
-		go func(i int, cl cell) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			params, err := MeasureFlowParams(cl.c, cl.cfg.Mode, cl.cfg.Cores)
+	err = fanOut(len(cells), func(i int) error {
+		cl := cells[i]
+		params, err := MeasureFlowParams(cl.c, cl.cfg.Mode, cl.cfg.Cores)
+		if err != nil {
+			return err
+		}
+		for _, dist := range Workloads() {
+			sizes := dist.SampleFlows(nFlows, 1234)
+			fc := DefaultFluidConfig()
+			fc.BottleneckBps = params.BottleneckBps
+			fc.SetupNs = params.SetupNs
+			fc.RTTNs = params.RTTNs
+			st, err := RunFluid(fc, trafficgen.SplitWorkers(sizes, fc.Workers))
 			if err != nil {
-				errs[i] = err
-				return
+				return err
 			}
-			for _, dist := range Workloads() {
-				sizes := dist.SampleFlows(nFlows, 1234)
-				fc := DefaultFluidConfig()
-				fc.BottleneckBps = params.BottleneckBps
-				fc.SetupNs = params.SetupNs
-				fc.RTTNs = params.RTTNs
-				st, err := RunFluid(fc, trafficgen.SplitWorkers(sizes, fc.Workers))
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				fig8cells[i] = append(fig8cells[i], Fig8Point{
-					Middlebox: cl.c.Name, Workload: dist.Name, Config: cl.cfg.Label,
-					Gbps: st.ThroughputBps() / 1e9,
-				})
-				avg, counts := BinFCT(st.Records)
-				var avgUs [3]float64
-				for j := range avg {
-					avgUs[j] = avg[j] / 1000
-				}
-				fig9cells[i] = append(fig9cells[i], Fig9Point{
-					Middlebox: cl.c.Name, Workload: dist.Name, Config: cl.cfg.Label,
-					AvgUs: avgUs, Counts: counts,
-				})
+			fig8cells[i] = append(fig8cells[i], Fig8Point{
+				Middlebox: cl.c.Name, Workload: dist.Name, Config: cl.cfg.Label,
+				Gbps: st.ThroughputBps() / 1e9,
+			})
+			avg, counts := BinFCT(st.Records)
+			var avgUs [3]float64
+			for j := range avg {
+				avgUs[j] = avg[j] / 1000
 			}
-		}(i, cl)
+			fig9cells[i] = append(fig9cells[i], Fig9Point{
+				Middlebox: cl.c.Name, Workload: dist.Name, Config: cl.cfg.Label,
+				AvgUs: avgUs, Counts: counts,
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	wg.Wait()
 	var fig8 []Fig8Point
 	var fig9 []Fig9Point
 	for i := range cells {
-		if errs[i] != nil {
-			return nil, nil, errs[i]
-		}
 		fig8 = append(fig8, fig8cells[i]...)
 		fig9 = append(fig9, fig9cells[i]...)
 	}
