@@ -281,8 +281,10 @@ func natFlows(n int) (acks []packet.Packet, entries []switchsim.Update) {
 // BenchmarkPrePass measures the pre-pass the way the repository benchmark's
 // switchsim.pre_ns probe does: mazunat with 32,768 flows resident in both
 // tables, packets rotating over all of them, so every lookup probes a
-// table too large for the cache. BenchmarkSwitchFastPath's single entry
-// never leaves L1 and cannot see table layout at all. "wrapper" is
+// table too large for the cache; beside it the same pass over 64 flows,
+// whose tables stay cache-resident, so that the difference is the share
+// of the pass that waits for memory. BenchmarkSwitchFastPath's single
+// entry never leaves L1 and cannot see table layout at all. "wrapper" is
 // ProcessPreShard (a pooled Pass checked out, flushed and returned per
 // call), "owned" the Pass an engine worker keeps (flushed once per 32
 // packets, as at a batch boundary): the difference is what the pool and
@@ -292,48 +294,49 @@ func BenchmarkPrePass(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const flows = 32768
-	sw := switchsim.New(art.Res)
-	pkts, entries := natFlows(flows)
-	for _, u := range entries {
-		if err := sw.StageShard(0, u); err != nil {
-			b.Fatal(err)
+	for _, flows := range []int{64, 32768} {
+		sw := switchsim.New(art.Res)
+		pkts, entries := natFlows(flows)
+		for _, u := range entries {
+			if err := sw.StageShard(0, u); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
-	sw.FlipShard(0)
-	pass, owned := sw.NewPass(0), 0
-	for _, v := range []struct {
-		name string
-		pre  func(*packet.Packet) (switchsim.PreResult, error)
-	}{
-		{"wrapper", func(p *packet.Packet) (switchsim.PreResult, error) { return sw.ProcessPreShard(p, 0, nil) }},
-		{"owned", func(p *packet.Packet) (switchsim.PreResult, error) {
-			if owned++; owned%32 == 0 {
-				pass.Flush()
-			}
-			return pass.Pre(p, nil)
-		}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			var p packet.Packet
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p = pkts[i%flows] // the pass rewrites headers only
-				pre, err := v.pre(&p)
-				if err != nil || pre.Action != ir.ActionSent {
-					b.Fatalf("flow %d: %v %v", i%flows, pre.Action, err)
+		sw.FlipShard(0)
+		pass, owned := sw.NewPass(0), 0
+		for _, v := range []struct {
+			name string
+			pre  func(*packet.Packet) (switchsim.PreResult, error)
+		}{
+			{"wrapper", func(p *packet.Packet) (switchsim.PreResult, error) { return sw.ProcessPreShard(p, 0, nil) }},
+			{"owned", func(p *packet.Packet) (switchsim.PreResult, error) {
+				if owned++; owned%32 == 0 {
+					pass.Flush()
 				}
-			}
-		})
-	}
-	pass.Flush()
-	if st := sw.Stats(); st.PrePackets == 0 || st.PrePackets != st.FastPath {
-		b.Fatalf("pre %d != fast %d after the final flush", st.PrePackets, st.FastPath)
+				return pass.Pre(p, nil)
+			}},
+		} {
+			b.Run(fmt.Sprintf("flows=%d/%s", flows, v.name), func(b *testing.B) {
+				var p packet.Packet
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					p = pkts[i%flows] // the pass rewrites headers only
+					pre, err := v.pre(&p)
+					if err != nil || pre.Action != ir.ActionSent {
+						b.Fatalf("flow %d: %v %v", i%flows, pre.Action, err)
+					}
+				}
+			})
+		}
+		pass.Flush()
+		if st := sw.Stats(); st.PrePackets != st.FastPath {
+			b.Fatalf("pre %d != fast %d after the final flush", st.PrePackets, st.FastPath)
+		}
 	}
 }
 
-// feedRound is one BenchmarkEngineFeed round: every packet of a prepared
-// buffer, one virtual millisecond apart.
+// feedRound is one BenchmarkEngineFeed or BenchmarkEngineChurn round: every
+// packet of a prepared buffer, one virtual millisecond apart.
 type feedRound struct {
 	pkts []packet.Packet
 	t0   int64
@@ -424,6 +427,103 @@ func BenchmarkEngineFeed(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkEngineChurn measures the engine under never-repeating flows,
+// as the repository benchmark's `churn` workload does but inside the root
+// module: mazunat at one worker under an 8,192-entry LRU FlowTable, each
+// flow a SYN (a slow-path packet whose port allocation the worker flips
+// onto the switch before delivery) and two to four fast-path ACKs, 64
+// flows interleaved, in rounds of 16,384 packets through Session.Feed.
+// The flow table is full and evicting before the clock starts. It
+// reports wall ns per packet and allocations per packet (nodes, views and
+// undo records of the write-backs and evictions: not gated).
+func BenchmarkEngineChurn(b *testing.B) {
+	art, err := gallium.Compile(middleboxes.MazuNATSource, gallium.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const round, interleave = 16384, 64
+	long := 24 * time.Hour // eviction, not expiry, does the work
+	var delivered atomic.Int64
+	seeded := false // WithState fires again at Close
+	sess, err := gallium.Open(art, gallium.WithWorkers(1),
+		gallium.WithFlowTable(gallium.FlowTable{Capacity: 8192, EvictPolicy: gallium.EvictLRU,
+			TCPTimeouts: gallium.TCPTimeouts{Syn: long, Established: long, Fin: long}, UDPTimeout: long,
+			SweepLimit: 1 << 16}),
+		gallium.WithDeliveries(func(d gallium.Delivery) {
+			if d.Delivered {
+				delivered.Add(1)
+			}
+		}),
+		gallium.WithState(func(_ int, st *ir.State) {
+			if !seeded {
+				seeded = true
+				middleboxes.ConfigureState("mazunat", st)
+			}
+		}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(93, 184, 216, 34), 1024, 80,
+		packet.TCPOptions{Flags: packet.TCPFlagACK})
+	buf := make([]packet.Packet, round)
+	wl := &feedRound{}
+	var flow uint64 // next flow never sent
+	sent := 0
+	feed := func() {
+		n := 0
+		for n+interleave*5 <= round {
+			first := flow
+			flow += interleave
+			for step := 0; step <= 4; step++ {
+				for k := first; k < first+interleave; k++ {
+					if step > 2+int((k*0x9E3779B97F4A7C15>>40)%3) { // 2-4 ACKs
+						continue
+					}
+					p := &buf[n]
+					*p = *base
+					p.IP.SrcIP = packet.IPv4Addr(10<<24 | uint32(k&0xFFFFFF))
+					p.TCP.SrcPort = uint16(1024 + (k>>24)%60000)
+					if step == 0 {
+						p.TCP.Flags = packet.TCPFlagSYN
+					}
+					n++
+				}
+			}
+		}
+		wl.pkts = buf[:n]
+		b.StartTimer()
+		err := sess.Feed(wl)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		wl.t0 += int64(n) * 1e6
+		sent += n
+	}
+	b.StopTimer()
+	for flow < 3*8192 { // warm: fill the flow table and grow every buffer
+		feed()
+	}
+	b.ResetTimer()
+	b.StopTimer()
+	warm := sent
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		feed()
+	}
+	runtime.ReadMemStats(&after)
+	if _, err := sess.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if got := delivered.Load(); got != int64(sent) {
+		b.Fatalf("%d of %d packets delivered", got, sent)
+	}
+	pkts := float64(sent - warm)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pkts, "ns/pkt")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/pkts, "allocs/pkt")
 }
 
 // BenchmarkDispatchRead measures the wire path's hand-off without a

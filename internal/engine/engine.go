@@ -472,8 +472,7 @@ func (e *Engine) Feed(wl Workload) error {
 		}
 		e.fedAny = true
 		e.lastT = tNs
-		flow, _ := pkt.DispatchTuple()
-		w := e.workers[RSSShard(pkt, len(e.workers))]
+		flow, w := e.steer(pkt)
 		w.burst = append(w.burst, job{seq: e.seq, tNs: tNs, flow: flow, pkt: pkt})
 		e.seq++
 		if len(w.burst) < feedBurst {
@@ -488,6 +487,16 @@ func (e *Engine) Feed(wl Workload) error {
 		return err
 	}
 	return genErr
+}
+
+// steer reads pkt's DispatchTuple, once, and returns it with the worker
+// RSSShard steers pkt to.
+func (e *Engine) steer(pkt *packet.Packet) (packet.FiveTuple, *worker) {
+	flow, ok := pkt.DispatchTuple()
+	if len(e.workers) == 1 {
+		return flow, e.workers[0]
+	}
+	return flow, e.workers[tupleHash(pkt, flow, ok)%uint64(len(e.workers))]
 }
 
 // feedBurst is how many packets Feed, or Dispatch for a receive batch,
@@ -574,10 +583,9 @@ func (e *Engine) Dispatch(tNs int64, pkt *packet.Packet) (int64, error) {
 	}
 	e.fedAny = true
 	e.lastT = tNs
-	flow, _ := pkt.DispatchTuple()
+	flow, w := e.steer(pkt)
 	j := job{seq: e.seq, tNs: tNs, flow: flow, pkt: pkt}
 	e.seq++
-	w := e.workers[RSSShard(pkt, len(e.workers))]
 	var err error
 	if !pkt.RxBurst && len(w.burst) == 0 {
 		// Nothing of this worker is pending: push the rest of the read,

@@ -67,29 +67,17 @@ func BenchmarkFalseSharingPadded(b *testing.B) {
 		func() int64 { return slots[0].n.Load() })
 }
 
-// TestDispatcherStateOffWorkerLines pins the Engine layout that keeps the
-// dispatcher's writes off the workers' reads: every Dispatch locks feedMu
-// and bumps seq, lastT and fedAny (and pending, within a receive batch),
-// while a worker reads aborted (and runCtx beside it) once per packet. A
-// field that starts at least 64 bytes past the end of another can share
-// no cache line with it.
-func TestDispatcherStateOffWorkerLines(t *testing.T) {
-	type field struct {
-		name      string
-		off, size uintptr
-	}
-	var e Engine
-	read := []field{
-		{"runCtx", unsafe.Offsetof(e.runCtx), unsafe.Sizeof(e.runCtx)},
-		{"aborted", unsafe.Offsetof(e.aborted), unsafe.Sizeof(e.aborted)},
-	}
-	written := []field{
-		{"feedMu", unsafe.Offsetof(e.feedMu), unsafe.Sizeof(e.feedMu)},
-		{"seq", unsafe.Offsetof(e.seq), unsafe.Sizeof(e.seq)},
-		{"lastT", unsafe.Offsetof(e.lastT), unsafe.Sizeof(e.lastT)},
-		{"fedAny", unsafe.Offsetof(e.fedAny), unsafe.Sizeof(e.fedAny)},
-		{"pending", unsafe.Offsetof(e.pending), unsafe.Sizeof(e.pending)},
-	}
+// layoutField is one struct field's place, for the cache-line layout tests.
+type layoutField struct {
+	name      string
+	off, size uintptr
+}
+
+// checkApart fails t for every field of written that could share a cache
+// line with a field of read: a field that starts at least 64 bytes past
+// the end of another can share no line with it, wherever the struct sits.
+func checkApart(t *testing.T, typ string, read, written []layoutField) {
+	t.Helper()
 	for _, r := range read {
 		for _, w := range written {
 			lo, hi := r, w
@@ -97,9 +85,46 @@ func TestDispatcherStateOffWorkerLines(t *testing.T) {
 				lo, hi = w, r
 			}
 			if gap := int(hi.off) - int(lo.off+lo.size); gap < 64 {
-				t.Errorf("Engine.%s (offset %d) and Engine.%s (offset %d) are %d bytes apart: they can share a cache line",
-					w.name, w.off, r.name, r.off, gap)
+				t.Errorf("%s.%s (offset %d) and %s.%s (offset %d) are %d bytes apart: they can share a cache line",
+					typ, w.name, w.off, typ, r.name, r.off, gap)
 			}
 		}
 	}
+}
+
+// TestDispatcherStateOffWorkerLines pins the layouts that keep the
+// dispatcher's writes off the workers' reads. Every Dispatch locks feedMu
+// and bumps Engine's seq, lastT and fedAny (and pending, within a receive
+// batch), while a worker reads aborted (and runCtx beside it) once per
+// packet. And every packet Feed or Dispatch hands to a worker is appended
+// to that worker's burst, while the worker reads its id, eng and box and
+// its hot block (walk, batch, next, lifeOn) once per packet.
+func TestDispatcherStateOffWorkerLines(t *testing.T) {
+	var e Engine
+	checkApart(t, "Engine",
+		[]layoutField{
+			{"runCtx", unsafe.Offsetof(e.runCtx), unsafe.Sizeof(e.runCtx)},
+			{"aborted", unsafe.Offsetof(e.aborted), unsafe.Sizeof(e.aborted)},
+		},
+		[]layoutField{
+			{"feedMu", unsafe.Offsetof(e.feedMu), unsafe.Sizeof(e.feedMu)},
+			{"seq", unsafe.Offsetof(e.seq), unsafe.Sizeof(e.seq)},
+			{"lastT", unsafe.Offsetof(e.lastT), unsafe.Sizeof(e.lastT)},
+			{"fedAny", unsafe.Offsetof(e.fedAny), unsafe.Sizeof(e.fedAny)},
+			{"pending", unsafe.Offsetof(e.pending), unsafe.Sizeof(e.pending)},
+		})
+	var w worker
+	checkApart(t, "worker",
+		[]layoutField{
+			{"id", unsafe.Offsetof(w.id), unsafe.Sizeof(w.id)},
+			{"eng", unsafe.Offsetof(w.eng), unsafe.Sizeof(w.eng)},
+			{"box", unsafe.Offsetof(w.box), unsafe.Sizeof(w.box)},
+			{"walk", unsafe.Offsetof(w.walk), unsafe.Sizeof(w.walk)},
+			{"batch", unsafe.Offsetof(w.batch), unsafe.Sizeof(w.batch)},
+			{"next", unsafe.Offsetof(w.next), unsafe.Sizeof(w.next)},
+			{"lifeOn", unsafe.Offsetof(w.lifeOn), unsafe.Sizeof(w.lifeOn)},
+		},
+		[]layoutField{
+			{"burst", unsafe.Offsetof(w.burst), unsafe.Sizeof(w.burst)},
+		})
 }

@@ -443,7 +443,14 @@ func RSSShard(pkt *packet.Packet, n int) int {
 // RSSShard fits the inliner's budget: a one-shard caller (every engine
 // worker's one simulated core) pays no call.
 func rssHash(pkt *packet.Packet) uint64 {
-	if tup, ok := pkt.DispatchTuple(); ok {
+	tup, ok := pkt.DispatchTuple()
+	return tupleHash(pkt, tup, ok)
+}
+
+// tupleHash is rssHash for a caller that has read pkt's DispatchTuple
+// (tup, ok) already.
+func tupleHash(pkt *packet.Packet, tup packet.FiveTuple, ok bool) uint64 {
+	if ok {
 		return tup.SymmetricHash()
 	}
 	return uint64(pkt.IP.SrcIP) * 2654435761

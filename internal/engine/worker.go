@@ -35,9 +35,14 @@ type worker struct {
 	id  int
 	eng *Engine
 	box *mailbox
+
 	// burst is the dispatcher's side of the hand-off: packets Feed, or
 	// Dispatch for a receive batch, has hashed to this worker and not yet
-	// pushed (guarded by feedMu).
+	// pushed (guarded by feedMu). The dispatcher writes it for every
+	// packet, so it sits behind a pad of its own: on the line of id, eng
+	// and box, which the worker reads for every packet, each append would
+	// take that line from the worker's core.
+	_     [64]byte
 	burst []job
 
 	// seen is the walker's Stats as of this worker's latest barrier — a

@@ -27,7 +27,7 @@ type Table struct {
 	// always at least one empty slot). Growth swaps a rebuilt array in
 	// through this one pointer; the superseded array is never written
 	// again, so a reader still probing it sees a complete older table.
-	slots atomic.Pointer[[]atomic.Pointer[node]]
+	slots atomic.Pointer[slotArray]
 	// live is the exact entry count as of the last applied write.
 	live atomic.Int64
 	// staged counts inserts staged on any shard and not yet flipped; the
@@ -56,6 +56,28 @@ type node struct{ stamp uint64 }
 
 func (n *node) epoch() uint64 { return n.stamp >> 1 }
 func (n *node) dead() bool    { return n.stamp&1 != 0 }
+
+// slotArray is one probe array: ptrs[i] is slot i's node and tags[i] the
+// top byte of that node's key hash (tagOf), so that a probe passing an
+// occupied slot dereferences the node, a cache miss of its own, only
+// when the tags agree. The flip side writes a slot's tag once, before
+// the slot's first pointer Store — in write when the slot was empty, in
+// rebuild into the fresh array — and never again while the array lives:
+// later nodes in a slot carry the same key. A reader loads tags[i] only
+// after it has loaded a non-nil ptrs[i], so that load orders the tag
+// write before the read.
+type slotArray struct {
+	ptrs []atomic.Pointer[node]
+	tags []uint8
+}
+
+func newSlotArray(size int) *slotArray {
+	return &slotArray{ptrs: make([]atomic.Pointer[node], size), tags: make([]uint8, size)}
+}
+
+// tagOf is a key's tag, from its ir.HashKey h: the top byte, which the
+// home slot (h's low bits) does not use below 2^56 slots.
+func tagOf(h uint64) uint8 { return uint8(h >> 56) }
 
 // newNode packs an entry, or with dead set a deletion, for a later write.
 // key and vals have the table's arity (StageShard checked).
@@ -105,8 +127,7 @@ func (s *undoSlab) take() *undoRec {
 func newTable(sw *Switch, g *ir.Global, capacity int, cached bool) *Table {
 	t := &Table{sw: sw, name: g.Name, capacity: capacity, cached: cached,
 		nk: len(g.KeyTypes), nv: len(g.ValTypes)}
-	s := make([]atomic.Pointer[node], 8)
-	t.slots.Store(&s)
+	t.slots.Store(newSlotArray(8))
 	return t
 }
 
@@ -123,16 +144,17 @@ func (t *Table) Len() int { return int(t.live.Load()) }
 func (t *Table) Capacity() int { return t.capacity }
 
 // slot returns the index of key's slot in s: the one holding its node, or
-// the first empty one of its probe sequence. key has the table's arity.
-func (t *Table) slot(s []atomic.Pointer[node], key []uint64) uint64 {
-	mask := uint64(len(s) - 1)
-	i := ir.HashKey(key) & mask
-	for {
-		n := s[i].Load()
-		if n == nil || ir.SameKey(t.key(n), key) {
+// the first empty one of its probe sequence. key has the table's arity
+// and h is its ir.HashKey. An occupied slot's tag is read after its
+// pointer, and its node's key only when the tag is key's.
+func (t *Table) slot(s *slotArray, key []uint64, h uint64) uint64 {
+	mask := uint64(len(s.ptrs) - 1)
+	tag := tagOf(h)
+	for i := h & mask; ; i = (i + 1) & mask {
+		n := s.ptrs[i].Load()
+		if n == nil || s.tags[i] == tag && ir.SameKey(t.key(n), key) {
 			return i
 		}
-		i = (i + 1) & mask
 	}
 }
 
@@ -145,8 +167,8 @@ func (t *Table) lookup(v *view, key *ir.MapKey) ([]uint64, bool) {
 		return nil, false
 	}
 	kw := key.K[:t.nk]
-	s := *t.slots.Load()
-	n := s[t.slot(s, kw)].Load()
+	s := t.slots.Load()
+	n := s.ptrs[t.slot(s, kw, ir.HashKey(kw))].Load()
 	if n == nil || n.epoch() > v.epoch {
 		n = t.before(v, kw)
 	}
@@ -178,12 +200,14 @@ func (t *Table) before(v *view, key []uint64) *node {
 func (t *Table) write(cur *view, n *node, undo *undoSlab) (removed bool) {
 	epoch := cur.epoch + 1
 	n.stamp |= epoch << 1
-	s := *t.slots.Load()
-	if (t.used+1)*4 > len(s)*3 {
+	s := t.slots.Load()
+	if (t.used+1)*4 > len(s.ptrs)*3 {
 		s = t.rebuild(epoch)
 	}
-	i := t.slot(s, t.key(n))
-	old := s[i].Load()
+	key := t.key(n)
+	h := ir.HashKey(key)
+	i := t.slot(s, key, h)
+	old := s.ptrs[i].Load()
 	wasLive := old != nil && !old.dead()
 	if n.dead() && !wasLive {
 		return false
@@ -197,8 +221,9 @@ func (t *Table) write(cur *view, n *node, undo *undoSlab) (removed bool) {
 	}
 	if old == nil {
 		t.used++
+		s.tags[i] = tagOf(h) // before the slot's first Store
 	}
-	s[i].Store(n)
+	s.ptrs[i].Store(n)
 	if n.dead() || !wasLive { // not an overwrite: the entry count changes
 		if n.dead() {
 			t.live.Add(-1)
@@ -216,11 +241,11 @@ func (t *Table) write(cur *view, n *node, undo *undoSlab) (removed bool) {
 // supersedes cur: deletions of the keys entries lacks, then writes of the
 // rest.
 func (t *Table) replace(cur *view, entries map[ir.MapKey][]uint64, undo *undoSlab) {
-	s := *t.slots.Load()
+	s := t.slots.Load()
 	var k ir.MapKey
 	k.N = uint8(t.nk)
-	for i := range s {
-		if n := s[i].Load(); n != nil && !n.dead() {
+	for i := range s.ptrs {
+		if n := s.ptrs[i].Load(); n != nil && !n.dead() {
 			copy(k.K[:], t.key(n))
 			if _, keep := entries[k]; !keep {
 				t.write(cur, t.newNode(t.key(n), nil, true), undo)
@@ -250,12 +275,12 @@ func (t *Table) evict(cur *view, undo *undoSlab) (evicted int) {
 // half load, dropping tombstones older than the flip in progress: a pass
 // that needs the entry a dropped tombstone deleted misses here and finds
 // it through the deleting flip's undo record.
-func (t *Table) rebuild(epoch uint64) []atomic.Pointer[node] {
-	old := *t.slots.Load()
+func (t *Table) rebuild(epoch uint64) *slotArray {
+	old := t.slots.Load()
 	keep := func(n *node) bool { return n != nil && (!n.dead() || n.epoch() == epoch) }
 	kept := 0
-	for i := range old {
-		if keep(old[i].Load()) {
+	for i := range old.ptrs {
+		if keep(old.ptrs[i].Load()) {
 			kept++
 		}
 	}
@@ -263,13 +288,17 @@ func (t *Table) rebuild(epoch uint64) []atomic.Pointer[node] {
 	for size < 2*(kept+1) {
 		size *= 2
 	}
-	s := make([]atomic.Pointer[node], size)
-	for i := range old {
-		if n := old[i].Load(); keep(n) {
-			s[t.slot(s, t.key(n))].Store(n)
+	s := newSlotArray(size)
+	for i := range old.ptrs {
+		if n := old.ptrs[i].Load(); keep(n) {
+			key := t.key(n)
+			h := ir.HashKey(key)
+			j := t.slot(s, key, h)
+			s.tags[j] = tagOf(h)
+			s.ptrs[j].Store(n)
 		}
 	}
 	t.used = kept
-	t.slots.Store(&s)
+	t.slots.Store(s)
 	return s
 }
