@@ -192,7 +192,7 @@ func BenchmarkHeadline(b *testing.B) {
 // BenchmarkEngineThroughput measures the concurrent sharded engine's
 // wall-clock throughput at 1/2/4/8 workers on the NAT. Each sub-benchmark
 // streams b.N packets (one flow per ~1000 packets) and reports pps; the
-// persisted fixed-size ladder is galliumbench -exp scale.
+// fixed-size ladder, gated on scale-out, is TestScaleOut.
 func BenchmarkEngineThroughput(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -1,9 +1,8 @@
 // Command galliumbench regenerates the paper's evaluation: every table
 // and figure of §6 (table1, offloading, fig7, table2, table3, fig8, fig9)
-// plus the headline numbers, two sweeps beyond the paper (loadsweep,
-// ablation) and two engine checks (scale, flows) that wait to move into
-// bench/. Each experiment checks its own invariants as it runs and exits
-// non-zero on a violation; none writes a file.
+// plus the headline numbers and two sweeps beyond the paper (loadsweep,
+// ablation). It exits non-zero when an experiment fails; none writes a
+// file.
 //
 // Usage:
 //
@@ -13,12 +12,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"gallium/internal/eval"
@@ -63,26 +61,6 @@ var experiments = []struct {
 	name string
 	run  func(b *bench) error
 }{
-	{"scale", func(b *bench) error {
-		rep, err := eval.EngineScale(b.quick)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(b.w, eval.FormatScale(rep))
-		skip, err := eval.CheckScaleGate(rep)
-		if skip != "" {
-			notice(b.w, skip)
-		}
-		return err
-	}},
-	{"flows", func(b *bench) error {
-		rep, err := eval.FlowSoak(b.quick)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(b.w, eval.FormatFlows(rep))
-		return eval.ValidateFlows(rep)
-	}},
 	{"table1", printed(func(bool) ([]eval.Table1Row, error) { return eval.Table1() }, eval.FormatTable1)},
 	{"offloading", printed(func(bool) ([]eval.OffloadSummary, error) {
 		return eval.Offloading()
@@ -121,49 +99,37 @@ func experimentNames() string {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: "+experimentNames())
-	quick := flag.Bool("quick", false, "shrink simulated durations and flow counts")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
-	flag.Parse()
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "galliumbench:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "galliumbench:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if err := run(os.Stdout, *exp, *quick); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	var usage usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &usage):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "galliumbench:", err)
 		os.Exit(1)
 	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "galliumbench:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		runtime.GC() // settle the heap so the profile shows retained allocations
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "galliumbench:", err)
-			os.Exit(1)
-		}
-	}
 }
 
-// run runs the experiment named exp, or every experiment for "all",
-// printing to w.
-func run(w io.Writer, exp string, quick bool) error {
-	b := &bench{w: w, quick: quick}
+// usageError is a command line the flag set refused; the flag set has
+// already printed the error and the usage.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+// run parses args and runs the experiment -exp names, or every experiment
+// for "all", printing to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("galliumbench", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment: "+experimentNames())
+	quick := fs.Bool("quick", false, "shrink simulated durations and flow counts")
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
+	b := &bench{w: w, quick: *quick}
 	ran := false
 	for _, e := range experiments {
-		if exp != "all" && exp != e.name {
+		if *exp != "all" && *exp != e.name {
 			continue
 		}
 		if err := e.run(b); err != nil {
@@ -172,17 +138,7 @@ func run(w io.Writer, exp string, quick bool) error {
 		ran = true
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q (want %s)", exp, experimentNames())
+		return fmt.Errorf("unknown experiment %q (want %s)", *exp, experimentNames())
 	}
 	return nil
-}
-
-// notice surfaces a skipped gate both as a GitHub Actions annotation (so
-// the run is visibly marked, not silently green) and as plain text for
-// terminals.
-func notice(w io.Writer, msg string) {
-	if os.Getenv("GITHUB_ACTIONS") == "true" {
-		fmt.Fprintf(w, "::notice title=galliumbench::%s\n", msg)
-	}
-	fmt.Fprintln(w, "galliumbench:", msg)
 }

@@ -74,25 +74,25 @@ func InstantModel() CostModel {
 }
 
 // ServerCycles converts an executed-statement count into server cycles.
-func (m CostModel) ServerCycles(steps int) float64 {
+func (m *CostModel) ServerCycles(steps int) float64 {
 	return m.PerPacketCycles + m.PerStepCycles*float64(steps)
 }
 
 // ServerServiceNs is the CPU service time for a packet whose processing
 // executed the given number of statements.
-func (m CostModel) ServerServiceNs(steps int) float64 {
+func (m *CostModel) ServerServiceNs(steps int) float64 {
 	return m.ServerCycles(steps) / m.CoreHz * 1e9
 }
 
 // SerializationNs is the time to put a frame on a link.
-func (m CostModel) SerializationNs(bytes int) float64 {
+func (m *CostModel) SerializationNs(bytes int) float64 {
 	return float64(bytes) * 8 / m.LineRateBps * 1e9
 }
 
 // CtlBatchNs models the latency to push n control-plane updates and flip
 // visibility, reproducing Table 3's scaling: 1 table ≈ 135 µs, 2 ≈ 270 µs,
 // 4 ≈ 371 µs (the tail pipelines).
-func (m CostModel) CtlBatchNs(n int) float64 {
+func (m *CostModel) CtlBatchNs(n int) float64 {
 	if n <= 0 {
 		return 0
 	}

@@ -20,8 +20,8 @@ import (
 // bump invalidates the neighbors' line; the padded layout holds flat.
 // On a single-core host the two are equal — there is no cross-core
 // traffic to eliminate, which is the honest null result and why the
-// scale gate (CheckScaleGate) loud-skips below 4 cores instead of
-// claiming a measurement.
+// scale gate (the root package's TestScaleOut) loud-skips below 4 cores
+// instead of claiming a measurement.
 
 const benchSlots = 8
 

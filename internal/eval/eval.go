@@ -3,8 +3,7 @@
 // Table 2 (latency), Table 3 (state-synchronization latency), Figures 8/9
 // (realistic workloads), and the headline numbers (cycle savings, latency
 // reduction, slow-path fraction). Two sweeps go beyond the paper: LoadSweep
-// (latency vs offered load) and Ablations (the design choices). Two engine
-// checks, EngineScale and FlowSoak, live here until they move into bench/.
+// (latency vs offered load) and Ablations (the design choices).
 package eval
 
 import (
