@@ -494,6 +494,44 @@ func TestScaleOutChecks(t *testing.T) {
 			}
 		})
 	}
+
+	// The host-dependent gate on a matrix the per-cell checks accept:
+	// ideal scaling over two rungs passes, flat scaling fails, and a
+	// 2-core host skips loudly.
+	t.Run("gate", func(t *testing.T) {
+		ideal := func(rungs ...int) []scaleCell {
+			var cells []scaleCell
+			for _, procs := range rungs {
+				for _, w := range scaleWorkers {
+					pps := 1e6 * float64(w)
+					cells = append(cells, scaleCell{workers: w, procs: procs,
+						packets: 200_000, delivered: 200_000, wallNs: int64(200_000 / pps * 1e9), pps: pps})
+				}
+			}
+			return cells
+		}
+		good := ideal(4, 8)
+		if err := checkScaleCells(good); err != nil {
+			t.Fatalf("ideal matrix rejected: %v", err)
+		}
+		if skip, err := checkScaleGate(8, good); err != nil || skip != "" {
+			t.Fatalf("ideal scaling failed the gate: skip=%q err=%v", skip, err)
+		}
+		flat := ideal(4, 8)
+		for i := range flat {
+			flat[i].pps = 1e6
+		}
+		if _, err := checkScaleGate(8, flat); err == nil {
+			t.Error("flat scaling passed the gate")
+		}
+		skip, err := checkScaleGate(2, ideal(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(skip, "SKIPPED") {
+			t.Errorf("2-core host did not loud-skip: %q", skip)
+		}
+	})
 }
 
 // TestScaleGate pins the speedup gate: threshold selection by the
