@@ -7,6 +7,7 @@ package gallium_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"gallium"
@@ -37,6 +38,11 @@ const slowPathAllocBudget = 0
 // successor view, which carries the flip's undo records; the hops decode
 // in place and the pending batch is reused.
 const newFlowBudget = slowPathAllocBudget + 3
+
+// feedAllocBudget is the allocations per packet Session.Feed may make on
+// the fast path: each Feed's settle barrier allocates a few objects, so a
+// round of packets shares them, and a packet itself must allocate none.
+const feedAllocBudget = 0.001
 
 // resetPacket restores dst to the pristine packet while keeping dst's
 // gallium buffer capacity, so the measured loop replays the same flow
@@ -156,6 +162,38 @@ func TestFastPathAllocs(t *testing.T) {
 				t.Fatalf("steady-state pipeline allocates %.1f objects/packet, budget is %d", allocs, allocBudget)
 			}
 		})
+	}
+}
+
+// TestFeedAllocs gates the whole engine fast path through Session.Feed
+// at one worker, where each burst runs on the feeding goroutine: mazunat,
+// established flows, every packet on the switch fast path. A packet that
+// allocates shows as at least one allocation per packet.
+func TestFeedAllocs(t *testing.T) {
+	const flows, round, rounds = 4096, 32768, 4
+	r := newFeedRig(t, 1, flows, round)
+	defer r.sess.Close()
+	r.prepare()
+	if err := r.feed(); err != nil { // warm: grow the bursts and the register files
+		t.Fatal(err)
+	}
+	r.fast.Store(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		r.prepare()
+		if err := r.feed(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got, want := r.fast.Load(), int64(rounds*round); got != want {
+		t.Fatalf("%d of %d packets took the fast path", got, want)
+	}
+	perPkt := float64(after.Mallocs-before.Mallocs) / float64(rounds*round)
+	t.Logf("%.5f allocations per packet", perPkt)
+	if perPkt > feedAllocBudget {
+		t.Fatalf("Session.Feed allocates %.4f objects per packet, budget is %g", perPkt, feedAllocBudget)
 	}
 }
 

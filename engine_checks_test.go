@@ -156,10 +156,10 @@ func checkSoak(s *flowSoak) error {
 	// share of the capacity; settle barriers sweep without a cap and pull
 	// occupancy back under it.
 	slack := uint64(s.workers * flowstate.DefaultSweepLimit)
-	// 8 KiB per admitted entry at full size. A leak of ~200 B per offered
-	// flow blows through it at full size (1.2M flows) but not at the
-	// quick size (150k).
-	const heapBudget = 256 << 20
+	// 4 KiB per admitted entry: 32 MiB at the quick size, 128 MiB at full
+	// size, against live heaps of 6-8 and 11-17 MiB. A leak of ~220 B
+	// per offered flow blows through it at both sizes.
+	heapBudget := uint64(s.capacity) << 12
 	var prev flowPoint
 	for i, p := range s.points {
 		switch {
@@ -172,7 +172,7 @@ func checkSoak(s *flowSoak) error {
 		case p.expired < prev.expired || p.evicted < prev.evicted || p.peak < prev.peak:
 			return fmt.Errorf("point %d: cumulative counters went backwards", i)
 		case p.heap > heapBudget:
-			return fmt.Errorf("point %d: live heap %d MiB exceeds the %d MiB soak budget", i, p.heap>>20, heapBudget>>20)
+			return fmt.Errorf("point %d: live heap %.1f MiB exceeds the %d MiB soak budget", i, float64(p.heap)/(1<<20), heapBudget>>20)
 		}
 		prev = p
 	}
@@ -196,7 +196,7 @@ func goodSoak() *flowSoak {
 	s := &flowSoak{workers: 8, offered: 150_000, capacity: 8_192, retuned: 2 * time.Millisecond}
 	for k := 1; k <= 8; k++ {
 		p := flowPoint{offered: k * 150_000 / 8, occupancy: 8_000, peak: 9_000,
-			expired: uint64(k) * 5_000, evicted: uint64(k) * 10_000, heap: 64 << 20}
+			expired: uint64(k) * 5_000, evicted: uint64(k) * 10_000, heap: 16 << 20}
 		if k > 4 { // after the retune expiry drains the table
 			p.occupancy = 1_000
 		}

@@ -18,11 +18,15 @@
 // pushes 32-packet bursts, Dispatch one burst per worker per receive batch
 // (a read's packets marked Packet.RxBurst wait for its unmarked last one),
 // the control jobs of settle and Reconfigure bursts of one, and the worker
-// pulls everything queued per lock. A lone Dispatch that finds its worker
-// parked on an empty mailbox hands nothing off: it borrows the worker and
-// runs the packet on the caller's goroutine, delivery callback included,
-// while the mailbox keeps the worker parked. Cancelling the run closes the
-// mailboxes (see abort).
+// pulls everything queued per lock. Where nothing else waits on the
+// caller, it hands nothing off: it borrows the parked worker and runs the
+// packets on its own goroutine, delivery callback included, while the
+// mailbox keeps the worker parked. A lone Dispatch does so when it finds
+// its worker parked on an empty mailbox; Feed at one worker does so for
+// every burst, waiting for the worker to park, so control jobs queued
+// meanwhile run on the worker between two bursts. At more workers Feed
+// pushes, since running one worker's burst would stall dispatch to the
+// others. Cancelling the run closes the mailboxes (see abort).
 //
 // Ordering guarantees: packets of one flow always hash to the same worker
 // and each worker runs one packet to completion before starting the next,
@@ -139,10 +143,11 @@ type Config struct {
 	// drop). <=0 means 256.
 	QueueDepth int
 	// OnDelivery, when non-nil, observes every packet fate. It is invoked
-	// from worker goroutines concurrently (per-flow order preserved), and
-	// for a packet Dispatch runs itself on the Dispatch caller's goroutine
-	// before Dispatch returns, so it must be safe for concurrent use and
-	// must not wait for a lock its Dispatch caller holds.
+	// from worker goroutines concurrently (per-flow order preserved), for
+	// a packet Dispatch runs itself on the Dispatch caller's goroutine
+	// before Dispatch returns, and at one worker for Feed's packets on the
+	// Feed caller's goroutine, so it must be safe for concurrent use and
+	// must not wait for a lock its Dispatch or Feed caller holds.
 	OnDelivery func(Delivery)
 	// FlowTable, when non-nil, bounds the pipeline's dynamic flow state:
 	// per-entry last-touch stamping, protocol-aware timeouts, and
@@ -452,7 +457,8 @@ func (e *Engine) err() error {
 // across successive Feeds — the engine models one continuous deployment,
 // so virtual time cannot restart. Feed may not run concurrently with itself or Stop; it MAY run
 // concurrently with Reconfigure (that is the point of the live control
-// plane).
+// plane). At one worker it runs each burst on its own goroutine
+// (feedFlush).
 func (e *Engine) Feed(wl Workload) error {
 	if e.stopped.Load() {
 		return errors.New("engine: Feed after Stop")
@@ -478,10 +484,14 @@ func (e *Engine) Feed(wl Workload) error {
 		if len(w.burst) < feedBurst {
 			return nil
 		}
-		return e.flush(w)
+		return e.feedFlush(w)
 	})
 	// Publish the tail bursts before the barrier that waits for them.
-	e.flushBursts()
+	for _, w := range e.workers {
+		if len(w.burst) > 0 {
+			e.feedFlush(w)
+		}
+	}
 	e.settle()
 	if err := e.err(); err != nil {
 		return err
@@ -511,6 +521,28 @@ func (e *Engine) flush(w *worker) error {
 	clear(w.burst) // the backing array must not pin the caller's packets
 	w.burst = w.burst[:0]
 	return err
+}
+
+// feedFlush hands Feed's burst for w over (callers hold feedMu). At one
+// worker there is no other worker whose dispatch running it would stall,
+// so the caller runs it itself, as Dispatch runs a lone packet: it waits
+// until the worker is parked on an empty mailbox, borrows it for this
+// burst only, and gives it back, so control jobs queued meanwhile run on
+// the worker between two bursts. At more workers it pushes the burst.
+func (e *Engine) feedFlush(w *worker) error {
+	if len(e.workers) > 1 {
+		return e.flush(w)
+	}
+	lent := w.box.borrow(true) // false once the mailbox is closed
+	if lent {
+		w.runBorrowed(w.burst)
+	}
+	clear(w.burst) // the backing array must not pin the caller's packets
+	w.burst = w.burst[:0]
+	if !lent || e.aborted.Load() {
+		return e.refusal()
+	}
+	return nil
 }
 
 // flushBursts pushes every worker's burst, one push each, and clears
@@ -593,11 +625,11 @@ func (e *Engine) Dispatch(tNs int64, pkt *packet.Packet) (int64, error) {
 		if e.pending.Load() {
 			err = e.flushBursts()
 		}
-		if err == nil && w.box.borrow() {
+		if err == nil && w.box.borrow(false) {
 			// The worker is ours until runBorrowed gives it back; a
 			// Dispatch behind this one finds it borrowed and queues.
 			e.feedMu.Unlock()
-			w.runBorrowed(&j)
+			w.runBorrowed([]job{j})
 			if e.aborted.Load() {
 				return 0, e.refusal()
 			}

@@ -9,14 +9,15 @@ import "sync"
 // one consumer while it is empty. Jobs leave in the order they entered.
 //
 // A producer that finds the consumer parked on an empty ring may borrow it
-// instead of queueing (borrow, giveBack): it runs the job on its own
+// instead of queueing (borrow, giveBack): it runs its jobs on its own
 // goroutine with the consumer's state, and pull keeps the consumer parked
 // until the borrower gives it back, so jobs queued meanwhile run after the
-// borrowed one and the consumer's state never has two goroutines.
+// borrowed ones and the consumer's state never has two goroutines.
 type mailbox struct {
 	mu       sync.Mutex
 	notEmpty sync.Cond // the consumer parks here
 	notFull  sync.Cond // producers park here
+	idle     sync.Cond // a borrower waiting for the consumer to park waits here
 	ring     []job
 	head, n  int
 	done     bool
@@ -27,7 +28,7 @@ type mailbox struct {
 
 func newMailbox(depth int) *mailbox {
 	m := &mailbox{ring: make([]job, depth)}
-	m.notEmpty.L, m.notFull.L = &m.mu, &m.mu
+	m.notEmpty.L, m.notFull.L, m.idle.L = &m.mu, &m.mu, &m.mu
 	return m
 }
 
@@ -58,20 +59,25 @@ func (m *mailbox) push(jobs []job) bool {
 }
 
 // borrow lends the consumer to the caller if it is parked on an empty,
-// open ring and nobody has borrowed it yet: the caller then runs the job it
-// would have pushed and must call giveBack.
-func (m *mailbox) borrow() bool {
+// open ring and nobody has borrowed it yet: the caller then runs the jobs
+// it would have pushed and must call giveBack. With wait set it waits for
+// that, while the consumer runs what is queued, and fails only once the
+// mailbox is closed.
+func (m *mailbox) borrow(wait bool) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.parked || m.borrowed || m.n > 0 || m.done {
-		return false
+	for !m.parked || m.borrowed || m.n > 0 || m.done {
+		if !wait || m.done {
+			return false
+		}
+		m.idle.Wait()
 	}
 	m.borrowed = true
 	return true
 }
 
 // giveBack ends a borrow, waking the consumer if jobs or a close arrived
-// while it was lent.
+// while it was lent, and otherwise a borrower waiting for it.
 func (m *mailbox) giveBack() {
 	m.mu.Lock()
 	m.borrowed = false
@@ -79,6 +85,8 @@ func (m *mailbox) giveBack() {
 	m.mu.Unlock()
 	if wake {
 		m.notEmpty.Signal()
+	} else {
+		m.idle.Signal()
 	}
 }
 
@@ -91,6 +99,7 @@ func (m *mailbox) pull(dst []job) (batch []job, ok bool) {
 	defer m.mu.Unlock()
 	for m.n == 0 && !m.done || m.borrowed {
 		m.parked = true
+		m.idle.Signal()
 		m.notEmpty.Wait()
 		m.parked = false
 	}
@@ -117,4 +126,5 @@ func (m *mailbox) close() {
 	m.mu.Unlock()
 	m.notEmpty.Broadcast()
 	m.notFull.Broadcast()
+	m.idle.Broadcast()
 }

@@ -218,7 +218,7 @@ func (m *mailbox) consumerParked() bool {
 func TestMailboxBorrow(t *testing.T) {
 	checkLeaks(t)
 	m := newMailbox(4)
-	if m.borrow() {
+	if m.borrow(false) {
 		t.Fatal("borrowed a consumer that is not pulling")
 	}
 	pulled := make(chan []job)
@@ -233,10 +233,10 @@ func TestMailboxBorrow(t *testing.T) {
 		}
 	}()
 	eventually(t, "the consumer parks", m.consumerParked)
-	if !m.borrow() {
+	if !m.borrow(false) {
 		t.Fatal("could not borrow a parked consumer")
 	}
-	if m.borrow() {
+	if m.borrow(false) {
 		t.Fatal("borrowed a consumer twice")
 	}
 	m.push(seqJobs(0, 0, 2))
@@ -255,7 +255,7 @@ func TestMailboxBorrow(t *testing.T) {
 
 	eventually(t, "the consumer parks again", m.consumerParked)
 	m.push(seqJobs(0, 2, 1))
-	if m.borrow() {
+	if m.borrow(false) {
 		t.Error("borrowed a consumer with a job queued")
 	}
 	if batch := <-pulled; len(batch) != 1 || batch[0].seq != 2 {
@@ -263,7 +263,7 @@ func TestMailboxBorrow(t *testing.T) {
 	}
 
 	eventually(t, "the consumer parks again", m.consumerParked)
-	if !m.borrow() {
+	if !m.borrow(false) {
 		t.Fatal("could not borrow a parked consumer")
 	}
 	m.close()
@@ -277,7 +277,7 @@ func TestMailboxBorrow(t *testing.T) {
 	if _, ok := <-pulled; ok {
 		t.Fatal("the consumer pulled a batch from a closed, empty mailbox")
 	}
-	if m.borrow() {
+	if m.borrow(false) {
 		t.Error("borrowed the consumer of a closed mailbox")
 	}
 }

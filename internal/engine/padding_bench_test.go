@@ -98,7 +98,7 @@ func checkApart(t *testing.T, typ string, read, written []layoutField) {
 // batch), while a worker reads aborted (and runCtx beside it) once per
 // packet. And every packet Feed or Dispatch hands to a worker is appended
 // to that worker's burst, while the worker reads its id, eng and box and
-// its hot block (walk, batch, next, lifeOn) once per packet.
+// its hot block (walk, batch, lifeOn) once per packet.
 func TestDispatcherStateOffWorkerLines(t *testing.T) {
 	var e Engine
 	checkApart(t, "Engine",
@@ -121,7 +121,6 @@ func TestDispatcherStateOffWorkerLines(t *testing.T) {
 			{"box", unsafe.Offsetof(w.box), unsafe.Sizeof(w.box)},
 			{"walk", unsafe.Offsetof(w.walk), unsafe.Sizeof(w.walk)},
 			{"batch", unsafe.Offsetof(w.batch), unsafe.Sizeof(w.batch)},
-			{"next", unsafe.Offsetof(w.next), unsafe.Sizeof(w.next)},
 			{"lifeOn", unsafe.Offsetof(w.lifeOn), unsafe.Sizeof(w.lifeOn)},
 		},
 		[]layoutField{

@@ -115,9 +115,9 @@ type Report struct {
 	// (0 for a worker that has not pulled yet); borrowed runs are not
 	// pulls.
 	BatchSizes []float64 `json:"batch_sizes,omitempty"`
-	// Borrowed counts the packets Dispatch ran on its caller's goroutine,
-	// having found their worker parked on an empty mailbox, instead of
-	// handing them off.
+	// Borrowed counts the packets run on the caller's goroutine instead of
+	// handed off: a lone Dispatch that found its worker parked on an empty
+	// mailbox, and at one worker every packet Feed was given.
 	Borrowed int `json:"borrowed"`
 	// Flow sums the flow-state lifecycle counters over every worker's
 	// per-stage tracker, with the configured engine-wide Capacity (nil when
@@ -142,7 +142,7 @@ func (r *Report) WriteText(w io.Writer) {
 	}
 	fmt.Fprintln(w)
 	if r.Borrowed > 0 {
-		fmt.Fprintf(w, "  borrowed: %d packets run on the Dispatch caller, not handed off\n", r.Borrowed)
+		fmt.Fprintf(w, "  borrowed: %d packets run on the caller, not handed off\n", r.Borrowed)
 	}
 	if l := r.Latency; l.Count > 0 {
 		fmt.Fprintf(w, "  latency: mean %.2f µs, p50 %.2f, p99 %.2f, max %.2f\n",

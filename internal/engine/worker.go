@@ -63,10 +63,8 @@ type worker struct {
 
 	walk walker
 
-	// batch is reused across pulls so the steady state does not allocate;
-	// next indexes the batch's first job not yet run.
+	// batch is reused across pulls so the steady state does not allocate.
 	batch []job
-	next  int
 
 	// Flow-state lifecycle. life holds one tracker per stage (nil when
 	// the stage has no dynamic maps or the lifecycle is disabled); the
@@ -84,7 +82,8 @@ type worker struct {
 
 	// pulls and pulled count this worker's mailbox pulls and the jobs they
 	// took, exported race-free to reports as the mean batch size; borrowed
-	// counts the packets Dispatch callers ran in its place (runBorrowed).
+	// counts the packets Feed and Dispatch callers ran in its place
+	// (runBorrowed).
 	pulls, pulled, borrowed atomic.Int64
 
 	_ [64]byte
@@ -210,9 +209,9 @@ func (w *worker) loop() {
 		}
 		w.pulls.Add(1)
 		w.pulled.Add(int64(len(batch)))
-		w.batch, w.next = batch, 0
-		for w.next < len(batch) {
-			w.runBatch()
+		w.batch = batch
+		for next := 0; next < len(batch); {
+			next = w.run(batch, next)
 		}
 		w.walk.Flush()
 	}
@@ -239,32 +238,35 @@ func (w *worker) published() Stats {
 	return w.seen
 }
 
-// runBatch runs the batch from w.next on. A panic in a job (a delivery
-// callback, a plan op, a control-plane apply, a Mutate) is contained here:
-// it fails the run, which closes the mailboxes so a dispatcher blocked on
-// a full one returns the error, and loop calls again for the rest of the
-// batch so no barrier behind the panic waits forever.
-func (w *worker) runBatch() {
+// run runs jobs from next on, whichever goroutine holds the worker: its
+// own, on a pulled batch, or a borrower's (runBorrowed). It returns where
+// it stopped: the end, or just past a job that panicked. Such a panic (a
+// delivery callback, a plan op, a control-plane apply, a Mutate) is
+// contained here: it fails the run, which closes the mailboxes so a
+// dispatcher blocked on a full one returns the error, and loop calls
+// again for the rest of the batch so no barrier behind the panic waits
+// forever. A packet's delivery has More set iff the next job is a packet.
+func (w *worker) run(jobs []job, next int) (done int) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.eng.fail(fmt.Errorf("engine: worker %d panicked at seq %d: %v", w.id, w.batch[w.next-1].seq, r))
+			w.eng.fail(fmt.Errorf("engine: worker %d panicked at seq %d: %v", w.id, jobs[done-1].seq, r))
 		}
 	}()
-	for w.next < len(w.batch) {
-		j := &w.batch[w.next]
-		w.next++
+	for done = next; done < len(jobs); {
+		j := &jobs[done]
+		done++
 		if j.ctrl != nil {
 			// Control jobs synchronise with readers of the switch counters,
 			// and a barrier releases Feed: drop the finished jobs' packets first.
 			w.walk.Flush()
-			clear(w.batch[:w.next-1])
+			clear(jobs[:done-1])
 			j.ctrl(w)
 			continue
 		}
 		if w.eng.aborted.Load() {
 			continue
 		}
-		more := w.next < len(w.batch) && w.batch[w.next].ctrl == nil
+		more := done < len(jobs) && jobs[done].ctrl == nil
 		if err := w.process(j, more); err != nil {
 			w.eng.fail(err)
 		}
@@ -272,32 +274,26 @@ func (w *worker) runBatch() {
 			w.maybeSweep()
 		}
 	}
+	return done
 }
 
-// runBorrowed runs one packet on a Dispatch caller's goroutine while the
-// mailbox lends it this worker (mailbox.borrow): the worker's walker,
-// shard and counters, the same steps and the same panic containment as
-// runBatch, then the flush the worker makes after a pull. Nothing follows
-// the packet here, so its delivery's More is false. It gives the worker
-// back on every exit, after the walker is flushed and any failure
-// recorded.
-func (w *worker) runBorrowed(j *job) {
+// runBorrowed runs packets on a Feed or Dispatch caller's goroutine while
+// the mailbox lends it this worker (mailbox.borrow): the worker's walker,
+// shard and counters, through run, in pieces of at most QueueDepth so a
+// delivery's More means what it means after a pull, then the flush the
+// worker makes after a pull. It gives the worker back on every exit,
+// after the walker is flushed and any failure recorded.
+func (w *worker) runBorrowed(jobs []job) {
 	defer w.box.giveBack()
 	defer w.walk.Flush()
-	defer func() {
-		if r := recover(); r != nil {
-			w.eng.fail(fmt.Errorf("engine: worker %d panicked at seq %d: %v", w.id, j.seq, r))
-		}
-	}()
 	if w.eng.aborted.Load() {
 		return
 	}
-	w.borrowed.Add(1)
-	if err := w.process(j, false); err != nil {
-		w.eng.fail(err)
-	}
-	if w.lifeOn {
-		w.maybeSweep()
+	w.borrowed.Add(int64(len(jobs)))
+	for depth := w.eng.cfg.QueueDepth; len(jobs) > 0; {
+		k := min(len(jobs), depth)
+		w.run(jobs[:k], 0)
+		jobs = jobs[k:]
 	}
 }
 

@@ -21,18 +21,22 @@ import (
 // reconfigUnderTraffic, drives every such test over the rows below, one
 // row per kind of operation.
 
-// reconfigWorkers is every row's worker count.
-const reconfigWorkers = 8
+// reconfigWorkers are the worker counts every row runs at: one, where
+// Feed runs its bursts on its own goroutine and a Reconfigure's pause
+// lands between two of them, and eight, where Feed pushes its bursts to
+// the workers.
+var reconfigWorkers = []int{1, 8}
 
 // reconfigRow is one reconfigure-under-traffic case: a middlebox, the
 // session options it needs beyond the harness's own, the i-th typed
-// operation, and any checks of its own on the final report.
+// operation at a given worker count, and any checks of its own on the
+// final report.
 type reconfigRow struct {
 	name  string
 	mb    string
 	opts  []gallium.Option
-	op    func(i int, flows []packet.FiveTuple) gallium.ReconfigOp
-	check func(t *testing.T, rep *gallium.Report)
+	op    func(i, workers int, flows []packet.FiveTuple) gallium.ReconfigOp
+	check func(t *testing.T, workers int, rep *gallium.Report)
 }
 
 // lbPools alternate between three backends and a pool that swaps the
@@ -54,7 +58,7 @@ var reconfigRows = []reconfigRow{
 	{
 		name: "firewall-swap",
 		mb:   "firewall",
-		op: func(i int, flows []packet.FiveTuple) gallium.ReconfigOp {
+		op: func(i, _ int, flows []packet.FiveTuple) gallium.ReconfigOp {
 			// The live flows stay whitelisted, so a drop is the control
 			// plane's fault, not policy; a block of decoys churns.
 			rules := slices.Clone(flows)
@@ -71,7 +75,7 @@ var reconfigRows = []reconfigRow{
 	{
 		name: "lb-pool",
 		mb:   "l4lb",
-		op: func(i int, _ []packet.FiveTuple) gallium.ReconfigOp {
+		op: func(i, _ int, _ []packet.FiveTuple) gallium.ReconfigOp {
 			return gallium.LBPoolChange{Backends: lbPools[i%2], Drain: i%4 < 2}
 		},
 	},
@@ -79,7 +83,7 @@ var reconfigRows = []reconfigRow{
 		name: "flow-table",
 		mb:   "l4lb",
 		opts: []gallium.Option{gallium.WithFlowTable(gallium.FlowTable{Capacity: 2048, UDPTimeout: time.Second})},
-		op: func(i int, _ []packet.FiveTuple) gallium.ReconfigOp {
+		op: func(i, _ int, _ []packet.FiveTuple) gallium.ReconfigOp {
 			if i%3 == 2 {
 				return gallium.FlowTableUpdate{Table: gallium.FlowTable{
 					Capacity: 2048 + 1024*(i%2), UDPTimeout: time.Second,
@@ -87,8 +91,10 @@ var reconfigRows = []reconfigRow{
 			}
 			return gallium.LBPoolChange{Backends: lbPools[i%2]}
 		},
-		check: func(t *testing.T, rep *gallium.Report) {
-			if slices.Max(rep.BatchSizes) <= 1 {
+		check: func(t *testing.T, workers int, rep *gallium.Report) {
+			// At one worker Feed's packets are not pulled
+			// (reconfigUnderTraffic counts them borrowed).
+			if workers > 1 && slices.Max(rep.BatchSizes) <= 1 {
 				t.Errorf("no worker pulled more than one job at a time: mean pulls %v", rep.BatchSizes)
 			}
 			if rep.Stats.CtlBatches == 0 {
@@ -99,11 +105,11 @@ var reconfigRows = []reconfigRow{
 	{
 		name: "nat-repartition",
 		mb:   "mazunat",
-		op: func(i int, _ []packet.FiveTuple) gallium.ReconfigOp {
+		op: func(i, workers int, _ []packet.FiveTuple) gallium.ReconfigOp {
 			if i%2 == 0 {
 				return gallium.NATRepartition{} // even split
 			}
-			bases := make([]uint16, reconfigWorkers)
+			bases := make([]uint16, workers)
 			for w := range bases {
 				bases[w] = uint16(1024 + 8000*w)
 			}
@@ -136,14 +142,23 @@ func (c counted) Generate(emit func(int64, *packet.Packet) error) error {
 	})
 }
 
-// reconfigUnderTraffic opens row's session and feeds it from one
+// reconfigUnderTraffic runs row at each of reconfigWorkers, as a subtest
+// per worker count (reconfigAt).
+func reconfigUnderTraffic(t *testing.T, row reconfigRow, ops int, pace time.Duration) {
+	t.Helper()
+	for _, workers := range reconfigWorkers {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { reconfigAt(t, row, workers, ops, pace) })
+	}
+}
+
+// reconfigAt opens row's session at workers workers and feeds it from one
 // goroutine, copy after copy of one iperf workload, while it applies ops
 // of row's operations, one every pace (back to back when pace is 0). It
 // then checks that every fed packet had exactly one delivery callback and
 // was delivered, that each flow's deliveries kept their feed order, and
-// that the session and the switch each counted every operation.
-func reconfigUnderTraffic(t *testing.T, row reconfigRow, ops int, pace time.Duration) {
-	t.Helper()
+// that the session and the switch each counted every operation. At one
+// worker every fed packet must have run on the feeding goroutine.
+func reconfigAt(t *testing.T, row reconfigRow, workers, ops int, pace time.Duration) {
 	art, err := gallium.CompileBuiltin(row.mb, gallium.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +172,7 @@ func reconfigUnderTraffic(t *testing.T, row reconfigRow, ops int, pace time.Dura
 	var firstDisorder string
 	top := int64(-1)
 	s, err := gallium.Open(art, append([]gallium.Option{
-		gallium.WithWorkers(reconfigWorkers),
+		gallium.WithWorkers(workers),
 		gallium.WithScenario(),
 		gallium.WithFlows(flows),
 		gallium.WithQueueDepth(1 << 15),
@@ -214,7 +229,7 @@ func reconfigUnderTraffic(t *testing.T, row reconfigRow, ops int, pace time.Dura
 			time.Sleep(pace)
 		}
 		t0 := time.Now()
-		if err := s.Reconfigure(row.op(applied, flows)); err != nil {
+		if err := s.Reconfigure(row.op(applied, workers, flows)); err != nil {
 			t.Errorf("%s: operation %d: %v", row.name, applied, err)
 			break
 		}
@@ -251,13 +266,16 @@ func reconfigUnderTraffic(t *testing.T, row reconfigRow, ops int, pace time.Dura
 		t.Errorf("%s: applied %d operations, session counts %d, switch %d",
 			row.name, applied, rep.Reconfigs, rep.SwitchStages[0].Reconfigs)
 	}
+	if workers == 1 && rep.Borrowed != fed {
+		t.Errorf("%s: %d of %d fed packets ran on the feeding goroutine, want all", row.name, rep.Borrowed, fed)
+	}
 	if row.check != nil {
-		row.check(t, rep)
+		row.check(t, workers, rep)
 	}
 }
 
 // TestSessionReconfigureZeroLossAndOrdering swaps firewall rules 20 times
-// back to back at 8 workers. Run under -race it also shows the
+// back to back, at 1 and at 8 workers. Run under -race it also shows the
 // reconfigure path race-clean.
 func TestSessionReconfigureZeroLossAndOrdering(t *testing.T) {
 	reconfigUnderTraffic(t, findRow(t, "firewall-swap"), 20, 0)
@@ -274,8 +292,9 @@ func TestScaleOutReconfigureUnderTraffic(t *testing.T) {
 }
 
 // TestReconfigSoak runs every row with an operation every 100ms of wall
-// time, the budget split evenly across the rows. The default budget keeps
-// ordinary test runs fast; CI's soak raises it via GALLIUM_SOAK_SECONDS.
+// time, the budget split evenly across the rows and their worker counts.
+// The default budget keeps ordinary test runs fast; CI's soak raises it
+// via GALLIUM_SOAK_SECONDS.
 func TestReconfigSoak(t *testing.T) {
 	const pace = 100 * time.Millisecond
 	budget := 2 * time.Second
@@ -288,7 +307,7 @@ func TestReconfigSoak(t *testing.T) {
 	} else if testing.Short() {
 		t.Skip("short mode: soak runs in CI (GALLIUM_SOAK_SECONDS)")
 	}
-	ops := max(1, int(budget/time.Duration(len(reconfigRows))/pace))
+	ops := max(1, int(budget/time.Duration(len(reconfigRows)*len(reconfigWorkers))/pace))
 	for _, row := range reconfigRows {
 		t.Run(row.name, func(t *testing.T) { reconfigUnderTraffic(t, row, ops, pace) })
 	}

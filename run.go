@@ -144,10 +144,11 @@ func WithCostModel(m engine.CostModel) Option {
 }
 
 // WithDeliveries registers a per-packet fate callback. It is invoked
-// concurrently from worker goroutines (per-flow order preserved) and, for
-// a packet Session.Dispatch runs itself, on the Dispatch caller's
-// goroutine before Dispatch returns. It must be safe for concurrent use
-// and must not wait for a lock its Dispatch caller holds.
+// concurrently from worker goroutines (per-flow order preserved), for a
+// packet Session.Dispatch runs itself on the Dispatch caller's goroutine
+// before Dispatch returns, and at one worker for the packets of Feed (and
+// Run) on the feeding goroutine. It must be safe for concurrent use and
+// must not wait for a lock its Dispatch or Feed caller holds.
 func WithDeliveries(fn func(Delivery)) Option {
 	return func(c *runConfig) { c.OnDelivery = fn }
 }

@@ -153,7 +153,9 @@ func openSession(ctx context.Context, arts []*Artifacts, opts []Option) (*Sessio
 // packet of it has settled. Callable repeatedly; injection times must be
 // non-decreasing across feeds (the session models one continuous
 // deployment). Feed may run concurrently with Reconfigure — that is the
-// point of the live control plane — but not with itself or Close.
+// point of the live control plane — but not with itself or Close. At one
+// worker Feed runs its packets on this goroutine, WithDeliveries
+// callbacks included; at more it hands them to the workers.
 func (s *Session) Feed(wl Workload) error {
 	return s.eng.Feed(wl)
 }
